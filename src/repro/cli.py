@@ -114,7 +114,7 @@ def _session(args: argparse.Namespace) -> Session:
 def _store_payload(session: Session) -> dict:
     """Warm/cold summary every store-backed payload embeds.
 
-    Uses the O(#shards) disk summary, not the full record parse — a
+    Uses the handle's cached disk summary, not the full record parse — a
     4-second ``run`` against a long-lived store must not pay an
     O(whole-store) tail; ``cache stats`` is the full view.
     """

@@ -307,13 +307,16 @@ def resolve_reader(store: "ExperimentStore", reader: str) -> StoreReader:
 
 
 def index_summary(store: "ExperimentStore") -> Dict[str, object]:
-    """Cheap index facts for ``disk_summary`` payloads (no row counting)."""
-    path = index_path(store)
-    return {
-        "reader": store.reader_name,
-        "indexed": path.exists(),
-        "index_bytes": path.stat().st_size if path.exists() else 0,
-    }
+    """Cheap index facts for ``disk_summary`` payloads (no row counting).
+
+    One ``stat`` per call, never cached: the file's size changes on every
+    WAL checkpoint, which no store method observes.
+    """
+    try:
+        index_bytes = os.stat(index_path(store)).st_size
+    except FileNotFoundError:
+        return {"reader": store.reader_name, "indexed": False, "index_bytes": 0}
+    return {"reader": store.reader_name, "indexed": True, "index_bytes": index_bytes}
 
 
 __all__ = [

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import tempfile
 import threading
@@ -108,8 +109,9 @@ class ExperimentStore:
 
     def __init__(self, root: Union[str, Path], reader: str = "auto") -> None:
         self.root = Path(root)
-        #: Guards the in-memory index and counters only — held briefly, and
-        #: never while blocking on disk, so index reads are never stalled by
+        #: Guards the in-memory index, shard sizes and counters only — held
+        #: briefly (the longest hold is one shard-directory walk), and never
+        #: while waiting on the flock, so index reads are never stalled by
         #: another process's long-held flock.
         self._lock = threading.RLock()
         #: Serialises this process's *disk mutators* (appends, rewrites) and
@@ -118,6 +120,11 @@ class ExperimentStore:
         self._disk_rlock = threading.RLock()
         #: Per-shard in-memory index, loaded lazily: prefix -> {key: record}.
         self._index: Dict[str, Dict[str, dict]] = {}
+        #: Shard prefix -> bytes on disk as this handle last saw them, for
+        #: :meth:`disk_summary`.  None until first asked for; dropped back to
+        #: None wherever ``_index`` is dropped, so both share one freshness
+        #: rule.
+        self._shard_bytes: Optional[Dict[str, int]] = None
         self._hits = 0
         self._misses = 0
         self._puts = 0
@@ -287,8 +294,8 @@ class ExperimentStore:
         """One pass over a shard file: (key -> record index, invalid lines).
 
         Every pass is timed and sized into the ``repro_store_shard_scan_*``
-        histograms — the data ROADMAP item 2 (read-optimized index) waits
-        on: when scans dominate the serve latency profile, these say so.
+        histograms, which show whether shard scans dominate a serve latency
+        profile (the SQLite index of :mod:`repro.store.index` is the fix).
         """
         path = self._shard_path(prefix)
         index: Dict[str, dict] = {}
@@ -347,6 +354,8 @@ class ExperimentStore:
             self._write_atomic(shard, body)
         elif shard.exists():
             shard.unlink()
+        with self._lock:
+            self._shard_bytes = None
 
     # ------------------------------------------------------------------ #
     # Read / write
@@ -398,6 +407,10 @@ class ExperimentStore:
             with self._disk_mutation_lock():
                 with open(self._shard_path(prefix), "a") as handle:
                     handle.write(line)
+                    handle.flush()
+                    # Exact even if another process appended to this shard:
+                    # the flock orders every append before this one.
+                    shard_bytes = os.fstat(handle.fileno()).st_size
                 if self._index_handle is not None:
                     # Mirror the append while still holding the flock, so
                     # the index can never carry a row the shards lack.
@@ -405,6 +418,8 @@ class ExperimentStore:
                 with self._lock:
                     if prefix in self._index:
                         self._index[prefix][key] = record
+                    if self._shard_bytes is not None:
+                        self._shard_bytes[prefix] = shard_bytes
                     self._puts += 1
         get_registry().counter(
             "repro_store_puts_total", "records appended to the store"
@@ -412,9 +427,11 @@ class ExperimentStore:
         return key
 
     def refresh(self) -> None:
-        """Drop the in-memory index so later reads see other writers' lines."""
+        """Drop the in-memory index and shard sizes so later reads and
+        :meth:`disk_summary` see other writers' lines."""
         with self._lock:
             self._index.clear()
+            self._shard_bytes = None
 
     def _quarantined_on_disk(self) -> int:
         """Count of lines currently parked in the quarantine directory."""
@@ -456,6 +473,14 @@ class ExperimentStore:
         """
         if max_records is not None and max_records < 0:
             raise StoreError("gc max_records must be >= 0")
+        if max_age_seconds is not None and not (
+            math.isfinite(max_age_seconds) and max_age_seconds >= 0
+        ):
+            # A negative or NaN age puts the horizon in the future (or makes
+            # every comparison false) and would silently evict everything.
+            raise StoreError(
+                f"gc max_age_seconds must be a finite number >= 0, got {max_age_seconds!r}"
+            )
         with self._disk_mutation_lock():
             # Reload under the lock so concurrent appenders cannot slip a
             # record between the read and the shard rewrites below.
@@ -497,6 +522,7 @@ class ExperimentStore:
                 self._index_handle.replace_all(survivors)
             with self._lock:
                 self._index.clear()
+                self._shard_bytes = None
                 self._evictions += evicted
             return evicted
 
@@ -520,21 +546,36 @@ class ExperimentStore:
         }
 
     def disk_summary(self) -> dict:
-        """Cheap O(#shards) view: directory stats without parsing records.
+        """This handle's view of the shard directory, without parsing records.
 
-        Suitable for embedding in every CLI payload; use :meth:`stats` /
+        Shard sizes are walked once and then kept: :meth:`put` records the
+        size of the shard it appended to, and :meth:`refresh`, :meth:`gc`
+        and quarantine rewrites drop them for the next call to re-walk —
+        the same freshness rule as the record index.  Cheap enough for
+        every CLI and ``/v1/plan`` payload; use :meth:`stats` /
         ``cache stats`` when record counts by kind are worth a full load.
         """
         from repro.store.index import index_summary
 
-        shard_paths = list(self.shards_dir.glob("*.jsonl"))
-        summary = {
-            "root": str(self.root),
-            "shards": len(shard_paths),
-            "disk_bytes": sum(path.stat().st_size for path in shard_paths),
-        }
+        with self._lock:
+            if self._shard_bytes is None:
+                self._shard_bytes = self._walk_shard_bytes()
+            summary = {
+                "root": str(self.root),
+                "shards": len(self._shard_bytes),
+                "disk_bytes": sum(self._shard_bytes.values()),
+            }
         summary.update(index_summary(self))
         return summary
+
+    def _walk_shard_bytes(self) -> Dict[str, int]:
+        """Shard prefix -> file size, from one directory walk."""
+        with os.scandir(self.shards_dir) as entries:
+            return {
+                entry.name[: -len(".jsonl")]: entry.stat().st_size
+                for entry in entries
+                if entry.name.endswith(".jsonl")
+            }
 
     def _build_stats(self, num_records: int) -> StoreStats:
         """Assemble a :class:`StoreStats` from a just-completed record walk.

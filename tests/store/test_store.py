@@ -195,6 +195,16 @@ class TestGc:
         with pytest.raises(StoreError):
             store.gc(max_records=-1)
 
+    @pytest.mark.parametrize("age", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_gc_rejects_an_age_that_is_not_finite_and_non_negative(self, store, age):
+        store.put("run", {"cell": "a"}, {"x": 1})
+        with pytest.raises(StoreError, match="max_age_seconds"):
+            store.gc(max_age_seconds=age)
+        assert ExperimentStore(store.root).get("run", {"cell": "a"}) == {"x": 1}
+
+    def test_gc_zero_age_is_accepted(self, store):
+        assert store.gc(max_age_seconds=0) == 0
+
 
 class TestExport:
     def test_export_round_trips_through_json(self, store):

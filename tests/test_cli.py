@@ -450,6 +450,20 @@ class TestCache:
         assert payload["evicted"] == 1
         assert payload["stats"]["records"] == 0
 
+    @pytest.mark.parametrize("days", ["-1", "nan"])
+    def test_cache_gc_rejects_a_bad_age(self, capsys, tmp_path, days):
+        store = str(tmp_path / "store")
+        self._populate(capsys, store)
+        code, captured = run_cli(
+            capsys, "cache", "gc", "--store", store, "--max-age-days", days
+        )
+        assert code == 2
+        assert "max_age_seconds" in captured.err
+        assert "Traceback" not in captured.err
+        code, captured = run_cli(capsys, "cache", "stats", "--store", store)
+        assert code == 0
+        assert json.loads(captured.out)["stats"]["records"] == 1
+
     def test_cache_gc_needs_a_bound(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         self._populate(capsys, store)
