@@ -23,13 +23,13 @@ class JobRecord:
     """One completed job: where it ran, when, and what faults cost it.
 
     The reliability fields default to "nothing happened": ``preemptions``
-    counts fault-driven interruptions, ``gpu_seconds`` the actual GPU-time
-    occupied across every attempt (``None`` means the fault-free
-    ``gpus * service_time``), ``wasted_gpu_seconds`` the slice destroyed by
-    lost work and recovery overheads, ``recovery_seconds`` the total time
-    spent between an eviction and the next start, and ``final_gpus`` the
-    gang size the job *finished* on (elastic ``shrink`` makes it smaller
-    than ``gpus``).
+    counts interruptions (faults or voluntary preemption), ``gpu_seconds``
+    the actual GPU-time occupied across every attempt (``None`` in plain
+    runs, meaning ``gpus * service_time``), ``wasted_gpu_seconds`` the slice
+    destroyed by lost work and recovery overheads, ``recovery_seconds`` the
+    total time spent between an eviction and the next start, and
+    ``final_gpus`` the gang size the job *finished* on (elastic ``shrink``
+    makes it smaller than ``gpus``).
     """
 
     job_id: str
@@ -173,11 +173,14 @@ def percentile(values: Sequence[float], q: float) -> float:
 class ClusterReport:
     """Aggregated outcome of serving one workload under one policy.
 
-    The reliability fields are only populated by fault-injected runs:
-    ``fault_events`` is the injected trace (as dicts), ``recoveries`` one
-    duration per eviction-to-restart gap (feeding the p95), ``killed`` one
-    dict per job the degraded fleet could never host again, and
-    ``elastic_policy`` the recovery policy that handled evictions.
+    The reliability fields stay empty for plain runs (no faults, tenants,
+    deadlines or price curve).  ``fault_events`` (the injected trace, as
+    dicts) and ``elastic_policy`` (the recovery policy that handled
+    evictions) are set only when faults are injected.  ``recoveries`` (one
+    duration per eviction-to-restart gap, feeding the p95) and ``killed``
+    (one dict per job the fleet could never host) are filled by tenant and
+    priced runs too: voluntary preemption restarts gangs, and a gang larger
+    than its tenant's quota is killed.
     """
 
     policy: str
@@ -190,9 +193,9 @@ class ClusterReport:
     elastic_policy: Optional[str] = None
     recoveries: Tuple[float, ...] = ()
     killed: Tuple[dict, ...] = ()
-    #: Exact per-node GPU-seconds occupied, populated by fault runs where a
-    #: job's attempts may span several nodes (restart/migrate); empty for
-    #: fault-free runs, whose records are single-node by construction.
+    #: Exact per-node GPU-seconds occupied, populated by every non-plain run
+    #: (a job's attempts may span several nodes after restart/migrate);
+    #: empty for plain runs, whose records are single-node by construction.
     node_busy_gpu_seconds: Dict[str, float] = field(default_factory=dict)
     #: Declared tenant specs (as dicts) and the price curve name, populated
     #: by multi-tenant / spot-priced runs.
@@ -291,7 +294,7 @@ class ClusterReport:
         return self.num_jobs / makespan * 3600.0
 
     # ------------------------------------------------------------------ #
-    # Reliability analytics (all zero / empty for fault-free runs)
+    # Reliability analytics (all zero / empty for plain runs)
     # ------------------------------------------------------------------ #
     @property
     def faults_injected(self) -> int:

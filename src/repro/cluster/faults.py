@@ -111,8 +111,8 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError(f"fault time must be >= 0, got {self.time}")
+        if not math.isfinite(self.time) or self.time < 0:
+            raise ConfigurationError(f"fault time must be finite and >= 0, got {self.time}")
         if self.kind not in FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; known kinds: {FAULT_KINDS}"
@@ -124,11 +124,15 @@ class FaultEvent:
                 f"fault gpus must be >= 1 (or None for the whole node), "
                 f"got {self.gpus}"
             )
-        if self.kind in ("preempt", "straggler") and self.duration <= 0:
+        if self.kind in ("preempt", "straggler") and not (
+            math.isfinite(self.duration) and self.duration > 0
+        ):
             raise ConfigurationError(
-                f"{self.kind} faults need a duration > 0, got {self.duration}"
+                f"{self.kind} faults need a finite duration > 0, got {self.duration}"
             )
-        if self.kind == "straggler" and self.factor <= 1.0:
+        if self.kind == "straggler" and not (
+            math.isfinite(self.factor) and self.factor > 1.0
+        ):
             raise ConfigurationError(
                 f"straggler factor must be > 1.0 (a slowdown), got {self.factor}"
             )
@@ -259,21 +263,23 @@ class FaultModel:
 
     def __post_init__(self) -> None:
         for rate_name in ("crash_rate", "preempt_rate", "straggler_rate"):
-            if getattr(self, rate_name) < 0:
-                raise ConfigurationError(f"{rate_name} must be >= 0")
+            rate = getattr(self, rate_name)
+            if not math.isfinite(rate) or rate < 0:
+                raise ConfigurationError(f"{rate_name} must be finite and >= 0, got {rate}")
         if self.arrival not in ("poisson", "weibull"):
             raise ConfigurationError(
                 f"unknown arrival process {self.arrival!r}; "
                 "known: 'poisson', 'weibull'"
             )
-        if self.weibull_shape <= 0:
-            raise ConfigurationError("weibull_shape must be > 0")
-        if self.preempt_duration <= 0 or self.straggler_duration <= 0:
-            raise ConfigurationError("fault durations must be > 0")
-        if self.straggler_factor <= 1.0:
-            raise ConfigurationError("straggler_factor must be > 1.0")
-        if self.horizon_slack < 0:
-            raise ConfigurationError("horizon_slack must be >= 0")
+        if not (math.isfinite(self.weibull_shape) and self.weibull_shape > 0):
+            raise ConfigurationError("weibull_shape must be finite and > 0")
+        durations = (self.preempt_duration, self.straggler_duration)
+        if not all(math.isfinite(d) and d > 0 for d in durations):
+            raise ConfigurationError("fault durations must be finite and > 0")
+        if not (math.isfinite(self.straggler_factor) and self.straggler_factor > 1.0):
+            raise ConfigurationError("straggler_factor must be finite and > 1.0")
+        if not math.isfinite(self.horizon_slack) or self.horizon_slack < 0:
+            raise ConfigurationError("horizon_slack must be finite and >= 0")
 
     @property
     def total_rate(self) -> float:
@@ -426,8 +432,10 @@ def parse_fault_spec(spec: str) -> FaultModel:
             raise ConfigurationError(
                 f"bad fault rate in spec entry {entry!r}"
             ) from None
-        if rate <= 0:
-            raise ConfigurationError(f"fault rate must be > 0 in entry {entry!r}")
+        if not math.isfinite(rate) or rate <= 0:
+            raise ConfigurationError(
+                f"fault rate must be finite and > 0 in entry {entry!r}"
+            )
         if kind in rates:
             raise ConfigurationError(f"duplicate fault kind {kind!r} in spec")
         rates[kind] = rate

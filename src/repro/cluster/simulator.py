@@ -29,15 +29,21 @@ gangs recover through a pluggable elastic policy
 :class:`~repro.cluster.faults.RecoveryModel` that knows decoupled
 sub-pipelines (DPU/LS) lose less progress than synchronous gangs.
 
-Multi-tenancy (PR 10) rides the same attempt-based loop: workloads that
-declare :class:`~repro.cluster.workload.TenantSpec` tenants (or carry job
-deadlines, or attach a :class:`~repro.cluster.market.PriceCurve`) are
-routed through it even without faults, adding per-tenant GPU quotas,
-fair-share deficit tracking, *voluntary* preemption on behalf of
-``preempts = True`` policies (reusing the fault-eviction machinery:
-interrupted gangs pay the same checkpoint losses and restart costs), and
-spot-priced cost accounting per attempt.  Single-tenant, deadline-free,
-unpriced workloads keep the original reliable fast path byte-identical.
+Multi-tenancy rides the same loop: workloads that declare
+:class:`~repro.cluster.workload.TenantSpec` tenants (or carry job
+deadlines, or run under a :class:`~repro.cluster.market.PriceCurve`) add
+per-tenant GPU quotas, fair-share deficit tracking, *voluntary* preemption
+on behalf of ``preempts = True`` policies (reusing the fault-eviction
+machinery: interrupted gangs pay the same checkpoint losses and restart
+costs), and spot-priced cost accounting per attempt.
+
+One event loop serves every run.  A *plain* run — no fault trace, no
+tenants, no job deadlines, no price curve — reports exactly what a gang
+scheduler without attempts would: records in first-start order,
+``gpu_seconds`` / ``final_gpus`` / ``cost_usd`` left ``None``, no
+``node_busy_gpu_seconds``, and no voluntary preemption pass (nor a
+:class:`SchedulingContext` for tenant-aware policies), so plain runs stay
+cheap.  The plain-run goldens in ``tests/cluster/golden/`` pin this.
 
 Determinism: workloads, fault models and the event loop are all seeded and
 tie-broken by insertion order, so the same (workload, trace, policy) always
@@ -65,11 +71,12 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cluster_report import ClusterReport, JobRecord
 from repro.cluster.elastic import ELASTIC_POLICIES, ReschedulePolicy, resolve_elastic
 from repro.cluster.faults import (
+    FaultEvent,
     FaultModel,
     FaultTrace,
     RecoveryModel,
@@ -84,6 +91,7 @@ from repro.cluster.scheduler import (
 )
 from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.cluster.workload import JobSpec, Workload
+from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ClusterError
 from repro.obs.metrics import get_registry
@@ -105,6 +113,7 @@ class _Attempt:
     job: JobSpec
     node: NodeSpec
     gpus: int
+    cell: str  # label of the experiment cell the gang runs as
     overhead: float  # nominal seconds of recovery setup folded into the attempt
     attempt_full: float  # nominal full-job service at this (node, gang) sizing
     nominal_total: float  # overhead + remaining work, in nominal seconds
@@ -121,12 +130,518 @@ class _Progress:
     done: float = 0.0  # fraction of the whole job preserved so far
     attempts: int = 0
     first_start: Optional[float] = None
+    first_seq: int = 0  # sequence number of the first attempt
     preemptions: int = 0
     gpu_seconds: float = 0.0
     wasted_gpu_seconds: float = 0.0
     recoveries: List[float] = field(default_factory=list)
     interrupted_at: Optional[float] = None
     cost_usd: float = 0.0
+
+
+#: One fault-timeline action: (time, trace order, action, fault event, token).
+_TimelineEntry = Tuple[float, int, str, FaultEvent, Optional[Dict[str, int]]]
+
+
+def _fault_timeline(
+    trace: Optional[FaultTrace], nodes: Dict[str, int]
+) -> Deque[_TimelineEntry]:
+    """Expand a fault trace into time-ordered timeline actions.
+
+    Preemptions become a down/up pair, stragglers a slow/fast pair.  The
+    shared token dict carries the actually-reclaimed amount from 'down' to
+    its 'up'.
+    """
+    entries: List[_TimelineEntry] = []
+    order = itertools.count()
+    for event in trace.events if trace is not None else ():
+        if event.node not in nodes:
+            raise ClusterError(
+                f"fault trace {trace.name!r} names unknown node "
+                f"{event.node!r}; cluster nodes: {sorted(nodes)}"
+            )
+        if event.kind == "crash":
+            entries.append((event.time, next(order), "crash", event, None))
+        elif event.kind == "preempt":
+            token: Dict[str, int] = {}
+            entries.append((event.time, next(order), "down", event, token))
+            entries.append((event.time + event.duration, next(order), "up", event, token))
+        else:  # straggler
+            entries.append((event.time, next(order), "slow", event, None))
+            entries.append((event.time + event.duration, next(order), "fast", event, None))
+    entries.sort(key=lambda entry: entry[:2])
+    return deque(entries)
+
+
+def _sized(job: JobSpec, gpus: int) -> JobSpec:
+    return job if gpus == job.gpus else replace(job, gpus=gpus)
+
+
+class _FleetRun:
+    """The mutable state of one fleet replay, with one handler per event kind.
+
+    :meth:`ClusterSimulator._run` picks each next instant; the handlers
+    apply what happens at it: :meth:`complete`, :meth:`fault` (crash /
+    down / up / slow / fast), :meth:`arrive` and :meth:`drain` (placement
+    passes, then voluntary preemption).  ``free`` is the per-node free-GPU
+    ledger, updated on every change so policies read it without a rebuild.
+    """
+
+    def __init__(
+        self, sim: "ClusterSimulator", workload: Workload, trace: Optional[FaultTrace]
+    ) -> None:
+        self.sim = sim
+        self.workload = workload
+        self.trace = trace
+        self.tenants = workload.tenant_map()
+        # The plain-run rule is stated once, in the module docstring.
+        self.plain = (
+            trace is None
+            and not self.tenants
+            and sim.price_curve is None
+            and all(job.deadline is None for job in workload.jobs)
+        )
+        self.contextual = getattr(sim.policy, "tenant_aware", False) and not self.plain
+        self.preempts = getattr(sim.policy, "preempts", False) and not self.plain
+        # Fair-share weights (quota when declared, else equal shares) and
+        # GPU-seconds consumed by settled attempts.
+        self.share_weight = {
+            name: float(spec.quota_gpus) if spec.quota_gpus is not None else 1.0
+            for name, spec in self.tenants.items()
+        }
+        self.consumed: Dict[str, float] = {}
+        self.capacity = sim.cluster.node_gpus()  # crash-adjusted
+        self.down = {name: 0 for name in self.capacity}  # preempted now
+        self.free = dict(self.capacity)
+        self.factor = {name: 1.0 for name in self.capacity}
+        # Exact per-node occupancy: a restarted or migrated job spans nodes
+        # across attempts, so per-node utilization cannot be derived from
+        # the (final-node) completion records alone.
+        self.node_busy = {} if self.plain else {name: 0.0 for name in self.capacity}
+        self.timeline = _fault_timeline(trace, self.capacity)
+        self.sequence = itertools.count()
+        self.entries: Dict[int, _Attempt] = {}
+        self.heap: List[Tuple[float, int]] = []
+        self.queue: List[JobSpec] = []
+        self.records: List[JobRecord] = []
+        self.killed: List[dict] = []
+        self.recoveries: List[float] = []
+        self.progress = {job.job_id: _Progress() for job in workload}
+        self.events = 0
+        self.peak_heap = 0
+
+    def available(self, name: str) -> int:
+        """The node's GPUs now: crash-adjusted capacity minus preempted ones."""
+        return max(0, self.capacity[name] - self.down[name])
+
+    # ------------------------------------------------------------------ #
+    # Event handlers
+    # ------------------------------------------------------------------ #
+    def arrive(self, job: JobSpec) -> None:
+        self.events += 1
+        self.queue.append(job)
+
+    def complete(self, attempt: _Attempt, t: float) -> None:
+        self.events += 1
+        job = attempt.job
+        prog = self.progress[job.job_id]
+        self._release(attempt, t)
+        prog.wasted_gpu_seconds += attempt.gpus * attempt.overhead
+        assert prog.first_start is not None
+        plain = self.plain
+        self.records.append(
+            JobRecord(
+                job_id=job.job_id,
+                node=attempt.node.name,
+                gpus=job.gpus,
+                strategy=job.strategy,
+                cell=attempt.cell,
+                arrival_time=job.arrival_time,
+                start_time=prog.first_start,
+                finish_time=t,
+                preemptions=prog.preemptions,
+                gpu_seconds=None if plain else prog.gpu_seconds,
+                wasted_gpu_seconds=prog.wasted_gpu_seconds,
+                recovery_seconds=sum(prog.recoveries),
+                final_gpus=None if plain else attempt.gpus,
+                tenant=job.tenant,
+                deadline=job.deadline,
+                cost_usd=None if plain else prog.cost_usd,
+            )
+        )
+
+    def fault(
+        self, t: float, action: str, event: FaultEvent, token: Optional[Dict[str, int]]
+    ) -> bool:
+        """Apply one timeline action; True when attempt finish times moved."""
+        self.events += 1
+        name = event.node
+        if action in ("slow", "fast"):
+            on_node = [a for a in self.entries.values() if a.node.name == name]
+            for attempt in on_node:
+                self._settle(attempt, t)
+            if action == "slow":
+                self.factor[name] *= event.factor
+            else:
+                self.factor[name] = max(1.0, self.factor[name] / event.factor)
+            for attempt in on_node:
+                attempt.finish = t + attempt.nominal_remaining * self.factor[name]
+            return True
+        before = self.available(name)
+        if action == "up":
+            self.down[name] = max(0, self.down[name] - token.get("taken", 0))
+            self.free[name] += self.available(name) - before
+            return False
+        amount = event.gpus if event.gpus is not None else self.capacity[name]
+        if action == "crash":
+            self.capacity[name] = max(0, self.capacity[name] - amount)
+        else:  # down
+            token["taken"] = max(0, min(amount, self.capacity[name] - self.down[name]))
+            self.down[name] += token["taken"]
+        self.free[name] += self.available(name) - before
+        self._recover(self._evict_for_capacity(name, t), name, t)
+        return True
+
+    def drain(self, t: float) -> None:
+        """Place queued gangs, preempting on the policy's behalf if stuck."""
+        while True:
+            progressed = self._place_pass(t)
+            if not self.preempts or not (progressed or self._try_preempt(t)):
+                return
+
+    def kill_unplaceable(self, t: float) -> bool:
+        """Kill queued gangs the fleet can never host again; False if none."""
+        peak = max((self.available(name) for name in self.capacity), default=0)
+
+        def never_fits(job: JobSpec) -> bool:
+            if job.gpus > peak:
+                return True
+            spec = self.tenants.get(job.tenant)
+            # A gang larger than its tenant's whole quota can never start,
+            # however idle the fleet.
+            return spec is not None and spec.quota_gpus is not None and (
+                job.gpus > spec.quota_gpus
+            )
+
+        unplaceable = [job for job in self.queue if never_fits(job)]
+        for job in unplaceable:
+            self.queue.remove(job)
+            prog = self.progress[job.job_id]
+            self.killed.append(
+                {
+                    "job_id": job.job_id,
+                    "gpus": job.gpus,
+                    "preemptions": prog.preemptions,
+                    "gpu_seconds": prog.gpu_seconds,
+                    "wasted_gpu_seconds": prog.wasted_gpu_seconds,
+                    "killed_at": t,
+                    "tenant": job.tenant,
+                    "deadline": job.deadline,
+                    "cost_usd": prog.cost_usd,
+                }
+            )
+        return bool(unplaceable)
+
+    def rebuild_heap(self) -> None:
+        """Re-key the completion heap after finish times moved or attempts left."""
+        self.heap[:] = [(attempt.finish, attempt.seq) for attempt in self.entries.values()]
+        heapq.heapify(self.heap)
+
+    def report(self) -> ClusterReport:
+        sim, trace = self.sim, self.trace
+        trace_events = trace.events if trace is not None else ()
+        if self.plain:
+            # One attempt per job, so first-start order is attempt order.
+            self.records.sort(key=lambda record: self.progress[record.job_id].first_seq)
+        return ClusterReport(
+            policy=sim.policy.name,
+            cluster_name=sim.cluster.name,
+            workload_name=self.workload.name,
+            node_gpus=sim.cluster.node_gpus(),
+            records=tuple(self.records),
+            fault_events=tuple(event.to_dict() for event in trace_events),
+            fault_trace_name=trace.name if trace is not None else None,
+            elastic_policy=sim.elastic.name if trace is not None else None,
+            recoveries=tuple(self.recoveries),
+            killed=tuple(self.killed),
+            node_busy_gpu_seconds=dict(self.node_busy),
+            tenants=tuple(spec.to_dict() for spec in self.workload.tenants),
+            price_curve=sim.price_curve.name if sim.price_curve is not None else None,
+        )
+
+    # ------------------------------------------------------------------ #
+    # Placement and preemption
+    # ------------------------------------------------------------------ #
+    def _place_pass(self, t: float) -> bool:
+        """One round of placements as far as the policy allows.
+
+        Decisions are collected first (reserving GPUs so the policy sees a
+        correct ledger), the missing epoch-time cells batch-fill in one
+        fan-out, then the attempts start — one memo-fill span per drain
+        instant.  Tenant quotas filter the queue the policy sees;
+        tenant-aware policies of a non-plain run also get a
+        :class:`SchedulingContext` of usage and fair-share deficits, built
+        once per pass because nothing it reads changes until the batch
+        starts.
+        """
+        if not self.queue:
+            return False
+        sim = self.sim
+        context = self._context(t) if self.contextual else None
+        placed: List[Tuple[JobSpec, NodeSpec]] = []
+        reserved: Dict[str, int] = {}
+        while self.queue:
+            pending = self._eligible(reserved)
+            if not pending:
+                break
+            if context is None:
+                placement = sim.policy.place(
+                    pending, dict(self.free), sim.estimate_service_time
+                )
+            else:
+                placement = sim.policy.place(
+                    pending, dict(self.free), sim.estimate_service_time, context
+                )
+            if placement is None:
+                break
+            job, node = sim._resolve(placement, pending, self.free)
+            self.queue.remove(job)
+            self.free[node.name] -= job.gpus
+            reserved[job.tenant] = reserved.get(job.tenant, 0) + job.gpus
+            placed.append((job, node))
+        if not placed:
+            return False
+        sim._fill_epoch_times(placed)
+        for job, node in placed:
+            self._start(job, node, job.gpus, t, "restart")
+        return True
+
+    def _try_preempt(self, t: float) -> bool:
+        """Voluntarily evict strictly-less-urgent gangs for a starved job.
+
+        Consulted only after a placement pass stalls with jobs still
+        queued, and only for policies declaring ``preempts = True``.
+        Victims are the youngest strictly-lower-urgency gangs on the first
+        node that can host the starved job after eviction; they take the
+        standard interrupt path (checkpoint losses, restart overhead,
+        recovery latency all charged) and rejoin the queue.  Urgency
+        comparisons are strict, so preemption chains terminate and
+        equal-urgency gangs never thrash.
+        """
+        if not self.queue:
+            return False
+        context = self._context(t) if self.contextual else None
+        urgency = self.sim.policy.urgency
+        ranked = sorted(
+            self._eligible({}),
+            key=lambda job: (-urgency(job, context), job.arrival_time, job.job_id),
+        )
+        for job in ranked:
+            target = urgency(job, context)
+            for node in self.sim.cluster.nodes:
+                if self.available(node.name) < job.gpus:
+                    continue
+                current_free = self.free[node.name]
+                victims = sorted(
+                    (
+                        attempt
+                        for attempt in self.entries.values()
+                        if attempt.node.name == node.name
+                        and urgency(attempt.job, context) < target
+                    ),
+                    key=lambda attempt: (attempt.start, attempt.seq),
+                    reverse=True,
+                )
+                evict: List[_Attempt] = []
+                gain = 0
+                for attempt in victims:
+                    if current_free + gain >= job.gpus:
+                        break
+                    evict.append(attempt)
+                    gain += attempt.gpus
+                if evict and current_free + gain >= job.gpus:
+                    for attempt in evict:
+                        self._interrupt(attempt, t)
+                        self.queue.append(attempt.job)
+                    # The interrupts invalidated the victims' completion
+                    # entries; rebuild before the next event is picked.
+                    self.rebuild_heap()
+                    return True
+        return False
+
+    def _usage(self) -> Dict[str, int]:
+        usage: Dict[str, int] = {}
+        for attempt in self.entries.values():
+            usage[attempt.job.tenant] = usage.get(attempt.job.tenant, 0) + attempt.gpus
+        return usage
+
+    def _context(self, t: float) -> SchedulingContext:
+        """Tenant specs, live usage and fair-share deficits at ``t``.
+
+        A deficit is the tenant's share-weighted slice of the live fleet
+        capacity integrated from t=0 minus the GPU-seconds it consumed;
+        positive means the tenant is owed capacity.
+        """
+        deficits: Dict[str, float] = {}
+        if self.tenants:
+            live = dict(self.consumed)
+            for attempt in self.entries.values():
+                live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
+                    attempt.gpus * (t - attempt.start)
+                )
+            fleet = sum(self.available(name) for name in self.capacity)
+            total_weight = sum(self.share_weight.values()) or 1.0
+            deficits = {
+                name: fleet * self.share_weight[name] / total_weight * t
+                - live.get(name, 0.0)
+                for name in self.tenants
+            }
+        return SchedulingContext(
+            now=t, tenants=self.tenants, usage_gpus=self._usage(), deficits=deficits
+        )
+
+    def _eligible(self, reserved: Dict[str, int]) -> Tuple[JobSpec, ...]:
+        """The queue minus jobs whose tenant GPU quota is exhausted.
+
+        ``reserved`` carries same-instant placements that have not become
+        live attempts yet, so a tenant cannot blow through its quota within
+        one drain instant.
+        """
+        if not self.tenants:
+            return tuple(self.queue)
+        usage = self._usage()
+        for tenant, gpus in reserved.items():
+            usage[tenant] = usage.get(tenant, 0) + gpus
+        pending = []
+        for job in self.queue:
+            spec = self.tenants.get(job.tenant)
+            if (
+                spec is not None
+                and spec.quota_gpus is not None
+                and usage.get(job.tenant, 0) + job.gpus > spec.quota_gpus
+            ):
+                continue
+            pending.append(job)
+        return tuple(pending)
+
+    # ------------------------------------------------------------------ #
+    # Attempt lifecycle
+    # ------------------------------------------------------------------ #
+    def _start(
+        self, job: JobSpec, node: NodeSpec, gpus: int, t: float, action: str
+    ) -> None:
+        """Start an attempt on GPUs the caller already took from ``free``."""
+        self.events += 1
+        prog = self.progress[job.job_id]
+        overhead = 0.0 if prog.attempts == 0 else self.sim.recovery.overhead(action)
+        sized = _sized(job, gpus)
+        config = sized.experiment_config(node.server)
+        attempt_full = self.sim._config_epoch_time(config, sized) * sized.epochs
+        nominal_total = overhead + (1.0 - prog.done) * attempt_full
+        finish = t + nominal_total * self.factor[node.name]
+        seq = next(self.sequence)
+        self.entries[seq] = _Attempt(
+            seq=seq,
+            job=job,
+            node=node,
+            gpus=gpus,
+            cell=config.cell_label(),
+            overhead=overhead,
+            attempt_full=attempt_full,
+            nominal_total=nominal_total,
+            nominal_remaining=nominal_total,
+            last_settle=t,
+            start=t,
+            finish=finish,
+        )
+        heapq.heappush(self.heap, (finish, seq))
+        if len(self.heap) > self.peak_heap:
+            self.peak_heap = len(self.heap)
+        if prog.first_start is None:
+            prog.first_start = t
+            prog.first_seq = seq
+        if prog.interrupted_at is not None:
+            delay = t - prog.interrupted_at
+            prog.recoveries.append(delay)
+            self.recoveries.append(delay)
+            prog.interrupted_at = None
+        prog.attempts += 1
+
+    def _release(self, attempt: _Attempt, t: float) -> float:
+        """Free an attempt's GPUs and charge its wall time (returned)."""
+        del self.entries[attempt.seq]
+        self.free[attempt.node.name] += attempt.gpus
+        wall = t - attempt.start
+        if not self.plain:
+            gpu_wall = attempt.gpus * wall
+            prog = self.progress[attempt.job.job_id]
+            prog.gpu_seconds += gpu_wall
+            prog.cost_usd += gpu_cost(
+                attempt.node.server, attempt.gpus, attempt.start, t, self.sim.price_curve
+            )
+            self.node_busy[attempt.node.name] += gpu_wall
+            tenant = attempt.job.tenant
+            self.consumed[tenant] = self.consumed.get(tenant, 0.0) + gpu_wall
+        return wall
+
+    def _settle(self, attempt: _Attempt, t: float) -> None:
+        """Convert wall time since the last settle into nominal progress."""
+        elapsed = t - attempt.last_settle
+        if elapsed > 0:
+            attempt.nominal_remaining -= elapsed / self.factor[attempt.node.name]
+            attempt.last_settle = t
+
+    def _interrupt(self, attempt: _Attempt, t: float) -> None:
+        """Evict a running attempt, charging checkpoint/restart losses."""
+        self._settle(attempt, t)
+        prog = self.progress[attempt.job.job_id]
+        done_nominal = attempt.nominal_total - attempt.nominal_remaining
+        productive = max(0.0, done_nominal - attempt.overhead)
+        lost = self.sim.recovery.lost_seconds(attempt.job.strategy, attempt.gpus, productive)
+        preserved = max(0.0, productive - lost)
+        if attempt.attempt_full > 0:
+            prog.done = min(1.0, prog.done + preserved / attempt.attempt_full)
+        wall = self._release(attempt, t)
+        prog.wasted_gpu_seconds += attempt.gpus * max(0.0, wall - preserved)
+        prog.preemptions += 1
+        prog.interrupted_at = t
+
+    def _evict_for_capacity(self, name: str, t: float) -> List[JobSpec]:
+        """Interrupt the node's youngest gangs until it fits its capacity."""
+        victims: List[JobSpec] = []
+        if self.free[name] >= 0:
+            return victims
+        youngest_first = sorted(
+            (attempt for attempt in self.entries.values() if attempt.node.name == name),
+            key=lambda attempt: (attempt.start, attempt.seq),
+            reverse=True,
+        )
+        for attempt in youngest_first:
+            if self.free[name] >= 0:
+                break
+            victims.append(attempt.job)
+            self._interrupt(attempt, t)
+        return victims
+
+    def _recover(self, victims: List[JobSpec], lost_node: str, t: float) -> None:
+        """Requeue each evicted gang or continue it where the elastic policy says."""
+        sim = self.sim
+        for job in victims:
+            decision = sim.elastic.reschedule(job, lost_node, dict(self.free), sim.cluster)
+            if decision.action == "queue":
+                self.queue.append(job)
+                continue
+            node = sim.cluster.node(decision.node)
+            gpus = min(decision.gpus, job.gpus)  # a gang never grows
+            if self.free[node.name] < gpus:
+                raise ClusterError(
+                    f"elastic policy {sim.elastic.name!r} continued job "
+                    f"{job.job_id!r} ({gpus} GPUs) on node {node.name!r} "
+                    f"with only {self.free[node.name]} free"
+                )
+            self.free[node.name] -= gpus
+            action = "shrink" if node.name == lost_node else "migrate"
+            self._start(job, node, gpus, t, action)
 
 
 class ClusterSimulator:
@@ -196,7 +711,9 @@ class ClusterSimulator:
         epoch time.  Elastic re-partitions therefore memoise under their
         actual (smaller) gang size, never alias the original one.
         """
-        config = job.experiment_config(node.server)
+        return self._config_epoch_time(job.experiment_config(node.server), job)
+
+    def _config_epoch_time(self, config: ExperimentConfig, job: JobSpec) -> float:
         key: EpochKey = (config.cell_key(), job.strategy, job.simulated_steps)
         if key not in self._epoch_times:
             self._epoch_times[key] = self.session.run(config).epoch_time
@@ -209,8 +726,8 @@ class ClusterSimulator:
     def _fill_epoch_times(self, placements) -> None:
         """Batch-fill the epoch-time memo for freshly decided placements.
 
-        Both event loops collect every placement made at one event instant
-        and resolve the missing ``EpochKey`` cells here in one fan-out,
+        The event loop collects every placement made at one event instant
+        and resolves the missing ``EpochKey`` cells here in one fan-out,
         under a *single* ``cluster.memo_fill`` span and one counter bump —
         instead of a per-event ``Session.run`` span per cell — so profile
         reports stay readable at fleet scale.  Only keys the drained
@@ -261,7 +778,7 @@ class ClusterSimulator:
         return len(self._epoch_times)
 
     # ------------------------------------------------------------------ #
-    # Entry point
+    # Entry point and the event loop
     # ------------------------------------------------------------------ #
     def run(self, workload: Workload) -> ClusterReport:
         """Serve the whole workload and return the fleet-level report."""
@@ -273,12 +790,6 @@ class ClusterSimulator:
                     f"{self.cluster.max_gpus_per_node} GPUs"
                 )
         trace = resolve_faults(self.faults, self.cluster, workload, seed=self.fault_seed)
-        # Declared tenants, job deadlines or spot pricing all need the
-        # attempt-based loop (quotas, preemption, per-attempt cost); plain
-        # workloads keep the original reliable fast path bit-for-bit.
-        slo_mode = bool(workload.tenants) or any(
-            job.deadline is not None for job in workload.jobs
-        )
         started = time.perf_counter()
         with span(
             "cluster.run",
@@ -286,20 +797,17 @@ class ClusterSimulator:
             jobs=len(workload.jobs),
             faulted=trace is not None,
         ):
-            if trace is None and not slo_mode and self.price_curve is None:
-                report = self._run_reliable(workload)
-            else:
-                report = self._run_with_faults(workload, trace)
+            report = self._run(workload, trace)
         self._flush_metrics(report, time.perf_counter() - started)
         return report
 
     def _flush_metrics(self, report: ClusterReport, duration_s: float) -> None:
         """Push one run's aggregate counters to the metrics registry.
 
-        The event loop itself only bumps plain local integers (see
-        ``_run_reliable`` / ``_run_with_faults``); everything crosses into
-        the registry exactly once per run, keeping the instrumented loop
-        within the ≤5% overhead budget of ``bench_cluster_throughput``.
+        The event loop itself only bumps plain integers on its per-run
+        state (see ``_run``); everything crosses into the registry exactly
+        once per run, keeping the instrumented loop within the ≤5% overhead
+        budget of ``bench_cluster_throughput``.
         """
         registry = get_registry()
         policy = self.policy.name
@@ -322,509 +830,14 @@ class ClusterSimulator:
             "repro_cluster_run_seconds", "wall time of one fleet simulation"
         ).observe(duration_s)
 
-    # ------------------------------------------------------------------ #
-    # Reliable event loop (no faults attached — the original fast path)
-    # ------------------------------------------------------------------ #
-    def _run_reliable(self, workload: Workload) -> ClusterReport:
-        free: Dict[str, int] = self.cluster.node_gpus()
-        arrivals: List[JobSpec] = list(workload.jobs)
+    def _run(self, workload: Workload, trace: Optional[FaultTrace]) -> ClusterReport:
+        """The event loop: find the next instant, then apply its events in order."""
+        run = _FleetRun(self, workload, trace)
+        arrivals = workload.jobs
         next_arrival = 0
-        # Completion heap entries: (finish_time, tie-break seq, job, node name).
-        running: List[Tuple[float, int, JobSpec, str]] = []
-        sequence = itertools.count()
-        queue: List[JobSpec] = []
-        records: List[JobRecord] = []
+        heap, timeline = run.heap, run.timeline
         now = 0.0
-        events = 0
-        peak_heap = 0
-
-        while next_arrival < len(arrivals) or queue or running:
-            event_times = []
-            if next_arrival < len(arrivals):
-                event_times.append(arrivals[next_arrival].arrival_time)
-            if running:
-                event_times.append(running[0][0])
-            if not event_times:
-                # Queued jobs, nothing running, nothing arriving: the policy
-                # refused to place jobs that fit an empty fleet.
-                stuck = [job.job_id for job in queue]
-                raise ClusterError(
-                    f"policy {self.policy.name!r} made no progress with an idle "
-                    f"fleet; stuck jobs: {stuck}"
-                )
-            now = min(event_times)
-
-            # Completions first, so freed gangs are placeable this instant.
-            while running and running[0][0] <= now:
-                _, _, job, node_name = heapq.heappop(running)
-                free[node_name] += job.gpus
-                events += 1
-            while (
-                next_arrival < len(arrivals)
-                and arrivals[next_arrival].arrival_time <= now
-            ):
-                queue.append(arrivals[next_arrival])
-                next_arrival += 1
-                events += 1
-
-            # Drain the queue as far as the policy allows at this instant.
-            # Placement decisions depend only on the queue and the free
-            # ledger — never on the service time of a gang placed in the
-            # same instant — so the loop first *decides* every placement,
-            # then resolves the missing epoch-time cells in one batch, and
-            # only then books the gangs.
-            placed: List[Tuple[JobSpec, NodeSpec]] = []
-            while queue:
-                placement = self.policy.place(
-                    tuple(queue), dict(free), self.estimate_service_time
-                )
-                if placement is None:
-                    break
-                job, node = self._resolve(placement, queue, free)
-                free[node.name] -= job.gpus
-                queue.remove(job)
-                placed.append((job, node))
-            if placed:
-                self._fill_epoch_times(placed)
-            for job, node in placed:
-                service = self.service_time(job, node)
-                finish = now + service
-                heapq.heappush(running, (finish, next(sequence), job, node.name))
-                events += 1
-                if len(running) > peak_heap:
-                    peak_heap = len(running)
-                records.append(
-                    JobRecord(
-                        job_id=job.job_id,
-                        node=node.name,
-                        gpus=job.gpus,
-                        strategy=job.strategy,
-                        cell=job.experiment_config(node.server).cell_label(),
-                        arrival_time=job.arrival_time,
-                        start_time=now,
-                        finish_time=finish,
-                        tenant=job.tenant,
-                        deadline=job.deadline,
-                    )
-                )
-
-        self._last_events = events
-        self._last_peak_heap = peak_heap
-        return ClusterReport(
-            policy=self.policy.name,
-            cluster_name=self.cluster.name,
-            workload_name=workload.name,
-            node_gpus=self.cluster.node_gpus(),
-            records=tuple(records),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Attempt-based event loop (faults, tenants, deadlines, pricing)
-    # ------------------------------------------------------------------ #
-    def _run_with_faults(
-        self, workload: Workload, trace: Optional[FaultTrace]
-    ) -> ClusterReport:
-        known_nodes = set(self.cluster.node_gpus())
-        trace_events = trace.events if trace is not None else ()
-        for event in trace_events:
-            if event.node not in known_nodes:
-                raise ClusterError(
-                    f"fault trace {trace.name!r} names unknown node "
-                    f"{event.node!r}; cluster nodes: {sorted(known_nodes)}"
-                )
-
-        # Expand the trace into an internal timeline: preemptions become a
-        # down/up pair, stragglers a slow/fast pair.  The shared token dict
-        # carries the actually-reclaimed amount from 'down' to its 'up'.
-        timeline_entries: List[Tuple[float, int, str, tuple]] = []
-        order = itertools.count()
-        for event in trace_events:
-            if event.kind == "crash":
-                timeline_entries.append((event.time, next(order), "crash", (event, None)))
-            elif event.kind == "preempt":
-                token: Dict[str, int] = {}
-                timeline_entries.append((event.time, next(order), "down", (event, token)))
-                timeline_entries.append(
-                    (event.time + event.duration, next(order), "up", (event, token))
-                )
-            else:  # straggler
-                timeline_entries.append((event.time, next(order), "slow", (event, None)))
-                timeline_entries.append(
-                    (event.time + event.duration, next(order), "fast", (event, None))
-                )
-        timeline_entries.sort(key=lambda entry: (entry[0], entry[1]))
-        timeline = deque(timeline_entries)
-
-        capacity: Dict[str, int] = self.cluster.node_gpus()  # crash-adjusted
-        down: Dict[str, int] = {name: 0 for name in capacity}  # preempted now
-        used: Dict[str, int] = {name: 0 for name in capacity}
-        factor: Dict[str, float] = {name: 1.0 for name in capacity}
-
-        # Multi-tenancy state: declared specs, GPU-seconds consumed so far
-        # (settled attempts only — live attempts are added on demand), and
-        # the fair-share weights (quota when declared, else equal shares).
-        tenant_specs = workload.tenant_map()
-        tenant_mode = bool(tenant_specs)
-        tenant_aware = getattr(self.policy, "tenant_aware", False)
-        policy_preempts = getattr(self.policy, "preempts", False)
-        consumed: Dict[str, float] = {}
-        share_weight = {
-            name: float(spec.quota_gpus) if spec.quota_gpus is not None else 1.0
-            for name, spec in tenant_specs.items()
-        }
-
-        arrivals: List[JobSpec] = list(workload.jobs)
-        next_arrival = 0
-        sequence = itertools.count()
-        entries: Dict[int, _Attempt] = {}
-        heap: List[Tuple[float, int]] = []
-        queue: List[JobSpec] = []
-        records: List[JobRecord] = []
-        killed: List[dict] = []
-        recoveries: List[float] = []
-        progress: Dict[str, _Progress] = {job.job_id: _Progress() for job in workload}
-        # Exact per-node occupancy: a restarted or migrated job spans nodes
-        # across attempts, so per-node utilization cannot be derived from
-        # the (final-node) completion records alone.
-        node_busy: Dict[str, float] = {name: 0.0 for name in capacity}
-        now = 0.0
-        events = 0
-        peak_heap = 0
-
-        def free_map() -> Dict[str, int]:
-            return {
-                name: max(0, capacity[name] - down[name]) - used[name]
-                for name in capacity
-            }
-
-        def usage_now() -> Dict[str, int]:
-            usage: Dict[str, int] = {}
-            for attempt in entries.values():
-                usage[attempt.job.tenant] = usage.get(attempt.job.tenant, 0) + attempt.gpus
-            return usage
-
-        def deficits_at(t: float) -> Dict[str, float]:
-            """Entitled minus consumed GPU-seconds per declared tenant.
-
-            Entitlement is the tenant's share-weighted slice of the live
-            fleet capacity integrated from t=0; positive deficit means the
-            tenant is owed capacity and fair-share should favour it.
-            """
-            if not tenant_mode:
-                return {}
-            live = dict(consumed)
-            for attempt in entries.values():
-                live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
-                    attempt.gpus * (t - attempt.start)
-                )
-            fleet = sum(max(0, capacity[name] - down[name]) for name in capacity)
-            total_weight = sum(share_weight.values()) or 1.0
-            return {
-                name: fleet * share_weight[name] / total_weight * t - live.get(name, 0.0)
-                for name in tenant_specs
-            }
-
-        def scheduling_context(t: float) -> Optional[SchedulingContext]:
-            if not tenant_aware:
-                return None
-            return SchedulingContext(
-                now=t,
-                tenants=tenant_specs,
-                usage_gpus=usage_now(),
-                deficits=deficits_at(t),
-            )
-
-        def eligible_jobs(
-            reserved: Optional[Dict[str, int]] = None
-        ) -> Tuple[JobSpec, ...]:
-            """The queue minus jobs whose tenant GPU quota is exhausted.
-
-            ``reserved`` carries same-instant placements that have not
-            become live attempts yet (place_pass reserves GPUs before
-            starting the batch), so a tenant cannot blow through its
-            quota within one drain instant.
-            """
-            if not tenant_mode:
-                return tuple(queue)
-            usage = usage_now()
-            for tenant, gpus in (reserved or {}).items():
-                usage[tenant] = usage.get(tenant, 0) + gpus
-            pending = []
-            for job in queue:
-                spec = tenant_specs.get(job.tenant)
-                if (
-                    spec is not None
-                    and spec.quota_gpus is not None
-                    and usage.get(job.tenant, 0) + job.gpus > spec.quota_gpus
-                ):
-                    continue
-                pending.append(job)
-            return tuple(pending)
-
-        def settle(attempt: _Attempt, t: float) -> None:
-            """Convert wall time since the last settle into nominal progress."""
-            elapsed = t - attempt.last_settle
-            if elapsed > 0:
-                attempt.nominal_remaining -= elapsed / factor[attempt.node.name]
-                attempt.last_settle = t
-
-        def rebuild_heap() -> None:
-            heap[:] = [(attempt.finish, attempt.seq) for attempt in entries.values()]
-            heapq.heapify(heap)
-
-        def sized_job(job: JobSpec, gpus: int) -> JobSpec:
-            return job if gpus == job.gpus else replace(job, gpus=gpus)
-
-        def start_attempt(
-            job: JobSpec, node: NodeSpec, gpus: int, t: float, action: str
-        ) -> None:
-            nonlocal events, peak_heap
-            events += 1
-            prog = progress[job.job_id]
-            overhead = 0.0 if prog.attempts == 0 else self.recovery.overhead(action)
-            attempt_full = self.service_time(sized_job(job, gpus), node)
-            nominal_total = overhead + (1.0 - prog.done) * attempt_full
-            finish = t + nominal_total * factor[node.name]
-            seq = next(sequence)
-            entries[seq] = _Attempt(
-                seq=seq,
-                job=job,
-                node=node,
-                gpus=gpus,
-                overhead=overhead,
-                attempt_full=attempt_full,
-                nominal_total=nominal_total,
-                nominal_remaining=nominal_total,
-                last_settle=t,
-                start=t,
-                finish=finish,
-            )
-            heapq.heappush(heap, (finish, seq))
-            if len(heap) > peak_heap:
-                peak_heap = len(heap)
-            used[node.name] += gpus
-            if prog.first_start is None:
-                prog.first_start = t
-            if prog.interrupted_at is not None:
-                delay = t - prog.interrupted_at
-                prog.recoveries.append(delay)
-                recoveries.append(delay)
-                prog.interrupted_at = None
-            prog.attempts += 1
-
-        def interrupt(attempt: _Attempt, t: float) -> None:
-            """Evict a running attempt, charging checkpoint/restart losses."""
-            settle(attempt, t)
-            prog = progress[attempt.job.job_id]
-            done_nominal = attempt.nominal_total - attempt.nominal_remaining
-            productive = max(0.0, done_nominal - attempt.overhead)
-            lost = self.recovery.lost_seconds(
-                attempt.job.strategy, attempt.gpus, productive
-            )
-            preserved = max(0.0, productive - lost)
-            if attempt.attempt_full > 0:
-                prog.done = min(1.0, prog.done + preserved / attempt.attempt_full)
-            wall = t - attempt.start
-            node_busy[attempt.node.name] += attempt.gpus * wall
-            prog.gpu_seconds += attempt.gpus * wall
-            prog.wasted_gpu_seconds += attempt.gpus * max(0.0, wall - preserved)
-            prog.preemptions += 1
-            prog.interrupted_at = t
-            prog.cost_usd += gpu_cost(
-                attempt.node.server, attempt.gpus, attempt.start, t, self.price_curve
-            )
-            consumed[attempt.job.tenant] = (
-                consumed.get(attempt.job.tenant, 0.0) + attempt.gpus * wall
-            )
-            used[attempt.node.name] -= attempt.gpus
-            del entries[attempt.seq]
-
-        def complete(attempt: _Attempt, t: float) -> None:
-            prog = progress[attempt.job.job_id]
-            wall = t - attempt.start
-            node_busy[attempt.node.name] += attempt.gpus * wall
-            prog.gpu_seconds += attempt.gpus * wall
-            prog.wasted_gpu_seconds += attempt.gpus * attempt.overhead
-            prog.cost_usd += gpu_cost(
-                attempt.node.server, attempt.gpus, attempt.start, t, self.price_curve
-            )
-            consumed[attempt.job.tenant] = (
-                consumed.get(attempt.job.tenant, 0.0) + attempt.gpus * wall
-            )
-            used[attempt.node.name] -= attempt.gpus
-            del entries[attempt.seq]
-            job = attempt.job
-            cell = sized_job(job, attempt.gpus).experiment_config(
-                attempt.node.server
-            ).cell_label()
-            assert prog.first_start is not None
-            records.append(
-                JobRecord(
-                    job_id=job.job_id,
-                    node=attempt.node.name,
-                    gpus=job.gpus,
-                    strategy=job.strategy,
-                    cell=cell,
-                    arrival_time=job.arrival_time,
-                    start_time=prog.first_start,
-                    finish_time=t,
-                    preemptions=prog.preemptions,
-                    gpu_seconds=prog.gpu_seconds,
-                    wasted_gpu_seconds=prog.wasted_gpu_seconds,
-                    recovery_seconds=sum(prog.recoveries),
-                    final_gpus=attempt.gpus,
-                    tenant=job.tenant,
-                    deadline=job.deadline,
-                    cost_usd=prog.cost_usd,
-                )
-            )
-
-        def evict_for_capacity(node_name: str, t: float) -> List[JobSpec]:
-            """Interrupt youngest gangs until the node fits its capacity."""
-            victims: List[JobSpec] = []
-            available = max(0, capacity[node_name] - down[node_name])
-            if used[node_name] <= available:
-                return victims
-            node_attempts = sorted(
-                (a for a in entries.values() if a.node.name == node_name),
-                key=lambda a: (a.start, a.seq),
-                reverse=True,
-            )
-            for attempt in node_attempts:
-                if used[node_name] <= available:
-                    break
-                job = attempt.job
-                interrupt(attempt, t)
-                victims.append(job)
-            return victims
-
-        def recover(victims: List[JobSpec], lost_node: str, t: float) -> None:
-            for job in victims:
-                decision = self.elastic.reschedule(
-                    job, lost_node, free_map(), self.cluster
-                )
-                if decision.action == "queue":
-                    queue.append(job)
-                    continue
-                node = self.cluster.node(decision.node)
-                gpus = min(decision.gpus, job.gpus)  # a gang never grows
-                if free_map().get(node.name, 0) < gpus:
-                    raise ClusterError(
-                        f"elastic policy {self.elastic.name!r} continued job "
-                        f"{job.job_id!r} ({gpus} GPUs) on node {node.name!r} "
-                        f"with only {free_map().get(node.name, 0)} free"
-                    )
-                action = "shrink" if node.name == lost_node else "migrate"
-                start_attempt(job, node, gpus, t, action)
-
-        def place_pass(t: float) -> bool:
-            """One round of placements as far as the policy allows.
-
-            Decisions are collected first (reserving GPUs so the policy sees
-            a correct ledger), the missing epoch-time cells batch-fill in
-            one fan-out, then the attempts start — identical schedule, one
-            memo-fill span per drain instant.  Tenant quotas filter the
-            queue the policy sees; tenant-aware policies additionally get a
-            :class:`SchedulingContext` of usage and fair-share deficits.
-            """
-            placed: List[Tuple[JobSpec, NodeSpec]] = []
-            reserved: Dict[str, int] = {}
-            while queue:
-                pending = eligible_jobs(reserved)
-                if not pending:
-                    break
-                context = scheduling_context(t)
-                if context is not None:
-                    placement = self.policy.place(
-                        pending, free_map(), self.estimate_service_time, context
-                    )
-                else:
-                    placement = self.policy.place(
-                        pending, free_map(), self.estimate_service_time
-                    )
-                if placement is None:
-                    break
-                job, node = self._resolve(placement, list(pending), free_map())
-                queue.remove(job)
-                used[node.name] += job.gpus
-                reserved[job.tenant] = reserved.get(job.tenant, 0) + job.gpus
-                placed.append((job, node))
-            if not placed:
-                return False
-            self._fill_epoch_times(placed)
-            for job, node in placed:
-                # Hand the reservation back to start_attempt's own ledger
-                # update; no policy consultation happens in between.
-                used[node.name] -= job.gpus
-                start_attempt(job, node, job.gpus, t, "restart")
-            return True
-
-        def try_preempt(t: float) -> bool:
-            """Voluntarily evict strictly-less-urgent gangs for a starved job.
-
-            Consulted only after a placement pass stalls with jobs still
-            queued, and only for policies declaring ``preempts = True``.
-            Victims are the youngest strictly-lower-urgency gangs on the
-            first node that can host the starved job after eviction; they
-            take the standard interrupt path (checkpoint losses, restart
-            overhead, recovery latency all charged) and rejoin the queue.
-            Urgency comparisons are strict, so preemption chains terminate
-            and equal-urgency gangs never thrash.
-            """
-            if not queue:
-                return False
-            context = scheduling_context(t)
-            urgency = self.policy.urgency
-            ranked = sorted(
-                eligible_jobs(),
-                key=lambda job: (-urgency(job, context), job.arrival_time, job.job_id),
-            )
-            for job in ranked:
-                target = urgency(job, context)
-                for node in self.cluster.nodes:
-                    available = max(0, capacity[node.name] - down[node.name])
-                    if available < job.gpus:
-                        continue
-                    current_free = free_map()[node.name]
-                    victims = sorted(
-                        (
-                            attempt
-                            for attempt in entries.values()
-                            if attempt.node.name == node.name
-                            and urgency(attempt.job, context) < target
-                        ),
-                        key=lambda attempt: (attempt.start, attempt.seq),
-                        reverse=True,
-                    )
-                    evict: List[_Attempt] = []
-                    gain = 0
-                    for attempt in victims:
-                        if current_free + gain >= job.gpus:
-                            break
-                        evict.append(attempt)
-                        gain += attempt.gpus
-                    if evict and current_free + gain >= job.gpus:
-                        for attempt in evict:
-                            victim = attempt.job
-                            interrupt(attempt, t)
-                            queue.append(victim)
-                        # The interrupts invalidated the victims' completion
-                        # entries; rebuild before the next event is picked.
-                        rebuild_heap()
-                        return True
-            return False
-
-        def drain(t: float) -> None:
-            """Place queued gangs, preempting on the policy's behalf if stuck."""
-            while True:
-                progressed = place_pass(t)
-                if not policy_preempts:
-                    # place_pass already looped to a policy refusal.
-                    return
-                if not progressed and not try_preempt(t):
-                    return
-
-        while next_arrival < len(arrivals) or queue or entries:
+        while next_arrival < len(arrivals) or run.queue or run.entries:
             event_times = []
             if next_arrival < len(arrivals):
                 event_times.append(arrivals[next_arrival].arrival_time)
@@ -836,140 +849,55 @@ class ClusterSimulator:
                 # Nothing running, arriving or pending on the fault timeline,
                 # yet jobs are queued: kill the gangs the (crash-shrunken)
                 # fleet can never host again, then let the rest place.
-                peak = max(
-                    (max(0, capacity[name] - down[name]) for name in capacity),
-                    default=0,
-                )
-
-                def never_fits(job: JobSpec) -> bool:
-                    if job.gpus > peak:
-                        return True
-                    spec = tenant_specs.get(job.tenant)
-                    # A gang larger than its tenant's whole quota can never
-                    # start, however idle the fleet.
-                    return spec is not None and spec.quota_gpus is not None and (
-                        job.gpus > spec.quota_gpus
+                if not run.kill_unplaceable(now):
+                    stuck = [job.job_id for job in run.queue]
+                    raise ClusterError(
+                        f"policy {self.policy.name!r} made no progress with an "
+                        f"idle fleet; stuck jobs: {stuck}"
                     )
-
-                unplaceable = [job for job in queue if never_fits(job)]
-                if unplaceable:
-                    for job in unplaceable:
-                        queue.remove(job)
-                        prog = progress[job.job_id]
-                        killed.append(
-                            {
-                                "job_id": job.job_id,
-                                "gpus": job.gpus,
-                                "preemptions": prog.preemptions,
-                                "gpu_seconds": prog.gpu_seconds,
-                                "wasted_gpu_seconds": prog.wasted_gpu_seconds,
-                                "killed_at": now,
-                                "tenant": job.tenant,
-                                "deadline": job.deadline,
-                                "cost_usd": prog.cost_usd,
-                            }
-                        )
-                    # The kills may have unblocked head-of-line placement;
-                    # drain before picking the next event.
-                    drain(now)
-                    continue
-                stuck = [job.job_id for job in queue]
-                raise ClusterError(
-                    f"policy {self.policy.name!r} made no progress with an idle "
-                    f"fleet; stuck jobs: {stuck}"
-                )
+                run.drain(now)
+                continue
             now = min(event_times)
 
             # 1. Completions first, so freed gangs are placeable this instant.
             while heap and heap[0][0] <= now:
                 finish, seq = heapq.heappop(heap)
-                events += 1
-                complete(entries[seq], finish)
+                run.complete(run.entries[seq], finish)
 
-            # 2. Fault-timeline events due at this instant, in trace order.
-            dirty = False
+            # 2. Fault-timeline actions due at this instant, in trace order.
+            moved = False
             while timeline and timeline[0][0] <= now:
-                _, _, action, payload = timeline.popleft()
-                events += 1
-                event, token = payload
-                name = event.node
-                if action == "crash":
-                    amount = event.gpus if event.gpus is not None else capacity[name]
-                    capacity[name] = max(0, capacity[name] - amount)
-                    recover(evict_for_capacity(name, now), name, now)
-                    dirty = True
-                elif action == "down":
-                    amount = event.gpus if event.gpus is not None else capacity[name]
-                    take = max(0, min(amount, capacity[name] - down[name]))
-                    token["taken"] = take
-                    down[name] += take
-                    recover(evict_for_capacity(name, now), name, now)
-                    dirty = True
-                elif action == "up":
-                    down[name] = max(0, down[name] - token.get("taken", 0))
-                elif action == "slow":
-                    for attempt in entries.values():
-                        if attempt.node.name == name:
-                            settle(attempt, now)
-                    factor[name] *= event.factor
-                    for attempt in entries.values():
-                        if attempt.node.name == name:
-                            attempt.finish = now + attempt.nominal_remaining * factor[name]
-                    dirty = True
-                else:  # fast
-                    for attempt in entries.values():
-                        if attempt.node.name == name:
-                            settle(attempt, now)
-                    factor[name] = max(1.0, factor[name] / event.factor)
-                    for attempt in entries.values():
-                        if attempt.node.name == name:
-                            attempt.finish = now + attempt.nominal_remaining * factor[name]
-                    dirty = True
-            if dirty:
-                rebuild_heap()
+                _, _, action, event, token = timeline.popleft()
+                moved = run.fault(now, action, event, token) or moved
+            if moved:
+                run.rebuild_heap()
 
             # 3. Arrivals due at this instant.
             while (
                 next_arrival < len(arrivals)
                 and arrivals[next_arrival].arrival_time <= now
             ):
-                queue.append(arrivals[next_arrival])
+                run.arrive(arrivals[next_arrival])
                 next_arrival += 1
-                events += 1
 
             # 4. Drain the queue as far as the placement policy allows.
-            drain(now)
+            run.drain(now)
 
-        self._last_events = events
-        self._last_peak_heap = peak_heap
-        return ClusterReport(
-            policy=self.policy.name,
-            cluster_name=self.cluster.name,
-            workload_name=workload.name,
-            node_gpus=self.cluster.node_gpus(),
-            records=tuple(records),
-            fault_events=tuple(event.to_dict() for event in trace_events),
-            fault_trace_name=trace.name if trace is not None else None,
-            elastic_policy=self.elastic.name if trace is not None else None,
-            recoveries=tuple(recoveries),
-            killed=tuple(killed),
-            node_busy_gpu_seconds=dict(node_busy),
-            tenants=tuple(spec.to_dict() for spec in workload.tenants),
-            price_curve=self.price_curve.name if self.price_curve is not None else None,
-        )
+        self._last_events = run.events
+        self._last_peak_heap = run.peak_heap
+        return run.report()
 
     # ------------------------------------------------------------------ #
     def _resolve(
-        self, placement: Placement, queue: List[JobSpec], free: Dict[str, int]
+        self, placement: Placement, queue: Sequence[JobSpec], free: Dict[str, int]
     ) -> Tuple[JobSpec, NodeSpec]:
         """Validate a policy's decision against the queue and the ledger."""
-        matches = [job for job in queue if job.job_id == placement.job_id]
-        if not matches:
+        job = next((job for job in queue if job.job_id == placement.job_id), None)
+        if job is None:
             raise ClusterError(
                 f"policy {self.policy.name!r} placed unknown job "
                 f"{placement.job_id!r} (not in queue)"
             )
-        job = matches[0]
         node = self.cluster.node(placement.node)
         if free[node.name] < job.gpus:
             raise ClusterError(

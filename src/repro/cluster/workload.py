@@ -40,6 +40,11 @@ from repro.parallel.registry import REGISTRY
 DEADLINE_POLICIES = ("none", "soft", "strict")
 
 
+def _finite_positive(value: float) -> bool:
+    """``value > 0`` and finite; a bare ``<= 0`` guard lets NaN through."""
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant of a shared fleet: identity plus scheduling contract.
@@ -73,17 +78,21 @@ class TenantSpec:
             )
         if self.quota_gpus is not None and self.quota_gpus < 1:
             raise ConfigurationError(f"tenant {self.name!r} quota_gpus must be >= 1")
-        if self.budget_per_gpu_hour is not None and self.budget_per_gpu_hour <= 0:
-            raise ConfigurationError(f"tenant {self.name!r} budget must be > 0")
+        if self.budget_per_gpu_hour is not None and not _finite_positive(
+            self.budget_per_gpu_hour
+        ):
+            raise ConfigurationError(f"tenant {self.name!r} budget must be finite and > 0")
         if self.deadline_policy not in DEADLINE_POLICIES:
             raise ConfigurationError(
                 f"tenant {self.name!r} deadline_policy must be one of "
                 f"{DEADLINE_POLICIES}, got {self.deadline_policy!r}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ConfigurationError(f"tenant {self.name!r} rate must be > 0")
-        if self.deadline_slack is not None and self.deadline_slack <= 0:
-            raise ConfigurationError(f"tenant {self.name!r} deadline_slack must be > 0")
+        if self.rate is not None and not _finite_positive(self.rate):
+            raise ConfigurationError(f"tenant {self.name!r} rate must be finite and > 0")
+        if self.deadline_slack is not None and not _finite_positive(self.deadline_slack):
+            raise ConfigurationError(
+                f"tenant {self.name!r} deadline_slack must be finite and > 0"
+            )
 
     @property
     def has_deadlines(self) -> bool:
@@ -208,13 +217,17 @@ class JobSpec:
             raise ConfigurationError("job_id must be non-empty")
         if not self.tenant:
             raise ConfigurationError(f"job {self.job_id!r} tenant must be non-empty")
-        if self.deadline is not None and self.deadline <= self.arrival_time:
+        if self.deadline is not None and not (
+            math.isfinite(self.deadline) and self.deadline > self.arrival_time
+        ):
             raise ConfigurationError(
-                f"job {self.job_id!r} deadline ({self.deadline}) must be after "
-                f"its arrival ({self.arrival_time})"
+                f"job {self.job_id!r} deadline ({self.deadline}) must be finite "
+                f"and after its arrival ({self.arrival_time})"
             )
-        if self.arrival_time < 0:
-            raise ConfigurationError(f"job {self.job_id!r} arrival_time must be >= 0")
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
+            raise ConfigurationError(
+                f"job {self.job_id!r} arrival_time must be finite and >= 0"
+            )
         if self.gpus < 1:
             raise ConfigurationError(f"job {self.job_id!r} must request >= 1 GPU")
         if self.epochs < 1:
@@ -502,8 +515,8 @@ def poisson_workload(
     """
     if num_jobs < 1:
         raise ConfigurationError("num_jobs must be >= 1")
-    if rate <= 0:
-        raise ConfigurationError("arrival rate must be > 0")
+    if not _finite_positive(rate):
+        raise ConfigurationError(f"arrival rate must be finite and > 0, got {rate}")
     rng = random.Random(seed)
     jobs = []
     now = 0.0
@@ -542,8 +555,8 @@ def bursty_workload(
         raise ConfigurationError("num_jobs must be >= 1")
     if burst_size < 1:
         raise ConfigurationError("burst_size must be >= 1")
-    if burst_gap <= 0:
-        raise ConfigurationError("burst_gap must be > 0")
+    if not _finite_positive(burst_gap):
+        raise ConfigurationError(f"burst_gap must be finite and > 0, got {burst_gap}")
     rng = random.Random(seed)
     jobs = []
     now = 0.0
@@ -606,12 +619,12 @@ def diurnal_workload(
     """
     if num_jobs < 1:
         raise ConfigurationError("num_jobs must be >= 1")
-    if base_rate <= 0 or peak_rate <= 0:
-        raise ConfigurationError("diurnal rates must be > 0")
+    if not (_finite_positive(base_rate) and _finite_positive(peak_rate)):
+        raise ConfigurationError("diurnal rates must be finite and > 0")
     if peak_rate < base_rate:
         raise ConfigurationError("peak_rate must be >= base_rate")
-    if period <= 0:
-        raise ConfigurationError("diurnal period must be > 0")
+    if not _finite_positive(period):
+        raise ConfigurationError("diurnal period must be finite and > 0")
     rng = random.Random(seed)
     jobs = [
         mix.sample(rng, job_id=f"job-{index:04d}", arrival_time=arrival)
@@ -660,8 +673,10 @@ def tenant_workload(
         raise ConfigurationError("tenant_workload needs at least one tenant")
     if num_jobs < 1:
         raise ConfigurationError("num_jobs must be >= 1")
-    if rate <= 0:
-        raise ConfigurationError("arrival rate must be > 0")
+    if not _finite_positive(rate):
+        raise ConfigurationError(f"arrival rate must be finite and > 0, got {rate}")
+    if not math.isfinite(deadline_slack):
+        raise ConfigurationError(f"deadline_slack must be finite, got {deadline_slack}")
     specs = tuple(tenants)
     default_rate = rate / len(specs)
     weights = [spec.rate if spec.rate is not None else default_rate for spec in specs]

@@ -1,5 +1,7 @@
 """Unit tests for fault models, traces and the recovery cost model."""
 
+import math
+
 import pytest
 
 from repro.cluster.faults import (
@@ -35,6 +37,9 @@ class TestFaultEvent:
             dict(time=0.0, kind="crash", node="n0", gpus=0),
             dict(time=0.0, kind="preempt", node="n0"),  # no duration
             dict(time=0.0, kind="straggler", node="n0", duration=10.0, factor=0.5),
+            dict(time=math.nan, kind="crash", node="n0"),
+            dict(time=0.0, kind="preempt", node="n0", duration=math.inf),
+            dict(time=0.0, kind="straggler", node="n0", duration=10.0, factor=math.nan),
         ],
     )
     def test_validation(self, kwargs):
@@ -109,6 +114,24 @@ class TestFaultModel:
         with pytest.raises(ConfigurationError):
             FaultModel(straggler_factor=0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "crash_rate",
+            "preempt_rate",
+            "straggler_rate",
+            "preempt_duration",
+            "straggler_duration",
+            "straggler_factor",
+            "weibull_shape",
+            "horizon_slack",
+        ],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FaultModel(**{field: value})
+
 
 class TestParseFaultSpec:
     def test_preset_lookup(self):
@@ -126,6 +149,13 @@ class TestParseFaultSpec:
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
+            parse_fault_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["crash:nan", "preempt:NaN", "straggler:inf", "crash:0.1,preempt:-inf"]
+    )
+    def test_non_finite_rates_rejected(self, spec):
+        with pytest.raises(ConfigurationError, match="finite"):
             parse_fault_spec(spec)
 
 

@@ -1,12 +1,15 @@
 """Tests for the cluster event loop, cache amortisation and fleet reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.cluster_report import ClusterReport, JobRecord, percentile
+from repro.cluster.faults import FaultEvent, FaultTrace
 from repro.cluster.scheduler import Placement, register_policy, POLICIES
 from repro.cluster.simulator import ClusterSimulator, run_policy_comparison
 from repro.cluster.spec import ClusterSpec, NodeSpec, default_cluster
-from repro.cluster.workload import JobMix, JobSpec, Workload, poisson_workload
+from repro.cluster.workload import JobMix, JobSpec, TenantSpec, Workload, poisson_workload
 from repro.core.session import Session
 from repro.errors import ClusterError, ConfigurationError
 
@@ -233,6 +236,78 @@ class TestPolicyBehaviourOnFleet:
                 ClusterSimulator(small_cluster, policy="phantom-test").run(workload)
         finally:
             POLICIES.unregister("phantom-test")
+
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            None,
+            FaultTrace(
+                "blip",
+                (FaultEvent(time=1.0, kind="straggler", node="a", duration=5.0, factor=2.0),),
+            ),
+        ],
+        ids=["plain", "faulted"],
+    )
+    def test_stuck_policy_is_caught(self, small_cluster, faults):
+        @register_policy
+        class Refuser:
+            name = "refuse-test"
+
+            def place(self, pending, free_gpus, estimate):
+                return None
+
+        try:
+            workload = Workload(name="w", jobs=(job("j0", 0.0, 2), job("j1", 3.0, 1)))
+            simulator = ClusterSimulator(small_cluster, policy="refuse-test", faults=faults)
+            with pytest.raises(
+                ClusterError,
+                match=r"made no progress with an idle fleet; stuck jobs: \['j0', 'j1'\]",
+            ):
+                simulator.run(workload)
+        finally:
+            POLICIES.unregister("refuse-test")
+
+
+class TestPreemptionGate:
+    """A plain run never ranks urgency: that pass at every stalled drain
+    made plain fleets of the preempting policies 20-30x slower."""
+
+    @staticmethod
+    def urgency_calls_outside_place(policy_name, workload, monkeypatch):
+        policy = POLICIES.get(policy_name)
+        counts = {"outside": 0}
+        placing = []
+        place, urgency = policy.place, policy.urgency
+
+        def counting_place(*args, **kwargs):
+            placing.append(True)
+            try:
+                return place(*args, **kwargs)
+            finally:
+                placing.pop()
+
+        def counting_urgency(job, context):
+            # priority's own place ranks by urgency; only count the rest.
+            if not placing:
+                counts["outside"] += 1
+            return urgency(job, context)
+
+        monkeypatch.setattr(policy, "place", counting_place)
+        monkeypatch.setattr(policy, "urgency", counting_urgency)
+        report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
+        assert report.num_jobs == len(workload.jobs)
+        return counts["outside"]
+
+    @pytest.mark.parametrize("policy", ["priority", "fair-share", "deadline-aware"])
+    def test_plain_run_calls_urgency_zero_times(self, policy, monkeypatch):
+        workload = poisson_workload(60, rate=2.0, seed=3)  # saturated: drains stall
+        assert self.urgency_calls_outside_place(policy, workload, monkeypatch) == 0
+
+    def test_declared_tenant_enables_the_preemption_pass(self, monkeypatch):
+        plain = poisson_workload(60, rate=2.0, seed=3)
+        tenanted = replace(plain, tenants=(TenantSpec("default"),))
+        assert self.urgency_calls_outside_place("priority", tenanted, monkeypatch) > 0
 
 
 class TestClusterReport:

@@ -1,6 +1,7 @@
 """Tests for job specs, workload generators and JSON trace replay."""
 
 import json
+import math
 
 import pytest
 
@@ -8,10 +9,13 @@ from repro.cluster.workload import (
     DEFAULT_MIX,
     JobMix,
     JobSpec,
+    TenantSpec,
     Workload,
     arrival_process,
     bursty_workload,
+    diurnal_workload,
     poisson_workload,
+    tenant_workload,
 )
 from repro.errors import ConfigurationError
 
@@ -109,6 +113,53 @@ class TestGenerators:
             poisson_workload(5, rate=0.0)
         with pytest.raises(ConfigurationError):
             bursty_workload(5, burst_size=0)
+
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+TENANTS = (TenantSpec("a", deadline_policy="strict"),)
+
+
+class TestNonFiniteInputs:
+    """NaN slips past a bare ``<= 0`` guard and used to hang the fleet loop."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: poisson_workload(5, rate=v),
+            lambda v: bursty_workload(5, burst_gap=v),
+            lambda v: diurnal_workload(5, base_rate=v),
+            lambda v: diurnal_workload(5, peak_rate=v),
+            lambda v: diurnal_workload(5, period=v),
+            lambda v: arrival_process("diurnal", 5, rate=v),
+            lambda v: tenant_workload(TENANTS, 5, rate=v),
+            lambda v: tenant_workload(TENANTS, 5, deadline_slack=v),
+            lambda v: TenantSpec("a", rate=v),
+            lambda v: TenantSpec("a", deadline_slack=v),
+            lambda v: TenantSpec("a", budget_per_gpu_hour=v),
+            lambda v: job(arrival=v),
+            lambda v: job(deadline=v),
+        ],
+        ids=[
+            "poisson-rate",
+            "bursty-gap",
+            "diurnal-base",
+            "diurnal-peak",
+            "diurnal-period",
+            "arrival-diurnal-rate",
+            "tenant-rate",
+            "tenant-slack",
+            "spec-rate",
+            "spec-slack",
+            "spec-budget",
+            "job-arrival",
+            "job-deadline",
+        ],
+    )
+    def test_rejected(self, build, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(value)
 
 
 class TestWorkload:

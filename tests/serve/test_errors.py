@@ -6,9 +6,14 @@ choices when a name is unknown), 404/405 for routing, and a structured
 ``error`` object everywhere.
 """
 
+import math
+import threading
+
 import pytest
 
+from repro.serve.client import LocalClient
 from repro.serve.schemas import ErrorResponse
+from repro.serve.service import PlannerService
 
 STEPS = 4
 
@@ -130,6 +135,23 @@ class TestDomainRules:
     def test_infeasible_config_is_400_not_500(self, client):
         error = rejected(client.post("/v1/plan", json={"num_gpus": -3}), 400)
         assert error["type"] == "domain"
+
+    def test_nan_cluster_rate_is_400_promptly(self):
+        # A NaN rate used to hang the fleet loop while holding the compute
+        # lock; the daemon thread keeps a regression from hanging the suite.
+        client = LocalClient(PlannerService())
+        responses = []
+        worker = threading.Thread(
+            target=lambda: responses.append(
+                client.post("/v1/cluster", json={"num_jobs": 5, "rate": math.nan})
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=20.0)
+        assert responses, "POST /v1/cluster with rate=NaN did not return"
+        error = rejected(responses[0], 400)
+        assert "finite" in error["message"]
 
 
 class TestRouting:

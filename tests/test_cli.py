@@ -638,6 +638,27 @@ class TestErrorPaths:
         assert code == 2
         assert "WARP-DRIVE" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--rate", "nan"),
+            ("--arrival", "diurnal", "--rate", "nan"),
+            ("--arrival", "bursty", "--burst-gap", "nan"),
+            ("--faults", "crash:nan"),
+            ("--faults", "straggler:inf"),
+            ("--tenants", "a:rate=nan"),
+            ("--tenants", "a:deadline=strict", "--deadline-slack", "nan"),
+        ],
+    )
+    def test_non_finite_cluster_inputs_exit_2(self, capsys, flags):
+        code, captured = run_cli(
+            capsys, "cluster", "--num-jobs", "4", "--policy", "fifo", *flags
+        )
+        assert code == 2
+        assert "error:" in captured.err
+        assert "finite" in captured.err
+        assert captured.out == ""
+
     def test_unknown_policy_in_cluster(self, capsys):
         code, captured = run_cli(
             capsys, "cluster", "--policy", "coin-flip", "--num-jobs", "4"
