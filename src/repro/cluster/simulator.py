@@ -721,7 +721,10 @@ class ClusterSimulator:
 
     def service_time(self, job: JobSpec, node: NodeSpec) -> float:
         """Full service time: per-epoch time scaled by the job's epoch count."""
-        return self.epoch_time(job, node) * job.epochs
+        # Skips the epoch_time call level: SJF's estimator lands here for
+        # every queued job on every placement call (~220k calls when SJF
+        # replays a 600-job fleet).
+        return self._config_epoch_time(job.experiment_config(node.server), job) * job.epochs
 
     def _fill_epoch_times(self, placements) -> None:
         """Batch-fill the epoch-time memo for freshly decided placements.
