@@ -8,6 +8,13 @@ behavioural lock for the vectorized-estimator refactor: a planner that
 drifts by one ULP in ``metadata["estimated_step_time"]``, or picks a
 different tie-broken partition, fails here.
 
+The simulated outcome of each plan is pinned the same way: every
+strategy's :meth:`~repro.parallel.executor.ExecutionResult.to_dict` over
+the grid (epoch and step time, the per-device breakdown, peak memory)
+must match ``result_<strategy>.json`` byte-for-byte, so a change to the
+simulation engine, its trace or the breakdown metrics that moves one
+float fails here.
+
 Refreshing after an *intentional* planner change::
 
     PYTHONPATH=src REPRO_UPDATE_GOLDEN=1 python -m pytest \
@@ -62,14 +69,23 @@ def build_strategy_payload(session: Session, strategy: str) -> str:
     return json.dumps(plans, indent=2, sort_keys=True) + "\n"
 
 
+def build_result_payload(session: Session, strategy: str) -> str:
+    """The golden JSON document of every simulated result over the grid."""
+    results = {
+        config.cell_label(): session.run(config, strategy=strategy).to_dict()
+        for config in GRID
+    }
+    return json.dumps(results, indent=2, sort_keys=True) + "\n"
+
+
 def session_planner(strategy: str):
     from repro.parallel.registry import REGISTRY
 
     return REGISTRY.get(strategy)
 
 
-def golden_path(strategy: str) -> Path:
-    return GOLDEN_DIR / f"plan_{strategy.replace('+', '_').lower()}.json"
+def golden_path(strategy: str, prefix: str = "plan") -> Path:
+    return GOLDEN_DIR / f"{prefix}_{strategy.replace('+', '_').lower()}.json"
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +93,8 @@ def session() -> Session:
     return Session()
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_strategy_plans_match_golden(session, strategy):
-    payload = build_strategy_payload(session, strategy)
-    path = golden_path(strategy)
+def check_golden(payload: str, path: Path, what: str) -> None:
+    """Compare ``payload`` to the golden at ``path`` (or refresh it)."""
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(payload)
@@ -89,9 +103,21 @@ def test_strategy_plans_match_golden(session, strategy):
         f"missing golden {path}; regenerate with REPRO_UPDATE_GOLDEN=1"
     )
     assert payload == path.read_text(), (
-        f"{strategy} plans drifted from {path.name}; if the change is "
+        f"{what} drifted from {path.name}; if the change is "
         "intentional, refresh with REPRO_UPDATE_GOLDEN=1"
     )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategy_plans_match_golden(session, strategy):
+    payload = build_strategy_payload(session, strategy)
+    check_golden(payload, golden_path(strategy), f"{strategy} plans")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_strategy_results_match_golden(session, strategy):
+    payload = build_result_payload(session, strategy)
+    check_golden(payload, golden_path(strategy, "result"), f"{strategy} results")
 
 
 def test_goldens_cover_every_registered_builtin():
