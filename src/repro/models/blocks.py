@@ -11,6 +11,7 @@ teacher relaying).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ShapeError
@@ -19,7 +20,14 @@ from repro.models.layers import BYTES_PER_ELEMENT, LayerSpec, check_chain
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """A contiguous group of layers treated as one distillation block."""
+    """A contiguous group of layers treated as one distillation block.
+
+    The per-sample aggregates over ``layers`` (MACs, parameters, weight and
+    activation bytes) are computed once per block and cached on the
+    instance: the cost and memory models read them for every plan they
+    price.  The cache lives in the instance ``__dict__``, so the class is a
+    frozen dataclass without slots.
+    """
 
     name: str
     index: int
@@ -45,7 +53,7 @@ class BlockSpec:
     # ------------------------------------------------------------------ #
     # Compute / parameter costs
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def macs(self) -> float:
         """Forward MACs per sample."""
         return float(sum(layer.macs for layer in self.layers))
@@ -55,11 +63,11 @@ class BlockSpec:
         """Forward FLOPs per sample."""
         return 2.0 * self.macs
 
-    @property
+    @cached_property
     def params(self) -> int:
         return int(sum(layer.params for layer in self.layers))
 
-    @property
+    @cached_property
     def weight_bytes(self) -> int:
         return self.params * BYTES_PER_ELEMENT
 
@@ -70,12 +78,12 @@ class BlockSpec:
     # ------------------------------------------------------------------ #
     # Activation footprints
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def input_bytes_per_sample(self) -> int:
         """Bytes of the block's input activation for one sample."""
         return self.layers[0].in_bytes
 
-    @property
+    @cached_property
     def output_bytes_per_sample(self) -> int:
         """Bytes of the block's output activation for one sample.
 
@@ -83,7 +91,7 @@ class BlockSpec:
         """
         return self.layers[-1].out_bytes
 
-    @property
+    @cached_property
     def activation_bytes_per_sample(self) -> int:
         """Total bytes of all intermediate activations for one sample.
 
@@ -95,7 +103,7 @@ class BlockSpec:
         total += sum(layer.out_bytes for layer in self.layers)
         return int(total)
 
-    @property
+    @cached_property
     def peak_activation_bytes_per_sample(self) -> int:
         """Largest single intermediate activation (forward-only residency)."""
         peak = self.layers[0].in_bytes

@@ -8,7 +8,10 @@ first wins (insertion order equals program order, which matches how a real
 framework would enqueue kernels on a CUDA stream).
 
 The result is a :class:`~repro.sim.trace.Trace` with the start and end time of
-every task.
+every task.  Neither side keeps one object per task: the engine stores its
+task graph as columns and the trace adds two more (start and end times), so
+:class:`~repro.sim.events.SimTask` and :class:`~repro.sim.trace.TaskRecord`
+objects are only built when a caller reads them.
 """
 
 from __future__ import annotations
@@ -17,15 +20,33 @@ import heapq
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import SimTask, TaskKind
-from repro.sim.trace import TaskRecord, Trace
+from repro.sim.events import SimTask, TaskKind, check_duration
+from repro.sim.trace import Trace
 
 
 class SimulationEngine:
-    """Builds and runs a task graph on serial resources."""
+    """Builds and runs a task graph on serial resources.
+
+    Tasks are kept as a columnar task table: one list per attribute
+    (``names``, ``kinds``, ``resources``, ``durations``, ``deps``,
+    ``steps``, ``devices``, ``blocks``, ``metadata``), where row ``i`` is the
+    task with id ``i``.  The columns only ever grow, so a
+    :class:`~repro.sim.trace.Trace` returned by :meth:`run` can keep reading
+    the rows it covers.  :meth:`task` builds a :class:`SimTask` for one row
+    on demand; treat the columns as read-only and add rows with
+    :meth:`add_task`.
+    """
 
     def __init__(self) -> None:
-        self._tasks: List[SimTask] = []
+        self.names: List[str] = []
+        self.kinds: List[TaskKind] = []
+        self.resources: List[str] = []
+        self.durations: List[float] = []
+        self.deps: List[Tuple[int, ...]] = []
+        self.steps: List[int] = []
+        self.devices: List[int] = []
+        self.blocks: List[int] = []
+        self.metadata: List[Optional[dict]] = []
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -43,7 +64,7 @@ class SimulationEngine:
         metadata: Optional[dict] = None,
     ) -> int:
         """Add a task and return its id (usable as a dependency handle)."""
-        task_id = len(self._tasks)
+        task_id = len(self.names)
         deps_tuple: Tuple[int, ...] = tuple(deps)
         for dep in deps_tuple:
             if dep < 0 or dep >= task_id:
@@ -51,27 +72,38 @@ class SimulationEngine:
                     f"task {name!r} depends on unknown task id {dep} "
                     f"(only earlier tasks may be dependencies)"
                 )
-        task = SimTask(
-            task_id=task_id,
-            name=name,
-            kind=kind,
-            resource=resource,
-            duration=float(duration),
-            deps=deps_tuple,
-            step=step,
-            device=device,
-            block=block,
-            metadata=metadata or {},
-        )
-        self._tasks.append(task)
+        duration = float(duration)
+        check_duration(name, duration)
+        self.names.append(name)
+        self.kinds.append(kind)
+        self.resources.append(resource)
+        self.durations.append(duration)
+        self.deps.append(deps_tuple)
+        self.steps.append(step)
+        self.devices.append(device)
+        self.blocks.append(block)
+        self.metadata.append(metadata)
         return task_id
 
     @property
     def num_tasks(self) -> int:
-        return len(self._tasks)
+        return len(self.names)
 
     def task(self, task_id: int) -> SimTask:
-        return self._tasks[task_id]
+        """The task in row ``task_id`` (negative ids count from the end)."""
+        task_id = range(len(self.names))[task_id]
+        return SimTask(
+            task_id=task_id,
+            name=self.names[task_id],
+            kind=self.kinds[task_id],
+            resource=self.resources[task_id],
+            duration=self.durations[task_id],
+            deps=self.deps[task_id],
+            step=self.steps[task_id],
+            device=self.devices[task_id],
+            block=self.blocks[task_id],
+            metadata=self.metadata[task_id] or {},
+        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -92,28 +124,22 @@ class SimulationEngine:
         scan's ``(start_at, task_id, resource)`` comparison — at O(log R)
         per event instead of O(R).
         """
-        if not self._tasks:
-            return Trace(records=())
-
-        tasks = self._tasks
-        num_tasks = len(tasks)
+        num_tasks = len(self.names)
+        durations = self.durations
         heappush, heappop = heapq.heappush, heapq.heappop
 
-        # Graph structure, flattened once: interned resource indices,
-        # durations, dependents adjacency.
-        remaining_deps = [len(task.deps) for task in tasks]
+        # Graph structure, flattened once: interned resource indices and
+        # the dependents adjacency.
+        remaining_deps = [len(deps) for deps in self.deps]
         dependents: List[List[int]] = [[] for _ in range(num_tasks)]
-        resource_index: Dict[str, int] = {}
-        task_resource = [0] * num_tasks
-        durations = [0.0] * num_tasks
-        for task in tasks:
-            task_id = task.task_id
-            task_resource[task_id] = resource_index.setdefault(
-                task.resource, len(resource_index)
-            )
-            durations[task_id] = task.duration
-            for dep in task.deps:
+        for task_id, deps in enumerate(self.deps):
+            for dep in deps:
                 dependents[dep].append(task_id)
+        resource_index: Dict[str, int] = {}
+        task_resource = [
+            resource_index.setdefault(resource, len(resource_index))
+            for resource in self.resources
+        ]
 
         # Per-resource FIFO of ready task ids (insertion order == program
         # order == ascending id, so a plain int heap suffices) and the time
@@ -150,7 +176,7 @@ class SimulationEngine:
                 break
             else:
                 pending = [
-                    tasks[index].name
+                    self.names[index]
                     for index in range(num_tasks)
                     if finish_time[index] is None
                 ]
@@ -190,8 +216,4 @@ class SimulationEngine:
                             ),
                         )
 
-        records = tuple(
-            TaskRecord(task=task, start=start_time[task.task_id], end=finish_time[task.task_id])
-            for task in self._tasks
-        )
-        return Trace(records=records)
+        return Trace(self, range(num_tasks), start_time, finish_time)

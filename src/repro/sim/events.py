@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -49,6 +50,15 @@ STUDENT_EXEC_KINDS = frozenset(
 )
 
 
+def check_duration(name: str, duration: float) -> None:
+    """Reject a service time that is negative, NaN or infinite."""
+    if not (duration >= 0.0 and math.isfinite(duration)):
+        raise ValueError(
+            f"task {name!r} has invalid duration {duration} "
+            f"(must be finite and non-negative)"
+        )
+
+
 @dataclass(frozen=True)
 class SimTask:
     """One unit of simulated work.
@@ -83,5 +93,4 @@ class SimTask:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"task {self.name!r} has negative duration {self.duration}")
+        check_duration(self.name, self.duration)

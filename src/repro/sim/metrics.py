@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
+from repro.errors import SimulationError
 from repro.sim.events import STUDENT_EXEC_KINDS, TaskKind
 from repro.sim.resources import device_compute, parse_device
 from repro.sim.trace import Trace
 
 #: Breakdown categories matching the paper's Fig. 2 legend.
 BREAKDOWN_CATEGORIES = ("data_load", "teacher_exec", "student_exec", "comm", "idle")
+
+#: Busy-time category of every kind that occupies a device (data loading is
+#: handled separately; unlisted kinds are not counted).
+_KIND_CATEGORY: Dict[TaskKind, str] = {
+    TaskKind.TEACHER_FORWARD: "teacher_exec",
+    **{kind: "student_exec" for kind in STUDENT_EXEC_KINDS | {TaskKind.VALIDATE}},
+    **{
+        kind: "comm"
+        for kind in (TaskKind.SEND, TaskKind.RECV, TaskKind.ALLREDUCE, TaskKind.BARRIER)
+    },
+}
+
+
+def _compute_device(resource: str) -> Optional[int]:
+    """The device of a compute-stream resource, or ``None`` for any other."""
+    try:
+        return parse_device(resource)
+    except (SimulationError, ValueError):
+        return None
 
 
 def compute_breakdown(
@@ -34,25 +54,30 @@ def compute_breakdown(
         for device in range(num_devices)
     }
 
-    for record in trace:
-        device = record.task.device
-        kind = record.kind
+    tasks = trace.tasks
+    kinds, resources, devices = tasks.kinds, tasks.resources, tasks.devices
+    # Device of each distinct resource, resolved once per call; ``None``
+    # marks a non-compute resource, whose time goes to the task's device.
+    resource_devices: Dict[str, Optional[int]] = {}
+    for task_id, start, end in trace.rows():
+        device = devices[task_id]
+        kind = kinds[task_id]
         if kind == TaskKind.DATA_LOAD:
             if 0 <= device < num_devices:
-                breakdown[device]["data_load"] += record.duration
+                breakdown[device]["data_load"] += end - start
             continue
-        try:
-            resource_device = parse_device(record.resource)
-        except Exception:
+        resource = resources[task_id]
+        if resource in resource_devices:
+            resource_device = resource_devices[resource]
+        else:
+            resource_device = resource_devices[resource] = _compute_device(resource)
+        if resource_device is None:
             resource_device = device
         if resource_device < 0 or resource_device >= num_devices:
             continue
-        if kind == TaskKind.TEACHER_FORWARD:
-            breakdown[resource_device]["teacher_exec"] += record.duration
-        elif kind in STUDENT_EXEC_KINDS or kind == TaskKind.VALIDATE:
-            breakdown[resource_device]["student_exec"] += record.duration
-        elif kind in (TaskKind.SEND, TaskKind.RECV, TaskKind.ALLREDUCE, TaskKind.BARRIER):
-            breakdown[resource_device]["comm"] += record.duration
+        category = _KIND_CATEGORY.get(kind)
+        if category is not None:
+            breakdown[resource_device][category] += end - start
 
     for device in range(num_devices):
         busy = sum(

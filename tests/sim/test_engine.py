@@ -20,10 +20,46 @@ class TestBasics:
         assert trace.makespan == pytest.approx(2.5)
         assert len(trace) == 1
 
-    def test_negative_duration_rejected(self):
+    @pytest.mark.parametrize("duration", [-1.0, float("nan"), float("inf")])
+    def test_negative_duration_rejected(self, duration):
+        # NaN used to pass the `< 0` check and surface later as a bogus
+        # deadlock; inf ran to an infinite makespan.
         engine = SimulationEngine()
+        with pytest.raises(ValueError, match="invalid duration"):
+            engine.add_task("t", TaskKind.TEACHER_FORWARD, device_compute(0), duration)
+        assert engine.num_tasks == 0
+
+    def test_rejected_task_leaves_the_table_consistent(self):
+        engine = SimulationEngine()
+        engine.add_task("a", TaskKind.TEACHER_FORWARD, device_compute(0), 1.0)
         with pytest.raises(ValueError):
-            engine.add_task("t", TaskKind.TEACHER_FORWARD, device_compute(0), -1.0)
+            engine.add_task("b", TaskKind.STUDENT_FORWARD, device_compute(0), float("nan"))
+        with pytest.raises(SimulationError):
+            engine.add_task("c", TaskKind.STUDENT_FORWARD, device_compute(0), 1.0, deps=(1,))
+        engine.add_task("d", TaskKind.STUDENT_FORWARD, device_compute(0), 2.0, deps=(0,))
+        trace = engine.run()
+        assert [record.task.name for record in trace] == ["a", "d"]
+        assert trace.makespan == pytest.approx(3.0)
+
+    def test_task_is_built_on_demand_from_its_row(self):
+        engine = SimulationEngine()
+        engine.add_task("a", TaskKind.DATA_LOAD, "host:loader", 0.5, step=0, device=1)
+        engine.add_task(
+            "b", TaskKind.TEACHER_FORWARD, device_compute(1), 1.0, deps=(0,),
+            step=0, device=1, block=2, metadata={"note": "x"},
+        )
+        task = engine.task(1)
+        assert (task.task_id, task.name, task.kind, task.resource) == (
+            1, "b", TaskKind.TEACHER_FORWARD, device_compute(1)
+        )
+        assert (task.duration, task.deps, task.step, task.device, task.block) == (
+            1.0, (0,), 0, 1, 2
+        )
+        assert task.metadata == {"note": "x"}
+        assert engine.task(0).metadata == {}
+        assert engine.task(-1) == task
+        with pytest.raises(IndexError):
+            engine.task(2)
 
     def test_forward_dependency_only(self):
         engine = SimulationEngine()
