@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.cluster.workload import JobSpec, TenantSpec
 from repro.errors import ConfigurationError
@@ -183,6 +183,34 @@ def best_fit_node(job: JobSpec, free_gpus: Mapping[str, int]) -> Optional[str]:
     return best
 
 
+def place_in_order(
+    ranked: Iterable[JobSpec],
+    free_gpus: Mapping[str, int],
+    fit: Callable[[JobSpec, Mapping[str, int]], Optional[str]] = first_fit_node,
+) -> Optional[Placement]:
+    """Place the first job of ``ranked`` that ``fit`` finds a node for.
+
+    The widest free node is computed once, so gangs that fit nowhere are
+    skipped without a node scan.
+
+    Example:
+        >>> from repro.cluster.scheduler import place_in_order
+        >>> from repro.cluster.workload import JobSpec
+        >>> jobs = [JobSpec(job_id=f"j{gpus}", arrival_time=0.0, gpus=gpus,
+        ...                 simulated_steps=4) for gpus in (8, 2)]
+        >>> place_in_order(jobs, {"small": 2, "big": 4}).job_id
+        'j2'
+    """
+    widest = max(free_gpus.values(), default=0)
+    for job in ranked:
+        if job.gpus > widest:
+            continue
+        node = fit(job, free_gpus)
+        if node is not None:
+            return Placement(job_id=job.job_id, node=node)
+    return None
+
+
 # ---------------------------------------------------------------------- #
 # Built-in policies
 # ---------------------------------------------------------------------- #
@@ -209,11 +237,7 @@ class BestFitPacking:
     name = "best-fit"
 
     def place(self, pending, free_gpus, estimate) -> Optional[Placement]:
-        for job in pending:
-            node = best_fit_node(job, free_gpus)
-            if node is not None:
-                return Placement(job_id=job.job_id, node=node)
-        return None
+        return place_in_order(pending, free_gpus, best_fit_node)
 
 
 @register_policy
@@ -231,11 +255,7 @@ class ShortestJobFirst:
         ranked = sorted(
             pending, key=lambda job: (estimate(job), job.arrival_time, job.job_id)
         )
-        for job in ranked:
-            node = first_fit_node(job, free_gpus)
-            if node is not None:
-                return Placement(job_id=job.job_id, node=node)
-        return None
+        return place_in_order(ranked, free_gpus)
 
 
 # ---------------------------------------------------------------------- #
@@ -264,11 +284,7 @@ class PriorityFirstFit:
             pending,
             key=lambda job: (-self.urgency(job, context), job.arrival_time, job.job_id),
         )
-        for job in ranked:
-            node = first_fit_node(job, free_gpus)
-            if node is not None:
-                return Placement(job_id=job.job_id, node=node)
-        return None
+        return place_in_order(ranked, free_gpus)
 
 
 @register_policy
@@ -298,21 +314,16 @@ class DeficitFairShare:
     def place(
         self, pending, free_gpus, estimate, context: Optional[SchedulingContext] = None
     ) -> Optional[Placement]:
-        if not pending:
-            return None
         deficit = context.deficit if context is not None else (lambda tenant: 0.0)
         tenants = sorted(
             {job.tenant for job in pending},
             key=lambda tenant: (-deficit(tenant), tenant),
         )
-        for tenant in tenants:
-            for job in pending:
-                if job.tenant != tenant:
-                    continue
-                node = first_fit_node(job, free_gpus)
-                if node is not None:
-                    return Placement(job_id=job.job_id, node=node)
-        return None
+        rank = {tenant: index for index, tenant in enumerate(tenants)}
+        # A stable sort keeps each tenant's jobs in queue order.
+        return place_in_order(
+            sorted(pending, key=lambda job: rank[job.tenant]), free_gpus
+        )
 
 
 @register_policy
@@ -343,8 +354,4 @@ class DeadlineAware:
                 job.job_id,
             ),
         )
-        for job in ranked:
-            node = first_fit_node(job, free_gpus)
-            if node is not None:
-                return Placement(job_id=job.job_id, node=node)
-        return None
+        return place_in_order(ranked, free_gpus)

@@ -104,6 +104,10 @@ from repro.obs.tracing import span
 #: fault-injected replays.
 EpochKey = Tuple[Tuple[str, str, str, int, int], str, int]
 
+#: Service-estimate memo key: task, dataset, batch size, gang size,
+#: strategy, simulated steps and epochs — every job field the estimate reads.
+EstimateKey = Tuple[str, str, int, int, str, int, int]
+
 
 @dataclass
 class _Attempt:
@@ -210,6 +214,11 @@ class _FleetRun:
             for name, spec in self.tenants.items()
         }
         self.consumed: Dict[str, float] = {}
+        self.quotas = {
+            name: spec.quota_gpus
+            for name, spec in self.tenants.items()
+            if spec.quota_gpus is not None
+        }
         self.capacity = sim.cluster.node_gpus()  # crash-adjusted
         self.down = {name: 0 for name in self.capacity}  # preempted now
         self.free = dict(self.capacity)
@@ -316,12 +325,9 @@ class _FleetRun:
         def never_fits(job: JobSpec) -> bool:
             if job.gpus > peak:
                 return True
-            spec = self.tenants.get(job.tenant)
             # A gang larger than its tenant's whole quota can never start,
             # however idle the fleet.
-            return spec is not None and spec.quota_gpus is not None and (
-                job.gpus > spec.quota_gpus
-            )
+            return job.gpus > self.quotas.get(job.tenant, job.gpus)
 
         unplaceable = [job for job in self.queue if never_fits(job)]
         for job in unplaceable:
@@ -405,7 +411,8 @@ class _FleetRun:
             if placement is None:
                 break
             job, node = sim._resolve(placement, pending, self.free)
-            self.queue.remove(job)
+            # By identity: list.remove would call JobSpec.__eq__ per entry.
+            del self.queue[next(i for i, queued in enumerate(self.queue) if queued is job)]
             self.free[node.name] -= job.gpus
             reserved[job.tenant] = reserved.get(job.tenant, 0) + job.gpus
             placed.append((job, node))
@@ -427,39 +434,49 @@ class _FleetRun:
         recovery latency all charged) and rejoin the queue.  Urgency
         comparisons are strict, so preemption chains terminate and
         equal-urgency gangs never thrash.
+
+        One scan: every urgency is computed once, running gangs are grouped
+        by node youngest first, the walk stops at the first job no running
+        gang is strictly less urgent than, and an ``(urgency, gpus)`` pair
+        that found no node is not searched again — nothing changes until
+        an eviction returns.
         """
-        if not self.queue:
+        if not self.queue or not self.entries:
             return False
         context = self._context(t) if self.contextual else None
         urgency = self.sim.policy.urgency
+        running: Dict[str, List[Tuple[float, _Attempt]]] = {}
+        for attempt in sorted(
+            self.entries.values(),
+            key=lambda attempt: (attempt.start, attempt.seq),
+            reverse=True,
+        ):
+            running.setdefault(attempt.node.name, []).append(
+                (urgency(attempt.job, context), attempt)
+            )
+        floor = min(score for gangs in running.values() for score, _ in gangs)
         ranked = sorted(
-            self._eligible({}),
-            key=lambda job: (-urgency(job, context), job.arrival_time, job.job_id),
+            ((urgency(job, context), job) for job in self._eligible({})),
+            key=lambda scored: (-scored[0], scored[1].arrival_time, scored[1].job_id),
         )
-        for job in ranked:
-            target = urgency(job, context)
+        failed = set()
+        for target, job in ranked:
+            if target <= floor:
+                return False  # no running gang is strictly less urgent
+            if (target, job.gpus) in failed:
+                continue
             for node in self.sim.cluster.nodes:
                 if self.available(node.name) < job.gpus:
                     continue
-                current_free = self.free[node.name]
-                victims = sorted(
-                    (
-                        attempt
-                        for attempt in self.entries.values()
-                        if attempt.node.name == node.name
-                        and urgency(attempt.job, context) < target
-                    ),
-                    key=lambda attempt: (attempt.start, attempt.seq),
-                    reverse=True,
-                )
+                short = job.gpus - self.free[node.name]
                 evict: List[_Attempt] = []
-                gain = 0
-                for attempt in victims:
-                    if current_free + gain >= job.gpus:
+                for score, attempt in running.get(node.name, ()):
+                    if short <= 0:
                         break
-                    evict.append(attempt)
-                    gain += attempt.gpus
-                if evict and current_free + gain >= job.gpus:
+                    if score < target:
+                        evict.append(attempt)
+                        short -= attempt.gpus
+                if evict and short <= 0:
                     for attempt in evict:
                         self._interrupt(attempt, t)
                         self.queue.append(attempt.job)
@@ -467,6 +484,7 @@ class _FleetRun:
                     # entries; rebuild before the next event is picked.
                     self.rebuild_heap()
                     return True
+            failed.add((target, job.gpus))
         return False
 
     def _usage(self) -> Dict[str, int]:
@@ -507,22 +525,18 @@ class _FleetRun:
         live attempts yet, so a tenant cannot blow through its quota within
         one drain instant.
         """
-        if not self.tenants:
+        if not self.quotas:
             return tuple(self.queue)
         usage = self._usage()
         for tenant, gpus in reserved.items():
             usage[tenant] = usage.get(tenant, 0) + gpus
-        pending = []
-        for job in self.queue:
-            spec = self.tenants.get(job.tenant)
-            if (
-                spec is not None
-                and spec.quota_gpus is not None
-                and usage.get(job.tenant, 0) + job.gpus > spec.quota_gpus
-            ):
-                continue
-            pending.append(job)
-        return tuple(pending)
+        quotas = self.quotas
+        return tuple(
+            job
+            for job in self.queue
+            if job.tenant not in quotas
+            or usage.get(job.tenant, 0) + job.gpus <= quotas[job.tenant]
+        )
 
     # ------------------------------------------------------------------ #
     # Attempt lifecycle
@@ -694,6 +708,7 @@ class ClusterSimulator:
         self._epoch_times: Dict[EpochKey, float] = (
             epoch_time_cache if epoch_time_cache is not None else {}
         )
+        self._estimates: Dict[EstimateKey, float] = {}
         # Per-run aggregates the event loops fill with plain local ints and
         # _flush_metrics pushes to the registry once per run().
         self._last_events = 0
@@ -721,9 +736,8 @@ class ClusterSimulator:
 
     def service_time(self, job: JobSpec, node: NodeSpec) -> float:
         """Full service time: per-epoch time scaled by the job's epoch count."""
-        # Skips the epoch_time call level: SJF's estimator lands here for
-        # every queued job on every placement call (~220k calls when SJF
-        # replays a 600-job fleet).
+        # Skips the epoch_time call level; estimate_service_time lands here
+        # once per distinct estimate key, then answers from its own memo.
         return self._config_epoch_time(job.experiment_config(node.server), job) * job.epochs
 
     def _fill_epoch_times(self, placements) -> None:
@@ -761,10 +775,26 @@ class ClusterSimulator:
 
         Uses the first node (in cluster order) whose inventory can hold the
         gang, so the estimate is deterministic and placement-independent.
+        Memoised per simulator on the job fields the estimate reads — not
+        the job id, since a policy may ask about ``replace(job, gpus=...)``
+        — so policies may call it for every queued job on every decision.
         """
+        key: EstimateKey = (
+            job.task,
+            job.dataset,
+            job.batch_size,
+            job.gpus,
+            job.strategy,
+            job.simulated_steps,
+            job.epochs,
+        )
+        estimate = self._estimates.get(key)
+        if estimate is not None:
+            return estimate
         for node in self.cluster.nodes:
             if node.num_gpus >= job.gpus:
-                return self.service_time(job, node)
+                estimate = self._estimates[key] = self.service_time(job, node)
+                return estimate
         raise ClusterError(
             f"job {job.job_id!r} needs {job.gpus} GPUs but the largest node has "
             f"{self.cluster.max_gpus_per_node}"
@@ -900,6 +930,11 @@ class ClusterSimulator:
             raise ClusterError(
                 f"policy {self.policy.name!r} placed unknown job "
                 f"{placement.job_id!r} (not in queue)"
+            )
+        if placement.node not in free:
+            raise ClusterError(
+                f"policy {self.policy.name!r} placed job {job.job_id!r} on unknown "
+                f"node {placement.node!r}; cluster nodes: {list(free)}"
             )
         node = self.cluster.node(placement.node)
         if free[node.name] < job.gpus:

@@ -9,7 +9,14 @@ from repro.cluster.faults import FaultEvent, FaultTrace
 from repro.cluster.scheduler import Placement, register_policy, POLICIES
 from repro.cluster.simulator import ClusterSimulator, run_policy_comparison
 from repro.cluster.spec import ClusterSpec, NodeSpec, default_cluster
-from repro.cluster.workload import JobMix, JobSpec, TenantSpec, Workload, poisson_workload
+from repro.cluster.workload import (
+    JobMix,
+    JobSpec,
+    TenantSpec,
+    Workload,
+    poisson_workload,
+    tenant_workload,
+)
 from repro.core.session import Session
 from repro.errors import ClusterError, ConfigurationError
 
@@ -237,6 +244,23 @@ class TestPolicyBehaviourOnFleet:
         finally:
             POLICIES.unregister("phantom-test")
 
+    def test_placement_on_unknown_node_blames_the_policy(self, small_cluster):
+        @register_policy
+        class Lost:
+            name = "lost-test"
+
+            def place(self, pending, free_gpus, estimate):
+                return Placement(job_id=pending[0].job_id, node="nope") if pending else None
+
+        try:
+            workload = Workload(name="w", jobs=(job("j0", 0.0, 2),))
+            with pytest.raises(
+                ClusterError,
+                match=r"policy 'lost-test' placed job 'j0' on unknown node 'nope'",
+            ):
+                ClusterSimulator(small_cluster, policy="lost-test").run(workload)
+        finally:
+            POLICIES.unregister("lost-test")
 
     @pytest.mark.parametrize(
         "faults",
@@ -308,6 +332,112 @@ class TestPreemptionGate:
         plain = poisson_workload(60, rate=2.0, seed=3)
         tenanted = replace(plain, tenants=(TenantSpec("default"),))
         assert self.urgency_calls_outside_place("priority", tenanted, monkeypatch) > 0
+
+
+class TestPlacementCost:
+    """Deterministic call counts for the placement and preemption paths.
+
+    SJF asked the estimator about every queued job on every decision, and
+    each answer built an ``ExperimentConfig``; ``_try_preempt`` re-scored
+    every running gang for each starved job and node.  Both are now one
+    pass over data computed once.
+    """
+
+    @staticmethod
+    def estimate_key(job):
+        return (
+            job.task,
+            job.dataset,
+            job.batch_size,
+            job.gpus,
+            job.strategy,
+            job.simulated_steps,
+            job.epochs,
+        )
+
+    def test_sjf_builds_one_config_per_distinct_estimate(self, monkeypatch):
+        workload = poisson_workload(600, rate=0.5, seed=0)
+        simulator = ClusterSimulator(default_cluster(), policy="sjf")
+        estimate, build = simulator.estimate_service_time, JobSpec.experiment_config
+        estimating = []
+        counts = {"estimates": 0, "configs": 0}
+
+        def counting_estimate(job):
+            counts["estimates"] += 1
+            estimating.append(True)
+            try:
+                return estimate(job)
+            finally:
+                estimating.pop()
+
+        def counting_build(job, server):
+            counts["configs"] += bool(estimating)
+            return build(job, server)
+
+        monkeypatch.setattr(simulator, "estimate_service_time", counting_estimate)
+        monkeypatch.setattr(JobSpec, "experiment_config", counting_build)
+        assert simulator.run(workload).num_jobs == 600
+        distinct = {self.estimate_key(job) for job in workload.jobs}
+        assert counts["estimates"] > 100 * len(distinct)  # SJF asks freely...
+        assert counts["configs"] <= len(distinct)  # ...and builds once per key
+
+    def test_estimate_memo_key_covers_every_field_it_reads(self, small_cluster):
+        base = job("j0", 0.0, 2)
+        variants = [
+            base,
+            replace(base, task="compression"),
+            replace(base, dataset="imagenet"),
+            replace(base, batch_size=256),
+            replace(base, gpus=4),
+            replace(base, strategy="TR+DPU+AHD"),
+            replace(base, simulated_steps=6),
+            replace(base, epochs=3),
+        ]
+        session = Session()
+        warm = ClusterSimulator(small_cluster, session=session)
+        for variant in variants:
+            warm.estimate_service_time(variant)
+        for variant in variants:
+            fresh = ClusterSimulator(small_cluster, session=session)
+            assert warm.estimate_service_time(variant) == fresh.estimate_service_time(variant)
+        # The job id is not part of the key: a renamed job shares the entry.
+        assert len(warm._estimates) == len(variants)
+        warm.estimate_service_time(replace(base, job_id="other"))
+        assert len(warm._estimates) == len(variants)
+
+    @pytest.mark.parametrize("policy_name", ["priority", "fair-share", "deadline-aware"])
+    def test_preemption_scores_each_gang_and_job_once(self, policy_name, monkeypatch):
+        from repro.cluster.simulator import _FleetRun
+
+        roster = (
+            TenantSpec("batch", rate=0.4),
+            TenantSpec("prod", priority=2, deadline_policy="strict", rate=0.2),
+        )
+        workload = tenant_workload(roster, 120, seed=5, deadline_slack=300.0)
+        policy = POLICIES.get(policy_name)
+        urgency, try_preempt = policy.urgency, _FleetRun._try_preempt
+        calls = {"urgency": 0, "preempt": 0}
+        over_budget = []
+
+        def counting_urgency(job, context):
+            calls["urgency"] += 1
+            return urgency(job, context)
+
+        def checked_try_preempt(run, t):
+            budget = len(run.entries) + len(run._eligible({}))
+            before = calls["urgency"]
+            calls["preempt"] += 1
+            evicted = try_preempt(run, t)
+            if calls["urgency"] - before > budget:
+                over_budget.append((t, calls["urgency"] - before, budget))
+            return evicted
+
+        monkeypatch.setattr(policy, "urgency", counting_urgency)
+        monkeypatch.setattr(_FleetRun, "_try_preempt", checked_try_preempt)
+        report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
+        assert calls["preempt"] > 10  # the fleet is saturated: drains stall
+        assert sum(record.preemptions for record in report.records) > 0
+        assert over_budget == []
 
 
 class TestClusterReport:
