@@ -1,22 +1,17 @@
 """Pregen artifact throughput and read-path comparison at scale.
 
-Two measurements back ROADMAP item 2 (pregenerated planning tables +
-read-optimized index):
+Two measurements back the pregenerated planning tables:
 
 * **Generation / resume** — ``run_pregen`` over the smoke grid into a
-  fresh store (rows/sec through the real simulate-and-append path), then
+  fresh store (rows/sec through the real simulate-and-write path), then
   an immediate re-run that must simulate **zero** cells (the resume
   no-op, priced in milliseconds).
-* **Read path at >=100k rows** — a store bulk-filled to 100k records,
-  read cold through both registered readers: ``scan`` (first-touch JSONL
-  shard parse per key) and ``sqlite`` (point query against the index).
-  Every sampled key is read on a *fresh* store handle so each
-  measurement is a true cold lookup — the boot-against-artifact case the
-  index exists for.  The acceptance bar is asserted in-test: **sqlite
-  p99 < scan p99**.
+* **Read path at >=100k rows** — a store bulk-filled to 100k records in
+  one transaction, then read cold: every sampled key is a SQLite point
+  query on a *fresh* store handle, the boot-against-artifact case.
 
 Deterministic counts (``grid_size``, per-phase ``simulations``,
-``rows`` / ``indexed_rows``) are gated by the ±20% perf-regression CI
+``rows`` / ``indexed_rows`` / ``samples``) are gated by the ±20% perf-regression CI
 job against ``benchmarks/baselines/``; wall-clock numbers (rows/sec,
 latency percentiles) are recorded for the report and asserted only
 relatively, as everywhere else in the harness.
@@ -24,62 +19,53 @@ relatively, as everywhere else in the harness.
 
 from __future__ import annotations
 
+import sqlite3
 import tempfile
 import time
+from contextlib import closing
 
 from benchmarks.conftest import emit, emit_json
 from repro.core.reporting import format_table
 from repro.store import ExperimentStore, run_pregen
-from repro.store.index import build_index
 from repro.store.keys import SCHEMA_VERSION, canonical_json, content_key
 from tools.load_serve import percentile
 
-#: Rows the read-path comparison runs at (the ISSUE floor is 100k).
+#: Rows the read-path benchmark runs at.
 READ_ROWS = 100_000
 
-#: Cold lookups sampled per reader, spread evenly across the key space.
+#: Cold lookups sampled, spread evenly across the key space.
 READ_SAMPLES = 300
 
 
-def _bulk_fill(root: str, rows: int) -> list:
-    """Append ``rows`` synthetic records straight into a store's shards.
+def _bulk_fill(root: str, rows: int) -> None:
+    """Insert ``rows`` synthetic records into a store in one transaction.
 
-    Grouping by prefix and writing each shard file once keeps the fill to
-    ~a second; going through ``ExperimentStore.put`` would pay a flock +
-    open per row, which is the write path's business, not this read
-    benchmark's.  Returns every content key in insertion order.
+    Going through ``ExperimentStore.put`` would pay a commit per row, which
+    is the write path's business, not this read benchmark's.
     """
     store = ExperimentStore(root)
     ts = time.time()
-    keys = []
-    by_prefix: dict = {}
-    for i in range(rows):
-        payload = {"i": i}
-        key = content_key("bench", payload)
-        keys.append(key)
-        record = {
-            "key": key,
-            "kind": "bench",
-            "schema": SCHEMA_VERSION,
-            "ts": ts,
-            "value": payload,
-        }
-        by_prefix.setdefault(key[:2], []).append(record)
-    for prefix, records in by_prefix.items():
-        with open(store.shards_dir / f"{prefix}.jsonl", "a") as handle:
-            handle.write("".join(canonical_json(r) + "\n" for r in records))
-    return keys
+    records = [
+        (content_key("bench", {"i": i}), "bench", SCHEMA_VERSION, ts, canonical_json({"i": i}))
+        for i in range(rows)
+    ]
+    with closing(sqlite3.connect(store.db_path)) as conn, conn:
+        conn.executemany(
+            "INSERT INTO records (key, kind, schema, ts, value) VALUES (?, ?, ?, ?, ?)",
+            records,
+        )
 
 
-def _cold_read_latencies(root: str, reader: str, sample: list) -> list:
+def _cold_read_latencies(root: str, sample: list) -> list:
     """Per-key cold-get latency via a fresh handle per lookup."""
     latencies = []
     for i in sample:
-        store = ExperimentStore(root, reader=reader)
+        store = ExperimentStore(root)
         start = time.perf_counter()
         value = store.get("bench", {"i": i})
         latencies.append(time.perf_counter() - start)
-        assert value == {"i": i}, (reader, i, value)
+        store.close()
+        assert value == {"i": i}, (i, value)
     return latencies
 
 
@@ -124,37 +110,27 @@ def test_pregen_generation_and_resume():
     emit_json("pregen_throughput", payload)
 
 
-def test_index_vs_scan_read_latency():
-    with tempfile.TemporaryDirectory(prefix="repro-bench-index-") as root:
+def test_cold_read_latency():
+    with tempfile.TemporaryDirectory(prefix="repro-bench-reads-") as root:
         _bulk_fill(root, READ_ROWS)
-        indexed_rows = build_index(ExperimentStore(root))
+        indexed_rows = len(ExperimentStore(root))
         assert indexed_rows == READ_ROWS
 
         step = READ_ROWS // READ_SAMPLES
         sample = list(range(0, READ_ROWS, step))[:READ_SAMPLES]
-        scan = _latency_stats(_cold_read_latencies(root, "scan", sample))
-        sqlite = _latency_stats(_cold_read_latencies(root, "sqlite", sample))
-
-    # The acceptance bar: at >=100k rows the index must beat shard scans
-    # on tail latency (it replaces an O(shard) parse with a point query).
-    assert sqlite["p99_ms"] < scan["p99_ms"], (sqlite, scan)
+        sqlite = _latency_stats(_cold_read_latencies(root, sample))
 
     payload = {
         "rows": READ_ROWS,
         "indexed_rows": indexed_rows,
         "samples": READ_SAMPLES,
-        "scan": scan,
         "sqlite": sqlite,
-        "speedup_p99": scan["p99_ms"] / sqlite["p99_ms"],
     }
     emit(
-        f"store reads at {READ_ROWS} rows: sqlite index vs JSONL scan (cold)",
+        f"store reads at {READ_ROWS} rows (cold, fresh handle per key)",
         format_table(
-            ["reader", "p50 ms", "p99 ms"],
-            [
-                ["scan", f"{scan['p50_ms']:.3f}", f"{scan['p99_ms']:.3f}"],
-                ["sqlite", f"{sqlite['p50_ms']:.3f}", f"{sqlite['p99_ms']:.3f}"],
-            ],
+            ["store", "p50 ms", "p99 ms"],
+            [["sqlite", f"{sqlite['p50_ms']:.3f}", f"{sqlite['p99_ms']:.3f}"]],
         ),
     )
     emit_json("pregen_read_paths", payload)

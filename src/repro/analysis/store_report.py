@@ -99,9 +99,7 @@ def format_store_overview(store: ExperimentStore) -> str:
     stats = overview["stats"]
     rows = [
         ["records", str(stats["records"])],
-        ["shards", str(stats["shards"])],
         ["disk bytes", str(stats["disk_bytes"])],
-        ["quarantined", str(stats["quarantined_records"])],
         ["hits (this handle)", str(stats["hits"])],
         ["misses (this handle)", str(stats["misses"])],
         ["hit rate", f"{stats['hit_rate']:.2f}"],

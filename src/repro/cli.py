@@ -16,10 +16,10 @@ Six subcommands mirror the levels of the system:
   store warming and health/stats probes) as a versioned HTTP JSON API,
   answering hot queries from the store with zero simulations,
 * ``pregen`` — pregenerate the planning tables for a named grid into a
-  store artifact (resumable, manifest-stamped, SQLite-indexed) that any
+  store artifact (resumable, manifest-stamped) that any
   later session or server boots from without simulating,
-* ``cache`` — inspect (``stats``), prune (``gc``), dump (``export``) or
-  index (``index``) a persistent experiment store,
+* ``cache`` — inspect (``stats``), prune (``gc``), dump (``export``) a
+  persistent experiment store, or convert a legacy one (``import``),
 * ``profile`` — run a fixed ``run``/``sweep``/``cluster``/``tune``
   workload under a span recorder and emit a per-span timing breakdown
   (plus an optional ``--trace-out`` chrome-trace file for
@@ -83,6 +83,7 @@ from repro.errors import ReproError
 from repro.obs.logs import configure_logging
 from repro.obs.profiler import PROFILE_KINDS, format_breakdown, profile_workload
 from repro.store import BACKENDS, ExperimentStore
+from repro.store.store import import_legacy
 from repro.version import __version__
 
 
@@ -127,7 +128,7 @@ def _store_payload(session: Session) -> dict:
     return payload
 
 
-def _require_store(args: argparse.Namespace) -> ExperimentStore:
+def _require_store(args: argparse.Namespace) -> None:
     if not args.store:
         raise ReproError(
             "cache commands need a store: pass --store PATH or set REPRO_STORE"
@@ -140,7 +141,6 @@ def _require_store(args: argparse.Namespace) -> ExperimentStore:
             f"no experiment store at {args.store!r} (meta.json missing); "
             "check the path — stores are created by run/sweep/cluster/tune"
         )
-    return ExperimentStore(args.store)
 
 
 # ---------------------------------------------------------------------- #
@@ -453,32 +453,17 @@ def _cmd_pregen(args: argparse.Namespace) -> int:
         backend=args.backend,
         workers=args.workers,
         max_cells=args.max_cells,
-        index=not args.no_index,
     )
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    store = _require_store(args)
-    if args.cache_command == "index":
-        from repro.store.index import build_index, drop_index, index_path
-
-        if args.drop:
-            drop_index(store)
-            payload = {"index": {"dropped": True, "reader": store.reader_name}}
-        else:
-            rows = build_index(store)
-            payload = {
-                "index": {
-                    "rows": rows,
-                    "path": str(index_path(store)),
-                    "reader": store.reader_name,
-                }
-            }
-        payload.update(store.disk_summary())
-        _emit(payload, args.out)
+    _require_store(args)
+    if args.cache_command == "import":
+        _emit(import_legacy(args.store), args.out)
         return 0
+    store = ExperimentStore(args.store)
     if args.cache_command == "stats":
         if args.table:
             print(format_store_overview(store), file=sys.stderr)
@@ -785,7 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     pregen_parser = subparsers.add_parser(
         "pregen",
         help="pregenerate the planning tables for a named grid into a store "
-        "artifact (resumable; stamps manifest.json and the SQLite index)",
+        "artifact (resumable; stamps manifest.json)",
     )
     pregen_parser.add_argument(
         "--grid",
@@ -809,11 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a later run resumes the remainder)",
     )
     pregen_parser.add_argument(
-        "--no-index",
-        action="store_true",
-        help="skip building the SQLite read index after the sweep",
-    )
-    pregen_parser.add_argument(
         "--out", help="write the report JSON to this file instead of stdout"
     )
     add_store_argument(pregen_parser)
@@ -832,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--table", action="store_true", help="also print a summary table to stderr"
     )
     gc_parser = cache_subparsers.add_parser(
-        "gc", help="evict old / excess records and purge quarantined lines"
+        "gc", help="evict old / excess records and compact the database"
     )
     gc_parser.add_argument(
         "--max-records", type=int, help="keep at most this many newest records"
@@ -843,13 +823,10 @@ def build_parser() -> argparse.ArgumentParser:
     export_parser = cache_subparsers.add_parser(
         "export", help="dump every record as one JSON document"
     )
-    index_parser = cache_subparsers.add_parser(
-        "index", help="(re)build or drop the SQLite read index"
+    import_parser = cache_subparsers.add_parser(
+        "import", help="convert a legacy JSONL store to the SQLite format, once"
     )
-    index_parser.add_argument(
-        "--drop", action="store_true", help="delete the index instead of building"
-    )
-    for sub in (stats_parser, gc_parser, export_parser, index_parser):
+    for sub in (stats_parser, gc_parser, export_parser, import_parser):
         add_store_argument(sub)
         sub.add_argument("--out", help="write JSON to this file instead of stdout")
     cache_parser.set_defaults(handler=_cmd_cache)

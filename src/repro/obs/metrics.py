@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` instance (the module-level default returned
 by :func:`get_registry`) collects every runtime metric of the library —
-session runs, store scans, cluster events, per-endpoint serve latencies —
+session runs, store lookups, cluster events, per-endpoint serve latencies —
 and renders them as Prometheus text (``GET /v1/metrics``) or JSON.
 
 Design rules:

@@ -10,7 +10,7 @@ Coverage is the fraction of measured wall time accounted for by the
 recorded root spans — the acceptance bar is ≥95%, i.e. the tracer must
 not lose meaningful time to its own bookkeeping.  The breakdown's
 ``self_s`` column is the direct input to ROADMAP items 2 and 3: it is
-what says whether a slow sweep is estimator math, shard scanning, or
+what says whether a slow sweep is estimator math, store I/O, or
 neither.
 """
 

@@ -4,7 +4,7 @@ The tracer is the "where did the time go" half of the observability
 layer (the metrics registry is the "how much / how many" half).  Any
 instrumented code path wraps itself in::
 
-    with span("store.scan", shard="ab"):
+    with span("store.get", kind="run"):
         ...
 
 and when a :class:`SpanRecorder` is installed the block becomes a

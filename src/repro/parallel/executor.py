@@ -85,7 +85,7 @@ class ExecutionResult:
 
         Carries the full plan and raw peak-memory bytes so
         :meth:`from_dict` can rebuild an equivalent result — this is the
-        record shape the persistent experiment store shards hold.
+        record shape the persistent experiment store holds.
         """
         return {
             "strategy": self.strategy,

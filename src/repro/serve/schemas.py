@@ -247,7 +247,6 @@ class HealthResponse(BaseModel):
     requests_served: int
     has_store: bool
     store_root: Optional[str] = None
-    store_reader: Optional[str] = None
     pregen: Optional[PregenInfo] = None
     backend: str
     endpoints: List[str]

@@ -152,7 +152,7 @@ class PlannerService:
         # One writer at a time: the per-request SessionStats delta must not
         # interleave with another handler's work, and the simulator core is
         # CPU-bound pure python anyway.  The warm hot path holds this lock
-        # for microseconds (a shard lookup), so concurrent warm clients
+        # for microseconds (a store point query), so concurrent warm clients
         # still see sub-millisecond service times.  Read-only endpoints
         # (liveness, metrics, store stats) are exempt: a liveness probe
         # must answer while a slow compute dispatch holds the lock, or the
@@ -347,7 +347,6 @@ class PlannerService:
             "requests_served": self._requests_served,
             "has_store": store is not None,
             "store_root": str(store.root) if store is not None else None,
-            "store_reader": store.reader_name if store is not None else None,
             "pregen": None,
             "backend": self.session.backend.name,
             "endpoints": list(self.paths()),

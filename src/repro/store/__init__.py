@@ -1,14 +1,12 @@
 """Persistent experiment store and pluggable execution backends.
 
 * :mod:`repro.store.store` — the content-addressed on-disk store
-  (:class:`ExperimentStore`): JSONL shards, atomic writes, schema
-  versioning with corruption quarantine, gc and export.
+  (:class:`ExperimentStore`): one WAL-mode SQLite file, schema
+  versioning, gc, export and the one-shot import of legacy JSONL stores.
 * :mod:`repro.store.keys` — canonical key payloads and content hashing.
 * :mod:`repro.store.backends` — the ``inline`` / ``thread`` / ``process``
   execution-backend registry, mirroring the strategy and placement
   registries.
-* :mod:`repro.store.index` — the ``scan`` / ``sqlite`` reader registry
-  and the derived, rebuildable SQLite point-lookup index.
 * :mod:`repro.store.pregen` — offline pregeneration of planning tables:
   named grids, manifests, resume semantics (``repro pregen``).
 
@@ -20,13 +18,6 @@ from repro.store.backends import (
     ExecutionBackend,
     register_backend,
     resolve_backend,
-)
-from repro.store.index import (
-    READERS,
-    StoreReader,
-    build_index,
-    drop_index,
-    register_reader,
 )
 from repro.store.keys import SCHEMA_VERSION, canonical_json, content_key
 from repro.store.pregen import (
@@ -48,18 +39,13 @@ __all__ = [
     "GridSpec",
     "Manifest",
     "PregenReport",
-    "READERS",
     "SCHEMA_VERSION",
-    "StoreReader",
     "StoreStats",
-    "build_index",
     "canonical_json",
     "content_key",
-    "drop_index",
     "load_manifest",
     "open_store",
     "register_backend",
-    "register_reader",
     "resolve_backend",
     "resolve_grid",
     "run_pregen",

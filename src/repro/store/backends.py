@@ -11,7 +11,7 @@ strategy) cells:
 * ``process`` — on a process pool; workers are separate interpreters that
   each open their own :class:`~repro.core.session.Session` against the
   *same* on-disk store, so results flow back both through pickling and
-  through concurrent store appends.  This is the backend that exercises
+  through concurrent store writes.  This is the backend that exercises
   multi-writer store semantics — and the template for remote executors.
 
 Register a custom backend exactly like a strategy or policy::
@@ -174,7 +174,7 @@ def _process_worker(payload: Tuple[dict, str, Optional[str]]) -> Tuple[dict, boo
 
     The worker's session writes through the shared store (when one is
     configured), so results survive even if the parent dies before
-    unpickling — and concurrent workers exercise multi-writer appends.
+    unpickling — and concurrent workers exercise multi-writer store writes.
     The ``simulated`` flag lets the parent fold the worker's work into its
     own counters, keeping warm/cold reporting honest across processes.
     """
@@ -192,8 +192,8 @@ class ProcessBackend:
     Each worker opens its own session (sessions hold locks and are not
     picklable) against the same store path, runs its cells, and persists
     results before returning them.  After the pool drains, the parent
-    refreshes its store index so the workers' appends are visible, then
-    back-fills any record that is still missing (store-less sessions).
+    back-fills any record that is still missing (store-less sessions);
+    the workers' committed writes are already visible to its handle.
     """
 
     name = "process"
@@ -209,8 +209,6 @@ class ProcessBackend:
         ]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             raw = list(pool.map(_process_worker, payloads))
-        if store is not None:
-            store.refresh()
         results = []
         for (config, strategy), (result_dict, simulated) in zip(tasks, raw):
             # Fold the workers' work into the parent's counters so warm/cold

@@ -20,12 +20,9 @@ verify, resume and pin it:
   and survives library version bumps that re-address fresh records.
 * **Resume** (:func:`run_pregen`) — every cell is checked against the
   store first and only missing cells are simulated; interrupting a run
-  loses nothing because the store's appends are atomic lines.  A re-run
-  against a partial artifact therefore fills exactly the gap.
-* **Index** — by default the run finishes by building the SQLite read
-  index (:func:`repro.store.index.build_index`), so a
-  ``PlannerService`` booted against the artifact gets point-query reads
-  without configuration.
+  loses nothing because every store write is its own committed
+  transaction.  A re-run against a partial artifact therefore fills
+  exactly the gap.
 
 The payoff: any Session, tune, or serve instance boots against the
 artifact and plans the full canonical grid without ever simulating —
@@ -353,7 +350,6 @@ class PregenReport:
     row_count: int
     complete: bool
     duration_s: float
-    indexed_rows: Optional[int]
     store_root: str
     manifest: str
 
@@ -367,16 +363,14 @@ def run_pregen(
     backend: str = "inline",
     workers: Optional[int] = None,
     max_cells: Optional[int] = None,
-    index: bool = True,
 ) -> PregenReport:
     """Sweep a grid into ``store``, resuming past cells already present.
 
     ``max_cells`` bounds how many *missing* cells this invocation
     simulates (the deterministic stand-in for an interrupt: the CI smoke
     job generates a partial artifact with it, then proves a plain re-run
-    fills exactly the remainder).  ``index=False`` skips the SQLite
-    index build; ``workers`` specialises the ``thread`` / ``process``
-    backends.
+    fills exactly the remainder).  ``workers`` specialises the ``thread`` /
+    ``process`` backends.
 
     The manifest is written *before* simulating (``complete=False``, so
     an interrupted artifact is recognisably partial and its rows are
@@ -384,7 +378,6 @@ def run_pregen(
     """
     from repro.core.session import Session
     from repro.store.backends import ProcessBackend, ThreadBackend
-    from repro.store.index import build_index
 
     if max_cells is not None and max_cells < 0:
         raise StoreError("pregen max_cells must be >= 0")
@@ -398,7 +391,6 @@ def run_pregen(
 
     started = time.perf_counter()
     with span("pregen.run", grid=spec.name, backend=resolved.name):
-        store.refresh()
         session = Session(store=store)
         cells = spec.cells()
         keys = spec.cell_keys()
@@ -428,8 +420,6 @@ def run_pregen(
         manifest.complete = present == len(cells)
         save_manifest(store.root, manifest)
 
-        indexed_rows = build_index(store) if index else None
-
     registry = get_registry()
     counter = registry.counter(
         "repro_pregen_cells_total", "pregen grid cells by outcome"
@@ -445,7 +435,6 @@ def run_pregen(
         row_count=present,
         complete=manifest.complete,
         duration_s=time.perf_counter() - started,
-        indexed_rows=indexed_rows,
         store_root=str(store.root),
         manifest=str(manifest_path(store.root)),
     )

@@ -5,7 +5,7 @@ This is the PR's acceptance criterion, end to end and at full width: a
 artifact produced by ``run_pregen`` over the **canonical** grid, must
 answer every one of the grid's cells from the store — ``simulations ==
 0`` on each response — while ``/v1/healthz`` advertises the artifact
-(manifest facts) and the SQLite read path it booted onto.  The
+(manifest facts).  The
 ``pregen-smoke`` CI job repeats the same assertion over real HTTP on the
 smoke grid.
 """
@@ -57,7 +57,7 @@ def test_every_canonical_cell_plans_with_zero_simulations(canonical_artifact):
     assert service.session.stats.store_hits == 96
 
 
-def test_healthz_advertises_the_artifact_and_reader(canonical_artifact):
+def test_healthz_advertises_the_artifact(canonical_artifact):
     from repro.serve.schemas import HealthResponse
     from repro.serve.service import PlannerService
 
@@ -66,7 +66,7 @@ def test_healthz_advertises_the_artifact_and_reader(canonical_artifact):
 
     body = client.get("/v1/healthz").json()
     health = HealthResponse.model_validate(body)
-    assert health.store_reader == "sqlite"
+    assert health.store_root == str(canonical_artifact)
     assert health.pregen is not None
     assert health.pregen.grid == "canonical"
     assert health.pregen.complete

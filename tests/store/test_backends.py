@@ -110,7 +110,7 @@ class TestBackendEquivalence:
 
 class TestProcessConcurrentWriters:
     def test_workers_write_through_one_store(self, fast_config, tmp_path):
-        """Several worker processes append to the same shard tree at once."""
+        """Several worker processes write to the same store at once."""
         store_root = tmp_path / "store"
         session = Session(store=store_root)
         sweep = session.sweep(
@@ -122,11 +122,8 @@ class TestProcessConcurrentWriters:
             max_workers=4,
         )
         assert len(sweep) == 4
-        # Every (cell, strategy) run record landed on disk, every shard
-        # parses cleanly, and nothing was quarantined.
+        # Every (cell, strategy) run record landed on disk and parses.
         store = ExperimentStore(store_root)
-        stats = store.stats()
-        assert stats.quarantined_records == 0
         run_records = [r for r in store.records() if r["kind"] == "run"]
         assert len(run_records) == 8
 

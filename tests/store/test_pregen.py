@@ -151,7 +151,6 @@ class TestRunPregen:
         assert report.simulated == report.total_cells == 2
         assert report.skipped == 0
         assert report.row_count == 2
-        assert report.indexed_rows == 2
         manifest = load_manifest(store.root)
         assert manifest.complete and manifest.row_count == 2
 
@@ -183,17 +182,10 @@ class TestRunPregen:
         with pytest.raises(StoreError, match="max_cells"):
             run_pregen(store, grid=_tiny_grid(), max_cells=-1)
 
-    def test_no_index_skips_the_sqlite_build(self, store):
-        report = run_pregen(store, grid=_tiny_grid(), index=False)
-        assert report.indexed_rows is None
-        assert store.reader_name == "scan"
-        assert not (store.root / "index.sqlite").exists()
-
-
 class TestGcPinning:
     def test_gc_never_evicts_manifest_referenced_rows(self, store):
         grid = _tiny_grid()
-        run_pregen(store, grid=grid, index=False)
+        run_pregen(store, grid=grid)
         store.put("run", {"cell": "unpinned"}, {"epoch_time_s": 9.9})
         assert len(store) == 3
 
@@ -207,7 +199,7 @@ class TestGcPinning:
         assert session.stats.runs == 0, "gc evicted pinned pregen rows"
 
     def test_gc_age_bound_also_respects_pins(self, store):
-        run_pregen(store, grid=_tiny_grid(), index=False)
+        run_pregen(store, grid=_tiny_grid())
         assert store.gc(max_age_seconds=0.0) == 0
         assert len(store) == 2
 
@@ -218,13 +210,3 @@ class TestGcPinning:
             store.gc(max_records=0)
         # Nothing was evicted while the pin set was unknowable.
         assert len(store) == 1
-
-    def test_gc_rebuilds_the_attached_index(self, store):
-        run_pregen(store, grid=_tiny_grid())
-        store.put("run", {"cell": "unpinned"}, {"epoch_time_s": 9.9})
-        assert store._index_handle.count() == 3
-        store.gc(max_records=0)
-        assert store._index_handle.count() == 2
-        reopened = ExperimentStore(store.root)
-        assert reopened.reader_name == "sqlite"
-        assert reopened.get("run", {"cell": "unpinned"}) is None

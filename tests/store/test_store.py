@@ -1,11 +1,19 @@
 """Tests of the on-disk experiment store: round-trips and failure modes."""
 
 import json
+import multiprocessing
+import os
+import signal
+import sqlite3
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import StoreError, StoreSchemaError
+import repro
 from repro.store.keys import SCHEMA_VERSION, canonical_json, content_key
 from repro.store.store import ExperimentStore
 
@@ -84,52 +92,6 @@ class TestRoundTrip:
         assert stats.hit_rate() == 0.5
 
 
-class TestCorruptionQuarantine:
-    def _any_shard(self, store):
-        shards = list(store.shards_dir.glob("*.jsonl"))
-        assert shards, "expected at least one shard"
-        return shards[0]
-
-    def test_truncated_line_is_quarantined_and_rest_served(self, store):
-        store.put("run", {"cell": "a"}, {"x": 1})
-        shard = self._any_shard(store)
-        with open(shard, "a") as handle:
-            handle.write('{"key": "dead", "kind": "run", "sch\n')
-        reopened = ExperimentStore(store.root)
-        assert reopened.get("run", {"cell": "a"}) == {"x": 1}
-        assert reopened.stats().quarantined_records == 1
-        # The corrupt line was moved aside, not deleted.
-        quarantined = list(reopened.quarantine_dir.glob("*.jsonl"))
-        assert len(quarantined) == 1
-        # The rewritten shard parses cleanly line by line.
-        for line in self._any_shard(reopened).read_text().splitlines():
-            json.loads(line)
-
-    def test_missing_fields_are_quarantined(self, store):
-        store.put("run", {"cell": "a"}, {"x": 1})
-        shard = self._any_shard(store)
-        with open(shard, "a") as handle:
-            handle.write('{"key": "k", "kind": "run"}\n')
-        reopened = ExperimentStore(store.root)
-        assert reopened.stats().quarantined_records == 1
-
-    def test_foreign_record_schema_is_quarantined(self, store):
-        store.put("run", {"cell": "a"}, {"x": 1})
-        shard = self._any_shard(store)
-        alien = {
-            "key": "k" * 64,
-            "kind": "run",
-            "schema": SCHEMA_VERSION + 7,
-            "ts": time.time(),
-            "value": {},
-        }
-        with open(shard, "a") as handle:
-            handle.write(json.dumps(alien) + "\n")
-        reopened = ExperimentStore(store.root)
-        assert reopened.get("run", {"cell": "a"}) == {"x": 1}
-        assert reopened.stats().quarantined_records == 1
-
-
 class TestSchemaVersioning:
     def test_meta_written_on_create(self, store):
         meta = json.loads(store.meta_path.read_text())
@@ -156,6 +118,13 @@ class TestSchemaVersioning:
         with pytest.raises(StoreError, match="unreadable"):
             ExperimentStore(tmp_path / "store")
 
+    def test_corrupt_database_raises(self, tmp_path):
+        store = ExperimentStore(tmp_path / "store")
+        store.close()  # so no WAL masks the file
+        store.db_path.write_bytes(b"not a database" * 100)
+        with pytest.raises(StoreError, match="cannot open store database"):
+            ExperimentStore(tmp_path / "store")
+
 
 class TestGc:
     def test_gc_keeps_newest_records(self, store):
@@ -170,26 +139,12 @@ class TestGc:
 
     def test_gc_by_age(self, store):
         store.put("run", {"cell": "old"}, {"x": 0})
-        # Backdate the record by rewriting its shard with an ancient ts.
-        for shard in store.shards_dir.glob("*.jsonl"):
-            record = json.loads(shard.read_text())
-            record["ts"] = time.time() - 10_000
-            shard.write_text(json.dumps(record) + "\n")
-        store.refresh()
+        # Backdate the record straight in the database.
+        with sqlite3.connect(store.db_path) as conn:
+            conn.execute("UPDATE records SET ts = ?", (time.time() - 10_000,))
         store.put("run", {"cell": "new"}, {"x": 1})
         assert store.gc(max_age_seconds=3600) == 1
         assert [r["value"]["x"] for r in store.records()] == [1]
-
-    def test_gc_purges_quarantine(self, store):
-        store.put("run", {"cell": "a"}, {"x": 1})
-        shard = next(iter(store.shards_dir.glob("*.jsonl")))
-        with open(shard, "a") as handle:
-            handle.write("garbage\n")
-        reopened = ExperimentStore(store.root)
-        assert reopened.stats().quarantined_records == 1
-        reopened.gc(max_records=10)
-        assert reopened.stats().quarantined_records == 0
-        assert reopened.get("run", {"cell": "a"}) == {"x": 1}
 
     def test_gc_rejects_negative_bound(self, store):
         with pytest.raises(StoreError):
@@ -216,3 +171,74 @@ class TestExport:
             "estimate",
             "run",
         ]
+
+
+#: Puts records until killed; says "ready" once 200 have committed.
+_PUT_LOOP = """
+import sys
+from repro.store.store import ExperimentStore
+
+store = ExperimentStore(sys.argv[1])
+n = 0
+while True:
+    store.put("run", {"n": n}, {"n": n, "pad": "x" * 2000})
+    n += 1
+    if n == 200:
+        print("ready", flush=True)
+"""
+
+
+def _put_many(root, worker, count):
+    """Process-pool writer: ``count`` puts through its own store handle."""
+    store = ExperimentStore(root)
+    for n in range(count):
+        store.put("run", {"worker": worker, "n": n}, {"x": n})
+    return count
+
+
+class TestCrashConsistency:
+    def test_sigkill_mid_put_loop_leaves_a_consistent_store(self, tmp_path):
+        root = tmp_path / "store"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _PUT_LOOP, str(root)],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert child.stdout.readline().strip() == b"ready"
+            time.sleep(0.05)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=60)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+
+        store = ExperimentStore(root)
+        records = list(store.records())  # every row's value parses
+        assert len(store) == store.export()["num_records"] == len(records) >= 200
+        assert sorted(r["value"]["n"] for r in records) == list(range(len(records)))
+        store.put("run", {"after": "crash"}, {"ok": True})
+        assert ExperimentStore(root).get("run", {"after": "crash"}) == {"ok": True}
+
+
+class TestWritersRacingGc:
+    def test_process_writers_lose_no_record_outside_the_eviction_set(self, store):
+        """Each gc deletes exactly the rows it counts, so a record lost to the
+        race shows up as a store smaller than writes minus evictions.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+
+        for n in range(50):
+            store.put("run", {"seed": n}, {"x": n})
+        evicted = gcs = 0
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=3, mp_context=spawn) as pool:
+            futures = [pool.submit(_put_many, str(store.root), w, 150) for w in range(3)]
+            while not all(future.done() for future in futures) or gcs == 0:
+                evicted += store.gc(max_records=40)
+                gcs += 1
+            written = sum(future.result() for future in futures)
+        assert evicted > 0
+        assert len(store) == 50 + written - evicted
+        assert len(ExperimentStore(store.root)) == len(store)

@@ -348,7 +348,7 @@ class TestStoreFlag:
         )
         assert code == 0
         payload = json.loads(captured.out)
-        assert payload["store"]["shards"] == 1
+        assert set(payload["store"]) == {"root", "disk_bytes"}
         assert payload["store"]["disk_bytes"] > 0
 
     def test_repro_store_env_is_default(self, capsys, tmp_path, monkeypatch):
@@ -397,22 +397,13 @@ class TestPregen:
         assert resumed["simulated"] == resumed["total_cells"] - 3
         assert resumed["grid_hash"] == partial["grid_hash"]
         assert (tmp_path / "artifact" / "manifest.json").exists()
-        assert (tmp_path / "artifact" / "index.sqlite").exists()
+        assert (tmp_path / "artifact" / "store.sqlite").exists()
 
     def test_pregen_without_store_is_reported(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         code, captured = run_cli(capsys, "pregen", "--grid", "smoke")
         assert code == 2
         assert "REPRO_STORE" in captured.err
-
-    def test_pregen_no_index_flag(self, capsys, tmp_path):
-        store = str(tmp_path / "artifact")
-        code, captured = run_cli(
-            capsys, "pregen", "--store", store, "--grid", "smoke", "--no-index"
-        )
-        assert code == 0
-        assert json.loads(captured.out)["indexed_rows"] is None
-        assert not (tmp_path / "artifact" / "index.sqlite").exists()
 
     def test_pregen_negative_max_cells_is_reported(self, capsys, tmp_path):
         code, captured = run_cli(
@@ -471,27 +462,18 @@ class TestCache:
         assert code == 2
         assert "eviction bound" in captured.err
 
-    def test_cache_index_build_and_drop(self, capsys, tmp_path):
+    def test_cache_import_of_a_native_store_is_a_no_op(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         self._populate(capsys, store)
-        code, captured = run_cli(capsys, "cache", "index", "--store", store)
+        code, captured = run_cli(capsys, "cache", "import", "--store", store)
         assert code == 0
-        payload = json.loads(captured.out)
-        assert payload["index"]["rows"] == 1
-        assert payload["index"]["reader"] == "sqlite"
+        assert json.loads(captured.out) == {"imported": 0, "skipped": 0}
+        code, captured = run_cli(capsys, "cache", "stats", "--store", store)
+        assert json.loads(captured.out)["stats"]["records"] == 1
 
+    def test_cache_import_refuses_a_missing_store(self, capsys, tmp_path):
         code, captured = run_cli(
-            capsys, "cache", "index", "--store", store, "--drop"
-        )
-        assert code == 0
-        payload = json.loads(captured.out)
-        assert payload["index"]["dropped"] is True
-        assert payload["index"]["reader"] == "scan"
-        assert not (tmp_path / "store" / "index.sqlite").exists()
-
-    def test_cache_index_refuses_a_missing_store(self, capsys, tmp_path):
-        code, captured = run_cli(
-            capsys, "cache", "index", "--store", str(tmp_path / "nope")
+            capsys, "cache", "import", "--store", str(tmp_path / "nope")
         )
         assert code == 2
         assert "no experiment store" in captured.err
