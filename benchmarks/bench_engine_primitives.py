@@ -14,11 +14,9 @@ measurement here:
   the batched epoch-memo fill: one ``cluster.memo_fill`` span per drain
   instant covering every missing cell, zero spans once the memo is warm.
   Span/cell/simulation counts are gated; fill latency is recorded ungated.
-* **Vectorized estimator** — the AHD planner search scored through
-  ``estimator_vec`` versus the scalar triple loop (``REPRO_NO_VECTOR=1``).
-  Both must pick the same winner at the same float; the speedup must hold
-  the >=3x acceptance floor asserted in-test (the ratio itself is wall-clock
-  and ungated).
+* **Planner search** — one AHD search over the 56-candidate space of a
+  4-GPU cell, scored on memoised stage totals.  The candidate count and the
+  winner's step time are gated; the search time is wall-clock and ungated.
 
 Run with the rest of the harness::
 
@@ -27,7 +25,6 @@ Run with the rest of the harness::
 
 from __future__ import annotations
 
-import os
 import time
 
 from benchmarks.conftest import emit, emit_json
@@ -44,7 +41,6 @@ from repro.sim.events import TaskKind
 ENGINE_WIDTHS = (8, 32)
 TASKS_PER_RESOURCE = 200
 BURST_JOBS = 24
-SPEEDUP_FLOOR = 3.0
 TIMING_REPEATS = 5
 
 
@@ -195,7 +191,7 @@ def test_memo_fill_batch_latency(session):
     )
 
 
-def test_vectorized_estimator_speedup(session, fast_steps):
+def test_ahd_search_time(session, fast_steps):
     from repro.tune.space import TuneSpace
 
     space = TuneSpace(
@@ -213,36 +209,15 @@ def test_vectorized_estimator_speedup(session, fast_steps):
     def run_search():
         return search_ahd(pair, server, config.batch_size, profile, dataset)
 
-    saved = os.environ.pop("REPRO_NO_VECTOR", None)
-    try:
-        vec_s, vec_result = _best_of(TIMING_REPEATS, run_search)
-        os.environ["REPRO_NO_VECTOR"] = "1"
-        scalar_s, scalar_result = _best_of(TIMING_REPEATS, run_search)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_VECTOR", None)
-        else:
-            os.environ["REPRO_NO_VECTOR"] = saved
-
-    # Same winner at the same float — the equivalence suite's guarantee,
-    # re-checked here on the exact cell being timed.
-    assert vec_result.best.step_time == scalar_result.best.step_time
-    assert vec_result.best.plan.stages == scalar_result.best.plan.stages
-
-    speedup = scalar_s / vec_s
+    search_s, result = _best_of(TIMING_REPEATS, run_search)
     payload = {
-        "search_space_size": vec_result.best.plan.metadata["search_space_size"],
-        "step_time_s": vec_result.best.step_time,
-        "vector_ms": vec_s * 1e3,
-        "scalar_ms": scalar_s * 1e3,
-        "speedup": speedup,
-        "speedup_floor": SPEEDUP_FLOOR,
+        "search_space_size": result.best.plan.metadata["search_space_size"],
+        "step_time_s": result.best.step_time,
+        "search_ms": search_s * 1e3,
     }
     emit_json("engine_primitives_estimator", payload)
     emit(
-        "Vectorized AHD search vs scalar triple loop",
-        f"{payload['search_space_size']} candidates: "
-        f"vector {vec_s * 1e3:.3f} ms, scalar {scalar_s * 1e3:.3f} ms "
-        f"-> {speedup:.1f}x (floor {SPEEDUP_FLOOR}x)",
+        "AHD planner search on memoised stage totals",
+        f"{payload['search_space_size']} candidates in {search_s * 1e3:.3f} ms "
+        f"(best of {TIMING_REPEATS})",
     )
-    assert speedup >= SPEEDUP_FLOOR, payload

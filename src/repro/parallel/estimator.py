@@ -11,13 +11,15 @@ if the stage contains block 0.
 In steady state with decoupled parameter updates, the pipeline's throughput
 is set by the slowest stage (§IV-C: "the system throughput is determined by
 the throughput of the slowest device"), so a plan's score is simply the
-maximum stage time.
+maximum stage time.  :func:`search_pipeline_plans` is the one scoring loop
+the TR and AHD planners share: it scores candidates in enumeration order and
+estimates each distinct stage once per search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -85,6 +87,17 @@ class StageTimeEstimator:
             raise ScheduleError("num_replicas must be positive")
         if not block_ids:
             raise ScheduleError("a stage must contain at least one block")
+        first_block = block_ids[0]
+        last_block = block_ids[-1]
+        if (
+            first_block < 0
+            or last_block >= self.pair.num_blocks
+            or list(block_ids) != list(range(first_block, last_block + 1))
+        ):
+            raise ScheduleError(
+                f"stage blocks {tuple(block_ids)} are not contiguous within "
+                f"0..{self.pair.num_blocks - 1}"
+            )
         micro_batch = max(1, -(-global_batch // num_replicas))  # ceil division
 
         teacher_time = 0.0
@@ -103,13 +116,12 @@ class StageTimeEstimator:
             allreduce_time = self.server.interconnect.allreduce_time(grad_bytes, num_replicas)
 
         data_load_time = 0.0
-        if 0 in block_ids:
+        if first_block == 0:
             data_load_time = self.loader.batch_load_time(
                 micro_batch, concurrent_loaders=max(concurrent_loaders, num_replicas)
             )
 
         relay_time = 0.0
-        last_block = max(block_ids)
         if last_block < self.pair.num_blocks - 1:
             boundary_bytes = (
                 self.pair.teacher.block(last_block).output_bytes_per_sample * micro_batch
@@ -180,3 +192,53 @@ def stage_assignments_from_partition(
             StageAssignment(stage_id=stage_id, block_ids=tuple(blocks), device_ids=devices)
         )
     return tuple(stages)
+
+
+#: A planner candidate: contiguous block groups and per-stage device counts.
+Candidate = Tuple[Sequence[Sequence[int]], Sequence[int]]
+
+
+def search_pipeline_plans(
+    estimator: StageTimeEstimator,
+    candidates: Iterable[Candidate],
+    global_batch: int,
+    make_plan: Callable[[Sequence[Sequence[int]], Sequence[int]], SchedulePlan],
+    keep_candidates: bool = False,
+) -> Tuple[SchedulePlan, float, List[Tuple[SchedulePlan, float]]]:
+    """Score pipeline candidates by max stage time; return the first minimum.
+
+    Each candidate's step time is the max of its stage totals, which is what
+    :meth:`StageTimeEstimator.plan_step_time` returns for the same plan.  A
+    stage total depends only on ``(first_block, num_stage_blocks, replicas)``
+    plus the first stage's loader count when the stage loads data, so each
+    distinct stage is estimated once per search.  The first candidate with
+    the strictly smallest time wins (enumeration order breaks ties).  Only the
+    winner builds a :class:`SchedulePlan` unless ``keep_candidates`` is set,
+    in which case every candidate does and comes back, in enumeration order,
+    as ``(plan, step_time)`` in the third element.
+    """
+    totals: Dict[Tuple[int, int, int, int], float] = {}
+    kept: List[Tuple[SchedulePlan, float]] = []
+    best = None
+    best_index = -1
+    best_time = float("inf")
+    for index, (partition, device_counts) in enumerate(candidates):
+        loaders = device_counts[0]
+        stage_totals = []
+        for blocks, replicas in zip(partition, device_counts):
+            key = (blocks[0], len(blocks), replicas, loaders if blocks[0] == 0 else 0)
+            total = totals.get(key)
+            if total is None:
+                total = totals[key] = estimator.stage_time(
+                    blocks, replicas, global_batch, concurrent_loaders=loaders
+                ).total
+            stage_totals.append(total)
+        step_time = max(stage_totals)
+        if keep_candidates:
+            kept.append((make_plan(partition, device_counts), step_time))
+        if best is None or step_time < best_time:
+            best, best_index, best_time = (partition, device_counts), index, step_time
+    if best is None:
+        raise ScheduleError("the planner search produced no candidates")
+    plan = kept[best_index][0] if keep_candidates else make_plan(*best)
+    return plan, best_time, kept

@@ -19,17 +19,15 @@ and the ablation benchmark quantify that claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from repro.data.dataset import DatasetSpec
-from repro.errors import ScheduleError
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
-from repro.parallel.estimator import StageTimeEstimator, stage_assignments_from_partition
-from repro.parallel.estimator_vec import (
-    groups_from_sizes,
-    maybe_vector_estimator,
-    partition_grid,
+from repro.parallel.estimator import (
+    StageTimeEstimator,
+    search_pipeline_plans,
+    stage_assignments_from_partition,
 )
 from repro.parallel.partition import (
     compositions,
@@ -97,65 +95,23 @@ def search_ahd(
             stages=stages,
         )
 
-    best: Optional[AHDCandidate] = None
-    kept: List[AHDCandidate] = []
-    vector = maybe_vector_estimator(pair, server, dataset, profile)
-    if vector is not None:
-        # One array pass scores the whole (stage-count x partition x
-        # device-composition) grid; only the winner (and the kept
-        # candidates, when requested) pays plan construction.  The grid
-        # rows replicate the scalar triple-loop enumeration order, so
-        # first-minimum argmin picks the same winner as the scalar
-        # first-strict-improvement loop, at the same float.
-        import numpy as np
-
-        best_time = float("inf")
-        best_key: Optional[Tuple[int, int, int]] = None
-        kept_offsets = {}
-        for segment, times in vector.score_search_space(num_devices, batch_size):
-            num_stages, num_comps = segment.num_stages, segment.num_compositions
-            if keep_candidates:
-                kept_offsets[num_stages] = len(kept)
-                _, part_sizes = partition_grid(num_blocks, num_stages)
-                comps = list(compositions(num_devices, num_stages))
-                for index, step_time in enumerate(times):
-                    plan = make_plan(
-                        groups_from_sizes(part_sizes[index // num_comps]),
-                        comps[index % num_comps],
-                    )
-                    kept.append(AHDCandidate(plan=plan, step_time=float(step_time)))
-            local_best = int(np.argmin(times))
-            if float(times[local_best]) < best_time:
-                best_time = float(times[local_best])
-                best_key = (num_stages, local_best, num_comps)
-        if best_key is not None:
-            num_stages, flat_index, num_comps = best_key
-            if keep_candidates:
-                best = kept[kept_offsets[num_stages] + flat_index]
-            else:
-                _, part_sizes = partition_grid(num_blocks, num_stages)
-                comps = list(compositions(num_devices, num_stages))
-                plan = make_plan(
-                    groups_from_sizes(part_sizes[flat_index // num_comps]),
-                    comps[flat_index % num_comps],
-                )
-                best = AHDCandidate(plan=plan, step_time=best_time)
-    else:
-        estimator = StageTimeEstimator(
-            pair=pair, server=server, dataset=dataset, profile=profile
-        )
+    def candidates():
         for num_stages in range(1, max_stages + 1):
+            device_splits = tuple(compositions(num_devices, num_stages))
             for partition in contiguous_partitions(num_blocks, num_stages):
-                for device_counts in compositions(num_devices, num_stages):
-                    plan = make_plan(partition, device_counts)
-                    step_time = estimator.plan_step_time(plan)
-                    candidate = AHDCandidate(plan=plan, step_time=step_time)
-                    if keep_candidates:
-                        kept.append(candidate)
-                    if best is None or step_time < best.step_time:
-                        best = candidate
-    if best is None:
-        raise ScheduleError("AHD search produced no candidates")
+                for device_counts in device_splits:
+                    yield partition, device_counts
+
+    estimator = StageTimeEstimator(pair=pair, server=server, dataset=dataset, profile=profile)
+    best_plan, best_time, scored = search_pipeline_plans(
+        estimator,
+        candidates(),
+        batch_size,
+        make_plan,
+        keep_candidates=keep_candidates,
+    )
+    best = AHDCandidate(plan=best_plan, step_time=best_time)
+    kept = [AHDCandidate(plan=plan, step_time=step_time) for plan, step_time in scored]
     best.plan.metadata["estimated_step_time"] = best.step_time
     best.plan.metadata["search_space_size"] = search_space_size(num_blocks, num_devices)
     best.plan.metadata["profiling_cost_s"] = profile.profiling_cost_s

@@ -21,11 +21,10 @@ from repro.data.dataset import DatasetSpec
 from repro.errors import ScheduleError
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
-from repro.parallel.estimator import StageTimeEstimator, stage_assignments_from_partition
-from repro.parallel.estimator_vec import (
-    groups_from_sizes,
-    maybe_vector_estimator,
-    partition_grid,
+from repro.parallel.estimator import (
+    StageTimeEstimator,
+    search_pipeline_plans,
+    stage_assignments_from_partition,
 )
 from repro.parallel.partition import contiguous_partitions
 from repro.parallel.plan import SchedulePlan
@@ -48,8 +47,7 @@ def build_tr_plan(
         raise ScheduleError("need at least one device and one block")
     strategy = "TR+DPU" if decoupled_update else "TR"
 
-    def make_plan(partition) -> SchedulePlan:
-        stages = stage_assignments_from_partition(partition, [1] * num_stages)
+    def make_plan(partition, device_counts) -> SchedulePlan:
         return SchedulePlan(
             kind="pipeline",
             strategy=strategy,
@@ -57,36 +55,20 @@ def build_tr_plan(
             num_devices=num_devices,
             num_blocks=num_blocks,
             decoupled_update=decoupled_update,
-            stages=stages,
+            stages=stage_assignments_from_partition(partition, device_counts),
         )
 
-    vector = maybe_vector_estimator(pair, server, dataset, profile)
-    if vector is not None:
-        # One array pass over all C(B-1, k-1) contiguous splits; argmin
-        # returns the first minimum, matching the scalar loop's
-        # first-strict-improvement winner.  Only the winner pays the
-        # SchedulePlan validation cost.
-        import numpy as np
-
-        starts, sizes = partition_grid(num_blocks, num_stages)
-        replicas = np.ones_like(starts)
-        times = vector.score_candidates(starts, sizes, replicas, batch_size)
-        best_index = int(np.argmin(times))
-        best_time = float(times[best_index])
-        best_plan = make_plan(groups_from_sizes(sizes[best_index]))
-    else:
-        estimator = StageTimeEstimator(
-            pair=pair, server=server, dataset=dataset, profile=profile
-        )
-        best_plan = None
-        best_time = float("inf")
-        for partition in contiguous_partitions(num_blocks, num_stages):
-            candidate = make_plan(partition)
-            step_time = estimator.plan_step_time(candidate)
-            if step_time < best_time:
-                best_time = step_time
-                best_plan = candidate
-        assert best_plan is not None
+    estimator = StageTimeEstimator(pair=pair, server=server, dataset=dataset, profile=profile)
+    one_device_each = (1,) * num_stages
+    best_plan, best_time, _ = search_pipeline_plans(
+        estimator,
+        (
+            (partition, one_device_each)
+            for partition in contiguous_partitions(num_blocks, num_stages)
+        ),
+        batch_size,
+        make_plan,
+    )
     best_plan.metadata["estimated_step_time"] = best_time
     best_plan.metadata["description"] = (
         "contiguous block groups, one device per stage, activations relayed"

@@ -213,7 +213,7 @@ class SuccessiveHalving:
     def search(self, space, objective, evaluator, *, budget, seed) -> DriverRun:
         points = space.points()
         # Rung 0 goes through the batch entry point: one span + counter for
-        # the whole grid, vectorized plan scoring underneath.
+        # the whole grid, analytic plan scoring underneath.
         estimates = evaluator.estimate_all(points)
         ranked = sorted(points, key=lambda point: objective.proxy_key(estimates[point]))
 

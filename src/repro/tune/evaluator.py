@@ -265,11 +265,8 @@ class TuneEvaluator:
         if plan.kind == "pipeline":
             if profile is None:
                 profile = session.profile(config)
-            # The planners route their candidate searches through the
-            # vectorized estimator internally; for the single winning plan's
-            # breakdown the scalar estimator is faster than numpy's
-            # small-array overhead, and the equivalence suite proves the two
-            # return bit-identical StageTimeEstimates.
+            # The winning plan's per-stage breakdown; the planner search
+            # scored its candidates with the same StageTimeEstimator.
             estimator = StageTimeEstimator(
                 pair=pair, server=server, dataset=dataset, profile=profile
             )
@@ -305,9 +302,9 @@ class TuneEvaluator:
     def _pipeline_step_time(plan: SchedulePlan, estimator) -> float:
         """Steady-state step time of a pipeline plan.
 
-        ``estimator`` is either the scalar
-        :class:`~repro.parallel.estimator.StageTimeEstimator` or its
-        vectorized twin — both expose ``stage_estimates``.
+        ``estimator`` is a
+        :class:`~repro.parallel.estimator.StageTimeEstimator`; its
+        ``stage_estimates`` give the per-stage breakdown.
 
         Decoupled plans (DPU) run stages independently, so throughput is set
         by the slowest stage (paper SIV-C).  Plans that keep the per-step

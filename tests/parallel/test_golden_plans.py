@@ -4,7 +4,7 @@ Each registered built-in strategy is built over the default golden grid
 (nas on cifar10/imagenet, batch 128/256, 2/4 GPUs on a6000) and the
 resulting :class:`~repro.parallel.plan.SchedulePlan` JSON documents are
 compared byte-identically against committed goldens.  This is the
-behavioural lock for the vectorized-estimator refactor: a planner that
+behavioural lock for planner refactors: a planner that
 drifts by one ULP in ``metadata["estimated_step_time"]``, or picks a
 different tie-broken partition, fails here.
 

@@ -73,10 +73,43 @@ class TestStageTimeEstimator:
         assert estimate.relay == 0.0
 
     def test_invalid_inputs(self, estimator):
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="at least one block"):
             estimator.stage_time((), num_replicas=1, global_batch=256)
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError, match="positive"):
             estimator.stage_time((0,), num_replicas=0, global_batch=256)
+        with pytest.raises(ConfigurationError, match="no profile entry"):
+            estimator.stage_time((0,), num_replicas=1, global_batch=999)
+
+    @pytest.mark.parametrize("block_ids", [(0, 2), (3, 1, 3), (2, 1), (5, 6), (-1, 0), (6,)])
+    def test_rejects_stages_no_plan_can_hold(self, estimator, block_ids):
+        # Like a StageAssignment, a stage is a contiguous ascending run
+        # inside 0..num_blocks-1; the planner search's memo key relies on it.
+        with pytest.raises(ScheduleError, match="are not contiguous"):
+            estimator.stage_time(block_ids, num_replicas=1, global_batch=256)
+
+    def test_data_load_dominated_stage(
+        self, nas_imagenet_pair, a6000_server, imagenet_dataset, nas_imagenet_profile
+    ):
+        # The loader term `overhead + loaders * max(io, cpu)` grows with the
+        # loader count, so at 64 loaders the overlapped path wins the max.
+        estimator = StageTimeEstimator(
+            nas_imagenet_pair, a6000_server, imagenet_dataset, nas_imagenet_profile
+        )
+        estimate = estimator.stage_time((0,), 1, 256, concurrent_loaders=64)
+        assert estimate.data_load > estimate.compute + estimate.allreduce
+        assert estimate.total == estimate.data_load
+
+    def test_every_non_final_stage_relays_under_its_compute(
+        self, nas_imagenet_pair, a6000_server, imagenet_dataset, nas_imagenet_profile
+    ):
+        # The relay overlaps with compute; even ImageNet's largest boundary
+        # activation moves faster than one block computes.
+        estimator = StageTimeEstimator(
+            nas_imagenet_pair, a6000_server, imagenet_dataset, nas_imagenet_profile
+        )
+        for block in range(nas_imagenet_pair.num_blocks - 1):
+            estimate = estimator.stage_time((block,), 1, 256)
+            assert 0.0 < estimate.relay < estimate.total
 
     def test_plan_step_time_is_max_stage(self, estimator, nas_cifar_pair, a6000_server):
         stages = stage_assignments_from_partition(

@@ -4,11 +4,13 @@ Satellite guarantee of the serving PR: ``import repro`` (and ``import
 repro.serve``) must work on a bare install; only
 :func:`repro.serve.app.create_app` touches FastAPI, lazily, and when the
 stack is missing it fails with one actionable message instead of an
-ImportError traceback.
+ImportError traceback.  Likewise only ``repro.distill`` needs numpy: the
+CLI, the planners and the service run with it blocked.
 """
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +68,31 @@ class TestLazyImports:
         paths = {route.path for route in app.routes}
         assert "/v1/plan" in paths
         assert "/v1/healthz" in paths
+
+
+class TestNumpyFreePlannerPath:
+    def test_cli_run_and_plan_endpoint_without_numpy(self, tmp_path):
+        # Blocking numpy must leave the CLI import, a TR+DPU+AHD run and a
+        # /v1/plan request working.
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "import repro.cli\n"
+            "status = repro.cli.main(['run', '--strategy', 'TR+DPU+AHD',\n"
+            "                         '--steps', '4', '--out', sys.argv[1]])\n"
+            "assert status == 0, status\n"
+            "from repro.serve.client import LocalClient\n"
+            "from repro.serve.service import PlannerService\n"
+            "client = LocalClient(PlannerService())\n"
+            "response = client.post('/v1/plan', json={'steps': 4})\n"
+            "assert response.status_code == 200, response.text\n"
+        )
+        out = tmp_path / "run.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(out)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(Path(__file__).resolve().parents[2]),
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.stat().st_size > 0
