@@ -133,16 +133,21 @@ def ranked(candidates):
 # --------------------------------------------------------------------- #
 # Hypothesis: the memoised search picks the oracle's winner, to the bit
 # --------------------------------------------------------------------- #
+#: Every cell a planner can be asked about: task, dataset, server, 1-8 GPUs
+#: and the profiled batch sizes.
+cells = given(
+    task=st.sampled_from(VALID_TASKS),
+    dataset=st.sampled_from(VALID_DATASETS),
+    server=st.sampled_from(VALID_SERVERS),
+    num_gpus=st.integers(min_value=1, max_value=8),
+    batch_size=st.sampled_from([32, 64, 128, 256, 512]),
+)
+
+
 class TestSearchMatchesOracle:
-    @given(
-        task=st.sampled_from(VALID_TASKS),
-        dataset=st.sampled_from(VALID_DATASETS),
-        server=st.sampled_from(VALID_SERVERS),
-        num_gpus=st.integers(min_value=1, max_value=8),
-        batch_size=st.sampled_from([32, 64, 128, 256, 512]),
-    )
+    @cells
     @settings(max_examples=60, deadline=None)
-    def test_tr_and_ahd_match_the_oracle(self, task, dataset, server, num_gpus, batch_size):
+    def test_tr_matches_the_oracle(self, task, dataset, server, num_gpus, batch_size):
         pair, spec, data, profile, _ = cell(task, dataset, server, num_gpus, batch_size)
         args = (pair, spec, batch_size, profile, data)
         for decoupled in (False, True):
@@ -151,6 +156,11 @@ class TestSearchMatchesOracle:
             assert actual.to_dict() == expected.to_dict()
             assert actual.metadata == expected.metadata
 
+    @cells
+    @settings(max_examples=60, deadline=None)
+    def test_ahd_matches_the_oracle(self, task, dataset, server, num_gpus, batch_size):
+        pair, spec, data, profile, _ = cell(task, dataset, server, num_gpus, batch_size)
+        args = (pair, spec, batch_size, profile, data)
         oracle_best, oracle_kept = oracle_search_ahd(*args, keep_candidates=True)
         result = search_ahd(*args, keep_candidates=True)
         assert result.best.plan.to_dict() == oracle_best.plan.to_dict()
