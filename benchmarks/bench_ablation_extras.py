@@ -20,7 +20,6 @@ from repro.analysis.sweep import gpu_sensitivity
 from repro.core.ablation import make_profile
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table
-from repro.core.runner import run_ablation
 from repro.data.dataset import get_dataset
 from repro.hardware.interconnect import PCIE_3
 from repro.hardware.server import ServerSpec, default_a6000_server
@@ -30,7 +29,7 @@ from repro.parallel.hybrid import build_ahd_plan, search_ahd, search_space_size
 
 
 @pytest.mark.benchmark(group="extras")
-def test_ahd_search_cost(benchmark, fast_steps):
+def test_ahd_search_cost(benchmark, session, fast_steps):
     """The AHD decision is a one-off, amortised cost."""
     pair = build_nas_pair("cifar10")
     server = default_a6000_server()
@@ -42,7 +41,7 @@ def test_ahd_search_cost(benchmark, fast_steps):
 
     (result, profile) = benchmark(run_search)
     config = ExperimentConfig(task="nas", dataset="cifar10", simulated_steps=fast_steps)
-    epoch = run_ablation(config, strategies=("TR+DPU+AHD",)).results["TR+DPU+AHD"].epoch_time
+    epoch = session.ablation(config, ("TR+DPU+AHD",)).results["TR+DPU+AHD"].epoch_time
 
     rows = [
         ["search space size (B=6, N=4)", str(search_space_size(6, 4))],

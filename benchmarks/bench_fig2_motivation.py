@@ -14,13 +14,12 @@ import pytest
 from benchmarks.conftest import emit
 from repro.analysis.breakdown import breakdown_total, epoch_breakdown, ideal_breakdown
 from repro.core.config import ExperimentConfig
-from repro.core.runner import run_ablation
 from repro.core.reporting import format_table
 
 
-def _measure(fast_steps: int):
+def _measure(session, fast_steps: int):
     config = ExperimentConfig(task="nas", dataset="cifar10", simulated_steps=fast_steps)
-    suite = run_ablation(config, strategies=("DP", "TR+DPU+AHD"))
+    suite = session.ablation(config, ("DP", "TR+DPU+AHD"))
     baseline = epoch_breakdown(suite.results["DP"])
     pipe_bd = epoch_breakdown(suite.results["TR+DPU+AHD"])
     ideal = ideal_breakdown(
@@ -30,8 +29,8 @@ def _measure(fast_steps: int):
 
 
 @pytest.mark.benchmark(group="fig2")
-def test_fig2_motivational_breakdown(benchmark, fast_steps):
-    baseline, ideal, pipe_bd = benchmark(_measure, fast_steps)
+def test_fig2_motivational_breakdown(benchmark, session, fast_steps):
+    baseline, ideal, pipe_bd = benchmark(_measure, session, fast_steps)
 
     categories = ("data_load", "teacher_exec", "student_exec", "idle")
     rows = []

@@ -10,9 +10,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.core.ablation import ALL_STRATEGIES
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table
+from repro.parallel.registry import REGISTRY
 
 CELLS = (
     ("nas", "cifar10"),
@@ -24,7 +24,7 @@ CELLS = (
 
 def _measure_cell(session, task: str, dataset: str, fast_steps: int):
     config = ExperimentConfig(task=task, dataset=dataset, simulated_steps=fast_steps)
-    return session.ablation(config, strategies=tuple(ALL_STRATEGIES))
+    return session.ablation(config, strategies=REGISTRY.names())
 
 
 @pytest.mark.benchmark(group="fig4")
@@ -35,7 +35,7 @@ def test_fig4_speedup_ablation(benchmark, session, task, dataset, fast_steps):
 
     rows = [
         [strategy, f"{epoch_times[strategy]:.2f}s", f"{speedups[strategy]:.2f}x"]
-        for strategy in ALL_STRATEGIES
+        for strategy in REGISTRY.names()
     ]
     emit(
         f"Fig. 4 — speedup over DP ({task}, {dataset}, 4x A6000, batch 256)",

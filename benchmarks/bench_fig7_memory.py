@@ -15,20 +15,19 @@ from benchmarks.conftest import emit
 from repro.analysis.memory_report import average_memory_overhead, per_rank_memory_gb
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table, memory_table
-from repro.core.runner import run_ablation
 
 STRATEGIES = ("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD")
 
 
-def _measure(dataset: str, fast_steps: int):
+def _measure(session, dataset: str, fast_steps: int):
     config = ExperimentConfig(task="nas", dataset=dataset, simulated_steps=fast_steps)
-    return run_ablation(config, strategies=STRATEGIES)
+    return session.ablation(config, STRATEGIES)
 
 
 @pytest.mark.benchmark(group="fig7")
 @pytest.mark.parametrize("dataset", ("cifar10", "imagenet"))
-def test_fig7_memory_overhead(benchmark, dataset, fast_steps):
-    suite = benchmark(_measure, dataset, fast_steps)
+def test_fig7_memory_overhead(benchmark, session, dataset, fast_steps):
+    suite = benchmark(_measure, session, dataset, fast_steps)
     results = suite.results
 
     emit(

@@ -36,7 +36,7 @@ def main() -> None:
 
     print(f"=== Batch-size sweep (compression, {dataset}, 4x A6000) ===")
     sweep = session.sweep(
-        base, batch_sizes=BATCH_SIZES, strategies=STRATEGIES, parallel=True
+        base, batch_sizes=BATCH_SIZES, strategies=STRATEGIES, backend="thread"
     )
     print(format_sweep_table(sweep))
     print()

@@ -15,17 +15,18 @@ Usage::
 from __future__ import annotations
 
 from repro.analysis.schedule_viz import schedule_summary
-from repro.core.ablation import ALL_STRATEGIES
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table, speedup_table
-from repro.core.runner import run_ablation
+from repro.core.session import Session
+from repro.parallel.registry import REGISTRY
 
 
 def main() -> None:
+    session = Session()
     plans = {}
     for server in ("a6000", "2080ti"):
         config = ExperimentConfig(task="nas", dataset="imagenet", server=server)
-        suite = run_ablation(config, strategies=ALL_STRATEGIES)
+        suite = session.ablation(config, REGISTRY.names())
         print(speedup_table(suite))
         print()
         plans[server] = suite.results["TR+DPU+AHD"].plan

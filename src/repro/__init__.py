@@ -17,8 +17,9 @@ Blockwise Distillation" (DATE 2023).  It contains:
 * ``repro.distill`` — a small numpy autograd engine plus blockwise
   distillation trainers used to demonstrate that Pipe-BD's reordering does
   not change the mathematical formulation.
-* ``repro.core`` — the Pipe-BD framework (Algorithm 1), experiment runner
-  and report formatting.
+* ``repro.core`` — the Pipe-BD framework (Algorithm 1), the caching
+  :class:`~repro.core.session.Session` every entry point runs through, and
+  report formatting.
 * ``repro.cluster`` — the fleet layer above single-server Pipe-BD:
   multi-job workload generation, pluggable gang-scheduling policies and an
   event-driven cluster simulator.
@@ -44,8 +45,7 @@ public API reference and ``docs/TUNING.md`` for the autotuning guide.
 from repro.version import __version__
 from repro.core.config import ExperimentConfig
 from repro.core.pipebd import PipeBD
-from repro.core.session import Session, SweepResult, get_default_session
-from repro.core.runner import run_experiment, run_ablation
+from repro.core.session import Session, SweepResult
 from repro.parallel.registry import REGISTRY, register_strategy
 from repro.cluster import (
     ClusterSimulator,
@@ -80,9 +80,6 @@ __all__ = [
     "PipeBD",
     "Session",
     "SweepResult",
-    "get_default_session",
-    "run_experiment",
-    "run_ablation",
     "REGISTRY",
     "register_strategy",
     "ClusterSimulator",

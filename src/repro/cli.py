@@ -25,7 +25,13 @@ Six subcommands mirror the levels of the system:
   (plus an optional ``--trace-out`` chrome-trace file for
   ``chrome://tracing`` / Perfetto).
 
-``run``/``sweep``/``cluster``/``tune`` accept ``--store PATH`` (default:
+``run``/``sweep``/``cluster``/``tune`` are the HTTP service's
+``/v1/plan``/``/v1/sweep``/``/v1/cluster``/``/v1/tune``: their flags are
+generated from the request types of :mod:`repro.commands`
+(:func:`add_request_arguments`) and they run the same commands, so a CLI
+payload equals the HTTP payload minus each frontend's bookkeeping.
+
+They also accept ``--store PATH`` (default:
 the ``REPRO_STORE`` environment variable) to hydrate results from and
 write them through a persistent store, making repeated invocations — even
 across processes — perform zero duplicate simulations; ``sweep`` also
@@ -48,9 +54,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro import commands
 from repro.analysis.cluster_report import compare_policies
 from repro.analysis.store_report import (
     format_session_stats,
@@ -59,25 +67,11 @@ from repro.analysis.store_report import (
     warm_cold_summary,
 )
 from repro.analysis.sweep import format_sweep_table
-from repro.cluster.elastic import ELASTIC_POLICIES
-from repro.cluster.faults import FAULT_PRESETS, FaultTrace, parse_fault_spec
-from repro.cluster.scheduler import POLICIES
-from repro.cluster.spec import cluster_from_shorthand, default_cluster
-from repro.cluster.market import PRICE_CURVES, parse_price_curve
 from repro.cluster.simulator import run_policy_comparison
-from repro.cluster.workload import (
-    DEFAULT_MIX,
-    Workload,
-    arrival_process,
-    parse_tenant_shorthand,
-    tenant_workload,
-)
-from repro.core.config import (
-    ExperimentConfig,
-    VALID_DATASETS,
-    VALID_SERVERS,
-    VALID_TASKS,
-)
+from repro.cluster.spec import default_cluster
+from repro.cluster.workload import DEFAULT_MIX, arrival_process
+from repro.commands import ClusterRequest, PlanRequest, SweepRequest, TuneRequest
+from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ReproError
 from repro.obs.logs import configure_logging
@@ -146,214 +140,71 @@ def _require_store(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------- #
 # Subcommands
 # ---------------------------------------------------------------------- #
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        task=args.task,
-        dataset=args.dataset,
-        server=args.server,
-        num_gpus=args.num_gpus,
-        batch_size=args.batch_size,
-        strategy=args.strategy,
-        simulated_steps=args.steps,
-    )
-    session = _session(args)
-    result = session.run(config)
-    payload = {"config": config.to_dict(), "result": result.to_dict()}
-    payload.update(_store_payload(session))
-    _emit(payload, args.out)
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = ExperimentConfig(
-        task=args.task,
-        dataset=args.dataset,
-        server=args.server,
-        num_gpus=args.num_gpus,
-        batch_size=args.batch_size,
-        simulated_steps=args.steps,
-    )
-    session = _session(args)
-    sweep = session.sweep(
-        base,
-        batch_sizes=_int_list(args.batch_sizes) if args.batch_sizes else None,
-        num_gpus=_int_list(args.gpu_counts) if args.gpu_counts else None,
-        datasets=_str_list(args.datasets) if args.datasets else None,
-        servers=_str_list(args.servers) if args.servers else None,
-        tasks=_str_list(args.tasks) if args.tasks else None,
-        strategies=_str_list(args.strategies) if args.strategies else None,
-        parallel=args.parallel,
-        backend=args.backend,
-    )
-    if args.table:
-        # The default baseline (DP) may not be part of the swept strategy
-        # set; fall back to the first swept strategy rather than failing
-        # after the whole grid has been computed.
-        baseline = (
-            args.baseline if args.baseline in sweep.strategies else sweep.strategies[0]
-        )
-        print(format_sweep_table(sweep, baseline=baseline), file=sys.stderr)
-        print(format_session_stats(session.stats), file=sys.stderr)
-    payload = sweep.to_dict()
-    payload.update(_store_payload(session))
-    _emit(payload, args.out)
-    return 0
-
-
-def _load_trace(path: str, loader, what: str):
-    """Load a JSON trace file, folding every failure mode into ReproError."""
+def _read_document(path: str, what: str) -> Any:
+    """Parse a JSON file a document flag names, folding failures into ReproError."""
     try:
-        return loader(path)
-    except ReproError:
-        raise
+        text = Path(path).read_text()
     except OSError as error:
         raise ReproError(f"cannot read {what} {path!r}: {error}") from error
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
         raise ReproError(
             f"malformed {what} {path!r}: {error}; expected the JSON shape "
             "written by save()"
         ) from error
 
 
-def _resolve_cli_faults(args: argparse.Namespace):
-    """Coerce --faults / --fault-trace into a fault source (or None)."""
-    if args.faults and args.fault_trace:
-        raise ReproError(
-            "--faults and --fault-trace are mutually exclusive; pass a "
-            "generator spec or a concrete trace, not both"
-        )
-    if args.fault_trace:
-        return _load_trace(args.fault_trace, FaultTrace.load, "fault trace")
-    if args.faults:
-        return parse_fault_spec(args.faults)
-    return None
+#: Request fields whose flags name a JSON file; the request carries the
+#: parsed document, exactly as an HTTP body does.
+_DOCUMENTS = {"workload": "workload trace", "fault_trace": "fault trace"}
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    cluster = (
-        cluster_from_shorthand(args.nodes) if args.nodes else default_cluster()
-    )
-    if args.tenants and args.workload:
-        raise ReproError(
-            "--tenants and --workload are mutually exclusive; workload "
-            "traces carry their own tenant roster"
-        )
-    price_curve = parse_price_curve(args.price_curve)
-    if args.workload:
-        workload = _load_trace(args.workload, Workload.load, "workload trace")
-    elif args.tenants:
-        workload = tenant_workload(
-            parse_tenant_shorthand(args.tenants),
-            args.num_jobs,
-            rate=args.rate,
-            seed=args.seed,
-            deadline_slack=args.deadline_slack,
-            diurnal=args.arrival == "diurnal",
-        )
-    else:
-        workload = arrival_process(
-            args.arrival,
-            args.num_jobs,
-            rate=args.rate,
-            burst_size=args.burst_size,
-            burst_gap=args.burst_gap,
-            seed=args.seed,
-            mix=DEFAULT_MIX,
-        )
-    if args.save_workload:
+def _request(request_type: type, args: argparse.Namespace):
+    """The request a subcommand's flags spell."""
+    values = {spec.name: getattr(args, spec.name) for spec in fields(request_type)}
+    commands.check_exclusive(values)
+    for name, what in _DOCUMENTS.items():
+        if values.get(name) is not None:
+            values[name] = _read_document(values[name], what)
+    return request_type(**values)
+
+
+def _sweep_table(args: argparse.Namespace, session: Session, sweep) -> None:
+    # The default baseline (DP) may not be part of the swept strategy
+    # set; fall back to the first swept strategy rather than failing
+    # after the whole grid has been computed.
+    baseline = args.baseline if args.baseline in sweep.strategies else sweep.strategies[0]
+    print(format_sweep_table(sweep, baseline=baseline), file=sys.stderr)
+    print(format_session_stats(session.stats), file=sys.stderr)
+
+
+def _cluster_table(args: argparse.Namespace, session: Session, reports) -> None:
+    print(compare_policies(reports), file=sys.stderr)
+
+
+def _tune_table(args: argparse.Namespace, session: Session, result) -> None:
+    from repro.analysis.pareto import format_frontier_table, format_tune_summary
+
+    print(format_tune_summary(result), file=sys.stderr)
+    print(format_frontier_table(result), file=sys.stderr)
+
+
+def _cmd_request(args: argparse.Namespace) -> int:
+    """run / sweep / cluster / tune: build the request, run its command."""
+    request = _request(args.request_type, args)
+    if getattr(args, "save_workload", None):
         try:
-            workload.save(args.save_workload)
+            commands.make_workload(request).save(args.save_workload)
         except OSError as error:
             raise ReproError(
                 f"cannot write --save-workload {args.save_workload!r}: {error}"
             ) from error
         print(f"wrote {args.save_workload}", file=sys.stderr)
-
-    faults = _resolve_cli_faults(args)
-    policies = tuple(POLICIES.names()) if args.policy == "all" else (args.policy,)
     session = _session(args)
-    reports = run_policy_comparison(
-        cluster,
-        workload,
-        policies=policies,
-        session=session,
-        faults=faults,
-        elastic=args.elastic,
-        fault_seed=args.fault_seed,
-        price_curve=price_curve,
-    )
-    if args.table:
-        print(compare_policies(reports), file=sys.stderr)
-    payload = {
-        "cluster": cluster.to_dict(),
-        "workload": workload.name,
-        "reports": {name: report.to_dict() for name, report in reports.items()},
-    }
-    if workload.tenants:
-        payload["tenants"] = [spec.to_dict() for spec in workload.tenants]
-    if price_curve is not None:
-        payload["price_curve"] = price_curve.name
-    if faults is not None:
-        payload["faults"] = {
-            "spec": (
-                {"trace": faults.name}
-                if isinstance(faults, FaultTrace)
-                else faults.to_dict()
-            ),
-            "elastic": args.elastic,
-            "seed": args.fault_seed,
-        }
-    payload.update(_store_payload(session))
-    _emit(payload, args.out)
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.analysis.pareto import format_frontier_table, format_tune_summary
-    from repro.tune.objective import MinCostUnderDeadline
-    from repro.tune.space import TuneSpace, default_space
-
-    base = default_space()
-    clusters = (cluster_from_shorthand(args.nodes),) if args.nodes else ()
-    space = TuneSpace(
-        strategies=tuple(_str_list(args.strategies)) if args.strategies else base.strategies,
-        batch_sizes=tuple(_int_list(args.batch_sizes)) if args.batch_sizes else base.batch_sizes,
-        gpu_counts=tuple(_int_list(args.gpu_counts)) if args.gpu_counts else base.gpu_counts,
-        servers=tuple(_str_list(args.servers)) if args.servers else base.servers,
-        tasks=tuple(_str_list(args.tasks)) if args.tasks else base.tasks,
-        datasets=tuple(_str_list(args.datasets)) if args.datasets else base.datasets,
-        policies=tuple(_str_list(args.policies)) if args.policies else (),
-        clusters=clusters,
-    )
-    if args.deadline is not None and args.objective != "cost":
-        raise ReproError(
-            f"--deadline only applies to the 'cost' objective, not "
-            f"{args.objective!r}; drop the flag or use --objective cost"
-        )
-    objective = (
-        MinCostUnderDeadline(deadline=args.deadline)
-        if args.deadline is not None
-        else args.objective
-    )
-    session = _session(args)
-    result = session.tune(
-        space,
-        objective=objective,
-        driver=args.driver,
-        budget=args.budget,
-        seed=args.seed,
-        simulated_steps=args.steps,
-        faults=_resolve_cli_faults(args),
-        elastic=args.elastic,
-        fault_seed=args.fault_seed,
-        tenants=args.tenants,
-        price_curve=args.price_curve,
-        slo_deadline_slack=args.deadline_slack,
-    )
-    if args.table:
-        print(format_tune_summary(result), file=sys.stderr)
-        print(format_frontier_table(result), file=sys.stderr)
-    payload = result.to_dict()
+    payload, result = args.run_command(session, request)
+    if getattr(args, "table", False):
+        args.print_table(args, session, result)
     payload.update(_store_payload(session))
     _emit(payload, args.out)
     return 0
@@ -552,6 +403,37 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # Parser
 # ---------------------------------------------------------------------- #
+#: argparse ``type`` per request-field annotation.  List fields take comma
+#: lists; document fields take the path of a JSON file (see ``_request``).
+_FLAG_TYPES = {
+    int: int,
+    float: float,
+    str: str,
+    Optional[str]: str,
+    Optional[float]: float,
+    Optional[List[int]]: _int_list,
+    Optional[List[str]]: _str_list,
+    Optional[Dict[str, Any]]: str,
+}
+
+
+def add_request_arguments(sub: argparse.ArgumentParser, request_type: type) -> None:
+    """One ``--flag-name`` per field of a :mod:`repro.commands` request type.
+
+    The flag keeps the field's default; its help text and argparse choices
+    come from the field's metadata.
+    """
+    for spec in fields(request_type):
+        choices = spec.metadata["choices"]
+        sub.add_argument(
+            "--" + spec.name.replace("_", "-"),
+            type=_FLAG_TYPES[spec.type],
+            default=spec.default,
+            choices=choices() if callable(choices) else choices,
+            help=spec.metadata["help"],
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -584,163 +466,49 @@ def build_parser() -> argparse.ArgumentParser:
             "repeated invocations hydrate from it and simulate nothing twice",
         )
 
-    def add_fault_arguments(sub: argparse.ArgumentParser) -> None:
+    def add_output_arguments(sub: argparse.ArgumentParser, table_help: str) -> None:
         sub.add_argument(
-            "--faults",
-            help="inject faults: a preset "
-            f"({', '.join(sorted(FAULT_PRESETS))}) or 'kind:rate[,...]' with "
-            "kind in crash/preempt/straggler (rates in events/sec)",
+            "--table", action="store_true", help=f"also print {table_help} to stderr"
         )
-        sub.add_argument(
-            "--fault-trace", help="replay a JSON fault trace instead of generating"
-        )
-        sub.add_argument(
-            "--elastic",
-            default="restart",
-            help="elastic recovery policy for evicted gangs "
-            f"({', '.join(ELASTIC_POLICIES.names())})",
-        )
-        sub.add_argument(
-            "--fault-seed", type=int, default=0, help="seed for fault generation"
-        )
-
-    def add_tenant_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--tenants",
-            help="tenant roster shorthand 'name:k=v,...;...' with k in "
-            "priority/quota/budget/deadline/rate/slack, e.g. "
-            "'batch:rate=0.4;prod:priority=2,deadline=strict,rate=0.1'",
-        )
-        sub.add_argument(
-            "--price-curve",
-            help="spot-market price curve: a preset "
-            f"({', '.join(sorted(PRICE_CURVES))}) or 't:mult,...[@period]'",
-        )
-        sub.add_argument(
-            "--deadline-slack",
-            type=float,
-            default=900.0,
-            help="seconds past arrival that deadline tenants' jobs must "
-            "finish by (default: 900)",
-        )
-
-    def add_cell_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--task", default="nas", choices=VALID_TASKS)
-        sub.add_argument("--dataset", default="cifar10", choices=VALID_DATASETS)
-        sub.add_argument("--server", default="a6000", choices=VALID_SERVERS)
-        sub.add_argument("--num-gpus", type=int, default=4)
-        sub.add_argument("--batch-size", type=int, default=256)
-        sub.add_argument("--steps", type=int, default=10, help="simulated steps")
         sub.add_argument("--out", help="write JSON to this file instead of stdout")
         add_store_argument(sub)
 
     run_parser = subparsers.add_parser("run", help="run one experiment cell")
-    add_cell_arguments(run_parser)
-    run_parser.add_argument("--strategy", default="TR+DPU+AHD")
-    run_parser.set_defaults(handler=_cmd_run)
+    add_request_arguments(run_parser, PlanRequest)
+    run_parser.add_argument("--out", help="write JSON to this file instead of stdout")
+    add_store_argument(run_parser)
+    run_parser.set_defaults(request_type=PlanRequest, run_command=commands.plan)
 
     sweep_parser = subparsers.add_parser("sweep", help="sweep a grid of cells")
-    add_cell_arguments(sweep_parser)
-    sweep_parser.add_argument("--batch-sizes", help="comma list, e.g. 128,256")
-    sweep_parser.add_argument("--gpu-counts", help="comma list, e.g. 2,4")
-    sweep_parser.add_argument("--datasets", help="comma list")
-    sweep_parser.add_argument("--servers", help="comma list")
-    sweep_parser.add_argument("--tasks", help="comma list")
-    sweep_parser.add_argument("--strategies", help="comma list, e.g. DP,TR+DPU+AHD")
+    add_request_arguments(sweep_parser, SweepRequest)
     sweep_parser.add_argument("--baseline", default="DP")
-    sweep_parser.add_argument(
-        "--parallel", action="store_true", help="shorthand for --backend thread"
+    add_output_arguments(sweep_parser, "a speedup table")
+    sweep_parser.set_defaults(
+        request_type=SweepRequest, run_command=commands.sweep, print_table=_sweep_table
     )
-    sweep_parser.add_argument(
-        "--backend",
-        choices=BACKENDS.names(),
-        help="execution backend for sweep cells (default: inline)",
-    )
-    sweep_parser.add_argument(
-        "--table", action="store_true", help="also print a speedup table to stderr"
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
 
     cluster_parser = subparsers.add_parser(
         "cluster", help="gang-schedule a multi-job workload onto a fleet"
     )
-    cluster_parser.add_argument(
-        "--nodes",
-        help="cluster shorthand, e.g. a6000:4,a6000:4,2080ti:4 (default: 4-node fleet)",
-    )
-    cluster_parser.add_argument(
-        "--policy",
-        default="all",
-        help=f"placement policy ({', '.join(POLICIES.names())}) or 'all'",
-    )
-    cluster_parser.add_argument("--num-jobs", type=int, default=200)
-    cluster_parser.add_argument(
-        "--arrival", default="poisson", choices=("poisson", "bursty", "diurnal")
-    )
-    cluster_parser.add_argument("--rate", type=float, default=0.5, help="jobs/sec (poisson)")
-    cluster_parser.add_argument("--burst-size", type=int, default=8)
-    cluster_parser.add_argument("--burst-gap", type=float, default=120.0)
-    cluster_parser.add_argument("--seed", type=int, default=0)
-    cluster_parser.add_argument("--workload", help="replay a JSON workload trace")
+    add_request_arguments(cluster_parser, ClusterRequest)
     cluster_parser.add_argument("--save-workload", help="save the generated workload")
-    add_tenant_arguments(cluster_parser)
-    add_fault_arguments(cluster_parser)
-    cluster_parser.add_argument(
-        "--table", action="store_true", help="also print the comparison table to stderr"
+    add_output_arguments(cluster_parser, "the comparison table")
+    cluster_parser.set_defaults(
+        request_type=ClusterRequest,
+        run_command=commands.cluster,
+        print_table=_cluster_table,
     )
-    cluster_parser.add_argument("--out", help="write JSON to this file instead of stdout")
-    add_store_argument(cluster_parser)
-    cluster_parser.set_defaults(handler=_cmd_cluster)
-
-    from repro.tune.drivers import DRIVERS
-    from repro.tune.objective import OBJECTIVES
 
     tune_parser = subparsers.add_parser(
         "tune", help="autotune strategy/batch/GPU/server under a simulation budget"
     )
-    tune_parser.add_argument(
-        "--objective",
-        default="epoch_time",
-        choices=OBJECTIVES.names(),
-        help="what to optimise",
+    add_request_arguments(tune_parser, TuneRequest)
+    add_output_arguments(tune_parser, "the frontier table")
+    tune_parser.set_defaults(
+        request_type=TuneRequest, run_command=commands.tune, print_table=_tune_table
     )
-    tune_parser.add_argument(
-        "--driver",
-        default="successive-halving",
-        choices=DRIVERS.names(),
-        help="search driver",
-    )
-    tune_parser.add_argument(
-        "--budget", type=int, default=64, help="max discrete-event simulations"
-    )
-    tune_parser.add_argument("--seed", type=int, default=0)
-    tune_parser.add_argument("--steps", type=int, default=10, help="full-fidelity steps")
-    tune_parser.add_argument("--strategies", help="comma list, e.g. DP,TR+DPU+AHD")
-    tune_parser.add_argument("--batch-sizes", help="comma list, e.g. 128,256,512")
-    tune_parser.add_argument("--gpu-counts", help="comma list, e.g. 2,4")
-    tune_parser.add_argument("--servers", help="comma list, e.g. a6000,2080ti")
-    tune_parser.add_argument("--tasks", help="comma list")
-    tune_parser.add_argument("--datasets", help="comma list")
-    tune_parser.add_argument(
-        "--policies",
-        help="comma list of placement policies (required for jobs_per_hour)",
-    )
-    tune_parser.add_argument(
-        "--nodes", help="cluster shorthand for throughput probes, e.g. a6000:4,2080ti:4"
-    )
-    tune_parser.add_argument(
-        "--deadline",
-        type=float,
-        help="epoch-time deadline in seconds (cost objective only)",
-    )
-    add_tenant_arguments(tune_parser)
-    add_fault_arguments(tune_parser)
-    tune_parser.add_argument(
-        "--table", action="store_true", help="also print the frontier table to stderr"
-    )
-    tune_parser.add_argument("--out", help="write JSON to this file instead of stdout")
-    add_store_argument(tune_parser)
-    tune_parser.set_defaults(handler=_cmd_tune)
+    for sub in (run_parser, sweep_parser, cluster_parser, tune_parser):
+        sub.set_defaults(handler=_cmd_request)
 
     serve_parser = subparsers.add_parser(
         "serve", help="serve the planner as a versioned HTTP JSON API"

@@ -675,8 +675,10 @@ def tenant_workload(
         raise ConfigurationError("num_jobs must be >= 1")
     if not _finite_positive(rate):
         raise ConfigurationError(f"arrival rate must be finite and > 0, got {rate}")
-    if not math.isfinite(deadline_slack):
-        raise ConfigurationError(f"deadline_slack must be finite, got {deadline_slack}")
+    if not _finite_positive(deadline_slack):
+        raise ConfigurationError(
+            f"deadline_slack must be finite and > 0, got {deadline_slack}"
+        )
     specs = tuple(tenants)
     default_rate = rate / len(specs)
     weights = [spec.rate if spec.rate is not None else default_rate for spec in specs]

@@ -1,28 +1,16 @@
-"""The Pipe-BD framework: configuration, planning (Algorithm 1) and runners."""
+"""The Pipe-BD framework: configuration, planning (Algorithm 1) and sessions."""
 
 from repro.core.config import ExperimentConfig
-from repro.core.ablation import ALL_STRATEGIES, PIPE_BD_STRATEGY, build_plan
+from repro.core.ablation import PIPE_BD_STRATEGY, build_plan
 from repro.core.pipebd import PipeBD
-from repro.core.session import (
-    Session,
-    SweepResult,
-    ExperimentSuiteResult,
-    get_default_session,
-    reset_default_session,
-)
-from repro.core.runner import run_experiment, run_ablation
+from repro.core.session import ExperimentSuiteResult, Session, SweepResult
 
 __all__ = [
     "ExperimentConfig",
-    "ALL_STRATEGIES",
     "PIPE_BD_STRATEGY",
     "build_plan",
     "PipeBD",
     "Session",
     "SweepResult",
     "ExperimentSuiteResult",
-    "get_default_session",
-    "reset_default_session",
-    "run_experiment",
-    "run_ablation",
 ]

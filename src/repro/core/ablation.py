@@ -1,69 +1,25 @@
-"""Strategy views and ablation helpers (paper Fig. 4).
+"""Ablation helpers (paper Fig. 4).
 
 The paper's ablation compares six points: the DP and LS baselines, TR alone,
 TR+DPU, the TR+IR alternative, and the full Pipe-BD (TR+DPU+AHD).  Since the
 strategy-registry redesign the planners live behind
-:data:`repro.parallel.registry.REGISTRY`; this module keeps the historical
-names (``ALL_STRATEGIES``, ``build_plan``, ``needs_profile``) as thin views
-over the registry so user-registered strategies show up everywhere the
-built-ins do.
+:data:`repro.parallel.registry.REGISTRY` (``REGISTRY.names()`` lists every
+strategy in registration order); this module keeps ``build_plan`` and
+``needs_profile`` as thin helpers over the registry, so user-registered
+strategies work everywhere the built-ins do.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.data.dataset import DatasetSpec
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.profiler import Profiler, ProfileTable
-from repro.parallel.registry import REGISTRY, StrategyRegistry
+from repro.parallel.registry import REGISTRY
 
-
-class StrategyNamesView(Sequence):
-    """Live, tuple-like view of the registry's strategy names.
-
-    Iteration order is registration order (the paper's plot order for the
-    built-ins, then user strategies in the order they were registered).  The
-    view compares equal to any sequence with the same names, so existing
-    code and tests that treat ``ALL_STRATEGIES`` as a tuple keep working.
-    """
-
-    def __init__(self, registry: StrategyRegistry) -> None:
-        self._registry = registry
-
-    def _names(self) -> Tuple[str, ...]:
-        return self._registry.names()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._registry)
-
-    def __getitem__(self, index):
-        return self._names()[index]
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StrategyNamesView):
-            return self._names() == other._names()
-        if isinstance(other, (tuple, list)):
-            return self._names() == tuple(other)
-        return NotImplemented
-
-    # The view mutates as strategies register, so it is unhashable (like list).
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"StrategyNamesView{self._names()!r}"
-
-
-#: All registered strategies, in registration (= paper plot) order.
-ALL_STRATEGIES: Sequence[str] = StrategyNamesView(REGISTRY)
 
 #: The ablation points shown in Fig. 4 / Fig. 5 / Fig. 6 (the paper sometimes
 #: omits TR+IR, which it discusses only for the A6000 NAS ablation).

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence
 
-from repro.core.runner import ExperimentSuiteResult
+from repro.core.session import ExperimentSuiteResult
 from repro.models.layers import human_flops, human_params
 from repro.models.pairs import DistillationPair
 from repro.parallel.executor import ExecutionResult

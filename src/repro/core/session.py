@@ -1,7 +1,7 @@
 """The :class:`Session` facade: cached experiment execution and grid sweeps.
 
-The stateless runners re-materialise the model pair, the server spec and —
-far worse — the profile table on every call, which the thousand-cell sweeps
+Running a cell from scratch re-materialises the model pair, the server
+spec and — far worse — the profile table, which the thousand-cell sweeps
 behind Figs. 4–6 cannot afford.  A ``Session`` memoises every expensive
 artefact by the config cell that determines it:
 
@@ -19,7 +19,7 @@ On top of the caches it exposes the whole public workflow:
 * :meth:`Session.sweep` — a full grid over batch sizes / GPU counts /
   datasets / servers / tasks, returning a typed :class:`SweepResult` with
   speedup tables, best-cell selection and JSON export.  Independent cells
-  can execute on a thread pool (``parallel=True``).
+  can execute on a thread or process pool (``backend=``).
 * :meth:`Session.tune` — autotuning: search a
   :class:`~repro.tune.space.TuneSpace` for the best candidate under an
   objective, reusing this session's caches across refinement rounds.
@@ -35,9 +35,6 @@ substrates:
 * ``backend=`` — an execution backend (``"inline"``, ``"thread"``,
   ``"process"`` or any :func:`~repro.store.backends.register_backend`
   plugin) deciding where sweep cells execute.
-
-``run_experiment`` / ``run_ablation`` in :mod:`repro.core.runner` remain as
-thin shims over a process-wide default session.
 
 Documented in ``docs/API.md`` (reference), ``docs/CACHING.md`` (store and
 backends) and ``docs/ARCHITECTURE.md`` (where the session sits in the
@@ -336,8 +333,8 @@ class Session:
 
     A session is cheap to create and safe to keep for a whole process; its
     caches only ever hold deterministic, immutable artefacts, so sharing one
-    session across sweeps (or threads, via ``sweep(parallel=True)``) returns
-    bit-identical results to the stateless runners.
+    session across sweeps (or threads, via ``sweep(backend="thread")``)
+    returns bit-identical results to a fresh session per call.
 
     Example:
         >>> from repro import ExperimentConfig, Session
@@ -564,7 +561,6 @@ class Session:
         servers: Optional[Sequence[str]] = None,
         tasks: Optional[Sequence[str]] = None,
         strategies: Optional[Sequence[str]] = None,
-        parallel: bool = False,
         max_workers: Optional[int] = None,
         backend: Union[str, ExecutionBackend, None] = None,
     ) -> SweepResult:
@@ -572,8 +568,7 @@ class Session:
 
         Every axis defaults to the single value in ``base_config``; the grid
         is the cartesian product of the provided axes.  Cells execute on an
-        execution backend: ``backend=`` overrides per call, ``parallel=True``
-        is back-compat shorthand for the ``thread`` backend, and the session
+        execution backend: ``backend=`` overrides per call, and the session
         default (``Session(backend=...)``) applies otherwise.  The thread
         backend prewarms caches serially before its pool starts, so the
         exactly-once profile guarantee holds; the ``process`` backend fans
@@ -620,7 +615,7 @@ class Session:
             for values in itertools.product(*(axes[name] for name in names))
         ]
 
-        chosen = self._sweep_backend(backend, parallel, max_workers)
+        chosen = self._sweep_backend(backend, max_workers)
         tasks = [
             (config, strategy) for config in configs for strategy in strategy_set
         ]
@@ -658,21 +653,17 @@ class Session:
     def _sweep_backend(
         self,
         backend: Union[str, ExecutionBackend, None],
-        parallel: bool,
         max_workers: Optional[int],
     ) -> ExecutionBackend:
         """Resolve the backend one sweep call should use.
 
-        Precedence: explicit ``backend=`` > ``parallel=True`` (thread
-        shorthand) > the session default.  ``max_workers`` specialises the
-        pool-based backends without mutating the registered singletons.
+        An explicit ``backend=`` wins over the session default.
+        ``max_workers`` specialises the pool-based backends without
+        mutating the registered singletons.
         """
         from repro.store.backends import ProcessBackend, ThreadBackend
 
-        if backend is None:
-            resolved = ThreadBackend() if parallel else self._backend
-        else:
-            resolved = resolve_backend(backend)
+        resolved = self._backend if backend is None else resolve_backend(backend)
         if max_workers is not None:
             if resolved.name == "thread":
                 resolved = ThreadBackend(max_workers=max_workers)
@@ -740,27 +731,3 @@ class Session:
                 price_curve=price_curve,
                 slo_deadline_slack=slo_deadline_slack,
             )
-
-
-# ---------------------------------------------------------------------- #
-# Default session (backing the run_experiment / run_ablation shims)
-# ---------------------------------------------------------------------- #
-_DEFAULT_SESSION: Optional[Session] = None
-_DEFAULT_SESSION_LOCK = threading.Lock()
-
-
-def get_default_session() -> Session:
-    """The process-wide session used by the module-level runner shims."""
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        if _DEFAULT_SESSION is None:
-            _DEFAULT_SESSION = Session()
-        return _DEFAULT_SESSION
-
-
-def reset_default_session() -> Session:
-    """Replace the default session with a fresh one (tests, memory pressure)."""
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        _DEFAULT_SESSION = Session()
-        return _DEFAULT_SESSION

@@ -3,8 +3,8 @@
 ``repro.serve`` exposes the whole planning stack as a versioned JSON API:
 
 * ``POST /v1/plan`` / ``/v1/sweep`` / ``/v1/tune`` / ``/v1/cluster`` —
-  the four compute surfaces, mirroring the ``python -m repro`` CLI
-  payloads byte-for-byte (deterministic sections);
+  the four compute surfaces, running the same :mod:`repro.commands` as
+  the ``python -m repro`` CLI (byte-identical deterministic sections);
 * ``POST /v1/precompute`` — warm the shared experiment store for a grid,
   so subsequent queries answer with **zero simulations**;
 * ``GET /v1/healthz`` / ``/v1/store/stats`` — operability.
@@ -28,14 +28,12 @@ Documented in ``docs/SERVING.md``.
 from repro.serve.app import create_app
 from repro.serve.client import LocalClient
 from repro.serve.http import PlannerHTTPServer, start_server
-from repro.serve.service import ARRIVAL_KINDS, PlannerService, ServeError
+from repro.serve.service import PlannerService
 
 __all__ = [
-    "ARRIVAL_KINDS",
     "LocalClient",
     "PlannerHTTPServer",
     "PlannerService",
-    "ServeError",
     "create_app",
     "start_server",
 ]

@@ -6,7 +6,10 @@ stdlib fallback server (:mod:`repro.serve.http`) and the in-process
 :class:`~repro.serve.client.LocalClient` — so their responses are
 byte-identical by construction.  A transport turns an HTTP request into
 ``dispatch(method, path, body)`` and writes back the ``(status, payload)``
-it returns; nothing else lives in the transports.
+it returns; nothing else lives in the transports.  The five compute
+routes share one handler: it validates the body into the request type of
+:mod:`repro.commands` and runs the same command ``python -m repro`` runs,
+so the CLI and the API agree by construction too.
 
 The service holds **one** :class:`~repro.core.session.Session`, optionally
 bound to a persistent :class:`~repro.store.store.ExperimentStore` and an
@@ -18,7 +21,8 @@ observable in the payload itself.
 
 Error mapping (no endpoint ever leaks a raw traceback):
 
-* ``422`` — request body fails pydantic validation, or an inline
+* ``422`` — request body fails validation against its request type
+  (wrong types, unknown fields), or an inline
   workload / fault-trace document does not parse;
 * ``400`` — domain rejection: unknown strategy / policy / elastic policy /
   objective / driver / backend / preset (the body names the field and the
@@ -34,46 +38,20 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from pydantic import ValidationError
+from pydantic import TypeAdapter, ValidationError
 
 from repro.analysis.store_report import request_warm_cold
-from repro.cluster.elastic import ELASTIC_POLICIES
-from repro.cluster.faults import FAULT_PRESETS, FaultTrace, parse_fault_spec
-from repro.cluster.scheduler import POLICIES
-from repro.cluster.spec import cluster_from_shorthand, default_cluster
-from repro.cluster.market import PRICE_CURVES, parse_price_curve
-from repro.cluster.simulator import run_policy_comparison
-from repro.cluster.workload import (
-    DEFAULT_MIX,
-    Workload,
-    arrival_process,
-    parse_tenant_shorthand,
-    tenant_workload,
-)
-from repro.core.config import (
-    ExperimentConfig,
-    VALID_DATASETS,
-    VALID_SERVERS,
-    VALID_TASKS,
-)
+from repro.commands import COMMANDS
 from repro.core.session import Session
-from repro.errors import ReproError
+from repro.errors import ReproError, RequestError
 from repro.obs.logs import bind_request_id, get_logger, new_request_id, request_id_var
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.parallel.registry import REGISTRY
-from repro.serve.schemas import (
-    ClusterRequest,
-    PlanRequest,
-    PrecomputeRequest,
-    REQUEST_MODELS,
-    SweepRequest,
-    TuneRequest,
-)
-from repro.store.backends import BACKENDS, ExecutionBackend
+from repro.store.backends import ExecutionBackend
 from repro.store.store import ExperimentStore
 from repro.version import __version__
 
@@ -84,50 +62,12 @@ Response = Tuple[int, Union[dict, str]]
 
 _LOG = get_logger("serve")
 
-#: Arrival-process kinds ``/v1/cluster`` generates (mirrors the CLI choices).
-ARRIVAL_KINDS = ("poisson", "bursty", "diurnal")
-
-
-class ServeError(ReproError):
-    """A domain error with a definite HTTP status and structured body."""
-
-    def __init__(
-        self,
-        status: int,
-        type: str,
-        message: str,
-        **extra: Any,
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.body = {"status": status, "type": type, "message": message}
-        for key, value in extra.items():
-            if value is not None:
-                self.body[key] = value
-
-    def response(self) -> Response:
-        return self.status, {"error": self.body}
-
-
-def _unknown_choice(field: str, value: Any, choices) -> ServeError:
-    return ServeError(
-        400,
-        "unknown_choice",
-        f"unknown {field} {value!r}; valid choices: {list(choices)}",
-        field=field,
-        value=value,
-        choices=list(choices),
-    )
-
-
-def _check_choice(field: str, value: Optional[str], choices) -> None:
-    if value is not None and value not in choices:
-        raise _unknown_choice(field, value, choices)
-
-
-def _check_choices(field: str, values, choices) -> None:
-    for value in values or ():
-        _check_choice(field, value, choices)
+#: ``POST /v1/<name>`` -> (body validator, command) for every command of
+#: :mod:`repro.commands`.  The request types forbid unknown fields.
+_COMPUTE: Dict[str, Tuple[TypeAdapter, Callable]] = {
+    f"/v1/{name}": (TypeAdapter(request_type), command)
+    for name, (request_type, command) in COMMANDS.items()
+}
 
 
 class PlannerService:
@@ -146,8 +86,6 @@ class PlannerService:
         store: Union[ExperimentStore, str, Path, None] = None,
         backend: Union[str, ExecutionBackend] = "inline",
     ) -> None:
-        if isinstance(backend, str):
-            _check_choice("backend", backend, BACKENDS.names())
         self.session = Session(store=store, backend=backend)
         # One writer at a time: the per-request SessionStats delta must not
         # interleave with another handler's work, and the simulator core is
@@ -170,12 +108,9 @@ class PlannerService:
             ("GET", "/v1/healthz"): self._healthz,
             ("GET", "/v1/metrics"): self._metrics,
             ("GET", "/v1/store/stats"): self._store_stats,
-            ("POST", "/v1/plan"): self._plan,
-            ("POST", "/v1/sweep"): self._sweep,
-            ("POST", "/v1/cluster"): self._cluster,
-            ("POST", "/v1/tune"): self._tune,
-            ("POST", "/v1/precompute"): self._precompute,
         }
+        for path in _COMPUTE:
+            self._routes[("POST", path)] = partial(self._compute, path)
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -264,14 +199,14 @@ class PlannerService:
         if handler is None:
             if path in self.paths():
                 allowed = self.methods_for(path)
-                return ServeError(
+                return RequestError(
                     405,
                     "method_not_allowed",
                     f"{method.upper()} is not allowed on {path}; use "
                     f"{' or '.join(allowed)}",
                     choices=list(allowed),
                 ).response()
-            return ServeError(
+            return RequestError(
                 404,
                 "not_found",
                 f"unknown path {path!r}",
@@ -283,7 +218,7 @@ class PlannerService:
             with self._lock:
                 return handler(body)
         except ValidationError as error:
-            return ServeError(
+            return RequestError(
                 422,
                 "validation",
                 f"request body for {path} failed validation",
@@ -291,12 +226,12 @@ class PlannerService:
                     json.dumps(error.errors(include_url=False), default=str)
                 ),
             ).response()
-        except ServeError as error:
+        except RequestError as error:
             return error.response()
         except ReproError as error:
-            return ServeError(400, "domain", str(error)).response()
+            return RequestError(400, "domain", str(error)).response()
         except Exception as error:  # pragma: no cover - defensive safety net
-            return ServeError(
+            return RequestError(
                 500, "internal", f"{type(error).__name__}: {error}"
             ).response()
 
@@ -307,11 +242,11 @@ class PlannerService:
             try:
                 body = json.loads(raw)
             except json.JSONDecodeError as error:
-                return ServeError(
+                return RequestError(
                     400, "bad_json", f"request body is not valid JSON: {error}"
                 ).response()
             if not isinstance(body, dict):
-                return ServeError(
+                return RequestError(
                     400,
                     "bad_json",
                     "request body must be a JSON object, got "
@@ -394,303 +329,10 @@ class PlannerService:
     # ------------------------------------------------------------------ #
     # Compute endpoints
     # ------------------------------------------------------------------ #
-    def _plan(self, body: Optional[dict]) -> Response:
-        request = PlanRequest.model_validate(body or {})
-        _check_choice("task", request.task, VALID_TASKS)
-        _check_choice("dataset", request.dataset, VALID_DATASETS)
-        _check_choice("server", request.server, VALID_SERVERS)
-        _check_choice("strategy", request.strategy, REGISTRY.names())
-        config = ExperimentConfig(
-            task=request.task,
-            dataset=request.dataset,
-            server=request.server,
-            num_gpus=request.num_gpus,
-            batch_size=request.batch_size,
-            strategy=request.strategy,
-            simulated_steps=request.steps,
-        )
+    def _compute(self, path: str, body: Optional[dict]) -> Response:
+        """Validate a body into its request type and run the command."""
+        adapter, command = _COMPUTE[path]
+        request = adapter.validate_python(body or {})
         before = self.session.stats.snapshot()
-        result = self.session.run(config)
-        payload = {"config": config.to_dict(), "result": result.to_dict()}
-        return self._finish("/v1/plan", payload, before)
-
-    def _sweep(self, body: Optional[dict]) -> Response:
-        request = SweepRequest.model_validate(body or {})
-        _check_choices("task", [request.task] + (request.tasks or []), VALID_TASKS)
-        _check_choices(
-            "dataset", [request.dataset] + (request.datasets or []), VALID_DATASETS
-        )
-        _check_choices(
-            "server", [request.server] + (request.servers or []), VALID_SERVERS
-        )
-        _check_choices("strategy", request.strategies, REGISTRY.names())
-        _check_choice("backend", request.backend, BACKENDS.names())
-        base = ExperimentConfig(
-            task=request.task,
-            dataset=request.dataset,
-            server=request.server,
-            num_gpus=request.num_gpus,
-            batch_size=request.batch_size,
-            simulated_steps=request.steps,
-        )
-        before = self.session.stats.snapshot()
-        sweep = self.session.sweep(
-            base,
-            batch_sizes=request.batch_sizes,
-            num_gpus=request.gpu_counts,
-            datasets=request.datasets,
-            servers=request.servers,
-            tasks=request.tasks,
-            strategies=request.strategies,
-            backend=request.backend,
-        )
-        return self._finish("/v1/sweep", sweep.to_dict(), before)
-
-    def _resolve_faults(self, request) -> Union[FaultTrace, object, None]:
-        """Coerce a request's fault fields to a fault source (or None)."""
-        if request.faults and request.fault_trace:
-            raise ServeError(
-                400,
-                "domain",
-                "'faults' and 'fault_trace' are mutually exclusive; pass a "
-                "generator spec or an inline trace, not both",
-            )
-        if request.fault_trace is not None:
-            try:
-                return FaultTrace.from_dict(request.fault_trace)
-            except ReproError:
-                raise
-            except (KeyError, TypeError, ValueError) as error:
-                raise ServeError(
-                    422,
-                    "malformed_document",
-                    f"inline fault trace does not parse: {error}; expected "
-                    "the JSON shape FaultTrace.save() writes",
-                    field="fault_trace",
-                ) from error
-        if request.faults:
-            try:
-                return parse_fault_spec(request.faults)
-            except ReproError as error:
-                raise ServeError(
-                    400,
-                    "bad_fault_spec",
-                    str(error),
-                    field="faults",
-                    value=request.faults,
-                    choices=sorted(FAULT_PRESETS),
-                ) from error
-        return None
-
-    def _cluster(self, body: Optional[dict]) -> Response:
-        request = ClusterRequest.model_validate(body or {})
-        if request.policy != "all":
-            _check_choice("policy", request.policy, POLICIES.names())
-        _check_choice("elastic", request.elastic, ELASTIC_POLICIES.names())
-        _check_choice("arrival", request.arrival, ARRIVAL_KINDS)
-        cluster = (
-            cluster_from_shorthand(request.nodes) if request.nodes else default_cluster()
-        )
-        if request.tenants and request.workload is not None:
-            raise ServeError(
-                400,
-                "domain",
-                "'tenants' and 'workload' are mutually exclusive; inline "
-                "workload documents carry their own tenant roster",
-                field="tenants",
-            )
-        try:
-            price_curve = parse_price_curve(request.price_curve)
-        except ReproError as error:
-            raise ServeError(
-                400,
-                "bad_price_curve",
-                str(error),
-                field="price_curve",
-                value=request.price_curve,
-                choices=sorted(PRICE_CURVES),
-            ) from error
-        if request.workload is not None:
-            try:
-                workload = Workload.from_dict(request.workload)
-            except ReproError:
-                raise
-            except (KeyError, TypeError, ValueError) as error:
-                raise ServeError(
-                    422,
-                    "malformed_document",
-                    f"inline workload does not parse: {error}; expected the "
-                    "JSON shape Workload.save() writes",
-                    field="workload",
-                ) from error
-        elif request.tenants:
-            workload = tenant_workload(
-                parse_tenant_shorthand(request.tenants),
-                request.num_jobs,
-                rate=request.rate,
-                seed=request.seed,
-                deadline_slack=request.deadline_slack,
-                diurnal=request.arrival == "diurnal",
-            )
-        else:
-            workload = arrival_process(
-                request.arrival,
-                request.num_jobs,
-                rate=request.rate,
-                burst_size=request.burst_size,
-                burst_gap=request.burst_gap,
-                seed=request.seed,
-                mix=DEFAULT_MIX,
-            )
-        faults = self._resolve_faults(request)
-        policies = (
-            tuple(POLICIES.names()) if request.policy == "all" else (request.policy,)
-        )
-        before = self.session.stats.snapshot()
-        reports = run_policy_comparison(
-            cluster,
-            workload,
-            policies=policies,
-            session=self.session,
-            faults=faults,
-            elastic=request.elastic,
-            fault_seed=request.fault_seed,
-            price_curve=price_curve,
-        )
-        payload: Dict[str, Any] = {
-            "cluster": cluster.to_dict(),
-            "workload": workload.name,
-            "reports": {name: report.to_dict() for name, report in reports.items()},
-        }
-        if workload.tenants:
-            payload["tenants"] = [spec.to_dict() for spec in workload.tenants]
-        if price_curve is not None:
-            payload["price_curve"] = price_curve.name
-        if faults is not None:
-            payload["faults"] = {
-                "spec": (
-                    {"trace": faults.name}
-                    if isinstance(faults, FaultTrace)
-                    else faults.to_dict()
-                ),
-                "elastic": request.elastic,
-                "seed": request.fault_seed,
-            }
-        return self._finish("/v1/cluster", payload, before)
-
-    def _tune(self, body: Optional[dict]) -> Response:
-        from repro.tune.drivers import DRIVERS
-        from repro.tune.objective import MinCostUnderDeadline, OBJECTIVES
-        from repro.tune.space import TuneSpace, default_space
-
-        request = TuneRequest.model_validate(body or {})
-        _check_choice("objective", request.objective, OBJECTIVES.names())
-        _check_choice("driver", request.driver, DRIVERS.names())
-        _check_choices("strategy", request.strategies, REGISTRY.names())
-        _check_choices("server", request.servers, VALID_SERVERS)
-        _check_choices("task", request.tasks, VALID_TASKS)
-        _check_choices("dataset", request.datasets, VALID_DATASETS)
-        _check_choices("policy", request.policies, POLICIES.names())
-        _check_choice("elastic", request.elastic, ELASTIC_POLICIES.names())
-        if request.deadline is not None and request.objective != "cost":
-            raise ServeError(
-                400,
-                "domain",
-                f"'deadline' only applies to the 'cost' objective, not "
-                f"{request.objective!r}; drop the field or use objective='cost'",
-                field="deadline",
-            )
-        base = default_space()
-        clusters = (cluster_from_shorthand(request.nodes),) if request.nodes else ()
-        space = TuneSpace(
-            strategies=tuple(request.strategies) if request.strategies else base.strategies,
-            batch_sizes=tuple(request.batch_sizes) if request.batch_sizes else base.batch_sizes,
-            gpu_counts=tuple(request.gpu_counts) if request.gpu_counts else base.gpu_counts,
-            servers=tuple(request.servers) if request.servers else base.servers,
-            tasks=tuple(request.tasks) if request.tasks else base.tasks,
-            datasets=tuple(request.datasets) if request.datasets else base.datasets,
-            policies=tuple(request.policies) if request.policies else (),
-            clusters=clusters,
-        )
-        objective = (
-            MinCostUnderDeadline(deadline=request.deadline)
-            if request.deadline is not None
-            else request.objective
-        )
-        before = self.session.stats.snapshot()
-        result = self.session.tune(
-            space,
-            objective=objective,
-            driver=request.driver,
-            budget=request.budget,
-            seed=request.seed,
-            simulated_steps=request.steps,
-            faults=self._resolve_faults(request),
-            elastic=request.elastic,
-            fault_seed=request.fault_seed,
-            tenants=request.tenants,
-            price_curve=request.price_curve,
-            slo_deadline_slack=(
-                request.deadline_slack if request.deadline_slack is not None else 900.0
-            ),
-        )
-        return self._finish("/v1/tune", result.to_dict(), before)
-
-    def _precompute(self, body: Optional[dict]) -> Response:
-        request = PrecomputeRequest.model_validate(body or {})
-        if self.session.store is None:
-            raise ServeError(
-                400,
-                "no_store",
-                "precompute warms the shared experiment store, but this "
-                "service has none; start it with --store PATH (or "
-                "REPRO_STORE)",
-            )
-        _check_choices("task", request.tasks, VALID_TASKS)
-        _check_choices("dataset", request.datasets, VALID_DATASETS)
-        _check_choices("server", request.servers, VALID_SERVERS)
-        strategies = (
-            list(request.strategies)
-            if request.strategies
-            else list(REGISTRY.names())
-        )
-        _check_choices("strategy", strategies, REGISTRY.names())
-        _check_choice("backend", request.backend, BACKENDS.names())
-        for field in ("tasks", "datasets", "servers", "gpu_counts", "batch_sizes"):
-            if not getattr(request, field):
-                raise ServeError(
-                    400,
-                    "domain",
-                    f"precompute grid axis {field!r} must be non-empty",
-                    field=field,
-                )
-        base = ExperimentConfig(
-            task=request.tasks[0],
-            dataset=request.datasets[0],
-            server=request.servers[0],
-            num_gpus=request.gpu_counts[0],
-            batch_size=request.batch_sizes[0],
-            strategy=strategies[0],
-            simulated_steps=request.steps,
-        )
-        before = self.session.stats.snapshot()
-        sweep = self.session.sweep(
-            base,
-            batch_sizes=request.batch_sizes,
-            num_gpus=request.gpu_counts,
-            datasets=request.datasets,
-            servers=request.servers,
-            tasks=request.tasks,
-            strategies=strategies,
-            backend=request.backend,
-        )
-        delta = self.session.stats.delta(before)
-        payload = {
-            "spec": request.model_dump(),
-            "cells": len(sweep.cells),
-            "grid_size": len(sweep.cells) * len(sweep.strategies),
-            "simulated": delta["runs"],
-            "hydrated": delta["store_hits"],
-            "store": self.session.store.disk_summary(),
-        }
-        return self._finish("/v1/precompute", payload, before)
+        payload, _ = command(self.session, request)
+        return self._finish(path, payload, before)

@@ -22,13 +22,13 @@ from repro.analysis.speedup import (
     speedup_over,
     speedup_series,
 )
-from repro.core.runner import run_ablation
+from repro.core.session import Session
 from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
 def suite(default_config):
-    return run_ablation(default_config, strategies=("DP", "TR", "TR+DPU+AHD"))
+    return Session().ablation(default_config, ("DP", "TR", "TR+DPU+AHD"))
 
 
 class TestBreakdown:

@@ -111,6 +111,13 @@ class TestTenantWorkload:
             else:
                 assert job.deadline is None
 
+    @pytest.mark.parametrize("slack", [0.0, -1.0, float("nan")])
+    def test_non_positive_slack_argument_is_rejected(self, slack):
+        # Rejected up front, with TenantSpec's wording, rather than as an
+        # invalid deadline on whichever job a deadline tenant draws first.
+        with pytest.raises(ConfigurationError, match="deadline_slack must be finite and > 0"):
+            tenant_workload(self.TENANTS, 4, seed=0, deadline_slack=slack)
+
     def test_tenant_slack_overrides_argument(self):
         tenants = (TenantSpec("p", deadline_policy="soft", deadline_slack=30.0),)
         workload = tenant_workload(tenants, 4, seed=0, deadline_slack=999.0)

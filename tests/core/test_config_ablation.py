@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.ablation import (
     ABLATION_STRATEGIES,
-    ALL_STRATEGIES,
     PIPE_BD_STRATEGY,
     build_plan,
     make_profile,
@@ -12,6 +11,7 @@ from repro.core.ablation import (
 )
 from repro.core.config import ExperimentConfig
 from repro.errors import ConfigurationError
+from repro.parallel.registry import REGISTRY
 
 
 class TestExperimentConfig:
@@ -77,9 +77,9 @@ class TestExperimentConfig:
 
 class TestStrategyRegistry:
     def test_all_strategies_listed(self):
-        assert ALL_STRATEGIES == ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD")
-        assert PIPE_BD_STRATEGY in ALL_STRATEGIES
-        assert set(ABLATION_STRATEGIES) <= set(ALL_STRATEGIES)
+        assert REGISTRY.names() == ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD")
+        assert PIPE_BD_STRATEGY in REGISTRY.names()
+        assert set(ABLATION_STRATEGIES) <= set(REGISTRY.names())
 
     def test_needs_profile(self):
         assert not needs_profile("DP")
@@ -90,7 +90,7 @@ class TestStrategyRegistry:
     def test_build_plan_dispatch(
         self, nas_cifar_pair, a6000_server, cifar_dataset, nas_cifar_profile
     ):
-        for strategy in ALL_STRATEGIES:
+        for strategy in REGISTRY.names():
             plan = build_plan(
                 strategy, nas_cifar_pair, a6000_server, 256, cifar_dataset,
                 profile=nas_cifar_profile,

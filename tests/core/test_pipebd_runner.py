@@ -1,4 +1,4 @@
-"""Tests of the PipeBD framework, the runners and report formatting."""
+"""Tests of the PipeBD framework, session-run cells and report formatting."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.core.reporting import (
     speedup_table,
     table2_row,
 )
-from repro.core.runner import run_ablation, run_experiment
+from repro.core.session import Session
 from repro.errors import ConfigurationError
 
 
@@ -74,28 +74,28 @@ class TestPipeBD:
 
 class TestRunners:
     def test_run_experiment_single_cell(self, default_config):
-        result = run_experiment(default_config.with_strategy("TR+DPU"))
+        result = Session().run(default_config.with_strategy("TR+DPU"))
         assert result.strategy == "TR+DPU"
         assert result.epoch_time > 0
 
     def test_run_ablation_speedups(self, default_config):
-        suite = run_ablation(default_config, strategies=("DP", "TR+DPU+AHD"))
+        suite = Session().ablation(default_config, ("DP", "TR+DPU+AHD"))
         speedups = suite.speedups("DP")
         assert speedups["DP"] == pytest.approx(1.0)
         assert speedups["TR+DPU+AHD"] > 1.0
         assert suite.pipe_bd_speedup() > 1.0
 
     def test_missing_strategy_raises(self, default_config):
-        suite = run_ablation(default_config, strategies=("DP",))
+        suite = Session().ablation(default_config, ("DP",))
         with pytest.raises(ConfigurationError):
             suite.result("LS")
 
     def test_unknown_strategy_rejected(self, default_config):
         with pytest.raises(ConfigurationError):
-            run_ablation(default_config, strategies=("DP", "FSDP"))
+            Session().ablation(default_config, ("DP", "FSDP"))
 
     def test_epoch_times_mapping(self, default_config):
-        suite = run_ablation(default_config, strategies=("DP", "TR"))
+        suite = Session().ablation(default_config, ("DP", "TR"))
         times = suite.epoch_times()
         assert set(times) == {"DP", "TR"}
 
@@ -118,7 +118,7 @@ class TestReporting:
             format_table(["a"], [["1", "2"]])
 
     def test_speedup_breakdown_memory_tables(self, default_config):
-        suite = run_ablation(default_config, strategies=("DP", "TR+DPU+AHD"))
+        suite = Session().ablation(default_config, ("DP", "TR+DPU+AHD"))
         assert "speedup" in speedup_table(suite).lower()
         assert "rank 0" in breakdown_table(suite.results["DP"])
         assert "Max." in memory_table(suite.results)

@@ -1,13 +1,11 @@
-"""Tests of the Session facade: caching, sweeps, shims and JSON export."""
+"""Tests of the Session facade: caching, sweeps and JSON export."""
 
 import json
 
 import pytest
 
-import repro.core.session as session_module
 from repro.core.config import ExperimentConfig
-from repro.core.runner import run_ablation, run_experiment
-from repro.core.session import Session, get_default_session, reset_default_session
+from repro.core.session import Session
 from repro.errors import ConfigurationError
 from repro.parallel.profiler import Profiler
 
@@ -192,7 +190,7 @@ class TestSweep:
             batch_sizes=(128, 256),
             num_gpus=(2, 4),
             strategies=("DP", "TR"),
-            parallel=True,
+            backend="thread",
             max_workers=4,
         )
         assert serial.speedup_table("DP") == parallel.speedup_table("DP")
@@ -233,27 +231,6 @@ class TestSweep:
         assert result["strategy"] == "TR"
         assert result["epoch_time_s"] > 0
         assert "breakdown_s" in result and "peak_memory_gb" in result
-
-
-class TestRunnerShims:
-    def test_run_experiment_delegates_to_default_session(self, fast_config):
-        session = reset_default_session()
-        result = run_experiment(fast_config.with_strategy("TR"))
-        assert result.strategy == "TR"
-        assert session.stats.runs == 1
-        assert get_default_session() is session
-
-    def test_run_ablation_uses_shared_profile(self, fast_config):
-        session = reset_default_session()
-        suite = run_ablation(fast_config, strategies=("DP", "TR", "TR+DPU"))
-        assert set(suite.results) == {"DP", "TR", "TR+DPU"}
-        assert session.stats.profile_builds == 1
-        assert suite.speedups("DP")["TR"] > 1.0
-
-    def test_default_session_is_process_wide(self):
-        reset_default_session()
-        assert get_default_session() is get_default_session()
-        assert get_default_session() is session_module.get_default_session()
 
 
 class TestExecutionResultToDict:

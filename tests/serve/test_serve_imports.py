@@ -1,11 +1,12 @@
 """Import hygiene: the serve package never drags FastAPI in by accident.
 
-Satellite guarantee of the serving PR: ``import repro`` (and ``import
-repro.serve``) must work on a bare install; only
-:func:`repro.serve.app.create_app` touches FastAPI, lazily, and when the
-stack is missing it fails with one actionable message instead of an
-ImportError traceback.  Likewise only ``repro.distill`` needs numpy: the
-CLI, the planners and the service run with it blocked.
+``import repro`` (and ``import repro.serve``) must work on a bare
+install; only :func:`repro.serve.app.create_app` touches FastAPI, lazily,
+and when the stack is missing it fails with one actionable message
+instead of an ImportError traceback.  Likewise only ``repro.distill``
+needs numpy: the CLI, the planners and the service run with it blocked.
+And the CLI never needs pydantic: its request types are stdlib
+dataclasses, and only the service validates bodies with pydantic.
 """
 
 import subprocess
@@ -87,6 +88,34 @@ class TestNumpyFreePlannerPath:
             "assert response.status_code == 200, response.text\n"
         )
         out = tmp_path / "run.json"
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(out)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(Path(__file__).resolve().parents[2]),
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.stat().st_size > 0
+
+
+class TestPydanticFreeCliPath:
+    def test_cli_commands_without_pydantic(self, tmp_path):
+        # The request types are stdlib dataclasses: blocking pydantic must
+        # leave the CLI import, the parser and run / cluster / tune working.
+        code = (
+            "import sys; sys.modules['pydantic'] = None\n"
+            "import repro.cli\n"
+            "repro.cli.build_parser()\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['run', '--steps', '4'],\n"
+            "             ['cluster', '--num-jobs', '3', '--policy', 'fifo'],\n"
+            "             ['tune', '--budget', '2', '--steps', '4']):\n"
+            "    status = repro.cli.main(argv + ['--out', out])\n"
+            "    assert status == 0, (argv, status)\n"
+            "assert 'repro.serve' not in sys.modules\n"
+        )
+        out = tmp_path / "out.json"
         result = subprocess.run(
             [sys.executable, "-c", code, str(out)],
             capture_output=True,

@@ -77,10 +77,10 @@ class TestBackendEquivalence:
         )
         assert inline.epoch_times() == threaded.epoch_times()
 
-    def test_parallel_flag_still_works(self, fast_config):
+    def test_thread_sweep_builds_each_profile_once(self, fast_config):
         session = Session()
         sweep = session.sweep(
-            fast_config, batch_sizes=(128, 256), strategies=("TR",), parallel=True
+            fast_config, batch_sizes=(128, 256), strategies=("TR",), backend="thread"
         )
         assert len(sweep) == 2
         # The prewarm keeps the exactly-once profile guarantee.

@@ -5,29 +5,34 @@ import pytest
 from repro.analysis.breakdown import breakdown_total, epoch_breakdown, ideal_breakdown
 from repro.analysis.memory_report import average_memory_overhead
 from repro.core.config import ExperimentConfig
-from repro.core.runner import run_ablation
+from repro.core.session import Session
+
+@pytest.fixture(scope="module")
+def session():
+    """One session for the module, so cells shared between tests simulate once."""
+    return Session()
 
 
 @pytest.fixture(scope="module")
-def nas_cifar_suite():
+def nas_cifar_suite(session):
     config = ExperimentConfig(task="nas", dataset="cifar10", simulated_steps=6)
-    return run_ablation(config, strategies=("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"))
+    return session.ablation(config, ("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"))
 
 
 @pytest.fixture(scope="module")
-def nas_imagenet_suite():
+def nas_imagenet_suite(session):
     config = ExperimentConfig(task="nas", dataset="imagenet", simulated_steps=6)
-    return run_ablation(config, strategies=("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"))
+    return session.ablation(config, ("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD"))
 
 
 class TestSpeedupClaims:
-    def test_pipe_bd_beats_all_baselines_on_every_cell(self):
+    def test_pipe_bd_beats_all_baselines_on_every_cell(self, session):
         # Abstract: "Pipe-BD achieves significant speedup over the
         # state-of-the-art methods on multiple use cases".
         for task in ("nas", "compression"):
             for dataset in ("cifar10", "imagenet"):
                 config = ExperimentConfig(task=task, dataset=dataset, simulated_steps=6)
-                suite = run_ablation(config, strategies=("DP", "LS", "TR+DPU+AHD"))
+                suite = session.ablation(config, ("DP", "LS", "TR+DPU+AHD"))
                 pipe_bd = suite.results["TR+DPU+AHD"].epoch_time
                 assert pipe_bd < suite.results["DP"].epoch_time, (task, dataset)
                 assert pipe_bd < suite.results["LS"].epoch_time, (task, dataset)
@@ -80,12 +85,12 @@ class TestSchedulesAndMemory:
         plan = nas_imagenet_suite.results["TR+DPU+AHD"].plan
         assert plan.stages[0].num_devices >= 2
 
-    def test_gpu_type_changes_plan_or_speedup(self):
-        a6000 = run_ablation(
+    def test_gpu_type_changes_plan_or_speedup(self, session):
+        a6000 = session.ablation(
             ExperimentConfig(task="nas", dataset="imagenet", server="a6000", simulated_steps=6),
             strategies=("DP", "TR+DPU+AHD"),
         )
-        ti2080 = run_ablation(
+        ti2080 = session.ablation(
             ExperimentConfig(task="nas", dataset="imagenet", server="2080ti", simulated_steps=6),
             strategies=("DP", "TR+DPU+AHD"),
         )
@@ -109,13 +114,13 @@ class TestSchedulesAndMemory:
         overhead = average_memory_overhead(ahd, dp)
         assert -0.5 < overhead < 3.0
 
-    def test_batch_size_sensitivity_smaller_batches_bigger_speedup(self):
+    def test_batch_size_sensitivity_smaller_batches_bigger_speedup(self, session):
         # Fig. 6: speedups are generally larger at smaller batch sizes.
-        small = run_ablation(
+        small = session.ablation(
             ExperimentConfig(task="nas", dataset="cifar10", batch_size=128, simulated_steps=6),
             strategies=("DP", "TR+DPU+AHD"),
         )
-        large = run_ablation(
+        large = session.ablation(
             ExperimentConfig(task="nas", dataset="cifar10", batch_size=512, simulated_steps=6),
             strategies=("DP", "TR+DPU+AHD"),
         )
