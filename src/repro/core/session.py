@@ -59,7 +59,7 @@ from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.parallel.executor import ExecutionResult, ScheduleExecutor
+from repro.parallel.executor import ExecutionResult, GraphTemplates, ScheduleExecutor
 from repro.parallel.profiler import ProfileTable
 from repro.parallel.registry import REGISTRY
 from repro.store.backends import ExecutionBackend, resolve_backend
@@ -355,6 +355,7 @@ class Session:
         self._datasets: Dict[str, DatasetSpec] = {}
         self._executors: Dict[ExecutorKey, ScheduleExecutor] = {}
         self._profiles: Dict[ProfileKey, ProfileTable] = {}
+        self._templates = GraphTemplates()
         self._lock = threading.RLock()
         self.stats = SessionStats()
         self._store = open_store(store)
@@ -417,6 +418,7 @@ class Session:
                     server=self.server(config),
                     dataset=self.dataset(config),
                     simulated_steps=config.simulated_steps,
+                    templates=self._templates,
                 )
                 self.stats.executor_builds += 1
             else:
@@ -445,6 +447,7 @@ class Session:
             self._datasets.clear()
             self._executors.clear()
             self._profiles.clear()
+            self._templates.clear()
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -15,12 +15,19 @@ The DP baseline trains blocks one after another, so it is executed as one
 simulation per block and the results are summed; pipeline plans (TR and its
 variants) and the LS baseline are executed as a single multi-step simulation
 from which the steady-state step time is extracted.
+
+Task graphs depend only on a plan's shape (see the keys in each
+``_execute_*`` method), not on the batch size, server or dataset, so each
+shape's graph is built once into a :class:`~repro.sim.engine.GraphTemplate`
+held by :class:`GraphTemplates`; a run fills in the durations only.
 """
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -30,7 +37,7 @@ from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
 from repro.parallel.plan import SchedulePlan, jsonable, plan_from_dict
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import GraphTemplate, SimulationEngine
 from repro.sim.events import TaskKind
 from repro.sim.metrics import BREAKDOWN_CATEGORIES, compute_breakdown
 from repro.sim.resources import collective, device_compute, device_link, host_loader
@@ -138,6 +145,329 @@ class ExecutionResult:
         )
 
 
+class TemplateEntry(NamedTuple):
+    """One plan shape's graph: built for ``steps`` steps, slots named by key."""
+
+    steps: int
+    template: GraphTemplate
+    slot_keys: Tuple[Hashable, ...]
+
+
+class GraphTemplates:
+    """Thread-safe table of graph templates, one per plan shape.
+
+    A key holds everything that decides a graph's rows, names and
+    dependencies but not the step count: the graph for ``k`` steps is the
+    first rows of the graph for more steps, so only the longest build is
+    kept and shorter runs use a row prefix of it.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Hashable, TemplateEntry] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
+        """The entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
+
+        The entry is built from the key alone (by the builder of its plan
+        kind, ``key[0]``) on a miss, or when the kept one has fewer steps.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.steps < steps:
+                entry = self._entries[key] = _GRAPH_BUILDERS[key[0]](key, steps)
+        return entry, entry.template.num_tasks // entry.steps * steps
+
+    def shapes(self) -> Dict[Hashable, int]:
+        """The steps each held template was built for, by key."""
+        with self._lock:
+            return {key: entry.steps for key, entry in self._entries.items()}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def num_tasks(self) -> int:
+        """Rows held over every template."""
+        with self._lock:
+            return sum(entry.template.num_tasks for entry in self._entries.values())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+class _GraphBuilder:
+    """Adds tasks whose durations are slots, numbered in order of first use."""
+
+    def __init__(self) -> None:
+        self.engine = SimulationEngine()
+        self.slots: Dict[Hashable, int] = {}
+
+    def add(self, slot_key: Hashable, **task) -> int:
+        slot = self.slots.setdefault(slot_key, len(self.slots))
+        return self.engine.add_task(duration=slot, **task)
+
+    def entry(self, steps: int) -> TemplateEntry:
+        return TemplateEntry(steps, self.engine.freeze(), tuple(self.slots))
+
+
+def _pipeline_graph(key: Hashable, steps: int) -> TemplateEntry:
+    """Pipeline task graph; slots are ``(stage_id, duration name)``."""
+    _, decoupled_update, stages = key
+    graph = _GraphBuilder()
+    teacher_task_ids: Dict[Tuple[int, int], List[int]] = {}
+    previous_step_updates: List[int] = []
+
+    for step in range(steps):
+        step_updates: List[int] = []
+        for stage_id, device_ids, first_block, has_allreduce in stages:
+            backward_ids: List[int] = []
+            pre_update_ids: Dict[int, int] = {}
+            for replica_index, device in enumerate(device_ids):
+                barrier_deps = tuple(previous_step_updates) if not decoupled_update else ()
+
+                # --- input: data load (stage 0) or activation receive --- #
+                if stage_id == 0:
+                    input_dep = graph.add(
+                        (stage_id, "load"),
+                        name=f"load[s{step},d{device}]",
+                        kind=TaskKind.DATA_LOAD,
+                        resource=host_loader(),
+                        deps=(),
+                        step=step,
+                        device=device,
+                    )
+                else:
+                    previous_devices = stages[stage_id - 1][1]
+                    source_device = previous_devices[replica_index % len(previous_devices)]
+                    input_dep = graph.add(
+                        (stage_id, "recv"),
+                        name=f"recv[s{step},d{device}]",
+                        kind=TaskKind.RECV,
+                        resource=device_link(source_device, device),
+                        deps=tuple(teacher_task_ids[(step, stage_id - 1)]),
+                        step=step,
+                        device=device,
+                    )
+
+                # --- teacher forward --- #
+                teacher_id = graph.add(
+                    (stage_id, "teacher"),
+                    name=f"T[s{step},d{device}]",
+                    kind=TaskKind.TEACHER_FORWARD,
+                    resource=device_compute(device),
+                    deps=(input_dep,) + barrier_deps,
+                    step=step,
+                    device=device,
+                    block=first_block,
+                )
+                teacher_task_ids.setdefault((step, stage_id), []).append(teacher_id)
+
+                # --- student forward / backward --- #
+                student_fwd = graph.add(
+                    (stage_id, "student_fwd"),
+                    name=f"Sf[s{step},d{device}]",
+                    kind=TaskKind.STUDENT_FORWARD,
+                    resource=device_compute(device),
+                    deps=(teacher_id,),
+                    step=step,
+                    device=device,
+                    block=first_block,
+                )
+                student_bwd = graph.add(
+                    (stage_id, "student_bwd"),
+                    name=f"Sb[s{step},d{device}]",
+                    kind=TaskKind.STUDENT_BACKWARD,
+                    resource=device_compute(device),
+                    deps=(student_fwd,),
+                    step=step,
+                    device=device,
+                    block=first_block,
+                )
+                backward_ids.append(student_bwd)
+                pre_update_ids[device] = student_bwd
+
+            # --- gradient sharing within a replicated stage --- #
+            allreduce_id: Optional[int] = None
+            if has_allreduce:
+                # The collective runs on its own (NCCL) stream and largely
+                # overlaps with compute, so it is not attributed to any
+                # device's busy-time breakdown (device=-1).
+                allreduce_id = graph.add(
+                    (stage_id, "allreduce"),
+                    name=f"allreduce[s{step},stage{stage_id}]",
+                    kind=TaskKind.ALLREDUCE,
+                    resource=collective(f"stage{stage_id}"),
+                    deps=tuple(backward_ids),
+                    step=step,
+                    device=-1,
+                )
+
+            # --- weight updates --- #
+            for device in device_ids:
+                update_deps = [pre_update_ids[device]]
+                if allreduce_id is not None:
+                    update_deps.append(allreduce_id)
+                update_id = graph.add(
+                    (stage_id, "update"),
+                    name=f"U[s{step},d{device}]",
+                    kind=TaskKind.WEIGHT_UPDATE,
+                    resource=device_compute(device),
+                    deps=tuple(update_deps),
+                    step=step,
+                    device=device,
+                    block=first_block,
+                )
+                step_updates.append(update_id)
+        previous_step_updates = step_updates
+    return graph.entry(steps)
+
+
+def _layerwise_graph(key: Hashable, steps: int) -> TemplateEntry:
+    """LS task graph; slots are ``(duration name, block)``."""
+    _, device_blocks = key
+    graph = _GraphBuilder()
+    for step in range(steps):
+        for device, block_ids in device_blocks:
+            max_block = max(block_ids)
+            load_id = graph.add(
+                ("load", -1),
+                name=f"load[s{step},d{device}]",
+                kind=TaskKind.DATA_LOAD,
+                resource=host_loader(),
+                deps=(),
+                step=step,
+                device=device,
+            )
+            previous = graph.add(
+                ("teacher", max_block),
+                name=f"T0..{max_block}[s{step},d{device}]",
+                kind=TaskKind.TEACHER_FORWARD,
+                resource=device_compute(device),
+                deps=(load_id,),
+                step=step,
+                device=device,
+                block=max_block,
+            )
+            for block_id in block_ids:
+                student_fwd = graph.add(
+                    ("student_fwd", block_id),
+                    name=f"Sf{block_id}[s{step},d{device}]",
+                    kind=TaskKind.STUDENT_FORWARD,
+                    resource=device_compute(device),
+                    deps=(previous,),
+                    step=step,
+                    device=device,
+                    block=block_id,
+                )
+                student_bwd = graph.add(
+                    ("student_bwd", block_id),
+                    name=f"Sb{block_id}[s{step},d{device}]",
+                    kind=TaskKind.STUDENT_BACKWARD,
+                    resource=device_compute(device),
+                    deps=(student_fwd,),
+                    step=step,
+                    device=device,
+                    block=block_id,
+                )
+                previous = graph.add(
+                    ("update", block_id),
+                    name=f"U{block_id}[s{step},d{device}]",
+                    kind=TaskKind.WEIGHT_UPDATE,
+                    resource=device_compute(device),
+                    deps=(student_bwd,),
+                    step=step,
+                    device=device,
+                    block=block_id,
+                )
+    return graph.entry(steps)
+
+
+def _data_parallel_graph(key: Hashable, steps: int) -> TemplateEntry:
+    """One DP block's task graph; slots are duration names."""
+    _, num_devices, block_id = key
+    graph = _GraphBuilder()
+    previous_step_updates: List[int] = []
+    for step in range(steps):
+        backward_ids: List[int] = []
+        for device in range(num_devices):
+            load_id = graph.add(
+                "load",
+                name=f"load[b{block_id},s{step},d{device}]",
+                kind=TaskKind.DATA_LOAD,
+                resource=host_loader(),
+                deps=(),
+                step=step,
+                device=device,
+                block=block_id,
+            )
+            teacher_id = graph.add(
+                "teacher",
+                name=f"T0..{block_id}[s{step},d{device}]",
+                kind=TaskKind.TEACHER_FORWARD,
+                resource=device_compute(device),
+                deps=(load_id,) + tuple(previous_step_updates),
+                step=step,
+                device=device,
+                block=block_id,
+            )
+            student_fwd = graph.add(
+                "student_fwd",
+                name=f"Sf{block_id}[s{step},d{device}]",
+                kind=TaskKind.STUDENT_FORWARD,
+                resource=device_compute(device),
+                deps=(teacher_id,),
+                step=step,
+                device=device,
+                block=block_id,
+            )
+            backward_ids.append(
+                graph.add(
+                    "student_bwd",
+                    name=f"Sb{block_id}[s{step},d{device}]",
+                    kind=TaskKind.STUDENT_BACKWARD,
+                    resource=device_compute(device),
+                    deps=(student_fwd,),
+                    step=step,
+                    device=device,
+                    block=block_id,
+                )
+            )
+
+        allreduce_id = graph.add(
+            "allreduce",
+            name=f"allreduce[b{block_id},s{step}]",
+            kind=TaskKind.ALLREDUCE,
+            resource=collective("dp"),
+            deps=tuple(backward_ids),
+            step=step,
+            device=-1,
+            block=block_id,
+        )
+        previous_step_updates = [
+            graph.add(
+                "update",
+                name=f"U{block_id}[s{step},d{device}]",
+                kind=TaskKind.WEIGHT_UPDATE,
+                resource=device_compute(device),
+                deps=(backward_ids[device], allreduce_id),
+                step=step,
+                device=device,
+                block=block_id,
+            )
+            for device in range(num_devices)
+        ]
+    return graph.entry(steps)
+
+
+_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int], TemplateEntry]] = {
+    "pipeline": _pipeline_graph,
+    "layerwise": _layerwise_graph,
+    "data_parallel": _data_parallel_graph,
+}
+
+
 class ScheduleExecutor:
     """Executes schedule plans for one (pair, server, dataset) combination."""
 
@@ -147,6 +477,7 @@ class ScheduleExecutor:
         server: ServerSpec,
         dataset: DatasetSpec,
         simulated_steps: int = DEFAULT_SIMULATED_STEPS,
+        templates: Optional[GraphTemplates] = None,
     ) -> None:
         if simulated_steps < WARMUP_STEPS + 2:
             raise ScheduleError(
@@ -158,6 +489,9 @@ class ScheduleExecutor:
         self.simulated_steps = simulated_steps
         self.cost_model: CostModel = server.cost_model()
         self.loader = DataLoadModel(dataset=dataset, host=server.host)
+        #: Graph templates by plan shape; a Session shares one table
+        #: between all the executors it builds.
+        self.templates = templates if templates is not None else GraphTemplates()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -221,7 +555,6 @@ class ScheduleExecutor:
     # Pipeline plans (TR, TR+DPU, TR+DPU+AHD, TR+IR)
     # ------------------------------------------------------------------ #
     def _execute_pipeline(self, plan: SchedulePlan) -> ExecutionResult:
-        engine = SimulationEngine()
         stages = plan.stages
         steps = self.simulated_steps
 
@@ -252,119 +585,25 @@ class ScheduleExecutor:
                 ),
             }
 
-        teacher_task_ids: Dict[Tuple[int, int], List[int]] = {}
-        previous_step_updates: List[int] = []
-        last_compute_of_device: Dict[int, int] = {}
-
-        for step in range(steps):
-            step_updates: List[int] = []
-            for stage in stages:
-                timing = durations[stage.stage_id]
-                backward_ids: List[int] = []
-                pre_update_ids: Dict[int, int] = {}
-                for replica_index, device in enumerate(stage.device_ids):
-                    barrier_deps = tuple(previous_step_updates) if not plan.decoupled_update else ()
-
-                    # --- input: data load (stage 0) or activation receive --- #
-                    if stage.stage_id == 0:
-                        input_dep = engine.add_task(
-                            name=f"load[s{step},d{device}]",
-                            kind=TaskKind.DATA_LOAD,
-                            resource=host_loader(),
-                            duration=timing["load"],
-                            deps=(),
-                            step=step,
-                            device=device,
-                        )
-                    else:
-                        previous_stage = stages[stage.stage_id - 1]
-                        source_device = previous_stage.device_ids[
-                            replica_index % previous_stage.num_devices
-                        ]
-                        producer_ids = teacher_task_ids[(step, stage.stage_id - 1)]
-                        input_dep = engine.add_task(
-                            name=f"recv[s{step},d{device}]",
-                            kind=TaskKind.RECV,
-                            resource=device_link(source_device, device),
-                            duration=timing["recv"],
-                            deps=tuple(producer_ids),
-                            step=step,
-                            device=device,
-                        )
-
-                    # --- teacher forward --- #
-                    teacher_id = engine.add_task(
-                        name=f"T[s{step},d{device}]",
-                        kind=TaskKind.TEACHER_FORWARD,
-                        resource=device_compute(device),
-                        duration=timing["teacher"],
-                        deps=(input_dep,) + barrier_deps,
-                        step=step,
-                        device=device,
-                        block=stage.block_ids[0],
-                    )
-                    teacher_task_ids.setdefault((step, stage.stage_id), []).append(teacher_id)
-
-                    # --- student forward / backward --- #
-                    student_fwd = engine.add_task(
-                        name=f"Sf[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_FORWARD,
-                        resource=device_compute(device),
-                        duration=timing["student_fwd"],
-                        deps=(teacher_id,),
-                        step=step,
-                        device=device,
-                        block=stage.block_ids[0],
-                    )
-                    student_bwd = engine.add_task(
-                        name=f"Sb[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_BACKWARD,
-                        resource=device_compute(device),
-                        duration=timing["student_bwd"],
-                        deps=(student_fwd,),
-                        step=step,
-                        device=device,
-                        block=stage.block_ids[0],
-                    )
-                    backward_ids.append(student_bwd)
-                    pre_update_ids[device] = student_bwd
-                    last_compute_of_device[device] = student_bwd
-
-                # --- gradient sharing within a replicated stage --- #
-                allreduce_id: Optional[int] = None
-                if stage.num_devices > 1 and timing["allreduce"] > 0.0:
-                    # The collective runs on its own (NCCL) stream and largely
-                    # overlaps with compute, so it is not attributed to any
-                    # device's busy-time breakdown (device=-1).
-                    allreduce_id = engine.add_task(
-                        name=f"allreduce[s{step},stage{stage.stage_id}]",
-                        kind=TaskKind.ALLREDUCE,
-                        resource=collective(f"stage{stage.stage_id}"),
-                        duration=timing["allreduce"],
-                        deps=tuple(backward_ids),
-                        step=step,
-                        device=-1,
-                    )
-
-                # --- weight updates --- #
-                for device in stage.device_ids:
-                    update_deps = [pre_update_ids[device]]
-                    if allreduce_id is not None:
-                        update_deps.append(allreduce_id)
-                    update_id = engine.add_task(
-                        name=f"U[s{step},d{device}]",
-                        kind=TaskKind.WEIGHT_UPDATE,
-                        resource=device_compute(device),
-                        duration=timing["update"],
-                        deps=tuple(update_deps),
-                        step=step,
-                        device=device,
-                        block=stage.block_ids[0],
-                    )
-                    step_updates.append(update_id)
-                    last_compute_of_device[device] = update_id
-            previous_step_updates = step_updates
-
+        # The all-reduce task exists only when its time is positive, so that
+        # test is part of the shape.
+        key = (
+            "pipeline",
+            plan.decoupled_update,
+            tuple(
+                (
+                    stage.stage_id,
+                    tuple(stage.device_ids),
+                    stage.block_ids[0],
+                    stage.num_devices > 1 and durations[stage.stage_id]["allreduce"] > 0.0,
+                )
+                for stage in stages
+            ),
+        )
+        graph, rows = self.templates.get(key, steps)
+        engine = graph.template.instantiate(
+            [durations[stage_id][name] for stage_id, name in graph.slot_keys], rows
+        )
         trace = engine.run()
         step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
         steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
@@ -387,68 +626,28 @@ class ScheduleExecutor:
     # ------------------------------------------------------------------ #
     def _execute_layerwise(self, plan: SchedulePlan) -> ExecutionResult:
         assert plan.device_blocks is not None
-        engine = SimulationEngine()
         steps = self.simulated_steps
         batch = plan.batch_size
         load_time = self.loader.batch_load_time(batch, concurrent_loaders=1)
+        durations = {
+            "load": lambda block: load_time,
+            "teacher": lambda block: self._teacher_time(tuple(range(block + 1)), batch),
+            "student_fwd": lambda block: self._student_forward_time((block,), batch),
+            "student_bwd": lambda block: self._student_backward_time((block,), batch),
+            "update": lambda block: self._update_time((block,)),
+        }
 
-        for step in range(steps):
-            for device, block_ids in sorted(plan.device_blocks.items()):
-                max_block = max(block_ids)
-                prefix_blocks = tuple(range(max_block + 1))
-                load_id = engine.add_task(
-                    name=f"load[s{step},d{device}]",
-                    kind=TaskKind.DATA_LOAD,
-                    resource=host_loader(),
-                    duration=load_time,
-                    deps=(),
-                    step=step,
-                    device=device,
-                )
-                teacher_id = engine.add_task(
-                    name=f"T0..{max_block}[s{step},d{device}]",
-                    kind=TaskKind.TEACHER_FORWARD,
-                    resource=device_compute(device),
-                    duration=self._teacher_time(prefix_blocks, batch),
-                    deps=(load_id,),
-                    step=step,
-                    device=device,
-                    block=max_block,
-                )
-                previous = teacher_id
-                for block_id in sorted(block_ids):
-                    student_fwd = engine.add_task(
-                        name=f"Sf{block_id}[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_FORWARD,
-                        resource=device_compute(device),
-                        duration=self._student_forward_time((block_id,), batch),
-                        deps=(previous,),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    student_bwd = engine.add_task(
-                        name=f"Sb{block_id}[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_BACKWARD,
-                        resource=device_compute(device),
-                        duration=self._student_backward_time((block_id,), batch),
-                        deps=(student_fwd,),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    update_id = engine.add_task(
-                        name=f"U{block_id}[s{step},d{device}]",
-                        kind=TaskKind.WEIGHT_UPDATE,
-                        resource=device_compute(device),
-                        duration=self._update_time((block_id,)),
-                        deps=(student_bwd,),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    previous = update_id
-
+        key = (
+            "layerwise",
+            tuple(
+                (device, tuple(sorted(block_ids)))
+                for device, block_ids in sorted(plan.device_blocks.items())
+            ),
+        )
+        graph, rows = self.templates.get(key, steps)
+        engine = graph.template.instantiate(
+            [durations[name](block) for name, block in graph.slot_keys], rows
+        )
         trace = engine.run()
         step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
         steps_per_epoch = self.dataset.steps_per_epoch(batch)
@@ -484,88 +683,20 @@ class ScheduleExecutor:
         last_trace: Optional[Trace] = None
 
         for block_id in range(plan.num_blocks):
-            engine = SimulationEngine()
             prefix_blocks = tuple(range(block_id + 1))
-            teacher_time = self._teacher_time(prefix_blocks, micro_batch)
-            student_fwd_time = self._student_forward_time((block_id,), micro_batch)
-            student_bwd_time = self._student_backward_time((block_id,), micro_batch)
-            update_time = self._update_time((block_id,))
-            allreduce_time = self.server.interconnect.allreduce_time(
-                self._grad_bytes((block_id,)), plan.num_devices
-            )
-
-            previous_step_updates: List[int] = []
-            for step in range(steps):
-                backward_ids: List[int] = []
-                per_device_bwd: Dict[int, int] = {}
-                for device in range(plan.num_devices):
-                    load_id = engine.add_task(
-                        name=f"load[b{block_id},s{step},d{device}]",
-                        kind=TaskKind.DATA_LOAD,
-                        resource=host_loader(),
-                        duration=load_time,
-                        deps=(),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    teacher_id = engine.add_task(
-                        name=f"T0..{block_id}[s{step},d{device}]",
-                        kind=TaskKind.TEACHER_FORWARD,
-                        resource=device_compute(device),
-                        duration=teacher_time,
-                        deps=(load_id,) + tuple(previous_step_updates),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    student_fwd = engine.add_task(
-                        name=f"Sf{block_id}[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_FORWARD,
-                        resource=device_compute(device),
-                        duration=student_fwd_time,
-                        deps=(teacher_id,),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    student_bwd = engine.add_task(
-                        name=f"Sb{block_id}[s{step},d{device}]",
-                        kind=TaskKind.STUDENT_BACKWARD,
-                        resource=device_compute(device),
-                        duration=student_bwd_time,
-                        deps=(student_fwd,),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    backward_ids.append(student_bwd)
-                    per_device_bwd[device] = student_bwd
-
-                allreduce_id = engine.add_task(
-                    name=f"allreduce[b{block_id},s{step}]",
-                    kind=TaskKind.ALLREDUCE,
-                    resource=collective("dp"),
-                    duration=allreduce_time,
-                    deps=tuple(backward_ids),
-                    step=step,
-                    device=-1,
-                    block=block_id,
-                )
-                step_updates: List[int] = []
-                for device in range(plan.num_devices):
-                    update_id = engine.add_task(
-                        name=f"U{block_id}[s{step},d{device}]",
-                        kind=TaskKind.WEIGHT_UPDATE,
-                        resource=device_compute(device),
-                        duration=update_time,
-                        deps=(per_device_bwd[device], allreduce_id),
-                        step=step,
-                        device=device,
-                        block=block_id,
-                    )
-                    step_updates.append(update_id)
-                previous_step_updates = step_updates
+            durations = {
+                "load": load_time,
+                "teacher": self._teacher_time(prefix_blocks, micro_batch),
+                "student_fwd": self._student_forward_time((block_id,), micro_batch),
+                "student_bwd": self._student_backward_time((block_id,), micro_batch),
+                "update": self._update_time((block_id,)),
+                "allreduce": self.server.interconnect.allreduce_time(
+                    self._grad_bytes((block_id,)), plan.num_devices
+                ),
+            }
+            key = ("data_parallel", plan.num_devices, block_id)
+            graph, rows = self.templates.get(key, steps)
+            engine = graph.template.instantiate([durations[name] for name in graph.slot_keys], rows)
 
             trace = engine.run()
             last_trace = trace

@@ -12,16 +12,78 @@ every task.  Neither side keeps one object per task: the engine stores its
 task graph as columns and the trace adds two more (start and end times), so
 :class:`~repro.sim.events.SimTask` and :class:`~repro.sim.trace.TaskRecord`
 objects are only built when a caller reads them.
+
+A graph that is run many times with different service times is built once
+and frozen into a :class:`GraphTemplate`: its durations are *slot* indices,
+and :meth:`GraphTemplate.instantiate` makes a read-only engine from one value
+per slot, optionally running only a prefix of the rows.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple
+import sys
+from array import array
+from collections.abc import Sequence
+from itertools import accumulate
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import SimTask, TaskKind, check_duration
 from repro.sim.trace import Trace
+
+
+class _Structure(NamedTuple):
+    """What :meth:`SimulationEngine.run` needs of a graph besides durations."""
+
+    dep_counts: array  # number of dependencies of each row
+    dependent_offsets: array  # row i's dependents: dependents[offsets[i]:offsets[i + 1]]
+    dependents: array  # ascending within each row
+    resource_ids: array  # interned resource index of each row
+    num_resources: int
+
+
+def _csr(rows: Sequence) -> Tuple[array, array]:
+    """``(offsets, targets)`` of a sequence of int tuples, one flat array."""
+    offsets = array("i", accumulate(map(len, rows), initial=0))
+    targets = array("i")
+    for row in rows:
+        targets.extend(row)
+    return offsets, targets
+
+
+def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
+    num_tasks = len(deps)
+    dependents: List[List[int]] = [[] for _ in range(num_tasks)]
+    for task_id, row in enumerate(deps):
+        for dep in row:
+            dependents[dep].append(task_id)
+    offsets, targets = _csr(dependents)
+    resource_index: Dict[str, int] = {}
+    resource_ids = array(
+        "i", [resource_index.setdefault(resource, len(resource_index)) for resource in resources]
+    )
+    return _Structure(
+        array("i", map(len, deps)), offsets, targets, resource_ids, len(resource_index)
+    )
+
+
+class _CSRRows(Sequence):
+    """The first ``length`` rows of a CSR table, each read as an int tuple."""
+
+    __slots__ = ("_offsets", "_targets", "_length")
+
+    def __init__(self, offsets: array, targets: array, length: int) -> None:
+        self._offsets = offsets
+        self._targets = targets
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, row: int) -> Tuple[int, ...]:
+        row = range(self._length)[row]
+        return tuple(self._targets[self._offsets[row] : self._offsets[row + 1]])
 
 
 class SimulationEngine:
@@ -35,6 +97,11 @@ class SimulationEngine:
     the rows it covers.  :meth:`task` builds a :class:`SimTask` for one row
     on demand; treat the columns as read-only and add rows with
     :meth:`add_task`.
+
+    An engine made by :meth:`GraphTemplate.instantiate` shares the
+    template's columns (tuples and ``array('i')``, sliced when it runs a
+    row prefix) and run structure, and only owns its ``durations``; it is
+    read-only, so :meth:`add_task` raises :class:`SimulationError`.
     """
 
     def __init__(self) -> None:
@@ -47,6 +114,9 @@ class SimulationEngine:
         self.devices: List[int] = []
         self.blocks: List[int] = []
         self.metadata: List[Optional[dict]] = []
+        # Run structure, computed on the first run after the last add_task.
+        self._structure: Optional[_Structure] = None
+        self._template: Optional[GraphTemplate] = None
 
     # ------------------------------------------------------------------ #
     # Graph construction
@@ -64,7 +134,12 @@ class SimulationEngine:
         metadata: Optional[dict] = None,
     ) -> int:
         """Add a task and return its id (usable as a dependency handle)."""
-        task_id = len(self.names)
+        if self._template is not None:
+            raise SimulationError(
+                f"cannot add task {name!r}: this engine runs a shared graph template "
+                f"and is read-only"
+            )
+        task_id = len(self.durations)
         deps_tuple: Tuple[int, ...] = tuple(deps)
         for dep in deps_tuple:
             if dep < 0 or dep >= task_id:
@@ -83,15 +158,16 @@ class SimulationEngine:
         self.devices.append(device)
         self.blocks.append(block)
         self.metadata.append(metadata)
+        self._structure = None
         return task_id
 
     @property
     def num_tasks(self) -> int:
-        return len(self.names)
+        return len(self.durations)
 
     def task(self, task_id: int) -> SimTask:
         """The task in row ``task_id`` (negative ids count from the end)."""
-        task_id = range(len(self.names))[task_id]
+        task_id = range(self.num_tasks)[task_id]
         return SimTask(
             task_id=task_id,
             name=self.names[task_id],
@@ -104,6 +180,10 @@ class SimulationEngine:
             block=self.blocks[task_id],
             metadata=self.metadata[task_id] or {},
         )
+
+    def freeze(self) -> "GraphTemplate":
+        """This graph as a :class:`GraphTemplate`; durations are slot indices."""
+        return GraphTemplate(self)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -124,30 +204,31 @@ class SimulationEngine:
         scan's ``(start_at, task_id, resource)`` comparison — at O(log R)
         per event instead of O(R).
         """
-        num_tasks = len(self.names)
+        num_tasks = len(self.durations)
         durations = self.durations
         heappush, heappop = heapq.heappush, heapq.heappop
 
-        # Graph structure, flattened once: interned resource indices and
-        # the dependents adjacency.
-        remaining_deps = [len(deps) for deps in self.deps]
-        dependents: List[List[int]] = [[] for _ in range(num_tasks)]
-        for task_id, deps in enumerate(self.deps):
-            for dep in deps:
-                dependents[dep].append(task_id)
-        resource_index: Dict[str, int] = {}
-        task_resource = [
-            resource_index.setdefault(resource, len(resource_index))
-            for resource in self.resources
-        ]
+        # Graph structure, computed once per engine (or per template):
+        # dependency counts, the dependents adjacency and interned resources.
+        structure = self._structure
+        if structure is None:
+            structure = self._structure = _run_structure(self.deps, self.resources)
+        remaining_deps = structure.dep_counts.tolist()
+        num_rows = len(remaining_deps)
+        # Rows past ``num_tasks`` (a template run on a step prefix) never
+        # become ready.
+        remaining_deps[num_tasks:] = [-1] * (num_rows - num_tasks)
+        offsets = structure.dependent_offsets.tolist()
+        dependents = structure.dependents.tolist()
+        task_resource = structure.resource_ids.tolist()
 
         # Per-resource FIFO of ready task ids (insertion order == program
         # order == ascending id, so a plain int heap suffices) and the time
         # each resource becomes free.
-        queues: List[List[int]] = [[] for _ in range(len(resource_index))]
-        free = [0.0] * len(resource_index)
+        queues: List[List[int]] = [[] for _ in range(structure.num_resources)]
+        free = [0.0] * structure.num_resources
         # Earliest time a task's dependencies are satisfied.
-        ready_time = [0.0] * num_tasks
+        ready_time = [0.0] * num_rows
 
         start_time = [0.0] * num_tasks
         finish_time: List[Optional[float]] = [None] * num_tasks
@@ -197,7 +278,7 @@ class SimulationEngine:
                     candidates,
                     (head_ready if head_ready > end_at else end_at, head, res),
                 )
-            for dependent in dependents[task_id]:
+            for dependent in dependents[offsets[task_id] : offsets[task_id + 1]]:
                 remaining_deps[dependent] -= 1
                 if ready_time[dependent] < end_at:
                     ready_time[dependent] = end_at
@@ -217,3 +298,88 @@ class SimulationEngine:
                         )
 
         return Trace(self, range(num_tasks), start_time, finish_time)
+
+
+class GraphTemplate:
+    """An immutable task graph whose durations are filled in per run.
+
+    Built by :meth:`SimulationEngine.freeze` from an engine whose durations
+    are *slot* indices ``0..k-1``, numbered in order of first use.  The
+    columns are stored compactly: tuples of interned strings, ``array('i')``
+    int columns and CSR arrays (offsets plus one flat target array) for the
+    dependencies and dependents, next to the run structure every instance
+    shares.  :meth:`instantiate` takes one value per slot.
+    """
+
+    __slots__ = (
+        "names",
+        "kinds",
+        "resources",
+        "slots",
+        "dep_offsets",
+        "dep_targets",
+        "steps",
+        "devices",
+        "blocks",
+        "metadata",
+        "slot_names",
+        "structure",
+    )
+
+    def __init__(self, engine: SimulationEngine) -> None:
+        intern = sys.intern
+        self.names = tuple(map(intern, engine.names))
+        self.kinds = tuple(engine.kinds)
+        self.resources = tuple(map(intern, engine.resources))
+        self.slots = array("i", map(int, engine.durations))
+        if list(self.slots) != engine.durations:
+            raise SimulationError("template durations must be integer slot indices")
+        self.dep_offsets, self.dep_targets = _csr(engine.deps)
+        self.steps = array("i", engine.steps)
+        self.devices = array("i", engine.devices)
+        self.blocks = array("i", engine.blocks)
+        self.metadata = tuple(engine.metadata)
+        first_use: Dict[int, str] = {}
+        for name, slot in zip(self.names, self.slots):
+            first_use.setdefault(slot, name)
+        if sorted(first_use) != list(range(len(first_use))):
+            raise SimulationError("template slots must be numbered 0..k-1")
+        self.slot_names = tuple(first_use[slot] for slot in range(len(first_use)))
+        self.structure = _run_structure(engine.deps, self.resources)
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self.slots)
+
+    def instantiate(
+        self, values: Sequence, num_tasks: Optional[int] = None
+    ) -> SimulationEngine:
+        """A read-only engine over the first ``num_tasks`` rows (default all).
+
+        Row ``i`` lasts ``values[slots[i]]``.  Every value is checked with
+        :func:`check_duration` under the name of the first task using its
+        slot, so an invalid one raises the ``ValueError`` that
+        :meth:`SimulationEngine.add_task` raises for that task.
+        """
+        if len(values) != len(self.slot_names):
+            raise SimulationError(
+                f"template has {len(self.slot_names)} slots, got {len(values)} values"
+            )
+        values = [float(value) for value in values]
+        for name, value in zip(self.slot_names, values):
+            check_duration(name, value)
+        total = len(self.slots)
+        rows = total if num_tasks is None else num_tasks
+        if not 0 <= rows <= total:
+            raise SimulationError(f"template has {total} tasks, cannot run {rows}")
+        # Slicing a whole tuple returns the tuple itself; arrays are copied.
+        engine = SimulationEngine()
+        engine.names, engine.kinds = self.names[:rows], self.kinds[:rows]
+        engine.resources, engine.metadata = self.resources[:rows], self.metadata[:rows]
+        engine.steps, engine.devices = self.steps[:rows], self.devices[:rows]
+        engine.blocks = self.blocks[:rows]
+        engine.durations = list(map(values.__getitem__, self.slots[:rows]))
+        engine.deps = _CSRRows(self.dep_offsets, self.dep_targets, rows)
+        engine._structure = self.structure
+        engine._template = self
+        return engine

@@ -1,0 +1,83 @@
+"""The executor's graph-template table: one template per plan shape, kept small.
+
+The benchmark's plan-cold grid (``perfbench/inputs.plan_grid()``, 1152
+``/v1/plan`` cells, 2112 simulations) has only 56 plan shapes once the step
+count is left out of the key.  The table must hold exactly those, at the
+longest step count each was run for, in a compact layout: a naive table of
+list columns retained over 13 MB on this grid and moved the benchmark's
+peak RSS past its bound.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
+from repro.core.config import ExperimentConfig
+from repro.core.session import Session
+from repro.parallel.executor import GraphTemplates
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def plan_grid():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.plan_grid()
+
+
+def test_plan_grid_table_stays_within_its_memory_budget():
+    session = Session()
+    config = None
+    for body in plan_grid():
+        fields = dict(body)
+        config = ExperimentConfig(simulated_steps=fields.pop("steps"), **fields)
+        session.run(config)
+    table = session.executor(config).templates
+    assert len(table) <= 56
+    assert table.num_tasks <= 18_788
+    shapes = table.shapes()
+    assert set(shapes.values()) <= {4, 20}  # DP blocks always run 4 steps
+
+    session.clear()
+    assert len(table) == 0
+    gc.collect()
+    # Rebuild the same templates (same keys, same steps) with allocation
+    # tracing on, and measure what dropping the table frees again.
+    tracemalloc.start()
+    try:
+        rebuilt = GraphTemplates()
+        for key, steps in shapes.items():
+            rebuilt.get(key, steps)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rows = rebuilt.num_tasks
+        rebuilt.clear()
+        gc.collect()
+        dropped = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows <= 18_788
+    assert held - dropped <= 3_000_000
+
+
+def test_session_shares_one_table_and_clear_empties_it():
+    session = Session()
+    short = ExperimentConfig(num_gpus=4, batch_size=128, simulated_steps=5, strategy="TR")
+    long = ExperimentConfig(num_gpus=4, batch_size=256, simulated_steps=9, strategy="TR")
+    session.run(short)
+    table = session.executor(short).templates
+    assert session.executor(long).templates is table
+    (steps,) = table.shapes().values()
+    assert steps == 5
+    session.run(long)
+    assert list(table.shapes().values()) == [9]  # extended, not duplicated
+    session.run(short.with_batch_size(64))
+    assert list(table.shapes().values()) == [9]  # a prefix of the kept build
+    session.clear()
+    assert len(table) == 0 and table.num_tasks == 0

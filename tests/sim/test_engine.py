@@ -146,3 +146,109 @@ class TestProperties:
         assert len(trace) == 20
         names = [record.task.name for record in trace]
         assert len(set(names)) == 20
+
+
+def _two_step_graph(duration_of):
+    """Two steps of load -> teacher -> student, the student chained across steps.
+
+    ``duration_of(kind)`` gives each task's duration; rows 0-2 are step 0.
+    """
+    engine = SimulationEngine()
+    previous = ()
+    for step in range(2):
+        load = engine.add_task(
+            f"load{step}", TaskKind.DATA_LOAD, "host:loader", duration_of("load"), step=step
+        )
+        teacher = engine.add_task(
+            f"T{step}",
+            TaskKind.TEACHER_FORWARD,
+            device_compute(0),
+            duration_of("teacher"),
+            deps=(load,),
+            step=step,
+            device=0,
+        )
+        student = engine.add_task(
+            f"S{step}",
+            TaskKind.STUDENT_FORWARD,
+            device_compute(1),
+            duration_of("student"),
+            deps=(teacher, *previous),
+            step=step,
+            device=1,
+        )
+        previous = (student,)
+    return engine
+
+
+SLOTS = {"load": 0, "teacher": 1, "student": 2}
+VALUES = {"load": 0.5, "teacher": 1.25, "student": 2.0}
+
+
+def _rows(trace):
+    return [(record.task, record.start, record.end) for record in trace.records]
+
+
+class TestGraphTemplate:
+    def test_instance_runs_like_the_built_graph(self):
+        template = _two_step_graph(SLOTS.get).freeze()
+        assert (template.num_tasks, len(template.slot_names)) == (6, 3)
+        built = _two_step_graph(VALUES.get)
+        engine = template.instantiate([0.5, 1.25, 2.0])
+        assert isinstance(engine, SimulationEngine)
+        assert _rows(engine.run()) == _rows(built.run())
+        # The run structure is shared, not rebuilt per instance.
+        assert template.instantiate([1, 1, 1])._structure is template.structure
+
+    def test_prefix_runs_like_the_shorter_graph(self):
+        template = _two_step_graph(SLOTS.get).freeze()
+        built = _two_step_graph(VALUES.get)
+        shorter = SimulationEngine()
+        for task in map(built.task, range(3)):
+            shorter.add_task(
+                task.name,
+                task.kind,
+                task.resource,
+                task.duration,
+                deps=task.deps,
+                step=task.step,
+                device=task.device,
+                block=task.block,
+            )
+        engine = template.instantiate([0.5, 1.25, 2.0], num_tasks=3)
+        assert engine.num_tasks == len(engine.names) == len(engine.deps) == 3
+        trace = engine.run()
+        assert len(trace.records) == 3
+        assert _rows(trace) == _rows(shorter.run())
+        with pytest.raises(IndexError):
+            engine.task(3)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_invalid_value_names_the_first_task_of_its_slot(self, bad):
+        template = _two_step_graph(SLOTS.get).freeze()
+        with pytest.raises(ValueError, match="task 'T0' has invalid duration"):
+            template.instantiate([0.5, bad, 2.0])
+        with pytest.raises(ValueError) as built:
+            _two_step_graph({**VALUES, "teacher": bad}.get)
+        with pytest.raises(ValueError) as instantiated:
+            template.instantiate([0.5, bad, bad])
+        assert str(instantiated.value) == str(built.value)
+
+    def test_instances_are_read_only(self):
+        template = _two_step_graph(SLOTS.get).freeze()
+        engine = template.instantiate([0.5, 1.25, 2.0])
+        with pytest.raises(SimulationError, match="read-only"):
+            engine.add_task("extra", TaskKind.TEACHER_FORWARD, device_compute(0), 1.0)
+        assert template.num_tasks == engine.num_tasks == 6
+        assert _rows(template.instantiate([0.5, 1.25, 2.0]).run()) == _rows(engine.run())
+
+    def test_bad_templates_and_arguments_are_rejected(self):
+        with pytest.raises(SimulationError, match="integer slot"):
+            _two_step_graph({"load": 0, "teacher": 1, "student": 2.5}.get).freeze()
+        with pytest.raises(SimulationError, match="numbered 0..k-1"):
+            _two_step_graph({"load": 0, "teacher": 1, "student": 3}.get).freeze()
+        template = _two_step_graph(SLOTS.get).freeze()
+        with pytest.raises(SimulationError, match="3 slots"):
+            template.instantiate([1.0, 1.0])
+        with pytest.raises(SimulationError, match="cannot run 7"):
+            template.instantiate([1.0, 1.0, 1.0], num_tasks=7)

@@ -1,0 +1,114 @@
+"""Schema of the committed performance trajectory (``BENCH_*.json``).
+
+Each file is written by ``tools/bench_record.py``: alternating parent/change
+runs of the planner benchmark, with every run's end-to-end metrics and
+their medians and interquartile ranges.  The checks below hold every
+committed file, and the tool's own summary, to that shape.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import re
+import statistics
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {workload["name"] for workload in BENCHMARK["workloads"]}
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
+SHA1 = re.compile(r"[0-9a-f]{40}")
+SHA256 = re.compile(r"[0-9a-f]{64}")
+RECORDS = sorted(REPO_ROOT.glob("BENCH_*.json"))
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", REPO_ROOT / "tools" / "bench_record.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_side(side: dict, values_len: int) -> None:
+    assert isinstance(side["values"], list) and len(side["values"]) == values_len
+    assert all(isinstance(value, (int, float)) for value in side["values"])
+    assert side["median"] == pytest.approx(statistics.median(side["values"]))
+    assert side["iqr"] >= 0.0
+
+
+def check_metric(name: str, entry: dict, pairs: int) -> None:
+    metric = END_TO_END[name]
+    assert (entry["unit"], entry["better"]) == (metric["unit"], metric["better"])
+    check_side(entry["parent"], pairs)
+    check_side(entry["change"], pairs)
+    deltas = [
+        change / parent - 1.0
+        for parent, change in zip(entry["parent"]["values"], entry["change"]["values"])
+    ]
+    assert entry["pair_deltas"] == pytest.approx(deltas)
+    assert entry["median_delta"] == pytest.approx(statistics.median(deltas))
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    assert entry["pairs_better"] == sum(sign * delta > 0.0 for delta in deltas)
+
+
+def check_workload(record: dict) -> None:
+    pairs = record["pairs"]
+    assert isinstance(pairs, int) and pairs >= 1
+    assert isinstance(record["seed"], int) and record["seconds"] > 0
+    assert len(record["order"]) == pairs
+    assert all(sorted(order) == ["change", "parent"] for order in record["order"])
+    assert set(record["end_to_end"]) == set(END_TO_END)
+    for name, entry in record["end_to_end"].items():
+        check_metric(name, entry, pairs)
+    for side, layers in record.get("per_layer", {}).items():
+        assert side in ("parent", "change")
+        assert all(isinstance(value, (int, float)) for value in layers.values())
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[path.name for path in RECORDS])
+def test_committed_record_matches_the_schema(path):
+    document = json.loads(path.read_text())
+    assert document["schema"] == 1
+    assert path.name == f"BENCH_{document['pr']}.json"
+    assert SHA1.fullmatch(document["parent"]["commit"])
+    assert document["change"]["commit"] is None or SHA1.fullmatch(document["change"]["commit"])
+    for side in ("parent", "change"):
+        assert SHA256.fullmatch(document[side]["src_sha256"])
+    assert document["parent"]["src_sha256"] != document["change"]["src_sha256"]
+    assert document["host"]["cpus"] >= 1
+    assert document["workloads"] and set(document["workloads"]) <= WORKLOADS
+    for record in document["workloads"].values():
+        check_workload(record)
+
+
+def test_the_trajectory_has_a_record():
+    assert RECORDS
+
+
+def test_tool_summary_matches_the_schema():
+    tool = load_tool()
+    runs = {
+        side: [
+            {"metrics": {name: {"value": base + pair} for name in END_TO_END}}
+            for pair in range(3)
+        ]
+        for side, base in (("parent", 10.0), ("change", 12.0))
+    }
+    summary = tool.summarise(runs, BENCHMARK["end_to_end"])
+    check_workload(
+        {
+            "pairs": 3,
+            "seed": 0,
+            "seconds": 2.0,
+            "order": [["parent", "change"], ["change", "parent"], ["parent", "change"]],
+            "end_to_end": summary,
+        }
+    )
+    assert summary["ops_per_s"]["pairs_better"] == 3
+    assert summary["setup_s"]["pairs_better"] == 0
+    assert summary["ops_per_s"]["parent"]["iqr"] == 1.0

@@ -1,0 +1,227 @@
+#!/usr/bin/env python
+"""Record a parent/change performance comparison as ``BENCH_<pr>.json``.
+
+Runs the planner benchmark (``perfbench/run.py``) from two checkouts, a
+parent and a change, alternating which side goes first, for ``--pairs``
+pairs per workload.  Every run is a fresh process tree with the same seed
+and length, so each pair times the same operations.  The output keeps every
+run's end-to-end metrics (``BENCHMARK.json``'s ``end_to_end`` list), the
+median and interquartile range of each side, and per pair the relative
+change of each metric.  With ``--traced`` one traced run per side and
+workload adds the per-layer table.
+
+Usage, from the root of the change checkout::
+
+    git archive <parent-commit> | tar -x -C /tmp/parent
+    python tools/bench_record.py --parent /tmp/parent --change . \\
+        --parent-commit <parent-commit> --pr <n> --pairs 10 --seconds 10 \\
+        --workload plan-cold --traced
+
+Both trees run with ``PYTHONDONTWRITEBYTECODE`` honoured as set, so compile
+them first (``python -m compileall -q src perfbench`` in each); otherwise a
+tree without ``.pyc`` files recompiles on every spawn and pays for it in
+``setup_s``.  Writing to an existing file adds or replaces the workloads
+given, and refuses a file recorded for other source trees.
+
+Each side is identified by its commit, when known (``--parent-commit``,
+``--change-commit``, else ``git rev-parse HEAD`` in that checkout), and by
+``src_sha256``, a digest of every file under its ``src/`` directory, which
+also identifies a change measured before it was committed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Dict, List, Optional
+
+SCHEMA = 1
+SIDES = ("parent", "change")
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the relative path and bytes of every file under ``src/``."""
+    digest = hashlib.sha256()
+    root = checkout / "src"
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def git_commit(checkout: Path) -> Optional[str]:
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(checkout), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run; its result document (last stdout line)."""
+    command = [
+        sys.executable,
+        "perfbench/run.py",
+        "--workload",
+        workload,
+        "--seed",
+        str(seed),
+        "--seconds",
+        str(seconds),
+        "--trace",
+        str(trace),
+    ]
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(command)} failed:\n{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: List[float]) -> Dict[str, float]:
+    if len(values) == 1:
+        return {"median": values[0], "iqr": 0.0}
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "iqr": q3 - q1}
+
+
+def summarise(runs: Dict[str, List[dict]], metrics: List[dict]) -> Dict[str, dict]:
+    """Per end-to-end metric: each side's values, median and IQR, per-pair deltas."""
+    summary = {}
+    for metric in metrics:
+        name = metric["name"]
+        entry: Dict[str, object] = {"unit": metric["unit"], "better": metric["better"]}
+        for side in SIDES:
+            values = [run["metrics"][name]["value"] for run in runs[side]]
+            entry[side] = {"values": values, **quartiles(values)}
+        deltas = [
+            change / parent - 1.0
+            for parent, change in zip(entry["parent"]["values"], entry["change"]["values"])
+        ]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        entry["pair_deltas"] = deltas
+        entry["median_delta"] = statistics.median(deltas)
+        entry["pairs_better"] = sum(sign * delta > 0.0 for delta in deltas)
+        summary[name] = entry
+    return summary
+
+
+def record_workload(args, benchmark: dict, workload: str) -> dict:
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
+    order_log = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        order_log.append(list(order))
+        for side in order:
+            started = time.perf_counter()
+            result = run_once(checkouts[side], workload, args.seed, args.seconds, 0)
+            if result["correct"] is not True or result["failed"] != 0:
+                raise SystemExit(f"{side} run of {workload} is not correct: {result}")
+            runs[side].append(result)
+            print(
+                f"{workload} pair {pair + 1}/{args.pairs} {side}: "
+                f"ops_per_s={result['metrics']['ops_per_s']['value']:.2f} "
+                f"({time.perf_counter() - started:.1f} s)",
+                file=sys.stderr,
+            )
+    record = {
+        "pairs": args.pairs,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "order": order_log,
+        "attempted": {side: [run["attempted"] for run in runs[side]] for side in SIDES},
+        "end_to_end": summarise(runs, benchmark["end_to_end"]),
+    }
+    if args.traced:
+        layers = {}
+        for side in SIDES:
+            result = run_once(checkouts[side], workload, args.seed, args.seconds, 1)
+            layers[side] = {
+                name: value["value"]
+                for name, value in result["metrics"].items()
+                if name not in record["end_to_end"]
+            }
+        record["per_layer"] = layers
+    return record
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--parent-commit", help="default: git rev-parse HEAD in --parent")
+    parser.add_argument("--change-commit", help="default: git rev-parse HEAD in --change")
+    parser.add_argument("--pr", type=int, required=True, help="names the output file")
+    parser.add_argument("--workload", action="append", help="repeatable; default: all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--traced", action="store_true", help="add one traced run per side")
+    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in --change")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    names = [workload["name"] for workload in benchmark["workloads"]]
+    workloads = args.workload or names
+    unknown = sorted(set(workloads) - set(names))
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; choose from {names}")
+
+    sides = {
+        "parent": {
+            "commit": args.parent_commit or git_commit(args.parent),
+            "src_sha256": src_digest(args.parent),
+        },
+        "change": {
+            "commit": args.change_commit or git_commit(args.change),
+            "src_sha256": src_digest(args.change),
+        },
+    }
+    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    if out.exists():
+        document = json.loads(out.read_text())
+        recorded = {side: document[side]["src_sha256"] for side in SIDES}
+        if recorded != {side: sides[side]["src_sha256"] for side in SIDES}:
+            raise SystemExit(f"{out} was recorded for other source trees: {recorded}")
+    else:
+        document = {"schema": SCHEMA, "pr": args.pr, **sides, "workloads": {}}
+    document["host"] = {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+    }
+    for workload in workloads:
+        document["workloads"][workload] = record_workload(args, benchmark, workload)
+        document["recorded"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        )
+        out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        for name, entry in document["workloads"][workload]["end_to_end"].items():
+            print(
+                f"{workload:>15} {name:<12} parent {entry['parent']['median']:.4g} "
+                f"change {entry['change']['median']:.4g} "
+                f"median delta {entry['median_delta']:+.1%} "
+                f"({entry['pairs_better']}/{args.pairs} pairs better)"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
