@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.ablation import ABLATION_STRATEGIES, make_profile
 from repro.core.config import ExperimentConfig
 from repro.data.dataset import DatasetSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.obs.metrics import get_registry
@@ -70,18 +70,6 @@ PairKey = Tuple[str, str]
 ServerKey = Tuple[str, int]
 ProfileKey = Tuple[str, str, str, int, int]
 ExecutorKey = Tuple[str, str, str, int, int]
-
-
-def _observe_run(started: float, outcome: str) -> None:
-    """Record one Session.run completion in the process-wide registry."""
-    registry = get_registry()
-    registry.counter(
-        "repro_session_runs_total",
-        "Session.run completions by outcome (simulated vs store_hit)",
-    ).inc(outcome=outcome)
-    registry.histogram(
-        "repro_session_run_seconds", "Session.run wall time"
-    ).observe(time.perf_counter() - started)
 
 
 @dataclass
@@ -360,6 +348,16 @@ class Session:
         self.stats = SessionStats()
         self._store = open_store(store)
         self._backend = resolve_backend(backend)
+        registry = get_registry()
+        runs = registry.counter(
+            "repro_session_runs_total",
+            "Session.run completions by outcome (simulated vs store_hit)",
+        )
+        self._runs_simulated = runs.labels(outcome="simulated")
+        self._runs_store_hit = runs.labels(outcome="store_hit")
+        self._run_seconds = registry.histogram(
+            "repro_session_run_seconds", "Session.run wall time"
+        ).labels()
 
     @property
     def store(self) -> Optional[ExperimentStore]:
@@ -466,10 +464,13 @@ class Session:
         With a persistent store attached, a previously simulated cell is
         hydrated straight from disk (``stats.store_hits``) without building
         a plan or touching the simulator; fresh simulations are written
-        through the store (``stats.store_builds``).  An explicit ``profile``
-        override bypasses the store entirely — a custom profile changes the
-        plan, so its result must be neither served from nor written to the
-        shared cache.
+        through the store (``stats.store_builds``).  Either way the result
+        keeps the store document in ``result.record``, which its
+        ``to_dict()`` returns as is.  A stored record that does not hydrate
+        raises :class:`~repro.errors.StoreError` naming the record.  An
+        explicit ``profile`` override bypasses the store entirely — a
+        custom profile changes the plan, so its result must be neither
+        served from nor written to the shared cache.
 
         Example:
             >>> from repro import ExperimentConfig, Session
@@ -483,12 +484,18 @@ class Session:
         started = time.perf_counter()
         with span("session.run", strategy=name, cell=config.cell_label()):
             if use_store:
-                cached = self._store.get("run", run_key(config, name))
+                key = run_key(config, name)
+                cached = self._store.get("run", key)
                 if cached is not None:
+                    try:
+                        result = ExecutionResult.from_dict(cached)
+                    except (ReproError, LookupError, TypeError, ValueError) as error:
+                        raise self._store.malformed("run", key, error) from error
                     with self._lock:
                         self.stats.store_hits += 1
-                    _observe_run(started, "store_hit")
-                    return ExecutionResult.from_dict(cached)
+                    self._runs_store_hit.inc()
+                    self._run_seconds.observe(time.perf_counter() - started)
+                    return result
             if planner.requires_profile and profile is None:
                 profile = self.profile(config)
             with span("session.plan", strategy=name):
@@ -504,8 +511,10 @@ class Session:
             with self._lock:
                 self.stats.runs += 1
             if use_store:
-                self.put_run(config, name, result.to_dict())
-            _observe_run(started, "simulated")
+                result.record = result.to_dict()
+                self.put_run(config, name, result.record)
+            self._runs_simulated.inc()
+            self._run_seconds.observe(time.perf_counter() - started)
             return result
 
     # ------------------------------------------------------------------ #

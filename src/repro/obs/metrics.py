@@ -19,6 +19,11 @@ Design rules:
   registered, so instrumented modules can declare their metrics at import
   time without coordination; re-registering under a different metric type
   or bucket layout is a :class:`~repro.errors.ConfigurationError`.
+* **Bound handles** — ``family.labels(**labels)`` returns a child whose
+  label key is computed once; hot paths bind their children when their
+  owner is constructed (service, session, store).  A handle belongs to
+  the registry its family came from, so an owner built before
+  :func:`set_registry` keeps recording to the previous registry.
 * **Snapshot / reset** — :meth:`snapshot` returns a point-in-time plain
   dict (the unit of delta-based assertions), :meth:`reset` zeroes every
   sample while keeping the registrations.
@@ -127,11 +132,17 @@ class Counter(_Metric):
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self._add(_label_key(labels), amount)
+
+    def labels(self, **labels: str) -> "_CounterChild":
+        """A handle on one label set; its label key is computed once."""
+        return _CounterChild(self, _label_key(labels))
+
+    def _add(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ConfigurationError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
             )
-        key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -184,20 +195,31 @@ class Gauge(_Metric):
         self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: str) -> None:
-        with self._lock:
-            self._values[_label_key(labels)] = float(value)
+        self._set(_label_key(labels), value)
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
+        self._add(_label_key(labels), amount)
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
-        self.inc(-amount, **labels)
+        self._add(_label_key(labels), -amount)
 
     def set_max(self, value: float, **labels: str) -> None:
         """Raise the gauge to ``value`` if it is below it (peak tracking)."""
-        key = _label_key(labels)
+        self._set_max(_label_key(labels), value)
+
+    def labels(self, **labels: str) -> "_GaugeChild":
+        """A handle on one label set; its label key is computed once."""
+        return _GaugeChild(self, _label_key(labels))
+
+    def _set(self, key: LabelKey, value: float) -> None:
+        with self._lock:
+            self._values[key] = float(value)
+
+    def _add(self, key: LabelKey, amount: float) -> None:
+        with self._lock:
+            self._values[key] = self._values.get(key, 0.0) + amount
+
+    def _set_max(self, key: LabelKey, value: float) -> None:
         with self._lock:
             if value > self._values.get(key, float("-inf")):
                 self._values[key] = float(value)
@@ -258,7 +280,7 @@ class Histogram(_Metric):
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
         super().__init__(name, help)
-        bounds = tuple(sorted(float(b) for b in buckets))
+        bounds = _bounds(buckets)
         if not bounds:
             raise ConfigurationError(f"histogram {self.name!r} needs >= 1 bucket")
         if len(set(bounds)) != len(bounds):
@@ -269,9 +291,15 @@ class Histogram(_Metric):
         self._samples: Dict[LabelKey, _HistogramSample] = {}
 
     def observe(self, value: float, **labels: str) -> None:
+        self._observe(_label_key(labels), value)
+
+    def labels(self, **labels: str) -> "_HistogramChild":
+        """A handle on one label set; its label key is computed once."""
+        return _HistogramChild(self, _label_key(labels))
+
+    def _observe(self, key: LabelKey, value: float) -> None:
         value = float(value)
         index = bisect_left(self.buckets, value)
-        key = _label_key(labels)
         with self._lock:
             sample = self._samples.get(key)
             if sample is None:
@@ -331,6 +359,51 @@ class Histogram(_Metric):
         if not items:
             lines.append(f"{self.name}_count 0")
         return lines
+
+
+class _Child:
+    """One label set of a family, as returned by ``family.labels(...)``.
+
+    The handle stores the family and the label key, not a sample, so it
+    keeps counting (from zero) after :meth:`MetricsRegistry.reset`.  It
+    creates no sample until first used, so binding a handle leaves the
+    rendered text unchanged.
+    """
+
+    __slots__ = ("_family", "_key")
+
+    def __init__(self, family: _Metric, key: LabelKey) -> None:
+        self._family = family
+        self._key = key
+
+
+class _CounterChild(_Child):
+    def inc(self, amount: float = 1.0) -> None:
+        self._family._add(self._key, amount)
+
+
+class _GaugeChild(_Child):
+    def set(self, value: float) -> None:
+        self._family._set(self._key, value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        self._family._add(self._key, amount)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self._family._add(self._key, -amount)
+
+    def set_max(self, value: float) -> None:
+        self._family._set_max(self._key, value)
+
+
+class _HistogramChild(_Child):
+    def observe(self, value: float) -> None:
+        self._family._observe(self._key, value)
+
+
+def _bounds(buckets: Sequence[float]) -> Tuple[float, ...]:
+    """Histogram boundaries in canonical form: sorted floats."""
+    return tuple(sorted(float(b) for b in buckets))
 
 
 def _cumulative(counts: Iterable[int]) -> List[int]:
@@ -394,7 +467,7 @@ class MetricsRegistry:
             name, lambda: Histogram(name, help, buckets), Histogram
         )
         assert isinstance(metric, Histogram)
-        if metric.buckets != tuple(sorted(float(b) for b in buckets)):
+        if metric.buckets != _bounds(buckets):
             raise ConfigurationError(
                 f"histogram {name!r} is already registered with buckets "
                 f"{metric.buckets}; re-registration must match"

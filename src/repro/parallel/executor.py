@@ -36,7 +36,7 @@ from repro.hardware.cost_model import CostModel
 from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
-from repro.parallel.plan import SchedulePlan, jsonable, plan_from_dict
+from repro.parallel.plan import SchedulePlan, by_device, jsonable, plan_from_dict
 from repro.sim.engine import GraphTemplate, SimulationEngine
 from repro.sim.events import TaskKind
 from repro.sim.metrics import BREAKDOWN_CATEGORIES, compute_breakdown
@@ -49,9 +49,34 @@ DEFAULT_SIMULATED_STEPS = 10
 WARMUP_STEPS = 2
 
 
+#: Top-level fields of :meth:`ExecutionResult.to_dict`, in canonical order.
+RECORD_FIELDS = (
+    "batch_size",
+    "breakdown_s",
+    "epoch_time_s",
+    "max_memory_gb",
+    "metadata",
+    "num_devices",
+    "peak_memory_bytes",
+    "peak_memory_gb",
+    "plan",
+    "plan_kind",
+    "step_time_s",
+    "steps_per_epoch",
+    "strategy",
+)
+_RECORD_KEYS = frozenset(RECORD_FIELDS)
+
+
 @dataclass
 class ExecutionResult:
-    """Measured outcome of executing one plan on the simulated server."""
+    """Measured outcome of executing one plan on the simulated server.
+
+    ``record`` holds the store document the result was hydrated from (see
+    :meth:`from_dict`) or written to the store as; :meth:`to_dict` then
+    returns it as is instead of serialising the result again.  It takes
+    no part in equality.
+    """
 
     plan: SchedulePlan
     epoch_time: float
@@ -61,6 +86,7 @@ class ExecutionResult:
     peak_memory_bytes: Dict[int, float]
     trace: Optional[Trace] = None
     metadata: dict = field(default_factory=dict)
+    record: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def strategy(self) -> str:
@@ -92,31 +118,33 @@ class ExecutionResult:
 
         Carries the full plan and raw peak-memory bytes so
         :meth:`from_dict` can rebuild an equivalent result — this is the
-        record shape the persistent experiment store holds.
+        record shape the persistent experiment store holds.  Keys come in
+        canonical order (sorted, device keys sorted as strings), so the
+        dict dumps to the same bytes as the store's canonical JSON.  When
+        ``record`` is set it is returned as is: treat it as read-only.
         """
+        if self.record is not None:
+            return self.record
+        peak_memory = by_device(self.peak_memory_bytes)
         return {
-            "strategy": self.strategy,
-            "plan_kind": self.plan.kind,
-            "plan": self.plan.to_dict(),
             "batch_size": self.plan.batch_size,
-            "num_devices": self.plan.num_devices,
-            "epoch_time_s": self.epoch_time,
-            "step_time_s": self.step_time,
-            "steps_per_epoch": self.steps_per_epoch,
             "breakdown_s": {
-                str(device): {name: categories[name] for name in sorted(categories)}
-                for device, categories in sorted(self.breakdown.items())
+                device: {name: categories[name] for name in sorted(categories)}
+                for device, categories in by_device(self.breakdown).items()
             },
-            "peak_memory_bytes": {
-                str(device): bytes_
-                for device, bytes_ in sorted(self.peak_memory_bytes.items())
-            },
-            "peak_memory_gb": {
-                str(device): bytes_ / 1e9
-                for device, bytes_ in sorted(self.peak_memory_bytes.items())
-            },
+            "epoch_time_s": self.epoch_time,
             "max_memory_gb": self.max_memory_gb(),
             "metadata": jsonable(self.metadata),
+            "num_devices": self.plan.num_devices,
+            "peak_memory_bytes": peak_memory,
+            "peak_memory_gb": {
+                device: bytes_ / 1e9 for device, bytes_ in peak_memory.items()
+            },
+            "plan": self.plan.to_dict(),
+            "plan_kind": self.plan.kind,
+            "step_time_s": self.step_time,
+            "steps_per_epoch": self.steps_per_epoch,
+            "strategy": self.strategy,
         }
 
     @classmethod
@@ -125,9 +153,20 @@ class ExecutionResult:
 
         The trace is gone (it was never serialised), but every quantity the
         analysis layer consumes — epoch/step time, breakdowns, peak memory,
-        the validated plan — round-trips exactly.
+        the validated plan — round-trips exactly.  ``payload`` becomes the
+        result's ``record`` and :meth:`to_dict` returns it unchanged, so it
+        must hold exactly the fields :meth:`to_dict` emits, and the fields
+        derived from the plan and the peak memory must agree with them.
         """
-        return cls(
+        if not isinstance(payload, dict):
+            raise TypeError(f"result record is a {type(payload).__name__}, not an object")
+        if payload.keys() != _RECORD_KEYS:
+            missing = [name for name in RECORD_FIELDS if name not in payload]
+            unexpected = sorted(set(payload) - _RECORD_KEYS)
+            raise ValueError(
+                f"result record fields differ: missing {missing}, unexpected {unexpected}"
+            )
+        result = cls(
             plan=plan_from_dict(payload["plan"]),
             epoch_time=payload["epoch_time_s"],
             step_time=payload["step_time_s"],
@@ -141,8 +180,28 @@ class ExecutionResult:
                 for device, bytes_ in payload["peak_memory_bytes"].items()
             },
             trace=None,
-            metadata=payload.get("metadata", {}),
+            metadata=payload["metadata"],
+            record=payload,
         )
+        plan = result.plan
+        derived = {
+            "batch_size": plan.batch_size,
+            "max_memory_gb": result.max_memory_gb(),
+            "num_devices": plan.num_devices,
+            "peak_memory_gb": {
+                device: bytes_ / 1e9
+                for device, bytes_ in payload["peak_memory_bytes"].items()
+            },
+            "plan_kind": plan.kind,
+            "strategy": plan.strategy,
+        }
+        for name, value in derived.items():
+            if payload[name] != value:
+                raise ValueError(
+                    f"result record {name} {payload[name]!r} disagrees with "
+                    f"the value its plan and peak memory give ({value!r})"
+                )
+        return result
 
 
 class TemplateEntry(NamedTuple):

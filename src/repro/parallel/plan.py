@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ScheduleError
 
@@ -212,29 +212,49 @@ class SchedulePlan:
     # Serialisation (persistent experiment store, benchmark artifacts)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """JSON-serialisable view; ``plan_from_dict`` round-trips it."""
+        """JSON-serialisable view; ``plan_from_dict`` round-trips it.
+
+        Keys come in canonical order (sorted, device keys sorted as
+        strings), so the dict dumps to the same bytes as the store's
+        canonical JSON.
+        """
         return {
-            "kind": self.kind,
-            "strategy": self.strategy,
             "batch_size": self.batch_size,
-            "num_devices": self.num_devices,
-            "num_blocks": self.num_blocks,
             "decoupled_update": self.decoupled_update,
-            "stages": [
-                {
-                    "stage_id": stage.stage_id,
-                    "block_ids": list(stage.block_ids),
-                    "device_ids": list(stage.device_ids),
-                }
-                for stage in self.stages
-            ],
             "device_blocks": (
-                {str(device): list(blocks) for device, blocks in self.device_blocks.items()}
+                {
+                    device: list(blocks)
+                    for device, blocks in by_device(self.device_blocks).items()
+                }
                 if self.device_blocks is not None
                 else None
             ),
+            "kind": self.kind,
             "metadata": jsonable(self.metadata),
+            "num_blocks": self.num_blocks,
+            "num_devices": self.num_devices,
+            "stages": [
+                {
+                    "block_ids": list(stage.block_ids),
+                    "device_ids": list(stage.device_ids),
+                    "stage_id": stage.stage_id,
+                }
+                for stage in self.stages
+            ],
+            "strategy": self.strategy,
         }
+
+
+def by_device(per_device: Dict[int, Any]) -> Dict[str, Any]:
+    """A per-device mapping keyed by device string, in string order.
+
+    Example:
+        >>> from repro.parallel.plan import by_device
+        >>> list(by_device({2: "a", 10: "b", 1: "c"}))
+        ['1', '10', '2']
+    """
+    keyed = {str(device): value for device, value in per_device.items()}
+    return {device: keyed[device] for device in sorted(keyed)}
 
 
 def jsonable(value):
@@ -242,7 +262,8 @@ def jsonable(value):
 
     Dict keys are emitted in sorted order so a payload serialises to the
     same bytes whether it was just computed or hydrated from the store's
-    canonical (key-sorted) JSON lines.
+    canonical (key-sorted) JSON; ``SchedulePlan.to_dict`` and
+    ``ExecutionResult.to_dict`` follow the same rule.
 
     Example:
         >>> from repro.parallel.plan import jsonable

@@ -111,16 +111,37 @@ class PlannerService:
         }
         for path in _COMPUTE:
             self._routes[("POST", path)] = partial(self._compute, path)
+        self._paths = tuple(dict.fromkeys(path for _, path in self._routes))
+        registry = get_registry()
+        self._in_flight = registry.gauge(
+            "repro_http_in_flight", "requests currently being handled"
+        ).labels()
+        self._latency = registry.histogram(
+            "repro_http_request_seconds", "request latency by endpoint"
+        )
+        self._requests = registry.counter(
+            "repro_http_requests_total", "dispatched requests by endpoint and status"
+        )
+        self._temperature = registry.counter(
+            "repro_http_warm_cold_total", "compute requests by cache temperature"
+        )
+        #: Bound children, memoised per label values on first use.
+        self._children: Dict[tuple, Any] = {}
 
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def paths(self) -> Tuple[str, ...]:
         """Every route path, in registration order (healthz lists these)."""
-        seen: Dict[str, None] = {}
-        for _, path in self._routes:
-            seen.setdefault(path)
-        return tuple(seen)
+        return self._paths
+
+    def _child(self, family, **labels: str):
+        """``family.labels(**labels)``, bound once per label set."""
+        key = (family.name, *labels.values())
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = family.labels(**labels)
+        return child
 
     def methods_for(self, path: str) -> Tuple[str, ...]:
         return tuple(method for method, route in self._routes if route == path)
@@ -135,40 +156,30 @@ class PlannerService:
         echoed (with ``duration_ms``) in the response's ``meta.request``.
         """
         path = path.partition("?")[0].rstrip("/") or "/"
-        endpoint = path if path in self.paths() else "unknown"
-        registry = get_registry()
+        endpoint = path if path in self._paths else "unknown"
         request_id = new_request_id()
         token = bind_request_id(request_id)
-        in_flight = registry.gauge(
-            "repro_http_in_flight", "requests currently being handled"
-        )
-        in_flight.inc()
+        self._in_flight.inc()
         started = time.perf_counter()
         try:
             with span("serve.dispatch", endpoint=endpoint, method=method.upper()):
                 status, payload = self._route(method, path, body)
         finally:
-            in_flight.dec()
+            self._in_flight.dec()
             request_id_var.reset(token)
         duration_s = time.perf_counter() - started
-        registry.histogram(
-            "repro_http_request_seconds", "request latency by endpoint"
-        ).observe(duration_s, endpoint=endpoint)
-        registry.counter(
-            "repro_http_requests_total", "dispatched requests by endpoint and status"
-        ).inc(endpoint=endpoint, status=str(status))
+        self._child(self._latency, endpoint=endpoint).observe(duration_s)
+        self._child(self._requests, endpoint=endpoint, status=str(status)).inc()
         if isinstance(payload, dict):
             request_meta = payload.get("meta", {}).get("request")
             if isinstance(request_meta, dict):
                 request_meta["request_id"] = request_id
                 request_meta["duration_ms"] = round(duration_s * 1e3, 3)
-                registry.counter(
-                    "repro_http_warm_cold_total",
-                    "compute requests by cache temperature",
-                ).inc(
+                self._child(
+                    self._temperature,
                     endpoint=endpoint,
                     temperature="warm" if request_meta.get("warm") else "cold",
-                )
+                ).inc()
         self._requests_served += 1
         _LOG.info(
             "%s %s -> %d in %.1f ms",
@@ -197,7 +208,7 @@ class PlannerService:
         key = (method.upper(), path)
         handler = self._routes.get(key)
         if handler is None:
-            if path in self.paths():
+            if path in self._paths:
                 allowed = self.methods_for(path)
                 return RequestError(
                     405,

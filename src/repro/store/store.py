@@ -164,6 +164,18 @@ class ExperimentStore:
         self._puts = 0
         self._evictions = 0
         self._open()
+        db = str(self.db_path)
+        self._disk_paths = (db, db + "-wal")
+        self._root_str = str(self.root)
+        registry = get_registry()
+        lookups = registry.counter(
+            "repro_store_lookups_total", "store lookups by result"
+        )
+        self._lookup_hit = lookups.labels(result="hit")
+        self._lookup_miss = lookups.labels(result="miss")
+        self._puts_total = registry.counter(
+            "repro_store_puts_total", "records written to the store"
+        )
 
     # ------------------------------------------------------------------ #
     # Layout
@@ -238,13 +250,29 @@ class ExperimentStore:
                     self._hits += 1
                 else:
                     self._misses += 1
-            get_registry().counter(
-                "repro_store_lookups_total", "store lookups by result"
-            ).inc(result="hit" if row is not None else "miss")
             if row is None:
+                self._lookup_miss.inc()
                 return None
+            self._lookup_hit.inc()
             with span("store.hydrate", kind=kind):
-                return json.loads(row[0])
+                try:
+                    return json.loads(row[0])
+                except ValueError as error:
+                    raise self.malformed(kind, key_payload, error) from error
+
+    def malformed(self, kind: str, key_payload: dict, error: Exception) -> StoreError:
+        """The error for a record whose value does not hydrate.
+
+        It names the record and how to clear it; callers raise it when a
+        value :meth:`get` returned fails their own validation.
+        """
+        key = content_key(kind, key_payload)
+        return StoreError(
+            f"store record {key} ({kind}) in {self.db_path} is malformed "
+            f"({type(error).__name__}: {error}); delete that row (sqlite3 "
+            f"{self.db_path} \"DELETE FROM records WHERE key = '{key}'\") "
+            "or use a fresh --store directory"
+        )
 
     def contains(self, kind: str, key_payload: dict) -> bool:
         """Whether a record exists, without touching the hit/miss counters."""
@@ -263,9 +291,7 @@ class ExperimentStore:
             with self._lock:
                 self._conn.execute(_INSERT, row)
                 self._puts += 1
-        get_registry().counter(
-            "repro_store_puts_total", "records written to the store"
-        ).inc(kind=kind)
+        self._puts_total.inc(kind=kind)
         return key
 
     # ------------------------------------------------------------------ #
@@ -372,14 +398,13 @@ class ExperimentStore:
         Cheap enough for every CLI and ``/v1/plan`` payload; use
         :meth:`stats` / ``cache stats`` for record counts.
         """
-        db_path = str(self.db_path)
         disk_bytes = 0
-        for path in (db_path, db_path + "-wal"):
+        for path in self._disk_paths:
             try:
                 disk_bytes += os.stat(path).st_size
             except FileNotFoundError:
                 pass
-        return {"root": str(self.root), "disk_bytes": disk_bytes}
+        return {"root": self._root_str, "disk_bytes": disk_bytes}
 
     def _build_stats(self, num_records: int) -> StoreStats:
         disk_bytes = self.disk_summary()["disk_bytes"]

@@ -133,6 +133,75 @@ class TestRegistry:
             set_registry(previous)
         assert get_registry() is previous
 
+    def test_handles_bind_to_the_registry_current_at_construction(self, tmp_path):
+        from repro.core.config import ExperimentConfig
+        from repro.core.session import Session
+
+        mine = MetricsRegistry()
+        previous = set_registry(mine)
+        try:
+            session = Session(store=tmp_path / "store")
+        finally:
+            set_registry(previous)
+        runs_before = previous.counter(
+            "repro_session_runs_total",
+            "Session.run completions by outcome (simulated vs store_hit)",
+        ).total()
+        session.run(ExperimentConfig(batch_size=128, simulated_steps=4))
+        assert mine.counter("repro_session_runs_total").value(outcome="simulated") == 1
+        assert mine.counter("repro_store_lookups_total").value(result="miss") == 1
+        assert mine.counter("repro_store_puts_total").value(kind="run") == 1
+        assert previous.counter("repro_session_runs_total").total() == runs_before
+
+
+class TestBoundChildren:
+    """``family.labels(...)`` handles share the keyword path's samples."""
+
+    def test_child_and_keyword_calls_share_one_sample(self, registry):
+        c = registry.counter("x_total", "x")
+        child = c.labels(b="2", a="1")
+        child.inc()
+        c.inc(2, a="1", b="2")
+        assert c.value(a="1", b="2") == 3.0
+        g = registry.gauge("g", "g").labels(endpoint="/a")
+        g.set(5)
+        g.inc()
+        g.dec(2)
+        g.set_max(3)
+        assert registry.gauge("g", "g").value(endpoint="/a") == 4.0
+        h = registry.histogram("h_seconds", "h").labels(endpoint="/a")
+        h.observe(0.5)
+        assert registry.histogram("h_seconds", "h").count(endpoint="/a") == 1
+
+    def test_binding_creates_no_sample(self, registry):
+        families = (
+            registry.counter("x_total", "x"),
+            registry.gauge("g", "g"),
+            registry.histogram("h_seconds", "h"),
+        )
+        before = registry.render_prometheus()
+        for family in families:
+            family.labels(endpoint="/a")
+        assert registry.render_prometheus() == before
+
+    def test_child_keeps_counting_after_reset_from_zero(self, registry):
+        child = registry.counter("x_total", "x").labels(endpoint="/a")
+        histogram = registry.histogram("h_seconds", "h").labels()
+        child.inc(5)
+        histogram.observe(1.0)
+        registry.reset()
+        assert registry.counter("x_total", "x").value(endpoint="/a") == 0.0
+        child.inc()
+        histogram.observe(2.0)
+        assert registry.counter("x_total", "x").value(endpoint="/a") == 1.0
+        assert registry.histogram("h_seconds", "h").sum() == 2.0
+
+    def test_counter_child_refuses_a_negative_increment(self, registry):
+        child = registry.counter("x_total", "x").labels(endpoint="/a")
+        with pytest.raises(ConfigurationError, match="cannot decrease"):
+            child.inc(-1)
+        assert registry.counter("x_total", "x").value(endpoint="/a") == 0.0
+
 
 class TestThreadSafety:
     """Concurrent writers must never lose an update."""
