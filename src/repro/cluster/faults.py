@@ -281,10 +281,6 @@ class FaultModel:
         if not math.isfinite(self.horizon_slack) or self.horizon_slack < 0:
             raise ConfigurationError("horizon_slack must be finite and >= 0")
 
-    @property
-    def total_rate(self) -> float:
-        return self.crash_rate + self.preempt_rate + self.straggler_rate
-
     def _gaps(self, rng: random.Random, rate: float) -> Iterator[float]:
         """Inter-arrival gaps at ``rate`` events/sec for this model's process."""
         if self.arrival == "poisson":

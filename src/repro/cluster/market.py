@@ -65,10 +65,19 @@ class PriceCurve:
             raise ConfigurationError(
                 f"price curve {self.name!r} period must exceed its last break point"
             )
-
-    @property
-    def _times(self) -> Tuple[float, ...]:
-        return tuple(float(t) for t, _ in self.points)
+        # Lookup tables, built once and kept outside the dataclass fields:
+        # ``_prefix[k]`` is the integral from 0 to break point k, summed
+        # segment by segment in order, and ``_full`` the integral over one
+        # whole period.
+        multipliers = tuple(float(m) for _, m in self.points)
+        prefix = [0.0]
+        for index in range(len(times) - 1):
+            prefix.append(prefix[-1] + multipliers[index] * (times[index + 1] - times[index]))
+        object.__setattr__(self, "_times", tuple(times))
+        object.__setattr__(self, "_multipliers", multipliers)
+        object.__setattr__(self, "_prefix", tuple(prefix))
+        if self.period is not None:
+            object.__setattr__(self, "_full", self._cumulative_in_period(float(self.period)))
 
     def multiplier_at(self, t: float) -> float:
         """The multiplier in effect at simulation time ``t`` (>= 0)."""
@@ -79,17 +88,33 @@ class PriceCurve:
         index = bisect_right(self._times, t) - 1
         return float(self.points[max(index, 0)][1])
 
+    def _cumulative_in_period(self, offset: float) -> float:
+        """``∫ multiplier dt`` over ``[0, offset]``, ``offset`` within one period.
+
+        The prefix sum up to the break point at or before ``offset`` plus
+        the partial segment: the same additions, in the same order, as
+        walking every segment from 0.
+        """
+        index = bisect_right(self._times, offset) - 1
+        return self._prefix[index] + self._multipliers[index] * (offset - self._times[index])
+
     def _span_integral(self, start: float, end: float) -> float:
-        """Integrate one non-repeating span (``start <= end``, no wrap)."""
-        times = self._times
+        """Integrate a span of a non-repeating curve (``0 <= start < end``).
+
+        Walks the segments from the one holding ``start`` to the last one
+        starting before ``end``.
+        """
+        times, multipliers = self._times, self._multipliers
         total = 0.0
-        for index, (_, multiplier) in enumerate(self.points):
+        for index in range(bisect_right(times, start) - 1, len(times)):
             seg_start = times[index]
+            if seg_start >= end:
+                break
             seg_end = times[index + 1] if index + 1 < len(times) else float("inf")
             lo = max(start, seg_start)
             hi = min(end, seg_end)
             if hi > lo:
-                total += float(multiplier) * (hi - lo)
+                total += multipliers[index] * (hi - lo)
         return total
 
     def integral(self, start: float, end: float) -> float:
@@ -103,17 +128,9 @@ class PriceCurve:
 
         def cumulative(t: float) -> float:
             cycles, offset = divmod(t, self.period)
-            return cycles * self._span_integral(0.0, self.period) + self._span_integral(
-                0.0, offset
-            )
+            return cycles * self._full + self._cumulative_in_period(offset)
 
         return cumulative(end) - cumulative(start)
-
-    def mean_multiplier(self, start: float, end: float) -> float:
-        """Average multiplier over ``[start, end]`` (1.0 for empty spans)."""
-        if end <= start:
-            return 1.0
-        return self.integral(start, end) / (end - start)
 
     def to_dict(self) -> dict:
         payload: dict = {

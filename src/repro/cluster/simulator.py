@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -213,7 +214,11 @@ class _FleetRun:
             name: float(spec.quota_gpus) if spec.quota_gpus is not None else 1.0
             for name, spec in self.tenants.items()
         }
+        self.total_weight = sum(self.share_weight.values()) or 1.0
         self.consumed: Dict[str, float] = {}
+        # GPUs each tenant holds in running attempts (tenants holding none
+        # are absent), kept by _start and _release on non-plain runs.
+        self.usage: Dict[str, int] = {}
         self.quotas = {
             name: spec.quota_gpus
             for name, spec in self.tenants.items()
@@ -222,6 +227,12 @@ class _FleetRun:
         self.capacity = sim.cluster.node_gpus()  # crash-adjusted
         self.down = {name: 0 for name in self.capacity}  # preempted now
         self.free = dict(self.capacity)
+        # The live fleet size (every node's available GPUs) since the instant
+        # it last changed, and each tenant's share-weighted entitlement: the
+        # live capacity integrated from t=0 up to that instant.
+        self.fleet = sum(self.available(name) for name in self.capacity)
+        self.fleet_since = 0.0
+        self.entitled = {name: 0.0 for name in self.tenants}
         self.factor = {name: 1.0 for name in self.capacity}
         # Exact per-node occupancy: a restarted or migrated job spans nodes
         # across attempts, so per-node utilization cannot be derived from
@@ -238,6 +249,12 @@ class _FleetRun:
         self.progress = {job.job_id: _Progress() for job in workload}
         self.events = 0
         self.peak_heap = 0
+        # The SchedulingContext of the latest placement pass (None when the
+        # policy is not tenant-aware).  drain consults _try_preempt only
+        # right after a pass at the same instant that placed nothing, so
+        # nothing the context reads has changed and the preemption scan
+        # reuses it instead of building its own.
+        self.pass_context: Optional[SchedulingContext] = None
 
     def available(self, name: str) -> int:
         """The node's GPUs now: crash-adjusted capacity minus preempted ones."""
@@ -299,7 +316,7 @@ class _FleetRun:
         before = self.available(name)
         if action == "up":
             self.down[name] = max(0, self.down[name] - token.get("taken", 0))
-            self.free[name] += self.available(name) - before
+            self._resize(name, before, t)
             return False
         amount = event.gpus if event.gpus is not None else self.capacity[name]
         if action == "crash":
@@ -307,9 +324,27 @@ class _FleetRun:
         else:  # down
             token["taken"] = max(0, min(amount, self.capacity[name] - self.down[name]))
             self.down[name] += token["taken"]
-        self.free[name] += self.available(name) - before
+        self._resize(name, before, t)
         self._recover(self._evict_for_capacity(name, t), name, t)
         return True
+
+    def _resize(self, name: str, before: int, t: float) -> None:
+        """Apply a change of the node's available GPUs (``before`` -> now) at ``t``.
+
+        The free ledger follows the change.  When the fleet size moves, each
+        tenant's entitlement is advanced to ``t`` at the old size first, so
+        the fair-share deficit integrates capacity over time.
+        """
+        change = self.available(name) - before
+        self.free[name] += change
+        if change:
+            elapsed = t - self.fleet_since
+            for tenant in self.entitled:
+                self.entitled[tenant] += (
+                    self.fleet * self.share_weight[tenant] / self.total_weight * elapsed
+                )
+            self.fleet += change
+            self.fleet_since = t
 
     def drain(self, t: float) -> None:
         """Place queued gangs, preempting on the policy's behalf if stuck."""
@@ -393,7 +428,7 @@ class _FleetRun:
         if not self.queue:
             return False
         sim = self.sim
-        context = self._context(t) if self.contextual else None
+        context = self.pass_context = self._context(t) if self.contextual else None
         placed: List[Tuple[JobSpec, NodeSpec]] = []
         reserved: Dict[str, int] = {}
         while self.queue:
@@ -439,25 +474,29 @@ class _FleetRun:
         by node youngest first, the walk stops at the first job no running
         gang is strictly less urgent than, and an ``(urgency, gpus)`` pair
         that found no node is not searched again — nothing changes until
-        an eviction returns.
+        an eviction returns.  Attempts enter ``entries`` in ``seq`` order,
+        and ``seq`` grows with the start instant, so youngest first by
+        ``(start, seq)`` is simply the reverse of ``entries``.  When no
+        eligible job is more urgent than the least urgent running gang,
+        the pass returns before ranking the queue.
         """
         if not self.queue or not self.entries:
             return False
-        context = self._context(t) if self.contextual else None
+        context = self.pass_context
         urgency = self.sim.policy.urgency
         running: Dict[str, List[Tuple[float, _Attempt]]] = {}
-        for attempt in sorted(
-            self.entries.values(),
-            key=lambda attempt: (attempt.start, attempt.seq),
-            reverse=True,
-        ):
-            running.setdefault(attempt.node.name, []).append(
-                (urgency(attempt.job, context), attempt)
-            )
-        floor = min(score for gangs in running.values() for score, _ in gangs)
+        floor = math.inf
+        for attempt in reversed(self.entries.values()):
+            score = urgency(attempt.job, context)
+            if score < floor:
+                floor = score
+            running.setdefault(attempt.node.name, []).append((score, attempt))
+        scored = [(urgency(job, context), job) for job in self._eligible({})]
+        if not scored or max(score for score, _ in scored) <= floor:
+            return False  # no running gang is strictly less urgent
         ranked = sorted(
-            ((urgency(job, context), job) for job in self._eligible({})),
-            key=lambda scored: (-scored[0], scored[1].arrival_time, scored[1].job_id),
+            scored,
+            key=lambda item: (-item[0], item[1].arrival_time, item[1].job_id),
         )
         failed = set()
         for target, job in ranked:
@@ -487,18 +526,14 @@ class _FleetRun:
             failed.add((target, job.gpus))
         return False
 
-    def _usage(self) -> Dict[str, int]:
-        usage: Dict[str, int] = {}
-        for attempt in self.entries.values():
-            usage[attempt.job.tenant] = usage.get(attempt.job.tenant, 0) + attempt.gpus
-        return usage
-
     def _context(self, t: float) -> SchedulingContext:
         """Tenant specs, live usage and fair-share deficits at ``t``.
 
         A deficit is the tenant's share-weighted slice of the live fleet
         capacity integrated from t=0 minus the GPU-seconds it consumed;
-        positive means the tenant is owed capacity.
+        positive means the tenant is owed capacity.  The integral is the
+        entitlement up to the fleet's last resize plus the current size
+        over the time since.
         """
         deficits: Dict[str, float] = {}
         if self.tenants:
@@ -507,15 +542,15 @@ class _FleetRun:
                 live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
                     attempt.gpus * (t - attempt.start)
                 )
-            fleet = sum(self.available(name) for name in self.capacity)
-            total_weight = sum(self.share_weight.values()) or 1.0
+            fleet, elapsed = self.fleet, t - self.fleet_since
             deficits = {
-                name: fleet * self.share_weight[name] / total_weight * t
+                name: self.entitled[name]
+                + fleet * self.share_weight[name] / self.total_weight * elapsed
                 - live.get(name, 0.0)
                 for name in self.tenants
             }
         return SchedulingContext(
-            now=t, tenants=self.tenants, usage_gpus=self._usage(), deficits=deficits
+            now=t, tenants=self.tenants, usage_gpus=dict(self.usage), deficits=deficits
         )
 
     def _eligible(self, reserved: Dict[str, int]) -> Tuple[JobSpec, ...]:
@@ -527,7 +562,7 @@ class _FleetRun:
         """
         if not self.quotas:
             return tuple(self.queue)
-        usage = self._usage()
+        usage = dict(self.usage)
         for tenant, gpus in reserved.items():
             usage[tenant] = usage.get(tenant, 0) + gpus
         quotas = self.quotas
@@ -569,6 +604,8 @@ class _FleetRun:
             finish=finish,
         )
         heapq.heappush(self.heap, (finish, seq))
+        if not self.plain:
+            self.usage[job.tenant] = self.usage.get(job.tenant, 0) + gpus
         if len(self.heap) > self.peak_heap:
             self.peak_heap = len(self.heap)
         if prog.first_start is None:
@@ -596,6 +633,11 @@ class _FleetRun:
             self.node_busy[attempt.node.name] += gpu_wall
             tenant = attempt.job.tenant
             self.consumed[tenant] = self.consumed.get(tenant, 0.0) + gpu_wall
+            held = self.usage[tenant] - attempt.gpus
+            if held:
+                self.usage[tenant] = held
+            else:
+                del self.usage[tenant]
         return wall
 
     def _settle(self, attempt: _Attempt, t: float) -> None:
@@ -625,12 +667,9 @@ class _FleetRun:
         victims: List[JobSpec] = []
         if self.free[name] >= 0:
             return victims
-        youngest_first = sorted(
-            (attempt for attempt in self.entries.values() if attempt.node.name == name),
-            key=lambda attempt: (attempt.start, attempt.seq),
-            reverse=True,
-        )
-        for attempt in youngest_first:
+        # Youngest first is reverse seq order (see _try_preempt).
+        on_node = [attempt for attempt in self.entries.values() if attempt.node.name == name]
+        for attempt in reversed(on_node):
             if self.free[name] >= 0:
                 break
             victims.append(attempt.job)

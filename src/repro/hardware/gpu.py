@@ -121,13 +121,6 @@ class GPUSpec:
             raise ConfigurationError(f"batch must be non-negative, got {batch}")
         return self.work_efficiency(batch * macs_per_sample)
 
-    def effective_flops(self, macs: float, kind: str = "conv") -> float:
-        """Achievable FLOP/s for a kernel of ``macs`` work of a given layer kind."""
-        cap = self.op_efficiency.get(kind, 0.5)
-        return max(
-            1.0, self.peak_flops * self.work_efficiency(macs) * cap / self.max_efficiency
-        )
-
     def describe(self) -> str:
         return (
             f"{self.name}: {self.peak_fp32_tflops:.1f} TFLOP/s, "

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ShapeError
-from repro.models.layers import BYTES_PER_ELEMENT, LayerSpec, check_chain
+from repro.models.layers import BYTES_PER_ELEMENT, LayerCosts, LayerSpec, check_chain
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,15 @@ class BlockSpec:
         for layer in self.layers:
             peak = max(peak, layer.out_bytes)
         return int(peak)
+
+    @cached_property
+    def layer_costs(self) -> Tuple[LayerCosts, ...]:
+        """Every layer's :attr:`~repro.models.layers.LayerSpec.costs`, in order.
+
+        The cost model prices a block at several batch sizes on several
+        GPUs from this one tuple instead of walking the layer properties.
+        """
+        return tuple(layer.costs for layer in self.layers)
 
     @property
     def memory_traffic_bytes_per_sample(self) -> int:

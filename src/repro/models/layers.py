@@ -23,6 +23,9 @@ BYTES_PER_ELEMENT = 4
 
 Shape = Tuple[int, ...]
 
+#: See :attr:`LayerSpec.costs`.
+LayerCosts = Tuple[float, float, int, int, str]
+
 
 def _shape_elems(shape: Shape) -> int:
     """Number of elements in a per-sample shape."""
@@ -112,6 +115,14 @@ class LayerSpec:
         model's bandwidth-bound term.
         """
         return self.in_bytes + self.out_bytes + self.weight_bytes
+
+    @property
+    def costs(self) -> LayerCosts:
+        """``(macs, flops, in_bytes + out_bytes, weight_bytes, kind)``.
+
+        The per-sample inputs of the hardware cost model, in one tuple.
+        """
+        return (self.macs, self.flops, self.in_bytes + self.out_bytes, self.weight_bytes, self.kind)
 
     def arithmetic_intensity(self) -> float:
         """FLOPs per byte of memory traffic (roofline x-coordinate)."""

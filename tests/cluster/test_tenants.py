@@ -17,7 +17,8 @@ from repro.cluster.market import (
     gpu_cost,
     parse_price_curve,
 )
-from repro.cluster.simulator import ClusterSimulator, run_policy_comparison
+from repro.cluster.faults import FaultEvent, FaultTrace
+from repro.cluster.simulator import ClusterSimulator, _FleetRun, run_policy_comparison
 from repro.cluster.spec import cluster_from_shorthand
 from repro.cluster.workload import (
     JobMix,
@@ -221,6 +222,48 @@ class TestQuotaAndPreemption:
         assert report.interruptions == 0
         by_id = {record.job_id: record for record in report.records}
         assert by_id["prod-0"].wait_time > 0.0
+
+
+class TestFairShareDeficit:
+    """The deficit integrates the live fleet capacity from t=0.
+
+    Before this was fixed, a deficit charged the *current* capacity for
+    the whole elapsed time, so a crash at t=100 also erased the capacity
+    every tenant was entitled to before it.
+    """
+
+    @staticmethod
+    def _deficits_at(t, events, tenants):
+        cluster = cluster_from_shorthand("a6000:4,2080ti:4")
+        job = JobSpec(job_id="late", arrival_time=1e6, gpus=1, tenant=tenants[0].name)
+        workload = Workload(name="deficit", jobs=(job,), tenants=tenants)
+        run = _FleetRun(
+            ClusterSimulator(cluster, policy="fair-share"),
+            workload,
+            FaultTrace(name="hand-built", events=tuple(events)),
+        )
+        while run.timeline and run.timeline[0][0] <= t:
+            when, _, action, event, token = run.timeline.popleft()
+            run.fault(when, action, event, token)
+        return run._context(t).deficits
+
+    def test_crash_keeps_the_capacity_before_it(self):
+        crash = FaultEvent(time=100.0, kind="crash", node="2080ti-0")
+        deficits = self._deficits_at(200.0, [crash], (TenantSpec("a"), TenantSpec("b")))
+        # 8 GPUs for 100 s, then 4 GPUs for 100 s, split evenly.
+        assert deficits == {"a": 600.0, "b": 600.0}
+
+    def test_preemption_window_is_integrated_with_quota_weights(self):
+        window = FaultEvent(time=50.0, kind="preempt", node="a6000-0", gpus=2, duration=100.0)
+        tenants = (TenantSpec("a"), TenantSpec("b", quota_gpus=3))
+        deficits = self._deficits_at(200.0, [window], tenants)
+        # 8 GPUs over [0, 50], 6 over [50, 150], 8 over [150, 200]: 1400
+        # GPU-seconds, weighted 1 : 3.
+        assert deficits == {"a": pytest.approx(350.0), "b": pytest.approx(1050.0)}
+
+    def test_without_faults_the_deficit_is_capacity_times_time(self):
+        deficits = self._deficits_at(200.0, [], (TenantSpec("a"), TenantSpec("b")))
+        assert deficits == {"a": 8 * 1.0 / 2.0 * 200.0, "b": 8 * 1.0 / 2.0 * 200.0}
 
 
 def _contended_fleet():

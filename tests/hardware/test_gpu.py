@@ -1,10 +1,14 @@
 """Tests of the GPU utilization model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.hardware.cost_model import CostModel
 from repro.hardware.gpu import GPUSpec, RTX_2080TI, RTX_A6000, get_gpu
+from repro.models.layers import LayerSpec
 
 
 class TestPresets:
@@ -58,10 +62,13 @@ class TestEfficiencyCurve:
         assert ti_fraction > a6000_fraction
 
     def test_effective_flops_respects_op_cap(self):
-        work = 1e10
-        conv = RTX_A6000.effective_flops(work, "conv")
-        dwconv = RTX_A6000.effective_flops(work, "dwconv")
-        assert dwconv < conv
+        # The per-kind cap applies inside CostModel's roofline: a
+        # compute-bound depthwise layer runs slower than a conv layer doing
+        # the same work.
+        conv = LayerSpec("c", "conv", (1,), (1,), params=0, macs=1e8)
+        dwconv = replace(conv, kind="dwconv")
+        cost = CostModel(gpu=RTX_A6000)
+        assert cost.layer_forward_time(dwconv, 100) > cost.layer_forward_time(conv, 100)
 
     def test_batch_efficiency_wrapper_monotone(self):
         assert RTX_A6000.batch_efficiency(256) > RTX_A6000.batch_efficiency(64)
