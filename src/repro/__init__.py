@@ -34,8 +34,8 @@ Blockwise Distillation" (DATE 2023).  It contains:
   store warm/cold hit-rate reports.
 * ``repro.serve`` — planner-as-a-service: the versioned HTTP JSON API
   (``/v1/plan``, ``/v1/sweep``, ``/v1/tune``, ``/v1/cluster``,
-  ``/v1/precompute``) over one store-backed session, with FastAPI and
-  dependency-free stdlib frontends.  Imported lazily — ``import repro``
+  ``/v1/precompute``) over one store-backed session, served by one
+  dependency-free stdlib HTTP frontend.  Imported lazily — ``import repro``
   stays light.
 
 See ``docs/ARCHITECTURE.md`` for the layer map, ``docs/API.md`` for the

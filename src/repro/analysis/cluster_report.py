@@ -509,15 +509,6 @@ class ClusterReport:
             counts[record.node] = counts.get(record.node, 0) + 1
         return counts
 
-    def waits_by_gang_size(self) -> Dict[int, float]:
-        """Mean queue wait per gang size (starvation shows up here)."""
-        sums: Dict[int, List[float]] = {}
-        for record in self.records:
-            sums.setdefault(record.gpus, []).append(record.wait_time)
-        return {
-            gpus: sum(waits) / len(waits) for gpus, waits in sorted(sums.items())
-        }
-
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #

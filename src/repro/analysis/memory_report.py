@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.parallel.executor import ExecutionResult
@@ -39,17 +39,3 @@ def average_memory_overhead(
         (ours[device] - base[device]) / base[device] for device in sorted(ours)
     ]
     return sum(ratios) / len(ratios)
-
-
-def memory_overhead_table(
-    results: Mapping[str, ExecutionResult], baseline: str = "DP"
-) -> Dict[str, float]:
-    """Average overhead of every strategy versus the chosen baseline."""
-    if baseline not in results:
-        raise ConfigurationError(f"baseline {baseline!r} missing from results")
-    base = results[baseline]
-    return {
-        strategy: average_memory_overhead(result, base)
-        for strategy, result in results.items()
-        if strategy != baseline
-    }

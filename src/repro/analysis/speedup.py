@@ -35,14 +35,6 @@ def geometric_mean_speedup(speedups: Sequence[float]) -> float:
     return math.exp(sum(math.log(value) for value in speedups) / len(speedups))
 
 
-def normalized_epoch_times(
-    results: Mapping[str, ExecutionResult], baseline: str = "DP"
-) -> Dict[str, float]:
-    """Epoch times normalised to the baseline (inverse of the speedups)."""
-    series = speedup_series(results, baseline)
-    return {strategy: 1.0 / value for strategy, value in series.items()}
-
-
 def crossover_batch(
     series_a: Mapping[int, float], series_b: Mapping[int, float]
 ) -> int | None:

@@ -211,6 +211,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.http import start_server
     from repro.serve.service import PlannerService
 
     if not (0 <= args.port <= 65535):
@@ -220,56 +221,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.host.strip():
         raise ReproError("serve --host must be a non-empty host name or address")
     service = PlannerService(store=args.store or None, backend=args.backend)
-
-    def announce(frontend: str, port: int) -> None:
-        # One machine-readable startup line, then the server blocks; CI and
-        # the load harness poll /v1/healthz for readiness.
-        print(
-            json.dumps(
-                {
-                    "serving": {
-                        "host": args.host,
-                        "port": port,
-                        "frontend": frontend,
-                        "version": __version__,
-                        "store": args.store or None,
-                        "backend": args.backend,
-                        "endpoints": list(service.paths()),
-                    }
-                }
-            ),
-            flush=True,
-        )
-
-    if args.http in ("auto", "uvicorn"):
-        try:
-            import uvicorn
-
-            from repro.serve.app import create_app
-
-            app = create_app(service=service)
-        except (ImportError, ReproError) as error:
-            if args.http == "uvicorn":
-                raise ReproError(
-                    f"--http uvicorn needs fastapi and uvicorn installed: {error}"
-                ) from error
-            print(
-                f"note: uvicorn/FastAPI unavailable ({error}); "
-                "falling back to the stdlib HTTP server",
-                file=sys.stderr,
-            )
-        else:
-            announce("uvicorn", args.port)
-            try:
-                uvicorn.run(app, host=args.host, port=args.port, log_level="warning")
-            except OSError as error:
-                raise ReproError(
-                    f"cannot serve on {args.host}:{args.port}: {error}"
-                ) from error
-            return 0
-
-    from repro.serve.http import start_server
-
     try:
         server = start_server(
             service, host=args.host, port=args.port, background=False
@@ -278,7 +229,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError(
             f"cannot bind {args.host}:{args.port}: {error}"
         ) from error
-    announce("stdlib", server.bound_port)
+    # One machine-readable startup line, then the server blocks; CI and
+    # the load harness poll /v1/healthz for readiness.
+    print(
+        json.dumps(
+            {
+                "serving": {
+                    "host": args.host,
+                    "port": server.bound_port,
+                    "frontend": "stdlib",
+                    "version": __version__,
+                    "store": args.store or None,
+                    "backend": args.backend,
+                    "endpoints": list(service.paths()),
+                }
+            }
+        ),
+        flush=True,
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
@@ -522,13 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="inline",
         choices=BACKENDS.names(),
         help="execution backend for sweep/precompute cells (default: inline)",
-    )
-    serve_parser.add_argument(
-        "--http",
-        default="auto",
-        choices=("auto", "uvicorn", "stdlib"),
-        help="HTTP frontend: uvicorn+FastAPI when installed, stdlib fallback "
-        "otherwise (default: auto)",
     )
     add_store_argument(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)

@@ -79,15 +79,6 @@ class PriceCurve:
         if self.period is not None:
             object.__setattr__(self, "_full", self._cumulative_in_period(float(self.period)))
 
-    def multiplier_at(self, t: float) -> float:
-        """The multiplier in effect at simulation time ``t`` (>= 0)."""
-        if t < 0.0:
-            raise ConfigurationError(f"price lookup at negative time {t}")
-        if self.period is not None:
-            t = t % self.period
-        index = bisect_right(self._times, t) - 1
-        return float(self.points[max(index, 0)][1])
-
     def _cumulative_in_period(self, offset: float) -> float:
         """``∫ multiplier dt`` over ``[0, offset]``, ``offset`` within one period.
 

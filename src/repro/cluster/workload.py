@@ -431,23 +431,6 @@ class Workload:
     def tenant_map(self) -> Mapping[str, TenantSpec]:
         return {spec.name: spec for spec in self.tenants}
 
-    def scaled_arrivals(self, factor: float) -> "Workload":
-        """The same jobs with arrival times compressed/stretched by ``factor``."""
-        if factor <= 0:
-            raise ConfigurationError("arrival scale factor must be > 0")
-        return Workload(
-            name=f"{self.name} (x{factor:g} arrivals)",
-            jobs=tuple(
-                replace(
-                    job,
-                    arrival_time=job.arrival_time * factor,
-                    deadline=None if job.deadline is None else job.deadline * factor,
-                )
-                for job in self.jobs
-            ),
-            tenants=self.tenants,
-        )
-
     def describe(self) -> str:
         return (
             f"{self.name}: {len(self.jobs)} jobs over {self.duration:.1f}s, "

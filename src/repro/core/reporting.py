@@ -12,7 +12,6 @@ from repro.core.session import ExperimentSuiteResult
 from repro.models.layers import human_flops, human_params
 from repro.models.pairs import DistillationPair
 from repro.parallel.executor import ExecutionResult
-from repro.sim.metrics import BREAKDOWN_CATEGORIES
 
 
 def format_seconds(seconds: float) -> str:
@@ -57,21 +56,6 @@ def speedup_table(suite: ExperimentSuiteResult, baseline: str = "DP") -> str:
     title = f"Speedup over {baseline} — {suite.config.label()}"
     table = format_table(["strategy", "epoch time", "speedup"], rows)
     return f"{title}\n{table}"
-
-
-def breakdown_table(result: ExecutionResult) -> str:
-    """Per-device time breakdown table for one result (Fig. 2 data)."""
-    headers = ["device"] + list(BREAKDOWN_CATEGORIES) + ["total"]
-    rows = []
-    for device in sorted(result.breakdown):
-        categories = result.breakdown[device]
-        total = sum(categories.values())
-        rows.append(
-            [f"rank {device}"]
-            + [f"{categories[category]:.2f}s" for category in BREAKDOWN_CATEGORIES]
-            + [f"{total:.2f}s"]
-        )
-    return format_table(headers, rows)
 
 
 def memory_table(results: Mapping[str, ExecutionResult]) -> str:

@@ -292,15 +292,6 @@ class SweepResult:
             raise ConfigurationError("sweep produced no cells")
         return min(self.cells, key=lambda cell: key(cell.result(strategy)))
 
-    def best_strategy_per_cell(self) -> Dict[str, str]:
-        """Fastest strategy in every cell: ``{cell label: strategy}``."""
-        return {
-            cell.config.cell_label(): min(
-                cell.results, key=lambda strategy: cell.results[strategy].epoch_time
-            )
-            for cell in self.cells
-        }
-
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #

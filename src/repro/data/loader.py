@@ -60,10 +60,5 @@ class DataLoadModel:
         cpu_time = self.batch_cpu_time(batch_size)
         return self.host.per_batch_overhead_s + concurrent_loaders * max(io_time, cpu_time)
 
-    def epoch_load_time(self, batch_size: int, concurrent_loaders: int = 1) -> float:
-        """Total loading time over one epoch (one pass over the dataset)."""
-        steps = self.dataset.steps_per_epoch(batch_size)
-        return steps * self.batch_load_time(batch_size, concurrent_loaders)
-
     def describe(self) -> str:
         return f"loader({self.dataset.name} on {self.host.name})"

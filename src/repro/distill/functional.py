@@ -124,32 +124,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with a square window."""
-    if stride is None:
-        stride = kernel
-    batch, channels, height, width = x.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    out = np.zeros((batch, channels, out_h, out_w), dtype=np.float64)
-    for ki in range(kernel):
-        for kj in range(kernel):
-            out += x.data[:, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride]
-    out /= kernel * kernel
-
-    def backward(grad: np.ndarray):
-        grad_x = np.zeros_like(x.data)
-        scaled = grad / (kernel * kernel)
-        for ki in range(kernel):
-            for kj in range(kernel):
-                grad_x[
-                    :, :, ki : ki + stride * out_h : stride, kj : kj + stride * out_w : stride
-                ] += scaled
-        return (grad_x,)
-
-    return _make(out, (x,), backward)
-
-
 def batch_norm2d(
     x: Tensor,
     gamma: Tensor,

@@ -31,19 +31,3 @@ def blockwise_distillation_loss(student_out: Tensor, teacher_out: Tensor) -> Ten
     provides the regression target.
     """
     return mse_loss(student_out, teacher_out.detach())
-
-
-def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy with integer labels (used for validation heads)."""
-    import numpy as np
-
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeError("cross_entropy_loss expects (batch, classes) logits")
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError("labels must be a 1-D array matching the batch size")
-    probabilities = logits.softmax(axis=-1)
-    one_hot = np.zeros(logits.shape)
-    one_hot[np.arange(labels.shape[0]), labels] = 1.0
-    picked = (probabilities * Tensor(one_hot)).sum(axis=-1)
-    return -(picked.log().mean())

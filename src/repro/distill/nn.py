@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.distill import functional as F
 from repro.distill.tensor import Tensor
-from repro.errors import ConfigurationError, ShapeError
 
 
 class Module:
@@ -58,25 +57,9 @@ class Module:
             module.eval()
         return self
 
-    def num_parameters(self) -> int:
-        return int(sum(parameter.data.size for parameter in self.parameters()))
-
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copies of every parameter, keyed by dotted name."""
         return {name: parameter.data.copy() for name, parameter in self.named_parameters()}
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
-        missing = set(own) - set(state)
-        if missing:
-            raise ConfigurationError(f"state dict is missing parameters: {sorted(missing)}")
-        for name, parameter in own.items():
-            if parameter.data.shape != state[name].shape:
-                raise ShapeError(
-                    f"parameter {name}: expected shape {parameter.data.shape}, "
-                    f"got {state[name].shape}"
-                )
-            parameter.data = state[name].copy()
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
@@ -198,18 +181,6 @@ class GlobalAvgPool(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.global_avg_pool(x)
-
-
-class AvgPool2d(Module):
-    """Average pooling with a square window."""
-
-    def __init__(self, kernel: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel, self.stride)
 
 
 class Flatten(Module):

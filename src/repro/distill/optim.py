@@ -58,7 +58,3 @@ class SGD:
                 self._velocity[id(parameter)] = velocity
                 grad = velocity
             parameter.data = parameter.data - self.lr * grad
-
-    def state_size(self) -> int:
-        """Number of momentum-buffer elements currently held."""
-        return int(sum(velocity.size for velocity in self._velocity.values()))

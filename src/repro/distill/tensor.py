@@ -226,29 +226,6 @@ class Tensor:
 
         return _make(self.data.reshape(*shape), (self,), backward)
 
-    def transpose(self, axes: Tuple[int, ...]) -> "Tensor":
-        inverse = np.argsort(axes)
-
-        def backward(grad: Array):
-            return (grad.transpose(inverse),)
-
-        return _make(self.data.transpose(axes), (self,), backward)
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions of an NCHW tensor."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-
-        def backward(grad: Array):
-            slices = tuple(
-                slice(None) if before == 0 else slice(before, -after or None)
-                for before, after in pad_width
-            )
-            return (grad[slices],)
-
-        return _make(np.pad(self.data, pad_width), (self,), backward)
-
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self - Tensor(self.data.max(axis=axis, keepdims=True))
         exps = shifted.exp()

@@ -19,10 +19,6 @@ class SimulationError(ReproError):
     """Raised when the discrete-event simulation cannot make progress."""
 
 
-class MemoryCapacityError(ReproError):
-    """Raised when a plan does not fit in a device's memory capacity."""
-
-
 class ShapeError(ReproError):
     """Raised when tensor or layer shapes are inconsistent."""
 

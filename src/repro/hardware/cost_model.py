@@ -27,7 +27,6 @@ from typing import Dict, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.models.blocks import BlockSpec
 from repro.models.layers import LayerCosts, LayerSpec
-from repro.models.network import NetworkSpec
 from repro.hardware.gpu import GPUSpec
 
 #: Backward-pass FLOPs relative to forward (grad-input + grad-weight).
@@ -88,10 +87,6 @@ class CostModel:
             self._block_refs[id(block)] = block
         return cached
 
-    def block_training_time(self, block: BlockSpec, batch: int) -> float:
-        """Forward + backward time of a student block."""
-        return self.block_forward_time(block, batch) + self.block_backward_time(block, batch)
-
     def weight_update_time(self, block: BlockSpec, batch: int = 0) -> float:
         """SGD weight-update time for a block (bandwidth bound over params).
 
@@ -101,26 +96,6 @@ class CostModel:
         del batch  # update cost is independent of the batch size
         traffic = 4.0 * block.weight_bytes
         return traffic / self.gpu.mem_bandwidth + self.gpu.kernel_launch_overhead_s
-
-    # ------------------------------------------------------------------ #
-    # Network-level estimates
-    # ------------------------------------------------------------------ #
-    def network_forward_time(self, network: NetworkSpec, batch: int) -> float:
-        """Forward time of an entire network."""
-        return sum(self.block_forward_time(block, batch) for block in network.blocks)
-
-    def prefix_forward_time(self, network: NetworkSpec, end_block: int, batch: int) -> float:
-        """Forward time of blocks ``0 .. end_block`` inclusive.
-
-        This is the per-step teacher cost the DP/LS baselines pay to train
-        student block ``end_block``.
-        """
-        if end_block < 0 or end_block >= network.num_blocks:
-            raise ConfigurationError(f"end_block {end_block} out of range")
-        return sum(
-            self.block_forward_time(network.block(index), batch)
-            for index in range(end_block + 1)
-        )
 
     # ------------------------------------------------------------------ #
     # The roofline formula

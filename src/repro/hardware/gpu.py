@@ -91,10 +91,6 @@ class GPUSpec:
         return self.mem_bandwidth_gbs * 1e9
 
     @property
-    def mem_capacity_bytes(self) -> int:
-        return int(self.mem_capacity_gb * 1e9)
-
-    @property
     def half_saturation_macs(self) -> float:
         """Half-saturation work in MACs."""
         return self.half_saturation_gmacs * 1e9
@@ -110,16 +106,6 @@ class GPUSpec:
         if macs == 0:
             return 0.0
         return self.max_efficiency * macs / (macs + self.half_saturation_macs)
-
-    def batch_efficiency(self, batch: int, macs_per_sample: float = 5e6) -> float:
-        """Convenience wrapper: efficiency of a kernel at a given batch size.
-
-        ``macs_per_sample`` defaults to a typical CIFAR-scale layer; callers
-        with real layer specs should prefer :meth:`work_efficiency` directly.
-        """
-        if batch < 0:
-            raise ConfigurationError(f"batch must be non-negative, got {batch}")
-        return self.work_efficiency(batch * macs_per_sample)
 
     def describe(self) -> str:
         return (
@@ -147,20 +133,3 @@ RTX_2080TI = GPUSpec(
     half_saturation_gmacs=0.35,
     max_efficiency=0.72,
 )
-
-_KNOWN_GPUS = {
-    "a6000": RTX_A6000,
-    "rtx a6000": RTX_A6000,
-    "2080ti": RTX_2080TI,
-    "rtx 2080ti": RTX_2080TI,
-}
-
-
-def get_gpu(name: str) -> GPUSpec:
-    """Look up a GPU preset by (case-insensitive) name."""
-    key = name.lower()
-    if key not in _KNOWN_GPUS:
-        raise ConfigurationError(
-            f"unknown GPU {name!r}; known presets: {sorted(set(_KNOWN_GPUS))}"
-        )
-    return _KNOWN_GPUS[key]

@@ -65,15 +65,6 @@ class InterconnectSpec:
         volume = 2.0 * (num_devices - 1) / num_devices * num_bytes
         return 2.0 * (num_devices - 1) * self.latency_s + volume / self.bandwidth
 
-    def broadcast_time(self, num_bytes: float, num_devices: int) -> float:
-        """Tree broadcast of ``num_bytes`` from one device to the others."""
-        if num_devices <= 1 or num_bytes == 0:
-            return 0.0
-        import math
-
-        hops = math.ceil(math.log2(num_devices))
-        return hops * self.transfer_time(num_bytes)
-
     def describe(self) -> str:
         return f"{self.name}: {self.bandwidth_gbs:.1f} GB/s, {self.latency_s * 1e6:.0f} us latency"
 

@@ -22,7 +22,7 @@ devices along the batch dimension and brings the footprint back down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.models.blocks import BlockSpec
@@ -48,20 +48,6 @@ class MemoryModel:
         parameter_state = TRAINABLE_STATE_COPIES * block.weight_bytes
         activations = block.activation_bytes_per_sample * batch
         return float(parameter_state + activations)
-
-    def teacher_block_bytes(self, block: BlockSpec, batch: int) -> float:
-        """Inference-state bytes for one frozen teacher block."""
-        self._check_batch(batch)
-        parameters = block.weight_bytes
-        # Forward-only execution keeps at most two consecutive activations
-        # resident (input of the current layer and its output).
-        transient = 2.0 * block.peak_activation_bytes_per_sample * batch
-        return float(parameters + transient)
-
-    def relay_buffer_bytes(self, block: BlockSpec, batch: int) -> float:
-        """Send/receive staging buffers for the block boundary activations."""
-        self._check_batch(batch)
-        return float((block.input_bytes_per_sample + block.output_bytes_per_sample) * batch)
 
     # ------------------------------------------------------------------ #
     def device_peak_bytes(
@@ -115,28 +101,6 @@ class MemoryModel:
         return float(total)
 
     # ------------------------------------------------------------------ #
-    def check_capacity(
-        self, peak_bytes: float, capacity_bytes: float, label: str = "device"
-    ) -> None:
-        """Raise if a plan does not fit on the device."""
-        from repro.errors import MemoryCapacityError
-
-        if peak_bytes > capacity_bytes:
-            raise MemoryCapacityError(
-                f"{label}: plan needs {peak_bytes / 1e9:.2f} GB but the device "
-                f"has {capacity_bytes / 1e9:.2f} GB"
-            )
-
-    @staticmethod
-    def average_overhead(per_rank_bytes: Sequence[float], baseline_bytes: Sequence[float]) -> float:
-        """Average relative overhead vs. a baseline, as reported in §VII-C."""
-        if len(per_rank_bytes) != len(baseline_bytes) or not per_rank_bytes:
-            raise ConfigurationError("per-rank sequences must be non-empty and equal length")
-        ratios = [
-            (ours - base) / base for ours, base in zip(per_rank_bytes, baseline_bytes)
-        ]
-        return sum(ratios) / len(ratios)
-
     @staticmethod
     def _check_batch(batch: int) -> None:
         if batch < 0:

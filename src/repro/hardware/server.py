@@ -55,10 +55,6 @@ class ServerSpec:
             self._cost_models[device_id] = cached
         return cached
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({gpu.name for gpu in self.gpus}) == 1
-
     def describe(self) -> str:
         gpu_names = ", ".join(gpu.name for gpu in self.gpus)
         return (

@@ -120,17 +120,9 @@ class BlockSpec:
         """
         return tuple(layer.costs for layer in self.layers)
 
-    @property
-    def memory_traffic_bytes_per_sample(self) -> int:
-        """Per-sample memory traffic of a forward pass through the block."""
-        return int(sum(layer.memory_traffic_bytes for layer in self.layers))
-
     # ------------------------------------------------------------------ #
     # Utility
     # ------------------------------------------------------------------ #
-    def layer_names(self) -> Tuple[str, ...]:
-        return tuple(layer.name for layer in self.layers)
-
     def describe(self) -> str:
         """One-line summary used in reports and schedule visualisations."""
         return (
@@ -147,69 +139,3 @@ class BlockSpec:
             layers=self.layers,
             metadata=dict(self.metadata),
         )
-
-
-def group_layers_into_blocks(
-    layers: Tuple[LayerSpec, ...],
-    boundaries: Tuple[int, ...],
-    name_prefix: str = "block",
-) -> Tuple[BlockSpec, ...]:
-    """Split a flat layer chain into blocks at the given boundary indices.
-
-    ``boundaries`` are exclusive end indices of each block, e.g. for 10 layers
-    and ``boundaries=(3, 7, 10)`` the blocks contain layers ``[0:3]``,
-    ``[3:7]`` and ``[7:10]``.
-    """
-    if not boundaries:
-        raise ShapeError("at least one block boundary is required")
-    if sorted(boundaries) != list(boundaries):
-        raise ShapeError(f"boundaries must be increasing, got {boundaries}")
-    if boundaries[-1] != len(layers):
-        raise ShapeError(
-            f"last boundary ({boundaries[-1]}) must equal the layer count ({len(layers)})"
-        )
-    blocks = []
-    start = 0
-    for block_index, end in enumerate(boundaries):
-        if end <= start:
-            raise ShapeError(f"block {block_index} would be empty (start={start}, end={end})")
-        blocks.append(
-            BlockSpec(
-                name=f"{name_prefix}{block_index}",
-                index=block_index,
-                layers=tuple(layers[start:end]),
-            )
-        )
-        start = end
-    return tuple(blocks)
-
-
-def balanced_boundaries(layers: Tuple[LayerSpec, ...], num_blocks: int) -> Tuple[int, ...]:
-    """Choose block boundaries that roughly balance MACs across blocks.
-
-    A simple greedy sweep: accumulate layers until the running MAC total
-    reaches the next multiple of ``total / num_blocks``.  The final boundary
-    always covers the remaining layers.  Used when an architecture does not
-    have natural stage boundaries.
-    """
-    if num_blocks <= 0:
-        raise ShapeError("num_blocks must be positive")
-    if num_blocks > len(layers):
-        raise ShapeError(
-            f"cannot split {len(layers)} layers into {num_blocks} blocks"
-        )
-    total = sum(layer.macs for layer in layers)
-    target = total / num_blocks
-    boundaries = []
-    accumulated = 0.0
-    for index, layer in enumerate(layers):
-        accumulated += layer.macs
-        remaining_layers = len(layers) - (index + 1)
-        remaining_blocks = num_blocks - len(boundaries) - 1
-        if len(boundaries) < num_blocks - 1 and (
-            accumulated >= target * (len(boundaries) + 1)
-            or remaining_layers <= remaining_blocks
-        ):
-            boundaries.append(index + 1)
-    boundaries.append(len(layers))
-    return tuple(boundaries)

@@ -12,7 +12,6 @@ architecture builders read like ordinary model definitions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -108,28 +107,12 @@ class LayerSpec:
         return self.params * BYTES_PER_ELEMENT
 
     @property
-    def memory_traffic_bytes(self) -> int:
-        """Approximate per-sample memory traffic of a forward pass.
-
-        Reads the input and the weights, writes the output.  Used by the cost
-        model's bandwidth-bound term.
-        """
-        return self.in_bytes + self.out_bytes + self.weight_bytes
-
-    @property
     def costs(self) -> LayerCosts:
         """``(macs, flops, in_bytes + out_bytes, weight_bytes, kind)``.
 
         The per-sample inputs of the hardware cost model, in one tuple.
         """
         return (self.macs, self.flops, self.in_bytes + self.out_bytes, self.weight_bytes, self.kind)
-
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of memory traffic (roofline x-coordinate)."""
-        traffic = self.memory_traffic_bytes
-        if traffic == 0:
-            return 0.0
-        return self.flops / traffic
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -258,17 +241,6 @@ def relu(name: str, shape: Shape) -> LayerSpec:
 
 def max_pool(name: str, in_shape: Shape, kernel: int, stride: int | None = None) -> LayerSpec:
     """Max pooling."""
-    return _pool(name, in_shape, kernel, stride, pool_kind="max")
-
-
-def avg_pool(name: str, in_shape: Shape, kernel: int, stride: int | None = None) -> LayerSpec:
-    """Average pooling."""
-    return _pool(name, in_shape, kernel, stride, pool_kind="avg")
-
-
-def _pool(
-    name: str, in_shape: Shape, kernel: int, stride: int | None, pool_kind: str
-) -> LayerSpec:
     if len(in_shape) != 3:
         raise ShapeError(f"pool expects a (C, H, W) input shape, got {in_shape}")
     channels, height, width = in_shape
@@ -284,7 +256,7 @@ def _pool(
         out_shape=(channels, out_h, out_w),
         params=0,
         macs=float(macs),
-        metadata={"pool": pool_kind, "kernel": kernel, "stride": stride},
+        metadata={"pool": "max", "kernel": kernel, "stride": stride},
     )
 
 
@@ -325,33 +297,6 @@ def flatten(name: str, in_shape: Shape) -> LayerSpec:
         out_shape=(_shape_elems(in_shape),),
         params=0,
         macs=0.0,
-    )
-
-
-def mixed_op(
-    name: str,
-    in_shape: Shape,
-    out_shape: Shape,
-    candidate_layers: Tuple[LayerSpec, ...],
-) -> LayerSpec:
-    """A NAS mixed operation executing every candidate op in the supernet.
-
-    During supernet training every candidate path is evaluated (weighted by
-    its architecture parameter), so the MACs and parameters are the sums over
-    candidates.  One architecture parameter per candidate is added.
-    """
-    if not candidate_layers:
-        raise ShapeError("mixed_op requires at least one candidate layer")
-    params = sum(layer.params for layer in candidate_layers) + len(candidate_layers)
-    macs = sum(layer.macs for layer in candidate_layers)
-    return LayerSpec(
-        name=name,
-        kind="mixed",
-        in_shape=in_shape,
-        out_shape=out_shape,
-        params=params,
-        macs=float(macs),
-        metadata={"num_candidates": len(candidate_layers)},
     )
 
 
@@ -410,18 +355,3 @@ def check_chain(layers) -> None:
                 f"previous layer {previous.name!r} produces {previous.out_shape}"
             )
         previous = layer
-
-
-def iter_describe(layers) -> str:
-    """Multi-line description of a layer chain."""
-    return "\n".join(layer.describe() for layer in layers)
-
-
-def geometric_mean(values) -> float:
-    """Geometric mean helper used by several analysis routines."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

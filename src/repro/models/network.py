@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import ShapeError
 from repro.models.blocks import BlockSpec
@@ -81,35 +81,6 @@ class NetworkSpec:
     def flops(self) -> float:
         return 2.0 * self.macs
 
-    @property
-    def output_shape(self) -> Tuple[int, ...]:
-        return self.blocks[-1].out_shape
-
-    def block_macs(self) -> Tuple[float, ...]:
-        """Per-block MAC counts (used by load-balancing heuristics)."""
-        return tuple(block.macs for block in self.blocks)
-
-    def prefix_macs(self, end_block: int) -> float:
-        """MACs of blocks ``0 .. end_block`` inclusive.
-
-        Under the DP and LS baselines, training student block ``i`` requires a
-        teacher forward pass through this prefix — the redundant work Pipe-BD
-        removes.
-        """
-        if end_block < 0 or end_block >= len(self.blocks):
-            raise IndexError(f"end_block {end_block} out of range")
-        return float(sum(block.macs for block in self.blocks[: end_block + 1]))
-
-    def redundant_prefix_macs(self) -> float:
-        """Total teacher MACs executed per step by the DP baseline.
-
-        Equal to ``sum_i prefix_macs(i)`` — each block's training step runs the
-        teacher from the input up to that block.
-        """
-        return float(
-            sum(self.prefix_macs(index) for index in range(len(self.blocks)))
-        )
-
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
@@ -122,25 +93,3 @@ class NetworkSpec:
         ]
         lines.extend(block.describe() for block in self.blocks)
         return "\n".join(lines)
-
-    def repartition(self, boundaries: Sequence[int]) -> "NetworkSpec":
-        """Return a new network with the same layers grouped into new blocks.
-
-        ``boundaries`` are exclusive *block-count* end indices over the flat
-        layer list obtained by concatenating the current blocks' layers.
-        """
-        from repro.models.blocks import group_layers_into_blocks
-
-        flat_layers = tuple(
-            layer for block in self.blocks for layer in block.layers
-        )
-        new_blocks = group_layers_into_blocks(
-            flat_layers, tuple(boundaries), name_prefix=f"{self.name}.b"
-        )
-        return NetworkSpec(
-            name=self.name,
-            blocks=new_blocks,
-            input_shape=self.input_shape,
-            num_classes=self.num_classes,
-            metadata=dict(self.metadata),
-        )

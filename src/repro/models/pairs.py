@@ -79,10 +79,6 @@ class DistillationPair:
     def input_shape(self):
         return self.teacher.input_shape
 
-    def block_pair(self, index: int):
-        """Return the (teacher_block, student_block) tuple for ``index``."""
-        return self.teacher.block(index), self.student.block(index)
-
     def describe(self) -> str:
         return (
             f"{self.task} on {self.dataset}: teacher={self.teacher.name} "

@@ -92,14 +92,6 @@ class ExecutionResult:
     def strategy(self) -> str:
         return self.plan.strategy
 
-    def total_breakdown(self) -> Dict[str, float]:
-        """Breakdown summed over devices (seconds of device-time per epoch)."""
-        totals = {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-        for per_device in self.breakdown.values():
-            for category, value in per_device.items():
-                totals[category] = totals.get(category, 0.0) + value
-        return totals
-
     def max_memory_gb(self) -> float:
         """Largest per-rank allocation in GB (the paper's Fig. 7 'Max.' bar)."""
         if not self.peak_memory_bytes:

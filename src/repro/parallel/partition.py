@@ -68,30 +68,6 @@ def count_contiguous_partitions(num_blocks: int, num_groups: int) -> int:
     return comb(num_blocks - 1, num_groups - 1)
 
 
-def greedy_balanced_partition(
-    costs: Tuple[float, ...], num_groups: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """Best contiguous partition of ``costs`` minimising the maximum group cost.
-
-    Exhaustive over compositions (the search space is tiny for the paper's
-    B ~ 6-10, N <= 8), so the result is optimal for contiguous groups.
-    """
-    if num_groups > len(costs):
-        raise ScheduleError(
-            f"cannot split {len(costs)} blocks into {num_groups} non-empty groups"
-        )
-    best_partition: Tuple[Tuple[int, ...], ...] | None = None
-    best_cost = float("inf")
-    for partition in contiguous_partitions(len(costs), num_groups):
-        group_costs = [sum(costs[block] for block in group) for group in partition]
-        worst = max(group_costs)
-        if worst < best_cost:
-            best_cost = worst
-            best_partition = partition
-    assert best_partition is not None
-    return best_partition
-
-
 def lpt_bin_packing(costs: Tuple[float, ...], num_bins: int) -> Tuple[Tuple[int, ...], ...]:
     """Longest-processing-time-first assignment of items to bins.
 

@@ -140,22 +140,6 @@ class SchedulePlan:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def stage_of_block(self, block_id: int) -> StageAssignment:
-        """Pipeline stage containing a block."""
-        self._require_kind("pipeline")
-        for stage in self.stages:
-            if block_id in stage.block_ids:
-                return stage
-        raise ScheduleError(f"block {block_id} not covered by any stage")
-
-    def stage_of_device(self, device_id: int) -> Optional[StageAssignment]:
-        """Pipeline stage a device participates in, or None if the device is idle."""
-        self._require_kind("pipeline")
-        for stage in self.stages:
-            if device_id in stage.device_ids:
-                return stage
-        return None
-
     def active_devices(self) -> Tuple[int, ...]:
         """Devices that actually do work under this plan."""
         if self.kind == "pipeline":
@@ -203,10 +187,6 @@ class SchedulePlan:
                 f"{self.batch_size}//{self.num_devices}"
             )
         return "\n".join(lines)
-
-    def _require_kind(self, kind: str) -> None:
-        if self.kind != kind:
-            raise ScheduleError(f"operation requires a {kind!r} plan, this is {self.kind!r}")
 
     # ------------------------------------------------------------------ #
     # Serialisation (persistent experiment store, benchmark artifacts)

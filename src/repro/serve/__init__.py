@@ -10,13 +10,10 @@
 * ``GET /v1/healthz`` / ``/v1/store/stats`` — operability.
 
 Layering: :class:`PlannerService` (transport-agnostic handlers over one
-:class:`~repro.core.session.Session`) is wrapped by three interchangeable
-frontends — :func:`create_app` (FastAPI, optional dependency, lazily
-imported), :func:`~repro.serve.http.start_server` (stdlib threaded HTTP,
-zero dependencies) and :class:`~repro.serve.client.LocalClient`
-(in-process, for tests/docs/benchmarks).  Importing this package never
-imports FastAPI; calling :func:`create_app` without it raises a
-:class:`~repro.errors.ReproError` naming the install command.
+:class:`~repro.core.session.Session`) sits behind one HTTP frontend,
+:func:`~repro.serve.http.start_server` (stdlib threaded HTTP, zero
+dependencies), plus an in-process client,
+:class:`~repro.serve.client.LocalClient` (for tests/docs/benchmarks).
 
 Start a server from the CLI::
 
@@ -25,7 +22,6 @@ Start a server from the CLI::
 Documented in ``docs/SERVING.md``.
 """
 
-from repro.serve.app import create_app
 from repro.serve.client import LocalClient
 from repro.serve.http import PlannerHTTPServer, start_server
 from repro.serve.service import PlannerService
@@ -34,6 +30,5 @@ __all__ = [
     "LocalClient",
     "PlannerHTTPServer",
     "PlannerService",
-    "create_app",
     "start_server",
 ]

@@ -1,11 +1,10 @@
-"""An in-process client for the planner service (no sockets, no FastAPI).
+"""An in-process client for the planner service (no sockets).
 
 :class:`LocalClient` speaks the exact ``dispatch`` protocol the HTTP
-transports use, with the small ``.get`` / ``.post(json=...)`` /
-``.status_code`` / ``.json()`` surface of ``httpx`` / ``requests``
-clients — so the test-suite, the docs examples and the latency benchmark
-run identically whether FastAPI's ``TestClient`` is installed (CI) or not
-(a bare ``requirements.txt``-less interpreter).
+frontend uses, with the small ``.get`` / ``.post(json=...)`` /
+``.status_code`` / ``.json()`` surface of common HTTP clients, so the
+test-suite, the docs examples and the latency benchmark drive the service
+without a server.
 
 Example:
     >>> from repro.serve import PlannerService
@@ -26,7 +25,7 @@ __all__ = ["ClientResponse", "LocalClient"]
 
 
 class ClientResponse:
-    """Minimal response object mirroring the httpx/requests surface."""
+    """Minimal response object mirroring the ``requests`` surface."""
 
     def __init__(self, status_code: int, payload) -> None:
         self.status_code = status_code
@@ -34,8 +33,8 @@ class ClientResponse:
 
     def json(self) -> dict:
         if isinstance(self._payload, str):
-            # /v1/metrics serves Prometheus text, not JSON — same error an
-            # httpx client would raise on a text/plain body.
+            # /v1/metrics serves Prometheus text, not JSON — the same
+            # error an HTTP client raises on decoding a text/plain body.
             raise ValueError("response payload is text, not JSON; use .text")
         return self._payload
 

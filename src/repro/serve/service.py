@@ -1,9 +1,8 @@
 """The planner service: every serve endpoint as transport-agnostic handlers.
 
-:class:`PlannerService` is the single implementation behind all three
-frontends — the FastAPI app (:func:`repro.serve.app.create_app`), the
-stdlib fallback server (:mod:`repro.serve.http`) and the in-process
-:class:`~repro.serve.client.LocalClient` — so their responses are
+:class:`PlannerService` is the single implementation behind the HTTP
+frontend (:mod:`repro.serve.http`) and the in-process
+:class:`~repro.serve.client.LocalClient`, so their responses are
 byte-identical by construction.  A transport turns an HTTP request into
 ``dispatch(method, path, body)`` and writes back the ``(status, payload)``
 it returns; nothing else lives in the transports.  The five compute
@@ -247,7 +246,7 @@ class PlannerService:
             ).response()
 
     def dispatch_raw(self, method: str, path: str, raw: bytes) -> Response:
-        """Dispatch with an undecoded body (the HTTP transports' entry point)."""
+        """Dispatch with an undecoded body (the HTTP frontend's entry point)."""
         body: Optional[dict] = None
         if raw:
             try:

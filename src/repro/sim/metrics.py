@@ -6,7 +6,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import STUDENT_EXEC_KINDS, TaskKind
-from repro.sim.resources import device_compute, parse_device
+from repro.sim.resources import parse_device
 from repro.sim.trace import Trace
 
 #: Breakdown categories matching the paper's Fig. 2 legend.
@@ -95,15 +95,6 @@ def compute_breakdown(
     return breakdown
 
 
-def aggregate_breakdown(breakdown: Dict[int, Dict[str, float]]) -> Dict[str, float]:
-    """Sum a per-device breakdown over devices."""
-    totals = {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-    for per_device in breakdown.values():
-        for category, value in per_device.items():
-            totals[category] = totals.get(category, 0.0) + value
-    return totals
-
-
 def resource_utilization(
     trace: Trace, resources: Iterable[str], horizon: float | None = None
 ) -> Dict[str, float]:
@@ -116,11 +107,3 @@ def resource_utilization(
         resource: min(1.0, trace.resource_busy_time(resource) / horizon)
         for resource in resources
     }
-
-
-def device_utilization(trace: Trace, num_devices: int, horizon: float | None = None) -> Dict[int, float]:
-    """Compute-stream utilization per device."""
-    named = resource_utilization(
-        trace, [device_compute(device) for device in range(num_devices)], horizon
-    )
-    return {parse_device(resource): value for resource, value in named.items()}

@@ -11,8 +11,6 @@ Resources are identified by strings so the engine stays generic:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import SimulationError
 
 
@@ -52,8 +50,3 @@ def parse_device(resource: str) -> int:
     if not is_compute_resource(resource):
         raise SimulationError(f"{resource!r} is not a device compute resource")
     return int(resource[len("gpu") : -len(":compute")])
-
-
-def all_compute_resources(num_devices: int) -> Tuple[str, ...]:
-    """Compute-stream resources of every device in a server."""
-    return tuple(device_compute(device_id) for device_id in range(num_devices))

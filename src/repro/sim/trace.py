@@ -163,20 +163,6 @@ class Trace:
         sub._records = tuple(records[p] for p in positions)
         return sub
 
-    def by_resource(self) -> Dict[str, List[TaskRecord]]:
-        """Records grouped by resource, in start-time order."""
-        grouped: Dict[str, List[TaskRecord]] = {}
-        for record in sorted(self.records, key=lambda r: (r.start, r.task.task_id)):
-            grouped.setdefault(record.resource, []).append(record)
-        return grouped
-
-    def by_kind(self) -> Dict[TaskKind, List[TaskRecord]]:
-        """Records grouped by task kind."""
-        grouped: Dict[TaskKind, List[TaskRecord]] = {}
-        for record in self.records:
-            grouped.setdefault(record.kind, []).append(record)
-        return grouped
-
     def for_step(self, step: int) -> "Trace":
         """Records belonging to one training step."""
         steps = self.tasks.steps
@@ -205,18 +191,6 @@ class Trace:
             total += end - start
         return total
 
-    def resource_span(self, resource: str) -> Tuple[float, float]:
-        """(first start, last end) of a resource, or (0, 0) if unused."""
-        resources = self.tasks.resources
-        times = [
-            (start, end)
-            for task_id, start, end in self.rows()
-            if resources[task_id] == resource
-        ]
-        if not times:
-            return (0.0, 0.0)
-        return min(start for start, _ in times), max(end for _, end in times)
-
     def window(self, start: float, end: float) -> "Trace":
         """Records overlapping the time interval [start, end)."""
         return self._subset(
@@ -224,17 +198,6 @@ class Trace:
             for p, (task_start, task_end) in enumerate(zip(self.starts, self.ends))
             if task_end > start and task_start < end
         )
-
-    def kind_time_on_resource(self, resource: str) -> Dict[TaskKind, float]:
-        """Busy time per kind on one resource."""
-        resources, kinds = self.tasks.resources, self.tasks.kinds
-        totals: Dict[TaskKind, float] = {}
-        for task_id, start, end in self.rows():
-            if resources[task_id] != resource:
-                continue
-            kind = kinds[task_id]
-            totals[kind] = totals.get(kind, 0.0) + (end - start)
-        return totals
 
     def step_boundaries(self) -> Dict[int, Tuple[float, float]]:
         """Per-step (earliest start, latest end) over labeled records."""

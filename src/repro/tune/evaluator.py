@@ -682,8 +682,3 @@ class TuneEvaluator:
                 measurement, jobs_per_hour=self.throughput(point, steps)
             )
         return measurement
-
-    @property
-    def distinct_simulated_cells(self) -> int:
-        """Distinct (cell, strategy) pairs simulated at any fidelity."""
-        return len({key[:-1] for key in self._measurements})

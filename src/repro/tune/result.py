@@ -126,21 +126,8 @@ class TuneResult:
     session_stats: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    @property
-    def best_point(self) -> TunePoint:
-        """The winning candidate's configuration."""
-        return self.best.point
-
     def __len__(self) -> int:
         return len(self.measurements)
-
-    def frontier_labels(self) -> Tuple[str, ...]:
-        """Candidate labels along the frontier, fastest first."""
-        return tuple(measurement.point.label() for measurement in self.frontier)
-
-    def dominated_count(self) -> int:
-        """How many evaluated candidates the frontier pruned away."""
-        return len(self.measurements) - len(self.frontier)
 
     def frontier_series(
         self, x: str = "gpus", y: str = "epoch_time"

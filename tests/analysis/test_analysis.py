@@ -11,14 +11,12 @@ from repro.analysis.breakdown import (
 from repro.analysis.memory_report import (
     average_memory_overhead,
     max_memory_gb,
-    memory_overhead_table,
     per_rank_memory_gb,
 )
 from repro.analysis.schedule_viz import render_gantt, schedule_summary
 from repro.analysis.speedup import (
     crossover_batch,
     geometric_mean_speedup,
-    normalized_epoch_times,
     speedup_over,
     speedup_series,
 )
@@ -80,11 +78,6 @@ class TestSpeedup:
         with pytest.raises(ConfigurationError):
             geometric_mean_speedup([1.0, 0.0])
 
-    def test_normalized_epoch_times_inverse(self, suite):
-        normalized = normalized_epoch_times(suite.results)
-        assert normalized["DP"] == pytest.approx(1.0)
-        assert normalized["TR+DPU+AHD"] < 1.0
-
     def test_crossover_batch(self):
         series_a = {128: 2.0, 256: 2.0, 512: 2.0}
         series_b = {128: 1.0, 256: 2.5, 512: 3.0}
@@ -101,11 +94,6 @@ class TestMemoryReport:
     def test_average_overhead_tr_over_dp_positive(self, suite):
         overhead = average_memory_overhead(suite.results["TR"], suite.results["DP"])
         assert overhead > 0
-
-    def test_overhead_table_excludes_baseline(self, suite):
-        table = memory_overhead_table(suite.results, baseline="DP")
-        assert "DP" not in table
-        assert "TR" in table
 
     def test_mismatched_devices_rejected(self, suite):
         from dataclasses import replace

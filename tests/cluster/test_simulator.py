@@ -4,7 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.cluster_report import ClusterReport, JobRecord, percentile
+from repro.analysis.cluster_report import (
+    ClusterReport,
+    JobRecord,
+    compare_policies,
+    format_cluster_report,
+    percentile,
+)
 from repro.cluster.faults import FaultEvent, FaultTrace
 from repro.cluster.scheduler import Placement, register_policy, POLICIES
 from repro.cluster.simulator import ClusterSimulator, run_policy_comparison
@@ -471,7 +477,6 @@ class TestClusterReport:
         assert report.jobs_per_hour == pytest.approx(2 / 20 * 3600)
         assert report.per_node_utilization()["a"] == pytest.approx(20 / 40)
         assert report.per_node_jobs() == {"a": 1, "b": 1}
-        assert report.waits_by_gang_size() == {1: 5.0, 2: 0.0}
 
     def test_empty_report_metrics_are_zero(self):
         report = ClusterReport(
@@ -482,6 +487,60 @@ class TestClusterReport:
         assert report.mean_wait == 0.0
         assert report.gpu_utilization == 0.0
         assert report.jobs_per_hour == 0.0
+
+    def test_wait_and_service_extremes(self):
+        report = self.make_report()
+        assert report.max_wait == 5.0
+        # Service times 10 s and 15 s.
+        assert report.mean_service == pytest.approx(12.5)
+        empty = replace(report, records=())
+        assert empty.max_wait == 0.0
+        assert empty.mean_service == 0.0
+
+    def test_record_gpu_seconds_accounting(self):
+        plain = JobRecord(
+            job_id="j", node="a", gpus=2, strategy="TR", cell="c",
+            arrival_time=0.0, start_time=1.0, finish_time=11.0,
+        )
+        assert plain.effective_gpu_seconds == pytest.approx(20.0)
+        assert plain.useful_gpu_seconds == pytest.approx(20.0)
+        faulted = replace(plain, gpu_seconds=30.0, wasted_gpu_seconds=12.0)
+        assert faulted.effective_gpu_seconds == 30.0
+        assert faulted.useful_gpu_seconds == pytest.approx(18.0)
+        # Waste beyond the occupied time never yields negative useful work.
+        assert replace(plain, wasted_gpu_seconds=50.0).useful_gpu_seconds == 0.0
+
+    def test_record_deadline_verdict(self):
+        record = JobRecord(
+            job_id="j", node="a", gpus=1, strategy="TR", cell="c",
+            arrival_time=0.0, start_time=0.0, finish_time=10.0,
+        )
+        assert record.met_deadline is None
+        assert replace(record, deadline=10.0).met_deadline is True
+        assert replace(record, deadline=9.5).met_deadline is False
+
+    def test_format_plain_report(self):
+        text = format_cluster_report(self.make_report())
+        lines = text.splitlines()
+        assert lines[0] == "fifo on test — w"
+        assert "  jobs          : 2" in lines
+        assert "  throughput    : 360.0 jobs/hour" in lines
+        # Plain runs print neither the fault nor the tenant section.
+        assert not any("faults" in line or "deadline hits" in line for line in lines)
+        node_rows = [line.split() for line in lines if line.split()[:1] in (["a"], ["b"])]
+        assert node_rows == [["a", "2", "50.0%", "1"], ["b", "2", "37.5%", "1"]]
+
+    def test_compare_policies_one_row_per_policy(self):
+        fifo = self.make_report()
+        other = replace(fifo, policy="sjf")
+        table = compare_policies({"fifo": fifo, "sjf": other})
+        lines = table.splitlines()
+        assert lines[0] == "2 jobs on test (w)"
+        assert "goodput" not in lines[1]
+        assert [line.split()[0] for line in lines[-2:]] == ["fifo", "sjf"]
+        assert compare_policies([fifo, other]) == table
+        with pytest.raises(ConfigurationError, match="no reports"):
+            compare_policies([])
 
     def test_dict_roundtrip(self):
         report = self.make_report()

@@ -349,15 +349,12 @@ class TestPriceCurves:
     def test_step_integral_weights_each_segment(self):
         curve = PriceCurve("step", ((0.0, 1.0), (100.0, 2.0)))
         assert curve.integral(0.0, 200.0) == pytest.approx(100.0 + 200.0)
-        assert curve.multiplier_at(99.9) == 1.0
-        assert curve.multiplier_at(100.0) == 2.0
 
     def test_periodic_curve_wraps(self):
         curve = PriceCurve("cycle", ((0.0, 1.0), (50.0, 3.0)), period=100.0)
         # One full period costs 50*1 + 50*3 = 200; two periods double it.
         assert curve.integral(0.0, 100.0) == pytest.approx(200.0)
         assert curve.integral(0.0, 200.0) == pytest.approx(400.0)
-        assert curve.multiplier_at(150.0) == 3.0
         # A span straddling the wrap point integrates both sides.
         assert curve.integral(75.0, 125.0) == pytest.approx(3.0 * 25.0 + 1.0 * 25.0)
 

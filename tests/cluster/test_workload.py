@@ -15,6 +15,7 @@ from repro.cluster.workload import (
     bursty_workload,
     diurnal_workload,
     poisson_workload,
+    replay_workload,
     tenant_workload,
 )
 from repro.errors import ConfigurationError
@@ -169,13 +170,6 @@ class TestWorkload:
         with pytest.raises(ConfigurationError, match="sorted"):
             Workload(name="w", jobs=(job("a", arrival=5.0), job("b", arrival=1.0)))
 
-    def test_scaled_arrivals(self):
-        workload = poisson_workload(10, rate=0.2, seed=1)
-        squeezed = workload.scaled_arrivals(0.5)
-        assert squeezed.duration == pytest.approx(workload.duration * 0.5)
-        with pytest.raises(ConfigurationError):
-            workload.scaled_arrivals(0.0)
-
     def test_json_roundtrip_and_replay(self, tmp_path):
         workload = poisson_workload(20, rate=0.1, seed=5, mix=DEFAULT_MIX)
         path = workload.save(tmp_path / "trace.json")
@@ -184,6 +178,39 @@ class TestWorkload:
         payload = json.loads(workload.to_json())
         assert payload["name"] == workload.name
         assert len(payload["jobs"]) == 20
+
+    def test_replay_workload_reads_a_saved_trace(self, tmp_path):
+        workload = poisson_workload(6, rate=0.2, seed=3)
+        path = workload.save(tmp_path / "trace.json")
+        assert replay_workload(path) == workload
+        assert replay_workload(str(path)) == Workload.from_json(workload.to_json())
+
+    def test_gang_and_tenant_queries_without_declared_tenants(self):
+        workload = Workload(
+            name="w",
+            jobs=(
+                job("a", arrival=0.0, gpus=2, tenant="research"),
+                job("b", arrival=1.0, gpus=4, tenant="prod"),
+                job("c", arrival=2.0, gpus=1, tenant="prod"),
+            ),
+        )
+        assert workload.max_gpu_demand == 4
+        assert workload.tenant_names == ("prod", "research")
+        assert workload.tenant_map() == {}
+        assert workload.describe() == "w: 3 jobs over 2.0s, max gang 4 GPUs"
+        assert Workload(name="empty", jobs=()).max_gpu_demand == 0
+
+    def test_declared_tenants_name_and_map_in_declaration_order(self):
+        prod = TenantSpec("prod", priority=2, deadline_policy="strict")
+        batch = TenantSpec("batch")
+        workload = Workload(
+            name="w",
+            jobs=(job("a", tenant="prod"), job("b", arrival=1.0, tenant="batch")),
+            tenants=(prod, batch),
+        )
+        assert workload.tenant_names == ("prod", "batch")
+        assert workload.tenant_map() == {"prod": prod, "batch": batch}
+        assert prod.has_deadlines and not batch.has_deadlines
 
     def test_from_dict_sorts_unordered_traces(self):
         payload = {

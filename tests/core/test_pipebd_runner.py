@@ -5,7 +5,6 @@ import pytest
 from repro.core.pipebd import PipeBD
 from repro.core.reporting import (
     TABLE2_HEADERS,
-    breakdown_table,
     format_seconds,
     format_table,
     memory_table,
@@ -117,10 +116,9 @@ class TestReporting:
         with pytest.raises(ValueError):
             format_table(["a"], [["1", "2"]])
 
-    def test_speedup_breakdown_memory_tables(self, default_config):
+    def test_speedup_and_memory_tables(self, default_config):
         suite = Session().ablation(default_config, ("DP", "TR+DPU+AHD"))
         assert "speedup" in speedup_table(suite).lower()
-        assert "rank 0" in breakdown_table(suite.results["DP"])
         assert "Max." in memory_table(suite.results)
 
     def test_table2_row(self, nas_cifar_pair):

@@ -5,9 +5,9 @@ import pytest
 
 from repro.distill import functional as F
 from repro.distill.nn import (
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
+    DepthwiseConv2d,
     Flatten,
     GlobalAvgPool,
     Linear,
@@ -17,7 +17,7 @@ from repro.distill.nn import (
     dsconv_bn_relu,
 )
 from repro.distill.tensor import Tensor
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ShapeError
 
 
 def _numerical_grad(fn, array, eps=1e-6):
@@ -95,12 +95,6 @@ class TestPoolingAndNorm:
         out.sum().backward()
         assert np.allclose(x.grad, 0.25)
 
-    def test_avg_pool2d(self):
-        x = Tensor(np.ones((1, 1, 4, 4)), requires_grad=True)
-        out = F.avg_pool2d(x, kernel=2)
-        assert out.shape == (1, 1, 2, 2)
-        assert np.allclose(out.numpy(), 1.0)
-
     def test_batch_norm_normalises(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(3.0, 2.0, size=(8, 4, 5, 5)))
@@ -121,21 +115,22 @@ class TestModules:
         model = Sequential(Conv2d(3, 8, 3), BatchNorm2d(8), ReLU(), Flatten(), Linear(8 * 4 * 4, 2))
         names = [name for name, _ in model.named_parameters()]
         assert any("weight" in name for name in names)
-        assert model.num_parameters() == sum(p.data.size for p in model.parameters())
 
-    def test_state_dict_roundtrip(self):
+    def test_state_dict_is_a_snapshot(self):
         model = conv_bn_relu(3, 4)
         state = model.state_dict()
+        assert list(state) == [name for name, _ in model.named_parameters()]
         for parameter in model.parameters():
-            parameter.data = parameter.data + 1.0
-        model.load_state_dict(state)
+            parameter.data += 1.0
         for name, parameter in model.named_parameters():
-            assert np.allclose(parameter.data, state[name])
+            assert np.allclose(parameter.data, state[name] + 1.0)
 
-    def test_load_state_dict_validates(self):
-        model = conv_bn_relu(3, 4)
-        with pytest.raises(ConfigurationError):
-            model.load_state_dict({})
+    def test_depthwise_module_keeps_channels(self):
+        layer = DepthwiseConv2d(4, 3, stride=2)
+        assert layer.weight.shape == (4, 1, 3, 3)
+        assert [name for name, _ in layer.named_parameters()] == ["weight"]
+        out = layer(Tensor(np.ones((2, 4, 8, 8))))
+        assert out.shape == (2, 4, 4, 4)
 
     def test_train_eval_propagates(self):
         model = Sequential(conv_bn_relu(3, 4), dsconv_bn_relu(4, 8))
@@ -153,10 +148,10 @@ class TestModules:
         assert out.shape == (2, 3, 4, 4)
 
     def test_sequential_and_pool_modules(self):
-        model = Sequential(Conv2d(3, 4, 3), AvgPool2d(2), GlobalAvgPool())
+        model = Sequential(Conv2d(3, 4, 3), GlobalAvgPool())
         out = model(Tensor(np.ones((2, 3, 8, 8))))
         assert out.shape == (2, 4)
-        assert len(model) == 3
+        assert len(model) == 2
 
     def test_dsconv_unit_output_channels(self):
         unit = dsconv_bn_relu(4, 8)

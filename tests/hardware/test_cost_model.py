@@ -71,31 +71,10 @@ class TestBlockAndNetworkTimes:
         )
         assert a6000_cost.block_forward_time(small_block, 32) == pytest.approx(expected)
 
-    def test_training_time_is_forward_plus_backward(self, a6000_cost, small_block):
-        total = a6000_cost.block_training_time(small_block, 32)
-        assert total == pytest.approx(
-            a6000_cost.block_forward_time(small_block, 32)
-            + a6000_cost.block_backward_time(small_block, 32)
-        )
-
     def test_weight_update_independent_of_batch(self, a6000_cost, small_block):
         assert a6000_cost.weight_update_time(small_block, 1) == pytest.approx(
             a6000_cost.weight_update_time(small_block, 512)
         )
-
-    def test_prefix_time_monotone_and_matches_network(self, a6000_cost):
-        network = build_mobilenetv2("cifar10")
-        prefix_times = [
-            a6000_cost.prefix_forward_time(network, end, 64)
-            for end in range(network.num_blocks)
-        ]
-        assert prefix_times == sorted(prefix_times)
-        assert prefix_times[-1] == pytest.approx(a6000_cost.network_forward_time(network, 64))
-
-    def test_prefix_out_of_range(self, a6000_cost):
-        network = build_mobilenetv2("cifar10")
-        with pytest.raises(ConfigurationError):
-            a6000_cost.prefix_forward_time(network, 99, 64)
 
     def test_imagenet_block0_dominates(self, a6000_cost):
         # The load imbalance that motivates AHD (paper §VII-A): at ImageNet

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware.cost_model import CostModel
-from repro.hardware.gpu import GPUSpec, RTX_2080TI, RTX_A6000, get_gpu
+from repro.hardware.gpu import GPUSpec, RTX_2080TI, RTX_A6000
 from repro.models.layers import LayerSpec
 
 
@@ -20,12 +20,6 @@ class TestPresets:
 
     def test_a6000_faster_than_2080ti(self):
         assert RTX_A6000.peak_fp32_tflops > RTX_2080TI.peak_fp32_tflops
-
-    def test_lookup_by_name(self):
-        assert get_gpu("a6000") is RTX_A6000
-        assert get_gpu("RTX 2080Ti") is RTX_2080TI
-        with pytest.raises(ConfigurationError):
-            get_gpu("h100")
 
 
 class TestEfficiencyCurve:
@@ -69,9 +63,6 @@ class TestEfficiencyCurve:
         dwconv = replace(conv, kind="dwconv")
         cost = CostModel(gpu=RTX_A6000)
         assert cost.layer_forward_time(dwconv, 100) > cost.layer_forward_time(conv, 100)
-
-    def test_batch_efficiency_wrapper_monotone(self):
-        assert RTX_A6000.batch_efficiency(256) > RTX_A6000.batch_efficiency(64)
 
 
 class TestValidation:

@@ -50,9 +50,23 @@ class TestCollectives:
         with pytest.raises(ConfigurationError):
             PCIE_4.allreduce_time(1e6, 0)
 
-    def test_broadcast(self):
-        assert PCIE_4.broadcast_time(1e6, 1) == 0.0
-        assert PCIE_4.broadcast_time(1e6, 4) > PCIE_4.broadcast_time(1e6, 2)
+
+    def test_allreduce_matches_the_ring_formula(self):
+        # Four devices: 2 * 3 latency-bound steps, 2 * 3/4 of the buffer each.
+        expected = 6 * PCIE_4.latency_s + 1.5 * 1e8 / PCIE_4.bandwidth
+        assert PCIE_4.allreduce_time(1e8, 4) == pytest.approx(expected)
+        assert PCIE_4.allreduce_time(0, 4) == 0.0
+
+
+class TestBandwidth:
+    def test_bandwidth_in_bytes_per_second(self):
+        assert PCIE_4.bandwidth == pytest.approx(25e9)
+        assert PCIE_3.bandwidth == pytest.approx(12e9)
+
+    def test_transfer_is_latency_plus_volume_over_bandwidth(self):
+        assert PCIE_4.transfer_time(25e9) == pytest.approx(1.0 + PCIE_4.latency_s)
+        link = InterconnectSpec(name="ideal", bandwidth_gbs=1.0, latency_s=0.0)
+        assert link.transfer_time(5e8) == pytest.approx(0.5)
 
 
 class TestValidation:

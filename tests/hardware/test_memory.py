@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, MemoryCapacityError
+from repro.errors import ConfigurationError
 from repro.hardware.memory import MemoryModel, TRAINABLE_STATE_COPIES
 from repro.models import layers as L
 from repro.models.blocks import BlockSpec
@@ -30,16 +30,6 @@ class TestComponents:
         small = memory_model.student_block_bytes(block, 32)
         large = memory_model.student_block_bytes(block, 64)
         assert large > small
-
-    def test_teacher_cheaper_than_student(self, memory_model, block):
-        # Frozen teacher keeps no gradients/momentum and no full activation set.
-        assert memory_model.teacher_block_bytes(block, 64) < memory_model.student_block_bytes(
-            block, 64
-        )
-
-    def test_relay_buffers(self, memory_model, block):
-        expected = (block.input_bytes_per_sample + block.output_bytes_per_sample) * 16
-        assert memory_model.relay_buffer_bytes(block, 16) == expected
 
     def test_negative_batch_rejected(self, memory_model, block):
         with pytest.raises(ConfigurationError):
@@ -74,20 +64,3 @@ class TestDevicePeak:
             executed, [network.block(2)], 64, resident_teacher_blocks=list(network.blocks[:3])
         )
         assert with_resident > without
-
-
-class TestChecksAndStats:
-    def test_capacity_check(self, memory_model):
-        memory_model.check_capacity(1e9, 2e9)
-        with pytest.raises(MemoryCapacityError):
-            memory_model.check_capacity(3e9, 2e9)
-
-    def test_average_overhead(self):
-        overhead = MemoryModel.average_overhead([1.1, 2.2], [1.0, 2.0])
-        assert overhead == pytest.approx(0.1)
-
-    def test_average_overhead_validates_lengths(self):
-        with pytest.raises(ConfigurationError):
-            MemoryModel.average_overhead([1.0], [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            MemoryModel.average_overhead([], [])

@@ -48,9 +48,6 @@ class TestServerSpec:
         with pytest.raises(ConfigurationError):
             server.gpu(4)
 
-    def test_homogeneous(self):
-        assert default_a6000_server().is_homogeneous
-
     def test_cost_model_uses_gpu(self):
         server = default_a6000_server()
         assert server.cost_model().gpu is RTX_A6000

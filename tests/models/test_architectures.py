@@ -40,8 +40,8 @@ class TestMobileNetV2:
         assert first > max(others)
 
     def test_output_is_classifier(self):
-        assert build_mobilenetv2("cifar10").output_shape == (10,)
-        assert build_mobilenetv2("imagenet").output_shape == (1000,)
+        assert build_mobilenetv2("cifar10").blocks[-1].out_shape == (10,)
+        assert build_mobilenetv2("imagenet").blocks[-1].out_shape == (1000,)
 
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,11 +1,10 @@
 """Unit tests for block specifications."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import ShapeError
 from repro.models import layers as L
-from repro.models.blocks import BlockSpec, balanced_boundaries, group_layers_into_blocks
+from repro.models.blocks import BlockSpec
 
 
 def _simple_chain(channels=(3, 8, 16), spatial=16):
@@ -32,6 +31,14 @@ class TestBlockSpec:
         block = BlockSpec(name="b", index=0, layers=_simple_chain())
         assert block.in_shape == (3, 16, 16)
         assert block.out_shape == (16, 16, 16)
+
+    def test_boundary_activation_bytes(self):
+        layer_chain = _simple_chain()
+        block = BlockSpec(name="b", index=0, layers=layer_chain)
+        # fp32 input (3x16x16) and output (16x16x16) activations.
+        assert block.input_bytes_per_sample == 3 * 16 * 16 * 4
+        assert block.output_bytes_per_sample == 16 * 16 * 16 * 4
+        assert block.input_bytes_per_sample == layer_chain[0].in_bytes
 
     def test_activation_bytes_include_input_and_all_outputs(self):
         layer_chain = _simple_chain()
@@ -62,42 +69,3 @@ class TestBlockSpec:
     def test_describe_mentions_name(self):
         block = BlockSpec(name="stem", index=0, layers=_simple_chain())
         assert "stem" in block.describe()
-
-
-class TestGrouping:
-    def test_group_layers_into_blocks_covers_all(self):
-        layer_chain = _simple_chain((3, 8, 16, 32, 32), spatial=8)
-        blocks = group_layers_into_blocks(layer_chain, (2, 4, len(layer_chain)))
-        assert len(blocks) == 3
-        assert sum(block.num_layers for block in blocks) == len(layer_chain)
-        assert blocks[0].out_shape == blocks[1].in_shape
-        assert blocks[1].out_shape == blocks[2].in_shape
-
-    def test_bad_boundaries_rejected(self):
-        layer_chain = _simple_chain()
-        with pytest.raises(ShapeError):
-            group_layers_into_blocks(layer_chain, (2,))
-        with pytest.raises(ShapeError):
-            group_layers_into_blocks(layer_chain, (3, 2, len(layer_chain)))
-        with pytest.raises(ShapeError):
-            group_layers_into_blocks(layer_chain, ())
-
-    def test_balanced_boundaries_properties(self):
-        layer_chain = _simple_chain((3, 8, 16, 32, 64, 64), spatial=8)
-        boundaries = balanced_boundaries(layer_chain, 3)
-        assert len(boundaries) == 3
-        assert boundaries[-1] == len(layer_chain)
-        assert list(boundaries) == sorted(boundaries)
-
-    @given(num_blocks=st.integers(min_value=1, max_value=4))
-    def test_balanced_boundaries_always_cover(self, num_blocks):
-        layer_chain = _simple_chain((3, 8, 8, 16, 16), spatial=8)
-        boundaries = balanced_boundaries(layer_chain, num_blocks)
-        blocks = group_layers_into_blocks(layer_chain, boundaries)
-        assert len(blocks) == num_blocks
-        assert sum(block.num_layers for block in blocks) == len(layer_chain)
-
-    def test_too_many_blocks_rejected(self):
-        layer_chain = _simple_chain()
-        with pytest.raises(ShapeError):
-            balanced_boundaries(layer_chain, len(layer_chain) + 1)

@@ -1,7 +1,5 @@
 """Unit tests for layer specifications and their factories."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,17 +106,6 @@ class TestOtherFactories:
         add = L.add_residual("a", (16, 8, 8))
         assert add.in_shape == add.out_shape
 
-    def test_mixed_op_sums_candidates(self):
-        a = L.conv2d("a", (4, 8, 8), 8, kernel=3)
-        b = L.conv2d("b", (4, 8, 8), 8, kernel=5)
-        mixed = L.mixed_op("m", (4, 8, 8), a.out_shape, (a, b))
-        assert mixed.macs == a.macs + b.macs
-        assert mixed.params == a.params + b.params + 2
-
-    def test_mixed_op_requires_candidates(self):
-        with pytest.raises(ShapeError):
-            L.mixed_op("m", (4, 8, 8), (8, 8, 8), ())
-
 
 class TestDerivedQuantities:
     def test_flops_is_twice_macs(self):
@@ -131,9 +118,22 @@ class TestDerivedQuantities:
         assert conv.out_bytes == 4 * 8 * 8 * 4
         assert conv.weight_bytes == conv.params * 4
 
-    def test_arithmetic_intensity_positive(self):
-        conv = L.conv2d("c", (3, 32, 32), 64, kernel=3)
-        assert conv.arithmetic_intensity() > 0
+    def test_element_counts_follow_shapes(self):
+        conv = L.conv2d("c", (3, 8, 8), 4, kernel=3, stride=2)
+        assert conv.in_elems == 3 * 8 * 8
+        assert conv.out_elems == 4 * 4 * 4
+        flat = L.flatten("f", (16, 2, 2))
+        assert flat.in_elems == flat.out_elems == 64
+
+    def test_totals_sum_over_layers(self):
+        conv = L.conv2d("c", (3, 8, 8), 4, kernel=3)
+        norm = L.batch_norm("n", conv.out_shape)
+        act = L.relu("r", conv.out_shape)
+        chain = [conv, norm, act]
+        assert L.total_macs(chain) == conv.macs + norm.macs + act.macs
+        assert L.total_params(chain) == conv.params + 2 * 4
+        assert isinstance(L.total_params(chain), int)
+        assert L.total_macs([]) == 0.0
 
 
 class TestHelpers:
@@ -161,10 +161,3 @@ class TestHelpers:
         bad = L.relu("r", (5, 8, 8))
         with pytest.raises(ShapeError):
             L.check_chain([conv, bad])
-
-    def test_geometric_mean(self):
-        assert math.isclose(L.geometric_mean([1.0, 4.0]), 2.0)
-        with pytest.raises(ValueError):
-            L.geometric_mean([])
-        with pytest.raises(ValueError):
-            L.geometric_mean([1.0, -1.0])

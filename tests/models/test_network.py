@@ -61,31 +61,8 @@ class TestQueries:
         assert network.macs == sum(block.macs for block in network.blocks)
         assert network.flops == 2 * network.macs
 
-    def test_prefix_macs_monotone(self):
-        network = _make_network()
-        prefixes = [network.prefix_macs(index) for index in range(network.num_blocks)]
-        assert prefixes == sorted(prefixes)
-        assert prefixes[-1] == pytest.approx(network.macs)
-
-    def test_prefix_out_of_range(self):
-        network = _make_network()
-        with pytest.raises(IndexError):
-            network.prefix_macs(10)
-
-    def test_redundant_prefix_exceeds_single_pass(self):
-        network = _make_network()
-        assert network.redundant_prefix_macs() > network.macs
-
     def test_summary_contains_block_lines(self):
         network = _make_network()
         summary = network.summary()
         assert "toy" in summary
         assert summary.count("block[") == network.num_blocks
-
-    def test_repartition_preserves_totals(self):
-        network = _make_network(3)
-        flat_layer_count = sum(block.num_layers for block in network.blocks)
-        repartitioned = network.repartition((2, flat_layer_count))
-        assert repartitioned.num_blocks == 2
-        assert repartitioned.macs == pytest.approx(network.macs)
-        assert repartitioned.params == network.params

@@ -31,13 +31,6 @@ class TestBuildPairs:
         with pytest.raises(ConfigurationError):
             build_pair("segmentation", "cifar10")
 
-    def test_block_pair_accessor(self):
-        pair = build_nas_pair("cifar10")
-        teacher_block, student_block = pair.block_pair(2)
-        assert teacher_block.index == 2
-        assert student_block.index == 2
-        assert teacher_block.out_shape == student_block.out_shape
-
     def test_describe_mentions_task_and_dataset(self):
         text = build_nas_pair("cifar10").describe()
         assert "nas" in text and "cifar10" in text

@@ -67,11 +67,8 @@ class TestExecutionResults:
         # Fig. 7: teacher relaying concentrates memory on rank 0.
         assert results["TR"].peak_memory_bytes[0] >= results["DP"].peak_memory_bytes[0]
 
-    def test_describe_and_total_breakdown(self, results):
-        result = results["TR+DPU+AHD"]
-        assert "TR+DPU+AHD" in result.describe()
-        totals = result.total_breakdown()
-        assert totals["student_exec"] > 0
+    def test_describe(self, results):
+        assert "TR+DPU+AHD" in results["TR+DPU+AHD"].describe()
 
 
 class TestExecutorValidation:

@@ -10,7 +10,6 @@ from repro.parallel.partition import (
     compositions,
     contiguous_partitions,
     count_contiguous_partitions,
-    greedy_balanced_partition,
     lpt_bin_packing,
 )
 
@@ -57,28 +56,6 @@ class TestContiguousPartitions:
     def test_too_many_groups_yields_nothing(self):
         assert list(contiguous_partitions(3, 4)) == []
         assert count_contiguous_partitions(3, 4) == 0
-
-
-class TestBalancedPartition:
-    def test_balanced_split_of_uniform_costs(self):
-        partition = greedy_balanced_partition((1.0,) * 6, 3)
-        assert [len(group) for group in partition] == [2, 2, 2]
-
-    def test_heavy_first_block_isolated(self):
-        partition = greedy_balanced_partition((10.0, 1.0, 1.0, 1.0), 2)
-        assert partition[0] == (0,)
-
-    def test_optimality_against_bruteforce(self):
-        costs = (5.0, 2.0, 7.0, 1.0, 3.0)
-        best = greedy_balanced_partition(costs, 3)
-        best_cost = max(sum(costs[b] for b in group) for group in best)
-        for partition in contiguous_partitions(len(costs), 3):
-            candidate = max(sum(costs[b] for b in group) for group in partition)
-            assert best_cost <= candidate + 1e-12
-
-    def test_too_many_groups_rejected(self):
-        with pytest.raises(ScheduleError):
-            greedy_balanced_partition((1.0, 2.0), 3)
 
 
 class TestLPTBinPacking:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.parallel.plan import SchedulePlan, StageAssignment
+from repro.parallel.plan import (
+    SchedulePlan,
+    StageAssignment,
+    by_device,
+    jsonable,
+    plan_from_dict,
+)
 
 
 def _pipeline_plan(decoupled=True):
@@ -53,8 +59,6 @@ class TestPipelinePlans:
     def test_valid_plan_queries(self):
         plan = _pipeline_plan()
         assert plan.num_stages == 3
-        assert plan.stage_of_block(3).stage_id == 1
-        assert plan.stage_of_device(3).stage_id == 2
         assert plan.active_devices() == (0, 1, 2, 3)
 
     def test_per_device_batch(self):
@@ -96,13 +100,6 @@ class TestPipelinePlans:
                 num_blocks=6, stages=stages,
             )
 
-    def test_stage_query_on_wrong_kind(self):
-        plan = SchedulePlan(
-            kind="data_parallel", strategy="DP", batch_size=256, num_devices=4, num_blocks=6
-        )
-        with pytest.raises(ScheduleError):
-            plan.stage_of_block(0)
-
 
 class TestOtherKinds:
     def test_layerwise_plan(self):
@@ -140,3 +137,43 @@ class TestOtherKinds:
             SchedulePlan(
                 kind="data_parallel", strategy="DP", batch_size=0, num_devices=4, num_blocks=6
             )
+
+
+class TestSerialisation:
+    def test_pipeline_plan_round_trips(self):
+        plan = _pipeline_plan()
+        payload = plan.to_dict()
+        assert payload["stages"][0] == {"block_ids": [0, 1], "device_ids": [0, 1], "stage_id": 0}
+        rebuilt = plan_from_dict(payload)
+        assert rebuilt == plan
+        assert rebuilt.to_dict() == payload
+
+    def test_layerwise_device_keys_come_back_as_ints(self):
+        plan = SchedulePlan(
+            kind="layerwise", strategy="LS", batch_size=256, num_devices=4, num_blocks=6,
+            device_blocks={0: (0, 5), 1: (1,), 2: (2, 3), 3: (4,)},
+        )
+        payload = plan.to_dict()
+        assert payload["device_blocks"] == {"0": [0, 5], "1": [1], "2": [2, 3], "3": [4]}
+        rebuilt = plan_from_dict(payload)
+        assert rebuilt.device_blocks == plan.device_blocks
+        assert rebuilt.per_device_batch() == plan.per_device_batch()
+
+    def test_tampered_payload_is_revalidated(self):
+        payload = _pipeline_plan().to_dict()
+        payload["stages"].pop()  # blocks 4 and 5 lose their stage
+        with pytest.raises(ScheduleError):
+            plan_from_dict(payload)
+
+    def test_by_device_keys_are_sorted_strings(self):
+        assert list(by_device({2: "a", 10: "b", 1: "c"}).items()) == [
+            ("1", "c"), ("10", "b"), ("2", "a"),
+        ]
+        assert by_device({}) == {}
+
+    def test_jsonable_converts_nested_tuples_and_sorts_keys(self):
+        value = {"z": ({"b": (1, 2), "a": None},), "a": [(3,)]}
+        converted = jsonable(value)
+        assert converted == {"a": [[3]], "z": [{"a": None, "b": [1, 2]}]}
+        assert list(converted) == ["a", "z"]
+        assert list(converted["z"][0]) == ["a", "b"]

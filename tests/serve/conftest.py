@@ -1,37 +1,17 @@
 """Fixtures for the planner-as-a-service test suite.
 
-The ``client`` fixtures prefer the real FastAPI stack when it is
-installed (``fastapi.testclient.TestClient`` over
-:func:`repro.serve.app.create_app`) and fall back to the dependency-free
-in-process :class:`~repro.serve.client.LocalClient` otherwise.  Both
-speak the same ``.get``/``.post`` surface and, because every frontend
-delegates to the same :class:`~repro.serve.service.PlannerService`, the
-suite asserts the same payloads either way — locally it exercises the
-stdlib path, in CI (which installs ``requirements.txt``) the FastAPI
-path.
+The ``client`` fixtures are in-process
+:class:`~repro.serve.client.LocalClient` instances over a
+:class:`~repro.serve.service.PlannerService`; the HTTP frontend itself
+is driven over real sockets in ``test_http_stdlib.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
 from repro.serve.client import LocalClient
 from repro.serve.service import PlannerService
-
-
-def best_client(service: PlannerService):
-    """The best available test client for one service instance."""
-    try:
-        # TestClient needs httpx and raises RuntimeError (not ImportError)
-        # when it is missing; create_app raises ReproError without fastapi.
-        from fastapi.testclient import TestClient
-
-        from repro.serve.app import create_app
-
-        return TestClient(create_app(service=service))
-    except (ImportError, RuntimeError, ReproError):
-        return LocalClient(service)
 
 
 @pytest.fixture
@@ -39,7 +19,7 @@ def make_client():
     """The client factory itself, for tests that build services mid-test
     (e.g. the warm-restart suite, which boots a second service on the same
     store directory)."""
-    return best_client
+    return LocalClient
 
 
 @pytest.fixture
@@ -55,7 +35,7 @@ def service(store_root):
 
 @pytest.fixture
 def client(service):
-    return best_client(service)
+    return LocalClient(service)
 
 
 @pytest.fixture
@@ -66,4 +46,4 @@ def bare_service():
 
 @pytest.fixture
 def bare_client(bare_service):
-    return best_client(bare_service)
+    return LocalClient(bare_service)

@@ -171,7 +171,7 @@ class TestRouting:
 
 
 class TestRawBodies:
-    """dispatch_raw guards the HTTP transports against undecodable bodies."""
+    """dispatch_raw guards the HTTP frontend against undecodable bodies."""
 
     def test_invalid_json_is_400(self, service):
         status, payload = service.dispatch_raw("POST", "/v1/plan", b"{nope")

@@ -8,12 +8,14 @@ warm/cold accounting surviving the wire.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection, HTTPResponse
 
 import pytest
 
-from repro.serve.http import start_server
+from repro.serve.http import MAX_BODY_BYTES, start_server
 from repro.serve.service import PlannerService
 
 STEPS = 4
@@ -48,6 +50,15 @@ def http(method, url, body=None):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def raw_request(port, head):
+    """Send raw request bytes; returns (status, payload, headers)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        response = HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read()), response.headers
 
 
 class TestOverTheWire:
@@ -129,3 +140,64 @@ class TestOverTheWire:
         assert local_status == 200
         local.pop("meta")
         assert json.dumps(wire, indent=2) == json.dumps(local, indent=2)
+
+    @pytest.mark.parametrize("declared", ["abc", "-1", "1.5"])
+    def test_malformed_content_length_400(self, server, declared):
+        # A non-integer length used to raise inside the handler (empty
+        # reply, traceback on the server); a negative one made the handler
+        # read until the client hung up.
+        head = (
+            "POST /v1/plan HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {declared}\r\n\r\n{{}}"
+        )
+        status, payload, headers = raw_request(server.bound_port, head.encode())
+        assert status == 400
+        assert payload["error"]["type"] == "bad_request"
+        assert repr(declared) in payload["error"]["message"]
+        assert headers["Connection"] == "close"
+
+    @pytest.mark.parametrize("declared", [MAX_BODY_BYTES + 1, 10**14])
+    def test_oversized_content_length_413(self, server, declared):
+        # A huge length used to allocate the whole buffer up front in
+        # rfile.read: a MemoryError traceback and an empty reply.
+        head = (
+            "POST /v1/plan HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {declared}\r\n\r\n{{}}"
+        )
+        status, payload, headers = raw_request(server.bound_port, head.encode())
+        assert status == 413
+        assert payload["error"]["type"] == "payload_too_large"
+        assert headers["Connection"] == "close"
+
+    def test_keep_alive_serves_several_requests_on_one_connection(self, server):
+        connection = HTTPConnection("127.0.0.1", server.bound_port, timeout=10)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+                assert response.getheader("Connection") is None
+            # A 4xx the service answers keeps the connection usable too.
+            connection.request("PUT", "/v1/plan", body=b"{}")
+            response = connection.getresponse()
+            assert response.status == 405
+            response.read()
+            connection.request("GET", "/v1/healthz")
+            assert connection.getresponse().status == 200
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "method, path, status, kind",
+        [
+            ("PUT", "/v1/plan", 405, "method_not_allowed"),
+            ("PATCH", "/v1/plan", 405, "method_not_allowed"),
+            ("DELETE", "/v1/healthz", 405, "method_not_allowed"),
+            ("DELETE", "/nope", 404, "not_found"),
+        ],
+    )
+    def test_other_methods_get_the_json_envelope(self, base_url, method, path, status, kind):
+        got, payload = http(method, f"{base_url}{path}")
+        assert got == status
+        assert payload["error"]["type"] == kind

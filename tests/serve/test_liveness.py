@@ -3,9 +3,7 @@
 The original bug: every handler — including ``/v1/healthz`` — ran under
 the service's session lock, so a multi-second compute dispatch made the
 liveness probe hang and orchestrators restarted a healthy-but-busy
-process.  (On the FastAPI transport the endpoints additionally called
-the synchronous dispatch inline from ``async def``, freezing the whole
-event loop.)  These tests pin the fix at both layers: the service's
+process.  These tests pin the fix at both layers: the service's
 read-only exemption set, and an end-to-end probe over the threaded
 stdlib transport while a slow request is in flight.
 """
@@ -145,41 +143,3 @@ class TestHttpTransportLiveness:
             release.set()
             server.shutdown()
             server.server_close()
-
-
-class TestAsgiTransportLiveness:
-    def test_fastapi_endpoints_do_not_block_the_event_loop(self, slow_service):
-        # The FastAPI adapter must hand the synchronous dispatch to the
-        # threadpool; an inline call would freeze the loop and this test
-        # would deadlock at the healthz await.
-        pytest.importorskip("fastapi")
-        anyio = pytest.importorskip("anyio")
-        from repro.serve.app import create_app
-
-        service, entered, release = slow_service
-        app = create_app(service=service)
-        routes = {
-            (route.path, method): route.endpoint
-            for route in app.routes
-            if getattr(route, "methods", None)
-            for method in route.methods
-        }
-
-        class _Request:
-            async def body(self):
-                return b"{}"
-
-        async def scenario():
-            async with anyio.create_task_group() as tasks:
-                tasks.start_soon(routes[("/v1/plan", "POST")], _Request())
-                with anyio.fail_after(PROMPT_SECONDS):
-                    while not entered.is_set():
-                        await anyio.sleep(0.01)
-                    # The loop must still turn: healthz completes while the
-                    # slow plan dispatch is parked on a worker thread.
-                    response = await routes[("/v1/healthz", "GET")](_Request())
-                release.set()
-                return response
-
-        response = anyio.run(scenario)
-        assert response.status_code == 200

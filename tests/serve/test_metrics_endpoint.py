@@ -1,8 +1,8 @@
 """``GET /v1/metrics`` and the telemetry riding on every dispatch.
 
 The metrics payload is Prometheus text, not JSON — the one non-JSON
-route in the API — so these tests also pin the text/plain contract all
-three transports share.
+route in the API — so these tests also pin the text/plain contract both
+transports share.
 """
 
 import pytest

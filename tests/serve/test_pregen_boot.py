@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serve.client import LocalClient
 from repro.store import ExperimentStore
 from repro.store.pregen import resolve_grid, run_pregen
-from tests.serve.conftest import best_client
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +44,7 @@ def test_every_canonical_cell_plans_with_zero_simulations(canonical_artifact):
     from repro.serve.service import PlannerService
 
     service = PlannerService(store=str(canonical_artifact))
-    client = best_client(service)
+    client = LocalClient(service)
 
     grid = resolve_grid("canonical")
     for config, strategy in grid.cells():
@@ -62,7 +62,7 @@ def test_healthz_advertises_the_artifact(canonical_artifact):
     from repro.serve.service import PlannerService
 
     service = PlannerService(store=str(canonical_artifact))
-    client = best_client(service)
+    client = LocalClient(service)
 
     body = client.get("/v1/healthz").json()
     health = HealthResponse.model_validate(body)
@@ -81,7 +81,7 @@ def test_healthz_survives_a_corrupt_manifest(canonical_artifact, tmp_path):
     run_pregen(ExperimentStore(root), grid="smoke", max_cells=1)
     (root / "manifest.json").write_text("{not json")
 
-    client = best_client(PlannerService(store=str(root)))
+    client = LocalClient(PlannerService(store=str(root)))
     body = client.get("/v1/healthz").json()
     assert body["status"] == "ok"
     assert body["pregen"] is None
@@ -92,7 +92,7 @@ def test_incomplete_artifact_is_reported_as_such(tmp_path):
 
     root = tmp_path / "store"
     run_pregen(ExperimentStore(root), grid="smoke", max_cells=2)
-    client = best_client(PlannerService(store=str(root)))
+    client = LocalClient(PlannerService(store=str(root)))
     body = client.get("/v1/healthz").json()
     assert body["pregen"]["complete"] is False
     assert body["pregen"]["row_count"] == 2

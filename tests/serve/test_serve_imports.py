@@ -1,9 +1,6 @@
-"""Import hygiene: the serve package never drags FastAPI in by accident.
+"""Import hygiene: what each entry point may pull in.
 
-``import repro`` (and ``import repro.serve``) must work on a bare
-install; only :func:`repro.serve.app.create_app` touches FastAPI, lazily,
-and when the stack is missing it fails with one actionable message
-instead of an ImportError traceback.  Likewise only ``repro.distill``
+``import repro`` must not import the serve package.  Only ``repro.distill``
 needs numpy: the CLI, the planners and the service run with it blocked.
 And the CLI never needs pydantic: its request types are stdlib
 dataclasses, and only the service validates bodies with pydantic.
@@ -13,33 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.errors import ReproError
-
-
-def _fastapi_installed() -> bool:
-    try:
-        import fastapi  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
 
 class TestLazyImports:
-    def test_importing_serve_does_not_import_fastapi(self):
-        # A subprocess gives a clean module table regardless of what other
-        # tests have already imported into this process.
-        code = (
-            "import sys; import repro.serve; "
-            "sys.exit(1 if 'fastapi' in sys.modules else 0)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
-
     def test_importing_repro_does_not_import_serve(self):
         code = (
             "import sys; import repro; "
@@ -49,26 +21,6 @@ class TestLazyImports:
             [sys.executable, "-c", code], capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
-
-    @pytest.mark.skipif(
-        _fastapi_installed(), reason="fastapi is installed; the gate is open"
-    )
-    def test_create_app_without_fastapi_has_an_actionable_error(self):
-        from repro.serve.app import create_app
-
-        with pytest.raises(ReproError, match="pip install"):
-            create_app()
-
-    @pytest.mark.skipif(
-        not _fastapi_installed(), reason="fastapi is not installed"
-    )
-    def test_create_app_with_fastapi_builds_the_routes(self):
-        from repro.serve.app import create_app
-
-        app = create_app()
-        paths = {route.path for route in app.routes}
-        assert "/v1/plan" in paths
-        assert "/v1/healthz" in paths
 
 
 class TestNumpyFreePlannerPath:

@@ -43,6 +43,12 @@ class TestHealthz:
         status, payload = service.dispatch("get", "/v1/healthz/?verbose=1", None)
         assert (status, payload["status"]) == (200, "ok")
 
+    def test_each_route_answers_one_method(self, service):
+        assert service.methods_for("/v1/healthz") == ("GET",)
+        assert service.methods_for("/v1/plan") == ("POST",)
+        assert service.methods_for("/nope") == ()
+        assert all(len(service.methods_for(path)) == 1 for path in service.paths())
+
 
 class TestStoreStats:
     def test_counts_grow_with_requests(self, client):

@@ -13,9 +13,7 @@ from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import STUDENT_EXEC_KINDS, TaskKind
 from repro.sim.metrics import (
-    aggregate_breakdown,
     compute_breakdown,
-    device_utilization,
     resource_utilization,
 )
 from repro.sim.resources import (
@@ -71,8 +69,6 @@ class TestResources:
 class TestTrace:
     def test_grouping_and_filtering(self):
         trace = _two_device_trace()
-        by_resource = trace.by_resource()
-        assert device_compute(0) in by_resource
         assert len(trace.filter(lambda r: r.kind == TaskKind.DATA_LOAD)) == 2
         assert trace.steps() == (0, 1)
         assert len(trace.for_step(0)) == 5
@@ -82,18 +78,10 @@ class TestTrace:
         busy = trace.resource_busy_time(device_compute(0))
         assert busy == pytest.approx(2 * (1.0 + 0.5))
 
-    def test_resource_span_and_window(self):
+    def test_window(self):
         trace = _two_device_trace()
-        start, end = trace.resource_span(device_compute(1))
-        assert end > start >= 0
-        assert trace.resource_span("gpu9:compute") == (0.0, 0.0)
         windowed = trace.window(0.0, 1.0)
         assert len(windowed) >= 1
-
-    def test_kind_time_on_resource(self):
-        trace = _two_device_trace()
-        per_kind = trace.kind_time_on_resource(device_compute(0))
-        assert per_kind[TaskKind.TEACHER_FORWARD] == pytest.approx(2.0)
 
     def test_steady_state_step_time_positive(self):
         trace = _two_device_trace()
@@ -259,19 +247,11 @@ class TestMetrics:
         assert breakdown[0]["teacher_exec"] == pytest.approx(2.0)
         assert breakdown[1]["teacher_exec"] == 0.0
 
-    def test_aggregate_breakdown_sums(self):
-        trace = _two_device_trace()
-        breakdown = compute_breakdown(trace, num_devices=2)
-        totals = aggregate_breakdown(breakdown)
-        assert totals["teacher_exec"] == pytest.approx(2.0)
-
     def test_utilization_bounded(self):
         trace = _two_device_trace()
         utilizations = resource_utilization(trace, [device_compute(0), device_compute(1)])
         for value in utilizations.values():
             assert 0.0 <= value <= 1.0
-        per_device = device_utilization(trace, 2)
-        assert set(per_device) == {0, 1}
 
     def test_breakdown_equals_a_sum_over_the_records(self):
         # Link and collective time, a malformed compute resource and an

@@ -773,25 +773,6 @@ class TestServe:
         assert "error:" in captured.err
         assert captured.err.count("\n") == 1  # one clean line, no traceback
 
-    def test_explicit_uvicorn_without_fastapi_is_reported(self, capsys):
-        try:
-            import uvicorn  # noqa: F401
-            import fastapi  # noqa: F401
-        except ImportError:
-            pass
-        else:
-            pytest.skip("uvicorn and fastapi are installed; the fallback "
-                        "error path does not apply")
-        code, captured = run_cli(
-            capsys, "serve", "--http", "uvicorn", "--port", "0"
-        )
-        assert code == 2
-        assert "uvicorn" in captured.err
-
-    def test_unknown_http_frontend_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "serve", "--http", "gunicorn")
-
 
 class TestOutFailures:
     """--out must turn write failures into exit 2, not a traceback."""
