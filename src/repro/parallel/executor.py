@@ -249,15 +249,39 @@ class GraphTemplates:
 
 
 class _GraphBuilder:
-    """Adds tasks whose durations are slots, numbered in order of first use."""
+    """Adds tasks whose durations are slots, numbered in order of first use.
+
+    Rows go straight into the engine's columns; :meth:`entry` freezes them,
+    which checks every dependency and slot once, in one pass.
+    """
 
     def __init__(self) -> None:
         self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
 
-    def add(self, slot_key: Hashable, **task) -> int:
-        slot = self.slots.setdefault(slot_key, len(self.slots))
-        return self.engine.add_task(duration=slot, **task)
+    def add(
+        self,
+        slot_key: Hashable,
+        name: str,
+        kind: TaskKind,
+        resource: str,
+        deps: Tuple[int, ...],
+        step: int,
+        device: int,
+        block: int = -1,
+    ) -> int:
+        engine = self.engine
+        task_id = len(engine.names)
+        engine.names.append(name)
+        engine.kinds.append(kind)
+        engine.resources.append(resource)
+        engine.durations.append(self.slots.setdefault(slot_key, len(self.slots)))
+        engine.deps.append(deps)
+        engine.steps.append(step)
+        engine.devices.append(device)
+        engine.blocks.append(block)
+        engine.metadata.append(None)
+        return task_id
 
     def entry(self, steps: int) -> TemplateEntry:
         return TemplateEntry(steps, self.engine.freeze(), tuple(self.slots))

@@ -16,7 +16,9 @@ objects are only built when a caller reads them.
 A graph that is run many times with different service times is built once
 and frozen into a :class:`GraphTemplate`: its durations are *slot* indices,
 and :meth:`GraphTemplate.instantiate` makes a read-only engine from one value
-per slot, optionally running only a prefix of the rows.
+per slot, optionally running only a prefix of the rows.  Everything that
+depends only on the graph (its checks, run structure and accounting layout)
+is done once, when the template is frozen.
 """
 
 from __future__ import annotations
@@ -25,21 +27,25 @@ import heapq
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import SimTask, TaskKind, check_duration
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, accounting_layout
 
 
 class _Structure(NamedTuple):
-    """What :meth:`SimulationEngine.run` needs of a graph besides durations."""
+    """What :meth:`SimulationEngine.run` needs of a graph besides durations.
 
-    dep_counts: array  # number of dependencies of each row
-    dependent_offsets: array  # row i's dependents: dependents[offsets[i]:offsets[i + 1]]
-    dependents: array  # ascending within each row
-    resource_ids: array  # interned resource index of each row
+    Flat lists, in the form the run loop reads them, so a run converts
+    nothing; it copies only the dependency counts of the rows it runs.
+    """
+
+    dep_counts: List[int]  # number of dependencies of each row
+    dependent_offsets: List[int]  # row i's dependents: dependents[offsets[i]:offsets[i + 1]]
+    dependents: List[int]  # ascending within each row
+    resource_ids: List[int]  # interned resource index of each row
     num_resources: int
 
 
@@ -53,18 +59,31 @@ def _csr(rows: Sequence) -> Tuple[array, array]:
 
 
 def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
-    num_tasks = len(deps)
-    dependents: List[List[int]] = [[] for _ in range(num_tasks)]
-    for task_id, row in enumerate(deps):
+    dep_counts = list(map(len, deps))
+    # Each value's int object is made once and shared by both lists below,
+    # which templates keep for as long as their table lives.
+    ints = list(range(max(len(deps), sum(dep_counts)) + 1))
+    dependents: List[List[int]] = [[] for _ in deps]
+    for task_id, row in zip(ints, deps):
         for dep in row:
             dependents[dep].append(task_id)
-    offsets, targets = _csr(dependents)
     resource_index: Dict[str, int] = {}
-    resource_ids = array(
-        "i", [resource_index.setdefault(resource, len(resource_index)) for resource in resources]
-    )
+    resource_ids = [
+        resource_index.setdefault(resource, len(resource_index)) for resource in resources
+    ]
     return _Structure(
-        array("i", map(len, deps)), offsets, targets, resource_ids, len(resource_index)
+        dep_counts,
+        list(map(ints.__getitem__, accumulate(map(len, dependents), initial=0))),
+        list(chain.from_iterable(dependents)),
+        resource_ids,
+        len(resource_index),
+    )
+
+
+def _unknown_dependency(name: str, dep: int) -> SimulationError:
+    return SimulationError(
+        f"task {name!r} depends on unknown task id {dep} "
+        f"(only earlier tasks may be dependencies)"
     )
 
 
@@ -143,10 +162,7 @@ class SimulationEngine:
         deps_tuple: Tuple[int, ...] = tuple(deps)
         for dep in deps_tuple:
             if dep < 0 or dep >= task_id:
-                raise SimulationError(
-                    f"task {name!r} depends on unknown task id {dep} "
-                    f"(only earlier tasks may be dependencies)"
-                )
+                raise _unknown_dependency(name, dep)
         duration = float(duration)
         check_duration(name, duration)
         self.names.append(name)
@@ -213,14 +229,13 @@ class SimulationEngine:
         structure = self._structure
         if structure is None:
             structure = self._structure = _run_structure(self.deps, self.resources)
-        remaining_deps = structure.dep_counts.tolist()
-        num_rows = len(remaining_deps)
+        offsets, dependents = structure.dependent_offsets, structure.dependents
+        task_resource = structure.resource_ids
+        num_rows = len(task_resource)
         # Rows past ``num_tasks`` (a template run on a step prefix) never
         # become ready.
-        remaining_deps[num_tasks:] = [-1] * (num_rows - num_tasks)
-        offsets = structure.dependent_offsets.tolist()
-        dependents = structure.dependents.tolist()
-        task_resource = structure.resource_ids.tolist()
+        remaining_deps = structure.dep_counts[:num_tasks]
+        remaining_deps += [-1] * (num_rows - num_tasks)
 
         # Per-resource FIFO of ready task ids (insertion order == program
         # order == ascending id, so a plain int heap suffices) and the time
@@ -297,7 +312,14 @@ class SimulationEngine:
                             ),
                         )
 
-        return Trace(self, range(num_tasks), start_time, finish_time)
+        # A template run reads the template's accounting layout, cut to the
+        # rows it ran; a plain engine's trace builds its own on first use.
+        layout = None
+        if self._template is not None:
+            layout = self._template.layout
+            if num_tasks < num_rows:
+                layout = layout.cut(num_tasks)
+        return Trace(self, range(num_tasks), start_time, finish_time, layout)
 
 
 class GraphTemplate:
@@ -305,10 +327,19 @@ class GraphTemplate:
 
     Built by :meth:`SimulationEngine.freeze` from an engine whose durations
     are *slot* indices ``0..k-1``, numbered in order of first use.  The
-    columns are stored compactly: tuples of interned strings, ``array('i')``
-    int columns and CSR arrays (offsets plus one flat target array) for the
-    dependencies and dependents, next to the run structure every instance
-    shares.  :meth:`instantiate` takes one value per slot.
+    engine's rows need not come from :meth:`SimulationEngine.add_task`: a
+    builder may append to the columns directly, because freezing checks, in
+    one pass, that every dependency is an earlier row and every duration an
+    integer slot, raising :class:`SimulationError` naming the task.
+
+    The columns are stored compactly: tuples of interned strings,
+    ``array('i')`` int columns and CSR arrays (offsets plus one flat target
+    array) for the dependencies.  Next to them the template keeps what every
+    instance shares: the run structure (dependency counts, dependents and
+    interned resource ids, as flat lists) and the
+    :class:`~repro.sim.trace.AccountingLayout` of all its rows, which each
+    run cuts to its row prefix.  :meth:`instantiate` takes one value per
+    slot.
     """
 
     __slots__ = (
@@ -324,28 +355,36 @@ class GraphTemplate:
         "metadata",
         "slot_names",
         "structure",
+        "layout",
     )
 
     def __init__(self, engine: SimulationEngine) -> None:
         intern = sys.intern
         self.names = tuple(map(intern, engine.names))
+        first_use: Dict[int, str] = {}
+        for row, (name, slot, deps) in enumerate(zip(self.names, engine.durations, engine.deps)):
+            if int(slot) != slot:
+                raise SimulationError(
+                    f"task {name!r} has duration {slot!r}: template durations "
+                    f"must be integer slot indices"
+                )
+            first_use.setdefault(slot, name)
+            for dep in deps:
+                if dep < 0 or dep >= row:
+                    raise _unknown_dependency(name, dep)
+        if sorted(first_use) != list(range(len(first_use))):
+            raise SimulationError("template slots must be numbered 0..k-1")
+        self.slot_names = tuple(first_use[slot] for slot in range(len(first_use)))
         self.kinds = tuple(engine.kinds)
         self.resources = tuple(map(intern, engine.resources))
         self.slots = array("i", map(int, engine.durations))
-        if list(self.slots) != engine.durations:
-            raise SimulationError("template durations must be integer slot indices")
         self.dep_offsets, self.dep_targets = _csr(engine.deps)
         self.steps = array("i", engine.steps)
         self.devices = array("i", engine.devices)
         self.blocks = array("i", engine.blocks)
         self.metadata = tuple(engine.metadata)
-        first_use: Dict[int, str] = {}
-        for name, slot in zip(self.names, self.slots):
-            first_use.setdefault(slot, name)
-        if sorted(first_use) != list(range(len(first_use))):
-            raise SimulationError("template slots must be numbered 0..k-1")
-        self.slot_names = tuple(first_use[slot] for slot in range(len(first_use)))
         self.structure = _run_structure(engine.deps, self.resources)
+        self.layout = accounting_layout(self, range(len(self.slots)))
 
     @property
     def num_tasks(self) -> int:

@@ -2,34 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from repro.errors import SimulationError
-from repro.sim.events import STUDENT_EXEC_KINDS, TaskKind
-from repro.sim.resources import parse_device
 from repro.sim.trace import Trace
 
 #: Breakdown categories matching the paper's Fig. 2 legend.
 BREAKDOWN_CATEGORIES = ("data_load", "teacher_exec", "student_exec", "comm", "idle")
-
-#: Busy-time category of every kind that occupies a device (data loading is
-#: handled separately; unlisted kinds are not counted).
-_KIND_CATEGORY: Dict[TaskKind, str] = {
-    TaskKind.TEACHER_FORWARD: "teacher_exec",
-    **{kind: "student_exec" for kind in STUDENT_EXEC_KINDS | {TaskKind.VALIDATE}},
-    **{
-        kind: "comm"
-        for kind in (TaskKind.SEND, TaskKind.RECV, TaskKind.ALLREDUCE, TaskKind.BARRIER)
-    },
-}
-
-
-def _compute_device(resource: str) -> Optional[int]:
-    """The device of a compute-stream resource, or ``None`` for any other."""
-    try:
-        return parse_device(resource)
-    except (SimulationError, ValueError):
-        return None
 
 
 def compute_breakdown(
@@ -37,15 +15,32 @@ def compute_breakdown(
 ) -> Dict[int, Dict[str, float]]:
     """Per-device time breakdown over the trace.
 
-    Returns ``{device_id: {category: seconds}}`` where the categories are
-    data loading, teacher execution, student execution (forward + backward +
-    update), communication attributed to the device's compute stream (usually
-    zero since transfers occupy link resources), and idle time up to
-    ``horizon`` (defaults to the trace makespan).
+    Returns ``{device_id: {category: seconds}}`` for devices
+    ``0..num_devices-1``.  Rows are charged as the trace's
+    :class:`~repro.sim.trace.AccountingLayout` says
+    (:func:`~repro.sim.trace.accounting_layout` has the rules), summing
+    ``end - start`` in row order:
 
-    Data-loading time is attributed to the device that consumes the batch
-    (via the task's ``device`` label) because in the real system the loader
-    worker blocks that device's training process.
+    * ``teacher_exec``: teacher forwards; ``student_exec``: student
+      forwards, backwards, weight updates and validation;
+    * ``comm``: sends, receives, all-reduces and barriers, charged to the
+      device of their compute stream or, on any other resource (a link, a
+      collective), to the task's ``device`` label.  So a ``RECV`` on
+      ``link:a->b`` labelled ``device=b`` counts as ``comm`` of the
+      receiving device, while an all-reduce labelled ``device=-1`` (every
+      all-reduce the executor builds) is dropped;
+    * ``idle``: ``horizon`` (defaults to the trace makespan) minus the
+      three busy categories above, floored at zero;
+    * ``data_load``: the part of that idle time that the device's data
+      loading could explain, ``min(idle, load time)``.  The load time is
+      the ``DATA_LOAD`` rows labelled with the device (the loader worker
+      blocks the training process that consumes the batch); ``idle``
+      keeps the rest.  The wait is not traced to what the device actually
+      waited for.
+
+    Rows on devices outside ``0..num_devices-1`` are not counted.
+    Charging collectives to their group and attributing each wait to the
+    dependency that released it are ROADMAP item 1.
     """
     if horizon is None:
         horizon = trace.makespan
@@ -54,30 +49,16 @@ def compute_breakdown(
         for device in range(num_devices)
     }
 
-    tasks = trace.tasks
-    kinds, resources, devices = tasks.kinds, tasks.resources, tasks.devices
-    # Device of each distinct resource, resolved once per call; ``None``
-    # marks a non-compute resource, whose time goes to the task's device.
-    resource_devices: Dict[str, Optional[int]] = {}
-    for task_id, start, end in trace.rows():
-        device = devices[task_id]
-        kind = kinds[task_id]
-        if kind == TaskKind.DATA_LOAD:
-            if 0 <= device < num_devices:
-                breakdown[device]["data_load"] += end - start
+    starts, ends = trace.starts, trace.ends
+    for device, category, rows in trace.layout.buckets:
+        if device >= num_devices:
             continue
-        resource = resources[task_id]
-        if resource in resource_devices:
-            resource_device = resource_devices[resource]
-        else:
-            resource_device = resource_devices[resource] = _compute_device(resource)
-        if resource_device is None:
-            resource_device = device
-        if resource_device < 0 or resource_device >= num_devices:
-            continue
-        category = _KIND_CATEGORY.get(kind)
-        if category is not None:
-            breakdown[resource_device][category] += end - start
+        # ``+=`` in row order, not ``sum()``: from Python 3.12 on, ``sum()``
+        # of floats is compensated and would round differently.
+        total = 0.0
+        for row in rows:
+            total += ends[row] - starts[row]
+        breakdown[device][category] = total
 
     for device in range(num_devices):
         busy = sum(

@@ -2,13 +2,22 @@
 
 A :class:`Trace` is columnar: it keeps the engine's task table (see
 :class:`~repro.sim.engine.SimulationEngine`) plus, per row, the task id and
-its simulated start and end time.  The time accounting below reads those
-columns directly; :attr:`Trace.records` is a read-only sequence view that
-builds :class:`TaskRecord` objects the first time one is read.
+its simulated start and end time.  :attr:`Trace.records` is a read-only
+sequence view that builds :class:`TaskRecord` objects the first time one is
+read.
+
+The time accounting below (step boundaries, the steady-state step time and
+:func:`~repro.sim.metrics.compute_breakdown`) reads the trace's
+:class:`AccountingLayout`: which rows each step and each ``(device,
+category)`` covers.  The layout depends only on the task table, so a graph
+template computes it once and each run cuts it to its row prefix; any other
+trace builds its own with :func:`accounting_layout`.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import (
@@ -18,14 +27,125 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
 )
 
-from repro.sim.events import SimTask, TaskKind
+from repro.errors import SimulationError
+from repro.sim.events import STUDENT_EXEC_KINDS, SimTask, TaskKind
+from repro.sim.resources import parse_device
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import SimulationEngine
+
+
+#: Busy-time category of every kind that occupies a device (data loading is
+#: handled separately; unlisted kinds are not counted).
+_KIND_CATEGORY: Dict[TaskKind, str] = {
+    TaskKind.TEACHER_FORWARD: "teacher_exec",
+    **{kind: "student_exec" for kind in STUDENT_EXEC_KINDS | {TaskKind.VALIDATE}},
+    **{
+        kind: "comm"
+        for kind in (TaskKind.SEND, TaskKind.RECV, TaskKind.ALLREDUCE, TaskKind.BARRIER)
+    },
+}
+
+
+def _compute_device(resource: str) -> Optional[int]:
+    """The device of a compute-stream resource, or ``None`` for any other."""
+    try:
+        return parse_device(resource)
+    except (SimulationError, ValueError):
+        return None
+
+
+def _cut(groups: tuple, limit: int) -> tuple:
+    """``groups`` (each ending in ascending rows) keeping rows below ``limit``."""
+    kept = []
+    for group in groups:
+        rows = group[-1]
+        end = bisect_left(rows, limit)
+        if end == len(rows):
+            kept.append(group)
+        elif end:
+            kept.append((*group[:-1], rows[:end]))
+    return tuple(kept)
+
+
+class AccountingLayout(NamedTuple):
+    """The rows each step and each ``(device, category)`` of a trace covers.
+
+    ``steps`` holds ``(step, rows)`` for every step label, by ascending
+    step (a label below zero marks unlabelled rows); ``buckets`` holds
+    ``(device, category, rows)`` for every device ``>= 0`` and busy
+    category, by device and then category name.  Rows are trace positions,
+    ascending, in ``array('i')``; no group is empty.  See
+    :func:`accounting_layout` for the category rules.
+    """
+
+    steps: Tuple[Tuple[int, array], ...]
+    buckets: Tuple[Tuple[int, str, array], ...]
+
+    def cut(self, limit: int) -> "AccountingLayout":
+        """The layout of the first ``limit`` rows (a template's row prefix)."""
+        return AccountingLayout(_cut(self.steps, limit), _cut(self.buckets, limit))
+
+
+def accounting_layout(table, task_ids: Iterable[int]) -> AccountingLayout:
+    """The accounting layout of the rows ``task_ids`` of a task table.
+
+    ``table`` has the ``kinds``, ``resources``, ``steps`` and ``devices``
+    columns of a :class:`~repro.sim.engine.SimulationEngine`; row ``p`` of the
+    layout is ``task_ids[p]``.  A row counts towards its step label, and
+    towards one busy category of one device:
+
+    * ``DATA_LOAD`` rows count as ``data_load`` of the task's ``device``
+      (the loader blocks the training process that consumes the batch);
+    * any other kind counts under its category (teacher execution, student
+      execution including updates and validation, or communication) on the
+      device of its compute-stream resource, or, on any other resource
+      (links, collectives, the host), on the task's ``device``; kinds
+      without a category are not counted;
+    * rows whose device is negative are not counted.
+    """
+    kinds, resources = table.kinds, table.resources
+    steps, devices = table.steps, table.devices
+    step_rows: Dict[int, array] = {}
+    bucket_rows: Dict[Tuple[int, str], array] = {}
+    # Device of each distinct resource, resolved once; ``None`` marks a
+    # non-compute resource, whose time goes to the task's device.
+    resource_devices: Dict[str, Optional[int]] = {}
+    for position, task_id in enumerate(task_ids):
+        step = steps[task_id]
+        rows = step_rows.get(step)
+        if rows is None:
+            rows = step_rows[step] = array("i")
+        rows.append(position)
+        kind = kinds[task_id]
+        if kind == TaskKind.DATA_LOAD:
+            device, category = devices[task_id], "data_load"
+        else:
+            category = _KIND_CATEGORY.get(kind)
+            if category is None:
+                continue
+            resource = resources[task_id]
+            if resource in resource_devices:
+                device = resource_devices[resource]
+            else:
+                device = resource_devices[resource] = _compute_device(resource)
+            if device is None:
+                device = devices[task_id]
+        if device < 0:
+            continue
+        rows = bucket_rows.get((device, category))
+        if rows is None:
+            rows = bucket_rows[device, category] = array("i")
+        rows.append(position)
+    return AccountingLayout(
+        tuple(sorted(step_rows.items())),
+        tuple((device, category, rows) for (device, category), rows in sorted(bucket_rows.items())),
+    )
 
 
 @dataclass(frozen=True)
@@ -79,9 +199,11 @@ class Trace:
     simulated from ``starts[i]`` to ``ends[i]``.  Rows are in ascending
     task-id order.  Sub-traces (:meth:`filter`, :meth:`window`,
     :meth:`for_step`) share the task table and keep a subset of rows.
+    ``layout`` is the trace's :class:`AccountingLayout` if the caller has
+    it (a template run); otherwise it is built on first use.
     """
 
-    __slots__ = ("tasks", "task_ids", "starts", "ends", "_records")
+    __slots__ = ("tasks", "task_ids", "starts", "ends", "_records", "_layout")
 
     def __init__(
         self,
@@ -89,12 +211,21 @@ class Trace:
         task_ids: Sequence,
         starts: List[float],
         ends: List[float],
+        layout: Optional[AccountingLayout] = None,
     ) -> None:
         self.tasks = tasks
         self.task_ids = task_ids
         self.starts = starts
         self.ends = ends
         self._records: Optional[Tuple[TaskRecord, ...]] = None
+        self._layout = layout
+
+    @property
+    def layout(self) -> AccountingLayout:
+        """Which rows each step and each ``(device, category)`` covers."""
+        if self._layout is None:
+            self._layout = accounting_layout(self.tasks, self.task_ids)
+        return self._layout
 
     # ------------------------------------------------------------------ #
     # Records (built lazily)
@@ -165,15 +296,15 @@ class Trace:
 
     def for_step(self, step: int) -> "Trace":
         """Records belonging to one training step."""
-        steps = self.tasks.steps
-        return self._subset(
-            p for p, task_id in enumerate(self.task_ids) if steps[task_id] == step
-        )
+        return self._subset(dict(self.layout.steps).get(step, ()))
 
     def steps(self) -> Tuple[int, ...]:
         """Sorted step labels present in the trace (excluding unlabeled -1)."""
-        steps = self.tasks.steps
-        return tuple(sorted({steps[i] for i in self.task_ids if steps[i] >= 0}))
+        return tuple(step for step, _ in self._labelled_steps())
+
+    def _labelled_steps(self) -> List[Tuple[int, array]]:
+        """``(step, rows)`` of the layout's step labels ``>= 0``, ascending."""
+        return [group for group in self.layout.steps if group[0] >= 0]
 
     # ------------------------------------------------------------------ #
     # Time accounting
@@ -199,24 +330,18 @@ class Trace:
             if task_end > start and task_start < end
         )
 
+    def _first_start(self, rows: Sequence) -> float:
+        return min(map(self.starts.__getitem__, rows))
+
+    def _last_end(self, rows: Sequence) -> float:
+        return max(map(self.ends.__getitem__, rows))
+
     def step_boundaries(self) -> Dict[int, Tuple[float, float]]:
         """Per-step (earliest start, latest end) over labeled records."""
-        steps = self.tasks.steps
-        first: Dict[int, float] = {}
-        last: Dict[int, float] = {}
-        for task_id, start, end in self.rows():
-            step = steps[task_id]
-            if step < 0:
-                continue
-            if step in first:
-                if start < first[step]:
-                    first[step] = start
-                if end > last[step]:
-                    last[step] = end
-            else:
-                first[step] = start
-                last[step] = end
-        return {step: (first[step], last[step]) for step in first}
+        return {
+            step: (self._first_start(rows), self._last_end(rows))
+            for step, rows in self._labelled_steps()
+        }
 
     def steady_state_step_time(self, skip_first: int = 1) -> float:
         """Average per-step time ignoring the first ``skip_first`` warm-up steps.
@@ -229,12 +354,12 @@ class Trace:
         """
         if skip_first < 0:
             raise ValueError(f"skip_first must be non-negative, got {skip_first}")
-        bounds = self.step_boundaries()
-        steps = sorted(bounds)
+        steps = self._labelled_steps()
         if not steps:
             return 0.0
+        last_end = self._last_end(steps[-1][1])
         if skip_first == 0 or len(steps) <= skip_first + 1:
-            span = bounds[steps[-1]][1] - bounds[steps[0]][0]
+            span = last_end - self._first_start(steps[0][1])
             return span / len(steps)
-        span = bounds[steps[-1]][1] - bounds[steps[skip_first - 1]][1]
+        span = last_end - self._last_end(steps[skip_first - 1][1])
         return span / (len(steps) - skip_first)

@@ -15,9 +15,14 @@ import importlib.util
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
-from repro.parallel.executor import GraphTemplates
+from repro.errors import SimulationError
+from repro.parallel.executor import GraphTemplates, _GraphBuilder
+from repro.sim.events import TaskKind
+from repro.sim.resources import device_compute, host_loader
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -81,3 +86,18 @@ def test_session_shares_one_table_and_clear_empties_it():
     assert list(table.shapes().values()) == [9]  # a prefix of the kept build
     session.clear()
     assert len(table) == 0 and table.num_tasks == 0
+
+
+def test_builder_rows_are_checked_when_the_template_is_frozen():
+    graph = _GraphBuilder()
+    load = graph.add(
+        "load", name="load", kind=TaskKind.DATA_LOAD, resource=host_loader(),
+        deps=(), step=0, device=0,
+    )
+    graph.add(
+        "teacher", name="T", kind=TaskKind.TEACHER_FORWARD, resource=device_compute(0),
+        deps=(load, load + 1), step=0, device=0,
+    )
+    assert graph.engine.num_tasks == 2  # appended unchecked
+    with pytest.raises(SimulationError, match=r"task 'T' depends on unknown task id 1 "):
+        graph.entry(1)

@@ -252,3 +252,61 @@ class TestGraphTemplate:
             template.instantiate([1.0, 1.0])
         with pytest.raises(SimulationError, match="cannot run 7"):
             template.instantiate([1.0, 1.0, 1.0], num_tasks=7)
+
+
+def _appended_graph(*rows):
+    """An engine filled the way a template builder fills it.
+
+    Each ``(name, slot, deps)`` row is appended to the columns directly,
+    without :meth:`SimulationEngine.add_task`, so nothing is checked until
+    :meth:`SimulationEngine.freeze`.
+    """
+    engine = SimulationEngine()
+    for name, slot, deps in rows:
+        engine.names.append(name)
+        engine.kinds.append(TaskKind.TEACHER_FORWARD)
+        engine.resources.append(device_compute(0))
+        engine.durations.append(slot)
+        engine.deps.append(deps)
+        engine.steps.append(0)
+        engine.devices.append(0)
+        engine.blocks.append(-1)
+        engine.metadata.append(None)
+    return engine
+
+
+class TestTemplateChecks:
+    """Rows appended without ``add_task`` are checked once, at ``freeze``."""
+
+    @pytest.mark.parametrize("dep", [2, 1, -1], ids=["forward", "self", "negative"])
+    def test_a_bad_dependency_names_its_task(self, dep):
+        engine = _appended_graph(("a", 0, ()), ("b", 1, (0, dep)), ("c", 2, (1,)))
+        with pytest.raises(SimulationError) as frozen:
+            engine.freeze()
+        assert str(frozen.value) == (
+            f"task 'b' depends on unknown task id {dep} "
+            f"(only earlier tasks may be dependencies)"
+        )
+        # The message add_task gives for the same row.
+        built = SimulationEngine()
+        built.add_task("a", TaskKind.TEACHER_FORWARD, device_compute(0), 0)
+        with pytest.raises(SimulationError) as added:
+            built.add_task("b", TaskKind.TEACHER_FORWARD, device_compute(0), 1, deps=(0, dep))
+        assert str(added.value) == str(frozen.value)
+
+    @pytest.mark.parametrize("slot", [1.5, 0.25])
+    def test_a_non_integer_slot_names_its_task(self, slot):
+        engine = _appended_graph(("a", 0, ()), ("b", slot, (0,)))
+        with pytest.raises(SimulationError, match=r"task 'b' has duration .*integer slot"):
+            engine.freeze()
+
+    def test_valid_appended_rows_freeze_like_added_ones(self):
+        appended = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 0, (0, 1)))
+        template = appended.freeze()
+        assert template.slot_names == ("a", "b")
+        trace = template.instantiate([0.5, 2.0]).run()
+        assert [(start, end) for _, start, end in trace.rows()] == [
+            (0.0, 0.5),
+            (0.5, 2.5),
+            (2.5, 3.0),
+        ]

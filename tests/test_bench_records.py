@@ -112,3 +112,46 @@ def test_tool_summary_matches_the_schema():
     assert summary["ops_per_s"]["pairs_better"] == 3
     assert summary["setup_s"]["pairs_better"] == 0
     assert summary["ops_per_s"]["parent"]["iqr"] == 1.0
+
+
+def test_compile_tree_writes_current_bytecode(tmp_path):
+    tool = load_tool()
+    sources = [tmp_path / "src" / "pkg" / "mod.py", tmp_path / "perfbench" / "run.py"]
+    for source in sources:
+        source.parent.mkdir(parents=True)
+        source.write_text("VALUE = 1\n")
+    tool.compile_tree(tmp_path)
+    for source in sources:
+        assert Path(importlib.util.cache_from_source(str(source))).is_file()
+    (tmp_path / "src" / "broken.py").write_text("def broken(:\n")
+    with pytest.raises(SystemExit, match="compileall"):
+        tool.compile_tree(tmp_path)
+
+
+def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "mod.py").write_text(f"SIDE = {checkout.name!r}\n")
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    calls = []
+    monkeypatch.setattr(tool, "compile_tree", lambda checkout: calls.append(("compile", checkout)))
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append(("run", checkout))
+        return {
+            "correct": True,
+            "failed": 0,
+            "attempted": 1,
+            "metrics": {name: {"value": 1.0} for name in END_TO_END},
+        }
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "BENCH_7.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--parent-commit", "0" * 40]
+    argv += ["--pr", "7", "--pairs", "2", "--workload", "plan-cold", "--out", str(out)]
+    assert tool.main(argv) == 0
+    assert calls[:2] == [("compile", parent), ("compile", change)]
+    assert [call for call, _ in calls[2:]] == ["run"] * 4
+    check_workload(json.loads(out.read_text())["workloads"]["plan-cold"])

@@ -17,11 +17,13 @@ Usage, from the root of the change checkout::
         --parent-commit <parent-commit> --pr <n> --pairs 10 --seconds 10 \\
         --workload plan-cold --traced
 
-Both trees run with ``PYTHONDONTWRITEBYTECODE`` honoured as set, so compile
-them first (``python -m compileall -q src perfbench`` in each); otherwise a
-tree without ``.pyc`` files recompiles on every spawn and pays for it in
-``setup_s``.  Writing to an existing file adds or replaces the workloads
-given, and refuses a file recorded for other source trees.
+Before the first run the tool compiles ``src`` and ``perfbench`` in both
+trees (``python -m compileall -q``), so every spawn imports up-to-date
+``.pyc`` files: with ``PYTHONDONTWRITEBYTECODE`` set, a tree without them
+recompiles on every spawn, and one with stale ones from an earlier edit
+recompiles the changed modules, and either pays for it in ``setup_s``.
+Writing to an existing file adds or replaces the workloads given, and
+refuses a file recorded for other source trees.
 
 Each side is identified by its commit, when known (``--parent-commit``,
 ``--change-commit``, else ``git rev-parse HEAD`` in that checkout), and by
@@ -70,6 +72,14 @@ def git_commit(checkout: Path) -> Optional[str]:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip() or None
+
+
+def compile_tree(checkout: Path) -> None:
+    """Byte-compile ``src`` and ``perfbench`` so that no spawn recompiles."""
+    command = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    out = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(command)} failed:\n{out.stdout}{out.stderr}")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -207,6 +217,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
     }
+    for checkout in (args.parent, args.change):
+        compile_tree(checkout)
     for workload in workloads:
         document["workloads"][workload] = record_workload(args, benchmark, workload)
         document["recorded"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
