@@ -9,10 +9,11 @@ grid both ways, interleaved with fresh sessions and min-of-N so process
 warmup and scheduler noise cancel, and asserts the fully *recorded* run
 stays within 5% of the no-op run.
 
-``overhead_ratio`` (recorded / no-op, ~1.0) and the deterministic
-``simulations`` count are gated by the ±20% perf-regression CI job
-against ``benchmarks/baselines/obs_overhead.json``; the raw millisecond
-timings are recorded for the report but deliberately ungated — absolute
+The deterministic ``simulations`` count is gated by the perf-regression
+CI job against ``benchmarks/baselines/obs_overhead.json``.
+``overhead_ratio`` (recorded / no-op, ~1.0) is a wall-clock ratio, so it is
+asserted here against its maximum and not compared with the baseline; the
+raw millisecond timings are recorded for the report but ungated — absolute
 speed is the business of ``bench_cluster_throughput`` /
 ``bench_serve_latency``.
 """

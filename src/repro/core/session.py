@@ -10,7 +10,9 @@ artefact by the config cell that determines it:
 * dataset descriptors by ``dataset``,
 * executors by ``(pair, server, dataset, simulated_steps)``,
 * profile tables by ``(task, dataset, server, num_gpus, batch_size)`` —
-  built exactly once per cell, matching the paper's one-off profiling pass.
+  built exactly once per cell, matching the paper's one-off profiling pass,
+* plans by ``(strategy object, cell)`` — each scheduling decision is made
+  once per cell and reused for every simulated-step count.
 
 On top of the caches it exposes the whole public workflow:
 
@@ -61,7 +63,8 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.parallel.executor import ExecutionResult, GraphTemplates, ScheduleExecutor
 from repro.parallel.profiler import ProfileTable
-from repro.parallel.registry import REGISTRY
+from repro.parallel.plan import SchedulePlan
+from repro.parallel.registry import REGISTRY, Strategy
 from repro.store.backends import ExecutionBackend, resolve_backend
 from repro.store.keys import run_key
 from repro.store.store import ExperimentStore, open_store
@@ -70,6 +73,9 @@ PairKey = Tuple[str, str]
 ServerKey = Tuple[str, int]
 ProfileKey = Tuple[str, str, str, int, int]
 ExecutorKey = Tuple[str, str, str, int, int]
+#: A registered strategy object and the cell it planned.  The object, not
+#: its name, is the key: a name registered again names a new planner.
+PlanKey = Tuple[Strategy, ProfileKey]
 
 
 @dataclass
@@ -131,10 +137,11 @@ class SessionStats:
     Example:
         >>> from repro import ExperimentConfig, Session
         >>> session = Session()
-        >>> for _ in range(2):
-        ...     _ = session.run(ExperimentConfig(batch_size=128, simulated_steps=4))
-        >>> (session.stats.profile_builds, session.stats.profile_hits)
-        (1, 1)
+        >>> for steps in (4, 6):
+        ...     _ = session.run(ExperimentConfig(batch_size=128, simulated_steps=steps))
+        >>> stats = session.stats
+        >>> (stats.profile_builds, stats.plan_builds, stats.plan_hits, stats.runs)
+        (1, 1, 1, 2)
     """
 
     pair_builds: int = 0
@@ -147,6 +154,10 @@ class SessionStats:
     executor_hits: int = 0
     profile_builds: int = 0
     profile_hits: int = 0
+    #: Planner searches run (``plan_builds``) and plans reused for another
+    #: step count or run of the same cell (``plan_hits``).
+    plan_builds: int = 0
+    plan_hits: int = 0
     #: Persistent-store traffic: ``store_builds`` counts simulations written
     #: through the store (cold), ``store_hits`` counts results hydrated from
     #: it without simulating (warm).
@@ -158,7 +169,7 @@ class SessionStats:
     runs: int = 0
 
     #: Caches with paired build/hit counters, addressable via :meth:`hit_rate`.
-    CACHES = ("pair", "server", "dataset", "executor", "profile", "store")
+    CACHES = ("pair", "server", "dataset", "executor", "profile", "plan", "store")
 
     def hit_rate(self, cache: str) -> float:
         """Hit fraction for one cache (``"pair"``, ``"profile"``, ...).
@@ -334,6 +345,7 @@ class Session:
         self._datasets: Dict[str, DatasetSpec] = {}
         self._executors: Dict[ExecutorKey, ScheduleExecutor] = {}
         self._profiles: Dict[ProfileKey, ProfileTable] = {}
+        self._plans: Dict[PlanKey, SchedulePlan] = {}
         self._templates = GraphTemplates()
         self._lock = threading.RLock()
         self.stats = SessionStats()
@@ -436,6 +448,7 @@ class Session:
             self._datasets.clear()
             self._executors.clear()
             self._profiles.clear()
+            self._plans.clear()
             self._templates.clear()
 
     # ------------------------------------------------------------------ #
@@ -450,7 +463,10 @@ class Session:
         """Run one (config, strategy) cell and return its execution result.
 
         ``strategy`` overrides ``config.strategy``; ``profile`` overrides the
-        session's cached profile table (it is not cached back).
+        session's cached profile table (it is not cached back).  The plan is
+        built once per (registered strategy object, cell) and reused for
+        every step count (``stats.plan_builds`` / ``plan_hits``); a
+        ``profile`` override plans afresh and leaves the stored plans alone.
 
         With a persistent store attached, a previously simulated cell is
         hydrated straight from disk (``stats.store_hits``) without building
@@ -487,16 +503,7 @@ class Session:
                     self._runs_store_hit.inc()
                     self._run_seconds.observe(time.perf_counter() - started)
                     return result
-            if planner.requires_profile and profile is None:
-                profile = self.profile(config)
-            with span("session.plan", strategy=name):
-                plan = planner.build(
-                    self.pair(config),
-                    self.server(config),
-                    config.batch_size,
-                    self.dataset(config),
-                    profile=profile,
-                )
+            plan = self._plan(config, planner, profile)
             with span("session.execute", strategy=name):
                 result = self.executor(config).execute(plan)
             with self._lock:
@@ -507,6 +514,40 @@ class Session:
             self._runs_simulated.inc()
             self._run_seconds.observe(time.perf_counter() - started)
             return result
+
+    def _plan(
+        self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]
+    ) -> SchedulePlan:
+        """The planner's plan for this cell, built once per (planner, cell).
+
+        A plan depends on the cell alone, not on the simulated steps.  An
+        explicit ``profile`` override plans afresh and is not kept.
+        """
+        if profile is not None:
+            return self._build_plan(config, planner, profile)
+        key: PlanKey = (planner, config.cell_key())
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is None:
+                if planner.requires_profile:
+                    profile = self.profile(config)
+                plan = self._plans[key] = self._build_plan(config, planner, profile)
+                self.stats.plan_builds += 1
+            else:
+                self.stats.plan_hits += 1
+            return plan
+
+    def _build_plan(
+        self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]
+    ) -> SchedulePlan:
+        with span("session.plan", strategy=planner.name):
+            return planner.build(
+                self.pair(config),
+                self.server(config),
+                config.batch_size,
+                self.dataset(config),
+                profile=profile,
+            )
 
     # ------------------------------------------------------------------ #
     # Store plumbing (used by run() and the execution backends)

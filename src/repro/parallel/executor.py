@@ -27,7 +27,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from itertools import count
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -209,55 +210,79 @@ class GraphTemplates:
 
     A key holds everything that decides a graph's rows, names and
     dependencies but not the step count: the graph for ``k`` steps is the
-    first rows of the graph for more steps, so only the longest build is
-    kept and shorter runs use a row prefix of it.
+    first rows of the graph for more steps, so one template per key serves
+    every step count.  A longer step count extends the held template by the
+    missing steps; no row is ever built twice.  ``builds`` counts the keys
+    built from scratch and ``rows_built`` every row any builder added.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Hashable, TemplateEntry] = {}
+        self._builders: Dict[Hashable, _GraphBuilder] = {}
         self._lock = threading.Lock()
+        self.builds = 0
+        self.rows_built = 0
 
     def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
         """The entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
 
-        The entry is built from the key alone (by the builder of its plan
-        kind, ``key[0]``) on a miss, or when the kept one has fewer steps.
+        On a miss the entry is built from the key alone (by the builder of
+        its plan kind, ``key[0]``); when the held one has fewer steps, its
+        builder resumes and adds the missing ones.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            builder = self._builders.get(key)
+            if builder is None:
+                builder = self._builders[key] = _GraphBuilder(key)
+                self.builds += 1
+            entry = builder.held
             if entry is None or entry.steps < steps:
-                entry = self._entries[key] = _GRAPH_BUILDERS[key[0]](key, steps)
+                held = builder.rows
+                try:
+                    entry = builder.grow(steps)
+                except BaseException:
+                    del self._builders[key]  # a half-grown builder is not kept
+                    raise
+                self.rows_built += builder.rows - held
         return entry, entry.template.num_tasks // entry.steps * steps
 
     def shapes(self) -> Dict[Hashable, int]:
         """The steps each held template was built for, by key."""
         with self._lock:
-            return {key: entry.steps for key, entry in self._entries.items()}
+            return {key: builder.held.steps for key, builder in self._builders.items()}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._builders)
 
     @property
     def num_tasks(self) -> int:
         """Rows held over every template."""
         with self._lock:
-            return sum(entry.template.num_tasks for entry in self._entries.values())
+            return sum(builder.rows for builder in self._builders.values())
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._builders.clear()
 
 
 class _GraphBuilder:
     """Adds tasks whose durations are slots, numbered in order of first use.
 
-    Rows go straight into the engine's columns; :meth:`entry` freezes them,
-    which checks every dependency and slot once, in one pass.
+    Rows go straight into the columns of ``engine``, numbered on from the
+    rows already frozen; :meth:`entry` turns them into the template (or
+    extends the held one with them), which checks every dependency and slot
+    once, in one pass, and starts an empty ``engine`` for the next rows.
+
+    The builder of the key's plan kind (``key[0]``) runs as a generator
+    that adds one training step per resumption, so :meth:`grow` can add
+    steps to a template long after it was frozen.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, key: Hashable) -> None:
         self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
+        self.rows = 0  # rows frozen so far
+        self.held: Optional[TemplateEntry] = None
+        self._steps = _GRAPH_BUILDERS[key[0]](key, self)
 
     def add(
         self,
@@ -271,7 +296,7 @@ class _GraphBuilder:
         block: int = -1,
     ) -> int:
         engine = self.engine
-        task_id = len(engine.names)
+        task_id = self.rows + len(engine.names)
         engine.names.append(name)
         engine.kinds.append(kind)
         engine.resources.append(resource)
@@ -284,18 +309,30 @@ class _GraphBuilder:
         return task_id
 
     def entry(self, steps: int) -> TemplateEntry:
-        return TemplateEntry(steps, self.engine.freeze(), tuple(self.slots))
+        """The template of every row added so far, held as ``steps`` steps."""
+        engine, self.engine = self.engine, SimulationEngine()
+        held = self.held
+        template = engine.freeze() if held is None else held.template.extended(engine)
+        self.rows = template.num_tasks
+        self.held = TemplateEntry(steps, template, tuple(self.slots))
+        return self.held
+
+    def grow(self, steps: int) -> TemplateEntry:
+        """Resume the plan kind's builder until the template has ``steps`` steps."""
+        held = 0 if self.held is None else self.held.steps
+        for _ in range(steps - held):
+            next(self._steps)
+        return self.entry(steps)
 
 
-def _pipeline_graph(key: Hashable, steps: int) -> TemplateEntry:
-    """Pipeline task graph; slots are ``(stage_id, duration name)``."""
+def _pipeline_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
+    """Pipeline task graph, one step per resumption; slots are ``(stage_id, duration name)``."""
     _, decoupled_update, stages = key
-    graph = _GraphBuilder()
-    teacher_task_ids: Dict[Tuple[int, int], List[int]] = {}
     previous_step_updates: List[int] = []
 
-    for step in range(steps):
+    for step in count():
         step_updates: List[int] = []
+        teacher_task_ids: Dict[int, List[int]] = {}
         for stage_id, device_ids, first_block, has_allreduce in stages:
             backward_ids: List[int] = []
             pre_update_ids: Dict[int, int] = {}
@@ -321,7 +358,7 @@ def _pipeline_graph(key: Hashable, steps: int) -> TemplateEntry:
                         name=f"recv[s{step},d{device}]",
                         kind=TaskKind.RECV,
                         resource=device_link(source_device, device),
-                        deps=tuple(teacher_task_ids[(step, stage_id - 1)]),
+                        deps=tuple(teacher_task_ids[stage_id - 1]),
                         step=step,
                         device=device,
                     )
@@ -337,7 +374,7 @@ def _pipeline_graph(key: Hashable, steps: int) -> TemplateEntry:
                     device=device,
                     block=first_block,
                 )
-                teacher_task_ids.setdefault((step, stage_id), []).append(teacher_id)
+                teacher_task_ids.setdefault(stage_id, []).append(teacher_id)
 
                 # --- student forward / backward --- #
                 student_fwd = graph.add(
@@ -396,14 +433,13 @@ def _pipeline_graph(key: Hashable, steps: int) -> TemplateEntry:
                 )
                 step_updates.append(update_id)
         previous_step_updates = step_updates
-    return graph.entry(steps)
+        yield
 
 
-def _layerwise_graph(key: Hashable, steps: int) -> TemplateEntry:
-    """LS task graph; slots are ``(duration name, block)``."""
+def _layerwise_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
+    """LS task graph, one step per resumption; slots are ``(duration name, block)``."""
     _, device_blocks = key
-    graph = _GraphBuilder()
-    for step in range(steps):
+    for step in count():
         for device, block_ids in device_blocks:
             max_block = max(block_ids)
             load_id = graph.add(
@@ -456,15 +492,14 @@ def _layerwise_graph(key: Hashable, steps: int) -> TemplateEntry:
                     device=device,
                     block=block_id,
                 )
-    return graph.entry(steps)
+        yield
 
 
-def _data_parallel_graph(key: Hashable, steps: int) -> TemplateEntry:
-    """One DP block's task graph; slots are duration names."""
+def _data_parallel_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
+    """One DP block's task graph, one step per resumption; slots are duration names."""
     _, num_devices, block_id = key
-    graph = _GraphBuilder()
     previous_step_updates: List[int] = []
-    for step in range(steps):
+    for step in count():
         backward_ids: List[int] = []
         for device in range(num_devices):
             load_id = graph.add(
@@ -533,10 +568,11 @@ def _data_parallel_graph(key: Hashable, steps: int) -> TemplateEntry:
             )
             for device in range(num_devices)
         ]
-    return graph.entry(steps)
+        yield
 
 
-_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int], TemplateEntry]] = {
+#: Each plan kind's graph builder: a generator adding one step per resumption.
+_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, _GraphBuilder], Iterator[None]]] = {
     "pipeline": _pipeline_graph,
     "layerwise": _layerwise_graph,
     "data_parallel": _data_parallel_graph,

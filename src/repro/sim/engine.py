@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import SimTask, TaskKind, check_duration
-from repro.sim.trace import Trace, accounting_layout
+from repro.sim.trace import AccountingLayout, Trace, accounting_layout
 
 
 class _Structure(NamedTuple):
@@ -46,37 +46,51 @@ class _Structure(NamedTuple):
     dependent_offsets: List[int]  # row i's dependents: dependents[offsets[i]:offsets[i + 1]]
     dependents: List[int]  # ascending within each row
     resource_ids: List[int]  # interned resource index of each row
-    num_resources: int
+    resource_index: Dict[str, int]  # resource -> its index, in order of first use
 
 
-def _csr(rows: Sequence) -> Tuple[array, array]:
-    """``(offsets, targets)`` of a sequence of int tuples, one flat array."""
-    offsets = array("i", accumulate(map(len, rows), initial=0))
-    targets = array("i")
-    for row in rows:
-        targets.extend(row)
-    return offsets, targets
+_NO_ROWS = _Structure([], [0], [], [], {})
 
 
-def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
+def _run_structure(
+    deps: Sequence, resources: Sequence, base: _Structure = _NO_ROWS
+) -> _Structure:
+    """The run structure of the rows ``deps`` / ``resources`` after ``base``'s rows.
+
+    Row ids continue from ``base``'s, and ``deps`` may name its rows, which
+    then gain dependents; ``base`` itself is left as it is.  The result
+    equals the structure of all the rows taken at once.
+    """
+    first = len(base.dep_counts)
+    old_offsets, old_dependents = base.dependent_offsets, base.dependents
+    # Base rows before the first one that gains a dependent keep their part
+    # of the flat lists; the rows from ``kept`` on are laid out again.
+    kept = min((dep for row in deps for dep in row if dep < first), default=first)
+    start = old_offsets[kept]
     dep_counts = list(map(len, deps))
-    # Each value's int object is made once and shared by both lists below,
-    # which templates keep for as long as their table lives.
-    ints = list(range(max(len(deps), sum(dep_counts)) + 1))
-    dependents: List[List[int]] = [[] for _ in deps]
-    for task_id, row in zip(ints, deps):
+    # Each value's int object is made once and shared by the offsets and
+    # the dependents, which templates keep for as long as their table lives.
+    low = min(start, first)
+    high = max(len(old_dependents) + sum(dep_counts), first + len(deps))
+    ints = list(range(low, high + 1))
+    dependents: List[List[int]] = [
+        old_dependents[old_offsets[row] : old_offsets[row + 1]] for row in range(kept, first)
+    ]
+    dependents += [[] for _ in deps]
+    for task_id, row in zip(ints[first - low :], deps):
         for dep in row:
-            dependents[dep].append(task_id)
-    resource_index: Dict[str, int] = {}
+            dependents[dep - kept].append(task_id)
+    resource_index = dict(base.resource_index)
     resource_ids = [
         resource_index.setdefault(resource, len(resource_index)) for resource in resources
     ]
     return _Structure(
-        dep_counts,
-        list(map(ints.__getitem__, accumulate(map(len, dependents), initial=0))),
-        list(chain.from_iterable(dependents)),
-        resource_ids,
-        len(resource_index),
+        base.dep_counts + dep_counts,
+        old_offsets[:kept]
+        + [ints[end - low] for end in accumulate(map(len, dependents), initial=start)],
+        old_dependents[:start] + list(chain.from_iterable(dependents)),
+        base.resource_ids + resource_ids,
+        resource_index,
     )
 
 
@@ -240,8 +254,9 @@ class SimulationEngine:
         # Per-resource FIFO of ready task ids (insertion order == program
         # order == ascending id, so a plain int heap suffices) and the time
         # each resource becomes free.
-        queues: List[List[int]] = [[] for _ in range(structure.num_resources)]
-        free = [0.0] * structure.num_resources
+        num_resources = len(structure.resource_index)
+        queues: List[List[int]] = [[] for _ in range(num_resources)]
+        free = [0.0] * num_resources
         # Earliest time a task's dependencies are satisfied.
         ready_time = [0.0] * num_rows
 
@@ -340,6 +355,11 @@ class GraphTemplate:
     :class:`~repro.sim.trace.AccountingLayout` of all its rows, which each
     run cuts to its row prefix.  :meth:`instantiate` takes one value per
     slot.
+
+    :meth:`extended` appends more rows (say, more training steps) without
+    touching the rows held: it checks, lays out and accounts only the new
+    rows, and the template it returns equals the one frozen from all the
+    rows at once.
     """
 
     __slots__ = (
@@ -358,37 +378,60 @@ class GraphTemplate:
         "layout",
     )
 
-    def __init__(self, engine: SimulationEngine) -> None:
+    def __init__(self, engine: SimulationEngine, base: Optional["GraphTemplate"] = None) -> None:
         intern = sys.intern
-        self.names = tuple(map(intern, engine.names))
+        if base is None:
+            base = _NO_TEMPLATE
+        first, known = base.num_tasks, len(base.slot_names)
+        names = tuple(map(intern, engine.names))
         first_use: Dict[int, str] = {}
-        for row, (name, slot, deps) in enumerate(zip(self.names, engine.durations, engine.deps)):
+        for row, (name, slot, deps) in enumerate(zip(names, engine.durations, engine.deps), first):
             if int(slot) != slot:
                 raise SimulationError(
                     f"task {name!r} has duration {slot!r}: template durations "
                     f"must be integer slot indices"
                 )
-            first_use.setdefault(slot, name)
+            if not 0 <= slot < known:
+                first_use.setdefault(slot, name)
             for dep in deps:
                 if dep < 0 or dep >= row:
                     raise _unknown_dependency(name, dep)
-        if sorted(first_use) != list(range(len(first_use))):
+        added = range(known, known + len(first_use))
+        if sorted(first_use) != list(added):
             raise SimulationError("template slots must be numbered 0..k-1")
-        self.slot_names = tuple(first_use[slot] for slot in range(len(first_use)))
-        self.kinds = tuple(engine.kinds)
-        self.resources = tuple(map(intern, engine.resources))
-        self.slots = array("i", map(int, engine.durations))
-        self.dep_offsets, self.dep_targets = _csr(engine.deps)
-        self.steps = array("i", engine.steps)
-        self.devices = array("i", engine.devices)
-        self.blocks = array("i", engine.blocks)
-        self.metadata = tuple(engine.metadata)
-        self.structure = _run_structure(engine.deps, self.resources)
-        self.layout = accounting_layout(self, range(len(self.slots)))
+        self.names = base.names + names
+        self.kinds = base.kinds + tuple(engine.kinds)
+        resources = tuple(map(intern, engine.resources))
+        self.resources = base.resources + resources
+        self.metadata = base.metadata + tuple(engine.metadata)
+        self.slot_names = base.slot_names + tuple(map(first_use.__getitem__, added))
+        self.slots = base.slots + array("i", map(int, engine.durations))
+        self.steps = base.steps + array("i", engine.steps)
+        self.devices = base.devices + array("i", engine.devices)
+        self.blocks = base.blocks + array("i", engine.blocks)
+        # CSR: row i's dependencies are dep_targets[dep_offsets[i]:dep_offsets[i + 1]].
+        self.dep_offsets, self.dep_targets = base.dep_offsets[:], base.dep_targets[:]
+        self.dep_offsets.extend(
+            accumulate(map(len, engine.deps), initial=self.dep_offsets.pop())
+        )
+        for deps in engine.deps:
+            self.dep_targets.extend(deps)
+        self.structure = _run_structure(engine.deps, resources, base.structure)
+        self.layout = base.layout.joined(accounting_layout(engine, range(len(names)), first))
 
     @property
     def num_tasks(self) -> int:
         return len(self.slots)
+
+    def extended(self, engine: SimulationEngine) -> "GraphTemplate":
+        """This template with ``engine``'s rows appended after its own.
+
+        ``engine``'s rows are numbered on from :attr:`num_tasks`, so their
+        dependencies may name this template's rows; its durations are slot
+        indices, new slots numbered on from this template's.  This template
+        is not changed.
+        """
+        return GraphTemplate(engine, self)
 
     def instantiate(
         self, values: Sequence, num_tasks: Optional[int] = None
@@ -422,3 +465,16 @@ class GraphTemplate:
         engine._structure = self.structure
         engine._template = self
         return engine
+
+
+def _no_template() -> GraphTemplate:
+    """A template with no rows: what a first freeze extends."""
+    empty = object.__new__(GraphTemplate)
+    empty.names = empty.kinds = empty.resources = empty.metadata = empty.slot_names = ()
+    empty.slots, empty.steps, empty.devices = array("i"), array("i"), array("i")
+    empty.blocks, empty.dep_targets, empty.dep_offsets = array("i"), array("i"), array("i", [0])
+    empty.structure, empty.layout = _NO_ROWS, AccountingLayout((), ())
+    return empty
+
+
+_NO_TEMPLATE = _no_template()

@@ -5,9 +5,11 @@ Layout (all under one root directory)::
     <root>/meta.json      # {"magic": "repro-store", "schema_version": N}
     <root>/store.sqlite   # table records(key, kind, schema, ts, value)
 
-Each record is one row ``(key, kind, schema, ts, value)`` addressed by the
-canonical content key of :mod:`repro.store.keys`, with the value kept as
-canonical JSON.  Design rules, in order of importance:
+Each record is one row ``(key, kind, schema, ts, value)`` of a rowid table,
+addressed by the canonical content key of :mod:`repro.store.keys` through
+the primary key's index, with the value kept as canonical JSON.  A store
+whose table predates that layout (``WITHOUT ROWID``) is converted once,
+when it is first opened.  Design rules, in order of importance:
 
 * **Durability over cleverness** — the database runs in WAL mode with
   ``synchronous=NORMAL``: every :meth:`~ExperimentStore.put` is its own
@@ -54,6 +56,8 @@ STORE_MAGIC = "repro-store"
 #: File name of the record database inside a store root.
 DB_FILENAME = "store.sqlite"
 
+#: The records table: a rowid table, so a value of a kilobyte or more sits
+#: in the table's own pages while the primary key's index stays small.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
     key    TEXT PRIMARY KEY,
@@ -61,8 +65,12 @@ CREATE TABLE IF NOT EXISTS records (
     schema INTEGER NOT NULL,
     ts     REAL NOT NULL,
     value  TEXT NOT NULL
-) WITHOUT ROWID
+)
 """
+
+#: The records table's DDL as stored by a store created before the table
+#: became a rowid table; :func:`_convert_without_rowid` converts it.
+_OLD_LAYOUT = "WITHOUT ROWID"
 
 _INSERT = (
     "INSERT OR REPLACE INTO records (key, kind, schema, ts, value) "
@@ -107,12 +115,48 @@ def _connect(path: Path) -> sqlite3.Connection:
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(_SCHEMA)
+        if _OLD_LAYOUT in _records_ddl(conn).upper():
+            _convert_without_rowid(conn)
     except sqlite3.Error as error:
         raise StoreError(
             f"cannot open store database {path} ({error}); delete the "
             "directory to start a fresh store"
         ) from error
     return conn
+
+
+def _records_ddl(conn: sqlite3.Connection) -> str:
+    """The ``CREATE TABLE`` statement the database holds for ``records``."""
+    row = conn.execute(
+        "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = 'records'"
+    ).fetchone()
+    return row[0] if row is not None else ""
+
+
+def _convert_without_rowid(conn: sqlite3.Connection) -> None:
+    """Copy a ``WITHOUT ROWID`` records table into a rowid one, once.
+
+    Runs in one ``BEGIN IMMEDIATE`` transaction, so a reader sees the old
+    table or the new one, and a crash leaves the old one.  The layout is
+    checked again inside the transaction: of several handles opening the
+    same old store at once, the first converts it and the others find it
+    converted.  Keys, kinds, schema versions, timestamps and values are
+    copied as they are.
+    """
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        if _OLD_LAYOUT in _records_ddl(conn).upper():
+            conn.execute("ALTER TABLE records RENAME TO records_without_rowid")
+            conn.execute(_SCHEMA)
+            conn.execute(
+                "INSERT INTO records (key, kind, schema, ts, value) "
+                "SELECT key, kind, schema, ts, value FROM records_without_rowid ORDER BY key"
+            )
+            conn.execute("DROP TABLE records_without_rowid")
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
 
 
 def _check_meta(root: Path) -> bool:

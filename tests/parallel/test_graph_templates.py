@@ -5,7 +5,9 @@ The benchmark's plan-cold grid (``perfbench/inputs.plan_grid()``, 1152
 count is left out of the key.  The table must hold exactly those, at the
 longest step count each was run for, in a compact layout: a naive table of
 list columns retained over 13 MB on this grid and moved the benchmark's
-peak RSS past its bound.
+peak RSS past its bound.  Each shape is built once: a longer step count
+extends the held template, so no row is built twice, and an extended
+template equals one built for all its steps at once.
 """
 
 from __future__ import annotations
@@ -21,29 +23,73 @@ from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import SimulationError
 from repro.parallel.executor import GraphTemplates, _GraphBuilder
+from repro.sim.engine import GraphTemplate
 from repro.sim.events import TaskKind
 from repro.sim.resources import device_compute, host_loader
 
 ROOT = Path(__file__).resolve().parents[2]
 
 
-def plan_grid():
+def perfbench_inputs():
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", ROOT / "perfbench" / "inputs.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.plan_grid()
+    return module
+
+
+def plan_grid():
+    return perfbench_inputs().plan_grid()
+
+
+def run_grid(session, grid):
+    config = None
+    for body in grid:
+        fields = dict(body)
+        config = ExperimentConfig(simulated_steps=fields.pop("steps"), **fields)
+        session.run(config)
+    return session.executor(config).templates
+
+
+def test_the_seed0_plan_cold_grid_builds_each_shape_once():
+    # The benchmark's shuffled order asks for 5, 10 and 20 steps of a shape
+    # in any order; each of the 56 shapes is built once and extended.
+    session = Session()
+    table = run_grid(session, perfbench_inputs().shuffled_grid(0))
+    assert (len(table), table.builds) == (56, 56)
+    assert table.rows_built == table.num_tasks == 18_788
+    stats = session.stats
+    assert (stats.plan_builds, stats.plan_hits, stats.runs) == (384, 768, 1152)
+
+
+def template_columns(template):
+    return {name: getattr(template, name) for name in GraphTemplate.__slots__}
+
+
+def test_an_extended_template_equals_a_fresh_build():
+    session = Session()
+    for name in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
+        for num_gpus in (2, 4):
+            config = ExperimentConfig(num_gpus=num_gpus, strategy=name, simulated_steps=5)
+            session.run(config)
+    keys = list(session.executor(config).templates.shapes())
+    assert {key[0] for key in keys} == {"pipeline", "layerwise", "data_parallel"}
+    for key in keys:
+        grown, fresh = GraphTemplates(), GraphTemplates()
+        for steps in (5, 6, 10, 20):
+            entry, rows = grown.get(key, steps)
+        expected, expected_rows = fresh.get(key, 20)
+        assert template_columns(entry.template) == template_columns(expected.template)
+        assert (entry.steps, entry.slot_keys, rows) == (20, expected.slot_keys, expected_rows)
+        assert (grown.builds, grown.rows_built) == (1, fresh.rows_built)
+        # A shorter step count is served by the held template as it is.
+        assert grown.get(key, 10)[0] is entry
 
 
 def test_plan_grid_table_stays_within_its_memory_budget():
     session = Session()
-    config = None
-    for body in plan_grid():
-        fields = dict(body)
-        config = ExperimentConfig(simulated_steps=fields.pop("steps"), **fields)
-        session.run(config)
-    table = session.executor(config).templates
+    table = run_grid(session, plan_grid())
     assert len(table) <= 56
     assert table.num_tasks <= 18_788
     shapes = table.shapes()
@@ -89,7 +135,7 @@ def test_session_shares_one_table_and_clear_empties_it():
 
 
 def test_builder_rows_are_checked_when_the_template_is_frozen():
-    graph = _GraphBuilder()
+    graph = _GraphBuilder(("data_parallel", 1, 0))  # rows added by hand, not by its builder
     load = graph.add(
         "load", name="load", kind=TaskKind.DATA_LOAD, resource=host_loader(),
         deps=(), step=0, device=0,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import GraphTemplate, SimulationEngine
 from repro.sim.events import TaskKind
 from repro.sim.resources import device_compute
 
@@ -310,3 +310,60 @@ class TestTemplateChecks:
             (0.5, 2.5),
             (2.5, 3.0),
         ]
+
+
+COLUMNS = (
+    "names",
+    "kinds",
+    "resources",
+    "durations",
+    "deps",
+    "steps",
+    "devices",
+    "blocks",
+    "metadata",
+)
+
+
+def _rows_from(engine, first, last):
+    """An engine holding rows ``first..last-1`` of ``engine``, ids unchanged."""
+    part = SimulationEngine()
+    for column in COLUMNS:
+        getattr(part, column).extend(getattr(engine, column)[first:last])
+    return part
+
+
+def _columns(template):
+    return {name: getattr(template, name) for name in GraphTemplate.__slots__}
+
+
+class TestExtendedTemplate:
+    """``extended`` appends rows; the result equals one freeze of all rows."""
+
+    @pytest.mark.parametrize("split", [1, 2, 3, 4, 5])
+    def test_extending_equals_freezing_at_once(self, split):
+        graph = _two_step_graph(SLOTS.get)
+        whole = graph.freeze()
+        base = _rows_from(graph, 0, split).freeze()
+        before = _columns(base)
+        extended = base.extended(_rows_from(graph, split, 6))
+        assert _columns(extended) == _columns(whole)
+        assert _columns(base) == before  # the base template is left as it is
+        values = [0.5, 1.25, 2.0]
+        assert _rows(extended.instantiate(values).run()) == _rows(whole.instantiate(values).run())
+
+    def test_new_rows_may_add_slots(self):
+        graph = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 2, (0, 1)), ("d", 1, (2,)))
+        extended = _rows_from(graph, 0, 2).freeze().extended(_rows_from(graph, 2, 4))
+        assert extended.slot_names == ("a", "b", "c")
+        assert _columns(extended) == _columns(graph.freeze())
+
+    def test_new_rows_are_checked_like_a_freeze(self):
+        base = _appended_graph(("a", 0, ()), ("b", 1, (0,))).freeze()
+        forward = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 0, (3,)))
+        with pytest.raises(SimulationError, match=r"task 'c' depends on unknown task id 3 "):
+            base.extended(_rows_from(forward, 2, 3))
+        gap = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 3, (1,)))
+        with pytest.raises(SimulationError, match="numbered 0..k-1"):
+            base.extended(_rows_from(gap, 2, 3))
+        assert base.num_tasks == 2

@@ -188,6 +188,11 @@ while True:
 """
 
 
+def _open_and_count(root):
+    """Process-pool opener: the record count its own handle sees."""
+    return len(ExperimentStore(root))
+
+
 def _put_many(root, worker, count):
     """Process-pool writer: ``count`` puts through its own store handle."""
     store = ExperimentStore(root)
@@ -242,3 +247,126 @@ class TestWritersRacingGc:
         assert evicted > 0
         assert len(store) == 50 + written - evicted
         assert len(ExperimentStore(store.root)) == len(store)
+
+
+#: The records table as stores created before the rowid layout hold it.
+_WITHOUT_ROWID_DDL = """
+CREATE TABLE records (
+    key    TEXT PRIMARY KEY,
+    kind   TEXT NOT NULL,
+    schema INTEGER NOT NULL,
+    ts     REAL NOT NULL,
+    value  TEXT NOT NULL
+) WITHOUT ROWID
+"""
+
+
+def _records_ddl(db_path) -> str:
+    conn = sqlite3.connect(db_path)
+    try:
+        return conn.execute(
+            "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = 'records'"
+        ).fetchone()[0]
+    finally:
+        conn.close()
+
+
+def _rows(db_path) -> list:
+    conn = sqlite3.connect(db_path)
+    try:
+        return conn.execute(
+            "SELECT key, kind, schema, ts, value FROM records ORDER BY key"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+def _old_layout_store(root) -> list:
+    """A store whose records table predates the rowid layout; returns its rows."""
+    ExperimentStore(root).close()
+    for name in ("store.sqlite", "store.sqlite-wal", "store.sqlite-shm"):
+        (root / name).unlink(missing_ok=True)
+    rows = [
+        (
+            content_key(kind, {"n": n}),
+            kind,
+            SCHEMA_VERSION,
+            1000.0 + n / 3,
+            canonical_json({"n": n, "pad": "é" * (40 * n), "x": [0.1 * n, None, True]}),
+        )
+        for n, kind in enumerate(["run", "estimate", "run", "tune", "run"] * 4)
+    ]
+    conn = sqlite3.connect(root / "store.sqlite", isolation_level=None)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute(_WITHOUT_ROWID_DDL)
+    conn.executemany("INSERT INTO records VALUES (?, ?, ?, ?, ?)", rows)
+    conn.close()
+    return sorted(rows)
+
+
+class TestRowidLayout:
+    def test_a_new_store_keeps_records_in_a_rowid_table(self, store):
+        store.put("run", {"cell": 1}, {"x": 1})
+        assert "WITHOUT ROWID" not in _records_ddl(store.db_path).upper()
+
+    def test_an_old_store_is_converted_keeping_every_record(self, tmp_path):
+        root = tmp_path / "store"
+        before = _old_layout_store(root)
+        assert "WITHOUT ROWID" in _records_ddl(root / "store.sqlite")
+        store = ExperimentStore(root)
+        assert "WITHOUT ROWID" not in _records_ddl(store.db_path).upper()
+        assert _rows(store.db_path) == before  # keys, kinds, ts and value bytes
+        assert len(store) == len(before)
+        for key, kind, _, _, value in before:
+            assert [r["value"] for r in store.records() if r["key"] == key] == [json.loads(value)]
+        tables = sqlite3.connect(store.db_path).execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+        assert [name for (name,) in tables] == ["records"]
+        store.put("run", {"after": "conversion"}, {"ok": True})
+        assert store.get("run", {"after": "conversion"}) == {"ok": True}
+        assert store.gc(max_records=3) == len(before) - 2
+
+    def test_a_second_opener_does_not_convert_again(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        before = _old_layout_store(root)
+        ExperimentStore(root).close()
+        statements = []
+        connect = sqlite3.connect
+
+        def traced(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr("repro.store.store.sqlite3.connect", traced)
+        store = ExperimentStore(root)
+        assert statements and not any("ALTER" in s or "records_without" in s for s in statements)
+        assert _rows(store.db_path) == before
+
+    def test_the_conversion_checks_the_layout_again_in_its_transaction(self, tmp_path):
+        from repro.store.store import _convert_without_rowid
+
+        root = tmp_path / "store"
+        before = _old_layout_store(root)
+        ExperimentStore(root).close()  # converted by this opener
+        conn = sqlite3.connect(root / "store.sqlite", isolation_level=None)
+        statements = []
+        conn.set_trace_callback(statements.append)
+        _convert_without_rowid(conn)  # what a racing opener runs late
+        conn.close()
+        assert statements[0] == "BEGIN IMMEDIATE" and statements[-1] == "COMMIT"
+        assert not any("ALTER" in s for s in statements)
+        assert _rows(root / "store.sqlite") == before
+
+    def test_openers_racing_on_an_old_store_convert_it_once(self, tmp_path):
+        from concurrent.futures import ProcessPoolExecutor
+
+        root = tmp_path / "store"
+        before = _old_layout_store(root)
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=3, mp_context=spawn) as pool:
+            counts = list(pool.map(_open_and_count, [str(root)] * 6))
+        assert counts == [len(before)] * 6
+        assert "WITHOUT ROWID" not in _records_ddl(root / "store.sqlite").upper()
+        assert _rows(root / "store.sqlite") == before

@@ -12,6 +12,7 @@ import importlib.util
 import json
 import re
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -155,3 +156,96 @@ def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
     assert calls[:2] == [("compile", parent), ("compile", change)]
     assert [call for call, _ in calls[2:]] == ["run"] * 4
     check_workload(json.loads(out.read_text())["workloads"]["plan-cold"])
+
+
+def scratch_record(tmp_path, change_factor, pairs=10, noise=0.01):
+    """A record whose change side scales each parent value by ``change_factor``.
+
+    ``change_factor`` maps a metric name to its factor (default 1.0); parent
+    values wobble by ``noise`` from pair to pair.
+    """
+    tool = load_tool()
+    runs = {"parent": [], "change": []}
+    for pair in range(pairs):
+        wobble = 1.0 + noise * ((pair % 3) - 1)
+        base = {"setup_s": 0.4 * wobble, "ops_per_s": 700.0 * wobble, "peak_rss_mb": 47.0}
+        runs["parent"].append({"metrics": {k: {"value": v} for k, v in base.items()}})
+        changed = {k: v * change_factor.get(k, 1.0) for k, v in base.items()}
+        runs["change"].append({"metrics": {k: {"value": v} for k, v in changed.items()}})
+    record = {
+        "pairs": pairs,
+        "seed": 0,
+        "seconds": 10.0,
+        "order": [["parent", "change"]] * pairs,
+        "end_to_end": tool.summarise(runs, BENCHMARK["end_to_end"]),
+    }
+    check_workload(record)
+    path = tmp_path / "BENCH_99.json"
+    path.write_text(json.dumps({"schema": 1, "pr": 99, "workloads": {"plan-cold": record}}))
+    return tool, path
+
+
+def test_check_passes_a_gain_and_prints_the_table(tmp_path, capsys):
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 1.2})
+    assert tool.main(["--check", str(path), "--claim", "plan-cold:ops_per_s"]) == 0
+    table = capsys.readouterr().out
+    assert "| workload | metric | parent | change | median delta |" in table
+    assert "| plan-cold | ops_per_s | 700 | 840 | +20.0% | 10/10 | 24% | ok, claim holds |" in table
+
+
+def test_check_catches_a_scratch_ten_percent_regression(tmp_path, capsys):
+    # Within the 24% noise bound a 10% slowdown is not a regression by
+    # itself, but it can never pass as the claimed gain.
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 0.9})
+    assert tool.main(["--check", str(path)]) == 0
+    assert tool.main(["--check", str(path), "--claim", "plan-cold:ops_per_s"]) == 1
+    assert "CLAIM FAILS" in capsys.readouterr().out
+    # Past its 10% bound, a memory regression fails with no claim at all.
+    tool, path = scratch_record(tmp_path, {"peak_rss_mb": 1.12})
+    assert tool.main(["--check", str(path)]) == 1
+    assert "| plan-cold | peak_rss_mb | 47 | 52.64 | +12.0% | 0/10 | 10% | REGRESSED |" in (
+        capsys.readouterr().out
+    )
+
+
+def test_check_needs_most_pairs_worse_and_the_median_past_the_bound(tmp_path):
+    tool = load_tool()
+    entry = {"better": "higher", "median_delta": -0.3, "pair_deltas": [-0.3] * 5 + [0.1] * 5}
+    assert not tool.regressed(entry, 0.24)  # half the pairs are not most
+    entry["pair_deltas"] = [-0.3] * 6 + [0.1] * 4
+    assert tool.regressed(entry, 0.24)
+    assert not tool.regressed({**entry, "median_delta": -0.2}, 0.24)
+    lower = {"better": "lower", "median_delta": 0.3, "pair_deltas": [0.3] * 10}
+    assert tool.regressed(lower, 0.25)
+
+
+def test_a_claim_needs_ten_pairs_and_a_gain_past_the_parent_iqr(tmp_path):
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 1.2}, pairs=6)
+    assert tool.main(["--check", str(path), "--claim", "plan-cold:ops_per_s"]) == 1
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 1.01}, noise=0.05)
+    assert tool.main(["--check", str(path), "--claim", "plan-cold:ops_per_s"]) == 1
+    assert tool.main(["--check", str(path), "--claim", "fleet-slo:ops_per_s"]) == 1
+
+
+def test_recording_still_needs_both_checkouts(capsys):
+    with pytest.raises(SystemExit):
+        load_tool().main(["--pr", "7"])
+    assert "--parent, --change" in capsys.readouterr().err
+
+
+def test_an_uncommitted_change_records_no_commit(tmp_path):
+    tool = load_tool()
+    assert tool.git_commit(tmp_path) is None  # not a git checkout
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text("VALUE = 1\n")
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "."], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "parent"], check=True)
+    head = tool.git_commit(tmp_path)
+    assert SHA1.fullmatch(head)
+    (tmp_path / "src" / "mod.py").write_text("VALUE = 2\n")
+    assert tool.git_commit(tmp_path) is None
+    (tmp_path / "notes.md").write_text("outside src\n")
+    subprocess.run(git + ["checkout", "-q", "--", "src"], check=True)
+    assert tool.git_commit(tmp_path) == head

@@ -17,6 +17,16 @@ Usage, from the root of the change checkout::
         --parent-commit <parent-commit> --pr <n> --pairs 10 --seconds 10 \\
         --workload plan-cold --traced
 
+``--check`` reads a recorded file instead of running anything.  It prints
+the table a change cites (per workload and end-to-end metric: both medians,
+the median pair delta, the pairs better, the bound) and fails when a metric
+regressed: its median pair delta is worse than its ``BENCHMARK.json`` bound
+*and* most pairs are worse.  Each ``--claim WORKLOAD:METRIC`` also requires
+the claimed gain: at least 10 pairs, nine in ten of them better, and a
+median change larger than the parent's interquartile range::
+
+    python tools/bench_record.py --check BENCH_<pr>.json --claim plan-cold:ops_per_s
+
 Before the first run the tool compiles ``src`` and ``perfbench`` in both
 trees (``python -m compileall -q``), so every spawn imports up-to-date
 ``.pyc`` files: with ``PYTHONDONTWRITEBYTECODE`` set, a tree without them
@@ -48,6 +58,9 @@ from typing import Dict, List, Optional
 
 SCHEMA = 1
 SIDES = ("parent", "change")
+REPO_ROOT = Path(__file__).resolve().parent.parent
+#: The fewest pairs a claimed gain may rest on.
+CLAIM_MIN_PAIRS = 10
 
 
 def src_digest(checkout: Path) -> str:
@@ -61,17 +74,29 @@ def src_digest(checkout: Path) -> str:
     return digest.hexdigest()
 
 
-def git_commit(checkout: Path) -> Optional[str]:
+def git(checkout: Path, *args: str) -> Optional[str]:
+    """``git -C checkout args``'s stripped output, or None when git fails."""
     try:
         out = subprocess.run(
-            ["git", "-C", str(checkout), "rev-parse", "HEAD"],
+            ["git", "-C", str(checkout), *args],
             capture_output=True,
             text=True,
             check=True,
         )
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip() or None
+    return out.stdout.strip()
+
+
+def git_commit(checkout: Path) -> Optional[str]:
+    """The checkout's HEAD, or None when its ``src/`` differs from HEAD.
+
+    A change measured before it is committed sits on top of its parent's
+    commit; naming that commit would give both sides the same one.
+    """
+    if git(checkout, "status", "--porcelain", "--", "src") != "":
+        return None
+    return git(checkout, "rev-parse", "HEAD") or None
 
 
 def compile_tree(checkout: Path) -> None:
@@ -170,13 +195,80 @@ def record_workload(args, benchmark: dict, workload: str) -> dict:
     return record
 
 
+def regressed(entry: dict, bound: float) -> bool:
+    """Median pair delta worse than ``bound`` and most pairs worse."""
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    deltas = entry["pair_deltas"]
+    worse = sum(sign * delta < 0.0 for delta in deltas)
+    return sign * entry["median_delta"] < -bound and 2 * worse > len(deltas)
+
+
+def claim_holds(entry: dict) -> bool:
+    """At least 10 pairs, nine in ten better, and the medians apart by more than the parent IQR."""
+    pairs = len(entry["pair_deltas"])
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    gain = sign * (entry["change"]["median"] - entry["parent"]["median"])
+    return (
+        pairs >= CLAIM_MIN_PAIRS
+        and 10 * entry["pairs_better"] >= 9 * pairs
+        and gain > entry["parent"]["iqr"]
+    )
+
+
+def check(document: dict, benchmark: dict, claims: List[str]) -> List[str]:
+    """Print the comparison table of a record; return every failure found."""
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+    failures = []
+    for claim in claims:
+        workload, _, metric = claim.partition(":")
+        if metric not in bounds or workload not in document["workloads"]:
+            failures.append(f"claim {claim}: the record has no such workload and metric")
+    print("| workload | metric | parent | change | median delta | pairs better | bound | verdict |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
+    for workload, record in sorted(document["workloads"].items()):
+        for name, entry in record["end_to_end"].items():
+            verdict = "ok"
+            if regressed(entry, bounds[name]):
+                verdict = "REGRESSED"
+                failures.append(
+                    f"{workload} {name}: median delta {entry['median_delta']:+.1%} is past "
+                    f"the {bounds[name]:.0%} bound with most pairs worse"
+                )
+            if f"{workload}:{name}" in claims:
+                if claim_holds(entry):
+                    verdict += ", claim holds"
+                else:
+                    verdict += ", CLAIM FAILS"
+                    failures.append(
+                        f"{workload} {name}: claimed gain not shown ({entry['pairs_better']}"
+                        f"/{len(entry['pair_deltas'])} pairs better, median "
+                        f"{entry['parent']['median']:.4g} -> {entry['change']['median']:.4g}, "
+                        f"parent IQR {entry['parent']['iqr']:.4g})"
+                    )
+            print(
+                f"| {workload} | {name} | {entry['parent']['median']:.4g} "
+                f"| {entry['change']['median']:.4g} | {entry['median_delta']:+.1%} "
+                f"| {entry['pairs_better']}/{len(entry['pair_deltas'])} "
+                f"| {bounds[name]:.0%} | {verdict} |"
+            )
+    return failures
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--check", type=Path, metavar="BENCH_JSON", help="check a record")
+    parser.add_argument(
+        "--claim",
+        action="append",
+        default=[],
+        metavar="WORKLOAD:METRIC",
+        help="with --check: a gain the record must show (repeatable)",
+    )
+    parser.add_argument("--parent", type=Path, help="parent checkout")
+    parser.add_argument("--change", type=Path, help="change checkout")
     parser.add_argument("--parent-commit", help="default: git rev-parse HEAD in --parent")
     parser.add_argument("--change-commit", help="default: git rev-parse HEAD in --change")
-    parser.add_argument("--pr", type=int, required=True, help="names the output file")
+    parser.add_argument("--pr", type=int, help="names the output file")
     parser.add_argument("--workload", action="append", help="repeatable; default: all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
@@ -184,6 +276,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--traced", action="store_true", help="add one traced run per side")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in --change")
     args = parser.parse_args(argv)
+    if args.check is not None:
+        benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        failures = check(json.loads(args.check.read_text()), benchmark, args.claim)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1 if failures else 0
+    missing = [flag for flag in ("parent", "change", "pr") if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"recording needs --{', --'.join(missing)} (or use --check)")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 

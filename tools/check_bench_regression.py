@@ -9,7 +9,10 @@ waits, throughput, simulations-performed counts, tune convergence budget
 and gap) by its JSON path, and fails when any metric drifts more than the
 tolerance (default ±20%) — or disappears outright.  The simulator is
 deterministic, so the expected drift is zero; the tolerance is headroom
-for intentional model refinements, not noise.
+for intentional model refinements, not noise.  No wall-clock number is a
+key metric: the telemetry ``overhead_ratio`` of ``obs_overhead.json``
+varies from run to run, and ``bench_obs_overhead.py`` asserts its own
+maximum for it.
 
 Usage::
 
@@ -58,8 +61,6 @@ METRIC_KEYS = frozenset(
         # serve hot path (zero-simulation guarantee; latencies stay ungated)
         "cold_hit_rate",
         "warm_hit_rate",
-        # telemetry overhead (~1.0; the raw ms timings stay ungated)
-        "overhead_ratio",
         # tune convergence
         "budget",
         "best_epoch_time_s",
