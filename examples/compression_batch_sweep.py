@@ -35,9 +35,7 @@ def main() -> None:
     base = ExperimentConfig(task="compression", dataset=dataset)
 
     print(f"=== Batch-size sweep (compression, {dataset}, 4x A6000) ===")
-    sweep = session.sweep(
-        base, batch_sizes=BATCH_SIZES, strategies=STRATEGIES, backend="thread"
-    )
+    sweep = session.sweep(base, batch_sizes=BATCH_SIZES, strategies=STRATEGIES)
     print(format_sweep_table(sweep))
     print()
     print(format_best_cells(sweep))

@@ -27,7 +27,7 @@ Blockwise Distillation" (DATE 2023).  It contains:
   and search drivers, incremental evaluation and Pareto-frontier results.
 * ``repro.store`` — the persistence layer: a content-addressed on-disk
   experiment store that makes sweeps, tuning runs and fleet replays
-  resumable across processes, plus the ``inline``/``thread``/``process``
+  resumable across processes, plus the ``inline``/``process``
   execution-backend registry.
 * ``repro.analysis`` — breakdowns, speedups, memory reports, schedule
   visualisation, fleet-level cluster reports, Pareto analytics and
@@ -35,44 +35,74 @@ Blockwise Distillation" (DATE 2023).  It contains:
 * ``repro.serve`` — planner-as-a-service: the versioned HTTP JSON API
   (``/v1/plan``, ``/v1/sweep``, ``/v1/tune``, ``/v1/cluster``,
   ``/v1/precompute``) over one store-backed session, served by one
-  dependency-free stdlib HTTP frontend.  Imported lazily — ``import repro``
-  stays light.
+  dependency-free stdlib HTTP frontend.
+
+The names below are imported on first access (PEP 562), so ``import
+repro`` loads none of these layers and ``import repro.X`` loads only what
+``X`` needs.
 
 See ``docs/ARCHITECTURE.md`` for the layer map, ``docs/API.md`` for the
 public API reference and ``docs/TUNING.md`` for the autotuning guide.
 """
 
+import sys
+import types
+
+from repro.lazy import lazy_exports
 from repro.version import __version__
-from repro.core.config import ExperimentConfig
-from repro.core.pipebd import PipeBD
-from repro.core.session import Session, SweepResult
-from repro.parallel.registry import REGISTRY, register_strategy
-from repro.cluster import (
-    ClusterSimulator,
-    ClusterSpec,
-    NodeSpec,
-    POLICIES,
-    Workload,
-    default_cluster,
-    poisson_workload,
-    register_policy,
-    run_policy_comparison,
+
+#: Every public name but ``__version__`` is imported on first access, so
+#: ``import repro.X`` loads only what ``X`` itself needs.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ("repro.core.config", ("ExperimentConfig",)),
+        ("repro.core.pipebd", ("PipeBD",)),
+        ("repro.core.session", ("Session", "SweepResult")),
+        ("repro.parallel.registry", ("REGISTRY", "register_strategy")),
+        (
+            "repro.cluster",
+            (
+                "ClusterSimulator",
+                "ClusterSpec",
+                "NodeSpec",
+                "POLICIES",
+                "Workload",
+                "default_cluster",
+                "poisson_workload",
+                "register_policy",
+                "run_policy_comparison",
+            ),
+        ),
+        ("repro.store", ("BACKENDS", "ExperimentStore", "open_store", "register_backend")),
+        (
+            "repro.tune",
+            (
+                "DRIVERS",
+                "OBJECTIVES",
+                "TuneResult",
+                "TuneSpace",
+                "register_driver",
+                "register_objective",
+                "tune",
+            ),
+        ),
+    ),
 )
-from repro.store import (
-    BACKENDS,
-    ExperimentStore,
-    open_store,
-    register_backend,
-)
-from repro.tune import (
-    DRIVERS,
-    OBJECTIVES,
-    TuneResult,
-    TuneSpace,
-    register_driver,
-    register_objective,
-    tune,
-)
+
+
+class _Package(types.ModuleType):
+    """``repro`` itself, keeping ``repro.tune`` the :func:`~repro.tune.tune`
+    function: importing the ``repro.tune`` subpackage binds the package
+    attribute to the subpackage, which would shadow the exported name."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "tune" and isinstance(value, types.ModuleType):
+            value = value.tune
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "__version__",

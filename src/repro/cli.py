@@ -35,7 +35,7 @@ They also accept ``--store PATH`` (default:
 the ``REPRO_STORE`` environment variable) to hydrate results from and
 write them through a persistent store, making repeated invocations — even
 across processes — perform zero duplicate simulations; ``sweep`` also
-accepts ``--backend {inline,thread,process}``.  Store-backed payloads
+accepts ``--backend {inline,process}``.  Store-backed payloads
 embed the session's warm/cold summary.
 
 Every subcommand prints a JSON document to stdout (or ``--out FILE``), so
@@ -59,17 +59,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import commands
-from repro.analysis.cluster_report import compare_policies
-from repro.analysis.store_report import (
-    format_session_stats,
-    format_store_overview,
-    store_overview,
-    warm_cold_summary,
-)
-from repro.analysis.sweep import format_sweep_table
-from repro.cluster.simulator import run_policy_comparison
-from repro.cluster.spec import default_cluster
-from repro.cluster.workload import DEFAULT_MIX, arrival_process
 from repro.commands import ClusterRequest, PlanRequest, SweepRequest, TuneRequest
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
@@ -113,6 +102,8 @@ def _store_payload(session: Session) -> dict:
     4-second ``run`` against a long-lived store must not pay an
     O(whole-store) tail; ``cache stats`` is the full view.
     """
+    from repro.analysis.store_report import warm_cold_summary
+
     payload = {
         "session_stats": session.stats.to_dict(),
         "warm_cold": warm_cold_summary(session),
@@ -171,6 +162,9 @@ def _request(request_type: type, args: argparse.Namespace):
 
 
 def _sweep_table(args: argparse.Namespace, session: Session, sweep) -> None:
+    from repro.analysis.store_report import format_session_stats
+    from repro.analysis.sweep import format_sweep_table
+
     # The default baseline (DP) may not be part of the swept strategy
     # set; fall back to the first swept strategy rather than failing
     # after the whole grid has been computed.
@@ -180,6 +174,8 @@ def _sweep_table(args: argparse.Namespace, session: Session, sweep) -> None:
 
 
 def _cluster_table(args: argparse.Namespace, session: Session, reports) -> None:
+    from repro.analysis.cluster_report import compare_policies
+
     print(compare_policies(reports), file=sys.stderr)
 
 
@@ -278,6 +274,8 @@ def _cmd_pregen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.analysis.store_report import format_store_overview, store_overview
+
     _require_store(args)
     if args.cache_command == "import":
         _emit(import_legacy(args.store), args.out)
@@ -331,6 +329,10 @@ def _profile_workload_for(args: argparse.Namespace):
             strategies=["DP", "TR+DPU+AHD"],
         )
     if args.kind == "cluster":
+        from repro.cluster.simulator import run_policy_comparison
+        from repro.cluster.spec import default_cluster
+        from repro.cluster.workload import DEFAULT_MIX, arrival_process
+
         cluster = default_cluster()
         workload = arrival_process(
             "poisson", 32, rate=0.5, seed=0, mix=DEFAULT_MIX
@@ -389,16 +391,17 @@ def add_request_arguments(sub: argparse.ArgumentParser, request_type: type) -> N
     """One ``--flag-name`` per field of a :mod:`repro.commands` request type.
 
     The flag keeps the field's default; its help text and argparse choices
-    come from the field's metadata.
+    come from the field's metadata, called here when they are callables
+    (they list registry names).
     """
     for spec in fields(request_type):
-        choices = spec.metadata["choices"]
+        choices, help = spec.metadata["choices"], spec.metadata["help"]
         sub.add_argument(
             "--" + spec.name.replace("_", "-"),
             type=_FLAG_TYPES[spec.type],
             default=spec.default,
             choices=choices() if callable(choices) else choices,
-            help=spec.metadata["help"],
+            help=help() if callable(help) else help,
         )
 
 
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for grid cells (default: inline)",
     )
     pregen_parser.add_argument(
-        "--workers", type=int, help="pool size for the thread/process backends"
+        "--workers", type=int, help="pool size for the process backend"
     )
     pregen_parser.add_argument(
         "--max-cells",

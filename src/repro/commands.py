@@ -12,38 +12,42 @@ inputs give byte-identical payloads by construction.  The frontends add
 only their bookkeeping: the CLI appends ``session_stats`` / ``warm_cold``
 / ``store``, the service appends ``meta``.
 
-The request types are frozen stdlib dataclasses, so ``import repro.cli``
-never imports pydantic.  Field defaults are the CLI defaults; ``None``
-means "use the default" and every other value is passed through, so an
-empty axis is an error rather than a silent default.  Each field's
-``metadata`` holds its CLI ``help`` text and, where the CLI restricts a
-flag, its argparse ``choices`` (a tuple or a zero-argument callable).
+The request types are frozen stdlib dataclasses, and :func:`from_mapping`
+checks a JSON body against their field types with the standard library
+alone.  Field defaults are the CLI defaults; ``None`` means "use the
+default" and every other value is passed through, so an empty axis is an
+error rather than a silent default.  Each field's ``metadata`` holds its
+CLI ``help`` text and, where the CLI restricts a flag, its argparse
+``choices``; either may be a zero-argument callable, so that the registry
+names they list are looked up when the parser is built, not on import.
+The cluster and tune layers are imported only by the commands that use
+them.
 
 Every rejection is a :class:`~repro.errors.RequestError` carrying an HTTP
-status (400 for a domain rejection, 422 for an inline document that does
-not parse) and a structured body naming the field, the bad value and the
-valid choices; the CLI prints its message and exits 2.
+status (400 for a domain rejection, 422 for a body of the wrong shape or
+an inline document that does not parse) and a structured body naming the
+field, the bad value and the valid choices; the CLI prints its message
+and exits 2.
 
 Documented in ``docs/SERVING.md`` and ``docs/API.md``.
 """
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
-
-from repro.cluster.elastic import ELASTIC_POLICIES
-from repro.cluster.faults import FAULT_PRESETS, FaultTrace, parse_fault_spec
-from repro.cluster.market import PRICE_CURVES, parse_price_curve
-from repro.cluster.scheduler import POLICIES
-from repro.cluster.simulator import run_policy_comparison
-from repro.cluster.spec import cluster_from_shorthand, default_cluster
-from repro.cluster.workload import (
-    DEFAULT_MIX,
-    Workload,
-    arrival_process,
-    parse_tenant_shorthand,
-    tenant_workload,
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    TYPE_CHECKING,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
 )
+
 from repro.core.config import (
     ExperimentConfig,
     VALID_DATASETS,
@@ -55,6 +59,10 @@ from repro.errors import ReproError, RequestError
 from repro.parallel.registry import REGISTRY
 from repro.store.backends import BACKENDS
 
+if TYPE_CHECKING:  # pragma: no cover - typing only; the commands import lazily
+    from repro.cluster.faults import FaultTrace
+    from repro.cluster.workload import Workload
+
 __all__ = [
     "ARRIVAL_KINDS",
     "COMMANDS",
@@ -65,6 +73,7 @@ __all__ = [
     "TuneRequest",
     "check_exclusive",
     "cluster",
+    "from_mapping",
     "make_workload",
     "plan",
     "precompute",
@@ -74,6 +83,14 @@ __all__ = [
 
 #: Arrival-process kinds a cluster request generates.
 ARRIVAL_KINDS = ("poisson", "bursty", "diurnal")
+
+
+def _cluster_names(name: str) -> str:
+    """A comma list of one ``repro.cluster`` registry's names (imports the layer)."""
+    import repro.cluster
+
+    names = getattr(repro.cluster, name)
+    return ", ".join(sorted(names) if isinstance(names, dict) else names.names())
 
 
 def _objective_names() -> Tuple[str, ...]:
@@ -88,7 +105,9 @@ def _driver_names() -> Tuple[str, ...]:
     return DRIVERS.names()
 
 
-def _arg(default: Any = None, help: Optional[str] = None, choices=None) -> Any:
+def _arg(
+    default: Any = None, help: Union[str, Callable[[], str], None] = None, choices=None
+) -> Any:
     """A request field with its CLI help text and argparse choices."""
     metadata = {"help": help, "choices": choices}
     if isinstance(default, list):
@@ -99,19 +118,8 @@ def _arg(default: Any = None, help: Optional[str] = None, choices=None) -> Any:
 _COMMA = "comma list"
 
 
-class _Request:
-    """Base of the request types.
-
-    pydantic reads ``__pydantic_config__`` when the service validates a
-    JSON body into a request: an unknown field is a 422, not a silent
-    no-op.  Nothing here imports pydantic.
-    """
-
-    __pydantic_config__ = {"extra": "forbid"}
-
-
 @dataclass(frozen=True)
-class _Cell(_Request):
+class _Cell:
     """The experiment-cell fields of plan and sweep requests."""
 
     task: str = _arg("nas", choices=VALID_TASKS)
@@ -150,7 +158,7 @@ class SweepRequest(_Cell):
 
 
 @dataclass(frozen=True)
-class _Contention(_Request):
+class _Contention:
     """The tenant, price and fault fields of cluster and tune requests.
 
     ``fault_trace`` (and a cluster request's ``workload``) is a JSON
@@ -165,8 +173,8 @@ class _Contention(_Request):
         "'batch:rate=0.4;prod:priority=2,deadline=strict,rate=0.1'"
     )
     price_curve: Optional[str] = _arg(
-        help=f"spot-market price curve: a preset ({', '.join(sorted(PRICE_CURVES))}) "
-        "or 't:mult,...[@period]'"
+        help=lambda: "spot-market price curve: a preset "
+        f"({_cluster_names('PRICE_CURVES')}) or 't:mult,...[@period]'"
     )
     deadline_slack: float = _arg(
         900.0,
@@ -174,16 +182,17 @@ class _Contention(_Request):
         "(default: 900)",
     )
     faults: Optional[str] = _arg(
-        help=f"inject faults: a preset ({', '.join(sorted(FAULT_PRESETS))}) or "
-        "'kind:rate[,...]' with kind in crash/preempt/straggler (rates in events/sec)"
+        help=lambda: f"inject faults: a preset ({_cluster_names('FAULT_PRESETS')}) "
+        "or 'kind:rate[,...]' with kind in crash/preempt/straggler (rates in "
+        "events/sec)"
     )
     fault_trace: Optional[Dict[str, Any]] = _arg(
         help="replay a JSON fault trace instead of generating"
     )
     elastic: str = _arg(
         "restart",
-        help="elastic recovery policy for evicted gangs "
-        f"({', '.join(ELASTIC_POLICIES.names())})",
+        help=lambda: "elastic recovery policy for evicted gangs "
+        f"({_cluster_names('ELASTIC_POLICIES')})",
     )
     fault_seed: int = _arg(0, help="seed for fault generation")
 
@@ -196,7 +205,7 @@ class ClusterRequest(_Contention):
         help="cluster shorthand, e.g. a6000:4,a6000:4,2080ti:4 (default: 4-node fleet)"
     )
     policy: str = _arg(
-        "all", help=f"placement policy ({', '.join(POLICIES.names())}) or 'all'"
+        "all", help=lambda: f"placement policy ({_cluster_names('POLICIES')}) or 'all'"
     )
     num_jobs: int = _arg(200)
     arrival: str = _arg("poisson", choices=ARRIVAL_KINDS)
@@ -234,7 +243,7 @@ class TuneRequest(_Contention):
 
 
 @dataclass(frozen=True)
-class PrecomputeRequest(_Request):
+class PrecomputeRequest:
     """A warming grid: ``POST /v1/precompute``.
 
     The grid is every axis crossed with every strategy; it runs through
@@ -251,6 +260,150 @@ class PrecomputeRequest(_Request):
     strategies: Optional[List[str]] = _arg()
     steps: int = _arg(10)
     backend: Optional[str] = _arg()
+
+
+# ---------------------------------------------------------------------- #
+# Body validation: a JSON object into a request type
+# ---------------------------------------------------------------------- #
+#: The error ``type`` code of a value that is not of the expected type.
+_TYPE_CODES = {
+    int: "int_type",
+    float: "float_type",
+    str: "string_type",
+    list: "list_type",
+    dict: "dict_type",
+}
+
+#: The JSON name of each Python type ``json.loads`` returns.
+_JSON_NAMES = {
+    type(None): "null",
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+class _Invalid(Exception):
+    """A value failed its field check.
+
+    ``errors`` holds one ``{loc, msg, type}`` entry per problem, each
+    ``loc`` relative to the value checked.
+    """
+
+    def __init__(self, errors: List[dict]) -> None:
+        super().__init__(errors)
+        self.errors = errors
+
+
+def _invalid(expected: type, value: Any) -> _Invalid:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    message = f"expected {_JSON_NAMES[expected]}, got {got}"
+    return _Invalid([{"loc": [], "msg": message, "type": _TYPE_CODES[expected]}])
+
+
+def _under(key: Union[str, int], errors: List[dict]) -> List[dict]:
+    """``errors`` with ``key`` put in front of each ``loc``."""
+    return [{**error, "loc": [key, *error["loc"]]} for error in errors]
+
+
+def _field_check(annotation: Any) -> Callable[[Any], Any]:
+    """The check of one field annotation: the value to store, or :class:`_Invalid`.
+
+    JSON types are exact: a ``bool`` is not an integer and a string is not
+    a number.  ``null`` passes only an ``Optional`` field, and an integer
+    sent to a ``float`` field becomes a float.
+    """
+    origin = get_origin(annotation)
+    if origin is Union:
+        (inner_type,) = [arg for arg in get_args(annotation) if arg is not type(None)]
+        inner = _field_check(inner_type)
+
+        def optional(value):
+            return None if value is None else inner(value)
+
+        return optional
+    if origin is list:
+        item = _field_check(get_args(annotation)[0])
+
+        def array(value):
+            if type(value) is not list:
+                raise _invalid(list, value)
+            items, errors = [], []
+            for index, entry in enumerate(value):
+                try:
+                    items.append(item(entry))
+                except _Invalid as invalid:
+                    errors += _under(index, invalid.errors)
+            if errors:
+                raise _Invalid(errors)
+            return items
+
+        return array
+    if annotation is float:
+
+        def number(value):
+            if type(value) is float:
+                return value
+            if type(value) is int:
+                return float(value)
+            raise _invalid(float, value)
+
+        return number
+    expected = origin or annotation
+
+    def exact(value):
+        if type(value) is not expected:
+            raise _invalid(expected, value)
+        return value
+
+    return exact
+
+
+def from_mapping(kind: type, body: Any):
+    """Build request type ``kind`` from a decoded JSON body, or raise a 422.
+
+    Absent fields keep their defaults.  Every wrong value and every unknown
+    key is reported at once: the error's ``detail`` lists one
+    ``{loc, msg, type}`` per problem, fields in declaration order, then
+    the unknown keys.
+    """
+    checks = _CHECKS[kind]
+    if type(body) is not dict:
+        errors = _invalid(dict, body).errors
+    else:
+        values, errors = {}, []
+        for name, value in body.items():
+            check = checks.get(name)
+            if check is None:
+                errors.append(
+                    {
+                        "loc": [name],
+                        "msg": f"unknown field; {kind.__name__} has {', '.join(checks)}",
+                        "type": "unexpected_keyword_argument",
+                    }
+                )
+                continue
+            try:
+                values[name] = check(value)
+            except _Invalid as invalid:
+                errors += _under(name, invalid.errors)
+        if not errors:
+            return kind(**values)
+        order = {name: index for index, name in enumerate(checks)}
+        errors.sort(key=lambda error: order.get(error["loc"][0], len(order)))
+    first = errors[0]
+    where = ".".join(str(part) for part in first["loc"]) or "body"
+    more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
+    raise RequestError(
+        422,
+        "validation",
+        f"request body failed validation against {kind.__name__}: "
+        f"{where}: {first['msg']}{more}",
+        detail=errors,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -312,8 +465,10 @@ def _document(kind: type, document: dict, field: str, what: str):
         ) from error
 
 
-def _resolve_faults(request) -> Union[FaultTrace, object, None]:
+def _resolve_faults(request) -> Union["FaultTrace", object, None]:
     """Coerce a request's fault fields to a fault source (or None)."""
+    from repro.cluster.faults import FAULT_PRESETS, FaultTrace, parse_fault_spec
+
     if request.fault_trace is not None:
         return _document(FaultTrace, request.fault_trace, "fault_trace", "fault trace")
     if request.faults is not None:
@@ -385,9 +540,17 @@ def sweep(session: Session, request: SweepRequest):
     return result.to_dict(), result
 
 
-def make_workload(request: ClusterRequest) -> Workload:
+def make_workload(request: ClusterRequest) -> "Workload":
     """The workload a cluster request replays: its inline document, a
     tenant roster's merged streams, or a generated arrival process."""
+    from repro.cluster.workload import (
+        DEFAULT_MIX,
+        Workload,
+        arrival_process,
+        parse_tenant_shorthand,
+        tenant_workload,
+    )
+
     if request.workload is not None:
         return _document(Workload, request.workload, "workload", "workload trace")
     if request.tenants is not None:
@@ -412,6 +575,13 @@ def make_workload(request: ClusterRequest) -> Workload:
 
 def cluster(session: Session, request: ClusterRequest):
     """Replay a fleet; the result maps each policy to its report."""
+    from repro.cluster.elastic import ELASTIC_POLICIES
+    from repro.cluster.faults import FaultTrace
+    from repro.cluster.market import PRICE_CURVES, parse_price_curve
+    from repro.cluster.scheduler import POLICIES
+    from repro.cluster.simulator import run_policy_comparison
+    from repro.cluster.spec import cluster_from_shorthand, default_cluster
+
     check_exclusive(vars(request))
     if request.policy != "all":
         _check_choice("policy", request.policy, POLICIES.names())
@@ -472,6 +642,9 @@ def cluster(session: Session, request: ClusterRequest):
 
 def tune(session: Session, request: TuneRequest):
     """Search a tuning space; the result is the :class:`TuneResult`."""
+    from repro.cluster.elastic import ELASTIC_POLICIES
+    from repro.cluster.scheduler import POLICIES
+    from repro.cluster.spec import cluster_from_shorthand
     from repro.tune.objective import MinCostUnderDeadline
     from repro.tune.space import TuneSpace, default_space
 
@@ -607,4 +780,11 @@ COMMANDS: Dict[str, Tuple[type, Callable]] = {
     "cluster": (ClusterRequest, cluster),
     "tune": (TuneRequest, tune),
     "precompute": (PrecomputeRequest, precompute),
+}
+
+#: Each request type's field checks in field order, built once (see
+#: :func:`from_mapping`).
+_CHECKS: Dict[type, Dict[str, Callable[[Any], Any]]] = {
+    kind: {spec.name: _field_check(spec.type) for spec in dataclasses.fields(kind)}
+    for kind, _ in COMMANDS.values()
 }

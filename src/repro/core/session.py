@@ -34,8 +34,8 @@ substrates:
   before simulating and writes every fresh simulation through it, so a
   second identical sweep / tune / cluster replay — even in a brand-new
   process — performs **zero** discrete-event simulations.
-* ``backend=`` — an execution backend (``"inline"``, ``"thread"``,
-  ``"process"`` or any :func:`~repro.store.backends.register_backend`
+* ``backend=`` — an execution backend (``"inline"``, ``"process"`` or
+  any :func:`~repro.store.backends.register_backend`
   plugin) deciding where sweep cells execute.
 
 Documented in ``docs/API.md`` (reference), ``docs/CACHING.md`` (store and
@@ -323,8 +323,8 @@ class Session:
 
     A session is cheap to create and safe to keep for a whole process; its
     caches only ever hold deterministic, immutable artefacts, so sharing one
-    session across sweeps (or threads, via ``sweep(backend="thread")``)
-    returns bit-identical results to a fresh session per call.
+    session across sweeps (or across threads: its caches are guarded by
+    one lock) returns bit-identical results to a fresh session per call.
 
     Example:
         >>> from repro import ExperimentConfig, Session
@@ -702,17 +702,14 @@ class Session:
         """Resolve the backend one sweep call should use.
 
         An explicit ``backend=`` wins over the session default.
-        ``max_workers`` specialises the pool-based backends without
-        mutating the registered singletons.
+        ``max_workers`` sizes the ``process`` backend's pool without
+        mutating the registered singleton.
         """
-        from repro.store.backends import ProcessBackend, ThreadBackend
+        from repro.store.backends import ProcessBackend
 
         resolved = self._backend if backend is None else resolve_backend(backend)
-        if max_workers is not None:
-            if resolved.name == "thread":
-                resolved = ThreadBackend(max_workers=max_workers)
-            elif resolved.name == "process":
-                resolved = ProcessBackend(max_workers=max_workers)
+        if max_workers is not None and resolved.name == "process":
+            resolved = ProcessBackend(max_workers=max_workers)
         return resolved
 
     # ------------------------------------------------------------------ #

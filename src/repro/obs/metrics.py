@@ -8,8 +8,8 @@ and renders them as Prometheus text (``GET /v1/metrics``) or JSON.
 Design rules:
 
 * **Thread-safe and exact** — every metric family guards its samples with
-  one lock, so concurrent increments from the ``thread`` execution
-  backend's pool (or the HTTP server's handler threads) sum exactly;
+  one lock, so concurrent increments from the HTTP server's handler
+  threads sum exactly;
   ``tests/obs/test_metrics.py`` hammers this with a thread pool.
 * **Fixed histogram buckets** — histograms carry immutable, sorted bucket
   boundaries chosen at registration; observation is a bisect plus two

@@ -22,9 +22,18 @@ Start a server from the CLI::
 Documented in ``docs/SERVING.md``.
 """
 
-from repro.serve.client import LocalClient
-from repro.serve.http import PlannerHTTPServer, start_server
-from repro.serve.service import PlannerService
+from repro.lazy import lazy_exports
+
+#: Each name is imported on first access: an in-process service does not
+#: load the HTTP frontend.
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    (
+        ("repro.serve.client", ("LocalClient",)),
+        ("repro.serve.http", ("PlannerHTTPServer", "start_server")),
+        ("repro.serve.service", ("PlannerService",)),
+    ),
+)
 
 __all__ = [
     "LocalClient",

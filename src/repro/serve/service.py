@@ -21,8 +21,10 @@ observable in the payload itself.
 Error mapping (no endpoint ever leaks a raw traceback):
 
 * ``422`` — request body fails validation against its request type
-  (wrong types, unknown fields), or an inline
-  workload / fault-trace document does not parse;
+  (:func:`~repro.commands.from_mapping`: wrong JSON types, ``null`` on a
+  field that is not optional, unknown fields; ``detail`` lists one
+  ``{loc, msg, type}`` per problem), or an inline workload / fault-trace
+  document does not parse;
 * ``400`` — domain rejection: unknown strategy / policy / elastic policy /
   objective / driver / backend / preset (the body names the field and the
   registry's valid choices), bad fault specs, infeasible configurations;
@@ -41,10 +43,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from pydantic import TypeAdapter, ValidationError
-
 from repro.analysis.store_report import request_warm_cold
-from repro.commands import COMMANDS
+from repro.commands import COMMANDS, from_mapping
 from repro.core.session import Session
 from repro.errors import ReproError, RequestError
 from repro.obs.logs import bind_request_id, get_logger, new_request_id, request_id_var
@@ -61,11 +61,10 @@ Response = Tuple[int, Union[dict, str]]
 
 _LOG = get_logger("serve")
 
-#: ``POST /v1/<name>`` -> (body validator, command) for every command of
-#: :mod:`repro.commands`.  The request types forbid unknown fields.
-_COMPUTE: Dict[str, Tuple[TypeAdapter, Callable]] = {
-    f"/v1/{name}": (TypeAdapter(request_type), command)
-    for name, (request_type, command) in COMMANDS.items()
+#: ``POST /v1/<name>`` -> (request type, command) for every command of
+#: :mod:`repro.commands`.
+_COMPUTE: Dict[str, Tuple[type, Callable]] = {
+    f"/v1/{name}": entry for name, entry in COMMANDS.items()
 }
 
 
@@ -227,15 +226,6 @@ class PlannerService:
                 return handler(body)
             with self._lock:
                 return handler(body)
-        except ValidationError as error:
-            return RequestError(
-                422,
-                "validation",
-                f"request body for {path} failed validation",
-                detail=json.loads(
-                    json.dumps(error.errors(include_url=False), default=str)
-                ),
-            ).response()
         except RequestError as error:
             return error.response()
         except ReproError as error:
@@ -341,8 +331,8 @@ class PlannerService:
     # ------------------------------------------------------------------ #
     def _compute(self, path: str, body: Optional[dict]) -> Response:
         """Validate a body into its request type and run the command."""
-        adapter, command = _COMPUTE[path]
-        request = adapter.validate_python(body or {})
+        request_type, command = _COMPUTE[path]
+        request = from_mapping(request_type, {} if body is None else body)
         before = self.session.stats.snapshot()
         payload, _ = command(self.session, request)
         return self._finish(path, payload, before)

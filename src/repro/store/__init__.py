@@ -4,7 +4,7 @@
   (:class:`ExperimentStore`): one WAL-mode SQLite file, schema
   versioning, gc, export and the one-shot import of legacy JSONL stores.
 * :mod:`repro.store.keys` — canonical key payloads and content hashing.
-* :mod:`repro.store.backends` — the ``inline`` / ``thread`` / ``process``
+* :mod:`repro.store.backends` — the ``inline`` / ``process``
   execution-backend registry, mirroring the strategy and placement
   registries.
 * :mod:`repro.store.pregen` — offline pregeneration of planning tables:

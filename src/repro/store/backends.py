@@ -6,8 +6,6 @@ trio by deciding how the library itself executes a batch of (config,
 strategy) cells:
 
 * ``inline`` — serially on the calling thread (default, zero overhead);
-* ``thread`` — on a thread pool after a serial cache prewarm, preserving
-  the session's exactly-once profile guarantee;
 * ``process`` — on a process pool; workers are separate interpreters that
   each open their own :class:`~repro.core.session.Session` against the
   *same* on-disk store, so results flow back both through pickling and
@@ -32,13 +30,12 @@ Documented in ``docs/CACHING.md`` (backend selection guide).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.parallel.executor import ExecutionResult
-from repro.parallel.registry import REGISTRY
 from repro.registry import NamedRegistry, make_register
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -72,7 +69,7 @@ class BackendRegistry(NamedRegistry[ExecutionBackend]):
     Example:
         >>> from repro.store.backends import BACKENDS
         >>> BACKENDS.names()
-        ('inline', 'thread', 'process')
+        ('inline', 'process')
     """
 
     kind = "backend"
@@ -101,25 +98,6 @@ def resolve_backend(backend) -> ExecutionBackend:
     return backend
 
 
-def _prewarm(session: "Session", tasks: Sequence[CellTask]) -> None:
-    """Serially materialise caches every *cold* task will need.
-
-    Store-warm tasks are skipped entirely: they will hydrate from disk
-    without ever touching the executor or profile caches, so prewarming
-    them would do work a warm restart exists to avoid.
-    """
-    by_config: Dict[ExperimentConfig, List[str]] = {}
-    for config, strategy in tasks:
-        by_config.setdefault(config, []).append(strategy)
-    for config, strategies in by_config.items():
-        cold = [s for s in strategies if not session.in_store(config, s)]
-        if not cold:
-            continue
-        session.executor(config)
-        if any(REGISTRY.requires_profile(strategy) for strategy in cold):
-            session.profile(config)
-
-
 @register_backend
 class InlineBackend:
     """Serial execution on the calling thread (the default backend)."""
@@ -128,30 +106,6 @@ class InlineBackend:
 
     def run_cells(self, session, tasks):
         return [session.run(config, strategy=strategy) for config, strategy in tasks]
-
-
-@register_backend
-class ThreadBackend:
-    """Thread-pool execution after a serial cache prewarm.
-
-    The prewarm keeps the session's exactly-once guarantees trivially true
-    (cache fills happen before the pool starts); the pool then only runs
-    the pure simulations.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def run_cells(self, session, tasks):
-        _prewarm(session, tasks)
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(
-                pool.map(
-                    lambda task: session.run(task[0], strategy=task[1]), tasks
-                )
-            )
 
 
 # ---------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ count, seed, and for fleet probes the placement policy and cluster shape).
 Canonicalisation (sorted keys, compact separators, no NaN) guarantees the
 same logical key always hashes to the same address regardless of dict
 insertion order or the process that produced it, which is what lets
-``inline``, ``thread`` and ``process`` backends — and entirely separate
+``inline`` and ``process`` backends — and entirely separate
 OS processes — share one store without coordination.
 
 The key payload also embeds the record ``kind`` (``"run"``,

@@ -369,25 +369,22 @@ def run_pregen(
     ``max_cells`` bounds how many *missing* cells this invocation
     simulates (the deterministic stand-in for an interrupt: the CI smoke
     job generates a partial artifact with it, then proves a plain re-run
-    fills exactly the remainder).  ``workers`` specialises the ``thread`` /
-    ``process`` backends.
+    fills exactly the remainder).  ``workers`` sizes the ``process``
+    backend's pool.
 
     The manifest is written *before* simulating (``complete=False``, so
     an interrupted artifact is recognisably partial and its rows are
     already pinned against gc) and rewritten atomically at the end.
     """
     from repro.core.session import Session
-    from repro.store.backends import ProcessBackend, ThreadBackend
+    from repro.store.backends import ProcessBackend
 
     if max_cells is not None and max_cells < 0:
         raise StoreError("pregen max_cells must be >= 0")
     spec = resolve_grid(grid)
     resolved = resolve_backend(backend)
-    if workers is not None:
-        if resolved.name == "thread":
-            resolved = ThreadBackend(max_workers=workers)
-        elif resolved.name == "process":
-            resolved = ProcessBackend(max_workers=workers)
+    if workers is not None and resolved.name == "process":
+        resolved = ProcessBackend(max_workers=workers)
 
     started = time.perf_counter()
     with span("pregen.run", grid=spec.name, backend=resolved.name):

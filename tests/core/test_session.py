@@ -190,8 +190,8 @@ class TestSweep:
             batch_sizes=(128, 256),
             num_gpus=(2, 4),
             strategies=("DP", "TR"),
-            backend="thread",
-            max_workers=4,
+            backend="process",
+            max_workers=2,
         )
         assert serial.speedup_table("DP") == parallel.speedup_table("DP")
 

@@ -488,21 +488,45 @@ def test_templates_match_the_per_run_build(cell, step_counts):
     assert shapes and max(shapes.values()) <= max(step_counts)
 
 
-def test_thread_backend_matches_inline():
-    base = ExperimentConfig(batch_size=128, simulated_steps=5)
-    axes = dict(
-        batch_sizes=(64, 256),
-        num_gpus=(2, 4),
-        tasks=("nas", "compression"),
-        strategies=REGISTRY.names(),
-    )
-    inline = Session().sweep(base, backend="inline", **axes)
-    threaded = Session().sweep(base, backend="thread", max_workers=4, **axes)
-    assert inline.labels() == threaded.labels()
-    for inline_cell, thread_cell in zip(inline, threaded):
-        assert inline_cell.results.keys() == thread_cell.results.keys()
-        for strategy, result in inline_cell.results.items():
-            assert_same(thread_cell.results[strategy], result)
+def test_threads_sharing_a_session_match_inline():
+    # Four threads split a sweep's cells over one session: every strategy
+    # on every cell must give what a serial session gives.
+    cells = [
+        (
+            ExperimentConfig(
+                task=task, batch_size=batch, num_gpus=gpus, simulated_steps=5
+            ),
+            strategy,
+        )
+        for task in ("nas", "compression")
+        for batch in (64, 256)
+        for gpus in (2, 4)
+        for strategy in REGISTRY.names()
+    ]
+    serial = Session()
+    expected = [serial.run(config, strategy=strategy) for config, strategy in cells]
+    shared = Session()
+    results: Dict[int, ExecutionResult] = {}
+    errors: List[BaseException] = []
+
+    def worker(offset: int) -> None:
+        try:
+            for index in range(offset, len(cells), 4):
+                config, strategy = cells[index]
+                results[index] = shared.run(config, strategy=strategy)
+        except BaseException as error:  # reported by the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert sorted(results) == list(range(len(cells)))
+    for index, result in results.items():
+        assert_same(result, expected[index])
 
 
 def test_concurrent_runs_share_one_table_without_lost_builds():

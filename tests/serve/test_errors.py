@@ -12,8 +12,8 @@ import threading
 import pytest
 
 from repro.serve.client import LocalClient
-from repro.serve.schemas import ErrorResponse
 from repro.serve.service import PlannerService
+from tests.serve.shapes import ERROR, check_shape
 
 STEPS = 4
 
@@ -22,7 +22,7 @@ def rejected(response, status):
     """Assert the status and the error envelope; return the error body."""
     assert response.status_code == status, response.json()
     payload = response.json()
-    ErrorResponse.model_validate(payload)
+    check_shape(payload, ERROR)
     error = payload["error"]
     assert error["status"] == status
     assert "Traceback" not in error["message"]
@@ -62,7 +62,7 @@ class TestUnknownChoices:
 
 
 class TestValidation:
-    """422 with pydantic's error detail for shape problems."""
+    """422 with a ``{loc, msg, type}`` detail list for shape problems."""
 
     @pytest.mark.parametrize(
         "path, body",

@@ -58,20 +58,21 @@ def test_every_canonical_cell_plans_with_zero_simulations(canonical_artifact):
 
 
 def test_healthz_advertises_the_artifact(canonical_artifact):
-    from repro.serve.schemas import HealthResponse
     from repro.serve.service import PlannerService
+    from tests.serve.shapes import HEALTH, check_shape
 
     service = PlannerService(store=str(canonical_artifact))
     client = LocalClient(service)
 
-    body = client.get("/v1/healthz").json()
-    health = HealthResponse.model_validate(body)
-    assert health.store_root == str(canonical_artifact)
-    assert health.pregen is not None
-    assert health.pregen.grid == "canonical"
-    assert health.pregen.complete
-    assert health.pregen.row_count == 96
-    assert health.pregen.grid_hash == resolve_grid("canonical").grid_hash()
+    health = client.get("/v1/healthz").json()
+    check_shape(health, HEALTH)
+    assert health["store_root"] == str(canonical_artifact)
+    pregen = health["pregen"]
+    assert pregen is not None
+    assert pregen["grid"] == "canonical"
+    assert pregen["complete"]
+    assert pregen["row_count"] == 96
+    assert pregen["grid_hash"] == resolve_grid("canonical").grid_hash()
 
 
 def test_healthz_survives_a_corrupt_manifest(canonical_artifact, tmp_path):

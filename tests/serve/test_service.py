@@ -2,8 +2,8 @@
 
 import json
 
-from repro.serve.schemas import response_model_for
 from repro.version import __version__
+from tests.serve.shapes import RESPONSES, check_shape
 
 STEPS = 4
 
@@ -18,7 +18,7 @@ def validated(path, response):
     """Assert 200 and that the payload conforms to the route's envelope."""
     assert response.status_code == 200, response.json()
     payload = response.json()
-    response_model_for(path).model_validate(payload)
+    check_shape(payload, RESPONSES[path])
     return payload
 
 
@@ -98,7 +98,7 @@ class TestSweep:
         assert payload["meta"]["request"]["simulations"] == 4
 
     def test_backend_choice_is_honoured(self, client):
-        body = {"strategies": ["DP"], "steps": STEPS, "backend": "thread"}
+        body = {"strategies": ["DP"], "steps": STEPS, "backend": "process"}
         payload = validated("/v1/sweep", client.post("/v1/sweep", json=body))
         assert len(payload["cells"]) == 1
 

@@ -1,4 +1,4 @@
-"""Tests of the execution-backend registry and the three built-ins."""
+"""Tests of the execution-backend registry and the two built-ins."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ConfigurationError
 from repro.store import BACKENDS, ExperimentStore, register_backend, resolve_backend
-from repro.store.backends import InlineBackend, ProcessBackend, ThreadBackend
+from repro.store.backends import InlineBackend, ProcessBackend
 
 
 @pytest.fixture
@@ -16,11 +16,17 @@ def fast_config():
 
 class TestRegistry:
     def test_builtins_registered_in_order(self):
-        assert BACKENDS.names() == ("inline", "thread", "process")
+        assert BACKENDS.names() == ("inline", "process")
 
     def test_unknown_backend_names_known_set(self):
         with pytest.raises(ConfigurationError, match="known backends"):
             BACKENDS.get("slurm")
+
+    def test_thread_backend_is_gone(self):
+        # Pure-Python simulation holds the GIL, so a thread pool never beat
+        # inline execution; sweeps run inline or on processes.
+        with pytest.raises(ConfigurationError, match="known backends"):
+            Session(backend="thread")
 
     def test_session_validates_backend_at_construction(self):
         with pytest.raises(ConfigurationError):
@@ -64,26 +70,12 @@ class TestRegistry:
 
 
 class TestBackendEquivalence:
-    def test_thread_matches_inline(self, fast_config):
-        inline = Session().sweep(
-            fast_config, batch_sizes=(128, 256), strategies=("DP", "TR")
-        )
-        threaded = Session().sweep(
-            fast_config,
-            batch_sizes=(128, 256),
-            strategies=("DP", "TR"),
-            backend="thread",
-            max_workers=2,
-        )
-        assert inline.epoch_times() == threaded.epoch_times()
-
-    def test_thread_sweep_builds_each_profile_once(self, fast_config):
+    def test_inline_sweep_builds_each_profile_once(self, fast_config):
         session = Session()
         sweep = session.sweep(
-            fast_config, batch_sizes=(128, 256), strategies=("TR",), backend="thread"
+            fast_config, batch_sizes=(128, 256), strategies=("TR", "TR+DPU")
         )
         assert len(sweep) == 2
-        # The prewarm keeps the exactly-once profile guarantee.
         assert session.stats.profile_builds == 2
 
     def test_process_matches_inline(self, fast_config, tmp_path):
@@ -102,10 +94,20 @@ class TestBackendEquivalence:
         assert inline.to_json() == processed.to_json()
 
     def test_session_default_backend_applies(self, fast_config):
-        session = Session(backend="thread")
-        assert session.backend.name == "thread"
+        calls = []
+
+        class Recording(InlineBackend):
+            name = "recording"
+
+            def run_cells(self, session, tasks):
+                calls.append(len(tasks))
+                return super().run_cells(session, tasks)
+
+        session = Session(backend=Recording())
+        assert session.backend.name == "recording"
         sweep = session.sweep(fast_config, batch_sizes=(128, 256), strategies=("DP",))
         assert len(sweep) == 2
+        assert calls == [2]
 
 
 class TestProcessConcurrentWriters:
@@ -173,8 +175,7 @@ class TestProcessStatsPropagation:
 
 
 class TestBackendInstances:
-    def test_pool_backends_accept_max_workers(self):
-        assert ThreadBackend(max_workers=3).max_workers == 3
+    def test_process_backend_accepts_max_workers(self):
         assert ProcessBackend(max_workers=3).max_workers == 3
 
     def test_inline_runs_tasks_in_order(self, fast_config):

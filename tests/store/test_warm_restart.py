@@ -109,7 +109,7 @@ class TestWarmSweep:
         assert grown.stats.runs == 1
         assert grown.stats.store_hits == 1
 
-    def test_thread_backend_warm_restart(self, fast_config, store_root):
+    def test_process_backend_warm_restart(self, fast_config, store_root):
         Session(store=store_root).sweep(
             fast_config, batch_sizes=(128, 256), strategies=("TR",)
         )
@@ -118,10 +118,12 @@ class TestWarmSweep:
             fast_config,
             batch_sizes=(128, 256),
             strategies=("TR",),
-            backend="thread",
+            backend="process",
+            max_workers=2,
         )
         assert warm.stats.runs == 0
-        # The thread prewarm skipped store-warm cells entirely.
+        assert warm.stats.store_hits == 2
+        # Store-warm cells never reach the parent's profile cache.
         assert warm.stats.profile_builds == 0
 
 

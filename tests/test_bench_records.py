@@ -1,9 +1,10 @@
 """Schema of the committed performance trajectory (``BENCH_*.json``).
 
 Each file is written by ``tools/bench_record.py``: alternating parent/change
-runs of the planner benchmark, with every run's end-to-end metrics and
-their medians and interquartile ranges.  The checks below hold every
-committed file, and the tool's own summary, to that shape.
+runs of the planner benchmark (and of the tool's own workloads, such as
+``cli-run``), with every run's end-to-end metrics and their medians and
+interquartile ranges.  The checks below hold every committed file, and the
+tool's own summary, to that shape.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-WORKLOADS = {workload["name"] for workload in BENCHMARK["workloads"]}
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 SHA1 = re.compile(r"[0-9a-f]{40}")
 SHA256 = re.compile(r"[0-9a-f]{64}")
@@ -35,6 +35,16 @@ def load_tool():
     return module
 
 
+#: Per workload, its end-to-end metrics by name.
+METRICS = {workload["name"]: END_TO_END for workload in BENCHMARK["workloads"]}
+METRICS.update(
+    {
+        name: {metric["name"]: metric for metric in metrics}
+        for name, metrics in load_tool().TOOL_WORKLOADS.items()
+    }
+)
+
+
 def check_side(side: dict, values_len: int) -> None:
     assert isinstance(side["values"], list) and len(side["values"]) == values_len
     assert all(isinstance(value, (int, float)) for value in side["values"])
@@ -42,8 +52,7 @@ def check_side(side: dict, values_len: int) -> None:
     assert side["iqr"] >= 0.0
 
 
-def check_metric(name: str, entry: dict, pairs: int) -> None:
-    metric = END_TO_END[name]
+def check_metric(metric: dict, entry: dict, pairs: int) -> None:
     assert (entry["unit"], entry["better"]) == (metric["unit"], metric["better"])
     check_side(entry["parent"], pairs)
     check_side(entry["change"], pairs)
@@ -57,15 +66,16 @@ def check_metric(name: str, entry: dict, pairs: int) -> None:
     assert entry["pairs_better"] == sum(sign * delta > 0.0 for delta in deltas)
 
 
-def check_workload(record: dict) -> None:
+def check_workload(record: dict, workload: str = "plan-cold") -> None:
     pairs = record["pairs"]
     assert isinstance(pairs, int) and pairs >= 1
     assert isinstance(record["seed"], int) and record["seconds"] > 0
     assert len(record["order"]) == pairs
     assert all(sorted(order) == ["change", "parent"] for order in record["order"])
-    assert set(record["end_to_end"]) == set(END_TO_END)
+    metrics = METRICS[workload]
+    assert set(record["end_to_end"]) == set(metrics)
     for name, entry in record["end_to_end"].items():
-        check_metric(name, entry, pairs)
+        check_metric(metrics[name], entry, pairs)
     for side, layers in record.get("per_layer", {}).items():
         assert side in ("parent", "change")
         assert all(isinstance(value, (int, float)) for value in layers.values())
@@ -82,9 +92,9 @@ def test_committed_record_matches_the_schema(path):
         assert SHA256.fullmatch(document[side]["src_sha256"])
     assert document["parent"]["src_sha256"] != document["change"]["src_sha256"]
     assert document["host"]["cpus"] >= 1
-    assert document["workloads"] and set(document["workloads"]) <= WORKLOADS
-    for record in document["workloads"].values():
-        check_workload(record)
+    assert document["workloads"] and set(document["workloads"]) <= set(METRICS)
+    for workload, record in document["workloads"].items():
+        check_workload(record, workload)
 
 
 def test_the_trajectory_has_a_record():
@@ -158,6 +168,49 @@ def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
     check_workload(json.loads(out.read_text())["workloads"]["plan-cold"])
 
 
+def test_cli_run_spawns_one_cli_call(tmp_path):
+    result = load_tool().run_cli(REPO_ROOT, tmp_path)
+    assert (result["correct"], result["failed"], result["attempted"]) == (True, 0, 1)
+    assert set(result["metrics"]) == set(METRICS["cli-run"])
+    assert result["metrics"]["wall_s"]["value"] > 0.0
+    assert "result" in json.loads((tmp_path / "run.json").read_text())
+
+
+def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
+    tool = load_tool()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "mod.py").write_text(f"SIDE = {checkout.name!r}\n")
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    monkeypatch.setattr(tool, "compile_tree", lambda checkout: None)
+    monkeypatch.setattr(tool, "run_once", lambda *args: pytest.fail("perfbench was run"))
+    sides = []
+
+    def run_cli(checkout, out_dir):
+        sides.append(checkout.name)
+        wall_s = 0.3 if checkout == parent else 0.2
+        return {
+            "correct": True,
+            "failed": 0,
+            "attempted": 1,
+            "metrics": {"wall_s": {"value": wall_s}},
+        }
+
+    monkeypatch.setattr(tool, "run_cli", run_cli)
+    out = tmp_path / "BENCH_7.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--parent-commit", "0" * 40]
+    argv += ["--pr", "7", "--pairs", "2", "--workload", "cli-run", "--traced", "--out", str(out)]
+    assert tool.main(argv) == 0
+    assert sides == ["parent", "change", "change", "parent"]
+    record = json.loads(out.read_text())["workloads"]["cli-run"]
+    check_workload(record, "cli-run")
+    assert "per_layer" not in record
+    wall = record["end_to_end"]["wall_s"]
+    assert (wall["parent"]["median"], wall["change"]["median"]) == (0.3, 0.2)
+    assert wall["pairs_better"] == 2
+
+
 def scratch_record(tmp_path, change_factor, pairs=10, noise=0.01):
     """A record whose change side scales each parent value by ``change_factor``.
 
@@ -206,6 +259,29 @@ def test_check_catches_a_scratch_ten_percent_regression(tmp_path, capsys):
     assert "| plan-cold | peak_rss_mb | 47 | 52.64 | +12.0% | 0/10 | 10% | REGRESSED |" in (
         capsys.readouterr().out
     )
+
+
+def test_check_bounds_and_claims_cli_run(tmp_path, capsys):
+    tool = load_tool()
+    for factor, claim_ok, verdict in ((0.8, True, "ok, claim holds"), (1.3, False, "REGRESSED")):
+        runs = {"parent": [], "change": []}
+        for pair in range(10):
+            wall_s = 0.3 * (1.0 + 0.01 * ((pair % 3) - 1))
+            runs["parent"].append({"metrics": {"wall_s": {"value": wall_s}}})
+            runs["change"].append({"metrics": {"wall_s": {"value": wall_s * factor}}})
+        record = {
+            "pairs": 10,
+            "seed": 0,
+            "seconds": 10.0,
+            "order": [["parent", "change"]] * 10,
+            "end_to_end": tool.summarise(runs, tool.TOOL_WORKLOADS["cli-run"]),
+        }
+        check_workload(record, "cli-run")
+        path = tmp_path / "BENCH_98.json"
+        path.write_text(json.dumps({"schema": 1, "pr": 98, "workloads": {"cli-run": record}}))
+        status = tool.main(["--check", str(path), "--claim", "cli-run:wall_s"])
+        assert status == (0 if claim_ok else 1)
+        assert f"| 25% | {verdict}" in capsys.readouterr().out
 
 
 def test_check_needs_most_pairs_worse_and_the_median_past_the_bound(tmp_path):

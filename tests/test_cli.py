@@ -370,7 +370,7 @@ class TestStoreFlag:
             "--steps",
             "4",
             "--backend",
-            "thread",
+            "process",
         )
         assert code == 0
         assert len(json.loads(captured.out)["cells"]) == 2

@@ -184,7 +184,7 @@ FIELD_VALUES = {
     "servers": small_list(["a6000", "2080ti"]),
     "tasks": small_list(["nas", "compression"], max_size=1),
     "strategies": small_list(["DP", "TR", "TR+DPU+AHD", "ZeRO"]),
-    "backend": st.sampled_from(["inline", "thread", "ray"]),
+    "backend": st.sampled_from(["inline", "ray"]),
     "nodes": st.sampled_from(["a6000:2", "a6000:4,2080ti:2", "", "x"]),
     "policy": st.sampled_from(["all", "fifo", "sjf", "drf"]),
     "num_jobs": st.integers(0, 4),

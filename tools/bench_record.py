@@ -10,6 +10,12 @@ median and interquartile range of each side, and per pair the relative
 change of each metric.  With ``--traced`` one traced run per side and
 workload adds the per-layer table.
 
+Besides the ``BENCHMARK.json`` workloads the tool times paths the
+benchmark does not cover (:data:`TOOL_WORKLOADS`), each with its own
+metrics: ``cli-run`` spawns ``python -m repro run --steps 4 --out <tmp>``
+in each tree, so its ``wall_s`` is what a user waits for one CLI call,
+interpreter start and imports included.
+
 Usage, from the root of the change checkout::
 
     git archive <parent-commit> | tar -x -C /tmp/parent
@@ -52,6 +58,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -61,6 +68,12 @@ SIDES = ("parent", "change")
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The fewest pairs a claimed gain may rest on.
 CLAIM_MIN_PAIRS = 10
+#: Workloads the tool runs itself, each with its end-to-end metrics.
+TOOL_WORKLOADS = {
+    "cli-run": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+}
+#: The command a ``cli-run`` spawn runs; ``--out`` and a path follow.
+CLI_RUN = ("-m", "repro", "run", "--steps", "4")
 
 
 def src_digest(checkout: Path) -> str:
@@ -127,6 +140,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+def run_cli(checkout: Path, out_dir: Path) -> dict:
+    """One ``cli-run`` spawn in ``checkout``: its wall time, in the shape of
+    a ``perfbench/run.py`` result."""
+    out = out_dir / "run.json"
+    out.unlink(missing_ok=True)
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_STORE"}
+    env["PYTHONPATH"] = str(checkout / "src")
+    command = [sys.executable, *CLI_RUN, "--out", str(out)]
+    started = time.perf_counter()
+    done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - started
+    if done.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(command)} failed:\n{done.stderr}")
+    correct = "result" in json.loads(out.read_text())
+    return {
+        "correct": correct,
+        "failed": 0,
+        "attempted": 1,
+        "metrics": {"wall_s": {"value": wall_s}},
+    }
+
+
+def metrics_for(workload: str, benchmark: dict) -> List[dict]:
+    """The end-to-end metrics a workload reports."""
+    return TOOL_WORKLOADS.get(workload, benchmark["end_to_end"])
+
+
 def quartiles(values: List[float]) -> Dict[str, float]:
     if len(values) == 1:
         return {"median": values[0], "iqr": 0.0}
@@ -155,8 +195,9 @@ def summarise(runs: Dict[str, List[dict]], metrics: List[dict]) -> Dict[str, dic
     return summary
 
 
-def record_workload(args, benchmark: dict, workload: str) -> dict:
+def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict:
     checkouts = {"parent": args.parent, "change": args.change}
+    metrics = metrics_for(workload, benchmark)
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     order_log = []
     for pair in range(args.pairs):
@@ -164,13 +205,17 @@ def record_workload(args, benchmark: dict, workload: str) -> dict:
         order_log.append(list(order))
         for side in order:
             started = time.perf_counter()
-            result = run_once(checkouts[side], workload, args.seed, args.seconds, 0)
+            if workload in TOOL_WORKLOADS:
+                result = run_cli(checkouts[side], scratch)
+            else:
+                result = run_once(checkouts[side], workload, args.seed, args.seconds, 0)
             if result["correct"] is not True or result["failed"] != 0:
                 raise SystemExit(f"{side} run of {workload} is not correct: {result}")
             runs[side].append(result)
+            first = metrics[0]["name"]
             print(
                 f"{workload} pair {pair + 1}/{args.pairs} {side}: "
-                f"ops_per_s={result['metrics']['ops_per_s']['value']:.2f} "
+                f"{first}={result['metrics'][first]['value']:.4g} "
                 f"({time.perf_counter() - started:.1f} s)",
                 file=sys.stderr,
             )
@@ -180,9 +225,9 @@ def record_workload(args, benchmark: dict, workload: str) -> dict:
         "seconds": args.seconds,
         "order": order_log,
         "attempted": {side: [run["attempted"] for run in runs[side]] for side in SIDES},
-        "end_to_end": summarise(runs, benchmark["end_to_end"]),
+        "end_to_end": summarise(runs, metrics),
     }
-    if args.traced:
+    if args.traced and workload not in TOOL_WORKLOADS:
         layers = {}
         for side in SIDES:
             result = run_once(checkouts[side], workload, args.seed, args.seconds, 1)
@@ -217,7 +262,11 @@ def claim_holds(entry: dict) -> bool:
 
 def check(document: dict, benchmark: dict, claims: List[str]) -> List[str]:
     """Print the comparison table of a record; return every failure found."""
-    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
+    bounds = {
+        metric["name"]: metric["bound"]
+        for metrics in (benchmark["end_to_end"], *TOOL_WORKLOADS.values())
+        for metric in metrics
+    }
     failures = []
     for claim in claims:
         workload, _, metric = claim.partition(":")
@@ -269,7 +318,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--parent-commit", help="default: git rev-parse HEAD in --parent")
     parser.add_argument("--change-commit", help="default: git rev-parse HEAD in --change")
     parser.add_argument("--pr", type=int, help="names the output file")
-    parser.add_argument("--workload", action="append", help="repeatable; default: all")
+    parser.add_argument(
+        "--workload",
+        action="append",
+        help=f"repeatable; default: BENCHMARK.json's and {', '.join(TOOL_WORKLOADS)}",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -289,7 +342,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--pairs must be at least 1")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    names = [workload["name"] for workload in benchmark["workloads"]]
+    names = [workload["name"] for workload in benchmark["workloads"]] + list(TOOL_WORKLOADS)
     workloads = args.workload or names
     unknown = sorted(set(workloads) - set(names))
     if unknown:
@@ -320,19 +373,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     for checkout in (args.parent, args.change):
         compile_tree(checkout)
-    for workload in workloads:
-        document["workloads"][workload] = record_workload(args, benchmark, workload)
-        document["recorded"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        )
-        out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        for name, entry in document["workloads"][workload]["end_to_end"].items():
-            print(
-                f"{workload:>15} {name:<12} parent {entry['parent']['median']:.4g} "
-                f"change {entry['change']['median']:.4g} "
-                f"median delta {entry['median_delta']:+.1%} "
-                f"({entry['pairs_better']}/{args.pairs} pairs better)"
+    with tempfile.TemporaryDirectory(prefix="bench_record-") as scratch:
+        for workload in workloads:
+            document["workloads"][workload] = record_workload(
+                args, benchmark, workload, Path(scratch)
             )
+            document["recorded"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
+                timespec="seconds"
+            )
+            out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            for name, entry in document["workloads"][workload]["end_to_end"].items():
+                print(
+                    f"{workload:>15} {name:<12} parent {entry['parent']['median']:.4g} "
+                    f"change {entry['change']['median']:.4g} "
+                    f"median delta {entry['median_delta']:+.1%} "
+                    f"({entry['pairs_better']}/{args.pairs} pairs better)"
+                )
     return 0
 
 
