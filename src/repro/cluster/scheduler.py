@@ -33,6 +33,12 @@ on their behalf:
 * ``"deadline-aware"`` — earliest deadline first (deadline-free jobs
   last), with backfill; may preempt gangs with later deadlines.
 
+sjf, priority and deadline-aware declare their order as ``rank_key(job,
+estimate, context)``, which reads only what stays fixed for a run (job
+fields, tenant specs, the memoised estimate).  The simulator then ranks
+each job once, when it enters the queue, and hands ``place`` a
+:class:`RankedQueue` instead of letting it sort on every decision.
+
 Documented in ``docs/API.md`` (cluster layer), ``docs/ARCHITECTURE.md``
 (the registries) and ``docs/TENANTS.md`` (multi-tenancy).
 """
@@ -106,7 +112,9 @@ class PlacementPolicy(Protocol):
 
     ``place`` receives the pending queue in arrival order, the free GPU
     count per node (in cluster order), and a service-time estimator; it
-    returns the next placement or ``None`` when nothing may start.
+    returns the next placement or ``None`` when nothing may start.  A
+    policy that also declares ``rank_key`` receives the queue as a
+    :class:`RankedQueue` in that order instead.
     """
 
     name: str
@@ -139,6 +147,51 @@ POLICIES = PolicyRegistry()
 #: Register a policy class or instance (usable as a decorator); see
 #: :func:`repro.registry.make_register`.
 register_policy = make_register(POLICIES)
+
+
+class RankedQueue(tuple):
+    """Pending jobs already in ``ranked_by.rank_key`` order (ties: enqueue order).
+
+    The simulator builds this view for a policy that declares ``rank_key``;
+    :func:`in_rank_order` passes it through unsorted, while a plain
+    sequence from any other caller is sorted.
+
+    Example:
+        >>> from repro.cluster.scheduler import POLICIES, RankedQueue
+        >>> RankedQueue((), POLICIES.get("sjf")).ranked_by.name
+        'sjf'
+    """
+
+    def __new__(cls, jobs: Iterable[JobSpec], ranked_by: object) -> "RankedQueue":
+        view = super().__new__(cls, jobs)
+        view.ranked_by = ranked_by
+        return view
+
+
+def in_rank_order(
+    policy,
+    pending: Sequence[JobSpec],
+    estimate: ServiceEstimator,
+    context: Optional[SchedulingContext] = None,
+) -> Sequence[JobSpec]:
+    """``pending`` in ``policy.rank_key`` order, sorting only if not ranked yet.
+
+    The sort is stable, so a queue given in arrival order breaks rank ties
+    by arrival, exactly as the simulator's ranked queue does.
+
+    Example:
+        >>> from repro.cluster.scheduler import POLICIES, in_rank_order
+        >>> from repro.cluster.workload import JobSpec
+        >>> jobs = [JobSpec(job_id=f"j{index}", arrival_time=0.0, gpus=1,
+        ...                 deadline=deadline, simulated_steps=4)
+        ...         for index, deadline in enumerate((None, 50.0))]
+        >>> policy = POLICIES.get("deadline-aware")
+        >>> [job.job_id for job in in_rank_order(policy, jobs, None)]
+        ['j1', 'j0']
+    """
+    if isinstance(pending, RankedQueue) and pending.ranked_by is policy:
+        return pending
+    return sorted(pending, key=lambda job: policy.rank_key(job, estimate, context))
 
 
 # ---------------------------------------------------------------------- #
@@ -191,7 +244,8 @@ def place_in_order(
     """Place the first job of ``ranked`` that ``fit`` finds a node for.
 
     The widest free node is computed once, so gangs that fit nowhere are
-    skipped without a node scan.
+    skipped without a node scan, and with no free GPU at all (every gang
+    needs at least one) nothing is scanned.
 
     Example:
         >>> from repro.cluster.scheduler import place_in_order
@@ -202,6 +256,8 @@ def place_in_order(
         'j2'
     """
     widest = max(free_gpus.values(), default=0)
+    if widest < 1:
+        return None
     for job in ranked:
         if job.gpus > widest:
             continue
@@ -251,11 +307,11 @@ class ShortestJobFirst:
 
     name = "sjf"
 
+    def rank_key(self, job, estimate, context=None):
+        return (estimate(job), job.arrival_time, job.job_id)
+
     def place(self, pending, free_gpus, estimate) -> Optional[Placement]:
-        ranked = sorted(
-            pending, key=lambda job: (estimate(job), job.arrival_time, job.job_id)
-        )
-        return place_in_order(ranked, free_gpus)
+        return place_in_order(in_rank_order(self, pending, estimate), free_gpus)
 
 
 # ---------------------------------------------------------------------- #
@@ -277,14 +333,16 @@ class PriorityFirstFit:
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
         return float(context.priority(job)) if context is not None else 0.0
 
+    def rank_key(self, job, estimate, context: Optional[SchedulingContext] = None):
+        # The negated urgency, read from the tenant spec itself: urgency
+        # calls stay the preemption scan's own, one per gang and job.
+        priority = context.priority(job) if context is not None else 0
+        return (-float(priority), job.arrival_time, job.job_id)
+
     def place(
         self, pending, free_gpus, estimate, context: Optional[SchedulingContext] = None
     ) -> Optional[Placement]:
-        ranked = sorted(
-            pending,
-            key=lambda job: (-self.urgency(job, context), job.arrival_time, job.job_id),
-        )
-        return place_in_order(ranked, free_gpus)
+        return place_in_order(in_rank_order(self, pending, estimate, context), free_gpus)
 
 
 @register_policy
@@ -343,15 +401,11 @@ class DeadlineAware:
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
         return -job.deadline if job.deadline is not None else -math.inf
 
+    def rank_key(self, job, estimate, context: Optional[SchedulingContext] = None):
+        deadline = job.deadline if job.deadline is not None else math.inf
+        return (deadline, job.arrival_time, job.job_id)
+
     def place(
         self, pending, free_gpus, estimate, context: Optional[SchedulingContext] = None
     ) -> Optional[Placement]:
-        ranked = sorted(
-            pending,
-            key=lambda job: (
-                job.deadline if job.deadline is not None else math.inf,
-                job.arrival_time,
-                job.job_id,
-            ),
-        )
-        return place_in_order(ranked, free_gpus)
+        return place_in_order(in_rank_order(self, pending, estimate, context), free_gpus)

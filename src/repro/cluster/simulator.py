@@ -70,9 +70,10 @@ import heapq
 import itertools
 import math
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.cluster_report import ClusterReport, JobRecord
 from repro.cluster.elastic import ELASTIC_POLICIES, ReschedulePolicy, resolve_elastic
@@ -88,6 +89,7 @@ from repro.cluster.scheduler import (
     POLICIES,
     Placement,
     PlacementPolicy,
+    RankedQueue,
     SchedulingContext,
 )
 from repro.cluster.spec import ClusterSpec, NodeSpec
@@ -182,6 +184,58 @@ def _sized(job: JobSpec, gpus: int) -> JobSpec:
     return job if gpus == job.gpus else replace(job, gpus=gpus)
 
 
+class _PendingQueue:
+    """The queued jobs of one run, in enqueue order and in the policy's order.
+
+    ``jobs`` is the queue in enqueue order.  Under a ``rank`` function,
+    ``ranked`` holds the same jobs sorted by ``(rank(job), enqueue seq)``,
+    kept with ``bisect`` on enqueue and dequeue, so a ranked policy's order
+    is computed once per enqueue instead of on every decision; without one,
+    ``ranked`` is ``jobs``.  A job ``rank`` returns ``None`` for is one no
+    placement pass will ever see: it waits behind every ranked job.
+    """
+
+    def __init__(self, rank: Optional[Callable[[JobSpec], Optional[tuple]]] = None) -> None:
+        self.rank = rank
+        self.jobs: List[JobSpec] = []
+        self.seqs: List[int] = []  # parallel to jobs, ascending
+        self.ranked: List[JobSpec] = [] if rank is not None else self.jobs
+        self.keys: List[tuple] = []  # parallel to ranked (ranked queues only)
+        self.key_of: Dict[str, Tuple[int, Optional[tuple]]] = {}  # job id -> (seq, key)
+        self.sequence = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self.jobs)
+
+    def __iter__(self) -> Iterator[JobSpec]:
+        return iter(self.jobs)
+
+    def append(self, job: JobSpec) -> None:
+        """Enqueue ``job`` (every enqueue site goes through here)."""
+        seq = next(self.sequence)
+        self.jobs.append(job)
+        self.seqs.append(seq)
+        key = None
+        if self.rank is not None:
+            rank = self.rank(job)
+            key = (1, seq) if rank is None else (0, rank, seq)
+            index = bisect_left(self.keys, key)
+            self.ranked.insert(index, job)
+            self.keys.insert(index, key)
+        self.key_of[job.job_id] = (seq, key)
+
+    def remove(self, job: JobSpec) -> None:
+        """Dequeue ``job``, found by its enqueue seq and key."""
+        seq, key = self.key_of.pop(job.job_id)
+        index = bisect_left(self.seqs, seq)
+        del self.jobs[index]
+        del self.seqs[index]
+        if key is not None:
+            index = bisect_left(self.keys, key)
+            del self.ranked[index]
+            del self.keys[index]
+
+
 class _FleetRun:
     """The mutable state of one fleet replay, with one handler per event kind.
 
@@ -242,7 +296,7 @@ class _FleetRun:
         self.sequence = itertools.count()
         self.entries: Dict[int, _Attempt] = {}
         self.heap: List[Tuple[float, int]] = []
-        self.queue: List[JobSpec] = []
+        self.queue = _PendingQueue(self._ranker())
         self.records: List[JobRecord] = []
         self.killed: List[dict] = []
         self.recoveries: List[float] = []
@@ -255,6 +309,28 @@ class _FleetRun:
         # nothing the context reads has changed and the preemption scan
         # reuses it instead of building its own.
         self.pass_context: Optional[SchedulingContext] = None
+
+    def _ranker(self) -> Optional[Callable[[JobSpec], Optional[tuple]]]:
+        """The queue's rank function: the policy's ``rank_key``, if it has one.
+
+        The key gets a context of the run-static tenant specs only.  A gang
+        wider than its tenant's whole quota never passes the quota filter
+        (``kill_unplaceable`` removes it), so it is not ranked: its estimate
+        may cost a simulation that no report needs.
+        """
+        rank_key = getattr(self.sim.policy, "rank_key", None)
+        if rank_key is None:
+            return None
+        estimate = self.sim.estimate_service_time
+        context = SchedulingContext(tenants=self.tenants) if self.contextual else None
+        quotas = self.quotas
+
+        def rank(job: JobSpec) -> Optional[tuple]:
+            if job.gpus > quotas.get(job.tenant, job.gpus):
+                return None
+            return rank_key(job, estimate, context)
+
+        return rank
 
     def available(self, name: str) -> int:
         """The node's GPUs now: crash-adjusted capacity minus preempted ones."""
@@ -425,13 +501,13 @@ class _FleetRun:
         once per pass because nothing it reads changes until the batch
         starts.
         """
-        if not self.queue:
+        if not self.queue.jobs:
             return False
         sim = self.sim
         context = self.pass_context = self._context(t) if self.contextual else None
         placed: List[Tuple[JobSpec, NodeSpec]] = []
         reserved: Dict[str, int] = {}
-        while self.queue:
+        while self.queue.jobs:
             pending = self._eligible(reserved)
             if not pending:
                 break
@@ -446,16 +522,15 @@ class _FleetRun:
             if placement is None:
                 break
             job, node = sim._resolve(placement, pending, self.free)
-            # By identity: list.remove would call JobSpec.__eq__ per entry.
-            del self.queue[next(i for i, queued in enumerate(self.queue) if queued is job)]
+            self.queue.remove(job)
             self.free[node.name] -= job.gpus
             reserved[job.tenant] = reserved.get(job.tenant, 0) + job.gpus
             placed.append((job, node))
         if not placed:
             return False
-        sim._fill_epoch_times(placed)
-        for job, node in placed:
-            self._start(job, node, job.gpus, t, "restart")
+        configs = sim._fill_epoch_times(placed)
+        for (job, node), config in zip(placed, configs):
+            self._start(job, node, job.gpus, t, "restart", config)
         return True
 
     def _try_preempt(self, t: float) -> bool:
@@ -480,7 +555,7 @@ class _FleetRun:
         eligible job is more urgent than the least urgent running gang,
         the pass returns before ranking the queue.
         """
-        if not self.queue or not self.entries:
+        if not self.queue.jobs or not self.entries:
             return False
         context = self.pass_context
         urgency = self.sim.policy.urgency
@@ -491,7 +566,9 @@ class _FleetRun:
             if score < floor:
                 floor = score
             running.setdefault(attempt.node.name, []).append((score, attempt))
-        scored = [(urgency(job, context), job) for job in self._eligible({})]
+        scored = [
+            (urgency(job, context), job) for job in self._within_quota(self.queue.jobs, {})
+        ]
         if not scored or max(score for score, _ in scored) <= floor:
             return False  # no running gang is strictly less urgent
         ranked = sorted(
@@ -554,37 +631,61 @@ class _FleetRun:
         )
 
     def _eligible(self, reserved: Dict[str, int]) -> Tuple[JobSpec, ...]:
-        """The queue minus jobs whose tenant GPU quota is exhausted.
+        """What the policy sees: the queue minus over-quota jobs.
+
+        A ranked queue is handed over in rank order as the policy's
+        :class:`RankedQueue`, any other in arrival order.
+        """
+        jobs = self._within_quota(self.queue.ranked, reserved)
+        if self.queue.rank is not None:
+            return RankedQueue(jobs, self.sim.policy)
+        return tuple(jobs)
+
+    def _within_quota(
+        self, jobs: Sequence[JobSpec], reserved: Dict[str, int]
+    ) -> Sequence[JobSpec]:
+        """``jobs`` minus those whose tenant GPU quota is exhausted, in order.
 
         ``reserved`` carries same-instant placements that have not become
         live attempts yet, so a tenant cannot blow through its quota within
         one drain instant.
         """
         if not self.quotas:
-            return tuple(self.queue)
+            return jobs
         usage = dict(self.usage)
         for tenant, gpus in reserved.items():
             usage[tenant] = usage.get(tenant, 0) + gpus
         quotas = self.quotas
-        return tuple(
+        return [
             job
-            for job in self.queue
+            for job in jobs
             if job.tenant not in quotas
             or usage.get(job.tenant, 0) + job.gpus <= quotas[job.tenant]
-        )
+        ]
 
     # ------------------------------------------------------------------ #
     # Attempt lifecycle
     # ------------------------------------------------------------------ #
     def _start(
-        self, job: JobSpec, node: NodeSpec, gpus: int, t: float, action: str
+        self,
+        job: JobSpec,
+        node: NodeSpec,
+        gpus: int,
+        t: float,
+        action: str,
+        config: Optional[ExperimentConfig] = None,
     ) -> None:
-        """Start an attempt on GPUs the caller already took from ``free``."""
+        """Start an attempt on GPUs the caller already took from ``free``.
+
+        ``config`` is the sized job's experiment config on ``node`` when the
+        caller has built it already.
+        """
         self.events += 1
         prog = self.progress[job.job_id]
         overhead = 0.0 if prog.attempts == 0 else self.sim.recovery.overhead(action)
         sized = _sized(job, gpus)
-        config = sized.experiment_config(node.server)
+        if config is None:
+            config = sized.experiment_config(node.server)
         attempt_full = self.sim._config_epoch_time(config, sized) * sized.epochs
         nominal_total = overhead + (1.0 - prog.done) * attempt_full
         finish = t + nominal_total * self.factor[node.name]
@@ -779,7 +880,7 @@ class ClusterSimulator:
         # once per distinct estimate key, then answers from its own memo.
         return self._config_epoch_time(job.experiment_config(node.server), job) * job.epochs
 
-    def _fill_epoch_times(self, placements) -> None:
+    def _fill_epoch_times(self, placements) -> List[ExperimentConfig]:
         """Batch-fill the epoch-time memo for freshly decided placements.
 
         The event loop collects every placement made at one event instant
@@ -789,18 +890,21 @@ class ClusterSimulator:
         reports stay readable at fleet scale.  Only keys the drained
         placements actually need are filled: the memo contents (and with
         them ``simulations_run`` and the store audit counters) are
-        identical to the per-event fills this replaces.
+        identical to the per-event fills this replaces.  Returns each
+        placement's experiment config, so the starts do not build it again.
         """
+        configs = []
         missing = []
         seen = set()
         for job, node in placements:
             config = job.experiment_config(node.server)
+            configs.append(config)
             key: EpochKey = (config.cell_key(), job.strategy, job.simulated_steps)
             if key not in self._epoch_times and key not in seen:
                 seen.add(key)
                 missing.append((key, config))
         if not missing:
-            return
+            return configs
         with span("cluster.memo_fill", cells=len(missing), policy=self.policy.name):
             for key, config in missing:
                 self._epoch_times[key] = self.session.run(config).epoch_time
@@ -808,6 +912,7 @@ class ClusterSimulator:
             "repro_cluster_memo_fill_cells_total",
             "epoch-time memo cells filled, batched per drain instant",
         ).inc(len(missing), policy=self.policy.name)
+        return configs
 
     def estimate_service_time(self, job: JobSpec) -> float:
         """Node-independent estimate used by ordering policies (e.g. SJF).
@@ -909,7 +1014,7 @@ class ClusterSimulator:
         next_arrival = 0
         heap, timeline = run.heap, run.timeline
         now = 0.0
-        while next_arrival < len(arrivals) or run.queue or run.entries:
+        while next_arrival < len(arrivals) or run.queue.jobs or run.entries:
             event_times = []
             if next_arrival < len(arrivals):
                 event_times.append(arrivals[next_arrival].arrival_time)

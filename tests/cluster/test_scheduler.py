@@ -1,19 +1,26 @@
 """Tests for placement policies and the policy registry."""
 
+import random
+
 import pytest
 
 from repro.cluster.scheduler import (
     POLICIES,
     BestFitPacking,
+    DeadlineAware,
     FIFOFirstFit,
     Placement,
     PolicyRegistry,
+    PriorityFirstFit,
+    RankedQueue,
+    SchedulingContext,
     ShortestJobFirst,
     best_fit_node,
     first_fit_node,
+    place_in_order,
     register_policy,
 )
-from repro.cluster.workload import JobSpec
+from repro.cluster.workload import JobSpec, TenantSpec
 from repro.errors import ConfigurationError
 
 
@@ -35,6 +42,23 @@ class TestFitHelpers:
         assert best_fit_node(job("a", 2), FREE) == "n2"
         assert best_fit_node(job("a", 4), FREE) == "n1"
         assert best_fit_node(job("a", 8), FREE) is None
+
+
+class NotIterable:
+    """A queue that fails the test if anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("the queue was walked")
+
+
+class TestPlaceInOrder:
+    def test_no_free_gpu_returns_before_walking_the_queue(self):
+        assert place_in_order(NotIterable(), {"n0": 0, "n1": 0}) is None
+        assert place_in_order(NotIterable(), {}) is None
+
+    def test_skips_gangs_wider_than_every_node(self):
+        pending = (job("wide", 8), job("narrow", 2))
+        assert place_in_order(pending, FREE) == Placement("narrow", "n1")
 
 
 class TestBuiltInPolicies:
@@ -71,6 +95,84 @@ class TestBuiltInPolicies:
         pending = (job("b", 1, arrival=2.0), job("a", 1, arrival=2.0))
         placement = policy.place(pending, {"n0": 1}, lambda j: 10.0)
         assert placement.job_id == "a"
+
+
+class TestRankedPlacement:
+    """Direct callers pass plain sequences; the simulator passes a RankedQueue."""
+
+    TENANTS = {
+        "low": TenantSpec("low"),
+        "mid": TenantSpec("mid", priority=1),
+        "high": TenantSpec("high", priority=3),
+    }
+
+    def roster(self):
+        tenants = ("low", "mid", "high", "mid", "low", "high", "low", "mid")
+        deadlines = (None, 400.0, 90.0, None, 250.0, 90.0, 30.0, 600.0)
+        return [
+            JobSpec(
+                job_id=f"j{index}",
+                arrival_time=float(index),
+                gpus=1 + index % 3,
+                tenant=tenant,
+                deadline=deadline,
+            )
+            for index, (tenant, deadline) in enumerate(zip(tenants, deadlines))
+        ]
+
+    def expected(self, policy, jobs, free, context):
+        ranked = sorted(jobs, key=lambda queued: policy.rank_key(queued, None, context))
+        return place_in_order(ranked, free)
+
+    @pytest.mark.parametrize("policy", [PriorityFirstFit(), DeadlineAware()])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_plain_tuple_gets_the_ranked_answer(self, policy, seed):
+        jobs = self.roster()
+        context = SchedulingContext(tenants=self.TENANTS)
+        free = {"n0": 1, "n1": 2}
+        expected = self.expected(policy, jobs, free, context)
+        assert expected is not None
+        random.Random(seed).shuffle(jobs)
+        assert policy.place(tuple(jobs), free, None, context) == expected
+
+    def test_priority_ranks_high_tenants_first_then_arrival(self):
+        policy = PriorityFirstFit()
+        context = SchedulingContext(tenants=self.TENANTS)
+        jobs = self.roster()[::-1]
+        assert policy.place(tuple(jobs), {"n0": 4}, None, context) == Placement("j2", "n0")
+        # Without a context every tenant ranks equal: earliest arrival wins.
+        assert policy.place(tuple(jobs), {"n0": 4}, None) == Placement("j0", "n0")
+
+    def test_deadline_aware_ranks_deadline_free_jobs_last(self):
+        policy = DeadlineAware()
+        jobs = self.roster()
+        assert policy.place(tuple(jobs), {"n0": 1}, None) == Placement("j6", "n0")
+        free_jobs = tuple(queued for queued in jobs if queued.deadline is None)
+        with_deadline = jobs[4]  # 250 s, but later than both deadline-free jobs
+        assert policy.place(free_jobs + (with_deadline,), {"n0": 4}, None) == Placement(
+            "j4", "n0"
+        )
+
+    def test_own_ranked_view_is_taken_as_given(self):
+        policy = DeadlineAware()
+        jobs = self.roster()
+        # Deliberately not in rank order: the policy trusts its own view.
+        view = RankedQueue(jobs, policy)
+        assert policy.place(view, {"n0": 4}, None) == Placement("j0", "n0")
+        # Another policy's view is sorted like any plain sequence.
+        foreign = RankedQueue(jobs, PriorityFirstFit())
+        assert policy.place(foreign, {"n0": 4}, None) == Placement("j6", "n0")
+
+    def test_sjf_rank_key_matches_its_direct_call(self):
+        policy = ShortestJobFirst()
+        jobs = self.roster()
+        estimates = {queued.job_id: float(len(jobs) - index) for index, queued in enumerate(jobs)}
+
+        def estimate(queued):
+            return estimates[queued.job_id]
+
+        random.Random(0).shuffle(jobs)
+        assert policy.place(tuple(jobs), {"n0": 1}, estimate) == Placement("j6", "n0")
 
 
 class TestPolicyRegistry:

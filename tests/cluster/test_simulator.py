@@ -12,7 +12,13 @@ from repro.analysis.cluster_report import (
     percentile,
 )
 from repro.cluster.faults import FaultEvent, FaultTrace
-from repro.cluster.scheduler import Placement, register_policy, POLICIES
+from repro.cluster.scheduler import (
+    POLICIES,
+    Placement,
+    RankedQueue,
+    place_in_order,
+    register_policy,
+)
 from repro.cluster.simulator import ClusterSimulator, run_policy_comparison
 from repro.cluster.spec import ClusterSpec, NodeSpec, default_cluster
 from repro.cluster.workload import (
@@ -298,6 +304,70 @@ class TestPolicyBehaviourOnFleet:
         finally:
             POLICIES.unregister("refuse-test")
 
+    @pytest.mark.parametrize("policy_name", ["sjf", "priority", "deadline-aware"])
+    def test_killed_gangs_stay_in_arrival_order_under_a_ranked_policy(self, policy_name):
+        # j1..j3 queue behind j0 in arrival order; every ranked policy ranks
+        # them the other way round (shorter, more urgent, earlier deadline).
+        # The crash strands all four 4-GPU gangs; j0 is requeued last.
+        tenants = (
+            TenantSpec("t1"), TenantSpec("t2", priority=1), TenantSpec("t3", priority=2),
+        )
+        jobs = (job("j0", 0.0, 4, epochs=5, tenant="t3", deadline=100.0),) + tuple(
+            job(f"j{index}", 0.1 * index, 4, epochs=4 - index,
+                tenant=f"t{index}", deadline=1000.0 - 100.0 * index)
+            for index in (1, 2, 3)
+        )
+        workload = Workload(name="stranded", jobs=jobs, tenants=tenants)
+        trace = FaultTrace(
+            "loss", (FaultEvent(time=5.0, kind="crash", node="a6000-0"),)
+        )
+        cluster = ClusterSpec(
+            name="two",
+            nodes=(
+                NodeSpec(name="a6000-0", server="a6000", num_gpus=4),
+                NodeSpec(name="2080ti-0", server="2080ti", num_gpus=2),
+            ),
+        )
+        simulator = ClusterSimulator(cluster, policy=policy_name, faults=trace)
+        report = simulator.run(workload)
+        assert report.num_jobs == 0
+        assert [entry["job_id"] for entry in report.killed] == ["j1", "j2", "j3", "j0"]
+
+    def test_custom_policy_sees_its_rank_order_or_arrival_order(self, small_cluster):
+        views = {}
+
+        class Recorder:
+            def place(self, pending, free_gpus, estimate):
+                views.setdefault(self.name, pending)
+                return place_in_order(pending[:1], free_gpus)
+
+        @register_policy
+        class Arrival(Recorder):
+            name = "arrival-test"
+
+        @register_policy
+        class Reversed(Recorder):
+            name = "reversed-test"
+
+            def rank_key(self, job, estimate, context=None):
+                return -int(job.job_id[1:])
+
+        try:
+            workload = Workload(
+                name="w", jobs=tuple(job(f"j{index}", 0.0, 1) for index in range(3))
+            )
+            for name in ("arrival-test", "reversed-test"):
+                ClusterSimulator(small_cluster, policy=name).run(workload)
+            arrival, ranked = views["arrival-test"], views["reversed-test"]
+            assert type(arrival) is tuple
+            assert [queued.job_id for queued in arrival] == ["j0", "j1", "j2"]
+            assert isinstance(ranked, RankedQueue)
+            assert ranked.ranked_by is POLICIES.get("reversed-test")
+            assert [queued.job_id for queued in ranked] == ["j2", "j1", "j0"]
+        finally:
+            POLICIES.unregister("arrival-test")
+            POLICIES.unregister("reversed-test")
+
 
 class TestPreemptionGate:
     """A plain run never ranks urgency: that pass at every stalled drain
@@ -345,8 +415,9 @@ class TestPlacementCost:
 
     SJF asked the estimator about every queued job on every decision, and
     each answer built an ``ExperimentConfig``; ``_try_preempt`` re-scored
-    every running gang for each starved job and node.  Both are now one
-    pass over data computed once.
+    every running gang for each starved job and node.  Now a ranked
+    policy's key is computed once per enqueue, each estimate builds one
+    config, and the preemption scan is one pass over data computed once.
     """
 
     @staticmethod
@@ -384,8 +455,86 @@ class TestPlacementCost:
         monkeypatch.setattr(JobSpec, "experiment_config", counting_build)
         assert simulator.run(workload).num_jobs == 600
         distinct = {self.estimate_key(job) for job in workload.jobs}
-        assert counts["estimates"] > 100 * len(distinct)  # SJF asks freely...
-        assert counts["configs"] <= len(distinct)  # ...and builds once per key
+        assert counts["estimates"] == len(workload.jobs)  # one rank per arrival...
+        assert counts["configs"] <= len(distinct)  # ...and one build per key
+
+    @staticmethod
+    def saturated_tenant_fleet():
+        roster = (
+            TenantSpec("batch", rate=0.4),
+            TenantSpec("prod", priority=2, deadline_policy="strict", rate=0.2),
+        )
+        return tenant_workload(roster, 120, seed=5, deadline_slack=300.0)
+
+    @pytest.mark.parametrize("policy_name", ["sjf", "priority", "deadline-aware"])
+    def test_rank_key_once_per_enqueue_and_dequeue(self, policy_name, monkeypatch):
+        from repro.cluster.simulator import _PendingQueue
+
+        if policy_name == "sjf":
+            workload = poisson_workload(600, rate=0.5, seed=0)
+        else:
+            workload = self.saturated_tenant_fleet()
+        simulator = ClusterSimulator(default_cluster(), policy=policy_name)
+        policy = simulator.policy
+        rank_key, estimate = policy.rank_key, simulator.estimate_service_time
+        append, remove = _PendingQueue.append, _PendingQueue.remove
+        calls = {"rank": 0, "estimate": 0, "enqueue": 0, "dequeue": 0}
+
+        def counting_rank_key(job, estimate, context=None):
+            calls["rank"] += 1
+            return rank_key(job, estimate, context)
+
+        def counting_estimate(job):
+            calls["estimate"] += 1
+            return estimate(job)
+
+        def counting_append(queue, job):
+            calls["enqueue"] += 1
+            return append(queue, job)
+
+        def counting_remove(queue, job):
+            calls["dequeue"] += 1
+            return remove(queue, job)
+
+        monkeypatch.setattr(policy, "rank_key", counting_rank_key)
+        monkeypatch.setattr(simulator, "estimate_service_time", counting_estimate)
+        monkeypatch.setattr(_PendingQueue, "append", counting_append)
+        monkeypatch.setattr(_PendingQueue, "remove", counting_remove)
+        report = simulator.run(workload)
+        budget = calls["enqueue"] + calls["dequeue"]
+        assert calls["dequeue"] == len(report.records) + report.jobs_killed + sum(
+            record.preemptions for record in report.records
+        )
+        assert 0 < calls["rank"] <= budget
+        assert calls["estimate"] <= budget
+        if policy_name == "sjf":
+            assert report.num_jobs == 600
+        else:  # saturated: gangs are evicted and ranked again on requeue
+            assert calls["enqueue"] > len(workload.jobs)
+
+    def test_gang_wider_than_its_quota_is_never_ranked(self, small_cluster, monkeypatch):
+        # The per-decision sort only ever saw quota-eligible jobs, so it
+        # never asked for the estimate (a simulation) of a gang that can
+        # never start; ranking on enqueue must not ask either.
+        workload = Workload(
+            name="quota",
+            jobs=(job("fits", 0.0, 2), job("never", 0.1, 4, batch_size=256)),
+            tenants=(TenantSpec("default", quota_gpus=2),),
+        )
+        simulator = ClusterSimulator(small_cluster, policy="sjf", session=Session())
+        ranked = []
+        rank_key = simulator.policy.rank_key
+
+        def recording_rank_key(job, estimate, context=None):
+            ranked.append(job.job_id)
+            return rank_key(job, estimate, context)
+
+        monkeypatch.setattr(simulator.policy, "rank_key", recording_rank_key)
+        report = simulator.run(workload)
+        assert [record.job_id for record in report.records] == ["fits"]
+        assert [entry["job_id"] for entry in report.killed] == ["never"]
+        assert ranked == ["fits"]
+        assert simulator.simulations_run == 1
 
     def test_estimate_memo_key_covers_every_field_it_reads(self, small_cluster):
         base = job("j0", 0.0, 2)
@@ -415,11 +564,7 @@ class TestPlacementCost:
     def test_preemption_scores_each_gang_and_job_once(self, policy_name, monkeypatch):
         from repro.cluster.simulator import _FleetRun
 
-        roster = (
-            TenantSpec("batch", rate=0.4),
-            TenantSpec("prod", priority=2, deadline_policy="strict", rate=0.2),
-        )
-        workload = tenant_workload(roster, 120, seed=5, deadline_slack=300.0)
+        workload = self.saturated_tenant_fleet()
         policy = POLICIES.get(policy_name)
         urgency, try_preempt = policy.urgency, _FleetRun._try_preempt
         calls = {"urgency": 0, "preempt": 0}
