@@ -15,6 +15,7 @@ points), so they hash into store keys and replay byte-identically.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -34,9 +35,9 @@ class PriceCurve:
     """A right-continuous step function of price multipliers over time.
 
     ``points`` holds ``(start_second, multiplier)`` break points; the
-    first must start at 0 and times must strictly increase.  With a
-    ``period`` the curve repeats (spot markets cycle daily); without
-    one the final multiplier holds forever.
+    first must start at 0, times must strictly increase and every number
+    must be finite.  With a ``period`` the curve repeats (spot markets
+    cycle daily); without one the final multiplier holds forever.
     """
 
     name: str
@@ -49,6 +50,14 @@ class PriceCurve:
         if not self.points:
             raise ConfigurationError("price curve needs at least one point")
         times = [float(t) for t, _ in self.points]
+        numbers = times + [float(m) for _, m in self.points]
+        if self.period is not None:
+            numbers.append(float(self.period))
+        if not all(math.isfinite(number) for number in numbers):
+            raise ConfigurationError(
+                f"price curve {self.name!r} break points, multipliers and period "
+                "must be finite"
+            )
         if times[0] != 0.0:
             raise ConfigurationError(
                 f"price curve {self.name!r} must start at t=0, got t={times[0]}"

@@ -61,6 +61,7 @@ from repro.store.backends import BACKENDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the commands import lazily
     from repro.cluster.faults import FaultTrace
+    from repro.cluster.market import PriceCurve
     from repro.cluster.workload import Workload
 
 __all__ = [
@@ -486,6 +487,23 @@ def _resolve_faults(request) -> Union["FaultTrace", object, None]:
     return None
 
 
+def _resolve_price_curve(request) -> Optional["PriceCurve"]:
+    """Parse a request's price curve (None without one)."""
+    from repro.cluster.market import PRICE_CURVES, parse_price_curve
+
+    try:
+        return parse_price_curve(request.price_curve)
+    except ReproError as error:
+        raise RequestError(
+            400,
+            "bad_price_curve",
+            str(error),
+            field="price_curve",
+            value=request.price_curve,
+            choices=sorted(PRICE_CURVES),
+        ) from error
+
+
 # ---------------------------------------------------------------------- #
 # Commands: (session, request) -> (payload, domain result)
 # ---------------------------------------------------------------------- #
@@ -577,7 +595,6 @@ def cluster(session: Session, request: ClusterRequest):
     """Replay a fleet; the result maps each policy to its report."""
     from repro.cluster.elastic import ELASTIC_POLICIES
     from repro.cluster.faults import FaultTrace
-    from repro.cluster.market import PRICE_CURVES, parse_price_curve
     from repro.cluster.scheduler import POLICIES
     from repro.cluster.simulator import run_policy_comparison
     from repro.cluster.spec import cluster_from_shorthand, default_cluster
@@ -592,17 +609,7 @@ def cluster(session: Session, request: ClusterRequest):
         if request.nodes is not None
         else default_cluster()
     )
-    try:
-        price_curve = parse_price_curve(request.price_curve)
-    except ReproError as error:
-        raise RequestError(
-            400,
-            "bad_price_curve",
-            str(error),
-            field="price_curve",
-            value=request.price_curve,
-            choices=sorted(PRICE_CURVES),
-        ) from error
+    price_curve = _resolve_price_curve(request)
     workload = make_workload(request)
     faults = _resolve_faults(request)
     policies = (
@@ -698,7 +705,7 @@ def tune(session: Session, request: TuneRequest):
         elastic=request.elastic,
         fault_seed=request.fault_seed,
         tenants=request.tenants,
-        price_curve=request.price_curve,
+        price_curve=_resolve_price_curve(request),
         slo_deadline_slack=request.deadline_slack,
     )
     return result.to_dict(), result

@@ -11,8 +11,9 @@ insertion order or the process that produced it, which is what lets
 OS processes — share one store without coordination.
 
 The key payload also embeds the record ``kind`` (``"run"``,
-``"estimate"``, ``"throughput"``) and the store schema version, so a
-schema bump re-addresses every record instead of serving stale shapes.
+``"estimate"``, ``"throughput"``, ``"goodput"``, ``"slo"``) and the store
+schema version, so a schema bump re-addresses every record instead of
+serving stale shapes.
 
 Documented in ``docs/CACHING.md`` (keying scheme).
 """
@@ -96,13 +97,24 @@ def estimate_key(cell_signature: Tuple) -> dict:
     }
 
 
-def throughput_key(
-    cell_signature: Tuple, steps: int, jobs: int, policy: str, cluster_dict: dict
+def probe_key(
+    cell_signature: Tuple,
+    steps: int,
+    jobs: int,
+    policy: str,
+    cluster_dict: dict,
+    scenario: dict,
 ) -> dict:
-    """Key payload for a fleet-throughput probe.
+    """Key payload for a fleet probe (throughput, goodput or SLO).
 
     The cluster participates as its full serialised shape, not its name —
     two candidate fleets may share a (default) name yet differ in nodes.
+    ``scenario`` holds everything else that changes the probed fleet: empty
+    for a throughput probe; the fault spec, elastic policy, fault seed and
+    recovery parameters for a goodput probe; the tenant roster (order
+    preserved — tenant order seeds the per-tenant arrival streams), price
+    curve and deadline slack for an SLO probe.  Two probes differing in any
+    of these are different records.
     """
     payload = estimate_key(cell_signature)
     payload.update(
@@ -113,64 +125,5 @@ def throughput_key(
             "cluster": cluster_dict,
         }
     )
-    return payload
-
-
-def goodput_key(
-    cell_signature: Tuple,
-    steps: int,
-    jobs: int,
-    policy: str,
-    cluster_dict: dict,
-    fault_spec: dict,
-    elastic: str,
-    fault_seed: int,
-    recovery: dict,
-) -> dict:
-    """Key payload for a fault-injected goodput probe.
-
-    Extends :func:`throughput_key` with everything that changes the
-    injected failures or their recovery cost: the full fault-model (or
-    trace) spec, the elastic rescheduling policy, the fault seed and the
-    recovery-cost parameters.  Two probes differing in any of these are
-    different records — a warm replay only hydrates when the *entire*
-    fault scenario matches.
-    """
-    payload = throughput_key(cell_signature, steps, jobs, policy, cluster_dict)
-    payload.update(
-        {
-            "faults": fault_spec,
-            "elastic": elastic,
-            "fault_seed": fault_seed,
-            "recovery": recovery,
-        }
-    )
-    return payload
-
-
-def slo_key(
-    cell_signature: Tuple,
-    steps: int,
-    jobs: int,
-    policy: str,
-    cluster_dict: dict,
-    tenants: Tuple[dict, ...],
-    price_curve: dict,
-    deadline_slack: float,
-) -> dict:
-    """Key payload for a multi-tenant SLO probe.
-
-    Extends :func:`throughput_key` with everything that changes the
-    contended-fleet scenario: the full tenant roster (specs serialised,
-    order preserved — tenant order seeds the per-tenant arrival streams),
-    the price curve and the deadline slack applied to deadline tenants.
-    """
-    payload = throughput_key(cell_signature, steps, jobs, policy, cluster_dict)
-    payload.update(
-        {
-            "tenants": list(tenants),
-            "price_curve": price_curve,
-            "deadline_slack": deadline_slack,
-        }
-    )
+    payload.update(scenario)
     return payload

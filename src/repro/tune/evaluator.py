@@ -19,9 +19,10 @@ reuse:
   batch of identical jobs gang-scheduled by a
   :class:`~repro.cluster.simulator.ClusterSimulator` whose epoch-time memo is
   shared across *all* probes of a search, so policies replay the fleet
-  without new discrete-event simulations.  Two sibling probes reuse the
-  same memo: :meth:`goodput` (fault-injected fleets) and :meth:`slo`
-  (contended multi-tenant fleets with deadlines and price curves).
+  without new discrete-event simulations.  Two sibling probes share its
+  path, memo and store keying (:func:`repro.store.keys.probe_key`):
+  :meth:`goodput` (fault-injected fleets) and :meth:`slo` (contended
+  multi-tenant fleets with deadlines and price curves).
 
 When the wrapped session carries a persistent
 :class:`~repro.store.store.ExperimentStore`, every fidelity additionally
@@ -33,7 +34,8 @@ a *restarted* tune against the same store performs zero simulations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cluster.faults import (
@@ -64,7 +66,7 @@ from repro.obs.tracing import span
 from repro.parallel.estimator import StageTimeEstimator
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.registry import REGISTRY
-from repro.store.keys import estimate_key, goodput_key, slo_key, throughput_key
+from repro.store.keys import canonical_json, estimate_key, probe_key
 from repro.tune.objective import TuneMeasurement, cost_per_epoch
 from repro.tune.space import TunePoint
 
@@ -86,6 +88,26 @@ def _count_probe(fidelity: str, amount: int = 1) -> None:
     get_registry().counter(
         "repro_tune_probes_total", "TuneEvaluator probes by fidelity"
     ).inc(amount, fidelity=fidelity)
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """What one fleet-probe kind adds to the shared probe path."""
+
+    #: The ``EvaluatorStats`` counters of fresh probes and of memo hits.
+    runs: str
+    hits: str
+    #: The objectives a point without a placement policy cannot serve.
+    objectives: str
+    #: ``(record field, report attribute)`` pairs, in result order.
+    fields: Tuple[Tuple[str, str], ...]
+    #: Scenario fields of the probe's store key.
+    key: dict = field(default_factory=dict)
+    #: Extra :class:`ClusterSimulator` arguments.
+    simulator: dict = field(default_factory=dict)
+    #: Tenant roster the probe's jobs are split across (None = identical
+    #: jobs all arriving at t=0).
+    tenants: Optional[Tuple[TenantSpec, ...]] = None
 
 
 @dataclass
@@ -140,7 +162,6 @@ class TuneEvaluator:
         faults: Union[FaultModel, FaultTrace, str, None] = None,
         elastic: str = "restart",
         fault_seed: int = 0,
-        recovery: Optional[RecoveryModel] = None,
         tenants: Union[Tuple[TenantSpec, ...], str, None] = None,
         price_curve: Union[PriceCurve, str, None] = None,
         slo_deadline_slack: float = 900.0,
@@ -149,37 +170,68 @@ class TuneEvaluator:
             raise ConfigurationError("simulated_steps must be >= 4")
         if throughput_jobs < 1:
             raise ConfigurationError("throughput_jobs must be >= 1")
-        if slo_deadline_slack <= 0:
-            raise ConfigurationError("slo_deadline_slack must be > 0 seconds")
+        if not (math.isfinite(slo_deadline_slack) and slo_deadline_slack > 0):
+            raise ConfigurationError(
+                f"slo_deadline_slack must be finite and > 0 seconds, got {slo_deadline_slack}"
+            )
         self.session = session if session is not None else Session()
         self.simulated_steps = simulated_steps
         self.throughput_jobs = throughput_jobs
-        if isinstance(faults, str):
-            faults = parse_fault_spec(faults)
-        #: Fault scenario the goodput probe injects; defaults to the
-        #: bursty-preemption preset when an objective needs faults.
-        self.faults = faults
-        self.elastic = elastic
-        self.fault_seed = fault_seed
-        self.recovery = recovery if recovery is not None else RecoveryModel()
-        if isinstance(tenants, str):
-            tenants = parse_tenant_shorthand(tenants)
-        #: Tenant roster the SLO probe contends with; defaults to
-        #: :data:`DEFAULT_SLO_TENANTS` when an objective needs tenants.
-        self.tenants = tuple(tenants) if tenants is not None else None
-        #: Price curve metering the SLO probe's GPU-seconds (None = flat).
-        self.price_curve = (
-            price_curve
-            if isinstance(price_curve, PriceCurve)
-            else parse_price_curve(price_curve)
-        )
         self.slo_deadline_slack = slo_deadline_slack
         self.stats = EvaluatorStats()
         self._estimates: Dict[Tuple, TuneMeasurement] = {}
         self._measurements: Dict[Tuple, TuneMeasurement] = {}
-        self._throughputs: Dict[Tuple, float] = {}
-        self._goodputs: Dict[Tuple, float] = {}
-        self._slos: Dict[Tuple, Tuple[float, float]] = {}
+        #: Fleet-probe results by ``(kind, canonical key payload)``.
+        self._probes: Dict[Tuple[str, str], Tuple[float, ...]] = {}
+        # The goodput probe injects the bursty-preemption preset and the SLO
+        # probe contends with DEFAULT_SLO_TENANTS unless told otherwise.
+        if isinstance(faults, str):
+            faults = parse_fault_spec(faults)
+        if faults is None:
+            faults = FAULT_PRESETS["bursty-preemption"]
+        if isinstance(tenants, str):
+            tenants = parse_tenant_shorthand(tenants)
+        tenants = tuple(tenants) if tenants is not None else DEFAULT_SLO_TENANTS
+        if not isinstance(price_curve, PriceCurve):
+            price_curve = parse_price_curve(price_curve)
+        fault_kind = "trace" if isinstance(faults, FaultTrace) else "model"
+        self._scenarios = {
+            "throughput": _Scenario(
+                "cluster_probes",
+                "cluster_probe_hits",
+                "throughput",
+                (("jobs_per_hour", "jobs_per_hour"),),
+            ),
+            "goodput": _Scenario(
+                "goodput_probes",
+                "goodput_probe_hits",
+                "fault-goodput",
+                (("goodput_jobs_per_hour", "goodput_jobs_per_hour"),),
+                key={
+                    "faults": {fault_kind: faults.to_dict()},
+                    "elastic": elastic,
+                    "fault_seed": fault_seed,
+                    "recovery": RecoveryModel().to_dict(),
+                },
+                simulator={"faults": faults, "elastic": elastic, "fault_seed": fault_seed},
+            ),
+            "slo": _Scenario(
+                "slo_probes",
+                "slo_probe_hits",
+                "SLO",
+                (
+                    ("deadline_hit_rate", "deadline_hit_rate"),
+                    ("cost_usd_per_job", "cost_per_job"),
+                ),
+                key={
+                    "tenants": [spec.to_dict() for spec in tenants],
+                    "price_curve": price_curve.to_dict() if price_curve is not None else {},
+                    "deadline_slack": slo_deadline_slack,
+                },
+                simulator={"price_curve": price_curve},
+                tenants=tenants,
+            ),
+        }
         #: Epoch-time memo shared by every fleet probe of this evaluator.
         self._cluster_epoch_times: Dict[EpochKey, float] = {}
 
@@ -239,10 +291,15 @@ class TuneEvaluator:
         if store is not None:
             stored = store.get("estimate", estimate_key(key))
             if stored is not None:
+                try:
+                    epoch_time = float(stored["epoch_time_s"])
+                    cost = float(stored["cost_usd_per_epoch"])
+                except (KeyError, TypeError, ValueError) as error:
+                    raise store.malformed("estimate", estimate_key(key), error) from error
                 measurement = TuneMeasurement(
                     point=point,
-                    epoch_time=stored["epoch_time_s"],
-                    cost=stored["cost_usd_per_epoch"],
+                    epoch_time=epoch_time,
+                    cost=cost,
                     fidelity="estimate",
                     simulated_steps=0,
                 )
@@ -417,7 +474,7 @@ class TuneEvaluator:
         return measurement
 
     # ------------------------------------------------------------------ #
-    # Fleet probe for throughput objectives
+    # Fleet probes: throughput, goodput under faults, multi-tenant SLO
     # ------------------------------------------------------------------ #
     def throughput(self, point: TunePoint, steps: Optional[int] = None) -> float:
         """Jobs/hour of a fleet saturated with this candidate's jobs.
@@ -426,151 +483,18 @@ class TuneEvaluator:
         candidate cell (all arriving at t=0) under the point's placement
         policy, sharing one epoch-time memo across every probe of the search.
         """
-        if point.policy is None:
-            raise ConfigurationError(
-                f"candidate {point.label()!r} has no placement policy; "
-                "throughput objectives need a space with a policies axis"
-            )
-        _count_probe("throughput")
-        steps = self.simulated_steps if steps is None else steps
-        cluster = point.cluster if point.cluster is not None else default_cluster()
-        # Memoise on the spec itself, not its name: two candidate fleets may
-        # share a (default) name yet differ in shape.
-        key = point.cell_signature() + (steps, point.policy, cluster)
-        if key in self._throughputs:
-            self.stats.cluster_probe_hits += 1
-            return self._throughputs[key]
-        store = self.session.store
-        store_key = throughput_key(
-            point.cell_signature(),
-            steps,
-            self.throughput_jobs,
-            point.policy,
-            cluster.to_dict(),
-        )
-        if store is not None:
-            stored = store.get("throughput", store_key)
-            if stored is not None:
-                self._throughputs[key] = stored["jobs_per_hour"]
-                self.stats.store_hydrations += 1
-                return stored["jobs_per_hour"]
-        workload = self._probe_workload(point, steps)
-        simulator = ClusterSimulator(
-            cluster,
-            policy=point.policy,
-            session=self.session,
-            epoch_time_cache=self._cluster_epoch_times,
-        )
-        with span("tune.throughput", point=point.label()):
-            report = simulator.run(workload)
-        self._throughputs[key] = report.jobs_per_hour
-        self.stats.cluster_probes += 1
-        if store is not None:
-            store.put(
-                "throughput", store_key, {"jobs_per_hour": report.jobs_per_hour}
-            )
-        return report.jobs_per_hour
+        return self._probe("throughput", point, steps)[0]
 
-    def _probe_workload(self, point: TunePoint, steps: int) -> Workload:
-        """``throughput_jobs`` identical candidate jobs, all arriving at t=0."""
-        jobs = tuple(
-            JobSpec(
-                job_id=f"tune-{index:03d}",
-                arrival_time=0.0,
-                gpus=point.num_gpus,
-                task=point.task,
-                dataset=point.dataset,
-                batch_size=point.batch_size,
-                strategy=point.strategy,
-                epochs=1,
-                simulated_steps=steps,
-            )
-            for index in range(self.throughput_jobs)
-        )
-        return Workload(name=f"tune-probe({point.label()})", jobs=jobs)
-
-    # ------------------------------------------------------------------ #
-    # Fault-injected goodput probe
-    # ------------------------------------------------------------------ #
     def goodput(self, point: TunePoint, steps: Optional[int] = None) -> float:
         """Useful jobs/hour of a fault-injected fleet running this candidate.
 
-        Same probe shape as :meth:`throughput` — ``throughput_jobs``
-        identical copies of the candidate cell gang-scheduled under the
-        point's placement policy — but with the evaluator's fault scenario
-        replayed through the elastic simulator, scoring the report's
+        Same probe shape as :meth:`throughput`, but with the evaluator's
+        fault scenario replayed through the elastic simulator, scoring the
+        report's
         :attr:`~repro.analysis.cluster_report.ClusterReport.goodput_jobs_per_hour`.
-        Probes hydrate from / write through the persistent store under
-        fault-spec-aware keys (:func:`repro.store.keys.goodput_key`), so a
-        repeated identical fault sweep performs zero simulations.
         """
-        if point.policy is None:
-            raise ConfigurationError(
-                f"candidate {point.label()!r} has no placement policy; "
-                "fault-goodput objectives need a space with a policies axis"
-            )
-        _count_probe("goodput")
-        steps = self.simulated_steps if steps is None else steps
-        cluster = point.cluster if point.cluster is not None else default_cluster()
-        faults = self.faults if self.faults is not None else FAULT_PRESETS["bursty-preemption"]
-        fault_spec = (
-            {"trace": faults.to_dict()}
-            if isinstance(faults, FaultTrace)
-            else {"model": faults.to_dict()}
-        )
-        key = point.cell_signature() + (
-            steps,
-            point.policy,
-            cluster,
-            faults,
-            self.elastic,
-            self.fault_seed,
-            self.recovery,
-        )
-        if key in self._goodputs:
-            self.stats.goodput_probe_hits += 1
-            return self._goodputs[key]
-        store = self.session.store
-        store_key = goodput_key(
-            point.cell_signature(),
-            steps,
-            self.throughput_jobs,
-            point.policy,
-            cluster.to_dict(),
-            fault_spec,
-            self.elastic,
-            self.fault_seed,
-            self.recovery.to_dict(),
-        )
-        if store is not None:
-            stored = store.get("goodput", store_key)
-            if stored is not None:
-                self._goodputs[key] = stored["goodput_jobs_per_hour"]
-                self.stats.store_hydrations += 1
-                return stored["goodput_jobs_per_hour"]
-        workload = self._probe_workload(point, steps)
-        simulator = ClusterSimulator(
-            cluster,
-            policy=point.policy,
-            session=self.session,
-            epoch_time_cache=self._cluster_epoch_times,
-            faults=faults,
-            elastic=self.elastic,
-            recovery=self.recovery,
-            fault_seed=self.fault_seed,
-        )
-        with span("tune.goodput", point=point.label()):
-            report = simulator.run(workload)
-        value = report.goodput_jobs_per_hour
-        self._goodputs[key] = value
-        self.stats.goodput_probes += 1
-        if store is not None:
-            store.put("goodput", store_key, {"goodput_jobs_per_hour": value})
-        return value
+        return self._probe("goodput", point, steps)[0]
 
-    # ------------------------------------------------------------------ #
-    # Multi-tenant SLO probe
-    # ------------------------------------------------------------------ #
     def slo(self, point: TunePoint, steps: Optional[int] = None) -> Tuple[float, float]:
         """``(deadline_hit_rate, cost_per_job)`` of a contended tenant fleet.
 
@@ -579,47 +503,89 @@ class TuneEvaluator:
         weights decide the split, deadline tenants get
         ``slo_deadline_slack`` seconds past arrival) under the point's
         placement policy, with GPU-seconds metered through the price
-        curve.  Probes hydrate from / write through the persistent store
-        under roster-aware keys (:func:`repro.store.keys.slo_key`).
+        curve.
         """
+        return self._probe("slo", point, steps)
+
+    def _probe(self, kind: str, point: TunePoint, steps: Optional[int]) -> Tuple[float, ...]:
+        """Run (or replay) one fleet probe; its record fields, in order.
+
+        Every probe kind shares this path: one memo keyed by the probe's
+        store-key payload (so a memo hit means what a store hit means),
+        the store records of that kind, and the epoch-time memo, so
+        policies replay the fleet without new discrete-event simulations.
+        """
+        scenario = self._scenarios[kind]
         if point.policy is None:
             raise ConfigurationError(
                 f"candidate {point.label()!r} has no placement policy; "
-                "SLO objectives need a space with a policies axis"
+                f"{scenario.objectives} objectives need a space with a policies axis"
             )
-        _count_probe("slo")
+        _count_probe(kind)
         steps = self.simulated_steps if steps is None else steps
         cluster = point.cluster if point.cluster is not None else default_cluster()
-        tenants = self.tenants if self.tenants is not None else DEFAULT_SLO_TENANTS
-        key = point.cell_signature() + (
-            steps,
-            point.policy,
-            cluster,
-            tenants,
-            self.price_curve,
-            self.slo_deadline_slack,
-        )
-        if key in self._slos:
-            self.stats.slo_probe_hits += 1
-            return self._slos[key]
-        store = self.session.store
-        store_key = slo_key(
+        key = probe_key(
             point.cell_signature(),
             steps,
             self.throughput_jobs,
             point.policy,
             cluster.to_dict(),
-            tuple(spec.to_dict() for spec in tenants),
-            self.price_curve.to_dict() if self.price_curve is not None else {},
-            self.slo_deadline_slack,
+            scenario.key,
         )
+        memo_key = (kind, canonical_json(key))
+        if memo_key in self._probes:
+            setattr(self.stats, scenario.hits, getattr(self.stats, scenario.hits) + 1)
+            return self._probes[memo_key]
+        store = self.session.store
         if store is not None:
-            stored = store.get("slo", store_key)
+            stored = store.get(kind, key)
             if stored is not None:
-                value = (stored["deadline_hit_rate"], stored["cost_usd_per_job"])
-                self._slos[key] = value
+                try:
+                    value = tuple(float(stored[name]) for name, _ in scenario.fields)
+                except (KeyError, TypeError, ValueError) as error:
+                    raise store.malformed(kind, key, error) from error
+                self._probes[memo_key] = value
                 self.stats.store_hydrations += 1
                 return value
+        simulator = ClusterSimulator(
+            cluster,
+            policy=point.policy,
+            session=self.session,
+            epoch_time_cache=self._cluster_epoch_times,
+            **scenario.simulator,
+        )
+        with span(f"tune.{kind}", point=point.label()):
+            report = simulator.run(self._probe_workload(scenario, point, steps))
+        value = tuple(getattr(report, attribute) for _, attribute in scenario.fields)
+        self._probes[memo_key] = value
+        setattr(self.stats, scenario.runs, getattr(self.stats, scenario.runs) + 1)
+        if store is not None:
+            record = {name: number for (name, _), number in zip(scenario.fields, value)}
+            store.put(kind, key, record)
+        return value
+
+    def _probe_workload(self, scenario: _Scenario, point: TunePoint, steps: int) -> Workload:
+        """``throughput_jobs`` copies of the candidate cell.
+
+        Without a tenant roster they are identical jobs all arriving at
+        t=0; with one they are split across its tenants' arrival streams.
+        """
+        if scenario.tenants is None:
+            jobs = tuple(
+                JobSpec(
+                    job_id=f"tune-{index:03d}",
+                    arrival_time=0.0,
+                    gpus=point.num_gpus,
+                    task=point.task,
+                    dataset=point.dataset,
+                    batch_size=point.batch_size,
+                    strategy=point.strategy,
+                    epochs=1,
+                    simulated_steps=steps,
+                )
+                for index in range(self.throughput_jobs)
+            )
+            return Workload(name=f"tune-probe({point.label()})", jobs=jobs)
         mix = JobMix(
             tasks=(point.task,),
             batch_sizes=(point.batch_size,),
@@ -628,41 +594,17 @@ class TuneEvaluator:
             epochs=(1,),
         )
         workload = tenant_workload(
-            tenants,
+            scenario.tenants,
             self.throughput_jobs,
             seed=0,
-            mixes={spec.name: mix for spec in tenants},
+            mixes={spec.name: mix for spec in scenario.tenants},
             deadline_slack=self.slo_deadline_slack,
             name=f"tune-slo({point.label()})",
         )
-        workload = replace(
+        return replace(
             workload,
-            jobs=tuple(
-                replace(job, simulated_steps=steps) for job in workload.jobs
-            ),
+            jobs=tuple(replace(job, simulated_steps=steps) for job in workload.jobs),
         )
-        simulator = ClusterSimulator(
-            cluster,
-            policy=point.policy,
-            session=self.session,
-            epoch_time_cache=self._cluster_epoch_times,
-            price_curve=self.price_curve,
-        )
-        with span("tune.slo", point=point.label()):
-            report = simulator.run(workload)
-        value = (report.deadline_hit_rate, report.cost_per_job)
-        self._slos[key] = value
-        self.stats.slo_probes += 1
-        if store is not None:
-            store.put(
-                "slo",
-                store_key,
-                {
-                    "deadline_hit_rate": value[0],
-                    "cost_usd_per_job": value[1],
-                },
-            )
-        return value
 
     # ------------------------------------------------------------------ #
     def evaluate(self, point: TunePoint, objective, steps: Optional[int] = None) -> TuneMeasurement:

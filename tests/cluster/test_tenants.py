@@ -382,6 +382,13 @@ class TestPriceCurves:
         with pytest.raises(ConfigurationError):
             PriceCurve("bad", points, period=period)
 
+    @pytest.mark.parametrize(
+        "spec", ["0:nan", "0:inf", "0:1,nan:2", "0:1,inf:2", "0:1,100:2@nan", "0:1,100:2@inf"]
+    )
+    def test_non_finite_numbers_are_rejected(self, spec):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            parse_price_curve(spec)
+
     def test_priced_run_charges_every_job(self):
         cluster, workload = _contended_fleet()
         report = ClusterSimulator(

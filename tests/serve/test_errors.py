@@ -136,6 +136,36 @@ class TestDomainRules:
         error = rejected(client.post("/v1/plan", json={"num_gpus": -3}), 400)
         assert error["type"] == "domain"
 
+    @pytest.mark.parametrize("curve", ["0:nan", "0:1,100:2@inf"])
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/cluster", {"num_jobs": 4, "policy": "fifo"}),
+            (
+                "/v1/tune",
+                {"objective": "deadline_hit_rate", "policies": ["fifo"], "steps": STEPS},
+            ),
+        ],
+    )
+    def test_non_finite_price_curve_is_400(self, client, path, body, curve):
+        response = client.post(path, json={**body, "price_curve": curve})
+        error = rejected(response, 400)
+        assert error["type"] == "bad_price_curve"
+        assert error["field"] == "price_curve"
+        assert "finite" in error["message"]
+
+    @pytest.mark.parametrize("slack", [math.inf, math.nan])
+    def test_non_finite_tune_deadline_slack_is_400(self, client, slack):
+        body = {
+            "objective": "deadline_hit_rate",
+            "policies": ["fifo"],
+            "budget": 2,
+            "steps": STEPS,
+            "deadline_slack": slack,
+        }
+        error = rejected(client.post("/v1/tune", json=body), 400)
+        assert "finite" in error["message"]
+
     def test_nan_cluster_rate_is_400_promptly(self):
         # A NaN rate used to hang the fleet loop while holding the compute
         # lock; the daemon thread keeps a regression from hanging the suite.

@@ -15,10 +15,14 @@ import sqlite3
 import pytest
 
 from repro.cli import main
+from repro.cluster.spec import cluster_from_shorthand
+from repro.core.session import Session
 from repro.errors import StoreError
 from repro.serve.client import LocalClient
 from repro.serve.service import PlannerService
 from repro.store.store import ExperimentStore
+from repro.tune.evaluator import TuneEvaluator
+from repro.tune.space import TunePoint
 
 BODY = {"strategy": "TR", "num_gpus": 2, "batch_size": 128, "steps": 4}
 
@@ -96,3 +100,52 @@ def test_store_get_types_an_undecodable_value_of_any_kind(tmp_path):
     tamper(store.root, lambda value: "{")
     with pytest.raises(StoreError, match="estimate"):
         store.get("estimate", {"cell": 1})
+
+
+class TestTuneRecords:
+    """A stored tune estimate or fleet probe that does not hydrate names
+    its record (these used to escape as ``KeyError`` / ``TypeError``)."""
+
+    POINT = TunePoint(
+        task="nas",
+        dataset="cifar10",
+        server="a6000",
+        num_gpus=2,
+        batch_size=128,
+        strategy="DP",
+        policy="fifo",
+        cluster=cluster_from_shorthand("a6000:4"),
+    )
+    PROBES = {
+        "estimate": TuneEvaluator.estimate,
+        "throughput": TuneEvaluator.throughput,
+        "slo": TuneEvaluator.slo,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PROBES))
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda value: [value], lambda value: {}, lambda value: dict.fromkeys(value, "x")],
+        ids=["json_list", "no_fields", "not_a_number"],
+    )
+    def test_raises_a_store_error_naming_the_record(self, tmp_path, kind, edit):
+        store_root = tmp_path / "store"
+
+        def probe():
+            evaluator = TuneEvaluator(
+                Session(store=store_root), simulated_steps=4, throughput_jobs=2
+            )
+            return self.PROBES[kind](evaluator, self.POINT)
+
+        probe()
+        with sqlite3.connect(store_root / "store.sqlite") as conn:
+            ((key, value),) = conn.execute(
+                "SELECT key, value FROM records WHERE kind = ?", (kind,)
+            ).fetchall()
+            conn.execute(
+                "UPDATE records SET value = ? WHERE key = ?",
+                (json.dumps(edit(json.loads(value))), key),
+            )
+        with pytest.raises(StoreError) as excinfo:
+            probe()
+        assert_names_the_record(str(excinfo.value), key)

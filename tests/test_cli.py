@@ -641,6 +641,29 @@ class TestErrorPaths:
         assert "finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("slack", ["inf", "nan"])
+    def test_non_finite_tune_deadline_slack_exits_2(self, capsys, tmp_path, slack):
+        code, captured = run_cli(
+            capsys,
+            "tune",
+            "--objective",
+            "deadline_hit_rate",
+            "--policies",
+            "fifo",
+            "--deadline-slack",
+            slack,
+            "--budget",
+            "2",
+            "--steps",
+            "4",
+            "--store",
+            str(tmp_path / "store"),
+        )
+        assert code == 2
+        assert "finite" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_unknown_policy_in_cluster(self, capsys):
         code, captured = run_cli(
             capsys, "cluster", "--policy", "coin-flip", "--num-jobs", "4"

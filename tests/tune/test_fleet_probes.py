@@ -176,45 +176,43 @@ class TestProbeKeyPayloads:
         return {kind: payload for kind, payload in recorded if kind != "run"}
 
     def test_payloads_are_pinned(self, puts):
-        cell = (
-            '"batch_size":128,"dataset":"cifar10","num_gpus":2,'
-            '"server":"a6000","strategy":"DP","task":"nas"'
-        )
-        cluster = (
-            '"cluster":{"name":"cluster","nodes":'
-            '[{"name":"a6000-0","num_gpus":4,"server":"a6000"}]}'
-        )
         assert puts == {
-            "estimate": "{" + cell + "}",
+            "estimate": (
+                '{"batch_size":128,"dataset":"cifar10","num_gpus":2,'
+                '"server":"a6000","strategy":"DP","task":"nas"}'
+            ),
             "throughput": (
-                '{"batch_size":128,' + cluster + ',"dataset":"cifar10",'
-                '"num_gpus":2,"policy":"fifo","server":"a6000",'
-                '"simulated_steps":4,"strategy":"DP","task":"nas",'
-                '"throughput_jobs":2}'
+                '{"batch_size":128,"cluster":{"name":"cluster","nodes":'
+                '[{"name":"a6000-0","num_gpus":4,"server":"a6000"}]},'
+                '"dataset":"cifar10","num_gpus":2,"policy":"fifo",'
+                '"server":"a6000","simulated_steps":4,"strategy":"DP",'
+                '"task":"nas","throughput_jobs":2}'
             ),
             "goodput": (
-                '{"batch_size":128,' + cluster + ',"dataset":"cifar10",'
-                '"elastic":"shrink","fault_seed":3,"faults":{"model":'
-                '{"arrival":"poisson","crash_gpus":null,"crash_rate":0.001,'
-                '"horizon_slack":3600.0,"name":"crash:0.001",'
-                '"preempt_duration":120.0,"preempt_gpus":null,'
-                '"preempt_rate":0.0,"straggler_duration":180.0,'
-                '"straggler_factor":2.0,"straggler_rate":0.0,'
-                '"weibull_shape":0.7}},"num_gpus":2,"policy":"fifo",'
-                '"recovery":{"checkpoint_interval":300.0,'
+                '{"batch_size":128,"cluster":{"name":"cluster","nodes":'
+                '[{"name":"a6000-0","num_gpus":4,"server":"a6000"}]},'
+                '"dataset":"cifar10","elastic":"shrink","fault_seed":3,'
+                '"faults":{"model":{"arrival":"poisson","crash_gpus":null,'
+                '"crash_rate":0.001,"horizon_slack":3600.0,'
+                '"name":"crash:0.001","preempt_duration":120.0,'
+                '"preempt_gpus":null,"preempt_rate":0.0,'
+                '"straggler_duration":180.0,"straggler_factor":2.0,'
+                '"straggler_rate":0.0,"weibull_shape":0.7}},"num_gpus":2,'
+                '"policy":"fifo","recovery":{"checkpoint_interval":300.0,'
                 '"migration_overhead":20.0,"repartition_overhead":10.0,'
                 '"restart_overhead":30.0},"server":"a6000",'
                 '"simulated_steps":4,"strategy":"DP","task":"nas",'
                 '"throughput_jobs":2}'
             ),
             "slo": (
-                '{"batch_size":128,' + cluster + ',"dataset":"cifar10",'
-                '"deadline_slack":90.0,"num_gpus":2,"policy":"fifo",'
-                '"price_curve":{"name":"0:0.5,600:1.5@1200","period":1200.0,'
-                '"points":[[0.0,0.5],[600.0,1.5]]},"server":"a6000",'
-                '"simulated_steps":4,"strategy":"DP","task":"nas",'
-                '"tenants":[{"name":"heavy","priority":0,"rate":0.3},'
-                '{"deadline_policy":"strict","name":"light","priority":2,'
-                '"rate":0.3}],"throughput_jobs":2}'
+                '{"batch_size":128,"cluster":{"name":"cluster","nodes":'
+                '[{"name":"a6000-0","num_gpus":4,"server":"a6000"}]},'
+                '"dataset":"cifar10","deadline_slack":90.0,"num_gpus":2,'
+                '"policy":"fifo","price_curve":{"name":"0:0.5,600:1.5@1200",'
+                '"period":1200.0,"points":[[0.0,0.5],[600.0,1.5]]},'
+                '"server":"a6000","simulated_steps":4,"strategy":"DP",'
+                '"task":"nas","tenants":[{"name":"heavy","priority":0,'
+                '"rate":0.3},{"deadline_policy":"strict","name":"light",'
+                '"priority":2,"rate":0.3}],"throughput_jobs":2}'
             ),
         }
