@@ -19,6 +19,12 @@ and :meth:`GraphTemplate.instantiate` makes a read-only engine from one value
 per slot, optionally running only a prefix of the rows.  Everything that
 depends only on the graph (its checks, run structure and accounting layout)
 is done once, when the template is frozen.
+
+Freezing also decides whether the graph is *in order*: whether, whatever the
+durations, every resource runs its tasks in id order (see
+:func:`_runs_in_id_order`).  An instance of such a template is run in one
+pass over its rows instead of the event heap, with bit-identical start and
+end times.
 """
 
 from __future__ import annotations
@@ -92,6 +98,52 @@ def _run_structure(
         base.resource_ids + resource_ids,
         resource_index,
     )
+
+
+def _runs_in_id_order(structure: _Structure, dep_offsets: array, dep_targets: array) -> bool:
+    """True when no task can start before a lower-id task on its resource.
+
+    Let G' be the dependency edges plus, on each resource, an edge from
+    every task to the next one by id, and A(b) task ``b``'s dependencies
+    with all their G'-ancestors.  The graph is in order iff for every pair
+    of tasks ``a < b`` on one resource, every dependency of ``a`` on
+    another resource lies in A(b).  (If so, take the first pop of the event
+    heap that breaks id order on a resource: ``b`` pops while ``a < b`` is
+    the lowest task not yet run there.  A(b) has all run, and so have
+    ``a``'s dependencies on its own resource, all below ``a``; so ``a`` is
+    queued, and as the queue's head it pops before ``b``.)  Whatever the
+    durations, such a graph's heap loop then runs each resource's tasks in
+    id order, each as soon as its resource is free and its dependencies
+    have ended; the condition holds for every row prefix as well.
+
+    Sets are Python-int bitsets over row ids.  A row's closure (itself with
+    its G'-ancestors) is kept only until its last dependent has read it,
+    and that of the last row on each resource until the next one.
+    """
+    resource_ids = structure.resource_ids
+    offsets = structure.dependent_offsets
+    unread = [end - begin for begin, end in zip(offsets, offsets[1:])]
+    closures = [0] * len(resource_ids)
+    last = [0] * len(structure.resource_index)  # closure of each resource's latest row
+    foreign = [0] * len(structure.resource_index)  # its rows' deps on other resources
+    bit = 1
+    for row, (res, begin, end) in enumerate(zip(resource_ids, dep_offsets, dep_offsets[1:])):
+        ancestors, outside = 0, foreign[res]
+        for dep in dep_targets[begin:end]:
+            ancestors |= closures[dep]
+            if resource_ids[dep] != res:
+                outside |= 1 << dep
+            unread[dep] -= 1
+            if not unread[dep]:
+                closures[dep] = 0
+        if outside & ~ancestors:
+            return False
+        foreign[res] = outside
+        last[res] = closure = ancestors | last[res] | bit
+        if unread[row]:
+            closures[row] = closure
+        bit <<= 1
+    return True
 
 
 def _unknown_dependency(name: str, dep: int) -> SimulationError:
@@ -225,6 +277,59 @@ class SimulationEngine:
         acyclic by construction; the engine is therefore a deterministic list
         scheduler.
 
+        An instance of an in-order template (:attr:`GraphTemplate.in_order`)
+        is run in one pass in id order: each task starts once its resource
+        is free and its dependencies have ended.  Those are the comparisons
+        and the one addition per task that the event loop makes, in the
+        order it would make them on each resource, so the times are
+        bit-identical.
+
+        Any other graph runs on the event loop of :meth:`_run_events`.
+        """
+        num_tasks = len(self.durations)
+        durations = self.durations
+
+        # Graph structure, computed once per engine (or per template):
+        # dependency counts, the dependents adjacency and interned resources.
+        structure = self._structure
+        if structure is None:
+            structure = self._structure = _run_structure(self.deps, self.resources)
+        offsets, dependents = structure.dependent_offsets, structure.dependents
+        task_resource = structure.resource_ids
+        num_rows = len(task_resource)
+
+        if self._template is not None and self._template.in_order:
+            # The time each resource becomes free, and the earliest time
+            # each task's dependencies are satisfied.
+            free = [0.0] * len(structure.resource_index)
+            ready_time = [0.0] * num_rows
+            start_time: List[float] = []
+            finish_time: List[Optional[float]] = []
+            for task_id, res, duration in zip(range(num_tasks), task_resource, durations):
+                ready_at, free_at = ready_time[task_id], free[res]
+                start_at = ready_at if ready_at > free_at else free_at
+                end_at = start_at + duration
+                start_time.append(start_at)
+                finish_time.append(end_at)
+                free[res] = end_at
+                for dependent in dependents[offsets[task_id] : offsets[task_id + 1]]:
+                    if ready_time[dependent] < end_at:
+                        ready_time[dependent] = end_at
+        else:
+            start_time, finish_time = self._run_events(structure)
+
+        # A template run reads the template's accounting layout, cut to the
+        # rows it ran; a plain engine's trace builds its own on first use.
+        layout = None
+        if self._template is not None:
+            layout = self._template.layout
+            if num_tasks < num_rows:
+                layout = layout.cut(num_tasks)
+        return Trace(self, range(num_tasks), start_time, finish_time, layout)
+
+    def _run_events(self, structure: _Structure) -> Tuple[List[float], List[Optional[float]]]:
+        """:meth:`run`'s event loop: the start and end time of each task, by id.
+
         The loop keeps one *candidate* per resource — its queue head, stamped
         with the start time it would get right now — in a single global heap,
         and lazily invalidates candidates whose resource state moved on
@@ -237,12 +342,6 @@ class SimulationEngine:
         num_tasks = len(self.durations)
         durations = self.durations
         heappush, heappop = heapq.heappush, heapq.heappop
-
-        # Graph structure, computed once per engine (or per template):
-        # dependency counts, the dependents adjacency and interned resources.
-        structure = self._structure
-        if structure is None:
-            structure = self._structure = _run_structure(self.deps, self.resources)
         offsets, dependents = structure.dependent_offsets, structure.dependents
         task_resource = structure.resource_ids
         num_rows = len(task_resource)
@@ -327,14 +426,7 @@ class SimulationEngine:
                             ),
                         )
 
-        # A template run reads the template's accounting layout, cut to the
-        # rows it ran; a plain engine's trace builds its own on first use.
-        layout = None
-        if self._template is not None:
-            layout = self._template.layout
-            if num_tasks < num_rows:
-                layout = layout.cut(num_tasks)
-        return Trace(self, range(num_tasks), start_time, finish_time, layout)
+        return start_time, finish_time
 
 
 class GraphTemplate:
@@ -356,10 +448,16 @@ class GraphTemplate:
     run cuts to its row prefix.  :meth:`instantiate` takes one value per
     slot.
 
+    :attr:`in_order` is true when, whatever the durations, every resource
+    runs its tasks in id order (:func:`_runs_in_id_order`); the instances
+    of such a template run in one pass instead of the event loop.
+
     :meth:`extended` appends more rows (say, more training steps) without
     touching the rows held: it checks, lays out and accounts only the new
     rows, and the template it returns equals the one frozen from all the
-    rows at once.
+    rows at once.  Only :attr:`in_order` reads every row again, and only
+    when the held rows are in order: no per-row sets are kept to resume
+    from.
     """
 
     __slots__ = (
@@ -376,6 +474,7 @@ class GraphTemplate:
         "slot_names",
         "structure",
         "layout",
+        "in_order",
     )
 
     def __init__(self, engine: SimulationEngine, base: Optional["GraphTemplate"] = None) -> None:
@@ -418,6 +517,10 @@ class GraphTemplate:
             self.dep_targets.extend(deps)
         self.structure = _run_structure(engine.deps, resources, base.structure)
         self.layout = base.layout.joined(accounting_layout(engine, range(len(names)), first))
+        # Rows added after out-of-order ones leave those out of order.
+        self.in_order = base.in_order and _runs_in_id_order(
+            self.structure, self.dep_offsets, self.dep_targets
+        )
 
     @property
     def num_tasks(self) -> int:
@@ -474,6 +577,7 @@ def _no_template() -> GraphTemplate:
     empty.slots, empty.steps, empty.devices = array("i"), array("i"), array("i")
     empty.blocks, empty.dep_targets, empty.dep_offsets = array("i"), array("i"), array("i", [0])
     empty.structure, empty.layout = _NO_ROWS, AccountingLayout((), ())
+    empty.in_order = True
     return empty
 
 

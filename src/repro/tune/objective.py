@@ -370,7 +370,7 @@ class MinCostUnderDeadline:
     needs_cluster = False
 
     def __init__(self, deadline: float = math.inf) -> None:
-        if deadline <= 0:
+        if not deadline > 0:  # NaN too: no epoch time exceeds it
             raise ConfigurationError("deadline must be > 0 seconds")
         self.deadline = deadline
 

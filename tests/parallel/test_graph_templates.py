@@ -61,6 +61,17 @@ def test_the_seed0_plan_cold_grid_builds_each_shape_once():
     assert table.rows_built == table.num_tasks == 18_788
     stats = session.stats
     assert (stats.plan_builds, stats.plan_hits, stats.runs) == (384, 768, 1152)
+    # 46 shapes run in one pass in id order.  The other 10 are exactly the
+    # decoupled-update pipelines with an all-reduce stage, where the next
+    # step's teacher overtakes an update waiting on the all-reduce.
+    entries = {key: table.get(key, steps)[0] for key, steps in table.shapes().items()}
+    heap_shapes = {key for key, entry in entries.items() if not entry.template.in_order}
+    assert len(heap_shapes) == 10
+    assert heap_shapes == {
+        key
+        for key in table.shapes()
+        if key[:2] == ("pipeline", True) and any(stage[3] for stage in key[2])
+    }
 
 
 def template_columns(template):

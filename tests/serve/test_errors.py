@@ -119,6 +119,13 @@ class TestDomainRules:
         assert error["field"] == "deadline"
         assert "cost" in error["message"]
 
+    @pytest.mark.parametrize("deadline", [0.0, math.nan])
+    def test_tune_deadline_must_be_positive(self, client, deadline):
+        body = {"objective": "cost", "deadline": deadline, "budget": 2, "steps": STEPS}
+        error = rejected(client.post("/v1/tune", json=body), 400)
+        assert error["type"] == "domain"
+        assert "deadline must be > 0" in error["message"]
+
     def test_precompute_without_store_is_400(self, bare_client):
         error = rejected(
             bare_client.post("/v1/precompute", json={"steps": STEPS}), 400

@@ -367,3 +367,124 @@ class TestExtendedTemplate:
         with pytest.raises(SimulationError, match="numbered 0..k-1"):
             base.extended(_rows_from(gap, 2, 3))
         assert base.num_tasks == 2
+
+
+# --------------------------------------------------------------------- #
+# In-order templates: one pass in id order, checked against the heap loop
+# --------------------------------------------------------------------- #
+RESOURCES = (device_compute(0), device_compute(1), "host:loader", "collective:x")
+
+
+@st.composite
+def random_graphs(draw):
+    """``(rows, values)``: a random DAG of ``(resource, slot, deps)`` rows.
+
+    Up to four shared resources, and slot values drawn from a few
+    durations (zero among them) so that starts and ends tie often.
+    """
+    num_resources = draw(st.integers(1, 4))
+    num_rows = draw(st.integers(1, 16))
+    rows = []
+    for row in range(num_rows):
+        resource = RESOURCES[draw(st.integers(0, num_resources - 1))]
+        deps = tuple(sorted(draw(st.sets(st.integers(0, row - 1), max_size=3)))) if row else ()
+        rows.append((resource, row % 3, deps))
+    num_slots = min(num_rows, 3)
+    durations = st.sampled_from([0.0, 1.0, 2.5])
+    values = draw(st.lists(durations, min_size=num_slots, max_size=num_slots))
+    return rows, values
+
+
+def _graph_engine(rows, duration_of):
+    """An ``add_task`` engine of ``rows``; row ``i`` lasts ``duration_of(slot)``."""
+    engine = SimulationEngine()
+    for index, (resource, slot, deps) in enumerate(rows):
+        kind = TaskKind.TEACHER_FORWARD
+        engine.add_task(f"t{index}", kind, resource, duration_of(slot), deps=deps)
+    return engine
+
+
+def _times(trace):
+    return list(trace.rows())
+
+
+def _id_order_times(engine):
+    """Each task in id order, once its resource is free and its dependencies ended."""
+    free, ends, times = {}, [], []
+    for task_id in range(engine.num_tasks):
+        resource = engine.resources[task_id]
+        start = max([free.get(resource, 0.0)] + [ends[dep] for dep in engine.deps[task_id]])
+        end = start + engine.durations[task_id]
+        free[resource] = end
+        ends.append(end)
+        times.append((task_id, start, end))
+    return times
+
+
+def _in_order_by_definition(rows):
+    """For every ``a < b`` on one resource, ``a``'s deps elsewhere lie in A(b).
+
+    G' is the dependency edges plus each resource's id-order chain; A(b)
+    holds ``b``'s dependencies and all their G'-ancestors.
+    """
+    closure = []  # each row with its G'-ancestors
+    for row, (resource, _, deps) in enumerate(rows):
+        earlier = [other for other in range(row) if rows[other][0] == resource]
+        ancestors = set().union(*(closure[dep] for dep in deps))
+        for other in earlier:
+            if any(rows[dep][0] != resource and dep not in ancestors for dep in rows[other][2]):
+                return False
+        chain = closure[earlier[-1]] if earlier else set()
+        closure.append(ancestors | chain | {row})
+    return True
+
+
+class TestInOrderTemplates:
+    """A template's instances run like the same graph built with ``add_task``."""
+
+    @given(graph=random_graphs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instances_match_the_heap_loop(self, graph, data):
+        rows, values = graph
+        slots = _graph_engine(rows, lambda slot: slot)
+        template = slots.freeze()
+        built = _graph_engine(rows, values.__getitem__)
+        heap = _times(built.run())
+        assert template.in_order == _in_order_by_definition(rows)
+        assert _times(template.instantiate(values).run()) == heap
+        if template.in_order:
+            assert _id_order_times(built) == heap
+        # Every row prefix, and the same rows frozen in two parts.
+        prefix = data.draw(st.integers(0, len(rows)), label="prefix")
+        assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
+        split = data.draw(st.integers(1, len(rows)), label="split")
+        base = _rows_from(slots, 0, split).freeze()
+        extended = base.extended(_rows_from(slots, split, len(rows)))
+        assert extended.in_order == template.in_order
+        assert _times(extended.instantiate(values).run()) == heap
+
+    def test_a_decoupled_update_graph_runs_on_the_heap_loop(self):
+        # One DPU step on two replicas: the update waits on the all-reduce
+        # of both students' gradients, while the next step's teacher waits
+        # only on its load, so it overtakes the update on device 0.
+        rows = (
+            ("host:loader", 0, ()),  # 0: load, step 0
+            (device_compute(0), 1, (0,)),  # 1: teacher
+            (device_compute(0), 2, (1,)),  # 2: student
+            (device_compute(1), 3, (0,)),  # 3: the slower replica's student
+            ("collective:x", 4, (2, 3)),  # 4: all-reduce
+            (device_compute(0), 5, (2, 4)),  # 5: update
+            ("host:loader", 0, ()),  # 6: load, step 1
+            (device_compute(0), 1, (6,)),  # 7: teacher
+        )
+        values = [0.5, 1.0, 1.0, 3.0, 1.0, 0.25]
+        template = _graph_engine(rows, lambda slot: slot).freeze()
+        assert not template.in_order
+        built = _graph_engine(rows, values.__getitem__)
+        heap = _times(built.run())
+        assert _times(template.instantiate(values).run()) == heap
+        update, teacher = heap[5], heap[7]
+        assert (teacher[1], update[1]) == (2.5, 4.5)  # during the all-reduce
+        assert _id_order_times(built)[7][1] == update[2] == 4.75
+        # Without the next step's rows the graph is in order.
+        assert _graph_engine(rows[:6], lambda slot: slot).freeze().in_order

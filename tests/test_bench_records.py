@@ -1,10 +1,10 @@
 """Schema of the committed performance trajectory (``BENCH_*.json``).
 
 Each file is written by ``tools/bench_record.py``: alternating parent/change
-runs of the planner benchmark (and of the tool's own workloads, such as
-``cli-run``), with every run's end-to-end metrics and their medians and
-interquartile ranges.  The checks below hold every committed file, and the
-tool's own summary, to that shape.
+runs of the planner benchmark (and of the tool's own workloads,
+``cli-run`` and ``sweep``), with every run's end-to-end metrics and their
+medians and interquartile ranges.  The checks below hold every committed
+file, and the tool's own summary, to that shape.
 """
 
 from __future__ import annotations
@@ -168,12 +168,21 @@ def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
     check_workload(json.loads(out.read_text())["workloads"]["plan-cold"])
 
 
-def test_cli_run_spawns_one_cli_call(tmp_path):
-    result = load_tool().run_cli(REPO_ROOT, tmp_path)
+@pytest.mark.parametrize("workload", ["cli-run", "sweep"])
+def test_a_tool_workload_spawns_one_cli_call(tmp_path, workload):
+    tool = load_tool()
+    result = tool.run_spawn(REPO_ROOT, workload, tmp_path)
     assert (result["correct"], result["failed"], result["attempted"]) == (True, 0, 1)
-    assert set(result["metrics"]) == set(METRICS["cli-run"])
+    assert set(result["metrics"]) == set(METRICS[workload])
     assert result["metrics"]["wall_s"]["value"] > 0.0
-    assert "result" in json.loads((tmp_path / "run.json").read_text())
+    out = json.loads((tmp_path / f"{workload}.json").read_text())
+    _, complete = tool.SPAWNS[workload]
+    assert complete(out)
+    if workload == "sweep":
+        assert len(out["cells"]) == 96
+        assert {len(cell["results"]) for cell in out["cells"]} == {6}
+        out["warm_cold"]["simulations"] -= 1  # a cell that did not run
+        assert not complete(out)
 
 
 def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
@@ -187,7 +196,7 @@ def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "run_once", lambda *args: pytest.fail("perfbench was run"))
     sides = []
 
-    def run_cli(checkout, out_dir):
+    def run_spawn(checkout, workload, out_dir):
         sides.append(checkout.name)
         wall_s = 0.3 if checkout == parent else 0.2
         return {
@@ -197,7 +206,7 @@ def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
             "metrics": {"wall_s": {"value": wall_s}},
         }
 
-    monkeypatch.setattr(tool, "run_cli", run_cli)
+    monkeypatch.setattr(tool, "run_spawn", run_spawn)
     out = tmp_path / "BENCH_7.json"
     argv = ["--parent", str(parent), "--change", str(change), "--parent-commit", "0" * 40]
     argv += ["--pr", "7", "--pairs", "2", "--workload", "cli-run", "--traced", "--out", str(out)]
@@ -261,7 +270,8 @@ def test_check_catches_a_scratch_ten_percent_regression(tmp_path, capsys):
     )
 
 
-def test_check_bounds_and_claims_cli_run(tmp_path, capsys):
+@pytest.mark.parametrize("workload", ["cli-run", "sweep"])
+def test_check_bounds_and_claims_a_tool_workload(tmp_path, capsys, workload):
     tool = load_tool()
     for factor, claim_ok, verdict in ((0.8, True, "ok, claim holds"), (1.3, False, "REGRESSED")):
         runs = {"parent": [], "change": []}
@@ -274,12 +284,12 @@ def test_check_bounds_and_claims_cli_run(tmp_path, capsys):
             "seed": 0,
             "seconds": 10.0,
             "order": [["parent", "change"]] * 10,
-            "end_to_end": tool.summarise(runs, tool.TOOL_WORKLOADS["cli-run"]),
+            "end_to_end": tool.summarise(runs, tool.TOOL_WORKLOADS[workload]),
         }
-        check_workload(record, "cli-run")
+        check_workload(record, workload)
         path = tmp_path / "BENCH_98.json"
-        path.write_text(json.dumps({"schema": 1, "pr": 98, "workloads": {"cli-run": record}}))
-        status = tool.main(["--check", str(path), "--claim", "cli-run:wall_s"])
+        path.write_text(json.dumps({"schema": 1, "pr": 98, "workloads": {workload: record}}))
+        status = tool.main(["--check", str(path), "--claim", f"{workload}:wall_s"])
         assert status == (0 if claim_ok else 1)
         assert f"| 25% | {verdict}" in capsys.readouterr().out
 

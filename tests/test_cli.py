@@ -260,6 +260,16 @@ class TestTune:
         assert code == 2
         assert "'deadline' only applies" in captured.err
 
+    @pytest.mark.parametrize("deadline", ["0", "nan"])
+    def test_tune_deadline_must_be_positive(self, capsys, deadline):
+        code, captured = run_cli(
+            capsys, "tune", "--objective", "cost", "--deadline", deadline, "--budget", "2"
+        )
+        assert code == 2
+        assert "deadline must be > 0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_tune_deadline_flag(self, capsys):
         code, captured = run_cli(
             capsys,

@@ -1,5 +1,7 @@
 """End-to-end tuning: acceptance parity, incremental evaluation, objectives."""
 
+import math
+
 import pytest
 
 from repro.core.session import Session
@@ -129,6 +131,14 @@ class TestObjectives:
     def test_throughput_objective_needs_policies_axis(self):
         with pytest.raises(ConfigurationError, match="policies"):
             tune(default_space(), objective="jobs_per_hour", budget=4)
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan])
+    def test_deadline_must_be_positive(self, deadline):
+        # A NaN deadline used to pass a ``<= 0`` guard and then admit every
+        # candidate, since no epoch time compares greater than NaN.
+        with pytest.raises(ConfigurationError, match="deadline must be > 0"):
+            MinCostUnderDeadline(deadline=deadline)
+        assert MinCostUnderDeadline().deadline == math.inf
 
     def test_impossible_deadline_fails_loudly(self):
         space = TuneSpace(strategies=("DP",), batch_sizes=(128,), gpu_counts=(2,))

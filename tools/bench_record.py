@@ -12,9 +12,11 @@ workload adds the per-layer table.
 
 Besides the ``BENCHMARK.json`` workloads the tool times paths the
 benchmark does not cover (:data:`TOOL_WORKLOADS`), each with its own
-metrics: ``cli-run`` spawns ``python -m repro run --steps 4 --out <tmp>``
-in each tree, so its ``wall_s`` is what a user waits for one CLI call,
-interpreter start and imports included.
+metrics.  Each spawns one CLI call per side (:data:`SPAWNS`), so its
+``wall_s`` is what a user waits for, interpreter start and imports
+included: ``cli-run`` is ``python -m repro run --steps 4 --out <tmp>``, and
+``sweep`` is ``python -m repro sweep`` over one fixed grid of 96 cells and
+all six strategies (576 simulations, about 1.2 s).
 
 Usage, from the root of the change checkout::
 
@@ -69,11 +71,21 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The fewest pairs a claimed gain may rest on.
 CLAIM_MIN_PAIRS = 10
 #: Workloads the tool runs itself, each with its end-to-end metrics.
-TOOL_WORKLOADS = {
-    "cli-run": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+WALL_S = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+TOOL_WORKLOADS = {"cli-run": WALL_S, "sweep": WALL_S}
+#: The ``sweep`` spawn: 96 cells (4 batch sizes, 3 GPU counts, 2 tasks,
+#: datasets and servers), each with all six strategies.
+SWEEP = (
+    "-m repro sweep --steps 10 --batch-sizes 64,128,256,512 --gpu-counts 2,4,8"
+    " --tasks nas,compression --datasets cifar10,imagenet --servers a6000,2080ti"
+    " --strategies DP,LS,TR,TR+DPU,TR+IR,TR+DPU+AHD"
+).split()
+#: Per tool workload: the arguments of its CLI call (``--out`` and a path
+#: follow), and whether the document the call wrote is whole.
+SPAWNS = {
+    "cli-run": (("-m", "repro", "run", "--steps", "4"), lambda out: "result" in out),
+    "sweep": (SWEEP, lambda out: out["warm_cold"]["simulations"] == 576),
 }
-#: The command a ``cli-run`` spawn runs; ``--out`` and a path follow.
-CLI_RUN = ("-m", "repro", "run", "--steps", "4")
 
 
 def src_digest(checkout: Path) -> str:
@@ -140,20 +152,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def run_cli(checkout: Path, out_dir: Path) -> dict:
-    """One ``cli-run`` spawn in ``checkout``: its wall time, in the shape of
-    a ``perfbench/run.py`` result."""
-    out = out_dir / "run.json"
+def run_spawn(checkout: Path, workload: str, out_dir: Path) -> dict:
+    """One spawn of a tool workload in ``checkout``: its wall time, in the
+    shape of a ``perfbench/run.py`` result."""
+    args, complete = SPAWNS[workload]
+    out = out_dir / f"{workload}.json"
     out.unlink(missing_ok=True)
     env = {key: value for key, value in os.environ.items() if key != "REPRO_STORE"}
     env["PYTHONPATH"] = str(checkout / "src")
-    command = [sys.executable, *CLI_RUN, "--out", str(out)]
+    command = [sys.executable, *args, "--out", str(out)]
     started = time.perf_counter()
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     wall_s = time.perf_counter() - started
     if done.returncode != 0:
         raise SystemExit(f"{checkout}: {' '.join(command)} failed:\n{done.stderr}")
-    correct = "result" in json.loads(out.read_text())
+    correct = complete(json.loads(out.read_text()))
     return {
         "correct": correct,
         "failed": 0,
@@ -206,7 +219,7 @@ def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict
         for side in order:
             started = time.perf_counter()
             if workload in TOOL_WORKLOADS:
-                result = run_cli(checkouts[side], scratch)
+                result = run_spawn(checkouts[side], workload, scratch)
             else:
                 result = run_once(checkouts[side], workload, args.seed, args.seconds, 0)
             if result["correct"] is not True or result["failed"] != 0:
