@@ -47,7 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.cluster.workload import JobSpec, TenantSpec
 from repro.errors import ConfigurationError
@@ -330,8 +339,14 @@ class PriorityFirstFit:
     tenant_aware = True
     preempts = True
 
+    def tenant_urgency(self, tenant: str, context: Optional[SchedulingContext]) -> float:
+        if context is None:
+            return 0.0
+        spec = context.tenants.get(tenant)
+        return float(spec.priority) if spec is not None else 0.0
+
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
-        return float(context.priority(job)) if context is not None else 0.0
+        return self.tenant_urgency(job.tenant, context)
 
     def rank_key(self, job, estimate, context: Optional[SchedulingContext] = None):
         # The negated urgency, read from the tenant spec itself: urgency
@@ -366,22 +381,30 @@ class DeficitFairShare:
     tenant_aware = True
     preempts = True
 
+    def tenant_urgency(self, tenant: str, context: Optional[SchedulingContext]) -> float:
+        return context.deficit(tenant) if context is not None else 0.0
+
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
-        return context.deficit(job.tenant) if context is not None else 0.0
+        return self.tenant_urgency(job.tenant, context)
 
     def place(
         self, pending, free_gpus, estimate, context: Optional[SchedulingContext] = None
     ) -> Optional[Placement]:
+        widest = max(free_gpus.values(), default=0)
+        if widest < 1:
+            return None
+        # A gang no wider than the widest free node always fits there, so
+        # each tenant's candidate is its first such gang in queue order: one
+        # pass finds them, and the most-owed tenant's candidate starts.
+        heads: Dict[str, JobSpec] = {}
+        for job in pending:
+            if job.gpus <= widest and job.tenant not in heads:
+                heads[job.tenant] = job
+        if not heads:
+            return None
         deficit = context.deficit if context is not None else (lambda tenant: 0.0)
-        tenants = sorted(
-            {job.tenant for job in pending},
-            key=lambda tenant: (-deficit(tenant), tenant),
-        )
-        rank = {tenant: index for index, tenant in enumerate(tenants)}
-        # A stable sort keeps each tenant's jobs in queue order.
-        return place_in_order(
-            sorted(pending, key=lambda job: rank[job.tenant]), free_gpus
-        )
+        job = heads[min(heads, key=lambda tenant: (-deficit(tenant), tenant))]
+        return Placement(job_id=job.job_id, node=first_fit_node(job, free_gpus))
 
 
 @register_policy

@@ -68,12 +68,23 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.cluster_report import ClusterReport, JobRecord
 from repro.cluster.elastic import ELASTIC_POLICIES, ReschedulePolicy, resolve_elastic
@@ -193,6 +204,7 @@ class _PendingQueue:
     is computed once per enqueue instead of on every decision; without one,
     ``ranked`` is ``jobs``.  A job ``rank`` returns ``None`` for is one no
     placement pass will ever see: it waits behind every ranked job.
+    ``by_id`` maps each queued job's id to ``(enqueue seq, key, job)``.
     """
 
     def __init__(self, rank: Optional[Callable[[JobSpec], Optional[tuple]]] = None) -> None:
@@ -201,7 +213,7 @@ class _PendingQueue:
         self.seqs: List[int] = []  # parallel to jobs, ascending
         self.ranked: List[JobSpec] = [] if rank is not None else self.jobs
         self.keys: List[tuple] = []  # parallel to ranked (ranked queues only)
-        self.key_of: Dict[str, Tuple[int, Optional[tuple]]] = {}  # job id -> (seq, key)
+        self.by_id: Dict[str, Tuple[int, Optional[tuple], JobSpec]] = {}
         self.sequence = itertools.count()
 
     def __len__(self) -> int:
@@ -222,11 +234,16 @@ class _PendingQueue:
             index = bisect_left(self.keys, key)
             self.ranked.insert(index, job)
             self.keys.insert(index, key)
-        self.key_of[job.job_id] = (seq, key)
+        self.by_id[job.job_id] = (seq, key, job)
+
+    def get(self, job_id: str) -> Optional[JobSpec]:
+        """The queued job with this id, or ``None``."""
+        entry = self.by_id.get(job_id)
+        return entry[2] if entry is not None else None
 
     def remove(self, job: JobSpec) -> None:
         """Dequeue ``job``, found by its enqueue seq and key."""
-        seq, key = self.key_of.pop(job.job_id)
+        seq, key, _ = self.by_id.pop(job.job_id)
         index = bisect_left(self.seqs, seq)
         del self.jobs[index]
         del self.seqs[index]
@@ -234,6 +251,43 @@ class _PendingQueue:
             index = bisect_left(self.keys, key)
             del self.ranked[index]
             del self.keys[index]
+
+
+class _Deficits(Mapping):
+    """Fair-share deficits (tenant -> GPU-seconds owed), computed on first read.
+
+    ``compute(t)`` runs at most once, on the first lookup, iteration or
+    length, so a pass whose policy never reads deficits never pays for
+    them.  The simulator reads a context only before the fleet state
+    changes, so the values are those of the instant it was built for.
+    """
+
+    __slots__ = ("_compute", "_t", "_values")
+
+    def __init__(self, compute: Callable[[float], Dict[str, float]], t: float) -> None:
+        self._compute = compute
+        self._t = t
+        self._values: Optional[Dict[str, float]] = None
+
+    def _resolved(self) -> Dict[str, float]:
+        if self._values is None:
+            self._values = self._compute(self._t)
+        return self._values
+
+    def __getitem__(self, tenant: str) -> float:
+        return self._resolved()[tenant]
+
+    def get(self, tenant: str, default=None):
+        return self._resolved().get(tenant, default)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._resolved())
+
+    def __len__(self) -> int:
+        return len(self._resolved())
+
+    def __repr__(self) -> str:
+        return repr(self._resolved())
 
 
 class _FleetRun:
@@ -427,6 +481,9 @@ class _FleetRun:
         while True:
             progressed = self._place_pass(t)
             if not self.preempts or not (progressed or self._try_preempt(t)):
+                # The context's lazy deficits refer back to this run; drop
+                # it so a finished run is freed without the cycle collector.
+                self.pass_context = None
                 return
 
     def kill_unplaceable(self, t: float) -> bool:
@@ -521,7 +578,7 @@ class _FleetRun:
                 )
             if placement is None:
                 break
-            job, node = sim._resolve(placement, pending, self.free)
+            job, node = self._resolve(placement, reserved)
             self.queue.remove(job)
             self.free[node.name] -= job.gpus
             reserved[job.tenant] = reserved.get(job.tenant, 0) + job.gpus
@@ -532,6 +589,35 @@ class _FleetRun:
         for (job, node), config in zip(placed, configs):
             self._start(job, node, job.gpus, t, "restart", config)
         return True
+
+    def _resolve(self, placement: Placement, reserved: Dict[str, int]) -> Tuple[JobSpec, NodeSpec]:
+        """Validate a policy's decision against the queue and the ledger.
+
+        The job is looked up by id; one the queue holds but the quota
+        filter hid from the policy is as unknown as one it does not hold.
+        """
+        sim, free = self.sim, self.free
+        job = self.queue.get(placement.job_id)
+        if job is not None and job.gpus > self._quota_room(reserved).get(job.tenant, job.gpus):
+            job = None
+        if job is None:
+            raise ClusterError(
+                f"policy {sim.policy.name!r} placed unknown job "
+                f"{placement.job_id!r} (not in queue)"
+            )
+        if placement.node not in free:
+            raise ClusterError(
+                f"policy {sim.policy.name!r} placed job {job.job_id!r} on unknown "
+                f"node {placement.node!r}; cluster nodes: {list(free)}"
+            )
+        node = sim.cluster.node(placement.node)
+        if free[node.name] < job.gpus:
+            raise ClusterError(
+                f"policy {sim.policy.name!r} placed job {job.job_id!r} "
+                f"({job.gpus} GPUs) on node {node.name!r} with only "
+                f"{free[node.name]} free"
+            )
+        return job, node
 
     def _try_preempt(self, t: float) -> bool:
         """Voluntarily evict strictly-less-urgent gangs for a starved job.
@@ -545,42 +631,50 @@ class _FleetRun:
         comparisons are strict, so preemption chains terminate and
         equal-urgency gangs never thrash.
 
-        One scan: every urgency is computed once, running gangs are grouped
-        by node youngest first, the walk stops at the first job no running
-        gang is strictly less urgent than, and an ``(urgency, gpus)`` pair
-        that found no node is not searched again — nothing changes until
-        an eviction returns.  Attempts enter ``entries`` in ``seq`` order,
-        and ``seq`` grows with the start instant, so youngest first by
-        ``(start, seq)`` is simply the reverse of ``entries``.  When no
-        eligible job is more urgent than the least urgent running gang,
-        the pass returns before ranking the queue.
+        Queued jobs are tried most urgent first (ties: arrival, then id).
+        A policy that also declares ``rank_key`` ranks in exactly that
+        order, so the scan walks the ranked queue as it stands and scores
+        only the jobs it reaches; any other policy's quota-eligible queue
+        is scored and sorted.  Each running gang is scored once.  The walk
+        stops at the first job no running gang is strictly less urgent
+        than — with a ranked queue, usually its head — and only a job that
+        gets past that check groups the running gangs by node, youngest
+        first.  An ``(urgency, gpus)`` pair that found no node is not
+        searched again: nothing changes until an eviction returns.
+        Attempts enter ``entries`` in ``seq`` order, and ``seq`` grows
+        with the start instant, so youngest first by ``(start, seq)`` is
+        simply the reverse of ``entries``.
         """
         if not self.queue.jobs or not self.entries:
             return False
-        context = self.pass_context
-        urgency = self.sim.policy.urgency
-        running: Dict[str, List[Tuple[float, _Attempt]]] = {}
-        floor = math.inf
-        for attempt in reversed(self.entries.values()):
-            score = urgency(attempt.job, context)
-            if score < floor:
-                floor = score
-            running.setdefault(attempt.node.name, []).append((score, attempt))
-        scored = [
-            (urgency(job, context), job) for job in self._within_quota(self.queue.jobs, {})
-        ]
-        if not scored or max(score for score, _ in scored) <= floor:
-            return False  # no running gang is strictly less urgent
-        ranked = sorted(
-            scored,
-            key=lambda item: (-item[0], item[1].arrival_time, item[1].job_id),
-        )
+        urgency = self._urgency()
+        attempts = list(reversed(self.entries.values()))
+        scores = [urgency(attempt.job) for attempt in attempts]
+        floor = min(scores)
+        if self.queue.rank is not None:
+            candidates: Iterable[Tuple[float, JobSpec]] = (
+                (urgency(job), job) for job in self._within_quota(self.queue.ranked, {})
+            )
+        else:
+            jobs = list(self._within_quota(self.queue.jobs, {}))
+            targets = [urgency(job) for job in jobs]
+            if not jobs or max(targets) <= floor:
+                return False  # no running gang is strictly less urgent
+            candidates = sorted(
+                zip(targets, jobs),
+                key=lambda item: (-item[0], item[1].arrival_time, item[1].job_id),
+            )
+        running: Optional[Dict[str, List[Tuple[float, _Attempt]]]] = None
         failed = set()
-        for target, job in ranked:
+        for target, job in candidates:
             if target <= floor:
                 return False  # no running gang is strictly less urgent
             if (target, job.gpus) in failed:
                 continue
+            if running is None:
+                running = {}
+                for score, attempt in zip(scores, attempts):
+                    running.setdefault(attempt.node.name, []).append((score, attempt))
             for node in self.sim.cluster.nodes:
                 if self.available(node.name) < job.gpus:
                     continue
@@ -603,8 +697,45 @@ class _FleetRun:
             failed.add((target, job.gpus))
         return False
 
+    def _urgency(self) -> Callable[[JobSpec], float]:
+        """The policy's urgency of a job under the latest pass's context.
+
+        For a policy that declares ``tenant_urgency(tenant, context)`` the
+        returned function asks it once per tenant and reuses the score for
+        the tenant's other jobs.
+        """
+        policy, context = self.sim.policy, self.pass_context
+        tenant_urgency = getattr(policy, "tenant_urgency", None)
+        if tenant_urgency is None:
+            urgency = policy.urgency
+            return lambda job: urgency(job, context)
+        by_tenant: Dict[str, float] = {}
+
+        def urgency_of_tenant(job: JobSpec) -> float:
+            score = by_tenant.get(job.tenant)
+            if score is None:
+                score = by_tenant[job.tenant] = tenant_urgency(job.tenant, context)
+            return score
+
+        return urgency_of_tenant
+
     def _context(self, t: float) -> SchedulingContext:
         """Tenant specs, live usage and fair-share deficits at ``t``.
+
+        The deficits are computed on first read (:class:`_Deficits`): of
+        the built-in policies only fair-share reads them.  The context is
+        read within the pass (or the preemption scan) it was built for,
+        before any attempt starts or ends.
+        """
+        return SchedulingContext(
+            now=t,
+            tenants=self.tenants,
+            usage_gpus=dict(self.usage),
+            deficits=_Deficits(self._deficits, t) if self.tenants else {},
+        )
+
+    def _deficits(self, t: float) -> Dict[str, float]:
+        """Each tenant's fair-share deficit at ``t``.
 
         A deficit is the tenant's share-weighted slice of the live fleet
         capacity integrated from t=0 minus the GPU-seconds it consumed;
@@ -612,23 +743,18 @@ class _FleetRun:
         entitlement up to the fleet's last resize plus the current size
         over the time since.
         """
-        deficits: Dict[str, float] = {}
-        if self.tenants:
-            live = dict(self.consumed)
-            for attempt in self.entries.values():
-                live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
-                    attempt.gpus * (t - attempt.start)
-                )
-            fleet, elapsed = self.fleet, t - self.fleet_since
-            deficits = {
-                name: self.entitled[name]
-                + fleet * self.share_weight[name] / self.total_weight * elapsed
-                - live.get(name, 0.0)
-                for name in self.tenants
-            }
-        return SchedulingContext(
-            now=t, tenants=self.tenants, usage_gpus=dict(self.usage), deficits=deficits
-        )
+        live = dict(self.consumed)
+        for attempt in self.entries.values():
+            live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
+                attempt.gpus * (t - attempt.start)
+            )
+        fleet, elapsed = self.fleet, t - self.fleet_since
+        return {
+            name: self.entitled[name]
+            + fleet * self.share_weight[name] / self.total_weight * elapsed
+            - live.get(name, 0.0)
+            for name in self.tenants
+        }
 
     def _eligible(self, reserved: Dict[str, int]) -> Tuple[JobSpec, ...]:
         """What the policy sees: the queue minus over-quota jobs.
@@ -641,27 +767,32 @@ class _FleetRun:
             return RankedQueue(jobs, self.sim.policy)
         return tuple(jobs)
 
+    def _quota_room(self, reserved: Dict[str, int]) -> Dict[str, int]:
+        """GPUs each quota-capped tenant may still take.
+
+        That is its quota minus the GPUs it holds and those ``reserved``
+        for it by same-instant placements that have not become live
+        attempts yet, so a tenant cannot blow through its quota within one
+        drain instant.  A gang fits the quota when it is no wider.
+        """
+        usage = self.usage
+        return {
+            tenant: quota - usage.get(tenant, 0) - reserved.get(tenant, 0)
+            for tenant, quota in self.quotas.items()
+        }
+
     def _within_quota(
         self, jobs: Sequence[JobSpec], reserved: Dict[str, int]
-    ) -> Sequence[JobSpec]:
+    ) -> Iterable[JobSpec]:
         """``jobs`` minus those whose tenant GPU quota is exhausted, in order.
 
-        ``reserved`` carries same-instant placements that have not become
-        live attempts yet, so a tenant cannot blow through its quota within
-        one drain instant.
+        Lazy when any tenant has a quota, so a walk that stops early
+        filters only the jobs it reaches.
         """
         if not self.quotas:
             return jobs
-        usage = dict(self.usage)
-        for tenant, gpus in reserved.items():
-            usage[tenant] = usage.get(tenant, 0) + gpus
-        quotas = self.quotas
-        return [
-            job
-            for job in jobs
-            if job.tenant not in quotas
-            or usage.get(job.tenant, 0) + job.gpus <= quotas[job.tenant]
-        ]
+        room = self._quota_room(reserved)
+        return (job for job in jobs if job.gpus <= room.get(job.tenant, job.gpus))
 
     # ------------------------------------------------------------------ #
     # Attempt lifecycle
@@ -1063,31 +1194,6 @@ class ClusterSimulator:
         self._last_events = run.events
         self._last_peak_heap = run.peak_heap
         return run.report()
-
-    # ------------------------------------------------------------------ #
-    def _resolve(
-        self, placement: Placement, queue: Sequence[JobSpec], free: Dict[str, int]
-    ) -> Tuple[JobSpec, NodeSpec]:
-        """Validate a policy's decision against the queue and the ledger."""
-        job = next((job for job in queue if job.job_id == placement.job_id), None)
-        if job is None:
-            raise ClusterError(
-                f"policy {self.policy.name!r} placed unknown job "
-                f"{placement.job_id!r} (not in queue)"
-            )
-        if placement.node not in free:
-            raise ClusterError(
-                f"policy {self.policy.name!r} placed job {job.job_id!r} on unknown "
-                f"node {placement.node!r}; cluster nodes: {list(free)}"
-            )
-        node = self.cluster.node(placement.node)
-        if free[node.name] < job.gpus:
-            raise ClusterError(
-                f"policy {self.policy.name!r} placed job {job.job_id!r} "
-                f"({job.gpus} GPUs) on node {node.name!r} with only "
-                f"{free[node.name]} free"
-            )
-        return job, node
 
 
 def run_policy_comparison(

@@ -7,6 +7,12 @@ each policy sorts the whole queue and scans every node per candidate, the
 estimate is recomputed on every call, and the preemption pass re-scans
 every running attempt for each starved job and node.  Swapping them in must
 not change a single field of any :class:`ClusterReport`.
+
+A second set pins the tenant-aware decision path against its previous
+form: a preemption scan that scores every running gang and every eligible
+job and sorts them (no ranked-queue walk, no per-tenant scores), a
+scheduling context whose fair-share deficits are computed eagerly, and a
+fair-share ``place`` that stable-sorts the whole queue by tenant rank.
 """
 
 import math
@@ -17,7 +23,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultModel
-from repro.cluster.scheduler import POLICIES, Placement, best_fit_node, first_fit_node
+from repro.cluster.scheduler import (
+    POLICIES,
+    Placement,
+    SchedulingContext,
+    best_fit_node,
+    first_fit_node,
+    place_in_order,
+)
 from repro.cluster.simulator import ClusterSimulator, _Attempt, _FleetRun, run_policy_comparison
 from repro.cluster.spec import cluster_from_shorthand
 from repro.cluster.workload import TenantSpec, poisson_workload, tenant_workload
@@ -151,6 +164,83 @@ def oracle_try_preempt(self, t):
     return False
 
 
+def scoring_try_preempt(self, t):
+    if not self.queue.jobs or not self.entries:
+        return False
+    context = self.pass_context
+    urgency = self.sim.policy.urgency
+    running = {}
+    floor = math.inf
+    for attempt in reversed(self.entries.values()):
+        score = urgency(attempt.job, context)
+        if score < floor:
+            floor = score
+        running.setdefault(attempt.node.name, []).append((score, attempt))
+    scored = [(urgency(job, context), job) for job in self._within_quota(self.queue.jobs, {})]
+    if not scored or max(score for score, _ in scored) <= floor:
+        return False
+    ranked = sorted(scored, key=lambda item: (-item[0], item[1].arrival_time, item[1].job_id))
+    failed = set()
+    for target, job in ranked:
+        if target <= floor:
+            return False
+        if (target, job.gpus) in failed:
+            continue
+        for node in self.sim.cluster.nodes:
+            if self.available(node.name) < job.gpus:
+                continue
+            short = job.gpus - self.free[node.name]
+            evict = []
+            for score, attempt in running.get(node.name, ()):
+                if short <= 0:
+                    break
+                if score < target:
+                    evict.append(attempt)
+                    short -= attempt.gpus
+            if evict and short <= 0:
+                for attempt in evict:
+                    self._interrupt(attempt, t)
+                    self.queue.append(attempt.job)
+                self.rebuild_heap()
+                return True
+        failed.add((target, job.gpus))
+    return False
+
+
+def eager_context(self, t):
+    deficits = {}
+    if self.tenants:
+        live = dict(self.consumed)
+        for attempt in self.entries.values():
+            live[attempt.job.tenant] = live.get(attempt.job.tenant, 0.0) + (
+                attempt.gpus * (t - attempt.start)
+            )
+        fleet, elapsed = self.fleet, t - self.fleet_since
+        deficits = {
+            name: self.entitled[name]
+            + fleet * self.share_weight[name] / self.total_weight * elapsed
+            - live.get(name, 0.0)
+            for name in self.tenants
+        }
+    return SchedulingContext(
+        now=t, tenants=self.tenants, usage_gpus=dict(self.usage), deficits=deficits
+    )
+
+
+def sorting_fair_share_place(self, pending, free_gpus, estimate, context=None):
+    deficit = context.deficit if context is not None else (lambda tenant: 0.0)
+    tenants = sorted({job.tenant for job in pending}, key=lambda tenant: (-deficit(tenant), tenant))
+    rank = {tenant: index for index, tenant in enumerate(tenants)}
+    return place_in_order(sorted(pending, key=lambda job: rank[job.tenant]), free_gpus)
+
+
+def swap_in_scoring_scan(monkeypatch):
+    policy = POLICIES.get("fair-share")
+    monkeypatch.setattr(policy, "place", sorting_fair_share_place.__get__(policy))
+    monkeypatch.setattr(_FleetRun, "_context", eager_context)
+    monkeypatch.setattr(_FleetRun, "_try_preempt", scoring_try_preempt)
+
+
 def swap_in_oracles(monkeypatch):
     for name, place in ORACLE_PLACE.items():
         policy = POLICIES.get(name)
@@ -241,6 +331,25 @@ class TestOracleEquivalence:
             swap_in_oracles(monkeypatch)
             slow = replay(fleet, session)
         assert fast == slow
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(fleet=fleets)
+    def test_reports_match_the_scoring_scan_oracles(self, session, fleet):
+        fast = replay(fleet, session)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            swap_in_scoring_scan(monkeypatch)
+            slow = replay(fleet, session)
+        assert fast == slow
+
+    def test_scoring_scan_oracles_are_swapped_in(self, monkeypatch):
+        swap_in_scoring_scan(monkeypatch)
+        assert POLICIES.get("fair-share").place.__func__ is sorting_fair_share_place
+        assert _FleetRun._context is eager_context
+        assert _FleetRun._try_preempt is scoring_try_preempt
 
     def test_oracles_are_swapped_in(self, monkeypatch):
         swap_in_oracles(monkeypatch)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.scheduler import (
     POLICIES,
@@ -240,3 +242,86 @@ class TestPolicyRegistry:
             assert "throwaway-test-policy" in POLICIES
         finally:
             POLICIES.unregister("throwaway-test-policy")
+
+
+# ---------------------------------------------------------------------- #
+# The preemption scan walks a ranked queue as it stands
+# ---------------------------------------------------------------------- #
+def preempting_ranked_policies():
+    return [
+        name
+        for name in POLICIES.names()
+        if getattr(POLICIES.get(name), "preempts", False)
+        and hasattr(POLICIES.get(name), "rank_key")
+    ]
+
+
+TENANT_NAMES = ("prod", "batch", "dev", "undeclared")
+
+
+@st.composite
+def ranked_fleets(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 500.0, allow_nan=False),
+                st.sampled_from(TENANT_NAMES),
+                st.one_of(st.none(), st.floats(1.0, 400.0, allow_nan=False)),
+                st.integers(1, 4),
+            ),
+            max_size=24,
+        )
+    )
+    jobs = [
+        JobSpec(
+            job_id=f"j{index:02d}",
+            arrival_time=arrival,
+            gpus=gpus,
+            tenant=tenant,
+            deadline=None if slack is None else arrival + slack,
+        )
+        for index, (arrival, tenant, slack, gpus) in enumerate(rows)
+    ]
+    priorities = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    tenants = {
+        name: TenantSpec(name, priority=priority)
+        for name, priority in zip(TENANT_NAMES, priorities)
+    }
+    return jobs, SchedulingContext(now=draw(st.floats(0.0, 900.0)), tenants=tenants)
+
+
+def test_the_builtin_preempting_ranked_policies_are_covered():
+    assert preempting_ranked_policies() == ["priority", "deadline-aware"]
+
+
+@pytest.mark.parametrize("name", preempting_ranked_policies())
+@settings(max_examples=200, deadline=None)
+@given(fleet=ranked_fleets())
+def test_rank_order_is_the_scan_order(name, fleet):
+    # The scan tries jobs by (-urgency, arrival, id) and stops at the first
+    # one no running gang is less urgent than; walking the ranked queue
+    # instead is exact only if rank_key sorts into that very order.
+    jobs, context = fleet
+    policy = POLICIES.get(name)
+    ranked = sorted(jobs, key=lambda job: policy.rank_key(job, None, context))
+    urgencies = [policy.urgency(job, context) for job in ranked]
+    assert urgencies == sorted(urgencies, reverse=True)
+    assert ranked == sorted(
+        jobs, key=lambda job: (-policy.urgency(job, context), job.arrival_time, job.job_id)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in POLICIES.names() if hasattr(POLICIES.get(name), "tenant_urgency")]
+)
+@settings(max_examples=100, deadline=None)
+@given(
+    fleet=ranked_fleets(),
+    deficits=st.dictionaries(st.sampled_from(TENANT_NAMES), st.floats(-1e4, 1e4, allow_nan=False)),
+)
+def test_tenant_urgency_is_the_urgency_of_each_tenant_job(name, fleet, deficits):
+    jobs, context = fleet
+    context = SchedulingContext(now=context.now, tenants=context.tenants, deficits=deficits)
+    policy = POLICIES.get(name)
+    for job in jobs:
+        assert policy.urgency(job, context) == policy.tenant_urgency(job.tenant, context)

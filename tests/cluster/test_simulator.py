@@ -256,6 +256,57 @@ class TestPolicyBehaviourOnFleet:
         finally:
             POLICIES.unregister("phantom-test")
 
+    def test_placement_of_an_already_placed_job_is_unknown(self, small_cluster):
+        # The job is looked up by id in the queue: once placed, its id is
+        # no longer there.
+        @register_policy
+        class Stale:
+            name = "stale-test"
+
+            def place(self, pending, free_gpus, estimate):
+                return Placement(job_id="j0", node="a") if pending else None
+
+        try:
+            workload = Workload(name="w", jobs=(job("j0", 0.0, 1), job("j1", 0.0, 1)))
+            with pytest.raises(
+                ClusterError, match=r"policy 'stale-test' placed unknown job 'j0' \(not in queue\)"
+            ):
+                ClusterSimulator(small_cluster, policy="stale-test").run(workload)
+        finally:
+            POLICIES.unregister("stale-test")
+
+    def test_placement_of_a_job_hidden_by_its_quota_is_unknown(self, small_cluster):
+        # j1 is queued, but its tenant's quota is taken by j0, so the
+        # policy never saw it: naming it is placing an unknown job.
+        @register_policy
+        class Peeker:
+            name = "peeker-test"
+
+            named_j1 = False
+
+            def place(self, pending, free_gpus, estimate):
+                if not pending:
+                    return None
+                if pending[0].job_id == "j0" or self.named_j1:
+                    return Placement(job_id=pending[0].job_id, node="a")
+                self.named_j1 = True
+                return Placement(job_id="j1", node="a")
+
+        try:
+            workload = Workload(
+                name="w",
+                jobs=(
+                    job("j0", 0.0, 2, tenant="capped"),
+                    job("j1", 0.0, 2, tenant="capped"),
+                    job("j2", 0.0, 1, tenant="free"),
+                ),
+                tenants=(TenantSpec("capped", quota_gpus=2), TenantSpec("free")),
+            )
+            with pytest.raises(ClusterError, match=r"placed unknown job 'j1' \(not in queue\)"):
+                ClusterSimulator(small_cluster, policy="peeker-test").run(workload)
+        finally:
+            POLICIES.unregister("peeker-test")
+
     def test_placement_on_unknown_node_blames_the_policy(self, small_cluster):
         @register_policy
         class Lost:
@@ -369,6 +420,22 @@ class TestPolicyBehaviourOnFleet:
             POLICIES.unregister("reversed-test")
 
 
+def count_scoring(policy, monkeypatch, count):
+    """Call ``count()`` on every urgency score the policy gives.
+
+    A policy declaring ``tenant_urgency`` is scored through it (its
+    ``urgency`` delegates there), any other through ``urgency``.
+    """
+    name = "tenant_urgency" if hasattr(policy, "tenant_urgency") else "urgency"
+    score = getattr(policy, name)
+
+    def counting_score(subject, context):
+        count()
+        return score(subject, context)
+
+    monkeypatch.setattr(policy, name, counting_score)
+
+
 class TestPreemptionGate:
     """A plain run never ranks urgency: that pass at every stalled drain
     made plain fleets of the preempting policies 20-30x slower."""
@@ -378,7 +445,7 @@ class TestPreemptionGate:
         policy = POLICIES.get(policy_name)
         counts = {"outside": 0}
         placing = []
-        place, urgency = policy.place, policy.urgency
+        place = policy.place
 
         def counting_place(*args, **kwargs):
             placing.append(True)
@@ -387,14 +454,13 @@ class TestPreemptionGate:
             finally:
                 placing.pop()
 
-        def counting_urgency(job, context):
-            # priority's own place ranks by urgency; only count the rest.
+        def count():
+            # A policy's own place may score; only count the rest.
             if not placing:
                 counts["outside"] += 1
-            return urgency(job, context)
 
         monkeypatch.setattr(policy, "place", counting_place)
-        monkeypatch.setattr(policy, "urgency", counting_urgency)
+        count_scoring(policy, monkeypatch, count)
         report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
         assert report.num_jobs == len(workload.jobs)
         return counts["outside"]
@@ -417,7 +483,9 @@ class TestPlacementCost:
     each answer built an ``ExperimentConfig``; ``_try_preempt`` re-scored
     every running gang for each starved job and node.  Now a ranked
     policy's key is computed once per enqueue, each estimate builds one
-    config, and the preemption scan is one pass over data computed once.
+    config, and the preemption scan is one pass over data computed once:
+    it scores a tenant once where the policy scores tenants, and walks a
+    ranked queue only as far as the first job that beats no running gang.
     """
 
     @staticmethod
@@ -560,6 +628,28 @@ class TestPlacementCost:
         warm.estimate_service_time(replace(base, job_id="other"))
         assert len(warm._estimates) == len(variants)
 
+    @staticmethod
+    def scan_budget(run, urgency):
+        """The most scores one preemption scan may take.
+
+        A ``tenant_urgency`` policy scores each tenant of the running gangs
+        and the eligible queue once.  Any other scores each running gang
+        once; with a ranked queue it then walks the queue most urgent
+        first and stops at the first job no gang is strictly less urgent
+        than, so it scores the jobs that beat the lowest running urgency
+        plus at most one; without one it scores every eligible job.
+        """
+        policy, context = run.sim.policy, run.pass_context
+        running = [attempt.job for attempt in run.entries.values()]
+        eligible = list(run._eligible({}))
+        if hasattr(policy, "tenant_urgency"):
+            return len({job.tenant for job in running + eligible})
+        if run.queue.rank is None:
+            return len(running) + len(eligible)
+        floor = min(urgency(job, context) for job in running)
+        beating = sum(urgency(job, context) > floor for job in eligible)
+        return len(running) + min(len(eligible), beating + 1)
+
     @pytest.mark.parametrize("policy_name", ["priority", "fair-share", "deadline-aware"])
     def test_preemption_scores_each_gang_and_job_once(self, policy_name, monkeypatch):
         from repro.cluster.simulator import _FleetRun
@@ -567,23 +657,23 @@ class TestPlacementCost:
         workload = self.saturated_tenant_fleet()
         policy = POLICIES.get(policy_name)
         urgency, try_preempt = policy.urgency, _FleetRun._try_preempt
-        calls = {"urgency": 0, "preempt": 0}
+        calls = {"score": 0, "preempt": 0}
         over_budget = []
 
-        def counting_urgency(job, context):
-            calls["urgency"] += 1
-            return urgency(job, context)
-
         def checked_try_preempt(run, t):
-            budget = len(run.entries) + len(run._eligible({}))
-            before = calls["urgency"]
+            budget = self.scan_budget(run, urgency) if run.queue and run.entries else 0
+            before = calls["score"]
             calls["preempt"] += 1
             evicted = try_preempt(run, t)
-            if calls["urgency"] - before > budget:
-                over_budget.append((t, calls["urgency"] - before, budget))
+            scores = calls["score"] - before
+            if scores > budget:
+                over_budget.append((t, scores, budget))
             return evicted
 
-        monkeypatch.setattr(policy, "urgency", counting_urgency)
+        def count():
+            calls["score"] += 1
+
+        count_scoring(policy, monkeypatch, count)
         monkeypatch.setattr(_FleetRun, "_try_preempt", checked_try_preempt)
         report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
         assert calls["preempt"] > 10  # the fleet is saturated: drains stall
