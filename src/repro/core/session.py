@@ -51,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.ablation import ABLATION_STRATEGIES, make_profile
 from repro.core.config import ExperimentConfig
@@ -194,6 +194,22 @@ class SessionStats:
     def snapshot(self) -> dict:
         """A point-in-time copy of every counter (pair with :meth:`delta`)."""
         return dict(self.__dict__)
+
+    def add(self, delta: Mapping[str, int]) -> None:
+        """Add counter changes (another session's :meth:`delta`) to these.
+
+        The ``process`` backend adds each worker's delta, so work done in
+        worker interpreters shows in the parent session's stats.
+
+        Example:
+            >>> from repro.core.session import SessionStats
+            >>> stats = SessionStats(plan_builds=1)
+            >>> stats.add({"plan_builds": 2, "runs": 3})
+            >>> (stats.plan_builds, stats.runs)
+            (3, 3)
+        """
+        for name, change in delta.items():
+            setattr(self, name, getattr(self, name) + change)
 
     def delta(self, before: dict) -> dict:
         """Per-counter change since a :meth:`snapshot`.

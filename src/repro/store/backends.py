@@ -123,20 +123,22 @@ def _worker_session(store_path: Optional[str]) -> "Session":
     return _WORKER_SESSIONS[store_path]
 
 
-def _process_worker(payload: Tuple[dict, str, Optional[str]]) -> Tuple[dict, bool]:
-    """Run one cell in a worker process; returns (result dict, simulated?).
+def _process_worker(payload: Tuple[dict, str, Optional[str]]) -> Tuple[dict, Dict[str, int]]:
+    """Run one cell in a worker process; returns (result dict, stats delta).
 
     The worker's session writes through the shared store (when one is
     configured), so results survive even if the parent dies before
     unpickling — and concurrent workers exercise multi-writer store writes.
-    The ``simulated`` flag lets the parent fold the worker's work into its
-    own counters, keeping warm/cold reporting honest across processes.
+    The delta is the change of the worker session's counters over this
+    cell (:meth:`~repro.core.session.SessionStats.delta`); the parent adds
+    it to its own, so builds, hits and simulations done in workers show in
+    the parent's stats.
     """
     config_dict, strategy, store_path = payload
     session = _worker_session(store_path)
-    runs_before = session.stats.runs
+    before = session.stats.snapshot()
     result = session.run(ExperimentConfig(**config_dict), strategy=strategy)
-    return result.to_dict(), session.stats.runs > runs_before
+    return result.to_dict(), session.stats.delta(before)
 
 
 @register_backend
@@ -145,9 +147,10 @@ class ProcessBackend:
 
     Each worker opens its own session (sessions hold locks and are not
     picklable) against the same store path, runs its cells, and persists
-    results before returning them.  After the pool drains, the parent
-    back-fills any record that is still missing (store-less sessions);
-    the workers' committed writes are already visible to its handle.
+    results before returning them.  After the pool drains, the parent adds
+    each cell's worker counter delta to its own stats and back-fills any
+    store record that is still missing; the workers' committed writes are
+    already visible to its handle.
     """
 
     name = "process"
@@ -164,18 +167,12 @@ class ProcessBackend:
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             raw = list(pool.map(_process_worker, payloads))
         results = []
-        for (config, strategy), (result_dict, simulated) in zip(tasks, raw):
-            # Fold the workers' work into the parent's counters so warm/cold
-            # reporting stays honest: a cold process-backend sweep must not
-            # look like a warm restart.
-            if simulated:
-                session.stats.runs += 1
-                if store is not None:
-                    if session.in_store(config, strategy):
-                        session.stats.store_builds += 1  # the worker wrote it
-                    else:
-                        session.put_run(config, strategy, result_dict)
-            else:
-                session.stats.store_hits += 1
+        for (config, strategy), (result_dict, delta) in zip(tasks, raw):
+            # The workers' counters join the parent's, so a cold
+            # process-backend sweep reports its builds and simulations
+            # instead of looking like a warm restart.
+            session.stats.add(delta)
+            if delta["runs"] and store is not None and not session.in_store(config, strategy):
+                session.put_run(config, strategy, result_dict)
             results.append(ExecutionResult.from_dict(result_dict))
         return results

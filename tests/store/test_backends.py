@@ -1,5 +1,7 @@
 """Tests of the execution-backend registry and the two built-ins."""
 
+import json
+
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -172,6 +174,34 @@ class TestProcessStatsPropagation:
         )
         assert warm.stats.runs == 0
         assert warm.stats.store_hits == 2
+
+
+    def test_process_sweep_reports_the_workers_builds(self, fast_config):
+        # Without a store the work happens only in the workers; their
+        # counters still reach the parent, matching an inline sweep's.
+        axes = dict(batch_sizes=(128, 256), strategies=("DP", "TR"))
+        inline = Session()
+        inline.sweep(fast_config, **axes)
+        processed = Session()
+        processed.sweep(fast_config, **axes, backend="process", max_workers=1)
+        stats = processed.stats
+        assert stats.runs == 4
+        assert stats.plan_builds == inline.stats.plan_builds == 4
+        assert stats.profile_builds == inline.stats.profile_builds > 0
+        assert stats.pair_builds > 0 and stats.executor_builds > 0
+        assert stats.store_builds == stats.store_hits == 0
+
+    def test_cli_process_sweep_session_stats_are_not_zero(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "sweep.json"
+        argv = "sweep --task nas --dataset cifar10 --steps 4 --batch-sizes 128,256"
+        argv += " --strategies DP,TR --backend process --out"
+        assert main([*argv.split(), str(out)]) in (0, None)
+        stats = json.loads(out.read_text())["session_stats"]
+        assert stats["runs"] == 4
+        assert stats["plan_builds"] == 4
+        assert stats["profile_builds"] > 0
 
 
 class TestBackendInstances:
