@@ -270,6 +270,20 @@ def test_check_catches_a_scratch_ten_percent_regression(tmp_path, capsys):
     )
 
 
+def test_bound_scale_loosens_every_bound(tmp_path, capsys):
+    # CI checks its short recording at twice the bounds: a 30% slowdown
+    # fails the 24% bound but passes the 48% one; a 60% one fails both.
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 0.7})
+    assert tool.main(["--check", str(path)]) == 1
+    capsys.readouterr()
+    assert tool.main(["--check", str(path), "--bound-scale", "2"]) == 0
+    assert "| -30.0% | 0/10 | 48% | ok |" in capsys.readouterr().out
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 0.4})
+    assert tool.main(["--check", str(path), "--bound-scale", "2"]) == 1
+    with pytest.raises(SystemExit):
+        tool.main(["--check", str(path), "--bound-scale", "0"])
+
+
 @pytest.mark.parametrize("workload", ["cli-run", "sweep"])
 def test_check_bounds_and_claims_a_tool_workload(tmp_path, capsys, workload):
     tool = load_tool()
