@@ -37,7 +37,12 @@ sjf, priority and deadline-aware declare their order as ``rank_key(job,
 estimate, context)``, which reads only what stays fixed for a run (job
 fields, tenant specs, the memoised estimate).  The simulator then ranks
 each job once, when it enters the queue, and hands ``place`` a
-:class:`RankedQueue` instead of letting it sort on every decision.
+:class:`RankedQueue` instead of letting it sort on every decision.  For
+priority and deadline-aware that order is also the preemption scan's
+(most urgent first, ties by arrival then job id), so the scan walks the
+ranked queue as it stands.  priority and fair-share score a tenant, not a
+job: they declare ``tenant_urgency(tenant, context)``, and the scan asks
+once per tenant.
 
 Documented in ``docs/API.md`` (cluster layer), ``docs/ARCHITECTURE.md``
 (the registries) and ``docs/TENANTS.md`` (multi-tenancy).
@@ -88,7 +93,9 @@ class SchedulingContext:
     ``tenants`` maps declared tenant names to their specs, ``usage_gpus``
     is each tenant's currently-held GPU count, and ``deficits`` is the
     fair-share ledger: entitled GPU-seconds so far minus consumed (a
-    positive deficit means the tenant is owed capacity).
+    positive deficit means the tenant is owed capacity).  The simulator
+    computes the deficits on first read, so a policy reads them during the
+    call it is given the context in.
 
     Example:
         >>> from repro.cluster.scheduler import SchedulingContext
@@ -340,9 +347,7 @@ class PriorityFirstFit:
     preempts = True
 
     def tenant_urgency(self, tenant: str, context: Optional[SchedulingContext]) -> float:
-        if context is None:
-            return 0.0
-        spec = context.tenants.get(tenant)
+        spec = context.tenants.get(tenant) if context is not None else None
         return float(spec.priority) if spec is not None else 0.0
 
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
@@ -350,7 +355,7 @@ class PriorityFirstFit:
 
     def rank_key(self, job, estimate, context: Optional[SchedulingContext] = None):
         # The negated urgency, read from the tenant spec itself: urgency
-        # calls stay the preemption scan's own, one per gang and job.
+        # calls stay the preemption scan's own.
         priority = context.priority(job) if context is not None else 0
         return (-float(priority), job.arrival_time, job.job_id)
 
