@@ -39,10 +39,8 @@ fields, tenant specs, the memoised estimate).  The simulator then ranks
 each job once, when it enters the queue, and hands ``place`` a
 :class:`RankedQueue` instead of letting it sort on every decision.  For
 priority and deadline-aware that order is also the preemption scan's
-(most urgent first, ties by arrival then job id), so the scan walks the
-ranked queue as it stands.  priority and fair-share score a tenant, not a
-job: they declare ``tenant_urgency(tenant, context)``, and the scan asks
-once per tenant.
+(most urgent first, ties by arrival then job id), so the scan walks their
+ranked queue as it stands.
 
 Documented in ``docs/API.md`` (cluster layer), ``docs/ARCHITECTURE.md``
 (the registries) and ``docs/TENANTS.md`` (multi-tenancy).
@@ -346,12 +344,8 @@ class PriorityFirstFit:
     tenant_aware = True
     preempts = True
 
-    def tenant_urgency(self, tenant: str, context: Optional[SchedulingContext]) -> float:
-        spec = context.tenants.get(tenant) if context is not None else None
-        return float(spec.priority) if spec is not None else 0.0
-
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
-        return self.tenant_urgency(job.tenant, context)
+        return float(context.priority(job)) if context is not None else 0.0
 
     def rank_key(self, job, estimate, context: Optional[SchedulingContext] = None):
         # The negated urgency, read from the tenant spec itself: urgency
@@ -386,11 +380,8 @@ class DeficitFairShare:
     tenant_aware = True
     preempts = True
 
-    def tenant_urgency(self, tenant: str, context: Optional[SchedulingContext]) -> float:
-        return context.deficit(tenant) if context is not None else 0.0
-
     def urgency(self, job, context: Optional[SchedulingContext]) -> float:
-        return self.tenant_urgency(job.tenant, context)
+        return context.deficit(job.tenant) if context is not None else 0.0
 
     def place(
         self, pending, free_gpus, estimate, context: Optional[SchedulingContext] = None

@@ -98,8 +98,10 @@ from repro.cluster.faults import (
 from repro.cluster.market import PriceCurve, gpu_cost
 from repro.cluster.scheduler import (
     POLICIES,
+    DeadlineAware,
     Placement,
     PlacementPolicy,
+    PriorityFirstFit,
     RankedQueue,
     SchedulingContext,
 )
@@ -253,24 +255,43 @@ class _PendingQueue:
             del self.keys[index]
 
 
+# Built-in policies whose ``rank_key`` order is the preemption scan's own
+# order, ``(-urgency, arrival_time, job_id)`` (checked on random queues in
+# tests/cluster/test_scheduler.py).  The scan walks their ranked queue as it
+# stands; every other preempting policy's queue is scored and sorted.
+_SCAN_IN_RANK_ORDER = (PriorityFirstFit, DeadlineAware)
+
+
 class _Deficits(Mapping):
     """Fair-share deficits (tenant -> GPU-seconds owed), computed on first read.
 
     ``compute(t)`` runs at most once, on the first lookup, iteration or
     length, so a pass whose policy never reads deficits never pays for
-    them.  The simulator reads a context only before the fleet state
-    changes, so the values are those of the instant it was built for.
+    them.  The values must be those of the instant the context was built
+    for, so the simulator closes the mapping (:meth:`close`) before the
+    fleet changes; any read after that raises :class:`ClusterError` instead
+    of returning numbers that belong to no instant.
     """
 
     __slots__ = ("_compute", "_t", "_values")
 
     def __init__(self, compute: Callable[[float], Dict[str, float]], t: float) -> None:
-        self._compute = compute
+        self._compute: Optional[Callable[[float], Dict[str, float]]] = compute
         self._t = t
         self._values: Optional[Dict[str, float]] = None
 
+    def close(self) -> None:
+        """End the mapping's instant: every later read raises."""
+        self._compute = self._values = None
+
     def _resolved(self) -> Dict[str, float]:
         if self._values is None:
+            if self._compute is None:
+                raise ClusterError(
+                    f"fair-share deficits of the drain instant t={self._t} read after "
+                    "it ended; read a SchedulingContext only during the place or "
+                    "urgency call it is passed to"
+                )
             self._values = self._compute(self._t)
         return self._values
 
@@ -278,7 +299,11 @@ class _Deficits(Mapping):
         return self._resolved()[tenant]
 
     def get(self, tenant: str, default=None):
-        return self._resolved().get(tenant, default)
+        # SchedulingContext.deficit's path: one frame once resolved.
+        values = self._values
+        if values is None:
+            values = self._resolved()
+        return values.get(tenant, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._resolved())
@@ -351,6 +376,9 @@ class _FleetRun:
         self.entries: Dict[int, _Attempt] = {}
         self.heap: List[Tuple[float, int]] = []
         self.queue = _PendingQueue(self._ranker())
+        self.scan_ranked = (
+            self.queue.rank is not None and type(sim.policy) in _SCAN_IN_RANK_ORDER
+        )
         self.records: List[JobRecord] = []
         self.killed: List[dict] = []
         self.recoveries: List[float] = []
@@ -481,9 +509,7 @@ class _FleetRun:
         while True:
             progressed = self._place_pass(t)
             if not self.preempts or not (progressed or self._try_preempt(t)):
-                # The context's lazy deficits refer back to this run; drop
-                # it so a finished run is freed without the cycle collector.
-                self.pass_context = None
+                self._end_context()
                 return
 
     def kill_unplaceable(self, t: float) -> bool:
@@ -561,6 +587,7 @@ class _FleetRun:
         if not self.queue.jobs:
             return False
         sim = self.sim
+        self._end_context()
         context = self.pass_context = self._context(t) if self.contextual else None
         placed: List[Tuple[JobSpec, NodeSpec]] = []
         reserved: Dict[str, int] = {}
@@ -632,14 +659,14 @@ class _FleetRun:
         equal-urgency gangs never thrash.
 
         Queued jobs are tried most urgent first (ties: arrival, then id).
-        A policy that also declares ``rank_key`` ranks in exactly that
-        order, so the scan walks the ranked queue as it stands and scores
-        only the jobs it reaches; any other policy's quota-eligible queue
-        is scored and sorted.  Each running gang is scored once.  The walk
-        stops at the first job no running gang is strictly less urgent
-        than — with a ranked queue, usually its head — and only a job that
-        gets past that check groups the running gangs by node, youngest
-        first.  An ``(urgency, gpus)`` pair that found no node is not
+        priority and deadline-aware rank their queue in exactly that order
+        (``_SCAN_IN_RANK_ORDER``), so the scan walks the ranked queue as it
+        stands and scores only the jobs it reaches; any other policy's
+        quota-eligible queue is scored and sorted.  Each running gang is
+        scored once.  The walk stops at the first job no running gang is
+        strictly less urgent than — with a ranked queue, usually its head
+        — and only a job that gets past that check groups the running
+        gangs by node, youngest first.  An ``(urgency, gpus)`` pair that found no node is not
         searched again: nothing changes until an eviction returns.
         Attempts enter ``entries`` in ``seq`` order, and ``seq`` grows
         with the start instant, so youngest first by ``(start, seq)`` is
@@ -647,17 +674,18 @@ class _FleetRun:
         """
         if not self.queue.jobs or not self.entries:
             return False
-        urgency = self._urgency()
+        urgency, context = self.sim.policy.urgency, self.pass_context
         attempts = list(reversed(self.entries.values()))
-        scores = [urgency(attempt.job) for attempt in attempts]
+        scores = [urgency(attempt.job, context) for attempt in attempts]
         floor = min(scores)
-        if self.queue.rank is not None:
+        if self.scan_ranked:
             candidates: Iterable[Tuple[float, JobSpec]] = (
-                (urgency(job), job) for job in self._within_quota(self.queue.ranked, {})
+                (urgency(job, context), job)
+                for job in self._within_quota(self.queue.ranked, {})
             )
         else:
             jobs = list(self._within_quota(self.queue.jobs, {}))
-            targets = [urgency(job) for job in jobs]
+            targets = [urgency(job, context) for job in jobs]
             if not jobs or max(targets) <= floor:
                 return False  # no running gang is strictly less urgent
             candidates = sorted(
@@ -697,42 +725,34 @@ class _FleetRun:
             failed.add((target, job.gpus))
         return False
 
-    def _urgency(self) -> Callable[[JobSpec], float]:
-        """The policy's urgency of a job under the latest pass's context.
-
-        For a policy that declares ``tenant_urgency(tenant, context)`` the
-        returned function asks it once per tenant and reuses the score for
-        the tenant's other jobs.
-        """
-        policy, context = self.sim.policy, self.pass_context
-        tenant_urgency = getattr(policy, "tenant_urgency", None)
-        if tenant_urgency is None:
-            urgency = policy.urgency
-            return lambda job: urgency(job, context)
-        by_tenant: Dict[str, float] = {}
-
-        def urgency_of_tenant(job: JobSpec) -> float:
-            score = by_tenant.get(job.tenant)
-            if score is None:
-                score = by_tenant[job.tenant] = tenant_urgency(job.tenant, context)
-            return score
-
-        return urgency_of_tenant
-
     def _context(self, t: float) -> SchedulingContext:
         """Tenant specs, live usage and fair-share deficits at ``t``.
 
         The deficits are computed on first read (:class:`_Deficits`): of
         the built-in policies only fair-share reads them.  The context is
         read within the pass (or the preemption scan) it was built for,
-        before any attempt starts or ends.
+        before any attempt starts or ends; :meth:`_end_context` closes it.
         """
         return SchedulingContext(
             now=t,
             tenants=self.tenants,
             usage_gpus=dict(self.usage),
-            deficits=_Deficits(self._deficits, t) if self.tenants else {},
+            deficits=_Deficits(self._deficits, t),
         )
+
+    def _end_context(self) -> None:
+        """Close and drop the latest pass's context before the fleet changes.
+
+        A policy that kept the context and reads its deficits later gets
+        an error, not values of a past instant.  Closing also breaks the
+        context's reference back to this run, so a finished run is freed
+        without the cycle collector.
+        """
+        if self.pass_context is not None:
+            deficits = self.pass_context.deficits
+            if isinstance(deficits, _Deficits):
+                deficits.close()
+            self.pass_context = None
 
     def _deficits(self, t: float) -> Dict[str, float]:
         """Each tenant's fair-share deficit at ``t``.

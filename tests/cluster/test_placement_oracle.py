@@ -10,9 +10,11 @@ not change a single field of any :class:`ClusterReport`.
 
 A second set pins the tenant-aware decision path against its previous
 form: a preemption scan that scores every running gang and every eligible
-job and sorts them (no ranked-queue walk, no per-tenant scores), a
-scheduling context whose fair-share deficits are computed eagerly, and a
-fair-share ``place`` that stable-sorts the whole queue by tenant rank.
+job and sorts them (no ranked-queue walk), a scheduling context whose
+fair-share deficits are computed eagerly, and a fair-share ``place`` that
+stable-sorts the whole queue by tenant rank.  A custom preempting policy
+whose rank order is not the scan's order must keep the scored and sorted
+scan.
 """
 
 import math
@@ -29,7 +31,9 @@ from repro.cluster.scheduler import (
     SchedulingContext,
     best_fit_node,
     first_fit_node,
+    in_rank_order,
     place_in_order,
+    register_policy,
 )
 from repro.cluster.simulator import ClusterSimulator, _Attempt, _FleetRun, run_policy_comparison
 from repro.cluster.spec import cluster_from_shorthand
@@ -295,7 +299,7 @@ def session():
     return Session()
 
 
-def replay(fleet, session):
+def replay(fleet, session, policies=POLICY_NAMES):
     if fleet["tenants"] is None:
         workload = poisson_workload(fleet["num_jobs"], fleet["rate"], fleet["seed"])
     else:
@@ -309,7 +313,7 @@ def replay(fleet, session):
     reports = run_policy_comparison(
         cluster_from_shorthand(fleet["cluster"]),
         workload,
-        policies=POLICY_NAMES,
+        policies=policies,
         session=session,
         faults=fleet["faults"],
         elastic=fleet["elastic"],
@@ -356,3 +360,80 @@ class TestOracleEquivalence:
         for name, place in ORACLE_PLACE.items():
             assert POLICIES.get(name).place.__func__ is place
         assert _FleetRun._try_preempt is oracle_try_preempt
+
+
+# ---------------------------------------------------------------------- #
+# A custom policy whose rank order is not the scan's order
+# ---------------------------------------------------------------------- #
+class PriorityThenShortest:
+    """Highest tenant priority first, then shortest job; preempts by priority.
+
+    Its ``rank_key`` breaks urgency ties by estimate, not by the scan's
+    ``(arrival, job_id)``, so walking its ranked queue would try another
+    equally urgent job first and evict other gangs.  Its placement follows
+    urgency, so preemption cannot thrash.
+    """
+
+    name = "priority-then-shortest-test"
+    tenant_aware = True
+    preempts = True
+
+    def urgency(self, job, context=None):
+        return float(context.priority(job)) if context is not None else 0.0
+
+    def rank_key(self, job, estimate, context=None):
+        priority = context.priority(job) if context is not None else 0
+        return (-float(priority), estimate(job), job.arrival_time, job.job_id)
+
+    def place(self, pending, free_gpus, estimate, context=None):
+        return place_in_order(in_rank_order(self, pending, estimate, context), free_gpus)
+
+
+@pytest.fixture(scope="module")
+def custom_ranked_policy():
+    register_policy(PriorityThenShortest)
+    yield PriorityThenShortest.name
+    POLICIES.unregister(PriorityThenShortest.name)
+
+
+def custom_policy_reports(fleet, session, name):
+    fast = replay(fleet, session, policies=(name,))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_FleetRun, "_try_preempt", scoring_try_preempt)
+        slow = replay(fleet, session, policies=(name,))
+    return fast, slow
+
+
+class TestCustomRankedPreemptingPolicy:
+    def test_contended_fleet_matches_the_scoring_scan(self, session, custom_ranked_policy):
+        # A fleet on which walking this policy's ranked queue evicts
+        # differently from the scored and sorted scan.
+        fleet = {
+            "tenants": [
+                TenantSpec("batch", rate=0.3),
+                TenantSpec("prod", priority=2, rate=0.3),
+                TenantSpec("dev", priority=1, rate=0.2),
+            ],
+            "num_jobs": 40,
+            "seed": 10,
+            "rate": 0.3,
+            "slack": 900.0,
+            "cluster": "a6000:4,2080ti:4",
+            "faults": FaultModel(preempt_rate=0.01),
+            "elastic": "restart",
+            "fault_seed": 10,
+        }
+        fast, slow = custom_policy_reports(fleet, session, custom_ranked_policy)
+        assert fast == slow
+        records = fast[custom_ranked_policy]["records"]
+        assert sum(record["preemptions"] for record in records) > 0
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+    @given(fleet=fleets.filter(lambda fleet: fleet["tenants"] is not None))
+    def test_reports_match_the_scoring_scan(self, session, custom_ranked_policy, fleet):
+        fast, slow = custom_policy_reports(fleet, session, custom_ranked_policy)
+        assert fast == slow

@@ -22,6 +22,7 @@ from repro.cluster.scheduler import (
     place_in_order,
     register_policy,
 )
+from repro.cluster.simulator import _SCAN_IN_RANK_ORDER
 from repro.cluster.workload import JobSpec, TenantSpec
 from repro.errors import ConfigurationError
 
@@ -247,12 +248,11 @@ class TestPolicyRegistry:
 # ---------------------------------------------------------------------- #
 # The preemption scan walks a ranked queue as it stands
 # ---------------------------------------------------------------------- #
-def preempting_ranked_policies():
+def scan_in_rank_order_policies():
     return [
         name
         for name in POLICIES.names()
-        if getattr(POLICIES.get(name), "preempts", False)
-        and hasattr(POLICIES.get(name), "rank_key")
+        if type(POLICIES.get(name)) in _SCAN_IN_RANK_ORDER
     ]
 
 
@@ -291,10 +291,19 @@ def ranked_fleets(draw):
 
 
 def test_the_builtin_preempting_ranked_policies_are_covered():
-    assert preempting_ranked_policies() == ["priority", "deadline-aware"]
+    # Every built-in policy that preempts and ranks is one the scan walks
+    # in rank order, so each is checked below.
+    preempting_ranked = [
+        name
+        for name in POLICIES.names()
+        if getattr(POLICIES.get(name), "preempts", False)
+        and hasattr(POLICIES.get(name), "rank_key")
+    ]
+    assert preempting_ranked == ["priority", "deadline-aware"]
+    assert scan_in_rank_order_policies() == preempting_ranked
 
 
-@pytest.mark.parametrize("name", preempting_ranked_policies())
+@pytest.mark.parametrize("name", scan_in_rank_order_policies())
 @settings(max_examples=200, deadline=None)
 @given(fleet=ranked_fleets())
 def test_rank_order_is_the_scan_order(name, fleet):
@@ -309,19 +318,3 @@ def test_rank_order_is_the_scan_order(name, fleet):
     assert ranked == sorted(
         jobs, key=lambda job: (-policy.urgency(job, context), job.arrival_time, job.job_id)
     )
-
-
-@pytest.mark.parametrize(
-    "name", [name for name in POLICIES.names() if hasattr(POLICIES.get(name), "tenant_urgency")]
-)
-@settings(max_examples=100, deadline=None)
-@given(
-    fleet=ranked_fleets(),
-    deficits=st.dictionaries(st.sampled_from(TENANT_NAMES), st.floats(-1e4, 1e4, allow_nan=False)),
-)
-def test_tenant_urgency_is_the_urgency_of_each_tenant_job(name, fleet, deficits):
-    jobs, context = fleet
-    context = SchedulingContext(now=context.now, tenants=context.tenants, deficits=deficits)
-    policy = POLICIES.get(name)
-    for job in jobs:
-        assert policy.urgency(job, context) == policy.tenant_urgency(job.tenant, context)

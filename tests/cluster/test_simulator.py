@@ -307,6 +307,38 @@ class TestPolicyBehaviourOnFleet:
         finally:
             POLICIES.unregister("peeker-test")
 
+    def test_deficits_read_after_their_instant_raise(self, small_cluster):
+        # The deficits are computed on first read; a context kept past its
+        # drain instant would give numbers of no instant, so reading them
+        # then fails instead.
+        reads = []
+
+        @register_policy
+        class Hoarder:
+            name = "hoarder-test"
+            tenant_aware = True
+
+            kept = []
+
+            def place(self, pending, free_gpus, estimate, context=None):
+                reads.append(dict(context.deficits))  # during the call: fine
+                if self.kept:
+                    dict(self.kept[0].deficits)
+                self.kept.append(context)
+                return place_in_order(pending, free_gpus)
+
+        try:
+            workload = Workload(
+                name="w",
+                jobs=(job("j0", 0.0, 1, tenant="t"), job("j1", 10.0, 1, tenant="t")),
+                tenants=(TenantSpec("t"),),
+            )
+            with pytest.raises(ClusterError, match=r"t=0\.0 read after it ended"):
+                ClusterSimulator(small_cluster, policy="hoarder-test").run(workload)
+            assert reads == [{"t": 0.0}, {"t": 50.0}]  # j0 at t=0, j1 at t=10
+        finally:
+            POLICIES.unregister("hoarder-test")
+
     def test_placement_on_unknown_node_blames_the_policy(self, small_cluster):
         @register_policy
         class Lost:
@@ -420,22 +452,6 @@ class TestPolicyBehaviourOnFleet:
             POLICIES.unregister("reversed-test")
 
 
-def count_scoring(policy, monkeypatch, count):
-    """Call ``count()`` on every urgency score the policy gives.
-
-    A policy declaring ``tenant_urgency`` is scored through it (its
-    ``urgency`` delegates there), any other through ``urgency``.
-    """
-    name = "tenant_urgency" if hasattr(policy, "tenant_urgency") else "urgency"
-    score = getattr(policy, name)
-
-    def counting_score(subject, context):
-        count()
-        return score(subject, context)
-
-    monkeypatch.setattr(policy, name, counting_score)
-
-
 class TestPreemptionGate:
     """A plain run never ranks urgency: that pass at every stalled drain
     made plain fleets of the preempting policies 20-30x slower."""
@@ -445,7 +461,7 @@ class TestPreemptionGate:
         policy = POLICIES.get(policy_name)
         counts = {"outside": 0}
         placing = []
-        place = policy.place
+        place, urgency = policy.place, policy.urgency
 
         def counting_place(*args, **kwargs):
             placing.append(True)
@@ -454,13 +470,14 @@ class TestPreemptionGate:
             finally:
                 placing.pop()
 
-        def count():
-            # A policy's own place may score; only count the rest.
+        def counting_urgency(job, context):
+            # priority's own place ranks by urgency; only count the rest.
             if not placing:
                 counts["outside"] += 1
+            return urgency(job, context)
 
         monkeypatch.setattr(policy, "place", counting_place)
-        count_scoring(policy, monkeypatch, count)
+        monkeypatch.setattr(policy, "urgency", counting_urgency)
         report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
         assert report.num_jobs == len(workload.jobs)
         return counts["outside"]
@@ -484,8 +501,8 @@ class TestPlacementCost:
     every running gang for each starved job and node.  Now a ranked
     policy's key is computed once per enqueue, each estimate builds one
     config, and the preemption scan is one pass over data computed once:
-    it scores a tenant once where the policy scores tenants, and walks a
-    ranked queue only as far as the first job that beats no running gang.
+    for priority and deadline-aware it walks the ranked queue only as far
+    as the first job that beats no running gang.
     """
 
     @staticmethod
@@ -630,21 +647,18 @@ class TestPlacementCost:
 
     @staticmethod
     def scan_budget(run, urgency):
-        """The most scores one preemption scan may take.
+        """The most urgency calls one preemption scan may make.
 
-        A ``tenant_urgency`` policy scores each tenant of the running gangs
-        and the eligible queue once.  Any other scores each running gang
-        once; with a ranked queue it then walks the queue most urgent
-        first and stops at the first job no gang is strictly less urgent
-        than, so it scores the jobs that beat the lowest running urgency
-        plus at most one; without one it scores every eligible job.
+        Each running gang is scored once.  A scan in rank order (priority,
+        deadline-aware) then walks the queue most urgent first and stops
+        at the first job no gang is strictly less urgent than, so it scores
+        the jobs that beat the lowest running urgency plus at most one; any
+        other scan scores every eligible job.
         """
-        policy, context = run.sim.policy, run.pass_context
+        context = run.pass_context
         running = [attempt.job for attempt in run.entries.values()]
         eligible = list(run._eligible({}))
-        if hasattr(policy, "tenant_urgency"):
-            return len({job.tenant for job in running + eligible})
-        if run.queue.rank is None:
+        if not run.scan_ranked:
             return len(running) + len(eligible)
         floor = min(urgency(job, context) for job in running)
         beating = sum(urgency(job, context) > floor for job in eligible)
@@ -657,23 +671,24 @@ class TestPlacementCost:
         workload = self.saturated_tenant_fleet()
         policy = POLICIES.get(policy_name)
         urgency, try_preempt = policy.urgency, _FleetRun._try_preempt
-        calls = {"score": 0, "preempt": 0}
+        calls = {"urgency": 0, "preempt": 0}
         over_budget = []
+
+        def counting_urgency(job, context):
+            calls["urgency"] += 1
+            return urgency(job, context)
 
         def checked_try_preempt(run, t):
             budget = self.scan_budget(run, urgency) if run.queue and run.entries else 0
-            before = calls["score"]
+            before = calls["urgency"]
             calls["preempt"] += 1
             evicted = try_preempt(run, t)
-            scores = calls["score"] - before
+            scores = calls["urgency"] - before
             if scores > budget:
                 over_budget.append((t, scores, budget))
             return evicted
 
-        def count():
-            calls["score"] += 1
-
-        count_scoring(policy, monkeypatch, count)
+        monkeypatch.setattr(policy, "urgency", counting_urgency)
         monkeypatch.setattr(_FleetRun, "_try_preempt", checked_try_preempt)
         report = ClusterSimulator(default_cluster(), policy=policy_name).run(workload)
         assert calls["preempt"] > 10  # the fleet is saturated: drains stall
