@@ -35,10 +35,12 @@ median change larger than the parent's interquartile range::
 
     python tools/bench_record.py --check BENCH_<pr>.json --claim plan-cold:ops_per_s
 
-``--bound-scale FACTOR`` multiplies every bound.  CI records HEAD~1
-against HEAD with 3 pairs of 2-second runs on a shared runner and checks
-that record at ``--bound-scale 2`` (e.g. 48% for ``ops_per_s``): it
-catches a gross slowdown, not a small one, and claims no gain.
+A workload recorded with fewer pairs than a claim needs
+(:data:`CLAIM_MIN_PAIRS`) is checked at twice every bound (e.g. 48% for
+``ops_per_s``): so few pairs cannot tell a small slowdown from noise, and
+they carry no claim anyway.  That is CI's recording of HEAD~1 against
+HEAD (3 pairs of 2-second runs on a shared runner): it catches a gross
+slowdown, not a small one.
 
 Before the first run the tool compiles ``src`` and ``perfbench`` in both
 trees (``python -m compileall -q``), so every spawn imports up-to-date
@@ -278,16 +280,15 @@ def claim_holds(entry: dict) -> bool:
     )
 
 
-def check(
-    document: dict, benchmark: dict, claims: List[str], bound_scale: float = 1.0
-) -> List[str]:
+def check(document: dict, benchmark: dict, claims: List[str]) -> List[str]:
     """Print the comparison table of a record; return every failure found.
 
     Each metric's regression bound is its ``BENCHMARK.json`` (or tool
-    workload) bound times ``bound_scale``.
+    workload) bound, doubled for a workload of fewer than
+    :data:`CLAIM_MIN_PAIRS` pairs.
     """
     bounds = {
-        metric["name"]: metric["bound"] * bound_scale
+        metric["name"]: metric["bound"]
         for metrics in (benchmark["end_to_end"], *TOOL_WORKLOADS.values())
         for metric in metrics
     }
@@ -299,13 +300,15 @@ def check(
     print("| workload | metric | parent | change | median delta | pairs better | bound | verdict |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     for workload, record in sorted(document["workloads"].items()):
+        scale = 1.0 if record["pairs"] >= CLAIM_MIN_PAIRS else 2.0
         for name, entry in record["end_to_end"].items():
+            bound = bounds[name] * scale
             verdict = "ok"
-            if regressed(entry, bounds[name]):
+            if regressed(entry, bound):
                 verdict = "REGRESSED"
                 failures.append(
                     f"{workload} {name}: median delta {entry['median_delta']:+.1%} is past "
-                    f"the {bounds[name]:.0%} bound with most pairs worse"
+                    f"the {bound:.0%} bound with most pairs worse"
                 )
             if f"{workload}:{name}" in claims:
                 if claim_holds(entry):
@@ -322,7 +325,7 @@ def check(
                 f"| {workload} | {name} | {entry['parent']['median']:.4g} "
                 f"| {entry['change']['median']:.4g} | {entry['median_delta']:+.1%} "
                 f"| {entry['pairs_better']}/{len(entry['pair_deltas'])} "
-                f"| {bounds[name]:.0%} | {verdict} |"
+                f"| {bound:.0%} | {verdict} |"
             )
     return failures
 
@@ -336,14 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=[],
         metavar="WORKLOAD:METRIC",
         help="with --check: a gain the record must show (repeatable)",
-    )
-    parser.add_argument(
-        "--bound-scale",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="with --check: multiply every regression bound (default 1; CI's short "
-        "recording uses 2)",
     )
     parser.add_argument("--parent", type=Path, help="parent checkout")
     parser.add_argument("--change", type=Path, help="change checkout")
@@ -363,11 +358,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.check is not None:
         benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-        if not args.bound_scale > 0:
-            parser.error("--bound-scale must be > 0")
-        failures = check(
-            json.loads(args.check.read_text()), benchmark, args.claim, args.bound_scale
-        )
+        failures = check(json.loads(args.check.read_text()), benchmark, args.claim)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1 if failures else 0
