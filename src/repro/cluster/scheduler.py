@@ -93,7 +93,8 @@ class SchedulingContext:
     fair-share ledger: entitled GPU-seconds so far minus consumed (a
     positive deficit means the tenant is owed capacity).  The simulator
     computes the deficits on first read, so a policy reads them during the
-    call it is given the context in.
+    call it is given the context in; once the fleet has changed, a read
+    raises :class:`~repro.errors.ClusterError`.
 
     Example:
         >>> from repro.cluster.scheduler import SchedulingContext
