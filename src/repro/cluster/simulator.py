@@ -51,8 +51,9 @@ produces a bit-identical :class:`ClusterReport` — fault runs included.
 
 Epoch-time memo audit (PR 5): the memo key deliberately carries *no*
 placement-policy or fault context.  An epoch time is a property of the
-experiment cell alone — ``cell_key()`` pins task/dataset/server/gpus/batch,
-plus strategy and step count — and is invariant under which policy chose
+experiment cell alone — ``JobSpec.epoch_key(server)`` is the config's
+``cell_key()`` (task/dataset/server/gpus/batch) plus strategy and step
+count — and is invariant under which policy chose
 the node or which faults later hit it: straggler slowdowns scale *wall*
 time at the event level (never the memoised nominal time), and elastic
 ``shrink`` re-partitions land in the memo under their actual smaller gang
@@ -106,19 +107,12 @@ from repro.cluster.scheduler import (
     SchedulingContext,
 )
 from repro.cluster.spec import ClusterSpec, NodeSpec
-from repro.cluster.workload import JobSpec, Workload
+from repro.cluster.workload import EpochKey, JobSpec, Workload
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ClusterError
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-
-#: Epoch-time memo key: experiment cell + strategy + simulated step count.
-#: Complete by construction — epoch time depends on nothing else (in
-#: particular not on the placement policy, the elastic policy or the fault
-#: trace), so the memo is safely shared across policy comparisons and
-#: fault-injected replays.
-EpochKey = Tuple[Tuple[str, str, str, int, int], str, int]
 
 #: Service-estimate memo key: task, dataset, batch size, gang size,
 #: strategy, simulated steps and epochs — every job field the estimate reads.
@@ -505,12 +499,51 @@ class _FleetRun:
             self.fleet_since = t
 
     def drain(self, t: float) -> None:
-        """Place queued gangs, preempting on the policy's behalf if stuck."""
+        """Place queued gangs, preempting on the policy's behalf if stuck.
+
+        A preempting policy whose ``place`` order disagrees with its
+        ``urgency`` can evict a gang and re-place it at one instant forever;
+        :meth:`_no_livelock` turns that into a :class:`ClusterError`.
+        """
+        states: Optional[set] = None  # fleet states after evicting scans at t
         while True:
             progressed = self._place_pass(t)
             if not self.preempts or not (progressed or self._try_preempt(t)):
                 self._end_context()
                 return
+            if not progressed:  # the scan evicted
+                if states is None:
+                    states = set()
+                self._no_livelock(t, states)
+
+    def _no_livelock(self, t: float, states: set) -> None:
+        """Record the fleet state after an evicting scan at ``t``; raise on a repeat.
+
+        The state is the running gangs (job, node, size, in start order) and
+        the queue in enqueue order.  A policy's next decisions at ``t``
+        follow from it: the free ledger, the usage and the ranked order do,
+        and the deficits cannot move within one instant (an eviction only
+        moves a gang's GPU-seconds from live to consumed).  So a state seen
+        before means the drain would cycle forever.  Only drains that evict
+        pay for the check.
+        """
+        state = (
+            tuple((a.job.job_id, a.node.name, a.gpus) for a in self.entries.values()),
+            tuple(job.job_id for job in self.queue.jobs),
+        )
+        if state in states:
+            self._end_context()
+            cycling = [
+                job.job_id
+                for job in self.queue.jobs
+                if self.progress[job.job_id].interrupted_at == t
+            ]
+            raise ClusterError(
+                f"policy {self.sim.policy.name!r} livelocked at t={t}: its place "
+                "order re-places the gangs its urgency evicts, so the fleet keeps "
+                f"returning to one state; evicted and re-placed: {cycling}"
+            )
+        states.add(state)
 
     def kill_unplaceable(self, t: float) -> bool:
         """Kill queued gangs the fleet can never host again; False if none."""
@@ -612,9 +645,9 @@ class _FleetRun:
             placed.append((job, node))
         if not placed:
             return False
-        configs = sim._fill_epoch_times(placed)
-        for (job, node), config in zip(placed, configs):
-            self._start(job, node, job.gpus, t, "restart", config)
+        sim._fill_epoch_times(placed)
+        for job, node in placed:
+            self._start(job, node, job.gpus, t, "restart")
         return True
 
     def _resolve(self, placement: Placement, reserved: Dict[str, int]) -> Tuple[JobSpec, NodeSpec]:
@@ -817,27 +850,16 @@ class _FleetRun:
     # ------------------------------------------------------------------ #
     # Attempt lifecycle
     # ------------------------------------------------------------------ #
-    def _start(
-        self,
-        job: JobSpec,
-        node: NodeSpec,
-        gpus: int,
-        t: float,
-        action: str,
-        config: Optional[ExperimentConfig] = None,
-    ) -> None:
-        """Start an attempt on GPUs the caller already took from ``free``.
-
-        ``config`` is the sized job's experiment config on ``node`` when the
-        caller has built it already.
-        """
+    def _start(self, job: JobSpec, node: NodeSpec, gpus: int, t: float, action: str) -> None:
+        """Start an attempt on GPUs the caller already took from ``free``."""
         self.events += 1
+        sim = self.sim
         prog = self.progress[job.job_id]
-        overhead = 0.0 if prog.attempts == 0 else self.sim.recovery.overhead(action)
+        overhead = 0.0 if prog.attempts == 0 else sim.recovery.overhead(action)
         sized = _sized(job, gpus)
-        if config is None:
-            config = sized.experiment_config(node.server)
-        attempt_full = self.sim._config_epoch_time(config, sized) * sized.epochs
+        server = node.server
+        key = sized.epoch_key(server)
+        attempt_full = sim._epoch_time(key, sized, server) * sized.epochs
         nominal_total = overhead + (1.0 - prog.done) * attempt_full
         finish = t + nominal_total * self.factor[node.name]
         seq = next(self.sequence)
@@ -846,7 +868,7 @@ class _FleetRun:
             job=job,
             node=node,
             gpus=gpus,
-            cell=config.cell_label(),
+            cell=sim._cell(key, sized, server)[1],
             overhead=overhead,
             attempt_full=attempt_full,
             nominal_total=nominal_total,
@@ -999,6 +1021,9 @@ class ClusterSimulator:
         self._epoch_times: Dict[EpochKey, float] = (
             epoch_time_cache if epoch_time_cache is not None else {}
         )
+        # Each distinct key's experiment config and cell label, built the
+        # first time this simulator sees the key (see _cell).
+        self._cells: Dict[EpochKey, Tuple[ExperimentConfig, str]] = {}
         self._estimates: Dict[EstimateKey, float] = {}
         # Per-run aggregates the event loops fill with plain local ints and
         # _flush_metrics pushes to the registry once per run().
@@ -1017,21 +1042,38 @@ class ClusterSimulator:
         epoch time.  Elastic re-partitions therefore memoise under their
         actual (smaller) gang size, never alias the original one.
         """
-        return self._config_epoch_time(job.experiment_config(node.server), job)
+        return self._epoch_time(job.epoch_key(node.server), job, node.server)
 
-    def _config_epoch_time(self, config: ExperimentConfig, job: JobSpec) -> float:
-        key: EpochKey = (config.cell_key(), job.strategy, job.simulated_steps)
-        if key not in self._epoch_times:
-            self._epoch_times[key] = self.session.run(config).epoch_time
-        return self._epoch_times[key]
+    def _epoch_time(self, key: EpochKey, job: JobSpec, server: str) -> float:
+        """The memoised epoch time of ``key``, ``job``'s memo key on ``server``."""
+        epoch = self._epoch_times.get(key)
+        if epoch is None:
+            config = self._cell(key, job, server)[0]
+            epoch = self._epoch_times[key] = self.session.run(config).epoch_time
+        return epoch
+
+    def _cell(self, key: EpochKey, job: JobSpec, server: str) -> Tuple[ExperimentConfig, str]:
+        """``job``'s experiment config on ``server`` and its cell label.
+
+        Built the first time this simulator sees ``key`` (``job``'s memo key
+        on ``server``), so a fleet replay builds and validates one
+        ``ExperimentConfig`` per distinct cell, not one per placement.  The
+        config fills the memo on a miss; the label names each attempt's
+        cell in the report.
+        """
+        cell = self._cells.get(key)
+        if cell is None:
+            config = job.experiment_config(server)
+            cell = self._cells[key] = (config, config.cell_label())
+        return cell
 
     def service_time(self, job: JobSpec, node: NodeSpec) -> float:
         """Full service time: per-epoch time scaled by the job's epoch count."""
         # Skips the epoch_time call level; estimate_service_time lands here
         # once per distinct estimate key, then answers from its own memo.
-        return self._config_epoch_time(job.experiment_config(node.server), job) * job.epochs
+        return self._epoch_time(job.epoch_key(node.server), job, node.server) * job.epochs
 
-    def _fill_epoch_times(self, placements) -> List[ExperimentConfig]:
+    def _fill_epoch_times(self, placements: Sequence[Tuple[JobSpec, NodeSpec]]) -> None:
         """Batch-fill the epoch-time memo for freshly decided placements.
 
         The event loop collects every placement made at one event instant
@@ -1041,29 +1083,23 @@ class ClusterSimulator:
         reports stay readable at fleet scale.  Only keys the drained
         placements actually need are filled: the memo contents (and with
         them ``simulations_run`` and the store audit counters) are
-        identical to the per-event fills this replaces.  Returns each
-        placement's experiment config, so the starts do not build it again.
+        identical to the per-event fills this replaces.
         """
-        configs = []
-        missing = []
-        seen = set()
+        memo = self._epoch_times
+        missing: Dict[EpochKey, Tuple[JobSpec, str]] = {}
         for job, node in placements:
-            config = job.experiment_config(node.server)
-            configs.append(config)
-            key: EpochKey = (config.cell_key(), job.strategy, job.simulated_steps)
-            if key not in self._epoch_times and key not in seen:
-                seen.add(key)
-                missing.append((key, config))
+            key = job.epoch_key(node.server)
+            if key not in memo and key not in missing:
+                missing[key] = (job, node.server)
         if not missing:
-            return configs
+            return
         with span("cluster.memo_fill", cells=len(missing), policy=self.policy.name):
-            for key, config in missing:
-                self._epoch_times[key] = self.session.run(config).epoch_time
+            for key, (job, server) in missing.items():
+                self._epoch_time(key, job, server)
         get_registry().counter(
             "repro_cluster_memo_fill_cells_total",
             "epoch-time memo cells filled, batched per drain instant",
         ).inc(len(missing), policy=self.policy.name)
-        return configs
 
     def estimate_service_time(self, job: JobSpec) -> float:
         """Node-independent estimate used by ordering policies (e.g. SJF).

@@ -39,6 +39,13 @@ from repro.parallel.registry import REGISTRY
 #: How a tenant's job deadlines are interpreted by the SLO analytics.
 DEADLINE_POLICIES = ("none", "soft", "strict")
 
+#: Epoch-time memo key: experiment cell + strategy + simulated step count.
+#: Complete by construction — epoch time depends on nothing else (in
+#: particular not on the placement policy, the elastic policy or the fault
+#: trace), so the memo is safely shared across policy comparisons and
+#: fault-injected replays.  :meth:`JobSpec.epoch_key` builds it.
+EpochKey = Tuple[Tuple[str, str, str, int, int], str, int]
+
 
 def _finite_positive(value: float) -> bool:
     """``value > 0`` and finite; a bare ``<= 0`` guard lets NaN through."""
@@ -268,6 +275,19 @@ class JobSpec:
             batch_size=self.batch_size,
             strategy=self.strategy,
             simulated_steps=self.simulated_steps,
+        )
+
+    def epoch_key(self, server: str) -> EpochKey:
+        """The epoch-time memo key of this job on ``server``.
+
+        Equal to ``(self.experiment_config(server).cell_key(), strategy,
+        simulated_steps)``, built without the config, so a fleet replay
+        reads its memo without an ``ExperimentConfig`` per placement.
+        """
+        return (
+            (self.task, self.dataset, server, self.gpus, self.batch_size),
+            self.strategy,
+            self.simulated_steps,
         )
 
     def describe(self) -> str:

@@ -64,9 +64,9 @@ def check_ledgers(monkeypatch):
     fault = _FleetRun.fault
     start = _FleetRun._start
 
-    def counted_start(self, job, node, gpus, t, action, config=None):
+    def counted_start(self, job, node, gpus, t, action):
         counts["shrinks"] += gpus < job.gpus
-        return start(self, job, node, gpus, t, action, config)
+        return start(self, job, node, gpus, t, action)
 
     def checked_fault(self, t, action, event, token):
         history = self.__dict__.setdefault("resizes", [(0.0, oracle_fleet(self))])

@@ -11,7 +11,7 @@ from repro.analysis.cluster_report import (
     format_cluster_report,
     percentile,
 )
-from repro.cluster.faults import FaultEvent, FaultTrace
+from repro.cluster.faults import FaultEvent, FaultModel, FaultTrace
 from repro.cluster.scheduler import (
     POLICIES,
     Placement,
@@ -29,6 +29,7 @@ from repro.cluster.workload import (
     poisson_workload,
     tenant_workload,
 )
+from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ClusterError, ConfigurationError
 
@@ -338,6 +339,47 @@ class TestPolicyBehaviourOnFleet:
             assert reads == [{"t": 0.0}, {"t": 50.0}]  # j0 at t=0, j1 at t=10
         finally:
             POLICIES.unregister("hoarder-test")
+
+    def test_place_order_against_urgency_raises_instead_of_livelocking(self):
+        # urgency is the tenant priority, but place starts the earliest
+        # arrival: each scan evicts "low" for "high", and the next pass
+        # re-places "low" at the same instant.  The drain must name the
+        # cycle; the place-call budget keeps a regression from hanging.
+        calls = []
+
+        @register_policy
+        class Stubborn:
+            name = "stubborn-test"
+            tenant_aware = True
+            preempts = True
+
+            def urgency(self, job, context):
+                return float(context.priority(job)) if context is not None else 0.0
+
+            def place(self, pending, free_gpus, estimate, context=None):
+                calls.append(None)
+                if len(calls) > 1000:
+                    raise RuntimeError("the drain did not stop")
+                by_arrival = sorted(pending, key=lambda job: job.arrival_time)
+                return place_in_order(by_arrival, free_gpus)
+
+        try:
+            cluster = ClusterSpec(
+                name="one", nodes=(NodeSpec(name="a", server="a6000", num_gpus=4),)
+            )
+            workload = Workload(
+                name="w",
+                jobs=(job("low", 0.0, 4, tenant="batch"), job("high", 1.0, 4, tenant="prod")),
+                tenants=(TenantSpec("batch"), TenantSpec("prod", priority=2)),
+            )
+            with pytest.raises(
+                ClusterError,
+                match=r"policy 'stubborn-test' livelocked at t=1\.0: .*re-placed: \['low'\]",
+            ):
+                ClusterSimulator(cluster, policy="stubborn-test").run(workload)
+            assert len(calls) < 10
+        finally:
+            POLICIES.unregister("stubborn-test")
 
     def test_placement_on_unknown_node_blames_the_policy(self, small_cluster):
         @register_policy
@@ -915,6 +957,57 @@ class TestEpochMemoAudit:
         assert session.stats.runs == runs_after_first
         for name in first:
             assert first[name].to_json() == second[name].to_json()
+
+    def test_each_simulator_builds_one_config_per_distinct_key(self, monkeypatch):
+        # Placement passes, shrink restarts and estimates read the memo by
+        # JobSpec.epoch_key; an ExperimentConfig is built only the first
+        # time a simulator meets a key, whether or not the shared memo
+        # already holds its epoch time.
+        builds = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counting_post_init(config):
+            builds.append((config.cell_key(), config.strategy, config.simulated_steps))
+            post_init(config)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting_post_init)
+        cluster, memo, session = default_cluster(), {}, Session()
+        workload = poisson_workload(200, rate=0.5, seed=3)
+        shrunk = 0
+        for name in ("sjf", "fifo", "sjf"):
+            builds.clear()
+            report = ClusterSimulator(
+                cluster,
+                policy=name,
+                session=session,
+                epoch_time_cache=memo,
+                faults=FaultModel(preempt_rate=0.002, preempt_gpus=2),
+                elastic="shrink",
+            ).run(workload)
+            assert len(builds) == len(set(builds))
+            assert set(builds) <= set(memo)
+            shrunk += sum(record.final_gpus < record.gpus for record in report.records)
+        assert shrunk  # the shrink path built its smaller gangs' configs too
+        assert session.stats.runs == len(memo)
+
+    def test_epoch_and_service_time_are_the_sessions(self):
+        cluster = default_cluster()
+        memo = {}
+        simulator = ClusterSimulator(cluster, session=Session(), epoch_time_cache=memo)
+        reference = Session()
+        keys = set()
+        for spec in self._workload().jobs:
+            for node in cluster.nodes:
+                if node.num_gpus < spec.gpus:
+                    continue
+                config = spec.experiment_config(node.server)
+                expected = reference.run(config).epoch_time
+                assert simulator.epoch_time(spec, node) == expected
+                assert simulator.service_time(spec, node) == expected * spec.epochs
+                keys.add((config.cell_key(), spec.strategy, spec.simulated_steps))
+            first = next(node for node in cluster.nodes if node.num_gpus >= spec.gpus)
+            assert simulator.estimate_service_time(spec) == simulator.service_time(spec, first)
+        assert set(memo) == keys  # a shared memo keeps its EpochKey keys
 
     def test_memo_key_distinguishes_server_type_and_gang_size(self):
         cluster = ClusterSpec(

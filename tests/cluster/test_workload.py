@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.workload import (
     DEFAULT_MIX,
@@ -18,7 +20,9 @@ from repro.cluster.workload import (
     replay_workload,
     tenant_workload,
 )
+from repro.core.config import VALID_DATASETS, VALID_SERVERS, VALID_TASKS
 from repro.errors import ConfigurationError
+from repro.parallel.registry import REGISTRY
 
 
 def job(job_id="job-0", arrival=0.0, **overrides):
@@ -36,6 +40,36 @@ class TestJobSpec:
         assert config.batch_size == 128
         assert config.strategy == "TR"
         assert config.simulated_steps == spec.simulated_steps
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        task=st.sampled_from(VALID_TASKS),
+        dataset=st.sampled_from(VALID_DATASETS),
+        server=st.sampled_from(VALID_SERVERS),
+        gpus=st.integers(1, 16),
+        batch_size=st.sampled_from([16, 32, 64, 128, 256, 512]),
+        strategy=st.sampled_from(REGISTRY.names()),
+        steps=st.integers(4, 40),
+        epochs=st.integers(1, 5),
+    )
+    def test_epoch_key_is_the_configs_memo_key(
+        self, task, dataset, server, gpus, batch_size, strategy, steps, epochs
+    ):
+        # The fleet memo is read through epoch_key without building the
+        # config; it must name the same entry the config would.
+        spec = JobSpec(
+            job_id="j",
+            arrival_time=0.0,
+            gpus=gpus,
+            task=task,
+            dataset=dataset,
+            batch_size=max(batch_size, gpus),
+            strategy=strategy,
+            epochs=epochs,
+            simulated_steps=steps,
+        )
+        config = spec.experiment_config(server)
+        assert spec.epoch_key(server) == (config.cell_key(), spec.strategy, spec.simulated_steps)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

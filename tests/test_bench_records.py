@@ -79,6 +79,9 @@ def check_workload(record: dict, workload: str = "plan-cold") -> None:
     for side, layers in record.get("per_layer", {}).items():
         assert side in ("parent", "change")
         assert all(isinstance(value, (int, float)) for value in layers.values())
+    # Records before traced pairs carry one traced run per side and no count.
+    if "traced_pairs" in record:
+        assert record["traced_pairs"] >= 3 and "per_layer" in record
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=[path.name for path in RECORDS])
@@ -166,6 +169,43 @@ def test_both_trees_are_compiled_before_the_first_run(tmp_path, monkeypatch):
     assert calls[:2] == [("compile", parent), ("compile", change)]
     assert [call for call, _ in calls[2:]] == ["run"] * 4
     check_workload(json.loads(out.read_text())["workloads"]["plan-cold"])
+
+
+def test_traced_pairs_alternate_and_record_per_layer_medians(tmp_path, monkeypatch):
+    tool = load_tool()
+    assert tool.TRACED_PAIRS >= 3
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "mod.py").write_text(f"SIDE = {checkout.name!r}\n")
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    monkeypatch.setattr(tool, "compile_tree", lambda checkout: None)
+    traced = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        metrics = {name: {"value": 1.0} for name in END_TO_END}
+        if trace:
+            traced.append(checkout.name)
+            # The first traced run of each side is an outlier a median drops.
+            runs = traced.count(checkout.name)
+            base = 100.0 if checkout == parent else 80.0
+            metrics["cluster.run_self_ms"] = {"value": base * (3.0 if runs == 1 else 1.0)}
+            metrics["cluster.memo_fills"] = {"value": 384}
+        return {"correct": True, "failed": 0, "attempted": 1, "metrics": metrics}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    out = tmp_path / "BENCH_7.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--parent-commit", "0" * 40]
+    argv += ["--pr", "7", "--pairs", "2", "--workload", "fleet-reliable", "--traced"]
+    assert tool.main(argv + ["--out", str(out)]) == 0
+    assert traced == [side for pair in range(tool.TRACED_PAIRS) for side in tool.pair_order(pair)]
+    record = json.loads(out.read_text())["workloads"]["fleet-reliable"]
+    check_workload(record, "fleet-reliable")
+    assert record["traced_pairs"] == tool.TRACED_PAIRS
+    assert record["per_layer"] == {
+        "parent": {"cluster.run_self_ms": 100.0, "cluster.memo_fills": 384},
+        "change": {"cluster.run_self_ms": 80.0, "cluster.memo_fills": 384},
+    }
 
 
 @pytest.mark.parametrize("workload", ["cli-run", "sweep"])

@@ -7,8 +7,11 @@ pairs per workload.  Every run is a fresh process tree with the same seed
 and length, so each pair times the same operations.  The output keeps every
 run's end-to-end metrics (``BENCHMARK.json``'s ``end_to_end`` list), the
 median and interquartile range of each side, and per pair the relative
-change of each metric.  With ``--traced`` one traced run per side and
-workload adds the per-layer table.
+change of each metric.  With ``--traced``, :data:`TRACED_PAIRS` alternating
+traced pairs per workload add the per-layer table: each side's median of
+every per-layer metric.  One traced run per side is too noisy to carry a
+layer claim: two runs of the same code have read ``cluster.memo_fill_ms``
+a third apart.
 
 Besides the ``BENCHMARK.json`` workloads the tool times paths the
 benchmark does not cover (:data:`TOOL_WORKLOADS`), each with its own
@@ -77,6 +80,8 @@ SIDES = ("parent", "change")
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: The fewest pairs a claimed gain may rest on.
 CLAIM_MIN_PAIRS = 10
+#: Alternating traced pairs per workload behind ``--traced``'s per-layer medians.
+TRACED_PAIRS = 3
 #: Workloads the tool runs itself, each with its end-to-end metrics.
 WALL_S = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
 TOOL_WORKLOADS = {"cli-run": WALL_S, "sweep": WALL_S}
@@ -215,13 +220,30 @@ def summarise(runs: Dict[str, List[dict]], metrics: List[dict]) -> Dict[str, dic
     return summary
 
 
+def pair_order(pair: int) -> tuple:
+    """The sides of pair ``pair`` in run order: parent first on even pairs."""
+    return SIDES if pair % 2 == 0 else SIDES[::-1]
+
+
+def per_layer(traced: Dict[str, List[dict]], end_to_end) -> Dict[str, Dict[str, float]]:
+    """Per side, the median of every per-layer metric over its traced runs."""
+    return {
+        side: {
+            name: statistics.median(run["metrics"][name]["value"] for run in runs)
+            for name in runs[0]["metrics"]
+            if name not in end_to_end
+        }
+        for side, runs in traced.items()
+    }
+
+
 def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict:
     checkouts = {"parent": args.parent, "change": args.change}
     metrics = metrics_for(workload, benchmark)
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     order_log = []
     for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        order = pair_order(pair)
         order_log.append(list(order))
         for side in order:
             started = time.perf_counter()
@@ -248,15 +270,13 @@ def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict
         "end_to_end": summarise(runs, metrics),
     }
     if args.traced and workload not in TOOL_WORKLOADS:
-        layers = {}
-        for side in SIDES:
-            result = run_once(checkouts[side], workload, args.seed, args.seconds, 1)
-            layers[side] = {
-                name: value["value"]
-                for name, value in result["metrics"].items()
-                if name not in record["end_to_end"]
-            }
-        record["per_layer"] = layers
+        traced: Dict[str, List[dict]] = {side: [] for side in SIDES}
+        for pair in range(TRACED_PAIRS):
+            for side in pair_order(pair):
+                result = run_once(checkouts[side], workload, args.seed, args.seconds, 1)
+                traced[side].append(result)
+        record["traced_pairs"] = TRACED_PAIRS
+        record["per_layer"] = per_layer(traced, record["end_to_end"])
     return record
 
 
@@ -353,7 +373,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--traced", action="store_true", help="add one traced run per side")
+    parser.add_argument(
+        "--traced",
+        action="store_true",
+        help=f"add per-layer medians of {TRACED_PAIRS} alternating traced pairs",
+    )
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in --change")
     args = parser.parse_args(argv)
     if args.check is not None:
