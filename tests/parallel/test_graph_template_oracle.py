@@ -6,8 +6,10 @@ as a :class:`~repro.sim.engine.GraphTemplate` in its (usually the Session's)
 run for fewer steps than it was built for runs on a row prefix.  The oracle
 below is the executor with the three per-run builders it used before,
 copied verbatim: every ``execute`` builds a fresh engine with one
-``add_task`` call per task.  Both must return the same ``to_dict()`` and the
-same trace, row for row.
+``add_task`` call per task.  It keeps its own ``execute`` dispatch and the
+three per-kind peak-memory rules too, so it checks the executor's single
+phase loop and memory rule, not itself.  Both must return the same
+``to_dict()`` and the same trace, row for row.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import VALID_DATASETS, VALID_SERVERS, VALID_TASKS, ExperimentConfig
 from repro.core.session import Session
-from repro.errors import SimulationError
+from repro.errors import ScheduleError, SimulationError
 from repro.hardware.cost_model import CostModel
 from repro.parallel.executor import WARMUP_STEPS, ExecutionResult, ScheduleExecutor
 from repro.parallel.plan import SchedulePlan
@@ -40,6 +42,23 @@ from repro.sim.trace import Trace
 # --------------------------------------------------------------------- #
 class OracleExecutor(ScheduleExecutor):
     """The executor with its per-run graph builders (kept verbatim)."""
+
+    def execute(self, plan: SchedulePlan) -> ExecutionResult:
+        """Execute a plan and return its measured result."""
+        if plan.num_blocks != self.pair.num_blocks:
+            raise ScheduleError(
+                f"plan covers {plan.num_blocks} blocks but the pair has {self.pair.num_blocks}"
+            )
+        if plan.num_devices != self.server.num_devices:
+            raise ScheduleError(
+                f"plan targets {plan.num_devices} devices but the server has "
+                f"{self.server.num_devices}"
+            )
+        if plan.kind == "pipeline":
+            return self._execute_pipeline(plan)
+        if plan.kind == "layerwise":
+            return self._execute_layerwise(plan)
+        return self._execute_data_parallel(plan)
 
     def _execute_pipeline(self, plan: SchedulePlan) -> ExecutionResult:
         engine = SimulationEngine()
@@ -415,6 +434,62 @@ class OracleExecutor(ScheduleExecutor):
                 "per_block_step_times": tuple(per_block_step_times),
             },
         )
+
+    # ------------------------------------------------------------------ #
+    # Peak memory, one rule per plan kind
+    # ------------------------------------------------------------------ #
+    def _pipeline_memory(self, plan: SchedulePlan) -> Dict[int, float]:
+        memory_model = self.server.memory_model
+        result: Dict[int, float] = {}
+        for stage in plan.stages:
+            micro_batch = stage.per_device_batch(plan.batch_size)
+            teacher_blocks = [self.pair.teacher.block(block_id) for block_id in stage.block_ids]
+            student_blocks = [self.pair.student.block(block_id) for block_id in stage.block_ids]
+            for device in stage.device_ids:
+                result[device] = memory_model.device_peak_bytes(
+                    teacher_blocks=teacher_blocks,
+                    student_blocks=student_blocks,
+                    batch=micro_batch,
+                )
+        for device in range(plan.num_devices):
+            result.setdefault(device, memory_model.framework_baseline_bytes)
+        return result
+
+    def _layerwise_memory(self, plan: SchedulePlan) -> Dict[int, float]:
+        assert plan.device_blocks is not None
+        memory_model = self.server.memory_model
+        result: Dict[int, float] = {}
+        for device, block_ids in plan.device_blocks.items():
+            max_block = max(block_ids)
+            executed_teacher = [self.pair.teacher.block(i) for i in range(max_block + 1)]
+            student_blocks = [self.pair.student.block(block_id) for block_id in block_ids]
+            result[device] = memory_model.device_peak_bytes(
+                teacher_blocks=executed_teacher,
+                student_blocks=student_blocks,
+                batch=plan.batch_size,
+                resident_teacher_blocks=executed_teacher,
+            )
+        for device in range(plan.num_devices):
+            result.setdefault(device, memory_model.framework_baseline_bytes)
+        return result
+
+    def _data_parallel_memory(self, plan: SchedulePlan) -> Dict[int, float]:
+        memory_model = self.server.memory_model
+        micro_batch = max(1, plan.batch_size // plan.num_devices)
+        peak = 0.0
+        for block_id in range(plan.num_blocks):
+            executed_teacher = [self.pair.teacher.block(i) for i in range(block_id + 1)]
+            student_blocks = [self.pair.student.block(block_id)]
+            peak = max(
+                peak,
+                memory_model.device_peak_bytes(
+                    teacher_blocks=executed_teacher,
+                    student_blocks=student_blocks,
+                    batch=micro_batch,
+                    resident_teacher_blocks=executed_teacher,
+                ),
+            )
+        return {device: peak for device in range(plan.num_devices)}
 
 
 # --------------------------------------------------------------------- #
