@@ -29,12 +29,12 @@ from repro.sim.metrics import BREAKDOWN_CATEGORIES
 FIG2_CATEGORIES = ("data_load", "teacher_exec", "student_exec", "idle")
 
 
-def epoch_breakdown(result: ExecutionResult, per_device: bool = False) -> Dict[str, float]:
-    """Average per-device epoch breakdown (seconds) of one execution result.
+def epoch_breakdown(result: ExecutionResult) -> Dict[str, float]:
+    """Mean per-device epoch breakdown (seconds) of one execution result.
 
-    The paper's Fig. 2 plots time per epoch of one (representative) device; we
-    report the mean over devices (per_device=False) so imbalanced strategies
-    are not misrepresented, or the per-device maximum when requested.
+    The paper's Fig. 2 plots time per epoch of one (representative) device;
+    we report the mean over devices so imbalanced strategies are not
+    misrepresented.  Collective time counts as idle.
     """
     totals = {category: 0.0 for category in BREAKDOWN_CATEGORIES}
     num_devices = len(result.breakdown)
@@ -42,15 +42,12 @@ def epoch_breakdown(result: ExecutionResult, per_device: bool = False) -> Dict[s
         for category, value in categories.items():
             totals[category] += value
     averaged = {category: value / num_devices for category, value in totals.items()}
-    merged = {
+    return {
         "data_load": averaged["data_load"],
         "teacher_exec": averaged["teacher_exec"],
         "student_exec": averaged["student_exec"],
         "idle": averaged["idle"] + averaged["comm"],
     }
-    if per_device:
-        return merged
-    return merged
 
 
 def ideal_breakdown(

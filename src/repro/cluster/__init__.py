@@ -60,7 +60,6 @@ from repro.cluster.workload import (
     diurnal_workload,
     parse_tenant_shorthand,
     poisson_workload,
-    replay_workload,
     tenant_workload,
 )
 from repro.cluster.scheduler import (
@@ -88,7 +87,6 @@ __all__ = [
     "diurnal_workload",
     "parse_tenant_shorthand",
     "poisson_workload",
-    "replay_workload",
     "tenant_workload",
     "GPU_HOURLY_RATES",
     "PRICE_CURVES",

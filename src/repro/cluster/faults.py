@@ -42,28 +42,18 @@ from repro.parallel.registry import REGISTRY
 #: The fault kinds the simulator understands.
 FAULT_KINDS: Tuple[str, ...] = ("crash", "preempt", "straggler")
 
-#: Strategies whose sub-pipelines recover independently when the registry
-#: member predates the ``decoupled_recovery`` attribute (fallback only).
-_DECOUPLED_FALLBACK = frozenset({"LS", "TR+DPU", "TR+IR", "TR+DPU+AHD"})
-
-
 def strategy_is_decoupled(strategy: str) -> bool:
     """Whether a strategy's sub-pipelines checkpoint and recover independently.
 
-    Consults the registered strategy's ``decoupled_recovery`` attribute
-    (all built-ins declare it); strategies registered without one fall back
-    to a conservative name-based table, defaulting to coupled.
+    Reads the registered strategy's ``decoupled_recovery`` attribute (all
+    built-ins declare it); a strategy registered without one is coupled.
 
     Example:
         >>> from repro.cluster.faults import strategy_is_decoupled
         >>> strategy_is_decoupled("TR+DPU+AHD"), strategy_is_decoupled("DP")
         (True, False)
     """
-    member = REGISTRY.get(strategy)
-    declared = getattr(member, "decoupled_recovery", None)
-    if isinstance(declared, bool):
-        return declared
-    return strategy in _DECOUPLED_FALLBACK
+    return bool(getattr(REGISTRY.get(strategy), "decoupled_recovery", False))
 
 
 def recovery_fraction(strategy: str, gpus: int) -> float:

@@ -731,11 +731,6 @@ def tenant_workload(
     )
 
 
-def replay_workload(path: str | Path) -> Workload:
-    """Load a JSON workload trace (alias for :meth:`Workload.load`)."""
-    return Workload.load(path)
-
-
 def arrival_process(
     kind: str,
     num_jobs: int,

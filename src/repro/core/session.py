@@ -21,7 +21,7 @@ On top of the caches it exposes the whole public workflow:
 * :meth:`Session.sweep` — a full grid over batch sizes / GPU counts /
   datasets / servers / tasks, returning a typed :class:`SweepResult` with
   speedup tables, best-cell selection and JSON export.  Independent cells
-  can execute on a thread or process pool (``backend=``).
+  can execute on a process pool (``backend=``).
 * :meth:`Session.tune` — autotuning: search a
   :class:`~repro.tune.space.TuneSpace` for the best candidate under an
   objective, reusing this session's caches across refinement rounds.
@@ -629,11 +629,10 @@ class Session:
         Every axis defaults to the single value in ``base_config``; the grid
         is the cartesian product of the provided axes.  Cells execute on an
         execution backend: ``backend=`` overrides per call, and the session
-        default (``Session(backend=...)``) applies otherwise.  The thread
-        backend prewarms caches serially before its pool starts, so the
-        exactly-once profile guarantee holds; the ``process`` backend fans
-        cells out to worker interpreters sharing this session's on-disk
-        store.
+        default (``Session(backend=...)``) applies otherwise.  The
+        ``process`` backend fans cells out to worker interpreters sharing
+        this session's on-disk store; ``max_workers`` sizes its pool
+        without changing the registered backend.
 
         Example:
             >>> from repro import ExperimentConfig, Session
@@ -675,7 +674,7 @@ class Session:
             for values in itertools.product(*(axes[name] for name in names))
         ]
 
-        chosen = self._sweep_backend(backend, max_workers)
+        chosen = resolve_backend(self._backend if backend is None else backend, max_workers)
         tasks = [
             (config, strategy) for config in configs for strategy in strategy_set
         ]
@@ -709,24 +708,6 @@ class Session:
             cells=cells,
             axes={name: values for name, values in axes.items() if len(values) > 1},
         )
-
-    def _sweep_backend(
-        self,
-        backend: Union[str, ExecutionBackend, None],
-        max_workers: Optional[int],
-    ) -> ExecutionBackend:
-        """Resolve the backend one sweep call should use.
-
-        An explicit ``backend=`` wins over the session default.
-        ``max_workers`` sizes the ``process`` backend's pool without
-        mutating the registered singleton.
-        """
-        from repro.store.backends import ProcessBackend
-
-        resolved = self._backend if backend is None else resolve_backend(backend)
-        if max_workers is not None and resolved.name == "process":
-            resolved = ProcessBackend(max_workers=max_workers)
-        return resolved
 
     # ------------------------------------------------------------------ #
     # Autotuning

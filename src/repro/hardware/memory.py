@@ -55,34 +55,26 @@ class MemoryModel:
         teacher_blocks: Iterable[BlockSpec],
         student_blocks: Iterable[BlockSpec],
         batch: int,
-        resident_teacher_blocks: Iterable[BlockSpec] | None = None,
     ) -> float:
         """Peak allocation of one device.
 
         Parameters
         ----------
         teacher_blocks:
-            Teacher blocks *executed* on this device each step (their
-            transient activations contribute at the given batch).
+            Teacher blocks *executed* on this device each step.  Their
+            parameters are resident, and their transient activations
+            contribute at the given batch.
         student_blocks:
             Student blocks *trained* on this device.
         batch:
             Per-device batch size.
-        resident_teacher_blocks:
-            Teacher blocks whose parameters are resident even if not executed
-            every step (the DP baseline keeps the full teacher prefix loaded).
-            Defaults to ``teacher_blocks``.
         """
         teacher_blocks = list(teacher_blocks)
         student_blocks = list(student_blocks)
-        if resident_teacher_blocks is None:
-            resident_blocks = teacher_blocks
-        else:
-            resident_blocks = list(resident_teacher_blocks)
 
         total = self.framework_baseline_bytes
         # Resident teacher parameters.
-        total += sum(block.weight_bytes for block in resident_blocks)
+        total += sum(block.weight_bytes for block in teacher_blocks)
         # Peak transient teacher activation among executed teacher blocks.
         if teacher_blocks:
             total += max(

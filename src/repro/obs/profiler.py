@@ -9,9 +9,8 @@ chrome-trace document for ``--trace-out``.
 Coverage is the fraction of measured wall time accounted for by the
 recorded root spans — the acceptance bar is ≥95%, i.e. the tracer must
 not lose meaningful time to its own bookkeeping.  The breakdown's
-``self_s`` column is the direct input to ROADMAP items 2 and 3: it is
-what says whether a slow sweep is estimator math, store I/O, or
-neither.
+``self_s`` column is what says where a slow run spends its time: whether
+a slow sweep is estimator math, store I/O, or neither.
 """
 
 from __future__ import annotations

@@ -11,15 +11,20 @@ into the quantities the paper reports:
 * per-step time and breakdowns (Fig. 2),
 * per-rank peak memory (Fig. 7).
 
-The DP baseline trains blocks one after another, so it is executed as one
-simulation per block and the results are summed; pipeline plans (TR and its
-variants) and the LS baseline are executed as a single multi-step simulation
-from which the steady-state step time is extracted.
+Every plan kind runs through one loop in :meth:`ScheduleExecutor.execute`.
+A plan kind contributes only its *phases*: each is a graph key plus a
+function from slot key to duration, and each runs as one multi-step
+simulation from which the steady-state step time is extracted.  Pipeline
+plans (TR and its variants) and the LS baseline are one phase each; the DP
+baseline trains blocks one after another, so it is one phase per block, each
+run for :data:`DATA_PARALLEL_STEPS` steps whatever ``simulated_steps`` is.
+The phases' step times, epoch times and breakdowns add up, and one rule
+gives every kind's peak memory.
 
-Task graphs depend only on a plan's shape (see the keys in each
-``_execute_*`` method), not on the batch size, server or dataset, so each
-shape's graph is built once into a :class:`~repro.sim.engine.GraphTemplate`
-held by :class:`GraphTemplates`; a run fills in the durations only.
+Task graphs depend only on a plan's shape (a phase's key), not on the batch
+size, server or dataset, so each shape's graph is built once into a
+:class:`~repro.sim.engine.GraphTemplate` held by :class:`GraphTemplates`; a
+run fills in the durations only.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from repro.sim.trace import Trace
 DEFAULT_SIMULATED_STEPS = 10
 #: Warm-up steps excluded from the steady-state step-time measurement.
 WARMUP_STEPS = 2
+#: Steps simulated per block of a DP plan, whatever ``simulated_steps`` is.
+DATA_PARALLEL_STEPS = max(4, WARMUP_STEPS + 2)
 
 
 #: Top-level fields of :meth:`ExecutionResult.to_dict`, in canonical order.
@@ -195,6 +202,13 @@ class ExecutionResult:
                     f"the value its plan and peak memory give ({value!r})"
                 )
         return result
+
+
+class Phase(NamedTuple):
+    """One simulation of a plan: a graph template key and each slot's duration."""
+
+    key: Hashable
+    duration: Callable[[Hashable], float]
 
 
 class TemplateEntry(NamedTuple):
@@ -608,7 +622,13 @@ class ScheduleExecutor:
     # Public API
     # ------------------------------------------------------------------ #
     def execute(self, plan: SchedulePlan) -> ExecutionResult:
-        """Execute a plan and return its measured result."""
+        """Execute a plan and return its measured result.
+
+        Every plan kind runs as a list of phases (see :meth:`_phases`),
+        each one simulation of one graph template; the step times, epoch
+        times and epoch breakdowns of the phases add up, and the result
+        keeps the last phase's trace.
+        """
         if plan.num_blocks != self.pair.num_blocks:
             raise ScheduleError(
                 f"plan covers {plan.num_blocks} blocks but the pair has {self.pair.num_blocks}"
@@ -618,11 +638,46 @@ class ScheduleExecutor:
                 f"plan targets {plan.num_devices} devices but the server has "
                 f"{self.server.num_devices}"
             )
-        if plan.kind == "pipeline":
-            return self._execute_pipeline(plan)
-        if plan.kind == "layerwise":
-            return self._execute_layerwise(plan)
-        return self._execute_data_parallel(plan)
+        data_parallel = plan.kind == "data_parallel"
+        steps = DATA_PARALLEL_STEPS if data_parallel else self.simulated_steps
+        steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
+        step_time = epoch_time = 0.0
+        step_times: List[float] = []
+        breakdown: Dict[int, Dict[str, float]] = {
+            device: dict.fromkeys(BREAKDOWN_CATEGORIES, 0.0) for device in range(plan.num_devices)
+        }
+        trace: Optional[Trace] = None
+        for key, duration in self._phases(plan):
+            graph, rows = self.templates.get(key, steps)
+            engine = graph.template.instantiate([duration(slot) for slot in graph.slot_keys], rows)
+            trace = engine.run()
+            phase_step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
+            phase_epoch_time = phase_step_time * steps_per_epoch
+            step_times.append(phase_step_time)
+            step_time += phase_step_time
+            epoch_time += phase_epoch_time
+            scaled = self._scaled_breakdown(trace, phase_epoch_time, steps_per_epoch, steps)
+            for device, categories in scaled.items():
+                totals = breakdown[device]
+                for category, seconds in categories.items():
+                    totals[category] += seconds
+        if data_parallel:
+            metadata = {
+                "simulated_steps_per_block": steps,
+                "per_block_step_times": tuple(step_times),
+            }
+        else:
+            metadata = {"simulated_steps": steps}
+        return ExecutionResult(
+            plan=plan,
+            epoch_time=epoch_time,
+            step_time=step_time,
+            steps_per_epoch=steps_per_epoch,
+            breakdown=breakdown,
+            peak_memory_bytes=self._peak_memory(plan),
+            trace=trace,
+            metadata=metadata,
+        )
 
     # ------------------------------------------------------------------ #
     # Shared duration helpers
@@ -663,18 +718,23 @@ class ScheduleExecutor:
         return float(self.pair.teacher.block(block_id).output_bytes_per_sample * batch)
 
     # ------------------------------------------------------------------ #
-    # Pipeline plans (TR, TR+DPU, TR+DPU+AHD, TR+IR)
+    # Phases: what each plan kind simulates
     # ------------------------------------------------------------------ #
-    def _execute_pipeline(self, plan: SchedulePlan) -> ExecutionResult:
-        stages = plan.stages
-        steps = self.simulated_steps
+    def _phases(self, plan: SchedulePlan) -> List[Phase]:
+        """The plan's phases, in the order :meth:`execute` runs them."""
+        if plan.kind == "pipeline":
+            return [self._pipeline_phase(plan)]
+        if plan.kind == "layerwise":
+            return [self._layerwise_phase(plan)]
+        return self._data_parallel_phases(plan)
 
+    def _pipeline_phase(self, plan: SchedulePlan) -> Phase:
+        """One pipeline plan; slots are ``(stage_id, duration name)``."""
         # Per-stage durations (identical for every replica in a stage).
-        durations = {}
-        for stage in stages:
+        durations: Dict[int, Dict[str, float]] = {}
+        for stage in plan.stages:
             micro_batch = stage.per_device_batch(plan.batch_size)
             durations[stage.stage_id] = {
-                "micro_batch": micro_batch,
                 "teacher": self._teacher_time(stage.block_ids, micro_batch),
                 "student_fwd": self._student_forward_time(stage.block_ids, micro_batch),
                 "student_bwd": self._student_backward_time(stage.block_ids, micro_batch),
@@ -708,36 +768,14 @@ class ScheduleExecutor:
                     stage.block_ids[0],
                     stage.num_devices > 1 and durations[stage.stage_id]["allreduce"] > 0.0,
                 )
-                for stage in stages
+                for stage in plan.stages
             ),
         )
-        graph, rows = self.templates.get(key, steps)
-        engine = graph.template.instantiate(
-            [durations[stage_id][name] for stage_id, name in graph.slot_keys], rows
-        )
-        trace = engine.run()
-        step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
-        steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
-        epoch_time = step_time * steps_per_epoch
-        breakdown = self._scaled_breakdown(trace, epoch_time, steps_per_epoch, steps)
-        memory = self._pipeline_memory(plan)
-        return ExecutionResult(
-            plan=plan,
-            epoch_time=epoch_time,
-            step_time=step_time,
-            steps_per_epoch=steps_per_epoch,
-            breakdown=breakdown,
-            peak_memory_bytes=memory,
-            trace=trace,
-            metadata={"simulated_steps": steps},
-        )
+        return Phase(key, lambda slot: durations[slot[0]][slot[1]])
 
-    # ------------------------------------------------------------------ #
-    # Layerwise plans (LS)
-    # ------------------------------------------------------------------ #
-    def _execute_layerwise(self, plan: SchedulePlan) -> ExecutionResult:
+    def _layerwise_phase(self, plan: SchedulePlan) -> Phase:
+        """One LS plan; slots are ``(duration name, block)``."""
         assert plan.device_blocks is not None
-        steps = self.simulated_steps
         batch = plan.batch_size
         load_time = self.loader.batch_load_time(batch, concurrent_loaders=1)
         durations = {
@@ -747,7 +785,6 @@ class ScheduleExecutor:
             "student_bwd": lambda block: self._student_backward_time((block,), batch),
             "update": lambda block: self._update_time((block,)),
         }
-
         key = (
             "layerwise",
             tuple(
@@ -755,49 +792,17 @@ class ScheduleExecutor:
                 for device, block_ids in sorted(plan.device_blocks.items())
             ),
         )
-        graph, rows = self.templates.get(key, steps)
-        engine = graph.template.instantiate(
-            [durations[name](block) for name, block in graph.slot_keys], rows
-        )
-        trace = engine.run()
-        step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
-        steps_per_epoch = self.dataset.steps_per_epoch(batch)
-        epoch_time = step_time * steps_per_epoch
-        breakdown = self._scaled_breakdown(trace, epoch_time, steps_per_epoch, steps)
-        memory = self._layerwise_memory(plan)
-        return ExecutionResult(
-            plan=plan,
-            epoch_time=epoch_time,
-            step_time=step_time,
-            steps_per_epoch=steps_per_epoch,
-            breakdown=breakdown,
-            peak_memory_bytes=memory,
-            trace=trace,
-            metadata={"simulated_steps": steps},
-        )
+        return Phase(key, lambda slot: durations[slot[0]](slot[1]))
 
-    # ------------------------------------------------------------------ #
-    # Data-parallel plans (DP)
-    # ------------------------------------------------------------------ #
-    def _execute_data_parallel(self, plan: SchedulePlan) -> ExecutionResult:
-        steps = max(4, WARMUP_STEPS + 2)
+    def _data_parallel_phases(self, plan: SchedulePlan) -> List[Phase]:
+        """One phase per DP block, trained on every device; slots are duration names."""
         micro_batch = max(1, plan.batch_size // plan.num_devices)
-        steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
         load_time = self.loader.batch_load_time(micro_batch, concurrent_loaders=1)
-
-        epoch_time = 0.0
-        per_block_step_times: List[float] = []
-        accumulated: Dict[int, Dict[str, float]] = {
-            device: {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-            for device in range(plan.num_devices)
-        }
-        last_trace: Optional[Trace] = None
-
+        phases = []
         for block_id in range(plan.num_blocks):
-            prefix_blocks = tuple(range(block_id + 1))
             durations = {
                 "load": load_time,
-                "teacher": self._teacher_time(prefix_blocks, micro_batch),
+                "teacher": self._teacher_time(tuple(range(block_id + 1)), micro_batch),
                 "student_fwd": self._student_forward_time((block_id,), micro_batch),
                 "student_bwd": self._student_backward_time((block_id,), micro_batch),
                 "update": self._update_time((block_id,)),
@@ -806,36 +811,8 @@ class ScheduleExecutor:
                 ),
             }
             key = ("data_parallel", plan.num_devices, block_id)
-            graph, rows = self.templates.get(key, steps)
-            engine = graph.template.instantiate([durations[name] for name in graph.slot_keys], rows)
-
-            trace = engine.run()
-            last_trace = trace
-            block_step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
-            per_block_step_times.append(block_step_time)
-            epoch_time += block_step_time * steps_per_epoch
-            block_breakdown = self._scaled_breakdown(
-                trace, block_step_time * steps_per_epoch, steps_per_epoch, steps
-            )
-            for device in range(plan.num_devices):
-                for category in BREAKDOWN_CATEGORIES:
-                    accumulated[device][category] += block_breakdown[device][category]
-
-        total_step_time = sum(per_block_step_times)
-        memory = self._data_parallel_memory(plan)
-        return ExecutionResult(
-            plan=plan,
-            epoch_time=epoch_time,
-            step_time=total_step_time,
-            steps_per_epoch=steps_per_epoch,
-            breakdown=accumulated,
-            peak_memory_bytes=memory,
-            trace=last_trace,
-            metadata={
-                "simulated_steps_per_block": steps,
-                "per_block_step_times": tuple(per_block_step_times),
-            },
-        )
+            phases.append(Phase(key, durations.__getitem__))
+        return phases
 
     # ------------------------------------------------------------------ #
     # Breakdown and memory helpers
@@ -863,55 +840,49 @@ class ScheduleExecutor:
             scaled[device]["idle"] = max(0.0, epoch_time - busy - data_wait)
         return scaled
 
-    def _pipeline_memory(self, plan: SchedulePlan) -> Dict[int, float]:
-        memory_model = self.server.memory_model
-        result: Dict[int, float] = {}
-        for stage in plan.stages:
-            micro_batch = stage.per_device_batch(plan.batch_size)
-            teacher_blocks = [self.pair.teacher.block(block_id) for block_id in stage.block_ids]
-            student_blocks = [self.pair.student.block(block_id) for block_id in stage.block_ids]
-            for device in stage.device_ids:
-                result[device] = memory_model.device_peak_bytes(
-                    teacher_blocks=teacher_blocks,
-                    student_blocks=student_blocks,
-                    batch=micro_batch,
+    def _peak_memory(self, plan: SchedulePlan) -> Dict[int, float]:
+        """Peak allocation per device; a device with no work holds the framework baseline.
+
+        Each plan kind lists what its devices hold: ``(devices, executed
+        teacher blocks, trained student blocks, per-device batch)``.  A
+        pipeline stage's devices run its blocks at the stage's micro-batch;
+        an LS device runs the teacher up to its last block at the full
+        batch; DP devices run every block in turn, so they peak at the
+        largest block's footprint.
+        """
+        if plan.kind == "pipeline":
+            assignments = [
+                (
+                    stage.device_ids,
+                    stage.block_ids,
+                    stage.block_ids,
+                    stage.per_device_batch(plan.batch_size),
                 )
-        for device in range(plan.num_devices):
-            result.setdefault(device, memory_model.framework_baseline_bytes)
-        return result
-
-    def _layerwise_memory(self, plan: SchedulePlan) -> Dict[int, float]:
-        assert plan.device_blocks is not None
+                for stage in plan.stages
+            ]
+        elif plan.kind == "layerwise":
+            assert plan.device_blocks is not None
+            assignments = [
+                ((device,), range(max(block_ids) + 1), block_ids, plan.batch_size)
+                for device, block_ids in plan.device_blocks.items()
+            ]
+        else:
+            devices = range(plan.num_devices)
+            micro_batch = max(1, plan.batch_size // plan.num_devices)
+            assignments = [
+                (devices, range(block_id + 1), (block_id,), micro_batch)
+                for block_id in range(plan.num_blocks)
+            ]
         memory_model = self.server.memory_model
-        result: Dict[int, float] = {}
-        for device, block_ids in plan.device_blocks.items():
-            max_block = max(block_ids)
-            executed_teacher = [self.pair.teacher.block(i) for i in range(max_block + 1)]
-            student_blocks = [self.pair.student.block(block_id) for block_id in block_ids]
-            result[device] = memory_model.device_peak_bytes(
-                teacher_blocks=executed_teacher,
-                student_blocks=student_blocks,
-                batch=plan.batch_size,
-                resident_teacher_blocks=executed_teacher,
+        teacher, student = self.pair.teacher, self.pair.student
+        peak: Dict[int, float] = {}
+        for devices, teacher_ids, student_ids, batch in assignments:
+            peak_bytes = memory_model.device_peak_bytes(
+                teacher_blocks=[teacher.block(block_id) for block_id in teacher_ids],
+                student_blocks=[student.block(block_id) for block_id in student_ids],
+                batch=batch,
             )
-        for device in range(plan.num_devices):
-            result.setdefault(device, memory_model.framework_baseline_bytes)
-        return result
-
-    def _data_parallel_memory(self, plan: SchedulePlan) -> Dict[int, float]:
-        memory_model = self.server.memory_model
-        micro_batch = max(1, plan.batch_size // plan.num_devices)
-        peak = 0.0
-        for block_id in range(plan.num_blocks):
-            executed_teacher = [self.pair.teacher.block(i) for i in range(block_id + 1)]
-            student_blocks = [self.pair.student.block(block_id)]
-            peak = max(
-                peak,
-                memory_model.device_peak_bytes(
-                    teacher_blocks=executed_teacher,
-                    student_blocks=student_blocks,
-                    batch=micro_batch,
-                    resident_teacher_blocks=executed_teacher,
-                ),
-            )
-        return {device: peak for device in range(plan.num_devices)}
+            for device in devices:
+                peak[device] = max(peak.get(device, 0.0), peak_bytes)
+        baseline = memory_model.framework_baseline_bytes
+        return {device: peak.get(device, baseline) for device in range(plan.num_devices)}

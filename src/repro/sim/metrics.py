@@ -39,8 +39,8 @@ def compute_breakdown(
       waited for.
 
     Rows on devices outside ``0..num_devices-1`` are not counted.
-    Charging collectives to their group and attributing each wait to the
-    dependency that released it are ROADMAP item 1.
+    Collectives are not charged to their group, and a wait is not
+    attributed to the dependency that released it; both are open work.
     """
     if horizon is None:
         horizon = trace.makespan

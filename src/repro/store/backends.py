@@ -90,12 +90,20 @@ BACKENDS = BackendRegistry()
 register_backend = make_register(BACKENDS)
 
 
-def resolve_backend(backend) -> ExecutionBackend:
-    """Accept a backend by registry name or as a duck-typed instance."""
+def resolve_backend(backend, max_workers: Optional[int] = None) -> ExecutionBackend:
+    """Accept a backend by registry name or as a duck-typed instance.
+
+    ``max_workers`` sizes a ``process`` backend's pool: it gives a new
+    :class:`ProcessBackend` and leaves the registered one as it is.
+    """
     if isinstance(backend, str):
-        return BACKENDS.get(backend)
-    BACKENDS.validate(getattr(backend, "name", "<anonymous>"), backend)
-    return backend
+        resolved = BACKENDS.get(backend)
+    else:
+        BACKENDS.validate(getattr(backend, "name", "<anonymous>"), backend)
+        resolved = backend
+    if max_workers is not None and resolved.name == "process":
+        return ProcessBackend(max_workers=max_workers)
+    return resolved
 
 
 @register_backend

@@ -377,14 +377,11 @@ def run_pregen(
     already pinned against gc) and rewritten atomically at the end.
     """
     from repro.core.session import Session
-    from repro.store.backends import ProcessBackend
 
     if max_cells is not None and max_cells < 0:
         raise StoreError("pregen max_cells must be >= 0")
     spec = resolve_grid(grid)
-    resolved = resolve_backend(backend)
-    if workers is not None and resolved.name == "process":
-        resolved = ProcessBackend(max_workers=workers)
+    resolved = resolve_backend(backend, workers)
 
     started = time.perf_counter()
     with span("pregen.run", grid=spec.name, backend=resolved.name):

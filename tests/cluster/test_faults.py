@@ -18,6 +18,7 @@ from repro.cluster.faults import (
 from repro.cluster.spec import default_cluster
 from repro.cluster.workload import poisson_workload
 from repro.errors import ConfigurationError
+from repro.parallel.registry import REGISTRY
 
 
 class TestFaultEvent:
@@ -167,6 +168,24 @@ class TestRecoveryModel:
         assert not strategy_is_decoupled("TR")
         assert recovery_fraction("TR", 4) == 1.0
         assert recovery_fraction("TR+DPU", 4) == 0.25
+
+    def test_strategy_without_the_attribute_is_coupled(self):
+        # A strategy registered under a decoupled built-in's name, declaring
+        # no ``decoupled_recovery``, recovers as a coupled gang.
+        builtin = REGISTRY.get("TR+DPU")
+
+        class Undeclared:
+            name = "TR+DPU"
+            requires_profile = builtin.requires_profile
+            build = builtin.build
+
+        REGISTRY.register(Undeclared(), replace=True)
+        try:
+            assert not strategy_is_decoupled("TR+DPU")
+            assert recovery_fraction("TR+DPU", 4) == 1.0
+        finally:
+            REGISTRY.register(builtin, replace=True)
+        assert strategy_is_decoupled("TR+DPU")
 
     def test_lost_seconds_is_since_last_checkpoint(self):
         model = RecoveryModel(checkpoint_interval=100.0)

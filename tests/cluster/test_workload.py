@@ -17,7 +17,6 @@ from repro.cluster.workload import (
     bursty_workload,
     diurnal_workload,
     poisson_workload,
-    replay_workload,
     tenant_workload,
 )
 from repro.core.config import VALID_DATASETS, VALID_SERVERS, VALID_TASKS
@@ -212,12 +211,6 @@ class TestWorkload:
         payload = json.loads(workload.to_json())
         assert payload["name"] == workload.name
         assert len(payload["jobs"]) == 20
-
-    def test_replay_workload_reads_a_saved_trace(self, tmp_path):
-        workload = poisson_workload(6, rate=0.2, seed=3)
-        path = workload.save(tmp_path / "trace.json")
-        assert replay_workload(path) == workload
-        assert replay_workload(str(path)) == Workload.from_json(workload.to_json())
 
     def test_gang_and_tenant_queries_without_declared_tenants(self):
         workload = Workload(

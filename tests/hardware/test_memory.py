@@ -55,12 +55,3 @@ class TestDevicePeak:
         early = memory_model.device_peak_bytes([network.block(0)], [network.block(0)], 64)
         late = memory_model.device_peak_bytes([network.block(4)], [network.block(4)], 64)
         assert early > late
-
-    def test_resident_teacher_blocks_add_parameters(self, memory_model):
-        network = build_mobilenetv2("cifar10")
-        executed = [network.block(2)]
-        without = memory_model.device_peak_bytes(executed, [network.block(2)], 64)
-        with_resident = memory_model.device_peak_bytes(
-            executed, [network.block(2)], 64, resident_teacher_blocks=list(network.blocks[:3])
-        )
-        assert with_resident > without

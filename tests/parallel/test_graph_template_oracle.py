@@ -467,7 +467,6 @@ class OracleExecutor(ScheduleExecutor):
                 teacher_blocks=executed_teacher,
                 student_blocks=student_blocks,
                 batch=plan.batch_size,
-                resident_teacher_blocks=executed_teacher,
             )
         for device in range(plan.num_devices):
             result.setdefault(device, memory_model.framework_baseline_bytes)
@@ -486,8 +485,7 @@ class OracleExecutor(ScheduleExecutor):
                     teacher_blocks=executed_teacher,
                     student_blocks=student_blocks,
                     batch=micro_batch,
-                    resident_teacher_blocks=executed_teacher,
-                ),
+                    ),
             )
         return {device: peak for device in range(plan.num_devices)}
 

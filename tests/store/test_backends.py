@@ -44,6 +44,15 @@ class TestRegistry:
         backend = resolve_backend(Custom())
         assert backend.name == "custom"
 
+    def test_max_workers_sizes_a_fresh_process_backend(self):
+        registered = BACKENDS.get("process")
+        sized = resolve_backend("process", max_workers=3)
+        assert isinstance(sized, ProcessBackend) and sized is not registered
+        assert (sized.max_workers, registered.max_workers) == (3, None)
+        assert resolve_backend(registered, 2).max_workers == 2
+        assert resolve_backend("inline", 3) is BACKENDS.get("inline")
+        assert resolve_backend("process") is registered
+
     def test_register_backend_requires_run_cells(self):
         class Broken:
             name = "broken"
