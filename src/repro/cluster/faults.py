@@ -42,6 +42,7 @@ from repro.parallel.registry import REGISTRY
 #: The fault kinds the simulator understands.
 FAULT_KINDS: Tuple[str, ...] = ("crash", "preempt", "straggler")
 
+
 def strategy_is_decoupled(strategy: str) -> bool:
     """Whether a strategy's sub-pipelines checkpoint and recover independently.
 

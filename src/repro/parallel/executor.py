@@ -45,7 +45,7 @@ from repro.models.pairs import DistillationPair
 from repro.parallel.plan import SchedulePlan, by_device, jsonable, plan_from_dict
 from repro.sim.engine import GraphTemplate, SimulationEngine
 from repro.sim.events import TaskKind
-from repro.sim.metrics import BREAKDOWN_CATEGORIES, compute_breakdown
+from repro.sim.metrics import compute_breakdown
 from repro.sim.resources import collective, device_compute, device_link, host_loader
 from repro.sim.trace import Trace
 
@@ -643,9 +643,7 @@ class ScheduleExecutor:
         steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
         step_time = epoch_time = 0.0
         step_times: List[float] = []
-        breakdown: Dict[int, Dict[str, float]] = {
-            device: dict.fromkeys(BREAKDOWN_CATEGORIES, 0.0) for device in range(plan.num_devices)
-        }
+        breakdown: Dict[int, Dict[str, float]] = {}
         trace: Optional[Trace] = None
         for key, duration in self._phases(plan):
             graph, rows = self.templates.get(key, steps)
@@ -657,10 +655,13 @@ class ScheduleExecutor:
             step_time += phase_step_time
             epoch_time += phase_epoch_time
             scaled = self._scaled_breakdown(trace, phase_epoch_time, steps_per_epoch, steps)
-            for device, categories in scaled.items():
-                totals = breakdown[device]
-                for category, seconds in categories.items():
-                    totals[category] += seconds
+            if not breakdown:
+                breakdown = scaled
+            else:
+                for device, categories in scaled.items():
+                    totals = breakdown[device]
+                    for category, seconds in categories.items():
+                        totals[category] += seconds
         if data_parallel:
             metadata = {
                 "simulated_steps_per_block": steps,
