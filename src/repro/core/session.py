@@ -12,7 +12,9 @@ artefact by the config cell that determines it:
 * profile tables by ``(task, dataset, server, num_gpus, batch_size)`` —
   built exactly once per cell, matching the paper's one-off profiling pass,
 * plans by ``(strategy object, cell)`` — each scheduling decision is made
-  once per cell and reused for every simulated-step count.
+  once per cell and reused for every simulated-step count, together with
+  its lowering onto graph templates (:meth:`ScheduleExecutor.lower`), so
+  each step count only simulates.
 
 On top of the caches it exposes the whole public workflow:
 
@@ -61,7 +63,12 @@ from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.parallel.executor import ExecutionResult, GraphTemplates, ScheduleExecutor
+from repro.parallel.executor import (
+    ExecutionResult,
+    GraphTemplates,
+    LoweredPlan,
+    ScheduleExecutor,
+)
 from repro.parallel.profiler import ProfileTable
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.registry import REGISTRY, Strategy
@@ -361,7 +368,7 @@ class Session:
         self._datasets: Dict[str, DatasetSpec] = {}
         self._executors: Dict[ExecutorKey, ScheduleExecutor] = {}
         self._profiles: Dict[ProfileKey, ProfileTable] = {}
-        self._plans: Dict[PlanKey, SchedulePlan] = {}
+        self._plans: Dict[PlanKey, Tuple[SchedulePlan, LoweredPlan]] = {}
         self._templates = GraphTemplates()
         self._lock = threading.RLock()
         self.stats = SessionStats()
@@ -480,9 +487,10 @@ class Session:
 
         ``strategy`` overrides ``config.strategy``; ``profile`` overrides the
         session's cached profile table (it is not cached back).  The plan is
-        built once per (registered strategy object, cell) and reused for
-        every step count (``stats.plan_builds`` / ``plan_hits``); a
-        ``profile`` override plans afresh and leaves the stored plans alone.
+        built and lowered once per (registered strategy object, cell) and
+        reused for every step count (``stats.plan_builds`` / ``plan_hits``);
+        a ``profile`` override plans and lowers afresh and leaves the stored
+        plans alone.
 
         With a persistent store attached, a previously simulated cell is
         hydrated straight from disk (``stats.store_hits``) without building
@@ -519,9 +527,10 @@ class Session:
                     self._runs_store_hit.inc()
                     self._run_seconds.observe(time.perf_counter() - started)
                     return result
-            plan = self._plan(config, planner, profile)
+            executor = self.executor(config)
+            plan, lowered = self._plan(config, planner, profile, executor)
             with span("session.execute", strategy=name):
-                result = self.executor(config).execute(plan)
+                result = executor.execute(plan, lowered)
             with self._lock:
                 self.stats.runs += 1
             if use_store:
@@ -532,26 +541,32 @@ class Session:
             return result
 
     def _plan(
-        self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]
-    ) -> SchedulePlan:
-        """The planner's plan for this cell, built once per (planner, cell).
+        self,
+        config: ExperimentConfig,
+        planner: Strategy,
+        profile: Optional[ProfileTable],
+        executor: ScheduleExecutor,
+    ) -> Tuple[SchedulePlan, Optional[LoweredPlan]]:
+        """The planner's plan for this cell and its lowering, made once per (planner, cell).
 
-        A plan depends on the cell alone, not on the simulated steps.  An
-        explicit ``profile`` override plans afresh and is not kept.
+        Neither depends on the simulated steps.  An explicit ``profile``
+        override plans afresh and is not kept; its plan is lowered by
+        :meth:`ScheduleExecutor.execute` (the lowering given is ``None``).
         """
         if profile is not None:
-            return self._build_plan(config, planner, profile)
+            return self._build_plan(config, planner, profile), None
         key: PlanKey = (planner, config.cell_key())
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
+            entry = self._plans.get(key)
+            if entry is None:
                 if planner.requires_profile:
                     profile = self.profile(config)
-                plan = self._plans[key] = self._build_plan(config, planner, profile)
+                plan = self._build_plan(config, planner, profile)
+                entry = self._plans[key] = (plan, executor.lower(plan))
                 self.stats.plan_builds += 1
             else:
                 self.stats.plan_hits += 1
-            return plan
+            return entry
 
     def _build_plan(
         self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]

@@ -11,15 +11,19 @@ into the quantities the paper reports:
 * per-step time and breakdowns (Fig. 2),
 * per-rank peak memory (Fig. 7).
 
-Every plan kind runs through one loop in :meth:`ScheduleExecutor.execute`.
-A plan kind contributes only its *phases*: each is a graph key plus a
-function from slot key to duration, and each runs as one multi-step
+Execution is two steps.  :meth:`ScheduleExecutor.lower` does everything the
+step count does not change: a plan kind contributes only its *phases*, each
+a graph key plus a function from slot key to duration, which lowering turns
+into the key and a tuple of slot values; one rule gives every kind's peak
+memory.  :meth:`ScheduleExecutor.run` then runs each phase as one multi-step
 simulation from which the steady-state step time is extracted.  Pipeline
 plans (TR and its variants) and the LS baseline are one phase each; the DP
 baseline trains blocks one after another, so it is one phase per block, each
-run for :data:`DATA_PARALLEL_STEPS` steps whatever ``simulated_steps`` is.
-The phases' step times, epoch times and breakdowns add up, and one rule
-gives every kind's peak memory.
+run for :data:`DATA_PARALLEL_STEPS` steps whatever the step count is.  The
+phases' step times, epoch times and breakdowns add up.
+:meth:`ScheduleExecutor.execute` is the two in one call; a
+:class:`~repro.core.session.Session` keeps each plan's lowering and runs it
+for every step count.
 
 Task graphs depend only on a plan's shape (a phase's key), not on the batch
 size, server or dataset, so each shape's graph is built once into a
@@ -209,6 +213,27 @@ class Phase(NamedTuple):
 
     key: Hashable
     duration: Callable[[Hashable], float]
+
+
+class LoweredPlan(NamedTuple):
+    """A plan lowered onto graph templates: all of its execution but the simulation.
+
+    ``phases`` holds each phase's template key and slot values, in the
+    order of the template's slot keys; ``peak_memory_bytes`` the peak
+    allocation of each device, by id.  None of it depends on the step
+    count, so one lowered plan serves runs of any length.  It holds plain
+    tuples of floats: no closure and nothing of the executor that made it.
+    """
+
+    plan: SchedulePlan
+    steps_per_epoch: int
+    phases: Tuple[Tuple[Hashable, Tuple[float, ...]], ...]
+    peak_memory_bytes: Tuple[float, ...]
+
+
+def _phase_steps(plan: SchedulePlan, steps: int) -> int:
+    """The steps each phase of ``plan`` runs: a DP block always runs :data:`DATA_PARALLEL_STEPS`."""
+    return DATA_PARALLEL_STEPS if plan.kind == "data_parallel" else steps
 
 
 class TemplateEntry(NamedTuple):
@@ -621,13 +646,29 @@ class ScheduleExecutor:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def execute(self, plan: SchedulePlan) -> ExecutionResult:
-        """Execute a plan and return its measured result.
+    def execute(
+        self, plan: SchedulePlan, lowered: Optional[LoweredPlan] = None
+    ) -> ExecutionResult:
+        """Execute a plan for ``simulated_steps`` steps and return its measured result.
 
-        Every plan kind runs as a list of phases (see :meth:`_phases`),
-        each one simulation of one graph template; the step times, epoch
-        times and epoch breakdowns of the phases add up, and the result
-        keeps the last phase's trace.
+        ``lowered`` is the plan's :meth:`lower` kept from an earlier call (a
+        :class:`~repro.core.session.Session` keeps one per plan); without it
+        the plan is lowered afresh.
+        """
+        if lowered is None:
+            lowered = self.lower(plan)
+        elif lowered.plan != plan:
+            raise ScheduleError("the lowered plan given to execute was lowered from another plan")
+        return self.run(lowered, self.simulated_steps)
+
+    def lower(self, plan: SchedulePlan) -> LoweredPlan:
+        """Everything of ``plan``'s execution that the step count does not change.
+
+        That is each phase's graph-template key and slot values (see
+        :meth:`_phases`), the steps per epoch and the peak memory per
+        device.  Slot values come in the order of the template's slot keys,
+        so lowering looks each phase's template up, building it for this
+        executor's step count when the table does not hold it yet.
         """
         if plan.num_blocks != self.pair.num_blocks:
             raise ScheduleError(
@@ -638,17 +679,38 @@ class ScheduleExecutor:
                 f"plan targets {plan.num_devices} devices but the server has "
                 f"{self.server.num_devices}"
             )
-        data_parallel = plan.kind == "data_parallel"
-        steps = DATA_PARALLEL_STEPS if data_parallel else self.simulated_steps
-        steps_per_epoch = self.dataset.steps_per_epoch(plan.batch_size)
+        steps = _phase_steps(plan, self.simulated_steps)
+        phases = []
+        for key, duration in self._phases(plan):
+            graph, _ = self.templates.get(key, steps)
+            phases.append((key, tuple(map(duration, graph.slot_keys))))
+        return LoweredPlan(
+            plan=plan,
+            steps_per_epoch=self.dataset.steps_per_epoch(plan.batch_size),
+            phases=tuple(phases),
+            peak_memory_bytes=self._peak_memory(plan),
+        )
+
+    def run(self, lowered: LoweredPlan, steps: int) -> ExecutionResult:
+        """Simulate a lowered plan for ``steps`` steps and return its measured result.
+
+        Every phase is one simulation of its graph template (a DP block
+        runs :data:`DATA_PARALLEL_STEPS` steps, whatever ``steps`` is); the
+        step times, epoch times and epoch breakdowns of the phases add up,
+        and the result keeps the last phase's trace.
+        """
+        if steps < WARMUP_STEPS + 2:
+            raise ScheduleError(f"steps must be at least {WARMUP_STEPS + 2}, got {steps}")
+        plan = lowered.plan
+        steps = _phase_steps(plan, steps)
+        steps_per_epoch = lowered.steps_per_epoch
         step_time = epoch_time = 0.0
         step_times: List[float] = []
         breakdown: Dict[int, Dict[str, float]] = {}
         trace: Optional[Trace] = None
-        for key, duration in self._phases(plan):
+        for key, values in lowered.phases:
             graph, rows = self.templates.get(key, steps)
-            engine = graph.template.instantiate([duration(slot) for slot in graph.slot_keys], rows)
-            trace = engine.run()
+            trace = graph.template.instantiate(values, rows).run()
             phase_step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
             phase_epoch_time = phase_step_time * steps_per_epoch
             step_times.append(phase_step_time)
@@ -662,7 +724,7 @@ class ScheduleExecutor:
                     totals = breakdown[device]
                     for category, seconds in categories.items():
                         totals[category] += seconds
-        if data_parallel:
+        if plan.kind == "data_parallel":
             metadata = {
                 "simulated_steps_per_block": steps,
                 "per_block_step_times": tuple(step_times),
@@ -675,7 +737,7 @@ class ScheduleExecutor:
             step_time=step_time,
             steps_per_epoch=steps_per_epoch,
             breakdown=breakdown,
-            peak_memory_bytes=self._peak_memory(plan),
+            peak_memory_bytes=dict(enumerate(lowered.peak_memory_bytes)),
             trace=trace,
             metadata=metadata,
         )
@@ -797,7 +859,7 @@ class ScheduleExecutor:
 
     def _data_parallel_phases(self, plan: SchedulePlan) -> List[Phase]:
         """One phase per DP block, trained on every device; slots are duration names."""
-        micro_batch = max(1, plan.batch_size // plan.num_devices)
+        micro_batch = plan.per_device_batch()[0]
         load_time = self.loader.batch_load_time(micro_batch, concurrent_loaders=1)
         phases = []
         for block_id in range(plan.num_blocks):
@@ -841,8 +903,8 @@ class ScheduleExecutor:
             scaled[device]["idle"] = max(0.0, epoch_time - busy - data_wait)
         return scaled
 
-    def _peak_memory(self, plan: SchedulePlan) -> Dict[int, float]:
-        """Peak allocation per device; a device with no work holds the framework baseline.
+    def _peak_memory(self, plan: SchedulePlan) -> Tuple[float, ...]:
+        """Peak allocation of each device, by id; an idle device holds the framework baseline.
 
         Each plan kind lists what its devices hold: ``(devices, executed
         teacher blocks, trained student blocks, per-device batch)``.  A
@@ -869,7 +931,7 @@ class ScheduleExecutor:
             ]
         else:
             devices = range(plan.num_devices)
-            micro_batch = max(1, plan.batch_size // plan.num_devices)
+            micro_batch = plan.per_device_batch()[0]
             assignments = [
                 (devices, range(block_id + 1), (block_id,), micro_batch)
                 for block_id in range(plan.num_blocks)
@@ -886,4 +948,4 @@ class ScheduleExecutor:
             for device in devices:
                 peak[device] = max(peak.get(device, 0.0), peak_bytes)
         baseline = memory_model.framework_baseline_bytes
-        return {device: peak.get(device, baseline) for device in range(plan.num_devices)}
+        return tuple(peak.get(device, baseline) for device in range(plan.num_devices))

@@ -150,7 +150,12 @@ class SchedulePlan:
         return tuple(range(self.num_devices))
 
     def per_device_batch(self) -> Dict[int, int]:
-        """Per-device batch size for every active device."""
+        """Per-device batch size for every active device.
+
+        A pipeline stage's devices split its batch rounding up, an LS device
+        runs the whole batch, and DP splits the batch rounding down (at
+        least 1 per device), which is the batch the executor simulates it at.
+        """
         result: Dict[int, int] = {}
         if self.kind == "pipeline":
             for stage in self.stages:
@@ -162,7 +167,7 @@ class SchedulePlan:
             for device in self.device_blocks:
                 result[device] = self.batch_size
         else:
-            micro_batch = max(1, math.ceil(self.batch_size / self.num_devices))
+            micro_batch = max(1, self.batch_size // self.num_devices)
             for device in range(self.num_devices):
                 result[device] = micro_batch
         return result

@@ -33,7 +33,7 @@ import heapq
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -278,11 +278,11 @@ class SimulationEngine:
         scheduler.
 
         An instance of an in-order template (:attr:`GraphTemplate.in_order`)
-        is run in one pass in id order: each task starts once its resource
-        is free and its dependencies have ended.  Those are the comparisons
-        and the one addition per task that the event loop makes, in the
-        order it would make them on each resource, so the times are
-        bit-identical.
+        is run in one pass in id order: each task starts at the latest of
+        its resource's free time and its dependencies' end times, read from
+        the rows already run.  The event loop starts it at the same maximum
+        of the same end times (a maximum is exact, in any order) and ends it
+        with the same one addition, so the times are bit-identical.
 
         Any other graph runs on the event loop of :meth:`_run_events`.
         """
@@ -294,37 +294,37 @@ class SimulationEngine:
         structure = self._structure
         if structure is None:
             structure = self._structure = _run_structure(self.deps, self.resources)
-        offsets, dependents = structure.dependent_offsets, structure.dependents
-        task_resource = structure.resource_ids
-        num_rows = len(task_resource)
-
-        if self._template is not None and self._template.in_order:
-            # The time each resource becomes free, and the earliest time
-            # each task's dependencies are satisfied.
+        template = self._template
+        if template is not None and template.in_order:
+            # The time each resource becomes free.  Each row's dependencies
+            # are the next ``count`` ids of the template's flat CSR targets;
+            # a dependency is an earlier row, so its end time is known.
             free = [0.0] * len(structure.resource_index)
-            ready_time = [0.0] * num_rows
             start_time: List[float] = []
             finish_time: List[Optional[float]] = []
-            for task_id, res, duration in zip(range(num_tasks), task_resource, durations):
-                ready_at, free_at = ready_time[task_id], free[res]
-                start_at = ready_at if ready_at > free_at else free_at
+            targets = iter(template.dep_targets)
+            rows = zip(structure.resource_ids, durations, structure.dep_counts)
+            for res, duration, count in rows:
+                start_at = free[res]
+                if count == 1:
+                    ready_at = finish_time[next(targets)]
+                    if ready_at > start_at:
+                        start_at = ready_at
+                elif count:
+                    for dep in islice(targets, count):
+                        ready_at = finish_time[dep]
+                        if ready_at > start_at:
+                            start_at = ready_at
                 end_at = start_at + duration
                 start_time.append(start_at)
                 finish_time.append(end_at)
                 free[res] = end_at
-                for dependent in dependents[offsets[task_id] : offsets[task_id + 1]]:
-                    if ready_time[dependent] < end_at:
-                        ready_time[dependent] = end_at
         else:
             start_time, finish_time = self._run_events(structure)
 
-        # A template run reads the template's accounting layout, cut to the
-        # rows it ran; a plain engine's trace builds its own on first use.
-        layout = None
-        if self._template is not None:
-            layout = self._template.layout
-            if num_tasks < num_rows:
-                layout = layout.cut(num_tasks)
+        # A template run reads the template's accounting layout of the rows
+        # it ran; a plain engine's trace builds its own on first use.
+        layout = None if template is None else template.prefix_layout(num_tasks)
         return Trace(self, range(num_tasks), start_time, finish_time, layout)
 
     def _run_events(self, structure: _Structure) -> Tuple[List[float], List[Optional[float]]]:
@@ -407,7 +407,8 @@ class SimulationEngine:
                     candidates,
                     (head_ready if head_ready > end_at else end_at, head, res),
                 )
-            for dependent in dependents[offsets[task_id] : offsets[task_id + 1]]:
+            for index in range(offsets[task_id], offsets[task_id + 1]):
+                dependent = dependents[index]
                 remaining_deps[dependent] -= 1
                 if ready_time[dependent] < end_at:
                     ready_time[dependent] = end_at
@@ -444,9 +445,9 @@ class GraphTemplate:
     array) for the dependencies.  Next to them the template keeps what every
     instance shares: the run structure (dependency counts, dependents and
     interned resource ids, as flat lists) and the
-    :class:`~repro.sim.trace.AccountingLayout` of all its rows, which each
-    run cuts to its row prefix.  :meth:`instantiate` takes one value per
-    slot.
+    :class:`~repro.sim.trace.AccountingLayout` of all its rows, and that of
+    each row prefix a run has asked for (:meth:`prefix_layout`).
+    :meth:`instantiate` takes one value per slot.
 
     :attr:`in_order` is true when, whatever the durations, every resource
     runs its tasks in id order (:func:`_runs_in_id_order`); the instances
@@ -474,6 +475,7 @@ class GraphTemplate:
         "slot_names",
         "structure",
         "layout",
+        "prefix_layouts",
         "in_order",
     )
 
@@ -517,6 +519,7 @@ class GraphTemplate:
             self.dep_targets.extend(deps)
         self.structure = _run_structure(engine.deps, resources, base.structure)
         self.layout = base.layout.joined(accounting_layout(engine, range(len(names)), first))
+        self.prefix_layouts: Dict[int, AccountingLayout] = {}
         # Rows added after out-of-order ones leave those out of order.
         self.in_order = base.in_order and _runs_in_id_order(
             self.structure, self.dep_offsets, self.dep_targets
@@ -525,6 +528,20 @@ class GraphTemplate:
     @property
     def num_tasks(self) -> int:
         return len(self.slots)
+
+    def prefix_layout(self, rows: int) -> AccountingLayout:
+        """The accounting layout of the first ``rows`` rows.
+
+        A row prefix's layout is cut from :attr:`layout` the first time it
+        is asked for and kept in :attr:`prefix_layouts`: a template runs
+        only a few prefix lengths (the step counts below the one it holds).
+        """
+        if rows == len(self.slots):
+            return self.layout
+        layout = self.prefix_layouts.get(rows)
+        if layout is None:
+            layout = self.prefix_layouts.setdefault(rows, self.layout.cut(rows))
+        return layout
 
     def extended(self, engine: SimulationEngine) -> "GraphTemplate":
         """This template with ``engine``'s rows appended after its own.
@@ -577,6 +594,7 @@ def _no_template() -> GraphTemplate:
     empty.slots, empty.steps, empty.devices = array("i"), array("i"), array("i")
     empty.blocks, empty.dep_targets, empty.dep_offsets = array("i"), array("i"), array("i", [0])
     empty.structure, empty.layout = _NO_ROWS, AccountingLayout((), ())
+    empty.prefix_layouts = {}
     empty.in_order = True
     return empty
 

@@ -10,8 +10,8 @@ The time accounting below (step boundaries, the steady-state step time and
 :func:`~repro.sim.metrics.compute_breakdown`) reads the trace's
 :class:`AccountingLayout`: which rows each step and each ``(device,
 category)`` covers.  The layout depends only on the task table, so a graph
-template computes it once and each run cuts it to its row prefix; any other
-trace builds its own with :func:`accounting_layout`.
+template computes it once and keeps its cut for each row prefix a run asks
+for; any other trace builds its own with :func:`accounting_layout`.
 """
 
 from __future__ import annotations
