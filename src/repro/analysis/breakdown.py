@@ -20,6 +20,7 @@ from typing import Dict
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
+from repro.fold import left_sum
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.parallel.executor import ExecutionResult
@@ -68,11 +69,11 @@ def ideal_breakdown(
     steps = dataset.steps_per_epoch(batch_size)
     num_devices = server.num_devices
 
-    teacher_step = sum(
+    teacher_step = left_sum(
         cost_model.block_forward_time(block, batch_size) for block in pair.teacher.blocks
     )
     rounds = pair.student_rounds_per_step
-    student_step = sum(
+    student_step = left_sum(
         rounds
         * (
             cost_model.block_forward_time(block, batch_size)
@@ -93,7 +94,7 @@ def ideal_breakdown(
 
 def breakdown_fractions(breakdown: Dict[str, float]) -> Dict[str, float]:
     """Normalise a breakdown to fractions of its total."""
-    total = sum(breakdown.values())
+    total = left_sum(breakdown.values())
     if total <= 0:
         return {category: 0.0 for category in breakdown}
     return {category: value / total for category, value in breakdown.items()}
@@ -101,4 +102,4 @@ def breakdown_fractions(breakdown: Dict[str, float]) -> Dict[str, float]:
 
 def breakdown_total(breakdown: Dict[str, float]) -> float:
     """Total epoch time represented by a breakdown."""
-    return sum(breakdown.values())
+    return left_sum(breakdown.values())

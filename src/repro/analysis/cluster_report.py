@@ -16,6 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.reporting import format_seconds, format_table
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ class ClusterReport:
 
     @property
     def total_gpus(self) -> int:
-        return sum(self.node_gpus.values())
+        return left_sum(self.node_gpus.values())
 
     @property
     def makespan(self) -> float:
@@ -222,7 +223,7 @@ class ClusterReport:
     def mean_wait(self) -> float:
         if not self.records:
             return 0.0
-        return sum(record.wait_time for record in self.records) / len(self.records)
+        return left_sum(record.wait_time for record in self.records) / len(self.records)
 
     @property
     def p95_wait(self) -> float:
@@ -238,7 +239,7 @@ class ClusterReport:
     def mean_service(self) -> float:
         if not self.records:
             return 0.0
-        return sum(record.service_time for record in self.records) / len(self.records)
+        return left_sum(record.service_time for record in self.records) / len(self.records)
 
     def _node_capacity_gpu_seconds(self) -> Dict[str, float]:
         """Per-node live-capacity integral over the makespan.
@@ -270,7 +271,7 @@ class ClusterReport:
     @property
     def capacity_gpu_seconds(self) -> float:
         """Fleet GPU-seconds actually available (crash-adjusted)."""
-        return sum(self._node_capacity_gpu_seconds().values())
+        return left_sum(self._node_capacity_gpu_seconds().values())
 
     @property
     def gpu_utilization(self) -> float:
@@ -283,7 +284,7 @@ class ClusterReport:
         capacity = self.capacity_gpu_seconds
         if capacity <= 0:
             return 0.0
-        busy = sum(record.effective_gpu_seconds for record in self.records)
+        busy = left_sum(record.effective_gpu_seconds for record in self.records)
         return busy / capacity
 
     @property
@@ -309,16 +310,16 @@ class ClusterReport:
     @property
     def interruptions(self) -> int:
         """Fault-driven evictions across completed *and* killed jobs."""
-        completed = sum(record.preemptions for record in self.records)
-        lost = sum(int(entry.get("preemptions", 0)) for entry in self.killed)
+        completed = left_sum(record.preemptions for record in self.records)
+        lost = left_sum(int(entry.get("preemptions", 0)) for entry in self.killed)
         return completed + lost
 
     @property
     def wasted_gpu_hours(self) -> float:
         """GPU-hours destroyed by lost work, overheads and killed jobs."""
-        wasted = sum(record.wasted_gpu_seconds for record in self.records)
+        wasted = left_sum(record.wasted_gpu_seconds for record in self.records)
         # A killed job's entire occupancy was wasted — it never finished.
-        wasted += sum(float(entry.get("gpu_seconds", 0.0)) for entry in self.killed)
+        wasted += left_sum(float(entry.get("gpu_seconds", 0.0)) for entry in self.killed)
         return wasted / 3600.0
 
     @property
@@ -338,7 +339,7 @@ class ClusterReport:
         capacity = self.capacity_gpu_seconds
         if capacity <= 0:
             return 0.0
-        useful = sum(record.useful_gpu_seconds for record in self.records)
+        useful = left_sum(record.useful_gpu_seconds for record in self.records)
         return useful / capacity
 
     # ------------------------------------------------------------------ #
@@ -383,11 +384,11 @@ class ClusterReport:
         if len(by_tenant) <= 1:
             return 1.0
         allocations = [
-            1.0 / max(sum(slowdowns) / len(slowdowns), 1e-9)
+            1.0 / max(left_sum(slowdowns) / len(slowdowns), 1e-9)
             for slowdowns in by_tenant.values()
         ]
-        square_of_sum = sum(allocations) ** 2
-        sum_of_squares = sum(x * x for x in allocations)
+        square_of_sum = left_sum(allocations) ** 2
+        sum_of_squares = left_sum(x * x for x in allocations)
         if sum_of_squares <= 0:
             return 1.0
         return square_of_sum / (len(allocations) * sum_of_squares)
@@ -395,10 +396,10 @@ class ClusterReport:
     @property
     def total_cost_usd(self) -> float:
         """Spot-priced USD across completed and killed jobs (0 if unpriced)."""
-        total = sum(
+        total = left_sum(
             record.cost_usd for record in self.records if record.cost_usd is not None
         )
-        total += sum(
+        total += left_sum(
             float(entry["cost_usd"])
             for entry in self.killed
             if entry.get("cost_usd") is not None
@@ -430,12 +431,12 @@ class ClusterReport:
             ]
             count = len(records)
             with_deadline = [r for r in records if r.met_deadline is not None]
-            deadline_total = len(with_deadline) + sum(
+            deadline_total = len(with_deadline) + left_sum(
                 1 for entry in killed if entry.get("deadline") is not None
             )
-            hits = sum(1 for r in with_deadline if r.met_deadline)
-            cost = sum(r.cost_usd for r in records if r.cost_usd is not None)
-            cost += sum(
+            hits = left_sum(1 for r in with_deadline if r.met_deadline)
+            cost = left_sum(r.cost_usd for r in records if r.cost_usd is not None)
+            cost += left_sum(
                 float(entry["cost_usd"])
                 for entry in killed
                 if entry.get("cost_usd") is not None
@@ -444,13 +445,13 @@ class ClusterReport:
                 "jobs": count,
                 "killed": len(killed),
                 "mean_wait_s": (
-                    sum(r.wait_time for r in records) / count if count else 0.0
+                    left_sum(r.wait_time for r in records) / count if count else 0.0
                 ),
                 "mean_slowdown": (
-                    sum(r.slowdown for r in records) / count if count else 0.0
+                    left_sum(r.slowdown for r in records) / count if count else 0.0
                 ),
-                "gpu_seconds": sum(r.effective_gpu_seconds for r in records),
-                "useful_gpu_seconds": sum(r.useful_gpu_seconds for r in records),
+                "gpu_seconds": left_sum(r.effective_gpu_seconds for r in records),
+                "useful_gpu_seconds": left_sum(r.useful_gpu_seconds for r in records),
                 "deadline_hit_rate": (
                     hits / deadline_total if deadline_total else 1.0
                 ),
@@ -469,11 +470,11 @@ class ClusterReport:
         makespan = self.makespan
         if makespan <= 0:
             return 0.0
-        occupied = sum(record.effective_gpu_seconds for record in self.records)
-        occupied += sum(float(entry.get("gpu_seconds", 0.0)) for entry in self.killed)
+        occupied = left_sum(record.effective_gpu_seconds for record in self.records)
+        occupied += left_sum(float(entry.get("gpu_seconds", 0.0)) for entry in self.killed)
         if occupied <= 0:
             return self.jobs_per_hour
-        useful = sum(record.useful_gpu_seconds for record in self.records)
+        useful = left_sum(record.useful_gpu_seconds for record in self.records)
         return self.jobs_per_hour * (useful / occupied)
 
     # ------------------------------------------------------------------ #

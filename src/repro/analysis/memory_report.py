@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.parallel.executor import ExecutionResult
 
 
@@ -38,4 +39,4 @@ def average_memory_overhead(
     ratios = [
         (ours[device] - base[device]) / base[device] for device in sorted(ours)
     ]
-    return sum(ratios) / len(ratios)
+    return left_sum(ratios) / len(ratios)

@@ -6,6 +6,7 @@ import math
 from typing import Dict, Mapping, Sequence
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.parallel.executor import ExecutionResult
 
 
@@ -32,7 +33,7 @@ def geometric_mean_speedup(speedups: Sequence[float]) -> float:
         raise ConfigurationError("speedups must be non-empty")
     if any(value <= 0 for value in speedups):
         raise ConfigurationError("speedups must be positive")
-    return math.exp(sum(math.log(value) for value in speedups) / len(speedups))
+    return math.exp(left_sum(math.log(value) for value in speedups) / len(speedups))
 
 
 def crossover_batch(

@@ -111,6 +111,7 @@ from repro.cluster.workload import EpochKey, JobSpec, Workload
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ClusterError
+from repro.fold import left_sum
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
@@ -341,7 +342,7 @@ class _FleetRun:
             name: float(spec.quota_gpus) if spec.quota_gpus is not None else 1.0
             for name, spec in self.tenants.items()
         }
-        self.total_weight = sum(self.share_weight.values()) or 1.0
+        self.total_weight = left_sum(self.share_weight.values()) or 1.0
         self.consumed: Dict[str, float] = {}
         # GPUs each tenant holds in running attempts (tenants holding none
         # are absent), kept by _start and _release on non-plain runs.
@@ -357,7 +358,7 @@ class _FleetRun:
         # The live fleet size (every node's available GPUs) since the instant
         # it last changed, and each tenant's share-weighted entitlement: the
         # live capacity integrated from t=0 up to that instant.
-        self.fleet = sum(self.available(name) for name in self.capacity)
+        self.fleet = left_sum(self.available(name) for name in self.capacity)
         self.fleet_since = 0.0
         self.entitled = {name: 0.0 for name in self.tenants}
         self.factor = {name: 1.0 for name in self.capacity}
@@ -440,7 +441,7 @@ class _FleetRun:
                 preemptions=prog.preemptions,
                 gpu_seconds=None if plain else prog.gpu_seconds,
                 wasted_gpu_seconds=prog.wasted_gpu_seconds,
-                recovery_seconds=sum(prog.recoveries),
+                recovery_seconds=left_sum(prog.recoveries),
                 final_gpus=None if plain else attempt.gpus,
                 tenant=job.tenant,
                 deadline=job.deadline,

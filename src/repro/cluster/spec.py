@@ -18,6 +18,7 @@ from typing import Dict, Iterator, Tuple
 
 from repro.core.config import VALID_SERVERS
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.hardware.server import ServerSpec, get_server
 
 
@@ -100,7 +101,7 @@ class ClusterSpec:
 
     @property
     def total_gpus(self) -> int:
-        return sum(node.num_gpus for node in self.nodes)
+        return left_sum(node.num_gpus for node in self.nodes)
 
     @property
     def max_gpus_per_node(self) -> int:

@@ -34,6 +34,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.config import ExperimentConfig, VALID_DATASETS, VALID_TASKS
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.parallel.registry import REGISTRY
 
 #: How a tenant's job deadlines are interpreted by the SLO analytics.
@@ -685,7 +686,7 @@ def tenant_workload(
     specs = tuple(tenants)
     default_rate = rate / len(specs)
     weights = [spec.rate if spec.rate is not None else default_rate for spec in specs]
-    total_weight = sum(weights)
+    total_weight = left_sum(weights)
 
     # Largest-remainder split of num_jobs proportional to arrival rates.
     shares = [num_jobs * weight / total_weight for weight in weights]
@@ -693,7 +694,7 @@ def tenant_workload(
     remainders = sorted(
         range(len(specs)), key=lambda i: (counts[i] - shares[i], specs[i].name)
     )
-    for index in remainders[: num_jobs - sum(counts)]:
+    for index in remainders[: num_jobs - left_sum(counts)]:
         counts[index] += 1
 
     jobs = []

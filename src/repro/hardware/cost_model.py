@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.models.blocks import BlockSpec
 from repro.models.layers import LayerCosts, LayerSpec
 from repro.hardware.gpu import GPUSpec
@@ -107,7 +108,8 @@ class CostModel:
         The compute rate is ``peak * efficiency * op_cap / max_efficiency``,
         floored at 1 FLOP/s, with the utilization curve of
         :meth:`GPUSpec.work_efficiency` inlined; the GPU's constants are
-        read once per call.  The per-layer times add up with ``sum``.
+        read once per call.  The per-layer times add up with
+        :func:`~repro.fold.left_sum`, a C-level left fold.
         """
         self._check_batch(batch)
         if batch == 0:
@@ -142,7 +144,7 @@ class CostModel:
             compute_time = flops / (rate if rate > 1.0 else 1.0)
             memory_time = traffic / bandwidth
             times.append((memory_time if memory_time > compute_time else compute_time) + overhead)
-        return sum(times)
+        return left_sum(times)
 
     @staticmethod
     def _check_batch(batch: int) -> None:

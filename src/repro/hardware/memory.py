@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.models.blocks import BlockSpec
 
 #: Number of parameter-sized buffers kept for a trainable block under
@@ -74,7 +75,7 @@ class MemoryModel:
 
         total = self.framework_baseline_bytes
         # Resident teacher parameters.
-        total += sum(block.weight_bytes for block in teacher_blocks)
+        total += left_sum(block.weight_bytes for block in teacher_blocks)
         # Peak transient teacher activation among executed teacher blocks.
         if teacher_blocks:
             total += max(

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ShapeError
+from repro.fold import left_sum
 from repro.models.layers import BYTES_PER_ELEMENT, LayerCosts, LayerSpec, check_chain
 
 
@@ -56,7 +57,7 @@ class BlockSpec:
     @cached_property
     def macs(self) -> float:
         """Forward MACs per sample."""
-        return float(sum(layer.macs for layer in self.layers))
+        return float(left_sum(layer.macs for layer in self.layers))
 
     @property
     def flops(self) -> float:
@@ -65,7 +66,7 @@ class BlockSpec:
 
     @cached_property
     def params(self) -> int:
-        return int(sum(layer.params for layer in self.layers))
+        return int(left_sum(layer.params for layer in self.layers))
 
     @cached_property
     def weight_bytes(self) -> int:
@@ -100,7 +101,7 @@ class BlockSpec:
         large spatial dimensions (paper §VII-C).
         """
         total = self.layers[0].in_bytes
-        total += sum(layer.out_bytes for layer in self.layers)
+        total += left_sum(layer.out_bytes for layer in self.layers)
         return int(total)
 
     @cached_property

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.errors import ShapeError
+from repro.fold import left_sum
 
 #: Bytes used per activation / weight element (FP32 training, as in the paper).
 BYTES_PER_ELEMENT = 4
@@ -332,12 +333,12 @@ def human_params(params: float) -> str:
 
 def total_macs(layers) -> float:
     """Sum of MACs over an iterable of :class:`LayerSpec`."""
-    return float(sum(layer.macs for layer in layers))
+    return float(left_sum(layer.macs for layer in layers))
 
 
 def total_params(layers) -> int:
     """Sum of parameters over an iterable of :class:`LayerSpec`."""
-    return int(sum(layer.params for layer in layers))
+    return int(left_sum(layer.params for layer in layers))
 
 
 def check_chain(layers) -> None:

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Tuple
 
 from repro.errors import ShapeError
+from repro.fold import left_sum
 from repro.models.blocks import BlockSpec
 from repro.models.layers import human_flops, human_params
 
@@ -71,11 +72,11 @@ class NetworkSpec:
     # ------------------------------------------------------------------ #
     @property
     def params(self) -> int:
-        return int(sum(block.params for block in self.blocks))
+        return int(left_sum(block.params for block in self.blocks))
 
     @property
     def macs(self) -> float:
-        return float(sum(block.macs for block in self.blocks))
+        return float(left_sum(block.macs for block in self.blocks))
 
     @property
     def flops(self) -> float:

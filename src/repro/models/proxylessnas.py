@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.models import layers as L
 from repro.models.blocks import BlockSpec
 from repro.models.mobilenetv2 import (
@@ -45,8 +46,8 @@ def _candidate_macs_params(
             unit = _inverted_residual(
                 "candidate", in_shape, out_channels, expansion, stride, kernel=kernel
             )
-            total_macs += sum(layer.macs for layer in unit)
-            total_params += sum(layer.params for layer in unit)
+            total_macs += left_sum(layer.macs for layer in unit)
+            total_params += left_sum(layer.params for layer in unit)
             out_shape = unit[-1].out_shape
     assert out_shape is not None
     return total_macs, total_params, out_shape

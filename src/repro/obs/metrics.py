@@ -38,6 +38,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 
 __all__ = [
     "Counter",
@@ -153,7 +154,7 @@ class Counter(_Metric):
     def total(self) -> float:
         """Sum across every label set of the family."""
         with self._lock:
-            return sum(self._values.values())
+            return left_sum(self._values.values())
 
     def reset(self) -> None:
         with self._lock:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.obs.tracing import SpanRecorder, span
 
 __all__ = ["PROFILE_KINDS", "ProfileReport", "profile_workload", "format_breakdown"]
@@ -90,7 +91,7 @@ def profile_workload(
         with span(f"profile.{kind}"):
             result = workload()
         wall_s = time.perf_counter() - t0
-    covered_s = sum(root.duration_s for root in recorder.roots())
+    covered_s = left_sum(root.duration_s for root in recorder.roots())
     coverage = min(1.0, covered_s / wall_s) if wall_s > 0 else 1.0
     return ProfileReport(
         kind=kind,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.errors import ScheduleError
+from repro.fold import left_sum
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.parallel.partition import lpt_bin_packing
@@ -32,7 +33,7 @@ def block_task_cost(pair: DistillationPair, profile: ProfileTable, block_id: int
     Includes the teacher forward over blocks ``0..block_id`` (the redundant
     prefix) plus the student's forward/backward rounds and update.
     """
-    teacher_prefix = sum(
+    teacher_prefix = left_sum(
         profile.teacher_time(prefix_block, batch) for prefix_block in range(block_id + 1)
     )
     return teacher_prefix + profile.student_step_time(block_id, batch)

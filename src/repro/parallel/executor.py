@@ -34,6 +34,7 @@ run fills in the durations only.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import count
@@ -42,6 +43,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
 from repro.errors import ScheduleError
+from repro.fold import left_sum
 from repro.hardware.cost_model import CostModel
 from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
@@ -218,17 +220,21 @@ class Phase(NamedTuple):
 class LoweredPlan(NamedTuple):
     """A plan lowered onto graph templates: all of its execution but the simulation.
 
-    ``phases`` holds each phase's template key and slot values, in the
-    order of the template's slot keys; ``peak_memory_bytes`` the peak
+    ``keys`` holds each phase's template key, in run order, and ``values``
+    every phase's slot values, phase after phase, each phase's in the order
+    of its template's slot keys; ``peak_memory_bytes`` holds the peak
     allocation of each device, by id.  None of it depends on the step
-    count, so one lowered plan serves runs of any length.  It holds plain
-    tuples of floats: no closure and nothing of the executor that made it.
+    count, so one lowered plan serves runs of any length.  A session keeps
+    one per (strategy, cell), so the floats are ``array('d')`` items, 8
+    bytes each: no float objects, no closure and nothing of the executor
+    that made it.
     """
 
     plan: SchedulePlan
     steps_per_epoch: int
-    phases: Tuple[Tuple[Hashable, Tuple[float, ...]], ...]
-    peak_memory_bytes: Tuple[float, ...]
+    keys: Tuple[Hashable, ...]
+    values: array
+    peak_memory_bytes: array
 
 
 def _phase_steps(plan: SchedulePlan, steps: int) -> int:
@@ -237,11 +243,16 @@ def _phase_steps(plan: SchedulePlan, steps: int) -> int:
 
 
 class TemplateEntry(NamedTuple):
-    """One plan shape's graph: built for ``steps`` steps, slots named by key."""
+    """One plan shape's graph: built for ``steps`` steps, slots named by key.
+
+    ``key`` is the shape's key as the table holds it; a lowered plan keeps
+    that one object rather than an equal copy of its own.
+    """
 
     steps: int
     template: GraphTemplate
     slot_keys: Tuple[Hashable, ...]
+    key: Hashable
 
 
 class GraphTemplates:
@@ -296,7 +307,7 @@ class GraphTemplates:
     def num_tasks(self) -> int:
         """Rows held over every template."""
         with self._lock:
-            return sum(builder.rows for builder in self._builders.values())
+            return left_sum(builder.rows for builder in self._builders.values())
 
     def clear(self) -> None:
         with self._lock:
@@ -317,6 +328,7 @@ class _GraphBuilder:
     """
 
     def __init__(self, key: Hashable) -> None:
+        self.key = key
         self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
         self.rows = 0  # rows frozen so far
@@ -353,7 +365,7 @@ class _GraphBuilder:
         held = self.held
         template = engine.freeze() if held is None else held.template.extended(engine)
         self.rows = template.num_tasks
-        self.held = TemplateEntry(steps, template, tuple(self.slots))
+        self.held = TemplateEntry(steps, template, tuple(self.slots), self.key)
         return self.held
 
     def grow(self, steps: int) -> TemplateEntry:
@@ -680,14 +692,16 @@ class ScheduleExecutor:
                 f"{self.server.num_devices}"
             )
         steps = _phase_steps(plan, self.simulated_steps)
-        phases = []
+        keys, values = [], []
         for key, duration in self._phases(plan):
             graph, _ = self.templates.get(key, steps)
-            phases.append((key, tuple(map(duration, graph.slot_keys))))
+            keys.append(graph.key)
+            values += map(duration, graph.slot_keys)
         return LoweredPlan(
             plan=plan,
             steps_per_epoch=self.dataset.steps_per_epoch(plan.batch_size),
-            phases=tuple(phases),
+            keys=tuple(keys),
+            values=array("d", values),
             peak_memory_bytes=self._peak_memory(plan),
         )
 
@@ -708,9 +722,11 @@ class ScheduleExecutor:
         step_times: List[float] = []
         breakdown: Dict[int, Dict[str, float]] = {}
         trace: Optional[Trace] = None
-        for key, values in lowered.phases:
+        end = 0
+        for key in lowered.keys:
             graph, rows = self.templates.get(key, steps)
-            trace = graph.template.instantiate(values, rows).run()
+            start, end = end, end + len(graph.slot_keys)
+            trace = graph.template.instantiate(lowered.values[start:end], rows).run()
             phase_step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
             phase_epoch_time = phase_step_time * steps_per_epoch
             step_times.append(phase_step_time)
@@ -746,34 +762,34 @@ class ScheduleExecutor:
     # Shared duration helpers
     # ------------------------------------------------------------------ #
     def _teacher_time(self, block_ids, batch: int) -> float:
-        return sum(
+        return left_sum(
             self.cost_model.block_forward_time(self.pair.teacher.block(block_id), batch)
             for block_id in block_ids
         )
 
     def _student_forward_time(self, block_ids, batch: int) -> float:
         rounds = self.pair.student_rounds_per_step
-        return rounds * sum(
+        return rounds * left_sum(
             self.cost_model.block_forward_time(self.pair.student.block(block_id), batch)
             for block_id in block_ids
         )
 
     def _student_backward_time(self, block_ids, batch: int) -> float:
         rounds = self.pair.student_rounds_per_step
-        return rounds * sum(
+        return rounds * left_sum(
             self.cost_model.block_backward_time(self.pair.student.block(block_id), batch)
             for block_id in block_ids
         )
 
     def _update_time(self, block_ids) -> float:
-        return sum(
+        return left_sum(
             self.cost_model.weight_update_time(self.pair.student.block(block_id))
             for block_id in block_ids
         )
 
     def _grad_bytes(self, block_ids) -> float:
         return float(
-            sum(self.pair.student.block(block_id).params for block_id in block_ids)
+            left_sum(self.pair.student.block(block_id).params for block_id in block_ids)
             * BYTES_PER_ELEMENT
         )
 
@@ -903,7 +919,7 @@ class ScheduleExecutor:
             scaled[device]["idle"] = max(0.0, epoch_time - busy - data_wait)
         return scaled
 
-    def _peak_memory(self, plan: SchedulePlan) -> Tuple[float, ...]:
+    def _peak_memory(self, plan: SchedulePlan) -> array:
         """Peak allocation of each device, by id; an idle device holds the framework baseline.
 
         Each plan kind lists what its devices hold: ``(devices, executed
@@ -948,4 +964,4 @@ class ScheduleExecutor:
             for device in devices:
                 peak[device] = max(peak.get(device, 0.0), peak_bytes)
         baseline = memory_model.framework_baseline_bytes
-        return tuple(peak.get(device, baseline) for device in range(plan.num_devices))
+        return array("d", [peak.get(device, baseline) for device in range(plan.num_devices)])

@@ -37,6 +37,7 @@ from itertools import accumulate, chain, islice
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.fold import left_sum
 from repro.sim.events import SimTask, TaskKind, check_duration
 from repro.sim.trace import AccountingLayout, Trace, accounting_layout
 
@@ -77,7 +78,7 @@ def _run_structure(
     # Each value's int object is made once and shared by the offsets and
     # the dependents, which templates keep for as long as their table lives.
     low = min(start, first)
-    high = max(len(old_dependents) + sum(dep_counts), first + len(deps))
+    high = max(len(old_dependents) + left_sum(dep_counts), first + len(deps))
     ints = list(range(low, high + 1))
     dependents: List[List[int]] = [
         old_dependents[old_offsets[row] : old_offsets[row + 1]] for row in range(kept, first)
@@ -407,8 +408,10 @@ class SimulationEngine:
                     candidates,
                     (head_ready if head_ready > end_at else end_at, head, res),
                 )
-            for index in range(offsets[task_id], offsets[task_id + 1]):
+            index, end = offsets[task_id], offsets[task_id + 1]
+            while index < end:
                 dependent = dependents[index]
+                index += 1
                 remaining_deps[dependent] -= 1
                 if ready_time[dependent] < end_at:
                     ready_time[dependent] = end_at

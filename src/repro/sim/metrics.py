@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
+from repro.fold import left_sum
 from repro.sim.trace import Trace
 
 #: Breakdown categories matching the paper's Fig. 2 legend.
@@ -61,7 +62,7 @@ def compute_breakdown(
         breakdown[device][category] = total
 
     for device in range(num_devices):
-        busy = sum(
+        busy = left_sum(
             breakdown[device][category]
             for category in ("teacher_exec", "student_exec", "comm")
         )

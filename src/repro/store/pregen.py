@@ -43,6 +43,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.config import ExperimentConfig
 from repro.errors import StoreError, StoreSchemaError
+from repro.fold import left_sum
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.store.backends import CellTask, resolve_backend
@@ -407,7 +408,7 @@ def run_pregen(
             with span("pregen.simulate", cells=len(todo)):
                 resolved.run_cells(session, todo)
 
-        present = sum(
+        present = left_sum(
             1 for config, strategy in cells if session.in_store(config, strategy)
         )
         manifest.row_count = present

@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import StoreError, StoreSchemaError
+from repro.fold import left_sum
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.store.keys import SCHEMA_VERSION, canonical_json, content_key
@@ -476,7 +477,7 @@ class ExperimentStore:
             )
         return {
             "root": str(self.root),
-            "stats": self._build_stats(sum(kinds.values())).to_dict(),
+            "stats": self._build_stats(left_sum(kinds.values())).to_dict(),
             "records_by_kind": kinds,
         }
 

@@ -60,6 +60,7 @@ from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.data.loader import DataLoadModel
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
@@ -400,7 +401,7 @@ class TuneEvaluator:
         device_times = []
         for block_ids in plan.device_blocks.values():
             prefix = range(max(block_ids) + 1)
-            compute = sum(
+            compute = left_sum(
                 cost_model.block_forward_time(pair.teacher.block(i), batch) for i in prefix
             )
             for block_id in block_ids:

@@ -35,6 +35,7 @@ from typing import Optional
 
 from repro.cluster.market import GPU_HOURLY_RATES
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.registry import NamedRegistry, make_register
 from repro.tune.space import TunePoint
 
@@ -210,7 +211,7 @@ class MaxJobsPerHour:
             return self.key(measurement)
         point = measurement.point
         if point.cluster is not None:
-            slots = sum(
+            slots = left_sum(
                 node.num_gpus // point.num_gpus for node in point.cluster.nodes
             )
         else:

@@ -457,11 +457,47 @@ class TestInOrderTemplates:
         # Every row prefix, and the same rows frozen in two parts.
         prefix = data.draw(st.integers(0, len(rows)), label="prefix")
         assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
+        # A prefix's accounting layout is cut once and kept with the template.
+        kept = template.prefix_layout(prefix)
+        assert kept == template.layout.cut(prefix)
+        assert template.prefix_layout(prefix) is kept
         split = data.draw(st.integers(1, len(rows)), label="split")
         base = _rows_from(slots, 0, split).freeze()
         extended = base.extended(_rows_from(slots, split, len(rows)))
         assert extended.in_order == template.in_order
         assert _times(extended.instantiate(values).run()) == heap
+
+    def test_rows_with_no_one_and_several_dependencies_or_dependents(self):
+        # Row 0 feeds three rows and row 5 waits on three; rows 1, 2 and 3
+        # have one dependent each, row 4 one dependency, rows 6 and 7 none
+        # or one of either.  The one-pass loop reads each row's
+        # dependencies from the template's flat CSR targets, so every count
+        # must consume exactly its own targets, on every row prefix.
+        rows = (
+            ("host:loader", 0, ()),  # 0
+            (device_compute(0), 1, (0,)),  # 1
+            (device_compute(1), 1, (0,)),  # 2
+            ("collective:x", 2, (0,)),  # 3
+            (device_compute(0), 2, (1,)),  # 4
+            (device_compute(1), 0, (2, 3, 4)),  # 5
+            ("host:loader", 0, ()),  # 6
+            (device_compute(0), 1, (6,)),  # 7
+        )
+        values = [0.5, 1.0, 2.5]
+        template = _graph_engine(rows, lambda slot: slot).freeze()
+        assert template.in_order and _in_order_by_definition(rows)
+        counts = [len(deps) for _, _, deps in rows]
+        dependents = [sum(row in deps for _, _, deps in rows) for row in range(len(rows))]
+        assert {0, 1, 3} <= set(counts) and {0, 1, 3} <= set(dependents)
+        heap = _times(_graph_engine(rows, values.__getitem__).run())
+        assert heap[5][1] == max(heap[dep][2] for dep in (2, 3, 4)) == 4.0
+        for prefix in range(len(rows) + 1):
+            assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
+            prefix_rows = _graph_engine(rows[:prefix], values.__getitem__)
+            assert _times(prefix_rows.run()) == heap[:prefix]
+        # Each prefix layout is cut once; the whole template's is its own.
+        assert set(template.prefix_layouts) == set(range(len(rows)))
+        assert template.prefix_layout(len(rows)) is template.layout
 
     def test_a_decoupled_update_graph_runs_on_the_heap_loop(self):
         # One DPU step on two replicas: the update waits on the all-reduce

@@ -79,9 +79,17 @@ def check_workload(record: dict, workload: str = "plan-cold") -> None:
     for side, layers in record.get("per_layer", {}).items():
         assert side in ("parent", "change")
         assert all(isinstance(value, (int, float)) for value in layers.values())
-    # Records before traced pairs carry one traced run per side and no count.
+    # Records before traced pairs carry one traced run per side and no count;
+    # records before per-layer IQRs carry medians only.
     if "traced_pairs" in record:
         assert record["traced_pairs"] >= 3 and "per_layer" in record
+    if "per_layer_iqr" in record:
+        assert "traced_pairs" in record
+        iqrs, medians = record["per_layer_iqr"], record["per_layer"]
+        assert set(iqrs) == set(medians) == {"parent", "change"}
+        for side, layers in iqrs.items():
+            assert set(layers) == set(medians[side])
+            assert all(isinstance(value, (int, float)) and value >= 0 for value in layers.values())
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=[path.name for path in RECORDS])
@@ -206,6 +214,40 @@ def test_traced_pairs_alternate_and_record_per_layer_medians(tmp_path, monkeypat
         "parent": {"cluster.run_self_ms": 100.0, "cluster.memo_fills": 384},
         "change": {"cluster.run_self_ms": 80.0, "cluster.memo_fills": 384},
     }
+    # Inclusive quartiles of (300, 100, 100) and (240, 80, 80).
+    assert record["per_layer_iqr"] == {
+        "parent": {"cluster.run_self_ms": 100.0, "cluster.memo_fills": 0.0},
+        "change": {"cluster.run_self_ms": 80.0, "cluster.memo_fills": 0.0},
+    }
+
+
+def test_check_prints_per_layer_medians_with_both_iqrs(tmp_path, capsys):
+    tool, path = scratch_record(tmp_path, {"ops_per_s": 1.2})
+    document = json.loads(path.read_text())
+    record = document["workloads"]["plan-cold"]
+    record["traced_pairs"] = 3
+    record["per_layer"] = {
+        "parent": {"sim.run_ms": 200.0, "parallel.execute_self_ms": 400.0, "sim.run_calls": 2112},
+        "change": {"sim.run_ms": 180.0, "parallel.execute_self_ms": 300.0, "sim.run_calls": 2112},
+    }
+    record["per_layer_iqr"] = {
+        "parent": {"sim.run_ms": 25.0, "parallel.execute_self_ms": 20.0, "sim.run_calls": 0},
+        "change": {"sim.run_ms": 10.0, "parallel.execute_self_ms": 30.0, "sim.run_calls": 0},
+    }
+    check_workload(record)
+    path.write_text(json.dumps(document))
+    assert tool.main(["--check", str(path)]) == 0
+    out = capsys.readouterr().out
+    # A 20 ms drop inside the parent's 25 ms IQR is not a layer change; a
+    # 100 ms one past both IQRs is; equal medians are left out.
+    assert "| sim.run_ms | 200 | 25 | 180 | 10 | -10.0% | no |" in out
+    assert "| parallel.execute_self_ms | 400 | 20 | 300 | 30 | -25.0% | yes |" in out
+    assert "sim.run_calls" not in out
+    del record["per_layer_iqr"]
+    check_workload(record)
+    path.write_text(json.dumps(document))
+    assert tool.main(["--check", str(path)]) == 0
+    assert "| sim.run_ms | 200 | n/a | 180 | n/a | -10.0% | n/a |" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("workload", ["cli-run", "sweep"])

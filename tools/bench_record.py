@@ -9,9 +9,12 @@ run's end-to-end metrics (``BENCHMARK.json``'s ``end_to_end`` list), the
 median and interquartile range of each side, and per pair the relative
 change of each metric.  With ``--traced``, :data:`TRACED_PAIRS` alternating
 traced pairs per workload add the per-layer table: each side's median of
-every per-layer metric.  One traced run per side is too noisy to carry a
+every per-layer metric (``per_layer``) and its interquartile range
+(``per_layer_iqr``).  One traced run per side is too noisy to carry a
 layer claim: two runs of the same code have read ``cluster.memo_fill_ms``
-a third apart.
+a third apart, and even three pairs have moved a layer the change did not
+touch by ~10%.  So a layer change counts only where the medians are
+further apart than either side's IQR, which ``--check`` shows.
 
 Besides the ``BENCHMARK.json`` workloads the tool times paths the
 benchmark does not cover (:data:`TOOL_WORKLOADS`), each with its own
@@ -30,7 +33,9 @@ Usage, from the root of the change checkout::
 
 ``--check`` reads a recorded file instead of running anything.  It prints
 the table a change cites (per workload and end-to-end metric: both medians,
-the median pair delta, the pairs better, the bound) and fails when a metric
+the median pair delta, the pairs better, the bound), then, for a traced
+record, each per-layer metric whose medians differ, with both IQRs and
+whether the medians are apart by more than both.  It fails when a metric
 regressed: its median pair delta is worse than its ``BENCHMARK.json`` bound
 *and* most pairs are worse.  Each ``--claim WORKLOAD:METRIC`` also requires
 the claimed gain: at least 10 pairs, nine in ten of them better, and a
@@ -225,16 +230,17 @@ def pair_order(pair: int) -> tuple:
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
 
-def per_layer(traced: Dict[str, List[dict]], end_to_end) -> Dict[str, Dict[str, float]]:
-    """Per side, the median of every per-layer metric over its traced runs."""
-    return {
-        side: {
-            name: statistics.median(run["metrics"][name]["value"] for run in runs)
-            for name in runs[0]["metrics"]
-            if name not in end_to_end
-        }
-        for side, runs in traced.items()
-    }
+def per_layer(traced: Dict[str, List[dict]], end_to_end) -> Dict[str, Dict[str, Dict]]:
+    """Per statistic (``median``, ``iqr``) and side, every per-layer metric over its traced runs."""
+    table: Dict[str, Dict[str, Dict]] = {"median": {}, "iqr": {}}
+    for side, runs in traced.items():
+        table["median"][side], table["iqr"][side] = {}, {}
+        for name in runs[0]["metrics"]:
+            if name not in end_to_end:
+                values = [run["metrics"][name]["value"] for run in runs]
+                table["median"][side][name] = statistics.median(values)
+                table["iqr"][side][name] = quartiles(values)["iqr"]
+    return table
 
 
 def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict:
@@ -275,8 +281,10 @@ def record_workload(args, benchmark: dict, workload: str, scratch: Path) -> dict
             for side in pair_order(pair):
                 result = run_once(checkouts[side], workload, args.seed, args.seconds, 1)
                 traced[side].append(result)
+        layers = per_layer(traced, record["end_to_end"])
         record["traced_pairs"] = TRACED_PAIRS
-        record["per_layer"] = per_layer(traced, record["end_to_end"])
+        record["per_layer"] = layers["median"]
+        record["per_layer_iqr"] = layers["iqr"]
     return record
 
 
@@ -347,7 +355,41 @@ def check(document: dict, benchmark: dict, claims: List[str]) -> List[str]:
                 f"| {entry['pairs_better']}/{len(entry['pair_deltas'])} "
                 f"| {bound:.0%} | {verdict} |"
             )
+    for workload, record in sorted(document["workloads"].items()):
+        print_layers(workload, record)
     return failures
+
+
+def print_layers(workload: str, record: dict) -> None:
+    """The per-layer metrics of a traced record whose medians differ, with both IQRs.
+
+    A layer moved only where the medians are further apart than either
+    side's IQR (``apart``).  Records made before the IQRs were kept show
+    ``n/a`` for them.
+    """
+    medians = record.get("per_layer")
+    if not medians:
+        return
+    iqrs = record.get("per_layer_iqr")
+    print()
+    print(f"{workload}: per-layer medians of {record.get('traced_pairs', 1)} traced pair(s)")
+    print("| metric | parent | parent IQR | change | change IQR | delta | apart |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    for name in sorted(medians["parent"]):
+        parent, change = medians["parent"][name], medians["change"].get(name)
+        if change is None or change == parent:
+            continue
+        delta = f"{change / parent - 1.0:+.1%}" if parent else "n/a"
+        if iqrs is None:
+            spread, apart = ("n/a", "n/a"), "n/a"
+        else:
+            spread = (iqrs["parent"][name], iqrs["change"][name])
+            apart = "yes" if abs(change - parent) > max(spread) else "no"
+            spread = tuple(f"{value:.4g}" for value in spread)
+        print(
+            f"| {name} | {parent:.4g} | {spread[0]} | {change:.4g} | {spread[1]} "
+            f"| {delta} | {apart} |"
+        )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -376,7 +418,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--traced",
         action="store_true",
-        help=f"add per-layer medians of {TRACED_PAIRS} alternating traced pairs",
+        help=f"add per-layer medians and IQRs of {TRACED_PAIRS} alternating traced pairs",
     )
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json in --change")
     args = parser.parse_args(argv)
