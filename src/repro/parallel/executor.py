@@ -14,7 +14,7 @@ into the quantities the paper reports:
 Execution is two steps.  :meth:`ScheduleExecutor.lower` does everything the
 step count does not change: a plan kind contributes only its *phases*, each
 a graph key plus a function from slot key to duration, which lowering turns
-into the key and a tuple of slot values; one rule gives every kind's peak
+into the key and the slot values; one rule gives every kind's peak
 memory.  :meth:`ScheduleExecutor.run` then runs each phase as one multi-step
 simulation from which the steady-state step time is extracted.  Pipeline
 plans (TR and its variants) and the LS baseline are one phase each; the DP
