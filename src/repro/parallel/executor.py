@@ -669,7 +669,7 @@ class ScheduleExecutor:
         """
         if lowered is None:
             lowered = self.lower(plan)
-        elif lowered.plan != plan:
+        elif lowered.plan is not plan and lowered.plan != plan:
             raise ScheduleError("the lowered plan given to execute was lowered from another plan")
         return self.run(lowered, self.simulated_steps)
 

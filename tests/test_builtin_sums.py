@@ -36,6 +36,7 @@ def test_the_scan_reports_reads_of_the_builtin_only(tmp_path, monkeypatch):
     package = tmp_path / "src" / "repro"
     package.mkdir(parents=True)
     (package / "toy.py").write_text(SOURCE)
+    (package / "fold.py").write_text("left_sum = sum\n")  # exempt: it defines the fold
     monkeypatch.setattr(builtin_sums, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(builtin_sums, "SRC", package)
 
@@ -63,6 +64,13 @@ def test_left_sum_is_a_plain_left_fold():
         for sample in (values, mixed):
             assert float(left_sum(sample)).hex() == float(naive_left_fold(sample)).hex()
             assert left_sum(iter(sample), 1.5) == naive_left_fold(sample, 1.5)
+
+
+def test_left_sum_is_the_builtin_only_where_the_builtin_is_a_left_fold():
+    import builtins
+    import sys
+
+    assert (left_sum is builtins.sum) == (sys.version_info < (3, 12))
 
 
 def test_left_sum_is_exact_for_ints_and_keeps_types():

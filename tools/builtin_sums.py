@@ -7,8 +7,10 @@ in the package goes through :func:`repro.fold.left_sum`, a left fold that
 gives the same bytes on every version.  This scan parses each module and
 reports every read of the bare name ``sum``: a call, or the function
 passed along.  Attributes and methods named ``sum`` (``sample.sum``,
-``Tensor.sum``) are not the builtin and are not reported.  Any finding
-sets the exit status to 1.
+``Tensor.sum``) are not the builtin and are not reported, and neither is
+``repro/fold.py`` (:data:`EXEMPT`), which defines ``left_sum`` as the
+builtin on the Pythons where the builtin is that fold.  Any finding sets
+the exit status to 1.
 
     python tools/builtin_sums.py    # one finding per line
 """
@@ -23,11 +25,15 @@ from typing import Dict, List
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
+#: Modules, relative to :data:`SRC`, allowed to name the builtin.
+EXEMPT = {"fold.py"}
 
 
 def find_builtin_sums() -> List[Dict[str, object]]:
     findings = []
     for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() in EXEMPT:
+            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = sorted(
             node.lineno
