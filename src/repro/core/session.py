@@ -368,7 +368,7 @@ class Session:
         self._datasets: Dict[str, DatasetSpec] = {}
         self._executors: Dict[ExecutorKey, ScheduleExecutor] = {}
         self._profiles: Dict[ProfileKey, ProfileTable] = {}
-        self._plans: Dict[PlanKey, Tuple[SchedulePlan, LoweredPlan]] = {}
+        self._plans: Dict[PlanKey, LoweredPlan] = {}
         self._templates = GraphTemplates()
         self._lock = threading.RLock()
         self.stats = SessionStats()
@@ -528,9 +528,9 @@ class Session:
                     self._run_seconds.observe(time.perf_counter() - started)
                     return result
             executor = self.executor(config)
-            plan, lowered = self._plan(config, planner, profile, executor)
+            lowered = self._plan(config, planner, profile, executor)
             with span("session.execute", strategy=name):
-                result = executor.execute(plan, lowered)
+                result = executor.run(lowered)
             with self._lock:
                 self.stats.runs += 1
             if use_store:
@@ -546,27 +546,34 @@ class Session:
         planner: Strategy,
         profile: Optional[ProfileTable],
         executor: ScheduleExecutor,
-    ) -> Tuple[SchedulePlan, Optional[LoweredPlan]]:
-        """The planner's plan for this cell and its lowering, made once per (planner, cell).
+    ) -> LoweredPlan:
+        """The planner's plan for this cell, lowered, made once per (planner, cell).
 
-        Neither depends on the simulated steps.  An explicit ``profile``
-        override plans afresh and is not kept; its plan is lowered by
-        :meth:`ScheduleExecutor.execute` (the lowering given is ``None``).
+        Neither the plan nor its lowering depends on the simulated steps.
+        An explicit ``profile`` override plans and lowers afresh and is not
+        kept.  Planning and lowering run outside the session lock (the first
+        lowering of a shape builds its graph template); when two threads
+        race on one cell, the first to publish wins and counts the build,
+        and the other counts a hit, as if it had come second.
         """
         if profile is not None:
-            return self._build_plan(config, planner, profile), None
+            return executor.lower(self._build_plan(config, planner, profile))
         key: PlanKey = (planner, config.cell_key())
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is None:
-                if planner.requires_profile:
-                    profile = self.profile(config)
-                plan = self._build_plan(config, planner, profile)
-                entry = self._plans[key] = (plan, executor.lower(plan))
+            lowered = self._plans.get(key)
+            if lowered is not None:
+                self.stats.plan_hits += 1
+                return lowered
+        if planner.requires_profile:
+            profile = self.profile(config)
+        built = executor.lower(self._build_plan(config, planner, profile))
+        with self._lock:
+            lowered = self._plans.setdefault(key, built)
+            if lowered is built:
                 self.stats.plan_builds += 1
             else:
                 self.stats.plan_hits += 1
-            return entry
+        return lowered
 
     def _build_plan(
         self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]

@@ -243,16 +243,11 @@ def _phase_steps(plan: SchedulePlan, steps: int) -> int:
 
 
 class TemplateEntry(NamedTuple):
-    """One plan shape's graph: built for ``steps`` steps, slots named by key.
-
-    ``key`` is the shape's key as the table holds it; a lowered plan keeps
-    that one object rather than an equal copy of its own.
-    """
+    """One plan shape's graph: built for ``steps`` steps, slots named by key."""
 
     steps: int
     template: GraphTemplate
     slot_keys: Tuple[Hashable, ...]
-    key: Hashable
 
 
 class GraphTemplates:
@@ -328,7 +323,6 @@ class _GraphBuilder:
     """
 
     def __init__(self, key: Hashable) -> None:
-        self.key = key
         self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
         self.rows = 0  # rows frozen so far
@@ -365,7 +359,7 @@ class _GraphBuilder:
         held = self.held
         template = engine.freeze() if held is None else held.template.extended(engine)
         self.rows = template.num_tasks
-        self.held = TemplateEntry(steps, template, tuple(self.slots), self.key)
+        self.held = TemplateEntry(steps, template, tuple(self.slots))
         return self.held
 
     def grow(self, steps: int) -> TemplateEntry:
@@ -658,20 +652,9 @@ class ScheduleExecutor:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def execute(
-        self, plan: SchedulePlan, lowered: Optional[LoweredPlan] = None
-    ) -> ExecutionResult:
-        """Execute a plan for ``simulated_steps`` steps and return its measured result.
-
-        ``lowered`` is the plan's :meth:`lower` kept from an earlier call (a
-        :class:`~repro.core.session.Session` keeps one per plan); without it
-        the plan is lowered afresh.
-        """
-        if lowered is None:
-            lowered = self.lower(plan)
-        elif lowered.plan is not plan and lowered.plan != plan:
-            raise ScheduleError("the lowered plan given to execute was lowered from another plan")
-        return self.run(lowered, self.simulated_steps)
+    def execute(self, plan: SchedulePlan) -> ExecutionResult:
+        """Execute a plan for ``simulated_steps`` steps and return its measured result."""
+        return self.run(self.lower(plan))
 
     def lower(self, plan: SchedulePlan) -> LoweredPlan:
         """Everything of ``plan``'s execution that the step count does not change.
@@ -695,7 +678,7 @@ class ScheduleExecutor:
         keys, values = [], []
         for key, duration in self._phases(plan):
             graph, _ = self.templates.get(key, steps)
-            keys.append(graph.key)
+            keys.append(key)
             values += map(duration, graph.slot_keys)
         return LoweredPlan(
             plan=plan,
@@ -705,18 +688,18 @@ class ScheduleExecutor:
             peak_memory_bytes=self._peak_memory(plan),
         )
 
-    def run(self, lowered: LoweredPlan, steps: int) -> ExecutionResult:
-        """Simulate a lowered plan for ``steps`` steps and return its measured result.
+    def run(self, lowered: LoweredPlan) -> ExecutionResult:
+        """Simulate a lowered plan for ``simulated_steps`` steps and return its measured result.
 
-        Every phase is one simulation of its graph template (a DP block
-        runs :data:`DATA_PARALLEL_STEPS` steps, whatever ``steps`` is); the
-        step times, epoch times and epoch breakdowns of the phases add up,
-        and the result keeps the last phase's trace.
+        ``lowered`` may come from any executor of the same (pair, server,
+        dataset) and template table, whatever its step count.  Every phase
+        is one simulation of its graph template (a DP block runs
+        :data:`DATA_PARALLEL_STEPS` steps, whatever ``simulated_steps`` is);
+        the step times, epoch times and epoch breakdowns of the phases add
+        up, and the result keeps the last phase's trace.
         """
-        if steps < WARMUP_STEPS + 2:
-            raise ScheduleError(f"steps must be at least {WARMUP_STEPS + 2}, got {steps}")
         plan = lowered.plan
-        steps = _phase_steps(plan, steps)
+        steps = _phase_steps(plan, self.simulated_steps)
         steps_per_epoch = lowered.steps_per_epoch
         step_time = epoch_time = 0.0
         step_times: List[float] = []

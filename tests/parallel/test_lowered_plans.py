@@ -2,8 +2,8 @@
 
 :meth:`ScheduleExecutor.lower` computes each phase's template key and slot
 values and the plan's peak memory; :meth:`ScheduleExecutor.run` simulates
-them for a step count.  A :class:`Session` keeps each lowered plan beside
-its plan, so the benchmark grid's three step counts of one (strategy,
+them for the executor's step count.  A :class:`Session` keeps each lowered
+plan, so the benchmark grid's three step counts of one (strategy,
 cell) lower once.  A direct ``execute(plan)`` lowers afresh, and every
 result equals that fresh execution, byte for byte.
 """
@@ -14,11 +14,8 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
-from repro.errors import ScheduleError
 from repro.parallel.executor import DATA_PARALLEL_STEPS, LoweredPlan, ScheduleExecutor
 from repro.parallel.plan import SchedulePlan
 
@@ -111,20 +108,16 @@ def test_a_profile_override_and_a_direct_execute_lower_afresh(monkeypatch):
     assert len(lowered) == 5
 
 
-def test_run_takes_any_step_count_and_execute_checks_its_lowering():
+def test_one_lowering_runs_on_the_executor_of_every_step_count():
     session = Session()
     config = ExperimentConfig(batch_size=128, simulated_steps=6, strategy="TR")
-    executor = session.executor(config)
     plan = session.run(config).plan
-    lowered = executor.lower(plan)
+    lowered = session.executor(config).lower(plan)
     for steps in (4, 9):
-        longer = session.run(ExperimentConfig(batch_size=128, simulated_steps=steps, strategy="TR"))
-        assert canonical(executor.run(lowered, steps)) == canonical(longer)
-    with pytest.raises(ScheduleError, match="at least 4"):
-        executor.run(lowered, 3)
-    other = session.run(ExperimentConfig(batch_size=256, simulated_steps=6, strategy="TR")).plan
-    with pytest.raises(ScheduleError, match="another plan"):
-        executor.execute(other, lowered)
+        longer = ExperimentConfig(batch_size=128, simulated_steps=steps, strategy="TR")
+        executor = session.executor(longer)
+        assert canonical(executor.run(lowered)) == canonical(session.run(longer))
+        assert canonical(executor.run(lowered)) == canonical(executor.execute(plan))
 
 
 def test_a_lowered_plan_holds_plain_values_only():
