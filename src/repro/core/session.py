@@ -530,7 +530,7 @@ class Session:
             executor = self.executor(config)
             lowered = self._plan(config, planner, profile, executor)
             with span("session.execute", strategy=name):
-                result = executor.run(lowered)
+                result = executor.execute(lowered)
             with self._lock:
                 self.stats.runs += 1
             if use_store:

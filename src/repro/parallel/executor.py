@@ -15,15 +15,15 @@ Execution is two steps.  :meth:`ScheduleExecutor.lower` does everything the
 step count does not change: a plan kind contributes only its *phases*, each
 a graph key plus a function from slot key to duration, which lowering turns
 into the key and the slot values; one rule gives every kind's peak
-memory.  :meth:`ScheduleExecutor.run` then runs each phase as one multi-step
+memory.  :meth:`ScheduleExecutor.execute` then runs each phase as one multi-step
 simulation from which the steady-state step time is extracted.  Pipeline
 plans (TR and its variants) and the LS baseline are one phase each; the DP
 baseline trains blocks one after another, so it is one phase per block, each
 run for :data:`DATA_PARALLEL_STEPS` steps whatever the step count is.  The
 phases' step times, epoch times and breakdowns add up.
-:meth:`ScheduleExecutor.execute` is the two in one call; a
-:class:`~repro.core.session.Session` keeps each plan's lowering and runs it
-for every step count.
+:meth:`ScheduleExecutor.execute` takes a plan, which it lowers first, or
+a lowered one; a :class:`~repro.core.session.Session` keeps each plan's
+lowering and executes it for every step count.
 
 Task graphs depend only on a plan's shape (a phase's key), not on the batch
 size, server or dataset, so each shape's graph is built once into a
@@ -38,7 +38,7 @@ from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -652,10 +652,6 @@ class ScheduleExecutor:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def execute(self, plan: SchedulePlan) -> ExecutionResult:
-        """Execute a plan for ``simulated_steps`` steps and return its measured result."""
-        return self.run(self.lower(plan))
-
     def lower(self, plan: SchedulePlan) -> LoweredPlan:
         """Everything of ``plan``'s execution that the step count does not change.
 
@@ -688,16 +684,19 @@ class ScheduleExecutor:
             peak_memory_bytes=self._peak_memory(plan),
         )
 
-    def run(self, lowered: LoweredPlan) -> ExecutionResult:
-        """Simulate a lowered plan for ``simulated_steps`` steps and return its measured result.
+    def execute(self, plan: Union[SchedulePlan, LoweredPlan]) -> ExecutionResult:
+        """Execute a plan for ``simulated_steps`` steps and return its measured result.
 
-        ``lowered`` may come from any executor of the same (pair, server,
-        dataset) and template table, whatever its step count.  Every phase
-        is one simulation of its graph template (a DP block runs
+        ``plan`` is a schedule plan, lowered afresh here, or a plan already
+        lowered by :meth:`lower` on any executor of the same pair, server,
+        dataset and template table, whatever its step count (a
+        :class:`~repro.core.session.Session` keeps one per plan).  Every
+        phase is one simulation of its graph template (a DP block runs
         :data:`DATA_PARALLEL_STEPS` steps, whatever ``simulated_steps`` is);
         the step times, epoch times and epoch breakdowns of the phases add
         up, and the result keeps the last phase's trace.
         """
+        lowered = plan if isinstance(plan, LoweredPlan) else self.lower(plan)
         plan = lowered.plan
         steps = _phase_steps(plan, self.simulated_steps)
         steps_per_epoch = lowered.steps_per_epoch

@@ -1,8 +1,8 @@
 """Lowered plans: a plan's step-independent execution, made once per session cell.
 
 :meth:`ScheduleExecutor.lower` computes each phase's template key and slot
-values and the plan's peak memory; :meth:`ScheduleExecutor.run` simulates
-them for the executor's step count.  A :class:`Session` keeps each lowered
+values and the plan's peak memory; :meth:`ScheduleExecutor.execute`
+simulates them for the executor's step count.  A :class:`Session` keeps each lowered
 plan, so the benchmark grid's three step counts of one (strategy,
 cell) lower once.  A direct ``execute(plan)`` lowers afresh, and every
 result equals that fresh execution, byte for byte.
@@ -116,8 +116,8 @@ def test_one_lowering_runs_on_the_executor_of_every_step_count():
     for steps in (4, 9):
         longer = ExperimentConfig(batch_size=128, simulated_steps=steps, strategy="TR")
         executor = session.executor(longer)
-        assert canonical(executor.run(lowered)) == canonical(session.run(longer))
-        assert canonical(executor.run(lowered)) == canonical(executor.execute(plan))
+        assert canonical(executor.execute(lowered)) == canonical(session.run(longer))
+        assert canonical(executor.execute(lowered)) == canonical(executor.execute(plan))
 
 
 def test_a_lowered_plan_holds_plain_values_only():
