@@ -108,9 +108,9 @@ class CostModel:
         floored at 1 FLOP/s, with the utilization curve of
         :meth:`GPUSpec.work_efficiency` inlined; the GPU's constants are
         read once per call.  The per-layer times add up left to right in
-        the loop itself, the fold of :func:`~repro.fold.left_sum` without a
-        list or a call, which is faster than any sum over a list here on
-        every Python.
+        the loop itself: the fold of :func:`~repro.fold.left_sum`, without
+        the list and the call, which made this function faster than the
+        builtin ``sum`` did on 3.11 and ``reduce`` on 3.12 and 3.13.
         """
         self._check_batch(batch)
         if batch == 0:

@@ -15,12 +15,12 @@ Execution is two steps.  :meth:`ScheduleExecutor.lower` does everything the
 step count does not change: a plan kind contributes only its *phases*, each
 a graph key plus a function from slot key to duration, which lowering turns
 into the key and the slot values; one rule gives every kind's peak
-memory.  :meth:`ScheduleExecutor.execute` then runs each phase as one multi-step
-simulation from which the steady-state step time is extracted.  Pipeline
-plans (TR and its variants) and the LS baseline are one phase each; the DP
-baseline trains blocks one after another, so it is one phase per block, each
-run for :data:`DATA_PARALLEL_STEPS` steps whatever the step count is.  The
-phases' step times, epoch times and breakdowns add up.
+memory.  :meth:`ScheduleExecutor.execute` then runs each phase as one
+multi-step simulation from which the steady-state step time is extracted.
+Pipeline plans (TR and its variants) and the LS baseline are one phase
+each; the DP baseline trains blocks one after another, so it is one phase
+per block, each run for :data:`DATA_PARALLEL_STEPS` steps whatever the step
+count is.  The phases' step times, epoch times and breakdowns add up.
 :meth:`ScheduleExecutor.execute` takes a plan, which it lowers first, or
 a lowered one; a :class:`~repro.core.session.Session` keeps each plan's
 lowering and executes it for every step count.
