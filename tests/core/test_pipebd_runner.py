@@ -70,6 +70,44 @@ class TestPipeBD:
         )
         assert not no_dpu.initialize().decoupled_update
 
+    @pytest.mark.parametrize(
+        "enable_ahd, strategy, metadata",
+        [
+            (
+                True,
+                "TR+DPU+AHD",
+                {
+                    "estimated_step_time": 0.03209384533035542,
+                    "search_space_size": 56,
+                    "profiling_cost_s": 24.3703867112456,
+                },
+            ),
+            (
+                False,
+                "TR",
+                {
+                    "estimated_step_time": 0.03209384533035542,
+                    "description": (
+                        "contiguous block groups, one device per stage, activations relayed"
+                    ),
+                },
+            ),
+        ],
+    )
+    def test_dpu_off_plan_pinned(
+        self, nas_cifar_pair, a6000_server, cifar_dataset, enable_ahd, strategy, metadata
+    ):
+        plan = PipeBD(
+            pair=nas_cifar_pair, server=a6000_server, dataset=cifar_dataset,
+            batch_size=256, enable_dpu=False, enable_ahd=enable_ahd,
+        ).initialize()
+        assert plan.strategy == strategy
+        assert not plan.decoupled_update
+        assert [(stage.block_ids, stage.device_ids) for stage in plan.stages] == [
+            ((0,), (0,)), ((1, 2), (1,)), ((3,), (2,)), ((4, 5), (3,)),
+        ]
+        assert plan.metadata == metadata
+
 
 class TestRunners:
     def test_run_experiment_single_cell(self, default_config):
