@@ -35,6 +35,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Tuple
 from repro.core.config import ExperimentConfig, VALID_DATASETS, VALID_TASKS
 from repro.errors import ConfigurationError
 from repro.fold import left_sum
+from repro.parallel.executor import MIN_SIMULATED_STEPS
 from repro.parallel.registry import REGISTRY
 
 #: How a tenant's job deadlines are interpreted by the SLO analytics.
@@ -259,9 +260,9 @@ class JobSpec:
                 f"job {self.job_id!r} uses unknown strategy {self.strategy!r}; "
                 f"registered: {REGISTRY.names()}"
             )
-        if self.simulated_steps < 4:
+        if self.simulated_steps < MIN_SIMULATED_STEPS:
             raise ConfigurationError(
-                f"job {self.job_id!r} simulated_steps must be >= 4, "
+                f"job {self.job_id!r} simulated_steps must be >= {MIN_SIMULATED_STEPS}, "
                 f"got {self.simulated_steps}"
             )
 

@@ -16,6 +16,7 @@ from repro.data.dataset import DatasetSpec, get_dataset
 from repro.errors import ConfigurationError
 from repro.hardware.server import ServerSpec, get_server
 from repro.models.pairs import DistillationPair, build_pair
+from repro.parallel.executor import MIN_SIMULATED_STEPS
 from repro.parallel.registry import REGISTRY
 
 #: Tasks the paper evaluates (§VI-A).
@@ -57,8 +58,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"batch_size ({self.batch_size}) must be >= num_gpus ({self.num_gpus})"
             )
-        if self.simulated_steps < 4:
-            raise ConfigurationError("simulated_steps must be >= 4")
+        if self.simulated_steps < MIN_SIMULATED_STEPS:
+            raise ConfigurationError(f"simulated_steps must be >= {MIN_SIMULATED_STEPS}")
         if self.strategy not in REGISTRY:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; registered strategies: "

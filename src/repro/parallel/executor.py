@@ -59,8 +59,11 @@ from repro.sim.trace import Trace
 DEFAULT_SIMULATED_STEPS = 10
 #: Warm-up steps excluded from the steady-state step-time measurement.
 WARMUP_STEPS = 2
+#: Fewest steps a simulation may run: the warm-up plus two measured steps.
+#: Every entry point that takes ``simulated_steps`` checks against it.
+MIN_SIMULATED_STEPS = WARMUP_STEPS + 2
 #: Steps simulated per block of a DP plan, whatever ``simulated_steps`` is.
-DATA_PARALLEL_STEPS = max(4, WARMUP_STEPS + 2)
+DATA_PARALLEL_STEPS = MIN_SIMULATED_STEPS
 
 
 #: Top-level fields of :meth:`ExecutionResult.to_dict`, in canonical order.
@@ -635,9 +638,9 @@ class ScheduleExecutor:
         simulated_steps: int = DEFAULT_SIMULATED_STEPS,
         templates: Optional[GraphTemplates] = None,
     ) -> None:
-        if simulated_steps < WARMUP_STEPS + 2:
+        if simulated_steps < MIN_SIMULATED_STEPS:
             raise ScheduleError(
-                f"simulated_steps must be at least {WARMUP_STEPS + 2}, got {simulated_steps}"
+                f"simulated_steps must be at least {MIN_SIMULATED_STEPS}, got {simulated_steps}"
             )
         self.pair = pair
         self.server = server

@@ -5,7 +5,7 @@ Covered by ``docs/TUNING.md`` (driver guide) and ``docs/API.md``.
 A driver decides *which* candidates of a :class:`~repro.tune.space.TuneSpace`
 to evaluate, and at what fidelity, under a simulation budget.  Drivers are
 pluggable through :data:`DRIVERS` — a registry mirroring the strategy and
-placement-policy registries — so a custom search plugs into ``Session.tune``
+placement-policy registries — so a custom search plugs into ``repro.tune.tune``
 and the CLI by name:
 
     from repro.tune.drivers import register_driver
@@ -33,14 +33,11 @@ from dataclasses import dataclass, field
 from typing import List, Protocol, Tuple, runtime_checkable
 
 from repro.errors import ConfigurationError
+from repro.parallel.executor import MIN_SIMULATED_STEPS
 from repro.registry import NamedRegistry, make_register
 from repro.tune.evaluator import TuneEvaluator
 from repro.tune.objective import TuneMeasurement
 from repro.tune.space import TuneSpace
-
-#: Lowest simulation fidelity a driver may use (the executor's minimum).
-MIN_FIDELITY_STEPS = 4
-
 
 @dataclass
 class DriverRun:
@@ -222,7 +219,7 @@ class SuccessiveHalving:
         low_width = min(len(ranked), budget - final_width)
         final_width = min(final_width, low_width) if low_width else min(len(ranked), budget)
 
-        if full_steps <= MIN_FIDELITY_STEPS or low_width <= final_width:
+        if full_steps <= MIN_SIMULATED_STEPS or low_width <= final_width:
             # No fidelity gap (or budget too small to stage): single rung.
             survivors = ranked[: min(len(ranked), budget)]
             evaluated, trajectory = _evaluate_all(survivors, objective, evaluator)
@@ -241,9 +238,9 @@ class SuccessiveHalving:
         needs_cluster = getattr(objective, "needs_cluster", False)
         rung_low = {
             point: (
-                evaluator.evaluate(point, objective, steps=MIN_FIDELITY_STEPS)
+                evaluator.evaluate(point, objective, steps=MIN_SIMULATED_STEPS)
                 if needs_cluster
-                else evaluator.measure(point, steps=MIN_FIDELITY_STEPS)
+                else evaluator.measure(point, steps=MIN_SIMULATED_STEPS)
             )
             for point in ranked[:low_width]
         }
@@ -258,7 +255,7 @@ class SuccessiveHalving:
                 "grid_size": len(points),
                 "rungs": [
                     {"fidelity": 0, "width": len(points)},
-                    {"fidelity": MIN_FIDELITY_STEPS, "width": low_width},
+                    {"fidelity": MIN_SIMULATED_STEPS, "width": low_width},
                     {"fidelity": full_steps, "width": len(promoted)},
                 ],
             },

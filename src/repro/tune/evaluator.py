@@ -65,6 +65,7 @@ from repro.models.layers import BYTES_PER_ELEMENT
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.parallel.estimator import StageTimeEstimator
+from repro.parallel.executor import MIN_SIMULATED_STEPS
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.registry import REGISTRY
 from repro.store.keys import canonical_json, estimate_key, probe_key
@@ -167,8 +168,8 @@ class TuneEvaluator:
         price_curve: Union[PriceCurve, str, None] = None,
         slo_deadline_slack: float = 900.0,
     ) -> None:
-        if simulated_steps < 4:
-            raise ConfigurationError("simulated_steps must be >= 4")
+        if simulated_steps < MIN_SIMULATED_STEPS:
+            raise ConfigurationError(f"simulated_steps must be >= {MIN_SIMULATED_STEPS}")
         if throughput_jobs < 1:
             raise ConfigurationError("throughput_jobs must be >= 1")
         if not (math.isfinite(slo_deadline_slack) and slo_deadline_slack > 0):
