@@ -155,10 +155,9 @@ class ProcessBackend:
 
     Each worker opens its own session (sessions hold locks and are not
     picklable) against the same store path, runs its cells, and persists
-    results before returning them.  After the pool drains, the parent adds
-    each cell's worker counter delta to its own stats and back-fills any
-    store record that is still missing; the workers' committed writes are
-    already visible to its handle.
+    results before returning them, so every simulated cell is in the store
+    by the time the pool drains.  The parent then adds each cell's worker
+    counter delta to its own stats.
     """
 
     name = "process"
@@ -175,12 +174,10 @@ class ProcessBackend:
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             raw = list(pool.map(_process_worker, payloads))
         results = []
-        for (config, strategy), (result_dict, delta) in zip(tasks, raw):
+        for result_dict, delta in raw:
             # The workers' counters join the parent's, so a cold
             # process-backend sweep reports its builds and simulations
             # instead of looking like a warm restart.
             session.stats.add(delta)
-            if delta["runs"] and store is not None and not session.in_store(config, strategy):
-                session.put_run(config, strategy, result_dict)
             results.append(ExecutionResult.from_dict(result_dict))
         return results

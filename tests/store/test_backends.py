@@ -157,7 +157,7 @@ class TestProcessStatsPropagation:
     def test_cold_process_sweep_counts_worker_simulations(self, fast_config, tmp_path):
         """A cold process-backend run must not masquerade as a warm restart."""
         session = Session(store=tmp_path / "store")
-        session.sweep(
+        sweep = session.sweep(
             fast_config,
             batch_sizes=(128, 256),
             strategies=("DP", "TR"),
@@ -167,6 +167,10 @@ class TestProcessStatsPropagation:
         assert session.stats.runs == 4
         assert session.stats.store_builds == 4
         assert session.stats.store_hits == 0
+        # The workers wrote every cell through the store themselves.
+        for cell in sweep:
+            for strategy in ("DP", "TR"):
+                assert session.in_store(cell.config, strategy)
 
     def test_warm_process_sweep_counts_hydrations(self, fast_config, tmp_path):
         store_root = tmp_path / "store"
