@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit, emit_json
-from repro.analysis.sweep import batch_sensitivity
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table
 
@@ -32,9 +31,7 @@ def _measure(session, dataset: str, fast_steps: int):
 @pytest.mark.parametrize("dataset", ("cifar10", "imagenet"))
 def test_fig6_batch_size_sensitivity(benchmark, session, dataset, fast_steps):
     sweep = benchmark(_measure, session, dataset, fast_steps)
-    series = {
-        strategy: batch_sensitivity(sweep, strategy) for strategy in STRATEGIES
-    }
+    series = {strategy: sweep.series(strategy, axis="batch_size") for strategy in STRATEGIES}
 
     rows = [
         [strategy] + [f"{series[strategy][batch]:.2f}x" for batch in BATCH_SIZES]

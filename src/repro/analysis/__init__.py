@@ -13,7 +13,7 @@ __getattr__, __dir__ = lazy_exports(
         ),
         (
             "repro.analysis.speedup",
-            ("speedup_over", "speedup_series", "geometric_mean_speedup"),
+            ("speedup_over", "geometric_mean_speedup"),
         ),
         (
             "repro.analysis.memory_report",
@@ -23,9 +23,6 @@ __getattr__, __dir__ = lazy_exports(
         (
             "repro.analysis.sweep",
             (
-                "sweep_speedups",
-                "batch_sensitivity",
-                "gpu_sensitivity",
                 "sweep_crossover_batch",
                 "format_sweep_table",
                 "format_best_cells",
@@ -71,15 +68,11 @@ __all__ = [
     "ideal_breakdown",
     "breakdown_fractions",
     "speedup_over",
-    "speedup_series",
     "geometric_mean_speedup",
     "per_rank_memory_gb",
     "average_memory_overhead",
     "render_gantt",
     "schedule_summary",
-    "sweep_speedups",
-    "batch_sensitivity",
-    "gpu_sensitivity",
     "sweep_crossover_batch",
     "format_sweep_table",
     "format_best_cells",

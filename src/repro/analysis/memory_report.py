@@ -17,11 +17,6 @@ def per_rank_memory_gb(result: ExecutionResult) -> Dict[int, float]:
     }
 
 
-def max_memory_gb(result: ExecutionResult) -> float:
-    """The Fig. 7 'Max.' bar: the largest per-rank allocation."""
-    return result.max_memory_gb()
-
-
 def average_memory_overhead(
     result: ExecutionResult, baseline: ExecutionResult
 ) -> float:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.fold import left_sum
@@ -15,16 +15,6 @@ def speedup_over(result: ExecutionResult, baseline: ExecutionResult) -> float:
     if result.epoch_time <= 0:
         raise ConfigurationError("result epoch time must be positive")
     return baseline.epoch_time / result.epoch_time
-
-
-def speedup_series(
-    results: Mapping[str, ExecutionResult], baseline: str = "DP"
-) -> Dict[str, float]:
-    """Speedups of every strategy in a result mapping over one baseline."""
-    if baseline not in results:
-        raise ConfigurationError(f"baseline {baseline!r} missing from results")
-    base = results[baseline]
-    return {strategy: speedup_over(result, base) for strategy, result in results.items()}
 
 
 def geometric_mean_speedup(speedups: Sequence[float]) -> float:

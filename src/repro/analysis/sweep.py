@@ -1,14 +1,13 @@
-"""Analysis helpers over :class:`~repro.core.session.SweepResult` grids.
+"""Report helpers over :class:`~repro.core.session.SweepResult` grids.
 
-These consume the typed sweep results produced by ``Session.sweep`` and turn
-them into the series and tables the paper's sensitivity figures plot:
-batch-size sensitivity (Fig. 6), GPU-count scaling (the extras ablation) and
-per-cell speedup tables (Figs. 4/5a generalised to arbitrary grids).
+The series the paper's sensitivity figures plot come from the sweep itself:
+``SweepResult.series`` gives batch-size sensitivity (Fig. 6) and GPU-count
+scaling (the extras ablation), ``SweepResult.speedup_table`` the per-cell
+speedups (Figs. 4/5a generalised to arbitrary grids).  This module adds the
+crossover search and the fixed-width tables.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.analysis.speedup import crossover_batch
 from repro.core.reporting import format_table
@@ -16,32 +15,13 @@ from repro.core.session import SweepResult
 from repro.errors import ConfigurationError
 
 
-def sweep_speedups(sweep: SweepResult, baseline: str = "DP") -> Dict[str, Dict[str, float]]:
-    """Per-cell speedups over a baseline: ``{cell label: {strategy: x}}``."""
-    return sweep.speedup_table(baseline)
-
-
-def batch_sensitivity(
-    sweep: SweepResult, strategy: str, baseline: str = "DP"
-) -> Dict[int, float]:
-    """Speedup of one strategy vs batch size (Fig. 6's data series)."""
-    return sweep.series(strategy, axis="batch_size", baseline=baseline)
-
-
-def gpu_sensitivity(
-    sweep: SweepResult, strategy: str, baseline: str = "DP"
-) -> Dict[int, float]:
-    """Speedup of one strategy vs GPU count (device-scaling series)."""
-    return sweep.series(strategy, axis="num_gpus", baseline=baseline)
-
-
 def sweep_crossover_batch(
     sweep: SweepResult, strategy_a: str, strategy_b: str, baseline: str = "DP"
 ) -> int | None:
     """Smallest swept batch size at which strategy B overtakes strategy A."""
     return crossover_batch(
-        batch_sensitivity(sweep, strategy_a, baseline),
-        batch_sensitivity(sweep, strategy_b, baseline),
+        sweep.series(strategy_a, axis="batch_size", baseline=baseline),
+        sweep.series(strategy_b, axis="batch_size", baseline=baseline),
     )
 
 

@@ -16,7 +16,6 @@ frontier reporting lives in :mod:`repro.analysis.pareto`.
 
 from repro.tune.space import TunePoint, TuneSpace, default_space
 from repro.tune.objective import (
-    GPU_HOURLY_RATES,
     MinCostUnderDeadline,
     OBJECTIVES,
     TuneMeasurement,
@@ -33,7 +32,6 @@ __all__ = [
     "TunePoint",
     "TuneSpace",
     "default_space",
-    "GPU_HOURLY_RATES",
     "MinCostUnderDeadline",
     "OBJECTIVES",
     "TuneMeasurement",

@@ -40,7 +40,6 @@ from repro.registry import NamedRegistry, make_register
 from repro.tune.space import TunePoint
 
 __all__ = [
-    "GPU_HOURLY_RATES",  # re-exported from repro.cluster.market for compat
     "OBJECTIVES",
     "TuneMeasurement",
     "cost_per_epoch",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.tune.objective import TuneMeasurement
@@ -128,28 +128,6 @@ class TuneResult:
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self.measurements)
-
-    def frontier_series(
-        self, x: str = "gpus", y: str = "epoch_time"
-    ) -> Dict[float, float]:
-        """One frontier axis against another, e.g. GPUs vs. epoch time."""
-        for axis in (x, y):
-            if axis not in PARETO_AXES:
-                raise ConfigurationError(
-                    f"unknown frontier axis {axis!r}; axes: {PARETO_AXES}"
-                )
-        getter: Callable[[TuneMeasurement, str], float] = lambda m, axis: {
-            "epoch_time": m.epoch_time,
-            "gpus": float(m.gpus),
-            "max_memory_gb": m.max_memory_gb or 0.0,
-        }[axis]
-        series: Dict[float, float] = {}
-        for measurement in self.frontier:
-            key = getter(measurement, x)
-            value = getter(measurement, y)
-            if key not in series or value < series[key]:
-                series[key] = value
-        return series
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:

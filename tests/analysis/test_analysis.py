@@ -10,7 +10,6 @@ from repro.analysis.breakdown import (
 )
 from repro.analysis.memory_report import (
     average_memory_overhead,
-    max_memory_gb,
     per_rank_memory_gb,
 )
 from repro.analysis.schedule_viz import render_gantt, schedule_summary
@@ -18,7 +17,6 @@ from repro.analysis.speedup import (
     crossover_batch,
     geometric_mean_speedup,
     speedup_over,
-    speedup_series,
 )
 from repro.core.session import Session
 from repro.errors import ConfigurationError
@@ -64,12 +62,12 @@ class TestSpeedup:
     def test_speedup_over_and_series(self, suite):
         base = suite.results["DP"]
         assert speedup_over(base, base) == pytest.approx(1.0)
-        series = speedup_series(suite.results, "DP")
+        series = suite.speedups("DP")
         assert series["TR+DPU+AHD"] > series["DP"]
 
     def test_missing_baseline_rejected(self, suite):
         with pytest.raises(ConfigurationError):
-            speedup_series(suite.results, "LS")
+            suite.speedups("LS")
 
     def test_geometric_mean(self):
         assert geometric_mean_speedup([2.0, 8.0]) == pytest.approx(4.0)
@@ -89,7 +87,7 @@ class TestMemoryReport:
     def test_per_rank_and_max(self, suite):
         per_rank = per_rank_memory_gb(suite.results["TR"])
         assert set(per_rank) == {0, 1, 2, 3}
-        assert max_memory_gb(suite.results["TR"]) == pytest.approx(max(per_rank.values()))
+        assert suite.results["TR"].max_memory_gb() == pytest.approx(max(per_rank.values()))
 
     def test_average_overhead_tr_over_dp_positive(self, suite):
         overhead = average_memory_overhead(suite.results["TR"], suite.results["DP"])

@@ -9,14 +9,7 @@ from repro.analysis.store_report import (
     store_overview,
     warm_cold_summary,
 )
-from repro.analysis.sweep import (
-    batch_sensitivity,
-    format_best_cells,
-    format_sweep_table,
-    gpu_sensitivity,
-    sweep_crossover_batch,
-    sweep_speedups,
-)
+from repro.analysis.sweep import format_best_cells, format_sweep_table, sweep_crossover_batch
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session, SessionStats, SweepResult
 from repro.errors import ConfigurationError
@@ -42,7 +35,7 @@ def gpu_sweep(base):
 
 class TestSweepSeries:
     def test_speedups_are_relative_to_the_baseline(self, batch_sweep):
-        table = sweep_speedups(batch_sweep)
+        table = batch_sweep.speedup_table()
         assert list(table) == list(batch_sweep.labels())
         for cell, row in zip(batch_sweep.cells, table.values()):
             assert row["DP"] == pytest.approx(1.0)
@@ -51,23 +44,24 @@ class TestSweepSeries:
             )
 
     def test_batch_sensitivity_is_keyed_by_batch(self, batch_sweep):
-        series = batch_sensitivity(batch_sweep, PIPE_BD)
+        series = batch_sweep.series(PIPE_BD, axis="batch_size")
         assert series == {
             cell.config.batch_size: cell.speedups("DP")[PIPE_BD] for cell in batch_sweep
         }
         assert all(speedup > 1.0 for speedup in series.values())
         # Speedups over TR instead of DP: TR itself sits at exactly 1.
-        assert set(batch_sensitivity(batch_sweep, "TR", baseline="TR").values()) == {1.0}
+        tr_over_tr = batch_sweep.series("TR", axis="batch_size", baseline="TR")
+        assert set(tr_over_tr.values()) == {1.0}
 
     def test_gpu_sensitivity_is_keyed_by_gpu_count(self, gpu_sweep):
-        series = gpu_sensitivity(gpu_sweep, PIPE_BD)
+        series = gpu_sweep.series(PIPE_BD, axis="num_gpus")
         assert sorted(series) == [2, 4]
         assert all(speedup > 1.0 for speedup in series.values())
 
     def test_gpu_series_on_a_batch_grid_is_ambiguous(self, batch_sweep):
         # Both cells share num_gpus, so it does not identify a cell.
         with pytest.raises(ConfigurationError, match="uniquely"):
-            gpu_sensitivity(batch_sweep, PIPE_BD)
+            batch_sweep.series(PIPE_BD, axis="num_gpus")
 
     def test_crossover_batch(self, batch_sweep):
         # Pipe-BD beats DP from the smallest swept batch on ...
