@@ -16,8 +16,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import emit
-from repro.analysis.sweep import gpu_sensitivity
-from repro.core.ablation import make_profile
 from repro.core.config import ExperimentConfig
 from repro.core.reporting import format_table
 from repro.data.dataset import get_dataset
@@ -26,6 +24,7 @@ from repro.hardware.server import ServerSpec, default_a6000_server
 from repro.models.pairs import build_nas_pair
 from repro.parallel.executor import ScheduleExecutor
 from repro.parallel.hybrid import build_ahd_plan, search_ahd, search_space_size
+from repro.parallel.profiler import Profiler
 
 
 @pytest.mark.benchmark(group="extras")
@@ -36,7 +35,9 @@ def test_ahd_search_cost(benchmark, session, fast_steps):
     dataset = get_dataset("cifar10")
 
     def run_search():
-        profile = make_profile(pair, server, 256)
+        profile = Profiler(pair=pair, server=server).profile(
+            global_batch=256, extra_batches=(256,)
+        )
         return search_ahd(pair, server, 256, profile, dataset, keep_candidates=True), profile
 
     (result, profile) = benchmark(run_search)
@@ -64,7 +65,7 @@ def test_device_count_scaling(benchmark, session, fast_steps):
         grid = session.sweep(
             base, num_gpus=(2, 4, 6, 8), strategies=("DP", "TR+DPU+AHD")
         )
-        return gpu_sensitivity(grid, "TR+DPU+AHD")
+        return grid.series("TR+DPU+AHD", axis="num_gpus")
 
     speedups = benchmark(sweep)
     rows = [[f"{n} GPUs", f"{speedups[n]:.2f}x"] for n in sorted(speedups)]
@@ -88,7 +89,9 @@ def test_interconnect_sensitivity(benchmark, fast_steps):
     def measure():
         times = {}
         for label, server in (("PCIe 4.0", fast_server), ("PCIe 3.0", slow_server)):
-            profile = make_profile(pair, server, 256)
+            profile = Profiler(pair=pair, server=server).profile(
+                global_batch=256, extra_batches=(256,)
+            )
             plan = build_ahd_plan(pair, server, 256, profile, dataset)
             executor = ScheduleExecutor(
                 pair=pair, server=server, dataset=dataset, simulated_steps=fast_steps

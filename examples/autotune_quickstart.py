@@ -1,7 +1,7 @@
 """Autotuner walkthrough: find the best Pipe-BD configuration automatically.
 
 Instead of hand-enumerating sweep grids, describe the search space and let
-``Session.tune`` find the best (strategy, batch, GPU count, server) cell for
+``repro.tune.tune`` find the best (strategy, batch, GPU count, server) cell for
 an objective — here minimum epoch time, then minimum cost under a deadline.
 Run with ``PYTHONPATH=src python examples/autotune_quickstart.py``.
 Full guide: ``docs/TUNING.md``.
@@ -13,6 +13,7 @@ from repro.analysis.pareto import (
     format_tune_summary,
     frontier_series,
 )
+from repro.tune import tune
 from repro.tune.objective import MinCostUnderDeadline
 
 
@@ -31,7 +32,7 @@ def main() -> None:
     # 2. Tune for minimum epoch time with a 32-simulation budget.  The
     #    successive-halving driver ranks everything with free analytic
     #    estimates and only simulates the survivors.
-    result = session.tune(space, objective="epoch_time", budget=32)
+    result = tune(space, session=session, objective="epoch_time", budget=32)
     print()
     print(format_tune_summary(result))
     print()
@@ -44,8 +45,9 @@ def main() -> None:
 
     # 4. Same space, different question: the cheapest configuration that
     #    still finishes an epoch within 12 simulated seconds.
-    budget_result = session.tune(
+    budget_result = tune(
         space,
+        session=session,
         objective=MinCostUnderDeadline(deadline=12.0),
         budget=32,
     )

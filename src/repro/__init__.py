@@ -45,9 +45,6 @@ See ``docs/ARCHITECTURE.md`` for the layer map, ``docs/API.md`` for the
 public API reference and ``docs/TUNING.md`` for the autotuning guide.
 """
 
-import sys
-import types
-
 from repro.lazy import lazy_exports
 from repro.version import __version__
 
@@ -84,25 +81,11 @@ __getattr__, __dir__ = lazy_exports(
                 "TuneSpace",
                 "register_driver",
                 "register_objective",
-                "tune",
             ),
         ),
     ),
 )
 
-
-class _Package(types.ModuleType):
-    """``repro`` itself, keeping ``repro.tune`` the :func:`~repro.tune.tune`
-    function: importing the ``repro.tune`` subpackage binds the package
-    attribute to the subpackage, which would shadow the exported name."""
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "tune" and isinstance(value, types.ModuleType):
-            value = value.tune
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "__version__",
@@ -131,5 +114,4 @@ __all__ = [
     "TuneSpace",
     "register_driver",
     "register_objective",
-    "tune",
 ]

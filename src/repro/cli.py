@@ -342,14 +342,15 @@ def _profile_workload_for(args: argparse.Namespace):
         )
     # tune (the parser restricts the choices)
     from repro.tune.space import TuneSpace
+    from repro.tune.tuner import tune
 
     space = TuneSpace(
         strategies=("DP", "TR+DPU+AHD"),
         batch_sizes=(128, 256),
         gpu_counts=(2, 4),
     )
-    return lambda: session.tune(
-        space, budget=16, seed=0, simulated_steps=args.steps
+    return lambda: tune(
+        space, budget=16, seed=0, session=session, simulated_steps=args.steps
     )
 
 

@@ -654,6 +654,7 @@ def tune(session: Session, request: TuneRequest):
     from repro.cluster.spec import cluster_from_shorthand
     from repro.tune.objective import MinCostUnderDeadline
     from repro.tune.space import TuneSpace, default_space
+    from repro.tune.tuner import tune as run_tune
 
     check_exclusive(vars(request))
     _check_choice("objective", request.objective, _objective_names())
@@ -694,8 +695,9 @@ def tune(session: Session, request: TuneRequest):
         if request.deadline is not None
         else request.objective
     )
-    result = session.tune(
+    result = run_tune(
         space,
+        session=session,
         objective=objective,
         driver=request.driver,
         budget=request.budget,

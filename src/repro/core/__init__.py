@@ -8,7 +8,6 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     (
         ("repro.core.config", ("ExperimentConfig",)),
-        ("repro.core.ablation", ("PIPE_BD_STRATEGY", "build_plan")),
         ("repro.core.pipebd", ("PipeBD",)),
         ("repro.core.session", ("ExperimentSuiteResult", "Session", "SweepResult")),
     ),
@@ -16,8 +15,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "ExperimentConfig",
-    "PIPE_BD_STRATEGY",
-    "build_plan",
     "PipeBD",
     "Session",
     "SweepResult",

@@ -18,14 +18,13 @@ paper's Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.data.dataset import DatasetSpec
 from repro.errors import ConfigurationError
 from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
-from repro.parallel.decoupled import with_decoupled_update
 from repro.parallel.executor import ExecutionResult, ScheduleExecutor
 from repro.parallel.hybrid import search_ahd
 from repro.parallel.plan import SchedulePlan
@@ -76,6 +75,8 @@ class PipeBD:
                 self.pair, self.server, self.batch_size, self.profile, self.dataset
             )
             plan = result.best.plan
+            if not self.enable_dpu:
+                plan = replace(plan, decoupled_update=False)
         else:
             plan = build_tr_plan(
                 self.pair,
@@ -83,10 +84,8 @@ class PipeBD:
                 self.batch_size,
                 self.profile,
                 self.dataset,
-                decoupled_update=True,
+                decoupled_update=self.enable_dpu,
             )
-        if not self.enable_dpu:
-            plan = with_decoupled_update(plan, decoupled=False)
         self._plan = plan
         return plan
 

@@ -24,9 +24,6 @@ On top of the caches it exposes the whole public workflow:
   datasets / servers / tasks, returning a typed :class:`SweepResult` with
   speedup tables, best-cell selection and JSON export.  Independent cells
   can execute on a process pool (``backend=``).
-* :meth:`Session.tune` — autotuning: search a
-  :class:`~repro.tune.space.TuneSpace` for the best candidate under an
-  objective, reusing this session's caches across refinement rounds.
 
 Beyond the in-memory caches a session can be bound to two pluggable
 substrates:
@@ -55,7 +52,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.ablation import ABLATION_STRATEGIES, make_profile
 from repro.core.config import ExperimentConfig
 from repro.data.dataset import DatasetSpec
 from repro.errors import ConfigurationError, ReproError
@@ -69,9 +65,9 @@ from repro.parallel.executor import (
     LoweredPlan,
     ScheduleExecutor,
 )
-from repro.parallel.profiler import ProfileTable
+from repro.parallel.profiler import Profiler, ProfileTable
 from repro.parallel.plan import SchedulePlan
-from repro.parallel.registry import REGISTRY, Strategy
+from repro.parallel.registry import ABLATION_STRATEGIES, PIPE_BD_STRATEGY, REGISTRY, Strategy
 from repro.store.backends import ExecutionBackend, resolve_backend
 from repro.store.keys import run_key
 from repro.store.store import ExperimentStore, open_store
@@ -119,8 +115,6 @@ class ExperimentSuiteResult:
 
     def pipe_bd_speedup(self, baseline: str = "DP") -> float:
         """Speedup of the full Pipe-BD configuration over a baseline."""
-        from repro.core.ablation import PIPE_BD_STRATEGY
-
         return self.speedups(baseline)[PIPE_BD_STRATEGY]
 
     def to_dict(self) -> dict:
@@ -450,13 +444,21 @@ class Session:
             return self._executors[key]
 
     def profile(self, config: ExperimentConfig) -> ProfileTable:
-        """The profile table for this cell, built exactly once per cell."""
+        """The profile table for this cell, built exactly once per cell.
+
+        It covers every batch size any planner may request: the LS baseline
+        scores blocks at the full batch size, and the pipeline planners use
+        the per-device micro-batch sizes, which the profiler's
+        ``feasible_batches`` already covers.
+        """
         key: ProfileKey = config.cell_key()
         with self._lock:
             if key not in self._profiles:
                 with span("session.profile_table", cell=config.cell_label()):
-                    self._profiles[key] = make_profile(
-                        self.pair(config), self.server(config), config.batch_size
+                    profiler = Profiler(pair=self.pair(config), server=self.server(config))
+                    self._profiles[key] = profiler.profile(
+                        global_batch=config.batch_size,
+                        extra_batches=(config.batch_size,),
                     )
                 self.stats.profile_builds += 1
             else:
@@ -730,64 +732,3 @@ class Session:
             cells=cells,
             axes={name: values for name, values in axes.items() if len(values) > 1},
         )
-
-    # ------------------------------------------------------------------ #
-    # Autotuning
-    # ------------------------------------------------------------------ #
-    def tune(
-        self,
-        space=None,
-        *,
-        objective="epoch_time",
-        driver="successive-halving",
-        budget: int = 64,
-        seed: int = 0,
-        simulated_steps: int = 10,
-        throughput_jobs: int = 12,
-        faults=None,
-        elastic: str = "restart",
-        fault_seed: int = 0,
-        tenants=None,
-        price_curve=None,
-        slo_deadline_slack: float = 900.0,
-    ):
-        """Search a tuning space for the best candidate under an objective.
-
-        Thin delegate to :func:`repro.tune.tuner.tune` bound to this
-        session, so tuning shares every cache (pairs, profiles, executors)
-        with prior runs and sweeps — refinement rounds only re-simulate
-        changed cells.  See ``docs/TUNING.md`` for the full guide.
-
-        Example:
-            >>> from repro import Session
-            >>> from repro.tune import TuneSpace
-            >>> session = Session()
-            >>> result = session.tune(
-            ...     TuneSpace(strategies=("DP", "TR+DPU+AHD"),
-            ...               batch_sizes=(128, 256), gpu_counts=(2,)),
-            ...     budget=4, simulated_steps=4)
-            >>> result.best.point.strategy
-            'TR+DPU+AHD'
-        """
-        from repro.tune.tuner import tune as run_tune
-
-        get_registry().counter(
-            "repro_session_tunes_total", "Session.tune searches"
-        ).inc(driver=str(driver))
-        with span("session.tune", driver=str(driver), budget=budget):
-            return run_tune(
-                space,
-                objective=objective,
-                driver=driver,
-                budget=budget,
-                seed=seed,
-                session=self,
-                simulated_steps=simulated_steps,
-                throughput_jobs=throughput_jobs,
-                faults=faults,
-                elastic=elastic,
-                fault_seed=fault_seed,
-                tenants=tenants,
-                price_curve=price_curve,
-                slo_deadline_slack=slo_deadline_slack,
-            )

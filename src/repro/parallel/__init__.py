@@ -28,7 +28,6 @@ from repro.parallel.estimator import StageTimeEstimator
 from repro.parallel.baseline_dp import build_dp_plan
 from repro.parallel.baseline_ls import build_ls_plan
 from repro.parallel.teacher_relay import build_tr_plan
-from repro.parallel.decoupled import build_tr_dpu_plan
 from repro.parallel.internal_relay import build_ir_plan
 from repro.parallel.hybrid import build_ahd_plan
 from repro.parallel.executor import ScheduleExecutor, ExecutionResult
@@ -48,7 +47,6 @@ __all__ = [
     "build_dp_plan",
     "build_ls_plan",
     "build_tr_plan",
-    "build_tr_dpu_plan",
     "build_ir_plan",
     "build_ahd_plan",
     "ScheduleExecutor",

@@ -2,10 +2,9 @@
 
 Every scheduling strategy — the six the paper evaluates and any user-defined
 one — is an object satisfying the :class:`Strategy` protocol, registered under
-a unique name.  The registry is the single source of truth consulted by
-:mod:`repro.core.ablation`, the :class:`~repro.core.session.Session` facade,
-config validation, benchmarks and analysis, so a new scheduler plugs in
-without editing core code:
+a unique name.  The registry is the single source of truth consulted by the
+:class:`~repro.core.session.Session` facade, config validation, benchmarks
+and analysis, so a new scheduler plugs in without editing core code:
 
     from repro.parallel.registry import register_strategy
 
@@ -29,7 +28,7 @@ Documented in ``docs/API.md`` (strategy registry) and ``docs/ARCHITECTURE.md``
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 from repro.data.dataset import DatasetSpec
 from repro.errors import ConfigurationError, ScheduleError
@@ -38,7 +37,6 @@ from repro.hardware.server import ServerSpec
 from repro.models.pairs import DistillationPair
 from repro.parallel.baseline_dp import build_dp_plan
 from repro.parallel.baseline_ls import build_ls_plan
-from repro.parallel.decoupled import build_tr_dpu_plan
 from repro.parallel.hybrid import build_ahd_plan
 from repro.parallel.internal_relay import build_ir_plan
 from repro.parallel.plan import SchedulePlan
@@ -96,16 +94,6 @@ class StrategyRegistry(NamedRegistry[Strategy]):
         if not callable(getattr(strategy, "build", None)):
             raise ConfigurationError(f"strategy {name!r} must expose a callable 'build'")
 
-    def requires_profile(self, name: str) -> bool:
-        """Whether a strategy's :meth:`~Strategy.build` needs a profile table.
-
-        Example:
-            >>> from repro.parallel.registry import REGISTRY
-            >>> REGISTRY.requires_profile("LS")
-            True
-        """
-        return self.get(name).requires_profile
-
 
 #: The process-wide registry every subsystem consults.
 REGISTRY = StrategyRegistry()
@@ -115,12 +103,19 @@ REGISTRY = StrategyRegistry()
 #: :func:`repro.registry.make_register`.
 register_strategy = make_register(REGISTRY)
 
+#: The ablation points shown in Fig. 4 / Fig. 5 / Fig. 6 (the paper sometimes
+#: omits TR+IR, which it discusses only for the A6000 NAS ablation).
+ABLATION_STRATEGIES: Tuple[str, ...] = ("DP", "LS", "TR", "TR+DPU", "TR+DPU+AHD")
+
+#: The strategy called "Pipe-BD" in Table II.
+PIPE_BD_STRATEGY: str = "TR+DPU+AHD"
+
 
 def _require_profile(name: str, profile: Optional[ProfileTable]) -> ProfileTable:
     if profile is None:
         raise ScheduleError(
             f"strategy {name!r} requires a profile table; profile the pair first "
-            "(see repro.core.ablation.make_profile) or go through build_plan/Session"
+            "(see Session.profile) or go through Session.run"
         )
     return profile
 
@@ -173,15 +168,37 @@ class TRStrategy:
 
 @register_strategy
 class TRDPUStrategy:
-    """Teacher relaying + decoupled parameter update (§IV-B, Fig. 3c)."""
+    """Teacher relaying + decoupled parameter update (§IV-B, Fig. 3c).
+
+    With teacher relaying alone, every device waits at a step barrier until
+    all devices have finished their backward pass before updating weights
+    and starting the next step; the wait for the relayed activation at the
+    start of each step therefore shows up as a bubble.  Decoupled parameter
+    update removes the barrier: as soon as a device's backward pass finishes
+    it updates its own student blocks and immediately begins the next step's
+    teacher execution.
+
+    This is safe because student blocks have no dependency on each other's
+    weight parameters — a property specific to blockwise distillation that
+    :mod:`repro.distill.trainer` verifies numerically.
+
+    At the plan level DPU is simply the ``decoupled_update`` flag on a
+    teacher-relaying plan; the executor turns the flag into the presence or
+    absence of cross-device step-barrier dependencies.
+    """
 
     name = "TR+DPU"
     requires_profile = True
     decoupled_recovery = True  # decoupled updates, per-stage checkpoints
 
     def build(self, pair, server, batch_size, dataset, profile=None) -> SchedulePlan:
-        return build_tr_dpu_plan(
-            pair, server, batch_size, _require_profile(self.name, profile), dataset
+        return build_tr_plan(
+            pair,
+            server,
+            batch_size,
+            _require_profile(self.name, profile),
+            dataset,
+            decoupled_update=True,
         )
 
 

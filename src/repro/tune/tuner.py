@@ -2,8 +2,8 @@
 
 Covered by ``docs/TUNING.md`` (worked examples) and ``docs/API.md``.
 
-``tune(...)`` is the function behind :meth:`repro.core.session.Session.tune`
-and the ``python -m repro tune`` subcommand: it resolves the objective and
+``tune(...)`` is the function behind the ``python -m repro tune``
+subcommand and the ``/v1/tune`` endpoint: it resolves the objective and
 driver by name, runs the search against a session-backed evaluator, and
 packages the winner, the Pareto frontier and every cache counter into a
 :class:`~repro.tune.result.TuneResult`.
@@ -16,6 +16,8 @@ from typing import Optional, Union
 
 from repro.core.session import Session
 from repro.errors import ConfigurationError
+from repro.obs.metrics import get_registry
+from repro.obs.tracing import span
 from repro.tune.drivers import DRIVERS, SearchDriver
 from repro.tune.evaluator import TuneEvaluator
 from repro.tune.objective import resolve_objective
@@ -45,7 +47,9 @@ def tune(
     ``budget`` bounds the number of discrete-event simulations a driver may
     spend; analytic estimates are free.  The returned result carries the
     evaluator's and session's counters so callers can verify how much of the
-    grid was actually simulated.
+    grid was actually simulated.  Pass ``session=`` to share its caches
+    (pairs, profiles, executors, store) with prior runs and sweeps, so
+    refinement rounds only re-simulate changed cells.
 
     ``faults`` / ``elastic`` / ``fault_seed`` configure the fault scenario
     the ``goodput_under_faults`` objective injects into its fleet probes
@@ -67,54 +71,56 @@ def tune(
         >>> result.best.epoch_time <= result.frontier[-1].epoch_time
         True
     """
-    if budget < 1:
-        raise ConfigurationError("tuning budget must be >= 1 simulation")
-    space = space if space is not None else default_space()
-    resolved_objective = resolve_objective(objective)
-    resolved_driver = DRIVERS.get(driver) if isinstance(driver, str) else driver
-    if resolved_objective.needs_cluster and not space.has_cluster_axes:
-        raise ConfigurationError(
-            f"objective {resolved_objective.name!r} needs a fleet; give the tune "
-            "space a policies axis (and optionally cluster candidates)"
-        )
+    get_registry().counter("repro_session_tunes_total", "tune searches").inc(driver=str(driver))
+    with span("session.tune", driver=str(driver), budget=budget):
+        if budget < 1:
+            raise ConfigurationError("tuning budget must be >= 1 simulation")
+        space = space if space is not None else default_space()
+        resolved_objective = resolve_objective(objective)
+        resolved_driver = DRIVERS.get(driver) if isinstance(driver, str) else driver
+        if resolved_objective.needs_cluster and not space.has_cluster_axes:
+            raise ConfigurationError(
+                f"objective {resolved_objective.name!r} needs a fleet; give the tune "
+                "space a policies axis (and optionally cluster candidates)"
+            )
 
-    evaluator = TuneEvaluator(
-        session=session,
-        simulated_steps=simulated_steps,
-        throughput_jobs=throughput_jobs,
-        faults=faults,
-        elastic=elastic,
-        fault_seed=fault_seed,
-        tenants=tenants,
-        price_curve=price_curve,
-        slo_deadline_slack=slo_deadline_slack,
-    )
-    run = resolved_driver.search(
-        space, resolved_objective, evaluator, budget=budget, seed=seed
-    )
-    if not run.evaluated:
-        raise ConfigurationError(
-            f"driver {resolved_driver.name!r} evaluated no candidates"
+        evaluator = TuneEvaluator(
+            session=session,
+            simulated_steps=simulated_steps,
+            throughput_jobs=throughput_jobs,
+            faults=faults,
+            elastic=elastic,
+            fault_seed=fault_seed,
+            tenants=tenants,
+            price_curve=price_curve,
+            slo_deadline_slack=slo_deadline_slack,
         )
-    best = min(run.evaluated, key=resolved_objective.key)
-    if math.isinf(resolved_objective.key(best)):
-        raise ConfigurationError(
-            f"no evaluated candidate is feasible under objective "
-            f"{resolved_objective.name!r} (every candidate scored infinite — "
-            "e.g. a deadline no configuration can meet); relax the constraint "
-            "or widen the space"
+        run = resolved_driver.search(
+            space, resolved_objective, evaluator, budget=budget, seed=seed
         )
-    return TuneResult(
-        objective_name=resolved_objective.name,
-        objective_sense=resolved_objective.sense,
-        driver=resolved_driver.name,
-        budget=budget,
-        space_summary=space.to_dict(),
-        best=best,
-        measurements=run.evaluated,
-        frontier=pareto_frontier(run.evaluated),
-        trajectory=run.trajectory,
-        notes=run.notes,
-        evaluator_stats=evaluator.stats.to_dict(),
-        session_stats=evaluator.session.stats.to_dict(),
-    )
+        if not run.evaluated:
+            raise ConfigurationError(
+                f"driver {resolved_driver.name!r} evaluated no candidates"
+            )
+        best = min(run.evaluated, key=resolved_objective.key)
+        if math.isinf(resolved_objective.key(best)):
+            raise ConfigurationError(
+                f"no evaluated candidate is feasible under objective "
+                f"{resolved_objective.name!r} (every candidate scored infinite — "
+                "e.g. a deadline no configuration can meet); relax the constraint "
+                "or widen the space"
+            )
+        return TuneResult(
+            objective_name=resolved_objective.name,
+            objective_sense=resolved_objective.sense,
+            driver=resolved_driver.name,
+            budget=budget,
+            space_summary=space.to_dict(),
+            best=best,
+            measurements=run.evaluated,
+            frontier=pareto_frontier(run.evaluated),
+            trajectory=run.trajectory,
+            notes=run.notes,
+            evaluator_stats=evaluator.stats.to_dict(),
+            session_stats=evaluator.session.stats.to_dict(),
+        )

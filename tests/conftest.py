@@ -6,12 +6,12 @@ import os
 
 import pytest
 
-from repro.core.ablation import make_profile
 from repro.core.config import ExperimentConfig
 from repro.data.dataset import get_dataset
 from repro.hardware.server import alternative_2080ti_server, default_a6000_server
 from repro.models.pairs import build_compression_pair, build_nas_pair
 from repro.parallel.executor import ScheduleExecutor
+from repro.parallel.profiler import Profiler
 
 try:
     from hypothesis import settings
@@ -74,13 +74,17 @@ def imagenet_dataset():
 @pytest.fixture(scope="session")
 def nas_cifar_profile(nas_cifar_pair, a6000_server):
     """Profile table for the NAS/CIFAR-10 cell at batch 256."""
-    return make_profile(nas_cifar_pair, a6000_server, 256)
+    return Profiler(pair=nas_cifar_pair, server=a6000_server).profile(
+        global_batch=256, extra_batches=(256,)
+    )
 
 
 @pytest.fixture(scope="session")
 def nas_imagenet_profile(nas_imagenet_pair, a6000_server):
     """Profile table for the NAS/ImageNet cell at batch 256."""
-    return make_profile(nas_imagenet_pair, a6000_server, 256)
+    return Profiler(pair=nas_imagenet_pair, server=a6000_server).profile(
+        global_batch=256, extra_batches=(256,)
+    )
 
 
 @pytest.fixture(scope="session")

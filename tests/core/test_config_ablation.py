@@ -2,16 +2,10 @@
 
 import pytest
 
-from repro.core.ablation import (
-    ABLATION_STRATEGIES,
-    PIPE_BD_STRATEGY,
-    build_plan,
-    make_profile,
-    needs_profile,
-)
 from repro.core.config import ExperimentConfig
+from repro.core.session import Session
 from repro.errors import ConfigurationError
-from repro.parallel.registry import REGISTRY
+from repro.parallel.registry import ABLATION_STRATEGIES, PIPE_BD_STRATEGY, REGISTRY
 
 
 class TestExperimentConfig:
@@ -81,39 +75,31 @@ class TestStrategyRegistry:
         assert PIPE_BD_STRATEGY in REGISTRY.names()
         assert set(ABLATION_STRATEGIES) <= set(REGISTRY.names())
 
-    def test_needs_profile(self):
-        assert not needs_profile("DP")
-        assert not needs_profile("TR+IR")
-        assert needs_profile("LS")
-        assert needs_profile("TR+DPU+AHD")
+    def test_requires_profile(self):
+        assert not REGISTRY.get("DP").requires_profile
+        assert not REGISTRY.get("TR+IR").requires_profile
+        assert REGISTRY.get("LS").requires_profile
+        assert REGISTRY.get("TR+DPU+AHD").requires_profile
 
-    def test_build_plan_dispatch(
-        self, nas_cifar_pair, a6000_server, cifar_dataset, nas_cifar_profile
-    ):
+    def test_build_dispatch(self, nas_cifar_pair, a6000_server, cifar_dataset, nas_cifar_profile):
         for strategy in REGISTRY.names():
-            plan = build_plan(
-                strategy, nas_cifar_pair, a6000_server, 256, cifar_dataset,
-                profile=nas_cifar_profile,
+            plan = REGISTRY.get(strategy).build(
+                nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
             )
             assert plan.strategy == strategy
             assert plan.batch_size == 256
 
-    def test_build_plan_creates_profile_on_demand(
-        self, nas_cifar_pair, a6000_server, cifar_dataset
-    ):
-        plan = build_plan("TR", nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=None)
-        assert plan.kind == "pipeline"
+    def test_session_creates_profile_on_demand(self, default_config):
+        session = Session()
+        result = session.run(default_config, strategy="TR")
+        assert result.plan.kind == "pipeline"
+        assert session.stats.profile_builds == 1
 
-    def test_unknown_strategy_rejected(
-        self, nas_cifar_pair, a6000_server, cifar_dataset, nas_cifar_profile
-    ):
+    def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_plan(
-                "ZeRO", nas_cifar_pair, a6000_server, 256, cifar_dataset,
-                profile=nas_cifar_profile,
-            )
+            REGISTRY.get("ZeRO")
 
-    def test_make_profile_includes_full_batch(self, nas_cifar_pair, a6000_server):
-        profile = make_profile(nas_cifar_pair, a6000_server, 192)
+    def test_profile_includes_full_batch(self):
+        profile = Session().profile(ExperimentConfig(batch_size=192))
         assert profile.has(0, 192)
         assert profile.has(0, 48)

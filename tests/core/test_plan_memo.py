@@ -16,11 +16,11 @@ import threading
 
 import pytest
 
-from repro.core.ablation import make_profile
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.parallel.baseline_dp import build_dp_plan
 from repro.parallel.internal_relay import build_ir_plan
+from repro.parallel.profiler import Profiler
 from repro.parallel.registry import REGISTRY, register_strategy
 
 STEPS = (5, 10, 20)
@@ -34,7 +34,11 @@ def fresh_plan(config: ExperimentConfig, name: str):
     """The plan a planner search gives with nothing cached."""
     planner = REGISTRY.get(name)
     pair, server = config.build_pair(), config.build_server()
-    profile = make_profile(pair, server, config.batch_size) if planner.requires_profile else None
+    profile = None
+    if planner.requires_profile:
+        profile = Profiler(pair=pair, server=server).profile(
+            global_batch=config.batch_size, extra_batches=(config.batch_size,)
+        )
     return planner.build(pair, server, config.batch_size, config.build_dataset(), profile=profile)
 
 

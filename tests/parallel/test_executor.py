@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.ablation import build_plan
 from repro.errors import ScheduleError
 from repro.parallel.executor import ScheduleExecutor
+from repro.parallel.registry import REGISTRY
 from repro.sim.metrics import BREAKDOWN_CATEGORIES
 
 
@@ -16,8 +16,8 @@ def results(nas_cifar_pair, a6000_server, cifar_dataset, nas_cifar_profile):
     )
     out = {}
     for strategy in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
-        plan = build_plan(
-            strategy, nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
+        plan = REGISTRY.get(strategy).build(
+            nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
         )
         out[strategy] = executor.execute(plan)
     return out
@@ -83,8 +83,8 @@ class TestExecutorValidation:
             dataset=cifar_dataset,
             simulated_steps=6,
         )
-        plan = build_plan(
-            "DP", nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
+        plan = REGISTRY.get("DP").build(
+            nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
         )
         with pytest.raises(ScheduleError):
             executor.execute(plan)
@@ -104,8 +104,8 @@ class TestExecutorValidation:
             dataset=cifar_dataset,
             simulated_steps=6,
         )
-        plan = build_plan(
-            "DP", nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
+        plan = REGISTRY.get("DP").build(
+            nas_cifar_pair, a6000_server, 256, cifar_dataset, profile=nas_cifar_profile
         )
         # Same block count, so the plan is structurally accepted; execution
         # must still run (costs come from the executor's own pair).

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.ablation import build_plan, needs_profile
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ConfigurationError, ScheduleError
@@ -117,18 +116,20 @@ class TestRegistryViews:
         assert REGISTRY.names() == BUILTIN_NAMES
         assert REGISTRY.names()[0] == "DP"
 
-    def test_needs_profile_views_registry(self, custom_strategy):
-        assert not needs_profile(custom_strategy)
-        assert needs_profile("TR+DPU+AHD")
+    def test_requires_profile_views_registry(self, custom_strategy):
+        assert not REGISTRY.get(custom_strategy).requires_profile
+        assert REGISTRY.get("TR+DPU+AHD").requires_profile
         with pytest.raises(ConfigurationError):
-            needs_profile("not-registered")
+            REGISTRY.get("not-registered")
 
 
 class TestCustomStrategyEndToEnd:
-    def test_build_plan_dispatches_custom(
+    def test_build_dispatches_custom(
         self, custom_strategy, nas_cifar_pair, a6000_server, cifar_dataset
     ):
-        plan = build_plan(custom_strategy, nas_cifar_pair, a6000_server, 256, cifar_dataset)
+        plan = REGISTRY.get(custom_strategy).build(
+            nas_cifar_pair, a6000_server, 256, cifar_dataset
+        )
         assert plan.strategy == custom_strategy
         assert plan.batch_size == 128
 

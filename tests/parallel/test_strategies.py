@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ScheduleError
 from repro.parallel.baseline_dp import build_dp_plan
 from repro.parallel.baseline_ls import block_task_cost, build_ls_plan
-from repro.parallel.decoupled import build_tr_dpu_plan, with_decoupled_update
 from repro.parallel.hybrid import build_ahd_plan, search_ahd, search_space_size
 from repro.parallel.internal_relay import build_ir_plan
 from repro.parallel.teacher_relay import build_tr_plan
@@ -55,20 +54,16 @@ class TestTeacherRelay:
         assert all(stage.num_devices == 1 for stage in plan.stages)
 
     def test_dpu_variant_sets_flag(self, nas_cifar_pair, a6000_server, nas_cifar_profile, cifar_dataset):
-        plan = build_tr_dpu_plan(nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset)
+        plan = build_tr_plan(
+            nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset,
+            decoupled_update=True,
+        )
         assert plan.strategy == "TR+DPU"
         assert plan.decoupled_update
 
     def test_estimated_step_time_recorded(self, nas_cifar_pair, a6000_server, nas_cifar_profile, cifar_dataset):
         plan = build_tr_plan(nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset)
         assert plan.metadata["estimated_step_time"] > 0
-
-    def test_with_decoupled_update_toggles(self, nas_cifar_pair, a6000_server, nas_cifar_profile, cifar_dataset):
-        plan = build_tr_plan(nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset)
-        toggled = with_decoupled_update(plan, True)
-        assert toggled.strategy == "TR+DPU" and toggled.decoupled_update
-        back = with_decoupled_update(toggled, False)
-        assert back.strategy == "TR" and not back.decoupled_update
 
 
 class TestInternalRelay:

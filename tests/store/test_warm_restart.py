@@ -15,6 +15,7 @@ from repro.cluster.workload import poisson_workload
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.tune.space import TuneSpace
+from repro.tune.tuner import tune
 
 
 @pytest.fixture
@@ -46,15 +47,9 @@ class TestWarmRun:
         assert warm.max_memory_gb() > 0
 
     def test_profile_override_bypasses_store(self, fast_config, store_root):
-        from repro.core.ablation import make_profile
-
         session = Session(store=store_root)
         session.run(fast_config, strategy="LS")
-        profile = make_profile(
-            session.pair(fast_config),
-            session.server(fast_config),
-            fast_config.batch_size,
-        )
+        profile = Session().profile(fast_config)
         session.run(fast_config, strategy="LS", profile=profile)
         # The overridden run re-simulated rather than serving the record.
         assert session.stats.runs == 2
@@ -135,11 +130,11 @@ class TestWarmTune:
             gpu_counts=(2, 4),
         )
         cold = Session(store=store_root)
-        first = cold.tune(space, budget=8, simulated_steps=4)
+        first = tune(space, session=cold, budget=8, simulated_steps=4)
         assert cold.stats.runs > 0
 
         warm = Session(store=store_root)
-        second = warm.tune(space, budget=8, simulated_steps=4)
+        second = tune(space, session=warm, budget=8, simulated_steps=4)
         assert warm.stats.runs == 0
         assert warm.stats.store_hits == cold.stats.runs
         assert second.best.point == first.best.point
@@ -153,10 +148,10 @@ class TestWarmTune:
             strategies=("DP", "TR"), batch_sizes=(128, 256), gpu_counts=(2,)
         )
         cold = Session(store=store_root)
-        first = cold.tune(space, budget=4, simulated_steps=4)
+        first = tune(space, session=cold, budget=4, simulated_steps=4)
         assert first.evaluator_stats["estimates"] > 0
         warm = Session(store=store_root)
-        second = warm.tune(space, budget=4, simulated_steps=4)
+        second = tune(space, session=warm, budget=4, simulated_steps=4)
         # Every analytic estimate came back from the store: none recomputed.
         assert second.evaluator_stats["estimates"] == 0
         assert second.evaluator_stats["store_hydrations"] > 0

@@ -75,14 +75,14 @@ class TestAcceptanceParity:
 
 
 class TestSessionTune:
-    def test_session_tune_reuses_caches(self):
+    def test_tune_on_a_session_reuses_caches(self):
         session = Session()
         space = TuneSpace(
             strategies=("TR", "TR+DPU+AHD"), batch_sizes=(128,), gpu_counts=(2,)
         )
-        first = session.tune(space, budget=2, simulated_steps=4)
+        first = tune(space, budget=2, session=session, simulated_steps=4)
         runs_after_first = session.stats.runs
-        second = session.tune(space, budget=2, simulated_steps=4)
+        second = tune(space, budget=2, session=session, simulated_steps=4)
         # Same cells, same session: the second search re-simulates nothing new
         # beyond what its own evaluator memo missed (executor cache is warm).
         assert second.best.point.key() == first.best.point.key()
