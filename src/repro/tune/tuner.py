@@ -71,8 +71,9 @@ def tune(
         >>> result.best.epoch_time <= result.frontier[-1].epoch_time
         True
     """
-    get_registry().counter("repro_session_tunes_total", "tune searches").inc(driver=str(driver))
-    with span("session.tune", driver=str(driver), budget=budget):
+    driver_name = driver if isinstance(driver, str) else driver.name
+    get_registry().counter("repro_session_tunes_total", "tune searches").inc(driver=driver_name)
+    with span("session.tune", driver=driver_name, budget=budget):
         if budget < 1:
             raise ConfigurationError("tuning budget must be >= 1 simulation")
         space = space if space is not None else default_space()

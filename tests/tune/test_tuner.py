@@ -6,6 +6,9 @@ import pytest
 
 from repro.core.session import Session
 from repro.errors import ConfigurationError
+from repro.obs.metrics import get_registry
+from repro.obs.tracing import SpanRecorder
+from repro.tune.drivers import DRIVERS
 from repro.tune.evaluator import TuneEvaluator
 from repro.tune.objective import MinCostUnderDeadline
 from repro.tune.result import dominates
@@ -92,6 +95,18 @@ class TestSessionTune:
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             tune(default_space(), budget=0)
+
+    def test_tune_records_its_span_and_counter_by_driver_name(self):
+        space = TuneSpace(strategies=("TR",), batch_sizes=(128,), gpu_counts=(2,))
+        with SpanRecorder() as recorder:
+            tune(space, driver="exhaustive", budget=1, simulated_steps=4)
+            tunes = get_registry().get("repro_session_tunes_total")
+            before = tunes.value(driver="exhaustive")
+            # A driver object counts under its registered name, as a name does.
+            tune(space, driver=DRIVERS.get("exhaustive"), budget=1, simulated_steps=4)
+        assert tunes.value(driver="exhaustive") == before + 1
+        roots = [s for s in recorder.roots() if s.name == "session.tune"]
+        assert [s.tags for s in roots] == [{"driver": "exhaustive", "budget": 1}] * 2
 
 
 class TestObjectives:
