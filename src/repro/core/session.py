@@ -48,7 +48,7 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -79,6 +79,7 @@ ExecutorKey = Tuple[str, str, str, int, int]
 #: A registered strategy object and the cell it planned.  The object, not
 #: its name, is the key: a name registered again names a new planner.
 PlanKey = Tuple[Strategy, ProfileKey]
+_CONFIG_FIELDS = frozenset(config_field.name for config_field in fields(ExperimentConfig))
 
 
 @dataclass
@@ -106,16 +107,17 @@ class ExperimentSuiteResult:
     def epoch_times(self) -> Dict[str, float]:
         return {strategy: result.epoch_time for strategy, result in self.results.items()}
 
+    def speedup(self, strategy: str, baseline: str = "DP") -> float:
+        """Speedup of one strategy over a baseline; both must have run."""
+        return self.result(baseline).epoch_time / self.result(strategy).epoch_time
+
     def speedups(self, baseline: str = "DP") -> Dict[str, float]:
         """Speedup of every strategy over the chosen baseline."""
-        base = self.result(baseline).epoch_time
-        return {
-            strategy: base / result.epoch_time for strategy, result in self.results.items()
-        }
+        return {strategy: self.speedup(strategy, baseline) for strategy in self.results}
 
     def pipe_bd_speedup(self, baseline: str = "DP") -> float:
         """Speedup of the full Pipe-BD configuration over a baseline."""
-        return self.speedups(baseline)[PIPE_BD_STRATEGY]
+        return self.speedup(PIPE_BD_STRATEGY, baseline)
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary of this cell's results."""
@@ -296,9 +298,15 @@ class SweepResult:
     def series(self, strategy: str, axis: str, baseline: str = "DP") -> Dict:
         """Speedup of one strategy along one axis (e.g. Fig. 6's batch axis).
 
-        Requires the axis value to identify each cell uniquely (i.e. every
-        other axis is fixed); raises otherwise.
+        ``axis`` is a field of :class:`ExperimentConfig`, and its value must
+        identify each cell uniquely (i.e. every other axis is fixed);
+        raises :class:`ConfigurationError` otherwise, or when ``strategy``
+        or ``baseline`` did not run.
         """
+        if axis not in _CONFIG_FIELDS:
+            raise ConfigurationError(
+                f"unknown sweep axis {axis!r}; swept axes: {sorted(self.axes)}"
+            )
         out: Dict = {}
         for cell in self.cells:
             key = getattr(cell.config, axis)
@@ -307,7 +315,7 @@ class SweepResult:
                     f"axis {axis!r} does not uniquely identify sweep cells; "
                     f"value {key!r} appears more than once"
                 )
-            out[key] = cell.speedups(baseline)[strategy]
+            out[key] = cell.speedup(strategy, baseline)
         return out
 
     def best_cell(

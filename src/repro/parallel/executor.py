@@ -26,9 +26,10 @@ a lowered one; a :class:`~repro.core.session.Session` keeps each plan's
 lowering and executes it for every step count.
 
 Task graphs depend only on a plan's shape (a phase's key), not on the batch
-size, server or dataset, so each shape's graph is built once into a
-:class:`~repro.sim.engine.GraphTemplate` held by :class:`GraphTemplates`; a
-run fills in the durations only.
+size, server or dataset, so each shape's graph is built into one
+:class:`~repro.sim.engine.GraphTemplate` held by :class:`GraphTemplates`, for
+the most steps asked of it so far; a run of fewer steps takes a row prefix,
+and a run fills in the durations only.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ import threading
 from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -259,78 +259,62 @@ class GraphTemplates:
     A key holds everything that decides a graph's rows, names and
     dependencies but not the step count: the graph for ``k`` steps is the
     first rows of the graph for more steps, so one template per key serves
-    every step count.  A longer step count extends the held template by the
-    missing steps; no row is ever built twice.  ``builds`` counts the keys
-    built from scratch and ``rows_built`` every row any builder added.
+    every step count up to the one it was built for.  A longer step count
+    builds the key's template again for that many steps and replaces the
+    held one.  ``builds`` counts every template built.
     """
 
     def __init__(self) -> None:
-        self._builders: Dict[Hashable, _GraphBuilder] = {}
+        self._entries: Dict[Hashable, TemplateEntry] = {}
         self._lock = threading.Lock()
         self.builds = 0
-        self.rows_built = 0
 
     def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
         """The entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
 
-        On a miss the entry is built from the key alone (by the builder of
-        its plan kind, ``key[0]``); when the held one has fewer steps, its
-        builder resumes and adds the missing ones.
+        When the table holds no entry for ``key``, or one for fewer steps,
+        the builder of its plan kind (``key[0]``) builds one for ``steps``
+        steps from the key alone.
         """
         with self._lock:
-            builder = self._builders.get(key)
-            if builder is None:
-                builder = self._builders[key] = _GraphBuilder(key)
-                self.builds += 1
-            entry = builder.held
+            entry = self._entries.get(key)
             if entry is None or entry.steps < steps:
-                held = builder.rows
-                try:
-                    entry = builder.grow(steps)
-                except BaseException:
-                    del self._builders[key]  # a half-grown builder is not kept
-                    raise
-                self.rows_built += builder.rows - held
+                graph = _GraphBuilder()
+                _GRAPH_BUILDERS[key[0]](key, steps, graph)
+                entry = self._entries[key] = graph.entry(steps)
+                self.builds += 1
         return entry, entry.template.num_tasks // entry.steps * steps
 
     def shapes(self) -> Dict[Hashable, int]:
         """The steps each held template was built for, by key."""
         with self._lock:
-            return {key: builder.held.steps for key, builder in self._builders.items()}
+            return {key: entry.steps for key, entry in self._entries.items()}
 
     def __len__(self) -> int:
-        return len(self._builders)
+        return len(self._entries)
 
     @property
     def num_tasks(self) -> int:
         """Rows held over every template."""
         with self._lock:
-            return left_sum(builder.rows for builder in self._builders.values())
+            return left_sum(entry.template.num_tasks for entry in self._entries.values())
 
     def clear(self) -> None:
         with self._lock:
-            self._builders.clear()
+            self._entries.clear()
 
 
 class _GraphBuilder:
     """Adds tasks whose durations are slots, numbered in order of first use.
 
-    Rows go straight into the columns of ``engine``, numbered on from the
-    rows already frozen; :meth:`entry` turns them into the template (or
-    extends the held one with them), which checks every dependency and slot
-    once, in one pass, and starts an empty ``engine`` for the next rows.
-
-    The builder of the key's plan kind (``key[0]``) runs as a generator
-    that adds one training step per resumption, so :meth:`grow` can add
-    steps to a template long after it was frozen.
+    Rows go straight into the columns of ``engine``; :meth:`entry` freezes
+    them into the template, which checks every dependency and slot once,
+    in one pass.
     """
 
-    def __init__(self, key: Hashable) -> None:
+    def __init__(self) -> None:
         self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
-        self.rows = 0  # rows frozen so far
-        self.held: Optional[TemplateEntry] = None
-        self._steps = _GRAPH_BUILDERS[key[0]](key, self)
 
     def add(
         self,
@@ -344,7 +328,7 @@ class _GraphBuilder:
         block: int = -1,
     ) -> int:
         engine = self.engine
-        task_id = self.rows + len(engine.names)
+        task_id = len(engine.names)
         engine.names.append(name)
         engine.kinds.append(kind)
         engine.resources.append(resource)
@@ -357,28 +341,16 @@ class _GraphBuilder:
         return task_id
 
     def entry(self, steps: int) -> TemplateEntry:
-        """The template of every row added so far, held as ``steps`` steps."""
-        engine, self.engine = self.engine, SimulationEngine()
-        held = self.held
-        template = engine.freeze() if held is None else held.template.extended(engine)
-        self.rows = template.num_tasks
-        self.held = TemplateEntry(steps, template, tuple(self.slots))
-        return self.held
-
-    def grow(self, steps: int) -> TemplateEntry:
-        """Resume the plan kind's builder until the template has ``steps`` steps."""
-        held = 0 if self.held is None else self.held.steps
-        for _ in range(steps - held):
-            next(self._steps)
-        return self.entry(steps)
+        """The template of every row added, held as ``steps`` steps."""
+        return TemplateEntry(steps, self.engine.freeze(), tuple(self.slots))
 
 
-def _pipeline_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
-    """Pipeline task graph, one step per resumption; slots are ``(stage_id, duration name)``."""
+def _pipeline_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
+    """Pipeline task graph of ``steps`` steps; slots are ``(stage_id, duration name)``."""
     _, decoupled_update, stages = key
     previous_step_updates: List[int] = []
 
-    for step in count():
+    for step in range(steps):
         step_updates: List[int] = []
         teacher_task_ids: Dict[int, List[int]] = {}
         for stage_id, device_ids, first_block, has_allreduce in stages:
@@ -481,13 +453,12 @@ def _pipeline_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
                 )
                 step_updates.append(update_id)
         previous_step_updates = step_updates
-        yield
 
 
-def _layerwise_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
-    """LS task graph, one step per resumption; slots are ``(duration name, block)``."""
+def _layerwise_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
+    """LS task graph of ``steps`` steps; slots are ``(duration name, block)``."""
     _, device_blocks = key
-    for step in count():
+    for step in range(steps):
         for device, block_ids in device_blocks:
             max_block = max(block_ids)
             load_id = graph.add(
@@ -540,14 +511,13 @@ def _layerwise_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
                     device=device,
                     block=block_id,
                 )
-        yield
 
 
-def _data_parallel_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
-    """One DP block's task graph, one step per resumption; slots are duration names."""
+def _data_parallel_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
+    """One DP block's task graph of ``steps`` steps; slots are duration names."""
     _, num_devices, block_id = key
     previous_step_updates: List[int] = []
-    for step in count():
+    for step in range(steps):
         backward_ids: List[int] = []
         for device in range(num_devices):
             load_id = graph.add(
@@ -616,11 +586,10 @@ def _data_parallel_graph(key: Hashable, graph: _GraphBuilder) -> Iterator[None]:
             )
             for device in range(num_devices)
         ]
-        yield
 
 
-#: Each plan kind's graph builder: a generator adding one step per resumption.
-_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, _GraphBuilder], Iterator[None]]] = {
+#: Each plan kind's graph builder: adds a key's rows for a step count.
+_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int, _GraphBuilder], None]] = {
     "pipeline": _pipeline_graph,
     "layerwise": _layerwise_graph,
     "data_parallel": _data_parallel_graph,
@@ -662,7 +631,7 @@ class ScheduleExecutor:
         :meth:`_phases`), the steps per epoch and the peak memory per
         device.  Slot values come in the order of the template's slot keys,
         so lowering looks each phase's template up, building it for this
-        executor's step count when the table does not hold it yet.
+        executor's step count when the table holds none for that many.
         """
         if plan.num_blocks != self.pair.num_blocks:
             raise ScheduleError(

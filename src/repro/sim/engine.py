@@ -56,47 +56,25 @@ class _Structure(NamedTuple):
     resource_index: Dict[str, int]  # resource -> its index, in order of first use
 
 
-_NO_ROWS = _Structure([], [0], [], [], {})
-
-
-def _run_structure(
-    deps: Sequence, resources: Sequence, base: _Structure = _NO_ROWS
-) -> _Structure:
-    """The run structure of the rows ``deps`` / ``resources`` after ``base``'s rows.
-
-    Row ids continue from ``base``'s, and ``deps`` may name its rows, which
-    then gain dependents; ``base`` itself is left as it is.  The result
-    equals the structure of all the rows taken at once.
-    """
-    first = len(base.dep_counts)
-    old_offsets, old_dependents = base.dependent_offsets, base.dependents
-    # Base rows before the first one that gains a dependent keep their part
-    # of the flat lists; the rows from ``kept`` on are laid out again.
-    kept = min((dep for row in deps for dep in row if dep < first), default=first)
-    start = old_offsets[kept]
+def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
+    """The run structure of the rows ``deps`` / ``resources``."""
     dep_counts = list(map(len, deps))
     # Each value's int object is made once and shared by the offsets and
     # the dependents, which templates keep for as long as their table lives.
-    low = min(start, first)
-    high = max(len(old_dependents) + left_sum(dep_counts), first + len(deps))
-    ints = list(range(low, high + 1))
-    dependents: List[List[int]] = [
-        old_dependents[old_offsets[row] : old_offsets[row + 1]] for row in range(kept, first)
-    ]
-    dependents += [[] for _ in deps]
-    for task_id, row in zip(ints[first - low :], deps):
+    ints = list(range(max(left_sum(dep_counts), len(deps)) + 1))
+    dependents: List[List[int]] = [[] for _ in deps]
+    for task_id, row in zip(ints, deps):
         for dep in row:
-            dependents[dep - kept].append(task_id)
-    resource_index = dict(base.resource_index)
+            dependents[dep].append(task_id)
+    resource_index: Dict[str, int] = {}
     resource_ids = [
         resource_index.setdefault(resource, len(resource_index)) for resource in resources
     ]
     return _Structure(
-        base.dep_counts + dep_counts,
-        old_offsets[:kept]
-        + [ints[end - low] for end in accumulate(map(len, dependents), initial=start)],
-        old_dependents[:start] + list(chain.from_iterable(dependents)),
-        base.resource_ids + resource_ids,
+        dep_counts,
+        [ints[end] for end in accumulate(map(len, dependents), initial=0)],
+        list(chain.from_iterable(dependents)),
+        resource_ids,
         resource_index,
     )
 
@@ -456,12 +434,9 @@ class GraphTemplate:
     runs its tasks in id order (:func:`_runs_in_id_order`); the instances
     of such a template run in one pass instead of the event loop.
 
-    :meth:`extended` appends more rows (say, more training steps) without
-    touching the rows held: it checks, lays out and accounts only the new
-    rows, and the template it returns equals the one frozen from all the
-    rows at once.  Only :attr:`in_order` reads every row again, and only
-    when the held rows are in order: no per-row sets are kept to resume
-    from.
+    A template never changes: a longer graph (say, more training steps) is
+    a new freeze of all its rows, and a shorter one a row prefix of this
+    one (the ``num_tasks`` of :meth:`instantiate`).
     """
 
     __slots__ = (
@@ -482,51 +457,39 @@ class GraphTemplate:
         "in_order",
     )
 
-    def __init__(self, engine: SimulationEngine, base: Optional["GraphTemplate"] = None) -> None:
+    def __init__(self, engine: SimulationEngine) -> None:
         intern = sys.intern
-        if base is None:
-            base = _NO_TEMPLATE
-        first, known = base.num_tasks, len(base.slot_names)
         names = tuple(map(intern, engine.names))
         first_use: Dict[int, str] = {}
-        for row, (name, slot, deps) in enumerate(zip(names, engine.durations, engine.deps), first):
+        for row, (name, slot, deps) in enumerate(zip(names, engine.durations, engine.deps)):
             if int(slot) != slot:
                 raise SimulationError(
                     f"task {name!r} has duration {slot!r}: template durations "
                     f"must be integer slot indices"
                 )
-            if not 0 <= slot < known:
-                first_use.setdefault(slot, name)
+            first_use.setdefault(slot, name)
             for dep in deps:
                 if dep < 0 or dep >= row:
                     raise _unknown_dependency(name, dep)
-        added = range(known, known + len(first_use))
-        if sorted(first_use) != list(added):
+        slot_range = range(len(first_use))
+        if sorted(first_use) != list(slot_range):
             raise SimulationError("template slots must be numbered 0..k-1")
-        self.names = base.names + names
-        self.kinds = base.kinds + tuple(engine.kinds)
-        resources = tuple(map(intern, engine.resources))
-        self.resources = base.resources + resources
-        self.metadata = base.metadata + tuple(engine.metadata)
-        self.slot_names = base.slot_names + tuple(map(first_use.__getitem__, added))
-        self.slots = base.slots + array("i", map(int, engine.durations))
-        self.steps = base.steps + array("i", engine.steps)
-        self.devices = base.devices + array("i", engine.devices)
-        self.blocks = base.blocks + array("i", engine.blocks)
+        self.names = names
+        self.kinds = tuple(engine.kinds)
+        self.resources = tuple(map(intern, engine.resources))
+        self.metadata = tuple(engine.metadata)
+        self.slot_names = tuple(map(first_use.__getitem__, slot_range))
+        self.slots = array("i", map(int, engine.durations))
+        self.steps = array("i", engine.steps)
+        self.devices = array("i", engine.devices)
+        self.blocks = array("i", engine.blocks)
         # CSR: row i's dependencies are dep_targets[dep_offsets[i]:dep_offsets[i + 1]].
-        self.dep_offsets, self.dep_targets = base.dep_offsets[:], base.dep_targets[:]
-        self.dep_offsets.extend(
-            accumulate(map(len, engine.deps), initial=self.dep_offsets.pop())
-        )
-        for deps in engine.deps:
-            self.dep_targets.extend(deps)
-        self.structure = _run_structure(engine.deps, resources, base.structure)
-        self.layout = base.layout.joined(accounting_layout(engine, range(len(names)), first))
+        self.dep_offsets = array("i", accumulate(map(len, engine.deps), initial=0))
+        self.dep_targets = array("i", chain.from_iterable(engine.deps))
+        self.structure = _run_structure(engine.deps, self.resources)
+        self.layout = accounting_layout(engine, range(len(names)))
         self.prefix_layouts: Dict[int, AccountingLayout] = {}
-        # Rows added after out-of-order ones leave those out of order.
-        self.in_order = base.in_order and _runs_in_id_order(
-            self.structure, self.dep_offsets, self.dep_targets
-        )
+        self.in_order = _runs_in_id_order(self.structure, self.dep_offsets, self.dep_targets)
 
     @property
     def num_tasks(self) -> int:
@@ -545,16 +508,6 @@ class GraphTemplate:
         if layout is None:
             layout = self.prefix_layouts.setdefault(rows, self.layout.cut(rows))
         return layout
-
-    def extended(self, engine: SimulationEngine) -> "GraphTemplate":
-        """This template with ``engine``'s rows appended after its own.
-
-        ``engine``'s rows are numbered on from :attr:`num_tasks`, so their
-        dependencies may name this template's rows; its durations are slot
-        indices, new slots numbered on from this template's.  This template
-        is not changed.
-        """
-        return GraphTemplate(engine, self)
 
     def instantiate(
         self, values: Sequence, num_tasks: Optional[int] = None
@@ -588,18 +541,3 @@ class GraphTemplate:
         engine._structure = self.structure
         engine._template = self
         return engine
-
-
-def _no_template() -> GraphTemplate:
-    """A template with no rows: what a first freeze extends."""
-    empty = object.__new__(GraphTemplate)
-    empty.names = empty.kinds = empty.resources = empty.metadata = empty.slot_names = ()
-    empty.slots, empty.steps, empty.devices = array("i"), array("i"), array("i")
-    empty.blocks, empty.dep_targets, empty.dep_offsets = array("i"), array("i"), array("i", [0])
-    empty.structure, empty.layout = _NO_ROWS, AccountingLayout((), ())
-    empty.prefix_layouts = {}
-    empty.in_order = True
-    return empty
-
-
-_NO_TEMPLATE = _no_template()

@@ -73,16 +73,6 @@ def _cut(groups: tuple, limit: int) -> tuple:
     return tuple(kept)
 
 
-def _join(groups: tuple, later: tuple) -> tuple:
-    """``groups`` and ``later`` merged by label, rows of a shared label concatenated."""
-    merged = {group[:-1]: group[-1] for group in groups}
-    for group in later:
-        label, rows = group[:-1], group[-1]
-        held = merged.get(label)
-        merged[label] = rows if held is None else held + rows
-    return tuple((*label, rows) for label, rows in sorted(merged.items()))
-
-
 class AccountingLayout(NamedTuple):
     """The rows each step and each ``(device, category)`` of a trace covers.
 
@@ -101,17 +91,13 @@ class AccountingLayout(NamedTuple):
         """The layout of the first ``limit`` rows (a template's row prefix)."""
         return AccountingLayout(_cut(self.steps, limit), _cut(self.buckets, limit))
 
-    def joined(self, later: "AccountingLayout") -> "AccountingLayout":
-        """The layout of this one's rows followed by ``later``'s (all above them)."""
-        return AccountingLayout(_join(self.steps, later.steps), _join(self.buckets, later.buckets))
 
-
-def accounting_layout(table, task_ids: Iterable[int], first: int = 0) -> AccountingLayout:
+def accounting_layout(table, task_ids: Iterable[int]) -> AccountingLayout:
     """The accounting layout of the rows ``task_ids`` of a task table.
 
     ``table`` has the ``kinds``, ``resources``, ``steps`` and ``devices``
-    columns of a :class:`~repro.sim.engine.SimulationEngine`; row
-    ``first + p`` of the layout is ``task_ids[p]``.  A row counts towards
+    columns of a :class:`~repro.sim.engine.SimulationEngine`; row ``p``
+    of the layout is ``task_ids[p]``.  A row counts towards
     its step label, and towards one busy category of one device:
 
     * ``DATA_LOAD`` rows count as ``data_load`` of the task's ``device``
@@ -130,7 +116,7 @@ def accounting_layout(table, task_ids: Iterable[int], first: int = 0) -> Account
     # Device of each distinct resource, resolved once; ``None`` marks a
     # non-compute resource, whose time goes to the task's device.
     resource_devices: Dict[str, Optional[int]] = {}
-    for position, task_id in enumerate(task_ids, first):
+    for position, task_id in enumerate(task_ids):
         step = steps[task_id]
         rows = step_rows.get(step)
         if rows is None:

@@ -426,7 +426,7 @@ class TestCustomRankedPreemptingPolicy:
         fast, slow = custom_policy_reports(fleet, session, custom_ranked_policy)
         assert fast == slow
         records = fast[custom_ranked_policy]["records"]
-        assert sum(record["preemptions"] for record in records) > 0
+        assert any(record["preemptions"] for record in records)
 
     @settings(
         max_examples=30,

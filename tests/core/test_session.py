@@ -218,6 +218,30 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match="uniquely"):
             sweep.series("DP", axis="batch_size")
 
+    def test_series_of_a_strategy_not_run_lists_the_strategies_run(self, session, fast_config):
+        sweep = session.sweep(fast_config, batch_sizes=(128, 256), strategies=("DP", "TR"))
+        with pytest.raises(
+            ConfigurationError, match=r"^strategy 'LS' was not run; available: \['DP', 'TR'\]$"
+        ):
+            sweep.series("LS", axis="batch_size")
+
+    def test_series_on_an_unknown_axis_lists_the_swept_axes(self, session, fast_config):
+        sweep = session.sweep(fast_config, batch_sizes=(128, 256), strategies=("DP", "TR"))
+        with pytest.raises(
+            ConfigurationError, match=r"^unknown sweep axis 'batch'; swept axes: \['batch_size'\]$"
+        ):
+            sweep.series("TR", axis="batch")
+
+    def test_pipe_bd_speedup_without_pipe_bd_lists_the_strategies_run(
+        self, session, fast_config
+    ):
+        suite = session.ablation(fast_config, strategies=("DP", "TR"))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^strategy 'TR\+DPU\+AHD' was not run; available: \['DP', 'TR'\]$",
+        ):
+            suite.pipe_bd_speedup()
+
     def test_to_dict_and_json_roundtrip(self, session, fast_config):
         sweep = session.sweep(fast_config, batch_sizes=(128, 256), strategies=("DP", "TR"))
         payload = json.loads(sweep.to_json())

@@ -5,8 +5,9 @@
 front.  The oracle below is the straightforward version: every layer
 re-derives its FLOPs and traffic from the ``LayerSpec`` properties and gets
 its rate from the removed ``GPUSpec.effective_flops`` (copied here), and a
-block time is ``sum`` over its layers.  The two must agree with ``==`` for
-every registered pair's blocks on both GPUs.
+block time is the left fold (``left_sum``, as in ``src``) of its layers'
+times.  The two must agree with ``==`` for every registered pair's blocks on
+both GPUs.
 """
 
 from functools import lru_cache
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import VALID_DATASETS, VALID_TASKS
 from repro.errors import ConfigurationError
+from repro.fold import left_sum
 from repro.hardware.cost_model import BACKWARD_FLOP_FACTOR, CostModel
 from repro.hardware.gpu import RTX_2080TI, RTX_A6000
 from repro.models import layers as L
@@ -85,8 +87,12 @@ class TestRooflineOracle:
         task, dataset, gpu, batch = cell
         cost = CostModel(gpu=gpu)
         for block in pair_blocks(task, dataset):
-            forward = sum(oracle_layer_forward_time(gpu, layer, batch) for layer in block.layers)
-            backward = sum(oracle_layer_backward_time(gpu, layer, batch) for layer in block.layers)
+            forward = left_sum(
+                oracle_layer_forward_time(gpu, layer, batch) for layer in block.layers
+            )
+            backward = left_sum(
+                oracle_layer_backward_time(gpu, layer, batch) for layer in block.layers
+            )
             assert cost.block_forward_time(block, batch) == forward
             assert cost.block_backward_time(block, batch) == backward
             # The memoised second answer is the same float.

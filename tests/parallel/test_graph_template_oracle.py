@@ -1,14 +1,15 @@
 """Template-backed execution against the per-run graph builders it replaced.
 
-:class:`ScheduleExecutor` builds each plan shape's task graph once, keeps it
+:class:`ScheduleExecutor` builds each plan shape's task graph, keeps it
 as a :class:`~repro.sim.engine.GraphTemplate` in its (usually the Session's)
 :class:`GraphTemplates` table, and only fills in durations per run; a shape
 run for fewer steps than it was built for runs on a row prefix.  The oracle
 below is the executor with the three per-run builders it used before,
-copied verbatim: every ``execute`` builds a fresh engine with one
-``add_task`` call per task.  It keeps its own ``execute`` dispatch and the
-three per-kind peak-memory rules too, so it checks the executor's single
-phase loop and memory rule, not itself.  Both must return the same
+copied verbatim but for its one float sum, a left fold as in ``src``:
+every ``execute`` builds a fresh engine with one ``add_task`` call per
+task.  It keeps its own ``execute`` dispatch and the three per-kind
+peak-memory rules too, so it checks the executor's single phase loop and
+memory rule, not itself.  Both must return the same
 ``to_dict()`` and the same trace, row for row.
 """
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.config import VALID_DATASETS, VALID_SERVERS, VALID_TASKS, ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ScheduleError, SimulationError
+from repro.fold import left_sum
 from repro.hardware.cost_model import CostModel
 from repro.parallel.executor import WARMUP_STEPS, ExecutionResult, ScheduleExecutor
 from repro.parallel.plan import SchedulePlan
@@ -419,7 +421,7 @@ class OracleExecutor(ScheduleExecutor):
                 for category in BREAKDOWN_CATEGORIES:
                     accumulated[device][category] += block_breakdown[device][category]
 
-        total_step_time = sum(per_block_step_times)
+        total_step_time = left_sum(per_block_step_times)
         memory = self._data_parallel_memory(plan)
         return ExecutionResult(
             plan=plan,

@@ -5,9 +5,9 @@ The benchmark's plan-cold grid (``perfbench/inputs.plan_grid()``, 1152
 count is left out of the key.  The table must hold exactly those, at the
 longest step count each was run for, in a compact layout: a naive table of
 list columns retained over 13 MB on this grid and moved the benchmark's
-peak RSS past its bound.  Each shape is built once: a longer step count
-extends the held template, so no row is built twice, and an extended
-template equals one built for all its steps at once.
+peak RSS past its bound.  A longer step count than the held one builds the
+shape again and replaces the held template; a shorter one runs a row prefix
+of it.
 """
 
 from __future__ import annotations
@@ -52,13 +52,15 @@ def run_grid(session, grid):
     return session.executor(config).templates
 
 
-def test_the_seed0_plan_cold_grid_builds_each_shape_once():
+def test_the_seed0_plan_cold_grid_holds_one_template_per_shape():
     # The benchmark's shuffled order asks for 5, 10 and 20 steps of a shape
-    # in any order; each of the 56 shapes is built once and extended.
+    # in any order; a shape asked for more steps than it holds is built
+    # again, so the 56 shapes take 97 builds, and the table keeps one
+    # template each.
     session = Session()
     table = run_grid(session, perfbench_inputs().shuffled_grid(0))
-    assert (len(table), table.builds) == (56, 56)
-    assert table.rows_built == table.num_tasks == 18_788
+    assert (len(table), table.builds) == (56, 97)
+    assert table.num_tasks == 18_788
     stats = session.stats
     assert (stats.plan_builds, stats.plan_hits, stats.runs) == (384, 768, 1152)
     # 46 shapes run in one pass in id order.  The other 10 are exactly the
@@ -78,7 +80,7 @@ def template_columns(template):
     return {name: getattr(template, name) for name in GraphTemplate.__slots__}
 
 
-def test_an_extended_template_equals_a_fresh_build():
+def test_a_longer_step_count_replaces_the_held_template():
     session = Session()
     for name in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
         for num_gpus in (2, 4):
@@ -87,15 +89,18 @@ def test_an_extended_template_equals_a_fresh_build():
     keys = list(session.executor(config).templates.shapes())
     assert {key[0] for key in keys} == {"pipeline", "layerwise", "data_parallel"}
     for key in keys:
-        grown, fresh = GraphTemplates(), GraphTemplates()
-        for steps in (5, 6, 10, 20):
-            entry, rows = grown.get(key, steps)
-        expected, expected_rows = fresh.get(key, 20)
+        table = GraphTemplates()
+        short, _ = table.get(key, 5)
+        entry, rows = table.get(key, 20)
+        expected, expected_rows = GraphTemplates().get(key, 20)
+        assert entry is not short
         assert template_columns(entry.template) == template_columns(expected.template)
         assert (entry.steps, entry.slot_keys, rows) == (20, expected.slot_keys, expected_rows)
-        assert (grown.builds, grown.rows_built) == (1, fresh.rows_built)
+        assert (table.shapes(), table.builds) == ({key: 20}, 2)
         # A shorter step count is served by the held template as it is.
-        assert grown.get(key, 10)[0] is entry
+        held, prefix_rows = table.get(key, 10)
+        assert held is entry and table.get(key, 20)[0] is entry
+        assert prefix_rows * 2 == rows and table.builds == 2
 
 
 def test_plan_grid_table_stays_within_its_memory_budget():
@@ -138,7 +143,7 @@ def test_session_shares_one_table_and_clear_empties_it():
     (steps,) = table.shapes().values()
     assert steps == 5
     session.run(long)
-    assert list(table.shapes().values()) == [9]  # extended, not duplicated
+    assert list(table.shapes().values()) == [9]  # rebuilt, not duplicated
     session.run(short.with_batch_size(64))
     assert list(table.shapes().values()) == [9]  # a prefix of the kept build
     session.clear()
@@ -146,7 +151,7 @@ def test_session_shares_one_table_and_clear_empties_it():
 
 
 def test_builder_rows_are_checked_when_the_template_is_frozen():
-    graph = _GraphBuilder(("data_parallel", 1, 0))  # rows added by hand, not by its builder
+    graph = _GraphBuilder()  # rows added by hand, not by a plan kind's builder
     load = graph.add(
         "load", name="load", kind=TaskKind.DATA_LOAD, resource=host_loader(),
         deps=(), step=0, device=0,

@@ -5,11 +5,12 @@ step and of each ``(device, category)``; a graph template computes it once
 and every run cuts it to its row prefix.  ``compute_breakdown``,
 ``step_boundaries``, ``steady_state_step_time``, ``steps()`` and
 ``for_step`` all read it.  The oracle below is those functions as they were
-before, copied verbatim: one pass over every row of the trace per call.
-Both must agree exactly (``==``) on random graphs, on template prefix runs
-and on sub-traces.  Exact equality also pins the summation order: the busy
-times are added with ``+=`` in row order, which ``sum()`` (compensated from
-Python 3.12 on) would not reproduce.
+before, copied verbatim but for their float sums, left folds as in ``src``:
+one pass over every row of the trace per call.  Both must agree exactly
+(``==``) on random graphs, on template prefix runs and on sub-traces.  Exact
+equality also pins the summation order: the busy times are added with
+``+=`` in row order, which ``sum()`` (compensated from Python 3.12 on) would
+not reproduce.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.fold import left_sum
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import STUDENT_EXEC_KINDS, TaskKind
 from repro.sim.metrics import BREAKDOWN_CATEGORIES, compute_breakdown
@@ -84,7 +86,7 @@ def oracle_breakdown(
             breakdown[resource_device][category] += end - start
 
     for device in range(num_devices):
-        busy = sum(
+        busy = left_sum(
             breakdown[device][category]
             for category in ("teacher_exec", "student_exec", "comm")
         )

@@ -312,63 +312,6 @@ class TestTemplateChecks:
         ]
 
 
-COLUMNS = (
-    "names",
-    "kinds",
-    "resources",
-    "durations",
-    "deps",
-    "steps",
-    "devices",
-    "blocks",
-    "metadata",
-)
-
-
-def _rows_from(engine, first, last):
-    """An engine holding rows ``first..last-1`` of ``engine``, ids unchanged."""
-    part = SimulationEngine()
-    for column in COLUMNS:
-        getattr(part, column).extend(getattr(engine, column)[first:last])
-    return part
-
-
-def _columns(template):
-    return {name: getattr(template, name) for name in GraphTemplate.__slots__}
-
-
-class TestExtendedTemplate:
-    """``extended`` appends rows; the result equals one freeze of all rows."""
-
-    @pytest.mark.parametrize("split", [1, 2, 3, 4, 5])
-    def test_extending_equals_freezing_at_once(self, split):
-        graph = _two_step_graph(SLOTS.get)
-        whole = graph.freeze()
-        base = _rows_from(graph, 0, split).freeze()
-        before = _columns(base)
-        extended = base.extended(_rows_from(graph, split, 6))
-        assert _columns(extended) == _columns(whole)
-        assert _columns(base) == before  # the base template is left as it is
-        values = [0.5, 1.25, 2.0]
-        assert _rows(extended.instantiate(values).run()) == _rows(whole.instantiate(values).run())
-
-    def test_new_rows_may_add_slots(self):
-        graph = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 2, (0, 1)), ("d", 1, (2,)))
-        extended = _rows_from(graph, 0, 2).freeze().extended(_rows_from(graph, 2, 4))
-        assert extended.slot_names == ("a", "b", "c")
-        assert _columns(extended) == _columns(graph.freeze())
-
-    def test_new_rows_are_checked_like_a_freeze(self):
-        base = _appended_graph(("a", 0, ()), ("b", 1, (0,))).freeze()
-        forward = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 0, (3,)))
-        with pytest.raises(SimulationError, match=r"task 'c' depends on unknown task id 3 "):
-            base.extended(_rows_from(forward, 2, 3))
-        gap = _appended_graph(("a", 0, ()), ("b", 1, (0,)), ("c", 3, (1,)))
-        with pytest.raises(SimulationError, match="numbered 0..k-1"):
-            base.extended(_rows_from(gap, 2, 3))
-        assert base.num_tasks == 2
-
-
 # --------------------------------------------------------------------- #
 # In-order templates: one pass in id order, checked against the heap loop
 # --------------------------------------------------------------------- #
@@ -446,26 +389,20 @@ class TestInOrderTemplates:
     @settings(max_examples=300, deadline=None)
     def test_instances_match_the_heap_loop(self, graph, data):
         rows, values = graph
-        slots = _graph_engine(rows, lambda slot: slot)
-        template = slots.freeze()
+        template = _graph_engine(rows, lambda slot: slot).freeze()
         built = _graph_engine(rows, values.__getitem__)
         heap = _times(built.run())
         assert template.in_order == _in_order_by_definition(rows)
         assert _times(template.instantiate(values).run()) == heap
         if template.in_order:
             assert _id_order_times(built) == heap
-        # Every row prefix, and the same rows frozen in two parts.
+        # Any row prefix.
         prefix = data.draw(st.integers(0, len(rows)), label="prefix")
         assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
         # A prefix's accounting layout is cut once and kept with the template.
         kept = template.prefix_layout(prefix)
         assert kept == template.layout.cut(prefix)
         assert template.prefix_layout(prefix) is kept
-        split = data.draw(st.integers(1, len(rows)), label="split")
-        base = _rows_from(slots, 0, split).freeze()
-        extended = base.extended(_rows_from(slots, split, len(rows)))
-        assert extended.in_order == template.in_order
-        assert _times(extended.instantiate(values).run()) == heap
 
     def test_rows_with_no_one_and_several_dependencies_or_dependents(self):
         # Row 0 feeds three rows and row 5 waits on three; rows 1, 2 and 3

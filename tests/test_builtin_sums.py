@@ -1,7 +1,7 @@
 """The builtin-``sum`` scan (``tools/builtin_sums.py``) and the fold it asks for.
 
 CI's lint job runs the scan; tier-1 runs it too, so a ``sum(`` put back
-into ``src/repro`` fails locally as well.
+into ``src/repro`` or into a test oracle fails locally as well.
 """
 
 import math
@@ -28,8 +28,19 @@ def totals(rows):
 '''
 
 
-def test_src_has_no_builtin_sum():
+def test_src_and_the_oracles_have_no_builtin_sum():
     assert builtin_sums.find_builtin_sums() == []
+
+
+def test_the_scan_covers_every_test_oracle():
+    root = builtin_sums.REPO_ROOT
+    scanned = {path.relative_to(root).as_posix() for path in builtin_sums.scanned_modules()}
+    assert {
+        "tests/hardware/test_cost_model_oracle.py",
+        "tests/parallel/test_graph_template_oracle.py",
+        "tests/sim/test_accounting_oracle.py",
+    } <= scanned
+    assert not {path for path in scanned if path.startswith("tests/") and "oracle" not in path}
 
 
 def test_the_scan_reports_reads_of_the_builtin_only(tmp_path, monkeypatch):
@@ -37,14 +48,23 @@ def test_the_scan_reports_reads_of_the_builtin_only(tmp_path, monkeypatch):
     package.mkdir(parents=True)
     (package / "toy.py").write_text(SOURCE)
     (package / "fold.py").write_text("left_sum = sum\n")  # exempt: it defines the fold
+    tests = tmp_path / "tests"
+    (tests / "sim").mkdir(parents=True)
+    (tests / "sim" / "test_toy_oracle.py").write_text(SOURCE)
+    (tests / "test_top_oracle.py").write_text("TOTAL = sum([0.1] * 10)\n")
+    (tests / "sim" / "test_toy.py").write_text(SOURCE)  # not an oracle: not scanned
     monkeypatch.setattr(builtin_sums, "REPO_ROOT", tmp_path)
     monkeypatch.setattr(builtin_sums, "SRC", package)
+    monkeypatch.setattr(builtin_sums, "TESTS", tests)
 
     # A method or attribute named sum is not the builtin; a call and the
     # function passed to map are.
     assert builtin_sums.find_builtin_sums() == [
         {"file": "src/repro/toy.py", "line": 11},
         {"file": "src/repro/toy.py", "line": 15},
+        {"file": "tests/sim/test_toy_oracle.py", "line": 11},
+        {"file": "tests/sim/test_toy_oracle.py", "line": 15},
+        {"file": "tests/test_top_oracle.py", "line": 1},
     ]
     assert builtin_sums.main([]) == 1
 
