@@ -79,7 +79,10 @@ ExecutorKey = Tuple[str, str, str, int, int]
 #: A registered strategy object and the cell it planned.  The object, not
 #: its name, is the key: a name registered again names a new planner.
 PlanKey = Tuple[Strategy, ProfileKey]
-_CONFIG_FIELDS = frozenset(config_field.name for config_field in fields(ExperimentConfig))
+#: The config fields a sweep axis may name: those that tell cells apart.
+_AXIS_FIELDS = frozenset(
+    config_field.name for config_field in fields(ExperimentConfig) if config_field.compare
+)
 
 
 @dataclass
@@ -298,12 +301,12 @@ class SweepResult:
     def series(self, strategy: str, axis: str, baseline: str = "DP") -> Dict:
         """Speedup of one strategy along one axis (e.g. Fig. 6's batch axis).
 
-        ``axis`` is a field of :class:`ExperimentConfig`, and its value must
-        identify each cell uniquely (i.e. every other axis is fixed);
-        raises :class:`ConfigurationError` otherwise, or when ``strategy``
-        or ``baseline`` did not run.
+        ``axis`` is a compared field of :class:`ExperimentConfig` (not
+        ``metadata``), and its value must identify each cell uniquely (i.e.
+        every other axis is fixed); raises :class:`ConfigurationError`
+        otherwise, or when ``strategy`` or ``baseline`` did not run.
         """
-        if axis not in _CONFIG_FIELDS:
+        if axis not in _AXIS_FIELDS:
             raise ConfigurationError(
                 f"unknown sweep axis {axis!r}; swept axes: {sorted(self.axes)}"
             )

@@ -227,10 +227,12 @@ class TestSweep:
 
     def test_series_on_an_unknown_axis_lists_the_swept_axes(self, session, fast_config):
         sweep = session.sweep(fast_config, batch_sizes=(128, 256), strategies=("DP", "TR"))
-        with pytest.raises(
-            ConfigurationError, match=r"^unknown sweep axis 'batch'; swept axes: \['batch_size'\]$"
-        ):
-            sweep.series("TR", axis="batch")
+        for axis in ("batch", "metadata"):  # metadata does not tell cells apart
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"^unknown sweep axis '{axis}'; swept axes: \['batch_size'\]$",
+            ):
+                sweep.series("TR", axis=axis)
 
     def test_pipe_bd_speedup_without_pipe_bd_lists_the_strategies_run(
         self, session, fast_config

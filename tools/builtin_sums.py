@@ -8,11 +8,11 @@ gives the same bytes on every version.  The test oracles
 (``tests/**/test_*oracle*.py``) compare their own float totals with the
 package's by ``==``, so they must add the same way.  This scan parses each
 of those modules and reports every read of the bare name ``sum``: a call,
-or the function passed along.  Attributes and methods named ``sum`` (``sample.sum``,
-``Tensor.sum``) are not the builtin and are not reported, and neither is
-``repro/fold.py`` (:data:`EXEMPT`), which defines ``left_sum`` as the
-builtin on the Pythons where the builtin is that fold.  Any finding sets
-the exit status to 1.
+or the function passed along.  Attributes and methods named ``sum``
+(``sample.sum``, ``Tensor.sum``) are not the builtin and are not reported,
+and neither is ``repro/fold.py`` (:data:`EXEMPT`), which defines
+``left_sum`` as the builtin on the Pythons where the builtin is that fold.
+Any finding sets the exit status to 1.
 
     python tools/builtin_sums.py    # one finding per line
 """
