@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import GraphTemplate, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.events import TaskKind
 from repro.sim.resources import device_compute
 
