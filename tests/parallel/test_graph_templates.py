@@ -103,6 +103,49 @@ def test_a_longer_step_count_replaces_the_held_template():
         assert prefix_rows * 2 == rows and table.builds == 2
 
 
+def prefix_columns(template, rows):
+    """The columns of ``template``'s first ``rows`` rows."""
+    deps_end = template.dep_offsets[rows]
+    return {
+        "names": template.names[:rows],
+        "kinds": template.kinds[:rows],
+        "resources": template.resources[:rows],
+        "metadata": template.metadata[:rows],
+        "slots": template.slots[:rows],
+        "steps": template.steps[:rows],
+        "devices": template.devices[:rows],
+        "blocks": template.blocks[:rows],
+        "dep_offsets": template.dep_offsets[: rows + 1],
+        "dep_targets": template.dep_targets[:deps_end],
+        "layout": template.prefix_layout(rows),
+    }
+
+
+def test_a_shorter_step_count_runs_a_prefix_equal_to_a_fresh_build():
+    # The held template serves a shorter step count only because the graph
+    # for k steps is the first rows of the graph for more steps.
+    session = Session()
+    for name in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
+        config = ExperimentConfig(num_gpus=4, strategy=name, simulated_steps=5)
+        session.run(config)
+    keys = list(session.executor(config).templates.shapes())
+    assert {key[0] for key in keys} == {"pipeline", "layerwise", "data_parallel"}
+    for key in keys:
+        table = GraphTemplates()
+        held, _ = table.get(key, 20)
+        entry, rows = table.get(key, 6)
+        fresh, fresh_rows = GraphTemplates().get(key, 6)
+        assert entry is held and rows == fresh_rows == fresh.template.num_tasks
+        assert prefix_columns(held.template, rows) == prefix_columns(fresh.template, rows)
+        assert held.slot_keys[: len(fresh.slot_keys)] == fresh.slot_keys
+        values = [1.0 + 0.25 * slot for slot in range(len(held.slot_keys))]
+        prefix = held.template.instantiate(values, rows).run()
+        whole = fresh.template.instantiate(values[: len(fresh.slot_keys)]).run()
+        assert [(r.task, r.start, r.end) for r in prefix.records] == [
+            (r.task, r.start, r.end) for r in whole.records
+        ]
+
+
 def test_plan_grid_table_stays_within_its_memory_budget():
     session = Session()
     table = run_grid(session, plan_grid())

@@ -312,6 +312,43 @@ class TestTemplateChecks:
         ]
 
 
+COLUMNS = (
+    "names",
+    "kinds",
+    "resources",
+    "durations",
+    "deps",
+    "steps",
+    "devices",
+    "blocks",
+    "metadata",
+)
+
+
+def _first_rows(engine, rows):
+    """An engine holding the first ``rows`` rows of ``engine``."""
+    part = SimulationEngine()
+    for column in COLUMNS:
+        getattr(part, column).extend(getattr(engine, column)[:rows])
+    return part
+
+
+class TestRowPrefixes:
+    """A row prefix of a template runs like a freeze of just those rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_a_prefix_runs_like_a_freeze_of_its_rows(self, rows):
+        graph = _two_step_graph(SLOTS.get)
+        whole = graph.freeze()
+        part = _first_rows(graph, rows).freeze()
+        slots = len(part.slot_names)
+        assert whole.slot_names[:slots] == part.slot_names
+        assert whole.prefix_layout(rows) == part.layout
+        values = [0.5, 1.25, 2.0]
+        prefix = whole.instantiate(values, num_tasks=rows).run()
+        assert _rows(prefix) == _rows(part.instantiate(values[:slots]).run())
+
+
 # --------------------------------------------------------------------- #
 # In-order templates: one pass in id order, checked against the heap loop
 # --------------------------------------------------------------------- #
