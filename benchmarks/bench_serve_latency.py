@@ -8,8 +8,10 @@ store) and **warm** passes over the same grid (every request must answer
 from the store with zero simulations).
 
 The deterministic work accounting (``simulations`` per phase,
-``cold_hit_rate`` / ``warm_hit_rate``, ``grid_size``) is gated by the
-±20% perf-regression CI job against ``benchmarks/baselines/``; the
+``cold_hit_rate`` / ``warm_hit_rate``, ``grid_size``, and
+``store_lookups``: the SQLite lookups of the warm passes, one per distinct
+cell because a session keeps each result it reads) is gated by the
+perf-regression CI job against ``benchmarks/baselines/``; the
 latency percentiles are recorded for the report and asserted only
 relatively — warm p99 must stay below cold p50, the acceptance bar for
 the zero-simulation hot path.  ``tools/load_serve.py`` is the
@@ -64,7 +66,10 @@ def test_serve_latency(fast_steps):
 
         cold_latencies, cold_simulations, cold_warm = _measure(client, grid)
         warm_bodies = [body for _ in range(WARM_PASSES) for body in grid]
+        before = service.session.store.stats()
         warm_latencies, warm_simulations, warm_warm = _measure(client, warm_bodies)
+        after = service.session.store.stats()
+        store_lookups = after.hits + after.misses - before.hits - before.misses
 
     cold = _stats(cold_latencies, cold_simulations)
     warm = _stats(warm_latencies, warm_simulations)
@@ -73,6 +78,7 @@ def test_serve_latency(fast_steps):
     assert cold_simulations == GRID_SIZE
     assert warm_simulations == 0
     assert warm_warm == len(warm_bodies)
+    assert store_lookups == GRID_SIZE, store_lookups
     assert warm["p99_ms"] < cold["p50_ms"], (warm, cold)
 
     payload = {
@@ -80,6 +86,7 @@ def test_serve_latency(fast_steps):
         "warm_passes": WARM_PASSES,
         "cold_hit_rate": cold_warm / GRID_SIZE,
         "warm_hit_rate": warm_warm / len(warm_bodies),
+        "store_lookups": store_lookups,
         "cold": cold,
         "warm": warm,
         "warm_p99_over_cold_p50": warm["p99_ms"] / cold["p50_ms"],

@@ -14,7 +14,9 @@ artefact by the config cell that determines it:
 * plans by ``(strategy object, cell)`` — each scheduling decision is made
   once per cell and reused for every simulated-step count, together with
   its lowering onto graph templates (:meth:`ScheduleExecutor.lower`), so
-  each step count only simulates.
+  each step count only simulates,
+* warm results by the run they answer — each record read from the store
+  is parsed and validated once (see :meth:`Session.run`).
 
 On top of the caches it exposes the whole public workflow:
 
@@ -79,6 +81,9 @@ ExecutorKey = Tuple[str, str, str, int, int]
 #: A registered strategy object and the cell it planned.  The object, not
 #: its name, is the key: a name registered again names a new planner.
 PlanKey = Tuple[Strategy, ProfileKey]
+#: What :func:`~repro.store.keys.run_key` addresses a stored run by: the
+#: cell's fields, the strategy name, the simulated steps and the seed.
+RunAddress = Tuple[str, str, str, int, int, str, int, int]
 #: The config fields a sweep axis may name: those that tell cells apart.
 _AXIS_FIELDS = frozenset(
     config_field.name for config_field in fields(ExperimentConfig) if config_field.compare
@@ -350,9 +355,10 @@ class Session:
     """Cached facade over configuration, planning and simulated execution.
 
     A session is cheap to create and safe to keep for a whole process; its
-    caches only ever hold deterministic, immutable artefacts, so sharing one
-    session across sweeps (or across threads: its caches are guarded by
-    one lock) returns bit-identical results to a fresh session per call.
+    caches only ever hold deterministic artefacts, which callers treat as
+    read-only, so sharing one session across sweeps (or across threads: its
+    caches are guarded by one lock) returns bit-identical results to a
+    fresh session per call.
 
     Example:
         >>> from repro import ExperimentConfig, Session
@@ -375,6 +381,9 @@ class Session:
         self._profiles: Dict[ProfileKey, ProfileTable] = {}
         self._plans: Dict[PlanKey, LoweredPlan] = {}
         self._templates = GraphTemplates()
+        self._warm: Dict[RunAddress, ExecutionResult] = {}
+        self._warm_cells: Dict[Tuple[str, ProfileKey], ExecutionResult] = {}
+        self._warm_evictions = 0
         self._lock = threading.RLock()
         self.stats = SessionStats()
         self._store = open_store(store)
@@ -486,6 +495,7 @@ class Session:
             self._profiles.clear()
             self._plans.clear()
             self._templates.clear()
+            self._forget_warm()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -506,15 +516,24 @@ class Session:
         plans alone.
 
         With a persistent store attached, a previously simulated cell is
-        hydrated straight from disk (``stats.store_hits``) without building
-        a plan or touching the simulator; fresh simulations are written
-        through the store (``stats.store_builds``).  Either way the result
-        keeps the store document in ``result.record``, which its
-        ``to_dict()`` returns as is.  A stored record that does not hydrate
-        raises :class:`~repro.errors.StoreError` naming the record.  An
-        explicit ``profile`` override bypasses the store entirely — a
-        custom profile changes the plan, so its result must be neither
-        served from nor written to the shared cache.
+        hydrated from the store (``stats.store_hits``) without building a
+        plan or touching the simulator; fresh simulations are written
+        through the store (``stats.store_builds``) and keep the document
+        written in ``result.record``, which their ``to_dict()`` returns as
+        is.  Each record is read from the store, parsed and validated once
+        per session: the result is kept in memory by its run (config fields
+        and strategy name, as :func:`~repro.store.keys.run_key` addresses
+        it) and serves every later warm hit, which still counts as a
+        ``store_hits`` but makes no store lookup.  A warm result may
+        therefore be shared between callers and threads, and is read-only;
+        its ``to_dict()`` returns a fresh dict that the caller owns.  A
+        :meth:`~repro.store.store.ExperimentStore.gc` that evicts through
+        this session's store handle, or :meth:`clear`, drops the kept
+        results.  A stored record that does not hydrate raises
+        :class:`~repro.errors.StoreError` naming the record.  An explicit
+        ``profile`` override bypasses the store entirely — a custom profile
+        changes the plan, so its result must be neither served from nor
+        written to the shared cache.
 
         Example:
             >>> from repro import ExperimentConfig, Session
@@ -528,15 +547,8 @@ class Session:
         started = time.perf_counter()
         with span("session.run", strategy=name, cell=config.cell_label()):
             if use_store:
-                key = run_key(config, name)
-                cached = self._store.get("run", key)
-                if cached is not None:
-                    try:
-                        result = ExecutionResult.from_dict(cached)
-                    except (ReproError, LookupError, TypeError, ValueError) as error:
-                        raise self._store.malformed("run", key, error) from error
-                    with self._lock:
-                        self.stats.store_hits += 1
+                result = self._warm_result(config, name)
+                if result is not None:
                     self._runs_store_hit.inc()
                     self._run_seconds.observe(time.perf_counter() - started)
                     return result
@@ -552,6 +564,48 @@ class Session:
             self._runs_simulated.inc()
             self._run_seconds.observe(time.perf_counter() - started)
             return result
+
+    def _warm_result(self, config: ExperimentConfig, name: str) -> Optional[ExecutionResult]:
+        """The stored result of this run, kept in memory once read, or None.
+
+        A kept result is returned straight away.  Otherwise the store is
+        read and the hydrated result kept.  Neither the plan nor the peak
+        memory depends on the step count, so a result shares them with the
+        first one kept for its (strategy, cell) when they are equal.  Two
+        threads racing one run both read the store; the first to publish is
+        kept and both return it.
+        """
+        cell = config.cell_key()
+        address: RunAddress = (*cell, name, config.simulated_steps, config.seed)
+        with self._lock:
+            if self._store.evictions != self._warm_evictions:
+                self._forget_warm()
+                self._warm_evictions = self._store.evictions
+            result = self._warm.get(address)
+            if result is not None:
+                self.stats.store_hits += 1
+                return result
+        key = run_key(config, name)
+        cached = self._store.get("run", key)
+        if cached is None:
+            return None
+        try:
+            result = ExecutionResult.from_dict(cached)
+        except (ReproError, LookupError, TypeError, ValueError) as error:
+            raise self._store.malformed("run", key, error) from error
+        with self._lock:
+            self.stats.store_hits += 1
+            first = self._warm_cells.setdefault((name, cell), result)
+            if first.plan == result.plan:
+                result.plan = first.plan
+            if first.peak_memory_bytes == result.peak_memory_bytes:
+                result.peak_memory_bytes = first.peak_memory_bytes
+            return self._warm.setdefault(address, result)
+
+    def _forget_warm(self) -> None:
+        """Drop the warm results kept in memory (the caller holds the lock)."""
+        self._warm.clear()
+        self._warm_cells.clear()
 
     def _plan(
         self,

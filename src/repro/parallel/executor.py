@@ -38,6 +38,7 @@ import threading
 from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.data.dataset import DatasetSpec
@@ -89,10 +90,9 @@ _RECORD_KEYS = frozenset(RECORD_FIELDS)
 class ExecutionResult:
     """Measured outcome of executing one plan on the simulated server.
 
-    ``record`` holds the store document the result was hydrated from (see
-    :meth:`from_dict`) or written to the store as; :meth:`to_dict` then
-    returns it as is instead of serialising the result again.  It takes
-    no part in equality.
+    ``record`` holds the store document a fresh simulation was written to
+    the store as; :meth:`to_dict` then returns it as is instead of
+    serialising the result again.  It takes no part in equality.
     """
 
     plan: SchedulePlan
@@ -131,6 +131,7 @@ class ExecutionResult:
         canonical order (sorted, device keys sorted as strings), so the
         dict dumps to the same bytes as the store's canonical JSON.  When
         ``record`` is set it is returned as is: treat it as read-only.
+        Otherwise each call builds a fresh dict that the caller owns.
         """
         if self.record is not None:
             return self.record
@@ -162,10 +163,11 @@ class ExecutionResult:
 
         The trace is gone (it was never serialised), but every quantity the
         analysis layer consumes — epoch/step time, breakdowns, peak memory,
-        the validated plan — round-trips exactly.  ``payload`` becomes the
-        result's ``record`` and :meth:`to_dict` returns it unchanged, so it
-        must hold exactly the fields :meth:`to_dict` emits, and the fields
-        derived from the plan and the peak memory must agree with them.
+        the validated plan — round-trips exactly, so :meth:`to_dict`
+        rebuilds ``payload`` with the same keys in the same order, and the
+        result does not keep ``payload`` itself.  So ``payload`` must hold
+        exactly the fields :meth:`to_dict` emits, and the fields derived
+        from the plan and the peak memory must agree with them.
         """
         if not isinstance(payload, dict):
             raise TypeError(f"result record is a {type(payload).__name__}, not an object")
@@ -181,7 +183,7 @@ class ExecutionResult:
             step_time=payload["step_time_s"],
             steps_per_epoch=payload["steps_per_epoch"],
             breakdown={
-                int(device): dict(categories)
+                int(device): _interned(categories)
                 for device, categories in payload["breakdown_s"].items()
             },
             peak_memory_bytes={
@@ -189,8 +191,7 @@ class ExecutionResult:
                 for device, bytes_ in payload["peak_memory_bytes"].items()
             },
             trace=None,
-            metadata=payload["metadata"],
-            record=payload,
+            metadata=_interned(payload["metadata"]),
         )
         plan = result.plan
         derived = {
@@ -211,6 +212,13 @@ class ExecutionResult:
                     f"the value its plan and peak memory give ({value!r})"
                 )
         return result
+
+
+def _interned(mapping: dict) -> dict:
+    """A record object's names interned, so results kept in memory share them."""
+    if not isinstance(mapping, dict):
+        raise TypeError(f"expected an object, got a {type(mapping).__name__}")
+    return {intern(name): value for name, value in mapping.items()}
 
 
 class Phase(NamedTuple):

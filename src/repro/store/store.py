@@ -282,7 +282,9 @@ class ExperimentStore:
         """The stored value for a key, or None (counted as hit / miss).
 
         The value is parsed from its stored JSON on every call, so each
-        caller owns what it receives and may mutate it freely.
+        caller owns the document it receives.  A session keeps the result
+        it hydrates from a run record, not the document (see
+        :meth:`Session.run <repro.core.session.Session.run>`).
         """
         key = content_key(kind, key_payload)
         with span("store.get", kind=kind):
@@ -417,6 +419,16 @@ class ExperimentStore:
             conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
             self._evictions += len(evicted)
         return len(evicted)
+
+    @property
+    def evictions(self) -> int:
+        """Records this handle's :meth:`gc` calls have evicted so far.
+
+        A session watches it to drop the warm results it keeps in memory
+        when a record may be gone (see :meth:`Session.run
+        <repro.core.session.Session.run>`).
+        """
+        return self._evictions
 
     def _pinned_keys(self) -> frozenset:
         """Content keys pinned by a pregen ``manifest.json`` in the root.

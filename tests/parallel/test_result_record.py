@@ -1,10 +1,10 @@
-"""Result documents are canonical, and a hydrated result serves its record.
+"""Result documents are canonical, so a hydrated result rebuilds its record.
 
 ``ExecutionResult.to_dict`` builds its dict in the store's canonical order
 (keys sorted, device keys sorted as strings), so a freshly simulated result
 and one hydrated from the store dump to the same bytes.  That is what lets
-a warm hit return the stored document instead of serialising the result
-again: cold and warm ``/v1/plan`` bodies stay byte-identical.
+a session keep a warm result rather than its stored document and build a
+fresh dict per hit: cold and warm ``/v1/plan`` bodies stay byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def test_fresh_and_hydrated_documents_are_byte_identical(cell):
     hydrated = hydrate(fresh)
     assert json.dumps(hydrated.to_dict(), indent=2) == document
     assert json.dumps(fresh.to_dict(), indent=2, sort_keys=True) == document
-    assert hydrated.to_dict() is hydrated.record
+    assert hydrated.record is None
+    assert hydrated.to_dict() is not hydrated.to_dict()
     assert hydrated == replace(hydrated, record=None)
     assert hydrated == replace(hydrated, record={"unrelated": True})
 

@@ -51,6 +51,7 @@ EDITS = {
     "device_key_x": _device_key_x,
     "not_json": lambda value: json.dumps(value)[:-7],
     "duplicate_devices": _duplicate_devices,
+    "metadata_list": lambda value: json.dumps({**value, "metadata": [value["metadata"]]}),
 }
 
 

@@ -7,6 +7,11 @@ zero discrete-event simulations the second time, asserted through
 hydrations).
 """
 
+import json
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.simulator import ClusterSimulator
@@ -14,6 +19,8 @@ from repro.cluster.spec import default_cluster
 from repro.cluster.workload import poisson_workload
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
+from repro.serve.client import LocalClient
+from repro.serve.service import PlannerService
 from repro.tune.space import TuneSpace
 from repro.tune.tuner import tune
 
@@ -56,13 +63,122 @@ class TestWarmRun:
         assert session.stats.store_builds == 1
 
     def test_different_steps_are_different_records(self, fast_config, store_root):
-        from dataclasses import replace
-
         session = Session(store=store_root)
         session.run(fast_config)
         session.run(replace(fast_config, simulated_steps=6))
         assert session.stats.runs == 2
         assert session.stats.store_builds == 2
+
+
+class TestWarmMemo:
+    """A session reads each stored run once and serves later hits from memory."""
+
+    @pytest.fixture
+    def warm(self, fast_config, store_root):
+        Session(store=store_root).run(fast_config)
+        return Session(store=store_root)
+
+    def test_repeated_warm_reads_make_one_store_lookup(self, fast_config, warm):
+        results = [warm.run(fast_config) for _ in range(5)]
+        assert warm.store.stats().hits == 1
+        assert warm.stats.store_hits == 5 and warm.stats.runs == 0
+        assert all(result is results[0] for result in results)
+
+    def test_a_cold_write_is_not_kept(self, fast_config, store_root):
+        session = Session(store=store_root)
+        session.run(fast_config)
+        session.run(fast_config)
+        assert session.store.stats().hits == 1
+
+    def test_a_payload_edited_by_its_caller_leaves_the_next_answer_alone(self, store_root):
+        client = LocalClient(PlannerService(store=store_root))
+        body = {"strategy": "TR", "num_gpus": 2, "batch_size": 128, "steps": 4}
+        client.post("/v1/plan", json=body)
+        first = client.post("/v1/plan", json=body).json()["result"]
+        document = json.dumps(first)
+        first["epoch_time_s"] = -1.0
+        first["breakdown_s"]["0"].clear()
+        second = client.post("/v1/plan", json=body).json()["result"]
+        assert json.dumps(second) == document
+
+    def test_gc_through_the_handle_drops_kept_results(self, fast_config, warm):
+        warm.run(fast_config)
+        assert warm.store.gc(max_records=0) == 1
+        warm.run(fast_config)
+        assert warm.stats.runs == 1 and warm.stats.store_hits == 1
+
+    def test_clear_drops_kept_results(self, fast_config, warm):
+        warm.run(fast_config)
+        warm.clear()
+        warm.run(fast_config)
+        assert warm.store.stats().hits == 2
+        assert warm.stats.store_hits == 2
+
+    def test_step_counts_of_one_cell_share_the_plan(self, fast_config, store_root):
+        configs = [replace(fast_config, simulated_steps=steps) for steps in (4, 6)]
+        cold = Session(store=store_root)
+        fresh = [cold.run(config) for config in configs]
+        warm = Session(store=store_root)
+        kept = [warm.run(config) for config in configs]
+        assert kept[0].plan is kept[1].plan
+        assert kept[0].peak_memory_bytes is kept[1].peak_memory_bytes
+        assert [result.to_dict() for result in kept] == [result.to_dict() for result in fresh]
+
+    def test_threads_racing_one_warm_run_return_the_kept_result(
+        self, fast_config, warm, monkeypatch
+    ):
+        # Both threads read the store before either keeps its result.
+        both_read = threading.Barrier(2, timeout=10)
+        store_get = warm.store.get
+
+        def get(kind, key):
+            both_read.wait()
+            return store_get(kind, key)
+
+        monkeypatch.setattr(warm.store, "get", get)
+        results = [None, None]
+
+        def run(index):
+            results[index] = warm.run(fast_config)
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert results[0] is results[1]
+        assert warm.stats.store_hits == 2 and warm.stats.runs == 0
+        assert results[0].to_dict() == Session().run(fast_config).to_dict()
+
+
+    def test_many_threads_reading_warm_runs_lose_no_count(self, fast_config, store_root):
+        configs = [replace(fast_config, simulated_steps=steps) for steps in (4, 5, 6)]
+        cold = Session(store=store_root)
+        expected = [cold.run(config).to_dict() for config in configs]
+        warm = Session(store=store_root)
+        mismatches = []
+
+        def read():
+            for round_ in range(200):
+                index = round_ % len(configs)
+                if warm.run(configs[index]).to_dict() != expected[index]:
+                    mismatches.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert mismatches == []
+        assert warm.stats.store_hits == 8 * 200 and warm.stats.runs == 0
+        assert warm.store.stats().hits <= 8 * len(configs)
 
 
 class TestWarmSweep:

@@ -61,6 +61,7 @@ METRIC_KEYS = frozenset(
         # serve hot path (zero-simulation guarantee; latencies stay ungated)
         "cold_hit_rate",
         "warm_hit_rate",
+        "store_lookups",
         # tune convergence
         "budget",
         "best_epoch_time_s",
