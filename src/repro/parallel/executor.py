@@ -26,8 +26,9 @@ a lowered one; a :class:`~repro.core.session.Session` keeps each plan's
 lowering and executes it for every step count.
 
 Task graphs depend only on a plan's shape (a phase's key), not on the batch
-size, server or dataset, so each shape's graph is built into one
-:class:`~repro.sim.engine.GraphTemplate` held by :class:`GraphTemplates`, for
+size, server or dataset, and repeat every training step.  So each shape's
+builder makes one step of its graph, once, and :class:`GraphTemplates` holds
+one :class:`~repro.sim.engine.GraphTemplate` per shape, that step tiled for
 the most steps asked of it so far; a run of fewer steps takes a row prefix,
 and a run fills in the durations only.
 """
@@ -50,7 +51,7 @@ from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
 from repro.parallel.plan import SchedulePlan, by_device, jsonable, plan_from_dict
-from repro.sim.engine import GraphTemplate, SimulationEngine
+from repro.sim.engine import GraphTemplate, StepBlock, step_block
 from repro.sim.events import TaskKind
 from repro.sim.metrics import compute_breakdown
 from repro.sim.resources import collective, device_compute, device_link, host_loader
@@ -254,7 +255,7 @@ def _phase_steps(plan: SchedulePlan, steps: int) -> int:
 
 
 class TemplateEntry(NamedTuple):
-    """One plan shape's graph: built for ``steps`` steps, slots named by key."""
+    """One plan shape's graph: tiled for ``steps`` steps, slots named by key."""
 
     steps: int
     template: GraphTemplate
@@ -265,36 +266,46 @@ class GraphTemplates:
     """Thread-safe table of graph templates, one per plan shape.
 
     A key holds everything that decides a graph's rows, names and
-    dependencies but not the step count: the graph for ``k`` steps is the
-    first rows of the graph for more steps, so one template per key serves
-    every step count up to the one it was built for.  A longer step count
-    builds the key's template again for that many steps and replaces the
-    held one.  ``builds`` counts every template built.
+    dependencies but not the step count.  The builder of its plan kind
+    makes one step of the graph (a :class:`~repro.sim.engine.StepBlock`),
+    once per key, and a template of ``k`` steps tiles it ``k`` times; the
+    graph for ``k`` steps is the first rows of the graph for more steps, so
+    one template per key serves every step count up to the one it was tiled
+    for.  A longer step count tiles the key's block again for that many
+    steps and replaces the held template.  ``builds`` counts the blocks
+    built, ``tilings`` the templates tiled from them.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Hashable, TemplateEntry] = {}
         self._lock = threading.Lock()
         self.builds = 0
+        self.tilings = 0
 
     def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
         """The entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
 
-        When the table holds no entry for ``key``, or one for fewer steps,
-        the builder of its plan kind (``key[0]``) builds one for ``steps``
-        steps from the key alone.
+        When the table holds no entry for ``key``, the builder of its plan
+        kind (``key[0]``) builds its step block from the key alone; when it
+        holds none for that many steps, the block is tiled ``steps`` times.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.steps < steps:
-                graph = _GraphBuilder()
-                _GRAPH_BUILDERS[key[0]](key, steps, graph)
-                entry = self._entries[key] = graph.entry(steps)
-                self.builds += 1
-        return entry, entry.template.num_tasks // entry.steps * steps
+                if entry is None:
+                    graph = _GraphBuilder()
+                    _GRAPH_BUILDERS[key[0]](key, graph)
+                    block, slot_keys = graph.block(), tuple(graph.slots)
+                    self.builds += 1
+                else:
+                    block, slot_keys = entry.template.block, entry.slot_keys
+                template = GraphTemplate(block, steps)
+                entry = self._entries[key] = TemplateEntry(steps, template, slot_keys)
+                self.tilings += 1
+        return entry, len(entry.template.block.slots) * steps
 
     def shapes(self) -> Dict[Hashable, int]:
-        """The steps each held template was built for, by key."""
+        """The steps each held template was tiled for, by key."""
         with self._lock:
             return {key: entry.steps for key, entry in self._entries.items()}
 
@@ -313,16 +324,18 @@ class GraphTemplates:
 
 
 class _GraphBuilder:
-    """Adds tasks whose durations are slots, numbered in order of first use.
+    """Adds one step's tasks, whose durations are slots numbered in order of first use.
 
-    Rows go straight into the columns of ``engine``; :meth:`entry` freezes
-    them into the template, which checks every dependency and slot once,
-    in one pass.
+    A task's ``name`` marks where the step number goes with ``{step}``;
+    ``deps`` are rows of the same step, and :meth:`carry` adds rows of the
+    previous step.  :meth:`block` checks the rows once, in one pass, and
+    returns them as the :class:`~repro.sim.engine.StepBlock` a template tiles.
     """
 
     def __init__(self) -> None:
-        self.engine = SimulationEngine()
         self.slots: Dict[Hashable, int] = {}
+        self.rows: List[tuple] = []  # (name pieces, kind, resource, slot, deps, device, block)
+        self.carried: Dict[int, Tuple[int, ...]] = {}
 
     def add(
         self,
@@ -331,273 +344,269 @@ class _GraphBuilder:
         kind: TaskKind,
         resource: str,
         deps: Tuple[int, ...],
-        step: int,
         device: int,
         block: int = -1,
     ) -> int:
-        engine = self.engine
-        task_id = len(engine.names)
-        engine.names.append(name)
-        engine.kinds.append(kind)
-        engine.resources.append(resource)
-        engine.durations.append(self.slots.setdefault(slot_key, len(self.slots)))
-        engine.deps.append(deps)
-        engine.steps.append(step)
-        engine.devices.append(device)
-        engine.blocks.append(block)
-        engine.metadata.append(None)
-        return task_id
+        slot = self.slots.setdefault(slot_key, len(self.slots))
+        self.rows.append((name.split("{step}"), kind, resource, slot, deps, device, block))
+        return len(self.rows) - 1
 
-    def entry(self, steps: int) -> TemplateEntry:
-        """The template of every row added, held as ``steps`` steps."""
-        return TemplateEntry(steps, self.engine.freeze(), tuple(self.slots))
+    def carry(self, rows: List[int], deps: List[int]) -> None:
+        """Rows ``rows`` also depend on rows ``deps`` of the previous step."""
+        for row in rows:
+            self.carried[row] = tuple(deps)
+
+    def block(self) -> StepBlock:
+        """Every row added, as one step labelled 0."""
+        names, kinds, resources, slots, deps, devices, blocks = zip(*self.rows)
+        num_rows = len(self.rows)
+        return step_block(
+            names=names,
+            kinds=kinds,
+            resources=resources,
+            slots=slots,
+            deps=deps,
+            carried=[self.carried.get(row, ()) for row in range(num_rows)],
+            steps=[0] * num_rows,
+            devices=devices,
+            blocks=blocks,
+            metadata=[None] * num_rows,
+        )
 
 
-def _pipeline_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
-    """Pipeline task graph of ``steps`` steps; slots are ``(stage_id, duration name)``."""
+def _pipeline_graph(key: Hashable, graph: _GraphBuilder) -> None:
+    """One pipeline step; slots are ``(stage_id, duration name)``.
+
+    Without decoupled updates, every teacher forward also waits for the
+    previous step's weight updates.
+    """
     _, decoupled_update, stages = key
-    previous_step_updates: List[int] = []
-
-    for step in range(steps):
-        step_updates: List[int] = []
-        teacher_task_ids: Dict[int, List[int]] = {}
-        for stage_id, device_ids, first_block, has_allreduce in stages:
-            backward_ids: List[int] = []
-            pre_update_ids: Dict[int, int] = {}
-            for replica_index, device in enumerate(device_ids):
-                barrier_deps = tuple(previous_step_updates) if not decoupled_update else ()
-
-                # --- input: data load (stage 0) or activation receive --- #
-                if stage_id == 0:
-                    input_dep = graph.add(
-                        (stage_id, "load"),
-                        name=f"load[s{step},d{device}]",
-                        kind=TaskKind.DATA_LOAD,
-                        resource=host_loader(),
-                        deps=(),
-                        step=step,
-                        device=device,
-                    )
-                else:
-                    previous_devices = stages[stage_id - 1][1]
-                    source_device = previous_devices[replica_index % len(previous_devices)]
-                    input_dep = graph.add(
-                        (stage_id, "recv"),
-                        name=f"recv[s{step},d{device}]",
-                        kind=TaskKind.RECV,
-                        resource=device_link(source_device, device),
-                        deps=tuple(teacher_task_ids[stage_id - 1]),
-                        step=step,
-                        device=device,
-                    )
-
-                # --- teacher forward --- #
-                teacher_id = graph.add(
-                    (stage_id, "teacher"),
-                    name=f"T[s{step},d{device}]",
-                    kind=TaskKind.TEACHER_FORWARD,
-                    resource=device_compute(device),
-                    deps=(input_dep,) + barrier_deps,
-                    step=step,
-                    device=device,
-                    block=first_block,
-                )
-                teacher_task_ids.setdefault(stage_id, []).append(teacher_id)
-
-                # --- student forward / backward --- #
-                student_fwd = graph.add(
-                    (stage_id, "student_fwd"),
-                    name=f"Sf[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_FORWARD,
-                    resource=device_compute(device),
-                    deps=(teacher_id,),
-                    step=step,
-                    device=device,
-                    block=first_block,
-                )
-                student_bwd = graph.add(
-                    (stage_id, "student_bwd"),
-                    name=f"Sb[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_BACKWARD,
-                    resource=device_compute(device),
-                    deps=(student_fwd,),
-                    step=step,
-                    device=device,
-                    block=first_block,
-                )
-                backward_ids.append(student_bwd)
-                pre_update_ids[device] = student_bwd
-
-            # --- gradient sharing within a replicated stage --- #
-            allreduce_id: Optional[int] = None
-            if has_allreduce:
-                # The collective runs on its own (NCCL) stream and largely
-                # overlaps with compute, so it is not attributed to any
-                # device's busy-time breakdown (device=-1).
-                allreduce_id = graph.add(
-                    (stage_id, "allreduce"),
-                    name=f"allreduce[s{step},stage{stage_id}]",
-                    kind=TaskKind.ALLREDUCE,
-                    resource=collective(f"stage{stage_id}"),
-                    deps=tuple(backward_ids),
-                    step=step,
-                    device=-1,
-                )
-
-            # --- weight updates --- #
-            for device in device_ids:
-                update_deps = [pre_update_ids[device]]
-                if allreduce_id is not None:
-                    update_deps.append(allreduce_id)
-                update_id = graph.add(
-                    (stage_id, "update"),
-                    name=f"U[s{step},d{device}]",
-                    kind=TaskKind.WEIGHT_UPDATE,
-                    resource=device_compute(device),
-                    deps=tuple(update_deps),
-                    step=step,
-                    device=device,
-                    block=first_block,
-                )
-                step_updates.append(update_id)
-        previous_step_updates = step_updates
-
-
-def _layerwise_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
-    """LS task graph of ``steps`` steps; slots are ``(duration name, block)``."""
-    _, device_blocks = key
-    for step in range(steps):
-        for device, block_ids in device_blocks:
-            max_block = max(block_ids)
-            load_id = graph.add(
-                ("load", -1),
-                name=f"load[s{step},d{device}]",
-                kind=TaskKind.DATA_LOAD,
-                resource=host_loader(),
-                deps=(),
-                step=step,
-                device=device,
-            )
-            previous = graph.add(
-                ("teacher", max_block),
-                name=f"T0..{max_block}[s{step},d{device}]",
-                kind=TaskKind.TEACHER_FORWARD,
-                resource=device_compute(device),
-                deps=(load_id,),
-                step=step,
-                device=device,
-                block=max_block,
-            )
-            for block_id in block_ids:
-                student_fwd = graph.add(
-                    ("student_fwd", block_id),
-                    name=f"Sf{block_id}[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_FORWARD,
-                    resource=device_compute(device),
-                    deps=(previous,),
-                    step=step,
-                    device=device,
-                    block=block_id,
-                )
-                student_bwd = graph.add(
-                    ("student_bwd", block_id),
-                    name=f"Sb{block_id}[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_BACKWARD,
-                    resource=device_compute(device),
-                    deps=(student_fwd,),
-                    step=step,
-                    device=device,
-                    block=block_id,
-                )
-                previous = graph.add(
-                    ("update", block_id),
-                    name=f"U{block_id}[s{step},d{device}]",
-                    kind=TaskKind.WEIGHT_UPDATE,
-                    resource=device_compute(device),
-                    deps=(student_bwd,),
-                    step=step,
-                    device=device,
-                    block=block_id,
-                )
-
-
-def _data_parallel_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
-    """One DP block's task graph of ``steps`` steps; slots are duration names."""
-    _, num_devices, block_id = key
-    previous_step_updates: List[int] = []
-    for step in range(steps):
+    step_updates: List[int] = []
+    teacher_task_ids: Dict[int, List[int]] = {}
+    for stage_id, device_ids, first_block, has_allreduce in stages:
         backward_ids: List[int] = []
-        for device in range(num_devices):
-            load_id = graph.add(
-                "load",
-                name=f"load[b{block_id},s{step},d{device}]",
-                kind=TaskKind.DATA_LOAD,
-                resource=host_loader(),
-                deps=(),
-                step=step,
-                device=device,
-                block=block_id,
-            )
+        pre_update_ids: Dict[int, int] = {}
+        for replica_index, device in enumerate(device_ids):
+            # --- input: data load (stage 0) or activation receive --- #
+            if stage_id == 0:
+                input_dep = graph.add(
+                    (stage_id, "load"),
+                    name=f"load[s{{step}},d{device}]",
+                    kind=TaskKind.DATA_LOAD,
+                    resource=host_loader(),
+                    deps=(),
+                    device=device,
+                )
+            else:
+                previous_devices = stages[stage_id - 1][1]
+                source_device = previous_devices[replica_index % len(previous_devices)]
+                input_dep = graph.add(
+                    (stage_id, "recv"),
+                    name=f"recv[s{{step}},d{device}]",
+                    kind=TaskKind.RECV,
+                    resource=device_link(source_device, device),
+                    deps=tuple(teacher_task_ids[stage_id - 1]),
+                    device=device,
+                )
+
+            # --- teacher forward --- #
             teacher_id = graph.add(
-                "teacher",
-                name=f"T0..{block_id}[s{step},d{device}]",
+                (stage_id, "teacher"),
+                name=f"T[s{{step}},d{device}]",
                 kind=TaskKind.TEACHER_FORWARD,
                 resource=device_compute(device),
-                deps=(load_id,) + tuple(previous_step_updates),
-                step=step,
+                deps=(input_dep,),
                 device=device,
-                block=block_id,
+                block=first_block,
             )
+            teacher_task_ids.setdefault(stage_id, []).append(teacher_id)
+
+            # --- student forward / backward --- #
             student_fwd = graph.add(
-                "student_fwd",
-                name=f"Sf{block_id}[s{step},d{device}]",
+                (stage_id, "student_fwd"),
+                name=f"Sf[s{{step}},d{device}]",
                 kind=TaskKind.STUDENT_FORWARD,
                 resource=device_compute(device),
                 deps=(teacher_id,),
-                step=step,
                 device=device,
-                block=block_id,
+                block=first_block,
             )
-            backward_ids.append(
+            student_bwd = graph.add(
+                (stage_id, "student_bwd"),
+                name=f"Sb[s{{step}},d{device}]",
+                kind=TaskKind.STUDENT_BACKWARD,
+                resource=device_compute(device),
+                deps=(student_fwd,),
+                device=device,
+                block=first_block,
+            )
+            backward_ids.append(student_bwd)
+            pre_update_ids[device] = student_bwd
+
+        # --- gradient sharing within a replicated stage --- #
+        allreduce_id: Optional[int] = None
+        if has_allreduce:
+            # The collective runs on its own (NCCL) stream and largely
+            # overlaps with compute, so it is not attributed to any
+            # device's busy-time breakdown (device=-1).
+            allreduce_id = graph.add(
+                (stage_id, "allreduce"),
+                name=f"allreduce[s{{step}},stage{stage_id}]",
+                kind=TaskKind.ALLREDUCE,
+                resource=collective(f"stage{stage_id}"),
+                deps=tuple(backward_ids),
+                device=-1,
+            )
+
+        # --- weight updates --- #
+        for device in device_ids:
+            update_deps = [pre_update_ids[device]]
+            if allreduce_id is not None:
+                update_deps.append(allreduce_id)
+            step_updates.append(
                 graph.add(
-                    "student_bwd",
-                    name=f"Sb{block_id}[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_BACKWARD,
+                    (stage_id, "update"),
+                    name=f"U[s{{step}},d{device}]",
+                    kind=TaskKind.WEIGHT_UPDATE,
                     resource=device_compute(device),
-                    deps=(student_fwd,),
-                    step=step,
+                    deps=tuple(update_deps),
                     device=device,
-                    block=block_id,
+                    block=first_block,
                 )
             )
+    if not decoupled_update:
+        for teacher_ids in teacher_task_ids.values():
+            graph.carry(teacher_ids, step_updates)
 
-        allreduce_id = graph.add(
-            "allreduce",
-            name=f"allreduce[b{block_id},s{step}]",
-            kind=TaskKind.ALLREDUCE,
-            resource=collective("dp"),
-            deps=tuple(backward_ids),
-            step=step,
-            device=-1,
-            block=block_id,
+
+def _layerwise_graph(key: Hashable, graph: _GraphBuilder) -> None:
+    """One LS step; slots are ``(duration name, block)``."""
+    _, device_blocks = key
+    for device, block_ids in device_blocks:
+        max_block = max(block_ids)
+        load_id = graph.add(
+            ("load", -1),
+            name=f"load[s{{step}},d{device}]",
+            kind=TaskKind.DATA_LOAD,
+            resource=host_loader(),
+            deps=(),
+            device=device,
         )
-        previous_step_updates = [
-            graph.add(
-                "update",
-                name=f"U{block_id}[s{step},d{device}]",
-                kind=TaskKind.WEIGHT_UPDATE,
+        previous = graph.add(
+            ("teacher", max_block),
+            name=f"T0..{max_block}[s{{step}},d{device}]",
+            kind=TaskKind.TEACHER_FORWARD,
+            resource=device_compute(device),
+            deps=(load_id,),
+            device=device,
+            block=max_block,
+        )
+        for block_id in block_ids:
+            student_fwd = graph.add(
+                ("student_fwd", block_id),
+                name=f"Sf{block_id}[s{{step}},d{device}]",
+                kind=TaskKind.STUDENT_FORWARD,
                 resource=device_compute(device),
-                deps=(backward_ids[device], allreduce_id),
-                step=step,
+                deps=(previous,),
                 device=device,
                 block=block_id,
             )
-            for device in range(num_devices)
-        ]
+            student_bwd = graph.add(
+                ("student_bwd", block_id),
+                name=f"Sb{block_id}[s{{step}},d{device}]",
+                kind=TaskKind.STUDENT_BACKWARD,
+                resource=device_compute(device),
+                deps=(student_fwd,),
+                device=device,
+                block=block_id,
+            )
+            previous = graph.add(
+                ("update", block_id),
+                name=f"U{block_id}[s{{step}},d{device}]",
+                kind=TaskKind.WEIGHT_UPDATE,
+                resource=device_compute(device),
+                deps=(student_bwd,),
+                device=device,
+                block=block_id,
+            )
 
 
-#: Each plan kind's graph builder: adds a key's rows for a step count.
-_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int, _GraphBuilder], None]] = {
+def _data_parallel_graph(key: Hashable, graph: _GraphBuilder) -> None:
+    """One step of one DP block; slots are duration names.
+
+    Every teacher forward also waits for the previous step's weight updates.
+    """
+    _, num_devices, block_id = key
+    teacher_ids: List[int] = []
+    backward_ids: List[int] = []
+    for device in range(num_devices):
+        load_id = graph.add(
+            "load",
+            name=f"load[b{block_id},s{{step}},d{device}]",
+            kind=TaskKind.DATA_LOAD,
+            resource=host_loader(),
+            deps=(),
+            device=device,
+            block=block_id,
+        )
+        teacher_ids.append(
+            graph.add(
+                "teacher",
+                name=f"T0..{block_id}[s{{step}},d{device}]",
+                kind=TaskKind.TEACHER_FORWARD,
+                resource=device_compute(device),
+                deps=(load_id,),
+                device=device,
+                block=block_id,
+            )
+        )
+        student_fwd = graph.add(
+            "student_fwd",
+            name=f"Sf{block_id}[s{{step}},d{device}]",
+            kind=TaskKind.STUDENT_FORWARD,
+            resource=device_compute(device),
+            deps=(teacher_ids[-1],),
+            device=device,
+            block=block_id,
+        )
+        backward_ids.append(
+            graph.add(
+                "student_bwd",
+                name=f"Sb{block_id}[s{{step}},d{device}]",
+                kind=TaskKind.STUDENT_BACKWARD,
+                resource=device_compute(device),
+                deps=(student_fwd,),
+                device=device,
+                block=block_id,
+            )
+        )
+
+    allreduce_id = graph.add(
+        "allreduce",
+        name=f"allreduce[b{block_id},s{{step}}]",
+        kind=TaskKind.ALLREDUCE,
+        resource=collective("dp"),
+        deps=tuple(backward_ids),
+        device=-1,
+        block=block_id,
+    )
+    updates = [
+        graph.add(
+            "update",
+            name=f"U{block_id}[s{{step}},d{device}]",
+            kind=TaskKind.WEIGHT_UPDATE,
+            resource=device_compute(device),
+            deps=(backward_ids[device], allreduce_id),
+            device=device,
+            block=block_id,
+        )
+        for device in range(num_devices)
+    ]
+    graph.carry(teacher_ids, updates)
+
+
+#: Each plan kind's graph builder: adds one step of a key's rows.
+_GRAPH_BUILDERS: Dict[str, Callable[[Hashable, _GraphBuilder], None]] = {
     "pipeline": _pipeline_graph,
     "layerwise": _layerwise_graph,
     "data_parallel": _data_parallel_graph,

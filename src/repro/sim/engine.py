@@ -13,15 +13,19 @@ task graph as columns and the trace adds two more (start and end times), so
 :class:`~repro.sim.events.SimTask` and :class:`~repro.sim.trace.TaskRecord`
 objects are only built when a caller reads them.
 
-A graph that is run many times with different service times is built once
-and frozen into a :class:`GraphTemplate`: its durations are *slot* indices,
-and :meth:`GraphTemplate.instantiate` makes a read-only engine from one value
-per slot, optionally running only a prefix of the rows.  Everything that
-depends only on the graph (its checks, run structure and accounting layout)
-is done once, when the template is frozen.
+A graph that is run many times with different service times is held as a
+:class:`GraphTemplate`: its durations are *slot* indices, and
+:meth:`GraphTemplate.instantiate` makes a read-only engine from one value
+per slot, optionally running only a prefix of the rows.  A training graph is
+periodic, so a template is one step's rows (a :class:`StepBlock`, each
+dependency in the same step or the previous one) tiled once per step with
+offset arithmetic; :meth:`SimulationEngine.freeze` makes the one-step
+template of any engine.  Everything that depends only on the graph (its
+checks, run structure and accounting layout) is done when the template is
+made, the checks once per block.
 
-Freezing also decides whether the graph is *in order*: whether, whatever the
-durations, every resource runs its tasks in id order (see
+A template also knows whether the graph is *in order*: whether, whatever
+the durations, every resource runs its tasks in id order (see
 :func:`_runs_in_id_order`).  An instance of such a template is run in one
 pass over its rows instead of the event heap, with bit-identical start and
 end times.
@@ -33,11 +37,11 @@ import heapq
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import add, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.fold import left_sum
 from repro.sim.events import SimTask, TaskKind, check_duration
 from repro.sim.trace import AccountingLayout, Trace, accounting_layout
 
@@ -56,31 +60,62 @@ class _Structure(NamedTuple):
     resource_index: Dict[str, int]  # resource -> its index, in order of first use
 
 
-def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
-    """The run structure of the rows ``deps`` / ``resources``."""
-    dep_counts = list(map(len, deps))
+def _tiled_structure(
+    offsets: array, targets: array, resources: Sequence[str], tiles: int
+) -> Tuple[_Structure, array, array]:
+    """The run structure and dependency CSR of ``tiles`` steps of a block's rows.
+
+    Row ``i``'s dependencies are ``targets[offsets[i]:offsets[i + 1]]``,
+    each a row of the same step, or of the previous one when below 0 (see
+    :class:`StepBlock`); a plain graph is one step of itself.
+    """
+    stride = len(resources)
+    counts = list(map(sub, offsets[1:], offsets))
+    # Step 0 lacks the lag-1 dependencies.  A row's dependents are in its
+    # own step and the next, except in the last step.
+    carried = [0] * stride
+    same: List[List[int]] = [[] for _ in counts]
+    later: List[List[int]] = [[] for _ in counts]
+    for row, dep in zip(chain.from_iterable(map(repeat, range(stride), counts)), targets):
+        if dep >= 0:
+            same[dep].append(row)
+        else:
+            later[stride + dep].append(stride + row)
+            carried[row] += 1
+    dep_counts = list(map(sub, counts, carried)) + counts * (tiles - 1)
+    both = list(map(add, same, later))
+    dependent_counts = list(map(len, both)) * (tiles - 1) + list(map(len, same))
+    dependents = _tiled(list(chain.from_iterable(both)), 0, tiles - 1, stride)
+    dependents += map(add, chain.from_iterable(same), repeat((tiles - 1) * stride))
+    dep_targets = array("i", [dep for dep in targets if dep >= 0])
+    dep_targets.extend(_tiled(targets, 1, tiles, stride))
     # Each value's int object is made once and shared by the offsets and
     # the dependents, which templates keep for as long as their table lives.
-    ints = list(range(max(left_sum(dep_counts), len(deps)) + 1))
-    dependents: List[List[int]] = [[] for _ in deps]
-    for task_id, row in zip(ints, deps):
-        for dep in row:
-            dependents[dep].append(task_id)
+    ints = list(range(max(len(dep_targets), tiles * stride) + 1))
     resource_index: Dict[str, int] = {}
     resource_ids = [
         resource_index.setdefault(resource, len(resource_index)) for resource in resources
     ]
-    return _Structure(
+    structure = _Structure(
         dep_counts,
-        [ints[end] for end in accumulate(map(len, dependents), initial=0)],
-        list(chain.from_iterable(dependents)),
-        resource_ids,
+        list(map(ints.__getitem__, accumulate(dependent_counts, initial=0))),
+        list(map(ints.__getitem__, dependents)),
+        resource_ids * tiles,
         resource_index,
     )
+    return structure, array("i", list(accumulate(dep_counts, initial=0))), dep_targets
 
 
-def _runs_in_id_order(structure: _Structure, dep_offsets: array, dep_targets: array) -> bool:
-    """True when no task can start before a lower-id task on its resource.
+def _tiled(values: Sequence[int], first: int, stop: int, stride: int) -> List[int]:
+    """``values`` once per step ``first..stop-1``, step ``k``'s each plus ``k * stride``."""
+    progressions = [range(value + first * stride, value + stop * stride, stride) for value in values]
+    return list(chain.from_iterable(zip(*progressions)))
+
+
+def _runs_in_id_order(
+    structure: _Structure, dep_offsets: array, dep_targets: array, rows: int
+) -> bool:
+    """True when no task among the first ``rows`` can start before a lower-id task on its resource.
 
     Let G' be the dependency edges plus, on each resource, an edge from
     every task to the next one by id, and A(b) task ``b``'s dependencies
@@ -95,18 +130,30 @@ def _runs_in_id_order(structure: _Structure, dep_offsets: array, dep_targets: ar
     id order, each as soon as its resource is free and its dependencies
     have ended; the condition holds for every row prefix as well.
 
+    Of a graph tiled from a :class:`StepBlock` of ``R`` rows, the first
+    three steps decide.  Say ``d``, a dependency of ``a`` on another
+    resource, is not in A(b).  Each dependency ``x`` of ``b - R`` has
+    ``x + R`` among ``b``'s, and ``x`` is a G'-ancestor of ``x + R`` (its
+    resource's chain), so A(b - R) lies in A(b): ``b`` may move back a step
+    while it stays after ``a``.  Shifting paths forward gives A(b - R) + R
+    within A(b), so all three may move back a step while ``a`` keeps its
+    edge to ``d``: down to step 0 for a lag-0 edge, step 1 for a lag-1 one.
+    ``b`` is then at most one step after ``a``, in step 2 at most.
+
     Sets are Python-int bitsets over row ids.  A row's closure (itself with
     its G'-ancestors) is kept only until its last dependent has read it,
     and that of the last row on each resource until the next one.
     """
     resource_ids = structure.resource_ids
     offsets = structure.dependent_offsets
-    unread = [end - begin for begin, end in zip(offsets, offsets[1:])]
-    closures = [0] * len(resource_ids)
+    unread = [end - begin for begin, end in zip(offsets, offsets[1 : rows + 1])]
+    closures = [0] * rows
     last = [0] * len(structure.resource_index)  # closure of each resource's latest row
     foreign = [0] * len(structure.resource_index)  # its rows' deps on other resources
     bit = 1
-    for row, (res, begin, end) in enumerate(zip(resource_ids, dep_offsets, dep_offsets[1:])):
+    for row, (res, begin, end) in enumerate(
+        zip(resource_ids[:rows], dep_offsets, dep_offsets[1:])
+    ):
         ancestors, outside = 0, foreign[res]
         for dep in dep_targets[begin:end]:
             ancestors |= closures[dep]
@@ -243,8 +290,22 @@ class SimulationEngine:
         )
 
     def freeze(self) -> "GraphTemplate":
-        """This graph as a :class:`GraphTemplate`; durations are slot indices."""
-        return GraphTemplate(self)
+        """This graph as a :class:`GraphTemplate` of one step; durations are slot indices."""
+        num_rows = len(self.names)
+        return GraphTemplate(
+            step_block(
+                names=[(name,) for name in self.names],
+                kinds=self.kinds,
+                resources=self.resources,
+                slots=self.durations,
+                deps=self.deps,
+                carried=[()] * num_rows,
+                steps=self.steps,
+                devices=self.devices,
+                blocks=self.blocks,
+                metadata=self.metadata,
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -272,7 +333,12 @@ class SimulationEngine:
         # dependency counts, the dependents adjacency and interned resources.
         structure = self._structure
         if structure is None:
-            structure = self._structure = _run_structure(self.deps, self.resources)
+            structure = self._structure = _tiled_structure(
+                array("i", accumulate(map(len, self.deps), initial=0)),
+                array("i", chain.from_iterable(self.deps)),
+                self.resources,
+                1,
+            )[0]
         template = self._template
         if template is not None and template.in_order:
             # The time each resource becomes free.  Each row's dependencies
@@ -411,15 +477,106 @@ class SimulationEngine:
         return start_time, finish_time
 
 
+class StepBlock(NamedTuple):
+    """One step of a periodic task graph: the rows a :class:`GraphTemplate` tiles.
+
+    Row ``i`` of step ``k`` (rows ``k * R + i`` of the template, for a
+    block of ``R`` rows) is named ``str(k).join(names[i])``, is labelled
+    step ``steps[i] + k`` and lasts slot ``slots[i]``; its kind, resource,
+    device, block and metadata are the block row's.  Its dependencies are
+    ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``: a target ``t >= 0``
+    is row ``t`` of the same step (lag 0, ``t < i``), and ``t < 0`` is row
+    ``R + t`` of the previous step (lag 1), an edge step 0 does not have.
+    In max-plus terms the lag-0 edges are A0 and the lag-1 edges A1 of
+    x(k) = A0 x(k) + A1 x(k - 1).
+
+    Make one with :func:`step_block`, which checks the rows once.
+    """
+
+    names: Tuple[Tuple[str, ...], ...]
+    kinds: Tuple[TaskKind, ...]
+    resources: Tuple[str, ...]
+    slots: array
+    dep_offsets: array
+    dep_targets: array
+    steps: array
+    devices: array
+    blocks: array
+    metadata: Tuple[Optional[dict], ...]
+    slot_names: Tuple[str, ...]  # step-0 name of the first row using each slot
+
+
+def step_block(
+    names: Sequence[Tuple[str, ...]],
+    kinds: Sequence[TaskKind],
+    resources: Sequence[str],
+    slots: Sequence,
+    deps: Sequence[Sequence[int]],
+    carried: Sequence[Sequence[int]],
+    steps: Sequence[int],
+    devices: Sequence[int],
+    blocks: Sequence[int],
+    metadata: Sequence[Optional[dict]],
+) -> StepBlock:
+    """The :class:`StepBlock` of one step's rows, given as columns.
+
+    ``names[i]`` holds the pieces of row ``i``'s name, joined by the step
+    number; ``deps[i]`` lists its dependencies in the same step (earlier
+    rows) and ``carried[i]`` those in the previous step (any row), each by
+    row index.  Every slot must be an integer, the slots numbered
+    ``0..k-1``; a bad row raises :class:`SimulationError` naming its
+    step-0 task.
+    """
+    num_rows = len(names)
+    first_use: Dict[int, Tuple[str, ...]] = {}
+    for row, (pieces, slot, row_deps, row_carried) in enumerate(
+        zip(names, slots, deps, carried)
+    ):
+        if int(slot) != slot:
+            raise SimulationError(
+                f"task {'0'.join(pieces)!r} has duration {slot!r}: template durations "
+                f"must be integer slot indices"
+            )
+        first_use.setdefault(slot, pieces)
+        for dep in row_deps:
+            if dep < 0 or dep >= row:
+                raise _unknown_dependency("0".join(pieces), dep)
+        for dep in row_carried:
+            if dep < 0 or dep >= num_rows:
+                raise SimulationError(
+                    f"task {'0'.join(pieces)!r} depends on unknown task id {dep} "
+                    f"of the previous step"
+                )
+    slot_range = range(len(first_use))
+    if sorted(first_use) != list(slot_range):
+        raise SimulationError("template slots must be numbered 0..k-1")
+    intern = sys.intern
+    # A lag-1 dependency on row j is stored as j - R, below 0.
+    signed = [(*row, *(dep - num_rows for dep in lagged)) for row, lagged in zip(deps, carried)]
+    return StepBlock(
+        names=tuple(tuple(map(intern, pieces)) for pieces in names),
+        kinds=tuple(kinds),
+        resources=tuple(map(intern, resources)),
+        slots=array("i", map(int, slots)),
+        dep_offsets=array("i", accumulate(map(len, signed), initial=0)),
+        dep_targets=array("i", chain.from_iterable(signed)),
+        steps=array("i", steps),
+        devices=array("i", devices),
+        blocks=array("i", blocks),
+        metadata=tuple(metadata),
+        slot_names=tuple(intern("0".join(first_use[slot])) for slot in slot_range),
+    )
+
+
 class GraphTemplate:
     """An immutable task graph whose durations are filled in per run.
 
-    Built by :meth:`SimulationEngine.freeze` from an engine whose durations
-    are *slot* indices ``0..k-1``, numbered in order of first use.  The
-    engine's rows need not come from :meth:`SimulationEngine.add_task`: a
-    builder may append to the columns directly, because freezing checks, in
-    one pass, that every dependency is an earlier row and every duration an
-    integer slot, raising :class:`SimulationError` naming the task.
+    A template is its :class:`StepBlock` tiled ``tiles`` times, one step
+    after another (see the block for the rules); each column is made at C
+    speed from the block's, by repetition or by adding ``k * R`` to step
+    ``k``'s row ids, and the block's checks ran once, when it was made.
+    :meth:`SimulationEngine.freeze` is the one-tile case: it makes the
+    block of an engine's rows, whose durations are slot indices.
 
     The columns are stored compactly: tuples of interned strings,
     ``array('i')`` int columns and CSR arrays (offsets plus one flat target
@@ -432,14 +589,16 @@ class GraphTemplate:
 
     :attr:`in_order` is true when, whatever the durations, every resource
     runs its tasks in id order (:func:`_runs_in_id_order`); the instances
-    of such a template run in one pass instead of the event loop.
+    of such a template run in one pass instead of the event loop.  Only the
+    first three steps are checked: they decide for any number of steps.
 
-    A template never changes: a longer graph (say, more training steps) is
-    a new freeze of all its rows, and a shorter one a row prefix of this
+    A template never changes: a longer graph (more training steps) is a
+    new tiling of :attr:`block`, and a shorter one a row prefix of this
     one (the ``num_tasks`` of :meth:`instantiate`).
     """
 
     __slots__ = (
+        "block",
         "names",
         "kinds",
         "resources",
@@ -457,39 +616,35 @@ class GraphTemplate:
         "in_order",
     )
 
-    def __init__(self, engine: SimulationEngine) -> None:
-        intern = sys.intern
-        names = tuple(map(intern, engine.names))
-        first_use: Dict[int, str] = {}
-        for row, (name, slot, deps) in enumerate(zip(names, engine.durations, engine.deps)):
-            if int(slot) != slot:
-                raise SimulationError(
-                    f"task {name!r} has duration {slot!r}: template durations "
-                    f"must be integer slot indices"
-                )
-            first_use.setdefault(slot, name)
-            for dep in deps:
-                if dep < 0 or dep >= row:
-                    raise _unknown_dependency(name, dep)
-        slot_range = range(len(first_use))
-        if sorted(first_use) != list(slot_range):
-            raise SimulationError("template slots must be numbered 0..k-1")
-        self.names = names
-        self.kinds = tuple(engine.kinds)
-        self.resources = tuple(map(intern, engine.resources))
-        self.metadata = tuple(engine.metadata)
-        self.slot_names = tuple(map(first_use.__getitem__, slot_range))
-        self.slots = array("i", map(int, engine.durations))
-        self.steps = array("i", engine.steps)
-        self.devices = array("i", engine.devices)
-        self.blocks = array("i", engine.blocks)
+    def __init__(self, block: StepBlock, tiles: int = 1) -> None:
+        if tiles < 1:
+            raise SimulationError(f"a template tiles its block at least once, not {tiles} times")
+        stride = len(block.slots)
+        self.block = block
+        self.names = tuple(
+            map(
+                sys.intern,
+                chain.from_iterable(map(str(step).join, block.names) for step in range(tiles)),
+            )
+        )
+        self.kinds = block.kinds * tiles
+        self.resources = block.resources * tiles
+        self.metadata = block.metadata * tiles
+        self.slot_names = block.slot_names
+        self.slots = block.slots * tiles
+        self.steps = array("i", _tiled(block.steps, 0, tiles, 1))
+        self.devices = block.devices * tiles
+        self.blocks = block.blocks * tiles
         # CSR: row i's dependencies are dep_targets[dep_offsets[i]:dep_offsets[i + 1]].
-        self.dep_offsets = array("i", accumulate(map(len, engine.deps), initial=0))
-        self.dep_targets = array("i", chain.from_iterable(engine.deps))
-        self.structure = _run_structure(engine.deps, self.resources)
-        self.layout = accounting_layout(engine, range(len(names)))
+        self.structure, self.dep_offsets, self.dep_targets = _tiled_structure(
+            block.dep_offsets, block.dep_targets, block.resources, tiles
+        )
+        self.layout = _tiled_layout(accounting_layout(block, range(stride)), tiles, stride)
         self.prefix_layouts: Dict[int, AccountingLayout] = {}
-        self.in_order = _runs_in_id_order(self.structure, self.dep_offsets, self.dep_targets)
+        # The first three steps decide (see _runs_in_id_order).
+        self.in_order = _runs_in_id_order(
+            self.structure, self.dep_offsets, self.dep_targets, min(tiles, 3) * stride
+        )
 
     @property
     def num_tasks(self) -> int:
@@ -523,21 +678,52 @@ class GraphTemplate:
             raise SimulationError(
                 f"template has {len(self.slot_names)} slots, got {len(values)} values"
             )
-        values = [float(value) for value in values]
+        if not (isinstance(values, array) and values.typecode == "d"):
+            values = [float(value) for value in values]
         for name, value in zip(self.slot_names, values):
             check_duration(name, value)
         total = len(self.slots)
         rows = total if num_tasks is None else num_tasks
         if not 0 <= rows <= total:
             raise SimulationError(f"template has {total} tasks, cannot run {rows}")
-        # Slicing a whole tuple returns the tuple itself; arrays are copied.
+        # Every step lasts what the block's rows last, so the durations are
+        # one step's, repeated, then the first rows of a partial step.
+        step_slots = self.block.slots
+        whole, part = divmod(rows, len(step_slots)) if step_slots else (0, 0)
+        step = list(map(values.__getitem__, step_slots))
+        # Slicing a whole tuple returns the tuple itself; an array is
+        # copied, so it is sliced only for a row prefix.
         engine = SimulationEngine()
         engine.names, engine.kinds = self.names[:rows], self.kinds[:rows]
         engine.resources, engine.metadata = self.resources[:rows], self.metadata[:rows]
-        engine.steps, engine.devices = self.steps[:rows], self.devices[:rows]
-        engine.blocks = self.blocks[:rows]
-        engine.durations = list(map(values.__getitem__, self.slots[:rows]))
+        if rows == total:
+            engine.steps, engine.devices, engine.blocks = self.steps, self.devices, self.blocks
+        else:
+            engine.steps, engine.devices = self.steps[:rows], self.devices[:rows]
+            engine.blocks = self.blocks[:rows]
+        engine.durations = step * whole + step[:part]
         engine.deps = _CSRRows(self.dep_offsets, self.dep_targets, rows)
         engine._structure = self.structure
         engine._template = self
         return engine
+
+
+def _tiled_layout(layout: AccountingLayout, tiles: int, stride: int) -> AccountingLayout:
+    """The layout of ``tiles`` steps of a block whose own layout is ``layout``.
+
+    Step ``k``'s rows are the block's plus ``k * stride``, labelled the
+    block's label plus ``k``; each bucket holds the block's rows of every step.
+    """
+    labels: Dict[int, List[int]] = {}
+    for label, rows in layout.steps:
+        count = len(rows)
+        every = _tiled(rows, 0, tiles, stride)
+        for tile in range(tiles):
+            labels.setdefault(label + tile, []).extend(every[tile * count : (tile + 1) * count])
+    return AccountingLayout(
+        tuple((label, array("i", rows)) for label, rows in sorted(labels.items())),
+        tuple(
+            (device, category, array("i", _tiled(rows, 0, tiles, stride)))
+            for device, category, rows in layout.buckets
+        ),
+    )

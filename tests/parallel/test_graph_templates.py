@@ -5,9 +5,9 @@ The benchmark's plan-cold grid (``perfbench/inputs.plan_grid()``, 1152
 count is left out of the key.  The table must hold exactly those, at the
 longest step count each was run for, in a compact layout: a naive table of
 list columns retained over 13 MB on this grid and moved the benchmark's
-peak RSS past its bound.  A longer step count than the held one builds the
-shape again and replaces the held template; a shorter one runs a row prefix
-of it.
+peak RSS past its bound.  Each shape's one-step block is built once; a
+longer step count than the held one tiles that block again and replaces the
+held template, and a shorter one runs a row prefix of it.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ def run_grid(session, grid):
 
 def test_the_seed0_plan_cold_grid_holds_one_template_per_shape():
     # The benchmark's shuffled order asks for 5, 10 and 20 steps of a shape
-    # in any order; a shape asked for more steps than it holds is built
-    # again, so the 56 shapes take 97 builds, and the table keeps one
-    # template each.
+    # in any order.  Each shape's block is built once, and a shape asked
+    # for more steps than it holds is tiled again, so the 56 shapes take 56
+    # builds and 97 tilings, and the table keeps one template each.
     session = Session()
     table = run_grid(session, perfbench_inputs().shuffled_grid(0))
-    assert (len(table), table.builds) == (56, 97)
+    assert (len(table), table.builds, table.tilings) == (56, 56, 97)
     assert table.num_tasks == 18_788
     stats = session.stats
     assert (stats.plan_builds, stats.plan_hits, stats.runs) == (384, 768, 1152)
@@ -93,14 +93,14 @@ def test_a_longer_step_count_replaces_the_held_template():
         short, _ = table.get(key, 5)
         entry, rows = table.get(key, 20)
         expected, expected_rows = GraphTemplates().get(key, 20)
-        assert entry is not short
+        assert entry is not short and entry.template.block is short.template.block
         assert template_columns(entry.template) == template_columns(expected.template)
         assert (entry.steps, entry.slot_keys, rows) == (20, expected.slot_keys, expected_rows)
-        assert (table.shapes(), table.builds) == ({key: 20}, 2)
+        assert (table.shapes(), table.builds, table.tilings) == ({key: 20}, 1, 2)
         # A shorter step count is served by the held template as it is.
         held, prefix_rows = table.get(key, 10)
         assert held is entry and table.get(key, 20)[0] is entry
-        assert prefix_rows * 2 == rows and table.builds == 2
+        assert prefix_rows * 2 == rows and (table.builds, table.tilings) == (1, 2)
 
 
 def prefix_columns(template, rows):
@@ -193,16 +193,34 @@ def test_session_shares_one_table_and_clear_empties_it():
     assert len(table) == 0 and table.num_tasks == 0
 
 
-def test_builder_rows_are_checked_when_the_template_is_frozen():
-    graph = _GraphBuilder()  # rows added by hand, not by a plan kind's builder
-    load = graph.add(
-        "load", name="load", kind=TaskKind.DATA_LOAD, resource=host_loader(),
-        deps=(), step=0, device=0,
-    )
+def hand_built(deps, carried):
+    """A load (row 0) and a teacher added by hand, not by a plan kind's builder."""
+    graph = _GraphBuilder()
     graph.add(
-        "teacher", name="T", kind=TaskKind.TEACHER_FORWARD, resource=device_compute(0),
-        deps=(load, load + 1), step=0, device=0,
+        "load", name="load[s{step}]", kind=TaskKind.DATA_LOAD, resource=host_loader(),
+        deps=(), device=0,
     )
-    assert graph.engine.num_tasks == 2  # appended unchecked
-    with pytest.raises(SimulationError, match=r"task 'T' depends on unknown task id 1 "):
-        graph.entry(1)
+    teacher = graph.add(
+        "teacher", name="T[s{step}]", kind=TaskKind.TEACHER_FORWARD,
+        resource=device_compute(0), deps=deps, device=0,
+    )
+    graph.carry([teacher], carried)
+    return graph
+
+
+def test_builder_rows_are_checked_when_the_block_is_made():
+    graph = hand_built((0, 1), [])
+    assert len(graph.rows) == 2  # appended unchecked
+    with pytest.raises(SimulationError, match=r"task 'T\[s0\]' depends on unknown task id 1 "):
+        graph.block()
+    with pytest.raises(
+        SimulationError,
+        match=r"task 'T\[s0\]' depends on unknown task id 2 of the previous step",
+    ):
+        hand_built((0,), [2]).block()
+    # A row may wait on itself one step back.
+    template = GraphTemplate(hand_built((0,), [1]).block(), 3)
+    assert template.names == ("load[s0]", "T[s0]", "load[s1]", "T[s1]", "load[s2]", "T[s2]")
+    assert [tuple(row) for row in template.instantiate([1.0, 1.0]).deps] == [
+        (), (0,), (), (2, 1), (), (4, 3)
+    ]

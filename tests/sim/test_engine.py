@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import GraphTemplate, SimulationEngine, step_block
 from repro.sim.events import TaskKind
 from repro.sim.resources import device_compute
 
@@ -498,3 +498,77 @@ class TestInOrderTemplates:
         assert _id_order_times(built)[7][1] == update[2] == 4.75
         # Without the next step's rows the graph is in order.
         assert _graph_engine(rows[:6], lambda slot: slot).freeze().in_order
+
+
+# --------------------------------------------------------------------- #
+# Tiled templates: a one-step block repeated, checked against a freeze
+# --------------------------------------------------------------------- #
+@st.composite
+def random_blocks(draw):
+    """``(rows, tiles, values)``: a random one-step block of ``(resource, slot, deps, carried)``.
+
+    ``deps`` are earlier rows of the same step, ``carried`` any rows of the
+    previous step.
+    """
+    num_resources = draw(st.integers(1, 4))
+    num_rows = draw(st.integers(1, 6))
+    rows = []
+    for row in range(num_rows):
+        resource = RESOURCES[draw(st.integers(0, num_resources - 1))]
+        deps = tuple(sorted(draw(st.sets(st.integers(0, row - 1), max_size=2)))) if row else ()
+        carried = tuple(sorted(draw(st.sets(st.integers(0, num_rows - 1), max_size=2))))
+        rows.append((resource, row % 3, deps, carried))
+    durations = st.sampled_from([0.0, 1.0, 2.5])
+    values = draw(st.lists(durations, min_size=min(num_rows, 3), max_size=min(num_rows, 3)))
+    return rows, draw(st.integers(1, 7)), values
+
+
+def _tiled_engine(rows, tiles, duration_of):
+    """``tiles`` steps of ``rows`` built with ``add_task``, each row named ``t{row}[s{step}]``."""
+    engine = SimulationEngine()
+    stride = len(rows)
+    for step in range(tiles):
+        for index, (resource, slot, deps, carried) in enumerate(rows):
+            lagged = [(step - 1) * stride + dep for dep in carried] if step else []
+            engine.add_task(
+                f"t{index}[s{step}]",
+                TaskKind.TEACHER_FORWARD,
+                resource,
+                duration_of(slot),
+                deps=[step * stride + dep for dep in deps] + lagged,
+                step=step,
+                device=0,
+            )
+    return engine
+
+
+class TestTiledTemplates:
+    """A block tiled ``k`` times equals the freeze of the same ``k``-step graph."""
+
+    @given(block=random_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_a_tiling_equals_the_freeze_of_its_rows(self, block):
+        rows, tiles, values = block
+        tiled = GraphTemplate(
+            step_block(
+                names=[(f"t{index}[s", "]") for index in range(len(rows))],
+                kinds=[TaskKind.TEACHER_FORWARD] * len(rows),
+                resources=[resource for resource, _, _, _ in rows],
+                slots=[slot for _, slot, _, _ in rows],
+                deps=[deps for _, _, deps, _ in rows],
+                carried=[carried for _, _, _, carried in rows],
+                steps=[0] * len(rows),
+                devices=[0] * len(rows),
+                blocks=[-1] * len(rows),
+                metadata=[None] * len(rows),
+            ),
+            tiles,
+        )
+        frozen = _tiled_engine(rows, tiles, lambda slot: slot).freeze()
+        # The freeze checks every row for the in-order flag, the tiling
+        # only its first three steps.
+        for column in GraphTemplate.__slots__:
+            if column != "block":
+                assert getattr(tiled, column) == getattr(frozen, column), column
+        built = _tiled_engine(rows, tiles, values.__getitem__)
+        assert _times(tiled.instantiate(values).run()) == _times(built.run())

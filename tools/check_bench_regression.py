@@ -78,6 +78,9 @@ METRIC_KEYS = frozenset(
         "memo_fill_cells",
         "warm_memo_fill_spans",
         "search_space_size",
+        "template_builds",
+        "template_tilings",
+        "tiled_rows",
     }
 )
 
