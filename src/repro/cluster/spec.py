@@ -19,7 +19,7 @@ from typing import Dict, Iterator, Tuple
 from repro.core.config import VALID_SERVERS
 from repro.errors import ConfigurationError
 from repro.fold import left_sum
-from repro.hardware.server import ServerSpec, get_server
+from repro.hardware.server import MAX_GPUS, ServerSpec, get_server
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ class NodeSpec:
             )
         if self.num_gpus < 1:
             raise ConfigurationError(f"node {self.name!r} must have >= 1 GPU")
+        if self.num_gpus > MAX_GPUS:
+            raise ConfigurationError(
+                f"node {self.name!r} must have <= {MAX_GPUS} GPUs (MAX_GPUS), "
+                f"got {self.num_gpus}"
+            )
 
     def build_server(self, num_gpus: int | None = None) -> ServerSpec:
         """Materialise this node (or a ``num_gpus``-sized slice of it)."""

@@ -35,7 +35,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Tuple
 from repro.core.config import ExperimentConfig, VALID_DATASETS, VALID_TASKS
 from repro.errors import ConfigurationError
 from repro.fold import left_sum
-from repro.parallel.executor import MIN_SIMULATED_STEPS
+from repro.parallel.executor import MAX_SIMULATED_STEPS, MIN_SIMULATED_STEPS
 from repro.parallel.registry import REGISTRY
 
 #: How a tenant's job deadlines are interpreted by the SLO analytics.
@@ -264,6 +264,11 @@ class JobSpec:
             raise ConfigurationError(
                 f"job {self.job_id!r} simulated_steps must be >= {MIN_SIMULATED_STEPS}, "
                 f"got {self.simulated_steps}"
+            )
+        if self.simulated_steps > MAX_SIMULATED_STEPS:
+            raise ConfigurationError(
+                f"job {self.job_id!r} simulated_steps must be <= {MAX_SIMULATED_STEPS} "
+                f"(MAX_SIMULATED_STEPS), got {self.simulated_steps}"
             )
 
     # ------------------------------------------------------------------ #

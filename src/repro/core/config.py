@@ -14,9 +14,9 @@ from typing import Tuple
 
 from repro.data.dataset import DatasetSpec, get_dataset
 from repro.errors import ConfigurationError
-from repro.hardware.server import ServerSpec, get_server
+from repro.hardware.server import MAX_GPUS, ServerSpec, get_server
 from repro.models.pairs import DistillationPair, build_pair
-from repro.parallel.executor import MIN_SIMULATED_STEPS
+from repro.parallel.executor import MAX_SIMULATED_STEPS, MIN_SIMULATED_STEPS
 from repro.parallel.registry import REGISTRY
 
 #: Tasks the paper evaluates (§VI-A).
@@ -54,12 +54,21 @@ class ExperimentConfig:
             )
         if self.num_gpus < 1:
             raise ConfigurationError("num_gpus must be >= 1")
+        if self.num_gpus > MAX_GPUS:
+            raise ConfigurationError(
+                f"num_gpus must be <= {MAX_GPUS} (MAX_GPUS), got {self.num_gpus}"
+            )
         if self.batch_size < self.num_gpus:
             raise ConfigurationError(
                 f"batch_size ({self.batch_size}) must be >= num_gpus ({self.num_gpus})"
             )
         if self.simulated_steps < MIN_SIMULATED_STEPS:
             raise ConfigurationError(f"simulated_steps must be >= {MIN_SIMULATED_STEPS}")
+        if self.simulated_steps > MAX_SIMULATED_STEPS:
+            raise ConfigurationError(
+                f"simulated_steps must be <= {MAX_SIMULATED_STEPS} (MAX_SIMULATED_STEPS), "
+                f"got {self.simulated_steps}"
+            )
         if self.strategy not in REGISTRY:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; registered strategies: "

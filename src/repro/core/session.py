@@ -62,6 +62,7 @@ from repro.models.pairs import DistillationPair
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.parallel.executor import (
+    PEAK_MEMORY_FIELDS,
     ExecutionResult,
     GraphTemplates,
     LoweredPlan,
@@ -518,15 +519,18 @@ class Session:
         With a persistent store attached, a previously simulated cell is
         hydrated from the store (``stats.store_hits``) without building a
         plan or touching the simulator; fresh simulations are written
-        through the store (``stats.store_builds``) and keep the document
-        written in ``result.record``, which their ``to_dict()`` returns as
-        is.  Each record is read from the store, parsed and validated once
+        through the store (``stats.store_builds``) as ``result.document``.
+        Each record is read from the store, parsed and validated once
         per session: the result is kept in memory by its run (config fields
         and strategy name, as :func:`~repro.store.keys.run_key` addresses
         it) and serves every later warm hit, which still counts as a
         ``store_hits`` but makes no store lookup.  A warm result may
-        therefore be shared between callers and threads, and is read-only;
-        its ``to_dict()`` returns a fresh dict that the caller owns.  A
+        therefore be shared between callers and threads, and is read-only.
+        Every result builds its ``document`` once, and its ``to_dict()``
+        returns a fresh copy of it that the caller owns: a warm hit copies
+        a document built when its run was first read, and the step counts
+        of one cell share the parts of it built from the plan and from the
+        peak memory.  A
         :meth:`~repro.store.store.ExperimentStore.gc` that evicts through
         this session's store handle, or :meth:`clear`, drops the kept
         results.  A stored record that does not hydrate raises
@@ -559,8 +563,7 @@ class Session:
             with self._lock:
                 self.stats.runs += 1
             if use_store:
-                result.record = result.to_dict()
-                self.put_run(config, name, result.record)
+                self.put_run(config, name, result.document)
             self._runs_simulated.inc()
             self._run_seconds.observe(time.perf_counter() - started)
             return result
@@ -570,8 +573,9 @@ class Session:
 
         A kept result is returned straight away.  Otherwise the store is
         read and the hydrated result kept.  Neither the plan nor the peak
-        memory depends on the step count, so a result shares them with the
-        first one kept for its (strategy, cell) when they are equal.  Two
+        memory depends on the step count, so a result shares them, and the
+        parts of its document built from them, with the first one kept for
+        its (strategy, cell) when they are equal.  Two
         threads racing one run both read the store; the first to publish is
         kept and both return it.
         """
@@ -596,10 +600,15 @@ class Session:
         with self._lock:
             self.stats.store_hits += 1
             first = self._warm_cells.setdefault((name, cell), result)
+            # Equal fields, so the same bytes: the document parts built
+            # from them are shared too.
+            shared, document = first.document, result.document
             if first.plan == result.plan:
                 result.plan = first.plan
+                document["plan"] = shared["plan"]
             if first.peak_memory_bytes == result.peak_memory_bytes:
                 result.peak_memory_bytes = first.peak_memory_bytes
+                document.update((name, shared[name]) for name in PEAK_MEMORY_FIELDS)
             return self._warm.setdefault(address, result)
 
     def _forget_warm(self) -> None:

@@ -39,6 +39,7 @@ import threading
 from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from functools import cached_property
 from sys import intern
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -50,7 +51,14 @@ from repro.hardware.cost_model import CostModel
 from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
-from repro.parallel.plan import SchedulePlan, by_device, jsonable, plan_from_dict
+from repro.parallel.plan import (
+    SchedulePlan,
+    by_device,
+    copied,
+    copied_plan,
+    jsonable,
+    plan_from_dict,
+)
 from repro.sim.engine import GraphTemplate, StepBlock, step_block
 from repro.sim.events import TaskKind
 from repro.sim.metrics import compute_breakdown
@@ -64,6 +72,12 @@ WARMUP_STEPS = 2
 #: Fewest steps a simulation may run: the warm-up plus two measured steps.
 #: Every entry point that takes ``simulated_steps`` checks against it.
 MIN_SIMULATED_STEPS = WARMUP_STEPS + 2
+#: Most steps a simulation may run, checked wherever the minimum is.  A
+#: schedule reaches its steady state within a few steps, while the work and
+#: the session's held graph template grow with the step count: 1,000 steps
+#: of a 4-GPU TR+DPU+AHD plan take about 0.04 s, 10,000 take 0.4 s and 84 MB,
+#: and 1,000,000 run out of memory.
+MAX_SIMULATED_STEPS = 1000
 #: Steps simulated per block of a DP plan, whatever ``simulated_steps`` is.
 DATA_PARALLEL_STEPS = MIN_SIMULATED_STEPS
 
@@ -85,15 +99,16 @@ RECORD_FIELDS = (
     "strategy",
 )
 _RECORD_KEYS = frozenset(RECORD_FIELDS)
+#: The fields of :attr:`ExecutionResult.document` built from the peak memory alone.
+PEAK_MEMORY_FIELDS = ("max_memory_gb", "peak_memory_bytes", "peak_memory_gb")
 
 
 @dataclass
 class ExecutionResult:
     """Measured outcome of executing one plan on the simulated server.
 
-    ``record`` holds the store document a fresh simulation was written to
-    the store as; :meth:`to_dict` then returns it as is instead of
-    serialising the result again.  It takes no part in equality.
+    A result is read-only once made: its :attr:`document` is built on
+    first use and kept, and :meth:`to_dict` copies it.
     """
 
     plan: SchedulePlan
@@ -104,7 +119,6 @@ class ExecutionResult:
     peak_memory_bytes: Dict[int, float]
     trace: Optional[Trace] = None
     metadata: dict = field(default_factory=dict)
-    record: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def strategy(self) -> str:
@@ -123,24 +137,23 @@ class ExecutionResult:
             f"max_mem={self.max_memory_gb():.2f}GB"
         )
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable summary (the trace is intentionally omitted).
+    @cached_property
+    def document(self) -> dict:
+        """The record this result is stored as, built once: shared, so read-only.
 
-        Carries the full plan and raw peak-memory bytes so
-        :meth:`from_dict` can rebuild an equivalent result — this is the
-        record shape the persistent experiment store holds.  Keys come in
-        canonical order (sorted, device keys sorted as strings), so the
-        dict dumps to the same bytes as the store's canonical JSON.  When
-        ``record`` is set it is returned as is: treat it as read-only.
-        Otherwise each call builds a fresh dict that the caller owns.
+        It carries the full plan and raw peak-memory bytes (not the trace),
+        so :meth:`from_dict` rebuilds an equivalent result.  Keys come in
+        canonical order (sorted, device keys sorted as strings), so it
+        dumps to the same bytes as the store's canonical JSON.  It holds
+        every breakdown or metadata container of the result that is
+        already in canonical order, as a hydrated result's are, rather
+        than copies of them.
         """
-        if self.record is not None:
-            return self.record
         peak_memory = by_device(self.peak_memory_bytes)
         return {
             "batch_size": self.plan.batch_size,
             "breakdown_s": {
-                device: {name: categories[name] for name in sorted(categories)}
+                device: _in_name_order(categories)
                 for device, categories in by_device(self.breakdown).items()
             },
             "epoch_time_s": self.epoch_time,
@@ -157,6 +170,26 @@ class ExecutionResult:
             "steps_per_epoch": self.steps_per_epoch,
             "strategy": self.strategy,
         }
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary: a copy of :attr:`document`.
+
+        Every call returns a fresh dict that the caller owns (every dict
+        and list in it new, the numbers and names shared), so editing it
+        leaves the result, and the next answer a session gives from it,
+        alone.  Repeated calls copy the one document and rebuild nothing.
+        """
+        document = self.document
+        copy = document.copy()
+        copy["breakdown_s"] = {
+            device: categories.copy()
+            for device, categories in document["breakdown_s"].items()
+        }
+        copy["metadata"] = copied(document["metadata"])
+        copy["peak_memory_bytes"] = document["peak_memory_bytes"].copy()
+        copy["peak_memory_gb"] = document["peak_memory_gb"].copy()
+        copy["plan"] = copied_plan(document["plan"])
+        return copy
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionResult":
@@ -213,6 +246,14 @@ class ExecutionResult:
                     f"the value its plan and peak memory give ({value!r})"
                 )
         return result
+
+
+def _in_name_order(categories: Dict[str, float]) -> Dict[str, float]:
+    """``categories`` sorted by name: itself when already in order, as hydrated ones are."""
+    names = sorted(categories)
+    if names == list(categories):
+        return categories
+    return {name: categories[name] for name in names}
 
 
 def _interned(mapping: dict) -> dict:
@@ -627,6 +668,10 @@ class ScheduleExecutor:
         if simulated_steps < MIN_SIMULATED_STEPS:
             raise ScheduleError(
                 f"simulated_steps must be at least {MIN_SIMULATED_STEPS}, got {simulated_steps}"
+            )
+        if simulated_steps > MAX_SIMULATED_STEPS:
+            raise ScheduleError(
+                f"simulated_steps must be at most {MAX_SIMULATED_STEPS}, got {simulated_steps}"
             )
         self.pair = pair
         self.server = server

@@ -16,6 +16,7 @@ Three plan kinds cover all six strategies:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -201,7 +202,7 @@ class SchedulePlan:
 
         Keys come in canonical order (sorted, device keys sorted as
         strings), so the dict dumps to the same bytes as the store's
-        canonical JSON.
+        canonical JSON.  :func:`copied_plan` copies it.
         """
         return {
             "batch_size": self.batch_size,
@@ -230,6 +231,29 @@ class SchedulePlan:
         }
 
 
+def copied_plan(document: dict) -> dict:
+    """A copy of a :meth:`SchedulePlan.to_dict` document: every dict and list new.
+
+    The leaves are shared.  It re-sorts and converts nothing, so it is
+    cheaper than building the document again.
+    """
+    copy = document.copy()
+    if document["device_blocks"] is not None:
+        copy["device_blocks"] = {
+            device: blocks.copy() for device, blocks in document["device_blocks"].items()
+        }
+    copy["metadata"] = copied(document["metadata"])
+    copy["stages"] = [
+        {
+            "block_ids": stage["block_ids"].copy(),
+            "device_ids": stage["device_ids"].copy(),
+            "stage_id": stage["stage_id"],
+        }
+        for stage in document["stages"]
+    ]
+    return copy
+
+
 def by_device(per_device: Dict[int, Any]) -> Dict[str, Any]:
     """A per-device mapping keyed by device string, in string order.
 
@@ -248,20 +272,49 @@ def jsonable(value):
     Dict keys are emitted in sorted order so a payload serialises to the
     same bytes whether it was just computed or hydrated from the store's
     canonical (key-sorted) JSON; ``SchedulePlan.to_dict`` and
-    ``ExecutionResult.to_dict`` follow the same rule.
+    ``ExecutionResult.document`` follow the same rule.  A dict or list
+    already in that form is returned as it is, not copied, so a document
+    can share the containers a hydrated record already holds.
 
     Example:
         >>> from repro.parallel.plan import jsonable
         >>> jsonable({"split": (3, 5), "name": "ahd"})
         {'name': 'ahd', 'split': [3, 5]}
+        >>> canonical = {"name": "ahd", "split": [3, 5]}
+        >>> jsonable(canonical) is canonical
+        True
     """
     if isinstance(value, dict):
-        return {
-            key: jsonable(value[key]) for key in sorted(value, key=str)
-        }
-    if isinstance(value, (list, tuple)):
+        converted = {key: jsonable(value[key]) for key in sorted(value, key=str)}
+        if list(converted) == list(value) and all(
+            map(operator.is_, converted.values(), value.values())
+        ):
+            return value
+        return converted
+    if isinstance(value, list):
+        converted = [jsonable(item) for item in value]
+        return value if all(map(operator.is_, converted, value)) else converted
+    if isinstance(value, tuple):
         return [jsonable(item) for item in value]
     return value
+
+
+def copied(tree):
+    """A copy of a JSON tree: every dict and list new, the leaves shared.
+
+    Example:
+        >>> from repro.parallel.plan import copied
+        >>> tree = {"split": [3, 5], "name": "ahd"}
+        >>> copy = copied(tree)
+        >>> copy == tree and copy["split"] is not tree["split"]
+        True
+    """
+    if isinstance(tree, dict):
+        return {
+            key: copied(value) if isinstance(value, (dict, list)) else value
+            for key, value in tree.items()
+        }
+    return [copied(item) if isinstance(item, (dict, list)) else item for item in tree]
 
 
 def plan_from_dict(payload: dict) -> SchedulePlan:

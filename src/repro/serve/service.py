@@ -37,6 +37,7 @@ Documented in ``docs/SERVING.md``.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from functools import partial
@@ -179,21 +180,22 @@ class PlannerService:
                     temperature="warm" if request_meta.get("warm") else "cold",
                 ).inc()
         self._requests_served += 1
-        _LOG.info(
-            "%s %s -> %d in %.1f ms",
-            method.upper(),
-            path,
-            status,
-            duration_s * 1e3,
-            # The contextvar is already reset (the handler is done); carry
-            # the id explicitly so the log line still cross-references.
-            extra={
-                "endpoint": endpoint,
-                "status": status,
-                "duration_ms": round(duration_s * 1e3, 3),
-                "request_id": request_id,
-            },
-        )
+        if _LOG.isEnabledFor(logging.INFO):
+            _LOG.info(
+                "%s %s -> %d in %.1f ms",
+                method.upper(),
+                path,
+                status,
+                duration_s * 1e3,
+                # The contextvar is already reset (the handler is done); carry
+                # the id explicitly so the log line still cross-references.
+                extra={
+                    "endpoint": endpoint,
+                    "status": status,
+                    "duration_ms": round(duration_s * 1e3, 3),
+                    "request_id": request_id,
+                },
+            )
         return status, payload
 
     def _route(self, method: str, path: str, body: Optional[dict]) -> Response:
@@ -257,9 +259,22 @@ class PlannerService:
     # ------------------------------------------------------------------ #
     # Meta plumbing
     # ------------------------------------------------------------------ #
-    def _finish(self, endpoint: str, payload: dict, before: dict) -> Response:
-        """Attach the per-request warm/cold meta section and return 200."""
-        delta = self.session.stats.delta(before)
+    def _counters(self) -> Tuple[int, int, int]:
+        """The session counters ``meta.request`` reports: runs, store hits, store builds."""
+        stats = self.session.stats
+        return stats.runs, stats.store_hits, stats.store_builds
+
+    def _finish(self, endpoint: str, payload: dict, before: Tuple[int, int, int]) -> Response:
+        """Attach the per-request warm/cold meta section and return 200.
+
+        ``before`` holds :meth:`_counters` from before the request ran.
+        """
+        runs, store_hits, store_builds = self._counters()
+        delta = {
+            "runs": runs - before[0],
+            "store_hits": store_hits - before[1],
+            "store_builds": store_builds - before[2],
+        }
         meta: Dict[str, Any] = {
             "endpoint": endpoint,
             "request": request_warm_cold(delta),
@@ -333,6 +348,6 @@ class PlannerService:
         """Validate a body into its request type and run the command."""
         request_type, command = _COMPUTE[path]
         request = from_mapping(request_type, {} if body is None else body)
-        before = self.session.stats.snapshot()
+        before = self._counters()
         payload, _ = command(self.session, request)
         return self._finish(path, payload, before)

@@ -65,7 +65,7 @@ from repro.models.layers import BYTES_PER_ELEMENT
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.parallel.estimator import StageTimeEstimator
-from repro.parallel.executor import MIN_SIMULATED_STEPS
+from repro.parallel.executor import MAX_SIMULATED_STEPS, MIN_SIMULATED_STEPS
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.registry import REGISTRY
 from repro.store.keys import canonical_json, estimate_key, probe_key
@@ -170,6 +170,11 @@ class TuneEvaluator:
     ) -> None:
         if simulated_steps < MIN_SIMULATED_STEPS:
             raise ConfigurationError(f"simulated_steps must be >= {MIN_SIMULATED_STEPS}")
+        if simulated_steps > MAX_SIMULATED_STEPS:
+            raise ConfigurationError(
+                f"simulated_steps must be <= {MAX_SIMULATED_STEPS} (MAX_SIMULATED_STEPS), "
+                f"got {simulated_steps}"
+            )
         if throughput_jobs < 1:
             raise ConfigurationError("throughput_jobs must be >= 1")
         if not (math.isfinite(slo_deadline_slack) and slo_deadline_slack > 0):

@@ -9,6 +9,7 @@ from repro.cluster.spec import (
     default_cluster,
 )
 from repro.errors import ConfigurationError
+from repro.hardware.server import MAX_GPUS
 
 
 class TestNodeSpec:
@@ -33,6 +34,8 @@ class TestNodeSpec:
             NodeSpec(name="n0", server="h100")
         with pytest.raises(ConfigurationError):
             NodeSpec(name="n0", num_gpus=0)
+        with pytest.raises(ConfigurationError, match="MAX_GPUS"):
+            NodeSpec(name="n0", num_gpus=MAX_GPUS + 1)
 
     def test_dict_roundtrip(self):
         node = NodeSpec(name="n0", server="2080ti", num_gpus=8)

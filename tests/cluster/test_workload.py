@@ -21,6 +21,7 @@ from repro.cluster.workload import (
 )
 from repro.core.config import VALID_DATASETS, VALID_SERVERS, VALID_TASKS
 from repro.errors import ConfigurationError
+from repro.parallel.executor import MAX_SIMULATED_STEPS
 from repro.parallel.registry import REGISTRY
 
 
@@ -87,6 +88,8 @@ class TestJobSpec:
             job(gpus=4, batch_size=2)
         with pytest.raises(ConfigurationError, match="simulated_steps"):
             job(simulated_steps=2)
+        with pytest.raises(ConfigurationError, match="MAX_SIMULATED_STEPS"):
+            job(simulated_steps=MAX_SIMULATED_STEPS + 1)
 
     def test_dict_roundtrip(self):
         spec = job(task="compression", epochs=3, simulated_steps=8)

@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ConfigurationError
+from repro.hardware.server import MAX_GPUS, get_server
+from repro.parallel.executor import MAX_SIMULATED_STEPS
 from repro.parallel.registry import ABLATION_STRATEGIES, PIPE_BD_STRATEGY, REGISTRY
 
 
@@ -56,6 +58,16 @@ class TestExperimentConfig:
             ExperimentConfig(num_gpus=0)
         with pytest.raises(ConfigurationError):
             ExperimentConfig(simulated_steps=1)
+
+    def test_size_limits_are_named_and_inclusive(self):
+        with pytest.raises(ConfigurationError, match="MAX_SIMULATED_STEPS"):
+            ExperimentConfig(simulated_steps=MAX_SIMULATED_STEPS + 1)
+        with pytest.raises(ConfigurationError, match="MAX_GPUS"):
+            ExperimentConfig(num_gpus=MAX_GPUS + 1, batch_size=256)
+        with pytest.raises(ConfigurationError, match="MAX_GPUS"):
+            get_server("a6000", MAX_GPUS + 1)
+        config = ExperimentConfig(num_gpus=MAX_GPUS, simulated_steps=MAX_SIMULATED_STEPS)
+        assert config.build_server().num_devices == MAX_GPUS
 
     def test_unknown_strategy_rejected_at_construction(self):
         with pytest.raises(ConfigurationError, match="unknown strategy"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.parallel.executor import ScheduleExecutor
+from repro.parallel.executor import MAX_SIMULATED_STEPS, ScheduleExecutor
 from repro.parallel.registry import REGISTRY
 from repro.sim.metrics import BREAKDOWN_CATEGORIES
 
@@ -93,6 +93,15 @@ class TestExecutorValidation:
         with pytest.raises(ScheduleError):
             ScheduleExecutor(
                 pair=nas_cifar_pair, server=a6000_server, dataset=cifar_dataset, simulated_steps=2
+            )
+
+    def test_too_many_simulated_steps_rejected(self, nas_cifar_pair, a6000_server, cifar_dataset):
+        with pytest.raises(ScheduleError, match=f"at most {MAX_SIMULATED_STEPS}"):
+            ScheduleExecutor(
+                pair=nas_cifar_pair,
+                server=a6000_server,
+                dataset=cifar_dataset,
+                simulated_steps=MAX_SIMULATED_STEPS + 1,
             )
 
     def test_mismatched_pair_rejected(

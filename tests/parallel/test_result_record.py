@@ -3,8 +3,9 @@
 ``ExecutionResult.to_dict`` builds its dict in the store's canonical order
 (keys sorted, device keys sorted as strings), so a freshly simulated result
 and one hydrated from the store dump to the same bytes.  That is what lets
-a session keep a warm result rather than its stored document and build a
-fresh dict per hit: cold and warm ``/v1/plan`` bodies stay byte-identical.
+a session keep a warm result rather than its stored document and copy the
+document the result builds once per hit: cold and warm ``/v1/plan`` bodies
+stay byte-identical.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ def hydrate(result: ExecutionResult) -> ExecutionResult:
 @settings(suppress_health_check=[HealthCheck.too_slow])
 def test_fresh_and_hydrated_documents_are_byte_identical(cell):
     fresh = SESSION.run(ExperimentConfig(**cell))
-    assert fresh.record is None
     document = json.dumps(fresh.to_dict(), indent=2)
     hydrated = hydrate(fresh)
     assert json.dumps(hydrated.to_dict(), indent=2) == document
     assert json.dumps(fresh.to_dict(), indent=2, sort_keys=True) == document
-    assert hydrated.record is None
+    assert json.dumps(hydrated.document, indent=2) == document
     assert hydrated.to_dict() is not hydrated.to_dict()
-    assert hydrated == replace(hydrated, record=None)
-    assert hydrated == replace(hydrated, record={"unrelated": True})
+    # The document is built once and takes no part in equality.
+    assert hydrated.document is hydrated.document
+    assert hydrated == replace(hydrated)
 
 
 def test_device_keys_sort_as_strings_at_12_gpus():
@@ -85,13 +86,34 @@ def test_12_gpu_cold_and_warm_plan_bodies_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.parametrize("num_gpus", [2, 4, 12])
+def test_cold_warm_and_store_less_answers_are_byte_identical(tmp_path, num_gpus):
+    # No sort_keys: the key order of every answer is compared too.
+    client = LocalClient(PlannerService(store=tmp_path / "store"))
+    session = Session()
+    for strategy in REGISTRY.names():
+        body = {"strategy": strategy, "num_gpus": num_gpus, "steps": 4}
+        answers = [client.post("/v1/plan", json=body).json() for _ in range(3)]
+        assert [answer["meta"]["request"]["warm"] for answer in answers] == [
+            False,
+            True,
+            True,
+        ]
+        config = ExperimentConfig(strategy=strategy, num_gpus=num_gpus, simulated_steps=4)
+        fresh = json.dumps(session.run(config).to_dict())
+        for answer in answers:
+            assert json.dumps(answer["result"]) == fresh
+
+
 def test_a_cold_store_run_keeps_the_document_it_wrote(tmp_path):
     session = Session(store=tmp_path / "store")
     config = ExperimentConfig(simulated_steps=4)
     result = session.run(config)
-    assert result.to_dict() is result.record
-    assert session.store.get("run", run_key(config, config.strategy)) == result.record
-    assert result.record == replace(result, record=None).to_dict()
+    document = result.document
+    assert session.store.get("run", run_key(config, config.strategy)) == document
+    assert result.to_dict() == document and result.to_dict() is not document
+    assert document == replace(result).to_dict()
+    assert result.document is document
 
 
 class TestFromDictRejects:

@@ -11,6 +11,8 @@ import threading
 
 import pytest
 
+from repro.hardware.server import MAX_GPUS
+from repro.parallel.executor import MAX_SIMULATED_STEPS
 from repro.serve.client import LocalClient
 from repro.serve.service import PlannerService
 from tests.serve.shapes import ERROR, check_shape
@@ -142,6 +144,42 @@ class TestDomainRules:
     def test_infeasible_config_is_400_not_500(self, client):
         error = rejected(client.post("/v1/plan", json={"num_gpus": -3}), 400)
         assert error["type"] == "domain"
+
+    @pytest.mark.parametrize(
+        "body, limit",
+        [
+            ({"steps": MAX_SIMULATED_STEPS + 1}, "MAX_SIMULATED_STEPS"),
+            ({"steps": 1_000_000}, "MAX_SIMULATED_STEPS"),
+            ({"num_gpus": MAX_GPUS + 1}, "MAX_GPUS"),
+            ({"num_gpus": 64, "batch_size": 256}, "MAX_GPUS"),
+        ],
+    )
+    def test_a_plan_past_a_size_limit_is_400_naming_it(self, client, body, limit):
+        error = rejected(client.post("/v1/plan", json=body), 400)
+        assert error["type"] == "domain"
+        assert limit in error["message"]
+        bound = MAX_SIMULATED_STEPS if limit == "MAX_SIMULATED_STEPS" else MAX_GPUS
+        assert f"<= {bound}" in error["message"]
+
+    def test_an_inline_cluster_job_past_the_step_limit_is_400(self, client):
+        job = {"job_id": "long", "arrival_time": 0.0, "gpus": 2, "simulated_steps": 100_000}
+        body = {"policy": "fifo", "workload": {"jobs": [job]}}
+        error = rejected(client.post("/v1/cluster", json=body), 400)
+        assert error["type"] == "domain"
+        assert "'long'" in error["message"]
+        assert f"<= {MAX_SIMULATED_STEPS} (MAX_SIMULATED_STEPS)" in error["message"]
+
+    def test_a_cluster_node_past_the_gpu_limit_is_400(self, client):
+        body = {"policy": "fifo", "nodes": f"a6000:{MAX_GPUS + 1}", "num_jobs": 2}
+        error = rejected(client.post("/v1/cluster", json=body), 400)
+        assert error["type"] == "domain"
+        assert "MAX_GPUS" in error["message"]
+
+    def test_the_largest_allowed_step_count_is_served(self, client):
+        body = {"strategy": "DP", "num_gpus": 2, "batch_size": 128, "steps": MAX_SIMULATED_STEPS}
+        response = client.post("/v1/plan", json=body)
+        assert response.status_code == 200
+        assert response.json()["config"]["simulated_steps"] == MAX_SIMULATED_STEPS
 
     @pytest.mark.parametrize("curve", ["0:nan", "0:1,100:2@inf"])
     @pytest.mark.parametrize(

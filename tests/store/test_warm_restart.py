@@ -19,10 +19,50 @@ from repro.cluster.spec import default_cluster
 from repro.cluster.workload import poisson_workload
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
+from repro.parallel.registry import REGISTRY
 from repro.serve.client import LocalClient
 from repro.serve.service import PlannerService
 from repro.tune.space import TuneSpace
 from repro.tune.tuner import tune
+
+
+def edit_every_container(tree, path=""):
+    """Add an item to every dict and list in ``tree``; returns their dotted paths."""
+    edited = {path} if path else set()
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in list(items):
+        if isinstance(value, (dict, list)):
+            edited |= edit_every_container(value, f"{path}.{key}" if path else str(key))
+    if isinstance(tree, dict):
+        tree["edited"] = True
+    else:
+        tree.append("edited")
+    return edited
+
+
+def reachable_bytes(roots) -> int:
+    """``sys.getsizeof`` summed over the distinct objects ``roots`` reach.
+
+    It follows dict keys and values, list and tuple items, and the
+    attributes of objects that have them (results, plans, stages).
+    """
+    seen, total, stack = set(), 0, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            attributes = vars(obj)
+            total += sys.getsizeof(attributes)
+            stack.extend(attributes.values())
+    return total
 
 
 @pytest.fixture
@@ -101,6 +141,64 @@ class TestWarmMemo:
         second = client.post("/v1/plan", json=body).json()["result"]
         assert json.dumps(second) == document
 
+    @pytest.mark.parametrize(
+        "strategy, kind, containers",
+        [
+            ("TR", "pipeline", ["plan.stages.0.block_ids", "plan.stages.1.device_ids"]),
+            ("LS", "layerwise", ["plan.device_blocks.0", "plan.metadata.block_costs"]),
+            ("DP", "data_parallel", ["metadata.per_block_step_times"]),
+        ],
+        ids=("pipeline", "layerwise", "data_parallel"),
+    )
+    def test_every_container_of_an_edited_payload_leaves_the_next_answer_alone(
+        self, store_root, strategy, kind, containers
+    ):
+        client = LocalClient(PlannerService(store=store_root))
+        body = {"strategy": strategy, "num_gpus": 4, "batch_size": 128, "steps": 4}
+        client.post("/v1/plan", json=body)
+        first = client.post("/v1/plan", json=body).json()["result"]
+        assert first["plan_kind"] == kind
+        document = json.dumps(first)
+        edited = edit_every_container(first)
+        for path in containers + [
+            "breakdown_s",
+            "breakdown_s.0",
+            "metadata",
+            "peak_memory_bytes",
+            "peak_memory_gb",
+            "plan",
+            "plan.device_blocks" if kind == "layerwise" else "plan.stages",
+            "plan.metadata",
+        ]:
+            assert path in edited
+        second = client.post("/v1/plan", json=body).json()["result"]
+        assert json.dumps(second) == document
+
+    def test_a_kept_entry_stays_within_its_memory_budget(self, store_root):
+        configs = [
+            ExperimentConfig(
+                strategy=strategy, num_gpus=gpus, batch_size=batch, simulated_steps=steps
+            )
+            for strategy in REGISTRY.names()
+            for gpus in (2, 4)
+            for batch in (128, 256)
+            for steps in (4, 5, 6)
+        ]
+        cold = Session(store=store_root)
+        for config in configs:
+            cold.run(config)
+        warm = Session(store=store_root)
+        for config in configs:
+            warm.run(config).to_dict()
+        kept = list(warm._warm.values())
+        assert len(kept) == len(configs)
+        # 3.61 KB an entry on CPython 3.11: the result, its document, and a
+        # share of the plan and of the plan and peak-memory parts of the
+        # document, which the step counts of a cell share.  Keeping the parsed record
+        # as well (8.9 KB), or a document that copies the result's
+        # containers instead of sharing them (8.2 KB), does not fit.
+        assert reachable_bytes(kept) / len(kept) < 5000
+
     def test_gc_through_the_handle_drops_kept_results(self, fast_config, warm):
         warm.run(fast_config)
         assert warm.store.gc(max_records=0) == 1
@@ -123,6 +221,10 @@ class TestWarmMemo:
         assert kept[0].plan is kept[1].plan
         assert kept[0].peak_memory_bytes is kept[1].peak_memory_bytes
         assert [result.to_dict() for result in kept] == [result.to_dict() for result in fresh]
+        documents = [result.document for result in kept]
+        for name in ("plan", "max_memory_gb", "peak_memory_bytes", "peak_memory_gb"):
+            assert documents[0][name] is documents[1][name]
+        assert documents[0]["breakdown_s"] is not documents[1]["breakdown_s"]
 
     def test_threads_racing_one_warm_run_return_the_kept_result(
         self, fast_config, warm, monkeypatch

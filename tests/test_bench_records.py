@@ -36,11 +36,12 @@ def load_tool():
 
 
 #: Per workload, its end-to-end metrics by name.
+TOOL_WORKLOADS = load_tool().TOOL_WORKLOADS
 METRICS = {workload["name"]: END_TO_END for workload in BENCHMARK["workloads"]}
 METRICS.update(
     {
         name: {metric["name"]: metric for metric in metrics}
-        for name, metrics in load_tool().TOOL_WORKLOADS.items()
+        for name, metrics in TOOL_WORKLOADS.items()
     }
 )
 
@@ -83,6 +84,12 @@ def check_workload(record: dict, workload: str = "plan-cold") -> None:
     # records before per-layer IQRs carry medians only.
     if "traced_pairs" in record:
         assert record["traced_pairs"] >= 3 and "per_layer" in record
+    # Records before the spawn count time one spawn per side and pair.
+    if "spawns" in record:
+        assert workload in TOOL_WORKLOADS
+        assert isinstance(record["spawns"], int) and record["spawns"] >= 1
+        spawned = [record["spawns"]] * pairs
+        assert all(attempted == spawned for attempted in record["attempted"].values())
     if "per_layer_iqr" in record:
         assert "traced_pairs" in record
         iqrs, medians = record["per_layer_iqr"], record["per_layer"]
@@ -277,10 +284,12 @@ def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "compile_tree", lambda checkout: None)
     monkeypatch.setattr(tool, "run_once", lambda *args: pytest.fail("perfbench was run"))
     sides = []
+    # Each side's spawns in one pair: one slow outlier, which the median drops.
+    walls = {parent: [0.3, 0.9, 0.31], change: [0.2, 0.21, 0.8]}
 
     def run_spawn(checkout, workload, out_dir):
         sides.append(checkout.name)
-        wall_s = 0.3 if checkout == parent else 0.2
+        wall_s = walls[checkout][(len(sides) - 1) % tool.TOOL_SPAWNS]
         return {
             "correct": True,
             "failed": 0,
@@ -293,12 +302,17 @@ def test_cli_run_is_recorded_in_alternating_pairs(tmp_path, monkeypatch):
     argv = ["--parent", str(parent), "--change", str(change), "--parent-commit", "0" * 40]
     argv += ["--pr", "7", "--pairs", "2", "--workload", "cli-run", "--traced", "--out", str(out)]
     assert tool.main(argv) == 0
-    assert sides == ["parent", "change", "change", "parent"]
+    assert tool.TOOL_SPAWNS == 3
+    spawns = [[name] * tool.TOOL_SPAWNS for name in ("parent", "change", "change", "parent")]
+    assert sides == [name for run in spawns for name in run]
     record = json.loads(out.read_text())["workloads"]["cli-run"]
     check_workload(record, "cli-run")
+    assert record["spawns"] == 3
+    assert record["attempted"] == {"parent": [3, 3], "change": [3, 3]}
     assert "per_layer" not in record
     wall = record["end_to_end"]["wall_s"]
-    assert (wall["parent"]["median"], wall["change"]["median"]) == (0.3, 0.2)
+    assert wall["parent"]["values"] == [0.31, 0.31]
+    assert wall["change"]["values"] == [0.21, 0.21]
     assert wall["pairs_better"] == 2
 
 

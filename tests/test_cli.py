@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cluster.workload import poisson_workload
+from repro.hardware.server import MAX_GPUS
+from repro.parallel.executor import MAX_SIMULATED_STEPS
 
 
 def run_cli(capsys, *argv):
@@ -622,6 +624,21 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in captured.err
         assert "store" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, limit",
+        [
+            (("--steps", str(MAX_SIMULATED_STEPS + 1)), "MAX_SIMULATED_STEPS"),
+            (("--num-gpus", str(MAX_GPUS + 1)), "MAX_GPUS"),
+        ],
+    )
+    def test_run_past_a_size_limit_exits_2(self, capsys, tmp_path, flags, limit):
+        out = tmp_path / "result.json"
+        code, captured = run_cli(capsys, "run", *flags, "--out", str(out))
+        assert code == 2
+        assert limit in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
     def test_unknown_strategy_in_tune_space(self, capsys):
         code, captured = run_cli(

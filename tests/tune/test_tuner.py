@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.session import Session
 from repro.errors import ConfigurationError
+from repro.parallel.executor import MAX_SIMULATED_STEPS
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanRecorder
 from repro.tune.drivers import DRIVERS
@@ -95,6 +96,10 @@ class TestSessionTune:
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             tune(default_space(), budget=0)
+
+    def test_step_count_past_the_limit_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="MAX_SIMULATED_STEPS"):
+            TuneEvaluator(session=Session(), simulated_steps=MAX_SIMULATED_STEPS + 1)
 
     def test_tune_records_its_span_and_counter_by_driver_name(self):
         space = TuneSpace(strategies=("TR",), batch_sizes=(128,), gpu_counts=(2,))
