@@ -2,10 +2,10 @@
 
 Two measurements back the pregenerated planning tables:
 
-* **Generation / resume** — ``run_pregen`` over the smoke grid into a
-  fresh store (rows/sec through the real simulate-and-write path), then
-  an immediate re-run that must simulate **zero** cells (the resume
-  no-op, priced in milliseconds).
+* **Generation / resume** — the ``precompute`` command over the smoke
+  grid into a fresh store (rows/sec through the real simulate-and-write
+  path), then an immediate re-run in a new session that must simulate
+  **zero** cells (the resume no-op, priced in milliseconds).
 * **Read path at >=100k rows** — a store bulk-filled to 100k records in
   one transaction, then read cold: every sampled key is a SQLite point
   query on a *fresh* store handle, the boot-against-artifact case.
@@ -25,8 +25,10 @@ import time
 from contextlib import closing
 
 from benchmarks.conftest import emit, emit_json
+from repro.commands import PrecomputeRequest, precompute
 from repro.core.reporting import format_table
-from repro.store import ExperimentStore, run_pregen
+from repro.core.session import Session
+from repro.store import ExperimentStore
 from repro.store.keys import SCHEMA_VERSION, canonical_json, content_key
 from tools.load_serve import percentile
 
@@ -76,25 +78,31 @@ def _latency_stats(latencies: list) -> dict:
     }
 
 
+def _timed_precompute(root: str):
+    """``precompute --grid smoke`` on a new session: (payload, seconds)."""
+    started = time.perf_counter()
+    payload, _ = precompute(Session(store=root), PrecomputeRequest(grid="smoke"))
+    return payload, time.perf_counter() - started
+
+
 def test_pregen_generation_and_resume():
     with tempfile.TemporaryDirectory(prefix="repro-bench-pregen-") as root:
-        store = ExperimentStore(root)
-        cold = run_pregen(store, grid="smoke")
-        resume = run_pregen(store, grid="smoke")
+        cold, cold_s = _timed_precompute(root)
+        resume, resume_s = _timed_precompute(root)
 
-    assert cold.complete and resume.complete
-    assert cold.simulated == cold.total_cells
-    assert resume.simulated == 0, resume.to_dict()
+    assert cold["complete"] and resume["complete"]
+    assert cold["simulated"] == cold["grid_size"]
+    assert resume["simulated"] == 0, resume
 
     generation = {
-        "grid_size": cold.total_cells,
-        "simulations": cold.simulated,
-        "rows_per_s": cold.total_cells / cold.duration_s,
-        "duration_s": cold.duration_s,
+        "grid_size": cold["grid_size"],
+        "simulations": cold["simulated"],
+        "rows_per_s": cold["grid_size"] / cold_s,
+        "duration_s": cold_s,
     }
     resume_noop = {
-        "simulations": resume.simulated,
-        "duration_s": resume.duration_s,
+        "simulations": resume["simulated"],
+        "duration_s": resume_s,
     }
     payload = {"generation": generation, "resume": resume_noop}
     emit(
@@ -102,8 +110,8 @@ def test_pregen_generation_and_resume():
         format_table(
             ["phase", "cells simulated", "seconds"],
             [
-                ["cold generation", str(cold.simulated), f"{cold.duration_s:.3f}"],
-                ["resume (no-op)", str(resume.simulated), f"{resume.duration_s:.3f}"],
+                ["cold generation", str(cold["simulated"]), f"{cold_s:.3f}"],
+                ["resume (no-op)", str(resume["simulated"]), f"{resume_s:.3f}"],
             ],
         ),
     )

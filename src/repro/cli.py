@@ -1,6 +1,6 @@
 """``python -m repro`` — command-line front door over the Session/cluster APIs.
 
-Six subcommands mirror the levels of the system:
+Seven subcommands mirror the levels of the system:
 
 * ``run`` — one (config, strategy) cell on one simulated server,
 * ``sweep`` — a grid over batch sizes / GPU counts / datasets / servers /
@@ -12,31 +12,31 @@ Six subcommands mirror the levels of the system:
 * ``tune`` — autotune strategy x batch x GPU count x server (and placement
   policy, for throughput objectives) under a simulation budget, emitting a
   Pareto frontier,
-* ``serve`` — expose plan/sweep/tune/cluster (plus ``/v1/precompute``
-  store warming and health/stats probes) as a versioned HTTP JSON API,
-  answering hot queries from the store with zero simulations,
-* ``pregen`` — pregenerate the planning tables for a named grid into a
-  store artifact (resumable, manifest-stamped) that any
-  later session or server boots from without simulating,
+* ``precompute`` — warm a store with a named grid preset (``--grid``) or
+  the grid its axis flags spell: resumable (``--max-cells`` bounds one
+  run), stamped with a ``manifest.json`` that pins its rows against gc,
+  so any later session or server answers the grid without simulating,
+* ``serve`` — expose those five commands as a versioned HTTP JSON API
+  (``/v1/plan`` for ``run``), plus health/stats probes, answering hot
+  queries from the store with zero simulations,
 * ``cache`` — inspect (``stats``), prune (``gc``), dump (``export``) a
-  persistent experiment store, or convert a legacy one (``import``),
-* ``profile`` — run a fixed ``run``/``sweep``/``cluster``/``tune``
-  workload under a span recorder and emit a per-span timing breakdown
-  (plus an optional ``--trace-out`` chrome-trace file for
-  ``chrome://tracing`` / Perfetto).
+  persistent experiment store, or convert a legacy one (``import``).
 
-``run``/``sweep``/``cluster``/``tune`` are the HTTP service's
-``/v1/plan``/``/v1/sweep``/``/v1/cluster``/``/v1/tune``: their flags are
-generated from the request types of :mod:`repro.commands`
-(:func:`add_request_arguments`) and they run the same commands, so a CLI
+``run``/``sweep``/``cluster``/``tune``/``precompute`` are the HTTP
+service's ``/v1/plan``/``/v1/sweep``/``/v1/cluster``/``/v1/tune``/
+``/v1/precompute``: each is one entry of :data:`repro.commands.COMMANDS`,
+its flags are generated from the request type
+(:func:`add_request_arguments`) and it runs the same command, so a CLI
 payload equals the HTTP payload minus each frontend's bookkeeping.
 
-They also accept ``--store PATH`` (default:
-the ``REPRO_STORE`` environment variable) to hydrate results from and
-write them through a persistent store, making repeated invocations — even
-across processes — perform zero duplicate simulations; ``sweep`` also
-accepts ``--backend {inline,process}``.  Store-backed payloads
-embed the session's warm/cold summary.
+They share the rest of their flags too.  ``--store PATH`` (default: the
+``REPRO_STORE`` environment variable) hydrates results from and writes
+them through a persistent store, making repeated invocations — even
+across processes — perform zero duplicate simulations; store-backed
+payloads embed the session's warm/cold summary.  ``--profile PATH`` runs
+the command under a span recorder, writes the chrome-trace file
+(``chrome://tracing`` / Perfetto) to PATH, prints the per-span timing
+breakdown to stderr and adds it to the payload as ``profile``.
 
 Every subcommand prints a JSON document to stdout (or ``--out FILE``), so
 the CLI composes with ``jq``/notebooks the same way the benchmark JSON
@@ -45,7 +45,8 @@ global ``--log-level`` / ``--log-json`` flags configure structured
 logging for every subcommand (see ``docs/OBSERVABILITY.md``).
 
 Documented in ``docs/TUNING.md`` (tune), ``docs/CACHING.md`` (store and
-backends) and the README (run/sweep/cluster).
+backends), ``docs/PREGEN.md`` (precompute), ``docs/OBSERVABILITY.md``
+(``--profile``) and the README (run/sweep/cluster).
 """
 
 from __future__ import annotations
@@ -54,17 +55,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro import commands
-from repro.commands import ClusterRequest, PlanRequest, SweepRequest, TuneRequest
-from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ReproError
 from repro.obs.logs import configure_logging
-from repro.obs.profiler import PROFILE_KINDS, format_breakdown, profile_workload
+from repro.obs.profiler import format_breakdown, profile_workload
 from repro.store import BACKENDS, ExperimentStore
 from repro.store.store import import_legacy
 from repro.version import __version__
@@ -78,13 +77,17 @@ def _str_list(text: str) -> List[str]:
     return [item for item in text.split(",") if item]
 
 
+def _write(path: str, text: str, flag: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as error:
+        raise ReproError(f"cannot write {flag} {path!r}: {error}") from error
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as error:
-            raise ReproError(f"cannot write --out {out!r}: {error}") from error
+        _write(out, text, "--out")
         print(f"wrote {out}")
     else:
         print(text)
@@ -124,12 +127,12 @@ def _require_store(args: argparse.Namespace) -> None:
     if not (Path(args.store) / "meta.json").exists():
         raise ReproError(
             f"no experiment store at {args.store!r} (meta.json missing); "
-            "check the path — stores are created by run/sweep/cluster/tune"
+            "check the path — stores are created by run/sweep/cluster/tune/precompute"
         )
 
 
 # ---------------------------------------------------------------------- #
-# Subcommands
+# The commands of repro.commands
 # ---------------------------------------------------------------------- #
 def _read_document(path: str, what: str) -> Any:
     """Parse a JSON file a document flag names, folding failures into ReproError."""
@@ -186,9 +189,58 @@ def _tune_table(args: argparse.Namespace, session: Session, result) -> None:
     print(format_frontier_table(result), file=sys.stderr)
 
 
+def _add_baseline(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--baseline", default="DP", help="baseline strategy of --table's speedups"
+    )
+
+
+def _add_save_workload(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--save-workload", help="save the generated workload")
+
+
+class _Subcommand(NamedTuple):
+    """One CLI subcommand over one :data:`repro.commands.COMMANDS` entry."""
+
+    command: str
+    help: str
+    #: What ``--table`` prints to stderr, and the function printing it.
+    table: Optional[str] = None
+    print_table: Optional[Callable[..., None]] = None
+    #: Adds the subcommand's own flags.
+    add_flags: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+
+_SUBCOMMANDS: Dict[str, _Subcommand] = {
+    "run": _Subcommand("plan", "run one experiment cell"),
+    "sweep": _Subcommand(
+        "sweep", "sweep a grid of cells", "a speedup table", _sweep_table, _add_baseline
+    ),
+    "cluster": _Subcommand(
+        "cluster",
+        "gang-schedule a multi-job workload onto a fleet",
+        "the comparison table",
+        _cluster_table,
+        _add_save_workload,
+    ),
+    "tune": _Subcommand(
+        "tune",
+        "autotune strategy/batch/GPU/server under a simulation budget",
+        "the frontier table",
+        _tune_table,
+    ),
+    "precompute": _Subcommand(
+        "precompute",
+        "warm a store with a grid (resumable; stamps manifest.json)",
+    ),
+}
+
+
 def _cmd_request(args: argparse.Namespace) -> int:
-    """run / sweep / cluster / tune: build the request, run its command."""
-    request = _request(args.request_type, args)
+    """Every subcommand of ``_SUBCOMMANDS``: build the request, run its command."""
+    subcommand = _SUBCOMMANDS[args.command]
+    request_type, run_command = commands.COMMANDS[subcommand.command]
+    request = _request(request_type, args)
     if getattr(args, "save_workload", None):
         try:
             commands.make_workload(request).save(args.save_workload)
@@ -198,14 +250,25 @@ def _cmd_request(args: argparse.Namespace) -> int:
             ) from error
         print(f"wrote {args.save_workload}", file=sys.stderr)
     session = _session(args)
-    payload, result = args.run_command(session, request)
+    if args.profile:
+        report = profile_workload(args.command, lambda: run_command(session, request))
+        payload, result = report.result
+        _write(args.profile, json.dumps(report.chrome_trace, indent=2), "--profile")
+        print(f"wrote {args.profile}", file=sys.stderr)
+        print(format_breakdown(report), file=sys.stderr)
+        payload["profile"] = report.to_dict()
+    else:
+        payload, result = run_command(session, request)
     if getattr(args, "table", False):
-        args.print_table(args, session, result)
+        subcommand.print_table(args, session, result)
     payload.update(_store_payload(session))
     _emit(payload, args.out)
     return 0
 
 
+# ---------------------------------------------------------------------- #
+# serve and cache
+# ---------------------------------------------------------------------- #
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import start_server
     from repro.serve.service import PlannerService
@@ -252,27 +315,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pregen(args: argparse.Namespace) -> int:
-    from repro.store.pregen import run_pregen
-
-    if not args.store:
-        raise ReproError(
-            "pregen writes an artifact: pass --store PATH or set REPRO_STORE"
-        )
-    # Unlike the cache commands, pregen is how an artifact is *born*, so a
-    # missing directory is created rather than rejected.
-    store = ExperimentStore(args.store)
-    report = run_pregen(
-        store,
-        grid=args.grid,
-        backend=args.backend,
-        workers=args.workers,
-        max_cells=args.max_cells,
-    )
-    _emit(report.to_dict(), args.out)
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.analysis.store_report import format_store_overview, store_overview
 
@@ -307,70 +349,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_workload_for(args: argparse.Namespace):
-    """A zero-argument workload callable for one ``profile`` kind.
-
-    Each workload is a small, fixed, deterministic exercise of the
-    corresponding subsystem — big enough for the span breakdown to be
-    representative, small enough to finish in seconds.  ``--store``
-    applies exactly as for the real subcommands, so profiling against a
-    warm store shows the hydration fast path instead of simulations.
-    """
-    session = _session(args)
-    if args.kind == "run":
-        config = ExperimentConfig(simulated_steps=args.steps)
-        return lambda: session.run(config)
-    if args.kind == "sweep":
-        base = ExperimentConfig(simulated_steps=args.steps)
-        return lambda: session.sweep(
-            base,
-            batch_sizes=[128, 256],
-            num_gpus=[2, 4],
-            strategies=["DP", "TR+DPU+AHD"],
-        )
-    if args.kind == "cluster":
-        from repro.cluster.simulator import run_policy_comparison
-        from repro.cluster.spec import default_cluster
-        from repro.cluster.workload import DEFAULT_MIX, arrival_process
-
-        cluster = default_cluster()
-        workload = arrival_process(
-            "poisson", 32, rate=0.5, seed=0, mix=DEFAULT_MIX
-        )
-        return lambda: run_policy_comparison(
-            cluster, workload, policies=("fifo",), session=session
-        )
-    # tune (the parser restricts the choices)
-    from repro.tune.space import TuneSpace
-    from repro.tune.tuner import tune
-
-    space = TuneSpace(
-        strategies=("DP", "TR+DPU+AHD"),
-        batch_sizes=(128, 256),
-        gpu_counts=(2, 4),
-    )
-    return lambda: tune(
-        space, budget=16, seed=0, session=session, simulated_steps=args.steps
-    )
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    report = profile_workload(args.kind, _profile_workload_for(args))
-    if args.trace_out:
-        try:
-            Path(args.trace_out).write_text(
-                json.dumps(report.chrome_trace, indent=2)
-            )
-        except OSError as error:
-            raise ReproError(
-                f"cannot write --trace-out {args.trace_out!r}: {error}"
-            ) from error
-        print(f"wrote {args.trace_out}", file=sys.stderr)
-    print(format_breakdown(report), file=sys.stderr)
-    _emit(report.to_dict(), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------- #
 # Parser
 # ---------------------------------------------------------------------- #
@@ -381,7 +359,10 @@ _FLAG_TYPES = {
     float: float,
     str: str,
     Optional[str]: str,
+    Optional[int]: int,
     Optional[float]: float,
+    List[int]: _int_list,
+    List[str]: _str_list,
     Optional[List[int]]: _int_list,
     Optional[List[str]]: _str_list,
     Optional[Dict[str, Any]]: str,
@@ -400,7 +381,7 @@ def add_request_arguments(sub: argparse.ArgumentParser, request_type: type) -> N
         sub.add_argument(
             "--" + spec.name.replace("_", "-"),
             type=_FLAG_TYPES[spec.type],
-            default=spec.default,
+            default=spec.default_factory() if spec.default is MISSING else spec.default,
             choices=choices() if callable(choices) else choices,
             help=help() if callable(help) else help,
         )
@@ -438,48 +419,28 @@ def build_parser() -> argparse.ArgumentParser:
             "repeated invocations hydrate from it and simulate nothing twice",
         )
 
-    def add_output_arguments(sub: argparse.ArgumentParser, table_help: str) -> None:
-        sub.add_argument(
-            "--table", action="store_true", help=f"also print {table_help} to stderr"
-        )
+    def add_out_argument(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--out", help="write JSON to this file instead of stdout")
+
+    for name, subcommand in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=subcommand.help)
+        add_request_arguments(sub, commands.COMMANDS[subcommand.command][0])
+        if subcommand.add_flags is not None:
+            subcommand.add_flags(sub)
+        if subcommand.table is not None:
+            sub.add_argument(
+                "--table",
+                action="store_true",
+                help=f"also print {subcommand.table} to stderr",
+            )
+        sub.add_argument(
+            "--profile",
+            metavar="PATH",
+            help="profile the command: write its chrome trace to PATH, print the "
+            "per-span breakdown to stderr and add it to the JSON as 'profile'",
+        )
+        add_out_argument(sub)
         add_store_argument(sub)
-
-    run_parser = subparsers.add_parser("run", help="run one experiment cell")
-    add_request_arguments(run_parser, PlanRequest)
-    run_parser.add_argument("--out", help="write JSON to this file instead of stdout")
-    add_store_argument(run_parser)
-    run_parser.set_defaults(request_type=PlanRequest, run_command=commands.plan)
-
-    sweep_parser = subparsers.add_parser("sweep", help="sweep a grid of cells")
-    add_request_arguments(sweep_parser, SweepRequest)
-    sweep_parser.add_argument("--baseline", default="DP")
-    add_output_arguments(sweep_parser, "a speedup table")
-    sweep_parser.set_defaults(
-        request_type=SweepRequest, run_command=commands.sweep, print_table=_sweep_table
-    )
-
-    cluster_parser = subparsers.add_parser(
-        "cluster", help="gang-schedule a multi-job workload onto a fleet"
-    )
-    add_request_arguments(cluster_parser, ClusterRequest)
-    cluster_parser.add_argument("--save-workload", help="save the generated workload")
-    add_output_arguments(cluster_parser, "the comparison table")
-    cluster_parser.set_defaults(
-        request_type=ClusterRequest,
-        run_command=commands.cluster,
-        print_table=_cluster_table,
-    )
-
-    tune_parser = subparsers.add_parser(
-        "tune", help="autotune strategy/batch/GPU/server under a simulation budget"
-    )
-    add_request_arguments(tune_parser, TuneRequest)
-    add_output_arguments(tune_parser, "the frontier table")
-    tune_parser.set_defaults(
-        request_type=TuneRequest, run_command=commands.tune, print_table=_tune_table
-    )
-    for sub in (run_parser, sweep_parser, cluster_parser, tune_parser):
         sub.set_defaults(handler=_cmd_request)
 
     serve_parser = subparsers.add_parser(
@@ -497,40 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_store_argument(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
-
-    from repro.store.pregen import GRIDS
-
-    pregen_parser = subparsers.add_parser(
-        "pregen",
-        help="pregenerate the planning tables for a named grid into a store "
-        "artifact (resumable; stamps manifest.json)",
-    )
-    pregen_parser.add_argument(
-        "--grid",
-        default="canonical",
-        choices=sorted(GRIDS),
-        help="named grid to sweep (default: canonical)",
-    )
-    pregen_parser.add_argument(
-        "--backend",
-        default="inline",
-        choices=BACKENDS.names(),
-        help="execution backend for grid cells (default: inline)",
-    )
-    pregen_parser.add_argument(
-        "--workers", type=int, help="pool size for the process backend"
-    )
-    pregen_parser.add_argument(
-        "--max-cells",
-        type=int,
-        help="simulate at most this many missing cells (partial artifact; "
-        "a later run resumes the remainder)",
-    )
-    pregen_parser.add_argument(
-        "--out", help="write the report JSON to this file instead of stdout"
-    )
-    add_store_argument(pregen_parser)
-    pregen_parser.set_defaults(handler=_cmd_pregen)
 
     cache_parser = subparsers.add_parser(
         "cache", help="inspect, prune or dump a persistent experiment store"
@@ -561,30 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for sub in (stats_parser, gc_parser, export_parser, import_parser):
         add_store_argument(sub)
-        sub.add_argument("--out", help="write JSON to this file instead of stdout")
+        add_out_argument(sub)
     cache_parser.set_defaults(handler=_cmd_cache)
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="profile a fixed workload and print a per-span timing breakdown",
-    )
-    profile_parser.add_argument(
-        "kind",
-        choices=PROFILE_KINDS,
-        help="which subsystem workload to profile",
-    )
-    profile_parser.add_argument(
-        "--steps", type=int, default=10, help="simulated steps per cell"
-    )
-    profile_parser.add_argument(
-        "--trace-out",
-        help="also write a chrome-trace JSON file (chrome://tracing, Perfetto)",
-    )
-    profile_parser.add_argument(
-        "--out", help="write the report JSON to this file instead of stdout"
-    )
-    add_store_argument(profile_parser)
-    profile_parser.set_defaults(handler=_cmd_profile)
 
     return parser
 

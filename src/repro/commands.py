@@ -1,12 +1,12 @@
 """The request layer: the request types and the code that runs them.
 
 Both frontends speak through this module.  ``python -m repro run|sweep|
-cluster|tune`` builds a request from its flags
+cluster|tune|precompute`` builds a request from its flags
 (:func:`repro.cli.add_request_arguments` generates the flags from the
 fields below), and the HTTP service validates a JSON body into the same
 type.  Either way one function here turns the request into the
 :class:`~repro.core.config.ExperimentConfig` / :meth:`Session.sweep` /
-fleet / :class:`~repro.tune.space.TuneSpace` calls and returns the
+fleet / :class:`~repro.tune.space.TuneSpace` / pregen grid calls and returns the
 deterministic payload, so a CLI invocation and an HTTP request with equal
 inputs give byte-identical payloads by construction.  The frontends add
 only their bookkeeping: the CLI appends ``session_stats`` / ``warm_cold``
@@ -58,6 +58,7 @@ from repro.core.session import Session
 from repro.errors import ReproError, RequestError
 from repro.parallel.registry import REGISTRY
 from repro.store.backends import BACKENDS
+from repro.store.pregen import GRIDS, GridSpec, run_pregen
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; the commands import lazily
     from repro.cluster.faults import FaultTrace
@@ -245,22 +246,38 @@ class TuneRequest(_Contention):
 
 @dataclass(frozen=True)
 class PrecomputeRequest:
-    """A warming grid: ``POST /v1/precompute``.
+    """A warming grid: ``repro precompute`` and ``POST /v1/precompute``.
 
-    The grid is every axis crossed with every strategy; it runs through
-    the session's execution backend and writes every fresh simulation
-    through the shared store, so later queries covering these cells
-    answer with zero simulations.
+    The grid is a named preset (``grid``) or every axis crossed with every
+    strategy.  Cells already in the store are counted, not rerun; the rest
+    run through the session's execution backend and are written through
+    the shared store, so later queries covering these cells answer with
+    zero simulations.  The store's ``manifest.json`` records the grid and
+    pins its rows against gc.
     """
 
-    tasks: List[str] = _arg(["nas"])
-    datasets: List[str] = _arg(["cifar10"])
-    servers: List[str] = _arg(["a6000"])
-    gpu_counts: List[int] = _arg([4])
-    batch_sizes: List[int] = _arg([256])
-    strategies: Optional[List[str]] = _arg()
-    steps: int = _arg(10)
-    backend: Optional[str] = _arg()
+    tasks: List[str] = _arg(["nas"], help=_COMMA)
+    datasets: List[str] = _arg(["cifar10"], help=_COMMA)
+    servers: List[str] = _arg(["a6000"], help=f"{_COMMA}, e.g. a6000,2080ti")
+    gpu_counts: List[int] = _arg([4], help=f"{_COMMA}, e.g. 2,4")
+    batch_sizes: List[int] = _arg([256], help=f"{_COMMA}, e.g. 128,256")
+    strategies: Optional[List[str]] = _arg(
+        help=f"{_COMMA} (default: every registered strategy)"
+    )
+    steps: int = _arg(10, help="simulated steps")
+    backend: Optional[str] = _arg(
+        help="execution backend for grid cells (default: the session's)",
+        choices=BACKENDS.names,
+    )
+    grid: Optional[str] = _arg(
+        help="named grid preset; it fixes every axis and steps, so leave those "
+        "at their defaults",
+        choices=tuple(sorted(GRIDS)),
+    )
+    max_cells: Optional[int] = _arg(
+        help="simulate at most this many missing cells (a later run resumes "
+        "the rest)"
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -713,35 +730,42 @@ def tune(session: Session, request: TuneRequest):
     return result.to_dict(), result
 
 
+#: The config axes of a precompute grid, and every field a preset fixes.
+_AXES = ("tasks", "datasets", "servers", "gpu_counts", "batch_sizes")
+_GRID_FIELDS = (*_AXES, "strategies", "steps")
+
+
 def precompute(session: Session, request: PrecomputeRequest):
-    """Warm the session's store with a grid; the result is the sweep."""
+    """Warm the session's store with a grid; the result is the pregen report."""
     if session.store is None:
         raise RequestError(
             400,
             "no_store",
-            "precompute warms the shared experiment store, but this "
-            "service has none; start it with --store PATH (or "
-            "REPRO_STORE)",
+            "precompute warms the shared experiment store, but there is "
+            "none; pass --store PATH (or set REPRO_STORE)",
         )
+    _check_choice("grid", request.grid, sorted(GRIDS))
+    if request.grid is not None:
+        defaults = PrecomputeRequest()
+        for name in _GRID_FIELDS:
+            if getattr(request, name) != getattr(defaults, name):
+                raise RequestError(
+                    400,
+                    "domain",
+                    f"{name!r} is fixed by grid {request.grid!r}; drop it or "
+                    "drop 'grid'",
+                    field=name,
+                )
     _check_choices("task", request.tasks, VALID_TASKS)
     _check_choices("dataset", request.datasets, VALID_DATASETS)
     _check_choices("server", request.servers, VALID_SERVERS)
     strategies = (
-        list(REGISTRY.names())
-        if request.strategies is None
-        else list(request.strategies)
+        REGISTRY.names() if request.strategies is None else tuple(request.strategies)
     )
     _check_choices("strategy", strategies, REGISTRY.names())
     _check_choice("backend", request.backend, BACKENDS.names())
-    axes = {
-        "tasks": request.tasks,
-        "datasets": request.datasets,
-        "servers": request.servers,
-        "gpu_counts": request.gpu_counts,
-        "batch_sizes": request.batch_sizes,
-        "strategies": strategies,
-    }
-    for name, values in axes.items():
+    axes = {name: getattr(request, name) for name in _AXES}
+    for name, values in {**axes, "strategies": strategies}.items():
         if not values:
             raise RequestError(
                 400,
@@ -749,36 +773,21 @@ def precompute(session: Session, request: PrecomputeRequest):
                 f"precompute grid axis {name!r} must be non-empty",
                 field=name,
             )
-    base = ExperimentConfig(
-        task=request.tasks[0],
-        dataset=request.datasets[0],
-        server=request.servers[0],
-        num_gpus=request.gpu_counts[0],
-        batch_size=request.batch_sizes[0],
-        strategy=strategies[0],
-        simulated_steps=request.steps,
-    )
-    before = session.stats.snapshot()
-    result = session.sweep(
-        base,
-        batch_sizes=request.batch_sizes,
-        num_gpus=request.gpu_counts,
-        datasets=request.datasets,
-        servers=request.servers,
-        tasks=request.tasks,
+    grid = request.grid or GridSpec(
+        name="custom",
+        **{name: tuple(values) for name, values in axes.items()},
         strategies=strategies,
-        backend=request.backend,
+        steps=request.steps,
     )
-    delta = session.stats.delta(before)
+    report = run_pregen(
+        session, grid, backend=request.backend, max_cells=request.max_cells
+    )
     payload = {
         "spec": dataclasses.asdict(request),
-        "cells": len(result.cells),
-        "grid_size": len(result.cells) * len(result.strategies),
-        "simulated": delta["runs"],
-        "hydrated": delta["store_hits"],
+        **report,
         "store": session.store.disk_summary(),
     }
-    return payload, result
+    return payload, report
 
 
 #: Every command by name: its request type and the function that runs it.

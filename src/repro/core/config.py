@@ -62,6 +62,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"batch_size ({self.batch_size}) must be >= num_gpus ({self.num_gpus})"
             )
+        num_train = get_dataset(self.dataset).num_train
+        if self.batch_size > num_train:
+            raise ConfigurationError(
+                f"batch_size ({self.batch_size}) exceeds the {self.dataset} training "
+                f"set ({num_train} samples)"
+            )
         if self.simulated_steps < MIN_SIMULATED_STEPS:
             raise ConfigurationError(f"simulated_steps must be >= {MIN_SIMULATED_STEPS}")
         if self.simulated_steps > MAX_SIMULATED_STEPS:

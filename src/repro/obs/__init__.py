@@ -11,7 +11,7 @@ store, cluster, tune, and serve layers *inspectable*:
 * :mod:`repro.obs.logs` — stdlib logging with a JSON formatter and a
   per-request ``request_id`` :mod:`contextvars` variable.
 
-``repro.obs.profiler`` combines them into the ``repro profile`` CLI.
+``repro.obs.profiler`` combines them into the CLI's ``--profile PATH``.
 See ``docs/OBSERVABILITY.md`` for the full tour.
 """
 
@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.profiler import (
-    PROFILE_KINDS,
     ProfileReport,
     format_breakdown,
     profile_workload,
@@ -67,7 +66,6 @@ __all__ = [
     "bind_request_id",
     "current_request_id",
     "new_request_id",
-    "PROFILE_KINDS",
     "ProfileReport",
     "profile_workload",
     "format_breakdown",

@@ -1,10 +1,12 @@
-"""The profiling harness behind ``repro profile <kind>``.
+"""The profiling harness behind every CLI command's ``--profile PATH``.
 
 :func:`profile_workload` installs a fresh :class:`SpanRecorder`, runs a
-workload callable under one root span (``profile.<kind>``), and returns
-a :class:`ProfileReport`: wall time, span-tree coverage of that wall
-time, per-span-name breakdown rows (count / total / self time), and the
-chrome-trace document for ``--trace-out``.
+workload callable under one root span (``profile.<kind>``; the CLI
+passes the command's name, so ``repro sweep --profile`` records
+``profile.sweep``), and returns a :class:`ProfileReport`: wall time,
+span-tree coverage of that wall time, per-span-name breakdown rows
+(count / total / self time), and the chrome-trace document the CLI
+writes to PATH.
 
 Coverage is the fraction of measured wall time accounted for by the
 recorded root spans — the acceptance bar is ≥95%, i.e. the tracer must
@@ -19,14 +21,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from repro.errors import ConfigurationError
 from repro.fold import left_sum
 from repro.obs.tracing import SpanRecorder, span
 
-__all__ = ["PROFILE_KINDS", "ProfileReport", "profile_workload", "format_breakdown"]
-
-#: Workload kinds the CLI knows how to build (see ``repro profile -h``).
-PROFILE_KINDS = ("run", "sweep", "cluster", "tune")
+__all__ = ["ProfileReport", "profile_workload", "format_breakdown"]
 
 
 @dataclass
@@ -43,7 +41,7 @@ class ProfileReport:
     result: object = None
 
     def to_dict(self) -> dict:
-        """JSON payload for ``repro profile`` (trace + result excluded)."""
+        """The payload's ``profile`` section (trace + result excluded)."""
         return {
             "kind": self.kind,
             "wall_s": round(self.wall_s, 6),
@@ -81,10 +79,6 @@ def profile_workload(
         >>> (report.result, report.coverage > 0.95, report.span_count)
         (42, True, 2)
     """
-    if kind not in PROFILE_KINDS:
-        raise ConfigurationError(
-            f"unknown profile kind {kind!r}; choose from {', '.join(PROFILE_KINDS)}"
-        )
     recorder = SpanRecorder(capacity=capacity)
     with recorder:
         t0 = time.perf_counter()
@@ -106,7 +100,7 @@ def profile_workload(
 
 
 def format_breakdown(report: ProfileReport) -> str:
-    """The human table printed to stderr by ``repro profile``."""
+    """The human table ``--profile`` prints to stderr."""
     headers = ["span", "count", "total ms", "self ms", "% wall"]
     rows = []
     for row in report.breakdown:

@@ -25,7 +25,7 @@ the hot path.
 Export formats: :meth:`SpanRecorder.chrome_trace` emits the Chrome
 ``chrome://tracing`` / Perfetto JSON event list, and
 :meth:`SpanRecorder.breakdown` aggregates per-name totals with
-self-time (total minus direct children) for the ``repro profile``
+self-time (total minus direct children) for the ``--profile``
 table.  Documented in ``docs/OBSERVABILITY.md``.
 """
 

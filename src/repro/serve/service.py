@@ -308,8 +308,8 @@ class PlannerService:
                 manifest = load_manifest(store.root)
             except ReproError:
                 # A corrupt manifest must not take /v1/healthz down with it;
-                # the liveness probe reports the artifact as absent and the
-                # pregen CLI surfaces the real error.
+                # the liveness probe reports the artifact as absent and
+                # precompute (or cache gc) surfaces the real error.
                 manifest = None
             if manifest is not None:
                 payload["pregen"] = {

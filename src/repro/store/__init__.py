@@ -8,7 +8,7 @@
   execution-backend registry, mirroring the strategy and placement
   registries.
 * :mod:`repro.store.pregen` — offline pregeneration of planning tables:
-  named grids, manifests, resume semantics (``repro pregen``).
+  named grids, manifests, resume semantics (the ``precompute`` command).
 
 See ``docs/CACHING.md`` and ``docs/PREGEN.md`` for the full guides.
 """
@@ -24,7 +24,6 @@ from repro.store.pregen import (
     GRIDS,
     GridSpec,
     Manifest,
-    PregenReport,
     load_manifest,
     resolve_grid,
     run_pregen,
@@ -38,7 +37,6 @@ __all__ = [
     "GRIDS",
     "GridSpec",
     "Manifest",
-    "PregenReport",
     "SCHEMA_VERSION",
     "StoreStats",
     "canonical_json",

@@ -2,11 +2,13 @@
 
 SNIPPETS.md Snippet 1 pregenerates 150 years of astronomy into a JSON
 table so runtime lookups are O(1); this module does the same for
-planning.  ``repro pregen`` sweeps a named grid — every registered
-strategy x batch size x GPU count x server preset — through the existing
-execution backends into an :class:`~repro.store.store.ExperimentStore`,
-then stamps the artifact with a ``manifest.json`` so a consumer can
-verify, resume and pin it:
+planning.  The ``precompute`` command (``repro precompute`` and
+``POST /v1/precompute``, :func:`repro.commands.precompute`) sweeps a grid
+— a named preset such as every registered strategy x batch size x GPU
+count x server preset, or the axes of the request — through the existing
+execution backends into a session's
+:class:`~repro.store.store.ExperimentStore`, then stamps the artifact
+with a ``manifest.json`` so a consumer can verify, resume and pin it:
 
 * **Grid** (:class:`GridSpec`) — the canonical cell enumeration plus a
   deterministic :meth:`~GridSpec.grid_hash` over its canonical-JSON
@@ -18,6 +20,7 @@ verify, resume and pin it:
   the store root.  The explicit content-key list makes gc pinning exact
   (:meth:`ExperimentStore.gc` never evicts a manifest-referenced row)
   and survives library version bumps that re-address fresh records.
+  A later run keeps every key an earlier manifest pinned.
 * **Resume** (:func:`run_pregen`) — every cell is checked against the
   store first and only missing cells are simulated; interrupting a run
   loses nothing because every store write is its own committed
@@ -39,17 +42,20 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.core.config import ExperimentConfig
 from repro.errors import StoreError, StoreSchemaError
 from repro.fold import left_sum
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.store.backends import CellTask, resolve_backend
+from repro.store.backends import CellTask, ExecutionBackend, resolve_backend
 from repro.store.keys import canonical_json, content_key, run_key
 from repro.store.store import ExperimentStore
 from repro.version import __version__
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the session imports this module
+    from repro.core.session import Session
 
 #: File name of the pregen manifest inside a store root.
 MANIFEST_FILENAME = "manifest.json"
@@ -194,7 +200,7 @@ def _smoke_grid() -> GridSpec:
     )
 
 
-#: Named grid factories accepted by ``repro pregen --grid``.
+#: Named grid presets accepted by ``precompute``'s ``grid`` field.
 GRIDS: Dict[str, Callable[[], GridSpec]] = {
     "canonical": _canonical_grid,
     "smoke": _smoke_grid,
@@ -217,15 +223,17 @@ def resolve_grid(grid: Union[str, GridSpec]) -> GridSpec:
 
 def _validate_grid(spec: GridSpec) -> None:
     """Fail fast on unknown strategies / policies before simulating."""
-    from repro.cluster import POLICIES
     from repro.parallel.registry import REGISTRY
 
     if not spec.strategies:
         raise StoreError(f"pregen grid {spec.name!r} names no strategies")
     for strategy in spec.strategies:
         REGISTRY.get(strategy)
-    for policy in spec.policies:
-        POLICIES.get(policy)
+    if spec.policies:
+        from repro.cluster import POLICIES
+
+        for policy in spec.policies:
+            POLICIES.get(policy)
 
 
 # ---------------------------------------------------------------------- #
@@ -314,7 +322,7 @@ def load_manifest(root: Union[str, Path]) -> Optional[Manifest]:
     except (OSError, json.JSONDecodeError) as error:
         raise StoreError(
             f"pregen manifest {path} is unreadable ({error}); delete it or "
-            "regenerate the artifact with 'repro pregen'"
+            "regenerate the artifact with 'repro precompute'"
         ) from error
     return Manifest.from_dict(payload, source=str(path))
 
@@ -339,68 +347,55 @@ def manifest_record_keys(root: Union[str, Path]) -> FrozenSet[str]:
 # ---------------------------------------------------------------------- #
 # The pregen run
 # ---------------------------------------------------------------------- #
-@dataclass
-class PregenReport:
-    """What one :func:`run_pregen` call did, JSON-ready for the CLI."""
-
-    grid: str
-    grid_hash: str
-    total_cells: int
-    simulated: int
-    skipped: int
-    row_count: int
-    complete: bool
-    duration_s: float
-    store_root: str
-    manifest: str
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
 def run_pregen(
-    store: ExperimentStore,
+    session: "Session",
     grid: Union[str, GridSpec] = "canonical",
-    backend: str = "inline",
-    workers: Optional[int] = None,
+    backend: Union[str, ExecutionBackend, None] = None,
     max_cells: Optional[int] = None,
-) -> PregenReport:
-    """Sweep a grid into ``store``, resuming past cells already present.
+) -> dict:
+    """Sweep a grid into the session's store, resuming past cells already present.
 
+    The cells run on ``backend`` (the session's backend when None) through
+    ``session``, so its stats and kept results see every run.
     ``max_cells`` bounds how many *missing* cells this invocation
     simulates (the deterministic stand-in for an interrupt: the CI smoke
     job generates a partial artifact with it, then proves a plain re-run
-    fills exactly the remainder).  ``workers`` sizes the ``process``
-    backend's pool.
+    fills exactly the remainder).  A target listed twice is simulated once.
 
     The manifest is written *before* simulating (``complete=False``, so
     an interrupted artifact is recognisably partial and its rows are
-    already pinned against gc) and rewritten atomically at the end.
+    already pinned against gc) and rewritten atomically at the end.  It
+    pins the keys the previous manifest pinned as well as this grid's, so
+    warming a second grid never unpins the first.
+
+    Returns the report: ``grid``, ``grid_hash``, ``cells`` (configs),
+    ``grid_size`` ((config, strategy) targets), ``simulated``,
+    ``hydrated`` (targets present without simulating them here),
+    ``row_count`` (targets present now) and ``complete``.
     """
-    from repro.core.session import Session
-
+    store = session.store
+    if store is None:
+        raise StoreError("pregen writes into a store, but the session has none")
     if max_cells is not None and max_cells < 0:
-        raise StoreError("pregen max_cells must be >= 0")
+        raise StoreError(f"max_cells must be >= 0, got {max_cells}")
     spec = resolve_grid(grid)
-    resolved = resolve_backend(backend, workers)
+    resolved = resolve_backend(session.backend if backend is None else backend)
 
-    started = time.perf_counter()
     with span("pregen.run", grid=spec.name, backend=resolved.name):
-        session = Session(store=store)
         cells = spec.cells()
         keys = spec.cell_keys()
-        missing = [
-            task for task in cells if not session.in_store(task[0], task[1])
-        ]
-        skipped = len(cells) - len(missing)
-        todo = missing if max_cells is None else missing[:max_cells]
+        missing: Dict[str, CellTask] = {}
+        for key, (config, strategy) in zip(keys, cells):
+            if key not in missing and not session.in_store(config, strategy):
+                missing[key] = (config, strategy)
+        todo = list(missing.values())[:max_cells]
 
         manifest = Manifest(
             grid=spec,
             grid_hash=spec.grid_hash(),
-            row_count=skipped,
-            complete=skipped == len(cells),
-            keys=tuple(keys),
+            row_count=left_sum(1 for key in keys if key not in missing),
+            complete=not missing,
+            keys=tuple(manifest_record_keys(store.root).union(keys)),
         )
         save_manifest(store.root, manifest)
 
@@ -408,31 +403,28 @@ def run_pregen(
             with span("pregen.simulate", cells=len(todo)):
                 resolved.run_cells(session, todo)
 
-        present = left_sum(
+        manifest.row_count = left_sum(
             1 for config, strategy in cells if session.in_store(config, strategy)
         )
-        manifest.row_count = present
-        manifest.complete = present == len(cells)
+        manifest.complete = manifest.row_count == len(cells)
         save_manifest(store.root, manifest)
 
-    registry = get_registry()
-    counter = registry.counter(
+    hydrated = manifest.row_count - len(todo)
+    counter = get_registry().counter(
         "repro_pregen_cells_total", "pregen grid cells by outcome"
     )
     counter.inc(len(todo), outcome="simulated")
-    counter.inc(skipped, outcome="skipped")
-    return PregenReport(
-        grid=spec.name,
-        grid_hash=manifest.grid_hash,
-        total_cells=len(cells),
-        simulated=len(todo),
-        skipped=skipped,
-        row_count=present,
-        complete=manifest.complete,
-        duration_s=time.perf_counter() - started,
-        store_root=str(store.root),
-        manifest=str(manifest_path(store.root)),
-    )
+    counter.inc(hydrated, outcome="skipped")
+    return {
+        "grid": spec.name,
+        "grid_hash": manifest.grid_hash,
+        "cells": len(cells) // len(spec.strategies),
+        "grid_size": len(cells),
+        "simulated": len(todo),
+        "hydrated": hydrated,
+        "row_count": manifest.row_count,
+        "complete": manifest.complete,
+    }
 
 
 __all__ = [
@@ -442,7 +434,6 @@ __all__ = [
     "MANIFEST_MAGIC",
     "MANIFEST_SCHEMA_VERSION",
     "Manifest",
-    "PregenReport",
     "load_manifest",
     "manifest_path",
     "manifest_record_keys",

@@ -4,12 +4,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.obs.profiler import (
-    PROFILE_KINDS,
-    format_breakdown,
-    profile_workload,
-)
+from repro.obs.profiler import format_breakdown, profile_workload
 from repro.obs.tracing import get_recorder, span
 
 
@@ -22,13 +17,6 @@ def busy_workload():
 
 
 class TestProfileWorkload:
-    def test_unknown_kind_is_refused(self):
-        with pytest.raises(ConfigurationError):
-            profile_workload("nope", lambda: None)
-
-    def test_kinds_cover_the_cli_surface(self):
-        assert PROFILE_KINDS == ("run", "sweep", "cluster", "tune")
-
     def test_report_fields_and_coverage(self):
         report = profile_workload("run", busy_workload)
         assert report.kind == "run"

@@ -95,10 +95,14 @@ RESPONSES = {
     },
     "/v1/precompute": {
         "spec": dict,
+        "grid": str,
+        "grid_hash": str,
         "cells": int,
         "grid_size": int,
         "simulated": int,
         "hydrated": int,
+        "row_count": int,
+        "complete": bool,
         "store": dict,
         "meta": META,
     },

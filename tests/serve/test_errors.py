@@ -50,6 +50,7 @@ class TestUnknownChoices:
             ("/v1/tune", {"driver": "bayes"}, "driver", "bayes", "exhaustive"),
             ("/v1/tune", {"policies": ["edf"]}, "policy", "edf", "sjf"),
             ("/v1/precompute", {"servers": ["tpu"]}, "server", "tpu", "2080ti"),
+            ("/v1/precompute", {"grid": "nightly"}, "grid", "nightly", "smoke"),
         ],
     )
     def test_unknown_name_lists_valid_choices(
@@ -140,6 +141,33 @@ class TestDomainRules:
             client.post("/v1/precompute", json={"batch_sizes": []}), 400
         )
         assert error["field"] == "batch_sizes"
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"batch_sizes": [128]}, "batch_sizes"),
+            ({"strategies": ["DP"]}, "strategies"),
+            ({"steps": STEPS}, "steps"),
+        ],
+    )
+    def test_precompute_grid_with_a_non_default_axis_is_400(self, client, body, field):
+        error = rejected(client.post("/v1/precompute", json={"grid": "smoke", **body}), 400)
+        assert error["type"] == "domain"
+        assert error["field"] == field
+        assert "'smoke'" in error["message"]
+
+    def test_precompute_negative_max_cells_is_400(self, client, service):
+        error = rejected(client.post("/v1/precompute", json={"max_cells": -1}), 400)
+        assert error["type"] == "domain"
+        assert "max_cells" in error["message"]
+        assert service.session.stats.runs == 0
+
+    def test_a_batch_past_the_dataset_is_400_before_any_profile_build(self, client, service):
+        body = {"batch_size": 10_000_000, "num_gpus": MAX_GPUS}
+        error = rejected(client.post("/v1/plan", json=body), 400)
+        assert error["type"] == "domain"
+        assert "exceeds the cifar10 training set (50000 samples)" in error["message"]
+        assert service.session.stats.profile_builds == 0
 
     def test_infeasible_config_is_400_not_500(self, client):
         error = rejected(client.post("/v1/plan", json={"num_gpus": -3}), 400)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.session import Session
 from repro.serve.client import LocalClient
-from repro.store import ExperimentStore
 from repro.store.pregen import resolve_grid, run_pregen
 
 
@@ -23,8 +23,8 @@ from repro.store.pregen import resolve_grid, run_pregen
 def canonical_artifact(tmp_path_factory):
     """One canonical-grid artifact shared by the module (96 simulations)."""
     root = tmp_path_factory.mktemp("pregen-artifact") / "store"
-    report = run_pregen(ExperimentStore(root), grid="canonical")
-    assert report.complete and report.total_cells == 96
+    report = run_pregen(Session(store=root), grid="canonical")
+    assert report["complete"] and report["grid_size"] == 96
     return root
 
 
@@ -79,7 +79,7 @@ def test_healthz_survives_a_corrupt_manifest(canonical_artifact, tmp_path):
     from repro.serve.service import PlannerService
 
     root = tmp_path / "store"
-    run_pregen(ExperimentStore(root), grid="smoke", max_cells=1)
+    run_pregen(Session(store=root), grid="smoke", max_cells=1)
     (root / "manifest.json").write_text("{not json")
 
     client = LocalClient(PlannerService(store=str(root)))
@@ -92,7 +92,7 @@ def test_incomplete_artifact_is_reported_as_such(tmp_path):
     from repro.serve.service import PlannerService
 
     root = tmp_path / "store"
-    run_pregen(ExperimentStore(root), grid="smoke", max_cells=2)
+    run_pregen(Session(store=root), grid="smoke", max_cells=2)
     client = LocalClient(PlannerService(store=str(root)))
     body = client.get("/v1/healthz").json()
     assert body["pregen"]["complete"] is False

@@ -193,6 +193,36 @@ class TestPrecompute:
         assert payload["grid_size"] == len(REGISTRY.names())
 
 
+    def test_warm_precompute_counts_present_cells_without_reading_them(self, client):
+        body = {"batch_sizes": [128], "strategies": ["DP", "TR"], "steps": STEPS}
+        client.post("/v1/precompute", json=body)
+        warm = validated("/v1/precompute", client.post("/v1/precompute", json=body))
+        assert (warm["grid"], warm["complete"], warm["row_count"]) == ("custom", True, 2)
+        assert warm["meta"]["request"]["simulations"] == 0
+        assert warm["meta"]["request"]["store_hits"] == 0
+
+    def test_a_named_grid_resumes_and_healthz_reports_its_manifest(self, client):
+        partial = validated(
+            "/v1/precompute",
+            client.post("/v1/precompute", json={"grid": "smoke", "max_cells": 3}),
+        )
+        assert (partial["grid"], partial["simulated"], partial["complete"]) == (
+            "smoke",
+            3,
+            False,
+        )
+        resumed = validated(
+            "/v1/precompute", client.post("/v1/precompute", json={"grid": "smoke"})
+        )
+        assert resumed["complete"] and resumed["grid_hash"] == partial["grid_hash"]
+        assert resumed["hydrated"] == partial["row_count"] == 3
+        assert resumed["simulated"] == resumed["grid_size"] - 3
+        assert resumed["spec"]["grid"] == "smoke"
+        health = client.get("/v1/healthz").json()["pregen"]
+        assert health["grid"] == "smoke" and health["complete"]
+        assert health["row_count"] == resumed["grid_size"]
+
+
 class TestDeterminism:
     def test_identical_requests_have_identical_deterministic_sections(
         self, client

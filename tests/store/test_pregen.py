@@ -144,13 +144,19 @@ class TestManifest:
             load_manifest(store.root)
 
 
+def _pregen(store, **kwargs):
+    """``run_pregen`` on a fresh session over ``store``."""
+    return run_pregen(Session(store=store), **kwargs)
+
+
 class TestRunPregen:
     def test_full_run_is_complete_and_reusable(self, store):
-        report = run_pregen(store, grid=_tiny_grid())
-        assert report.complete
-        assert report.simulated == report.total_cells == 2
-        assert report.skipped == 0
-        assert report.row_count == 2
+        report = _pregen(store, grid=_tiny_grid())
+        assert report["complete"]
+        assert report["simulated"] == report["grid_size"] == 2
+        assert report["cells"] == 1
+        assert report["hydrated"] == 0
+        assert report["row_count"] == 2
         manifest = load_manifest(store.root)
         assert manifest.complete and manifest.row_count == 2
 
@@ -163,29 +169,49 @@ class TestRunPregen:
 
     def test_interrupt_then_resume_fills_only_missing_cells(self, store):
         grid = _tiny_grid()
-        partial = run_pregen(store, grid=grid, max_cells=1)
-        assert not partial.complete
-        assert partial.simulated == 1 and partial.row_count == 1
+        partial = _pregen(store, grid=grid, max_cells=1)
+        assert not partial["complete"]
+        assert partial["simulated"] == 1 and partial["row_count"] == 1
         assert not load_manifest(store.root).complete
 
-        resumed = run_pregen(store, grid=grid)
-        assert resumed.complete
-        assert resumed.skipped == 1
-        assert resumed.simulated == resumed.total_cells - partial.row_count == 1
+        resumed = _pregen(store, grid=grid)
+        assert resumed["complete"]
+        assert resumed["hydrated"] == partial["row_count"] == 1
+        assert resumed["simulated"] == resumed["grid_size"] - partial["row_count"] == 1
         assert load_manifest(store.root).complete
 
         # Idempotent once complete: a third run is a pure no-op.
-        noop = run_pregen(store, grid=grid)
-        assert noop.simulated == 0 and noop.skipped == noop.total_cells
+        noop = _pregen(store, grid=grid)
+        assert noop["simulated"] == 0 and noop["hydrated"] == noop["grid_size"]
+
+    def test_runs_on_the_callers_session(self, store):
+        session = Session(store=store)
+        run_pregen(session, grid=_tiny_grid())
+        assert session.stats.runs == 2
+        again = run_pregen(session, grid=_tiny_grid())
+        # Present cells are counted, not read.
+        assert again["hydrated"] == 2
+        assert session.stats.runs == 2 and session.stats.store_hits == 0
+
+    def test_a_target_listed_twice_is_simulated_once(self, store):
+        report = _pregen(store, grid=_tiny_grid(batch_sizes=(128, 128)))
+        assert report["grid_size"] == 4 and report["cells"] == 2
+        assert report["simulated"] == 2 and report["hydrated"] == 2
 
     def test_negative_max_cells_is_rejected(self, store):
         with pytest.raises(StoreError, match="max_cells"):
-            run_pregen(store, grid=_tiny_grid(), max_cells=-1)
+            _pregen(store, grid=_tiny_grid(), max_cells=-1)
+        assert load_manifest(store.root) is None
+
+    def test_a_session_without_a_store_is_rejected(self):
+        with pytest.raises(StoreError, match="has none"):
+            run_pregen(Session(), grid=_tiny_grid())
+
 
 class TestGcPinning:
     def test_gc_never_evicts_manifest_referenced_rows(self, store):
         grid = _tiny_grid()
-        run_pregen(store, grid=grid)
+        _pregen(store, grid=grid)
         store.put("run", {"cell": "unpinned"}, {"epoch_time_s": 9.9})
         assert len(store) == 3
 
@@ -199,9 +225,24 @@ class TestGcPinning:
         assert session.stats.runs == 0, "gc evicted pinned pregen rows"
 
     def test_gc_age_bound_also_respects_pins(self, store):
-        run_pregen(store, grid=_tiny_grid())
+        _pregen(store, grid=_tiny_grid())
         assert store.gc(max_age_seconds=0.0) == 0
         assert len(store) == 2
+
+    def test_a_second_grid_keeps_the_first_grids_rows_pinned(self, store):
+        first = _tiny_grid(name="first")
+        second = _tiny_grid(name="second", batch_sizes=(256,), strategies=("DP",))
+        _pregen(store, grid=first)
+        _pregen(store, grid=second)
+        manifest = load_manifest(store.root)
+        assert manifest.grid == second and manifest.row_count == 1
+        assert set(manifest.keys) == set(first.cell_keys()) | set(second.cell_keys())
+
+        assert store.gc(max_records=0) == 0
+        session = Session(store=ExperimentStore(store.root))
+        for config, strategy in first.cells():
+            session.run(config, strategy=strategy)
+        assert session.stats.runs == 0, "the second grid unpinned the first"
 
     def test_gc_fails_loudly_on_a_corrupt_manifest(self, store):
         store.put("run", {"cell": "a"}, {"x": 1})
@@ -210,3 +251,11 @@ class TestGcPinning:
             store.gc(max_records=0)
         # Nothing was evicted while the pin set was unknowable.
         assert len(store) == 1
+
+    def test_pregen_fails_loudly_on_a_corrupt_manifest(self, store):
+        manifest_path(store.root).write_text("{not json")
+        session = Session(store=store)
+        with pytest.raises(StoreError, match="unreadable"):
+            run_pregen(session, grid=_tiny_grid())
+        # Nothing ran while the pin set to extend was unknowable.
+        assert session.stats.runs == 0 and len(store) == 0

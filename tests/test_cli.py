@@ -388,11 +388,11 @@ class TestStoreFlag:
         assert len(json.loads(captured.out)["cells"]) == 2
 
 
-class TestPregen:
-    def test_pregen_smoke_grid_and_resume(self, capsys, tmp_path):
+class TestPrecompute:
+    def test_smoke_grid_and_resume(self, capsys, tmp_path):
         store = str(tmp_path / "artifact")
         code, captured = run_cli(
-            capsys, "pregen", "--store", store, "--grid", "smoke",
+            capsys, "precompute", "--store", store, "--grid", "smoke",
             "--max-cells", "3",
         )
         assert code == 0
@@ -400,26 +400,36 @@ class TestPregen:
         assert partial["simulated"] == 3 and not partial["complete"]
 
         code, captured = run_cli(
-            capsys, "pregen", "--store", store, "--grid", "smoke"
+            capsys, "precompute", "--store", store, "--grid", "smoke"
         )
         assert code == 0
         resumed = json.loads(captured.out)
         assert resumed["complete"]
-        assert resumed["skipped"] == 3
-        assert resumed["simulated"] == resumed["total_cells"] - 3
+        assert resumed["hydrated"] == 3
+        assert resumed["simulated"] == resumed["grid_size"] - 3
         assert resumed["grid_hash"] == partial["grid_hash"]
+        assert resumed["warm_cold"]["simulations"] == resumed["simulated"]
         assert (tmp_path / "artifact" / "manifest.json").exists()
         assert (tmp_path / "artifact" / "store.sqlite").exists()
 
-    def test_pregen_without_store_is_reported(self, capsys, monkeypatch):
+    def test_axis_flags_spell_a_custom_grid(self, capsys, tmp_path):
+        code, captured = run_cli(
+            capsys, "precompute", "--store", str(tmp_path / "s"),
+            "--batch-sizes", "128,256", "--strategies", "DP", "--steps", "4",
+        )
+        assert code == 0
+        payload = json.loads(captured.out)
+        assert (payload["grid"], payload["cells"], payload["grid_size"]) == ("custom", 2, 2)
+
+    def test_precompute_without_store_is_reported(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
-        code, captured = run_cli(capsys, "pregen", "--grid", "smoke")
+        code, captured = run_cli(capsys, "precompute", "--grid", "smoke")
         assert code == 2
         assert "REPRO_STORE" in captured.err
 
-    def test_pregen_negative_max_cells_is_reported(self, capsys, tmp_path):
+    def test_negative_max_cells_is_reported(self, capsys, tmp_path):
         code, captured = run_cli(
-            capsys, "pregen", "--store", str(tmp_path / "s"), "--grid", "smoke",
+            capsys, "precompute", "--store", str(tmp_path / "s"), "--grid", "smoke",
             "--max-cells", "-1",
         )
         assert code == 2
@@ -630,6 +640,7 @@ class TestErrorPaths:
         [
             (("--steps", str(MAX_SIMULATED_STEPS + 1)), "MAX_SIMULATED_STEPS"),
             (("--num-gpus", str(MAX_GPUS + 1)), "MAX_GPUS"),
+            (("--batch-size", "10000000"), "exceeds the cifar10 training set"),
         ],
     )
     def test_run_past_a_size_limit_exits_2(self, capsys, tmp_path, flags, limit):
@@ -863,59 +874,52 @@ class TestOutFailures:
         assert "cannot write --save-workload" in captured.err
 
 
-class TestProfile:
-    def test_profile_run_emits_breakdown_and_report(self, capsys):
-        code, captured = run_cli(capsys, "profile", "run", "--steps", "4")
+class TestProfileFlag:
+    def test_profiled_run_covers_its_wall_time(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        trace = str(tmp_path / "trace.json")
+        argv = ("run", "--steps", "4", "--store", store, "--profile", trace)
+        code, captured = run_cli(capsys, *argv)
         assert code == 0
         payload = json.loads(captured.out)
-        assert payload["kind"] == "run"
-        assert payload["coverage"] >= 0.95
-        names = [row["name"] for row in payload["breakdown"]]
-        assert "profile.run" in names
-        assert "session.run" in names
+        assert payload["result"]["strategy"] == "TR+DPU+AHD"
+        profile = payload["profile"]
+        assert profile["kind"] == "run"
+        assert profile["coverage"] >= 0.95
+        names = [row["name"] for row in profile["breakdown"]]
+        assert "profile.run" in names and "session.run" in names
         # The human-readable table goes to stderr, JSON stays clean on stdout.
         assert "span" in captured.err and "coverage" in captured.err
+        code, captured = run_cli(capsys, *argv)
+        assert code == 0
+        # The second run answers from the store.
+        names = [row["name"] for row in json.loads(captured.out)["profile"]["breakdown"]]
+        assert "store.get" in names and "session.execute" not in names
 
-    def test_profile_sweep_writes_a_chrome_trace(self, capsys, tmp_path):
+    def test_profiled_sweep_writes_a_chrome_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         code, captured = run_cli(
-            capsys,
-            "profile",
-            "sweep",
-            "--steps",
-            "4",
-            "--trace-out",
-            str(trace),
+            capsys, "sweep", "--steps", "4", "--batch-sizes", "128,256",
+            "--strategies", "DP,TR+DPU+AHD", "--profile", str(trace),
         )
         assert code == 0
         document = json.loads(trace.read_text())
         assert document["displayTimeUnit"] == "ms"
         names = {event["name"] for event in document["traceEvents"]}
-        assert "profile.sweep" in names
-        assert "session.sweep" in names
-
-    def test_profile_against_a_store_hydrates(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        code, _ = run_cli(capsys, "profile", "run", "--steps", "4", "--store", store)
-        assert code == 0
-        code, captured = run_cli(
-            capsys, "profile", "run", "--steps", "4", "--store", store
+        assert {"profile.sweep", "session.sweep", "session.run"} <= names
+        assert json.loads(captured.out)["profile"]["span_count"] == len(
+            document["traceEvents"]
         )
-        assert code == 0
-        names = [row["name"] for row in json.loads(captured.out)["breakdown"]]
-        assert "store.get" in names  # the second run answers from the store
 
-    def test_trace_out_into_missing_directory(self, capsys, tmp_path):
+    def test_unwritable_profile_path_exits_2(self, capsys, tmp_path):
         target = tmp_path / "no" / "dir" / "trace.json"
+        out = tmp_path / "result.json"
         code, captured = run_cli(
-            capsys, "profile", "run", "--steps", "4", "--trace-out", str(target)
+            capsys, "run", "--steps", "4", "--profile", str(target), "--out", str(out)
         )
         assert code == 2
-        assert "cannot write --trace-out" in captured.err
-
-    def test_unknown_kind_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit):
-            run_cli(capsys, "profile", "everything")
+        assert "cannot write --profile" in captured.err
+        assert not out.exists()
 
 
 class TestLoggingFlags:

@@ -27,6 +27,7 @@ from repro.cluster.workload import poisson_workload
 from repro.commands import (
     ClusterRequest,
     PlanRequest,
+    PrecomputeRequest,
     SweepRequest,
     TuneRequest,
 )
@@ -45,6 +46,7 @@ FRONTENDS = {
     SweepRequest: ("sweep", "/v1/sweep"),
     ClusterRequest: ("cluster", "/v1/cluster"),
     TuneRequest: ("tune", "/v1/tune"),
+    PrecomputeRequest: ("precompute", "/v1/precompute"),
 }
 
 
@@ -59,8 +61,8 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
-def post(path, body):
-    response = LocalClient(PlannerService()).post(path, json=body)
+def post(path, body, store=None):
+    response = LocalClient(PlannerService(store=store)).post(path, json=body)
     return response.status_code, response.json()
 
 
@@ -208,6 +210,8 @@ FIELD_VALUES = {
     "budget": st.integers(0, 3),
     "policies": small_list(["fifo", "sjf", "edf"]),
     "deadline": st.sampled_from([1e9, 10.0]),
+    "grid": st.sampled_from(["smoke", "nightly"]),
+    "max_cells": st.integers(-1, 3),
 }
 
 
@@ -235,10 +239,18 @@ def test_cli_and_http_agree_on_generated_requests(request_type, monkeypatch):
     )
     @given(body=bodies(request_type))
     def check(body):
-        status, payload = post(path, body)
-        assert status in (200, 400, 422), payload
         with tempfile.TemporaryDirectory() as directory:
-            code, out = run_cli(*argv_for(command, body, directory))
+            # Precompute warms a store: each frontend gets its own.
+            stores = [
+                str(Path(directory) / side) if request_type is PrecomputeRequest else None
+                for side in ("http", "cli")
+            ]
+            status, payload = post(path, body, store=stores[0])
+            assert status in (200, 400, 422), payload
+            argv = argv_for(command, body, directory)
+            if stores[1] is not None:
+                argv.append(f"--store={stores[1]}")
+            code, out = run_cli(*argv)
         if status == 200:
             assert code == 0
             assert deterministic(json.loads(out)) == deterministic(payload)
