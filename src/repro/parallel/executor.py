@@ -14,13 +14,16 @@ into the quantities the paper reports:
 Execution is two steps.  :meth:`ScheduleExecutor.lower` does everything the
 step count does not change: a plan kind contributes only its *phases*, each
 a graph key plus a function from slot key to duration, which lowering turns
-into the key and the slot values; one rule gives every kind's peak
-memory.  :meth:`ScheduleExecutor.execute` then runs each phase as one
-multi-step simulation from which the steady-state step time is extracted.
-Pipeline plans (TR and its variants) and the LS baseline are one phase
-each; the DP baseline trains blocks one after another, so it is one phase
-per block, each run for :data:`DATA_PARALLEL_STEPS` steps whatever the step
-count is.  The phases' step times, epoch times and breakdowns add up.
+into the key and the slot values; one rule, read from the stages each
+phase lists, gives every kind's peak memory.
+:meth:`ScheduleExecutor.execute` then runs each phase as one multi-step
+simulation from which the steady-state step time is extracted.  Pipeline
+plans (TR and its variants) and the LS baseline are one phase each; the
+DP baseline trains blocks one after another, so it is one phase per
+block, a one-stage pipeline without decoupled updates, each run for
+:data:`DATA_PARALLEL_STEPS` steps whatever the step count is.  So two
+graph builders serve the three plan kinds: the pipeline's and LS's.  The
+phases' step times, epoch times and breakdowns add up.
 :meth:`ScheduleExecutor.execute` takes a plan, which it lowers first, or
 a lowered one; a :class:`~repro.core.session.Session` keeps each plan's
 lowering and executes it for every step count.
@@ -29,8 +32,9 @@ Task graphs depend only on a plan's shape (a phase's key), not on the batch
 size, server or dataset, and repeat every training step.  So each shape's
 builder makes one step of its graph, once, and :class:`GraphTemplates` holds
 one :class:`~repro.sim.engine.GraphTemplate` per shape, that step tiled for
-the most steps asked of it so far; a run of fewer steps takes a row prefix,
-and a run fills in the durations only.
+the most steps asked of it so far, up to :data:`HELD_TEMPLATE_STEPS`; a run
+of fewer steps takes a row prefix, a longer run tiles a template for
+itself, and a run fills in the durations only.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass, field
 from functools import cached_property
 from sys import intern
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.data.dataset import DatasetSpec
 from repro.data.loader import DataLoadModel
@@ -74,12 +78,17 @@ WARMUP_STEPS = 2
 MIN_SIMULATED_STEPS = WARMUP_STEPS + 2
 #: Most steps a simulation may run, checked wherever the minimum is.  A
 #: schedule reaches its steady state within a few steps, while the work and
-#: the session's held graph template grow with the step count: 1,000 steps
-#: of a 4-GPU TR+DPU+AHD plan take about 0.04 s, 10,000 take 0.4 s and 84 MB,
+#: the run's graph template grow with the step count: 1,000 steps of a
+#: 4-GPU TR+DPU+AHD plan take about 0.04 s, 10,000 take 0.4 s and 84 MB,
 #: and 1,000,000 run out of memory.
 MAX_SIMULATED_STEPS = 1000
 #: Steps simulated per block of a DP plan, whatever ``simulated_steps`` is.
 DATA_PARALLEL_STEPS = MIN_SIMULATED_STEPS
+#: Most steps a :class:`GraphTemplates` table keeps a shape tiled for: more
+#: than any step count the benchmarks ask for.  A longer run tiles its
+#: template for itself, so one 1,000-step run of a 4-GPU TR+DPU+AHD plan
+#: leaves 640 rows held, not 20,000.
+HELD_TEMPLATE_STEPS = 32
 
 
 #: Top-level fields of :meth:`ExecutionResult.to_dict`, in canonical order.
@@ -263,11 +272,24 @@ def _interned(mapping: dict) -> dict:
     return {intern(name): value for name, value in mapping.items()}
 
 
+#: What the devices of one pipeline stage run each step: ``(devices, teacher
+#: blocks, student blocks, micro-batch)``.
+Stage = Tuple[Sequence[int], Sequence[int], Sequence[int], int]
+
+
 class Phase(NamedTuple):
-    """One simulation of a plan: a graph template key and each slot's duration."""
+    """One simulation of a plan: a graph template key, each slot's duration, and its stages.
+
+    ``stages`` lists what each group of the phase's devices runs.  A
+    pipeline stage's teacher and student blocks are its blocks; a DP block
+    is a one-stage pipeline whose teacher runs every block up to it; an LS
+    device runs the teacher up to its last block and trains its own blocks.
+    A pipeline's durations and every phase's peak memory are read from them.
+    """
 
     key: Hashable
     duration: Callable[[Hashable], float]
+    stages: List[Stage]
 
 
 class LoweredPlan(NamedTuple):
@@ -291,7 +313,12 @@ class LoweredPlan(NamedTuple):
 
 
 def _phase_steps(plan: SchedulePlan, steps: int) -> int:
-    """The steps each phase of ``plan`` runs: a DP block always runs :data:`DATA_PARALLEL_STEPS`."""
+    """The steps each phase of ``plan`` runs.
+
+    A DP block is lowered as a one-stage pipeline phase like any other, but
+    it always runs :data:`DATA_PARALLEL_STEPS` steps: the plan kind, not
+    the phase's key, decides this.
+    """
     return DATA_PARALLEL_STEPS if plan.kind == "data_parallel" else steps
 
 
@@ -307,14 +334,16 @@ class GraphTemplates:
     """Thread-safe table of graph templates, one per plan shape.
 
     A key holds everything that decides a graph's rows, names and
-    dependencies but not the step count.  The builder of its plan kind
+    dependencies but not the step count.  The builder of its graph kind
     makes one step of the graph (a :class:`~repro.sim.engine.StepBlock`),
     once per key, and a template of ``k`` steps tiles it ``k`` times; the
     graph for ``k`` steps is the first rows of the graph for more steps, so
     one template per key serves every step count up to the one it was tiled
-    for.  A longer step count tiles the key's block again for that many
-    steps and replaces the held template.  ``builds`` counts the blocks
-    built, ``tilings`` the templates tiled from them.
+    for.  A longer step count, up to :data:`HELD_TEMPLATE_STEPS`, tiles the
+    key's block again for that many steps and replaces the held template;
+    a step count past the bound runs a template tiled from the block for
+    that run alone, and the held one stays as it is.  ``builds`` counts the
+    blocks built, ``tilings`` the templates tiled from them.
     """
 
     def __init__(self) -> None:
@@ -323,16 +352,19 @@ class GraphTemplates:
         self.builds = 0
         self.tilings = 0
 
-    def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
-        """The entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
+    def entry(self, key: Hashable, steps: int) -> TemplateEntry:
+        """The held entry for ``key``, tiled for at least ``steps`` steps within the bound.
 
-        When the table holds no entry for ``key``, the builder of its plan
-        kind (``key[0]``) builds its step block from the key alone; when it
-        holds none for that many steps, the block is tiled ``steps`` times.
+        When the table holds no entry for ``key``, the builder of its graph
+        kind (``key[0]``) builds its step block from the key alone, and the
+        block is tiled for ``steps`` steps or :data:`HELD_TEMPLATE_STEPS`,
+        whichever is fewer.  A held entry of fewer than ``steps`` steps is
+        tiled again for ``steps`` when they are within the bound, and kept
+        as it is past it.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry.steps < steps:
+            if entry is None or entry.steps < steps <= HELD_TEMPLATE_STEPS:
                 if entry is None:
                     graph = _GraphBuilder()
                     _GRAPH_BUILDERS[key[0]](key, graph)
@@ -340,9 +372,24 @@ class GraphTemplates:
                     self.builds += 1
                 else:
                     block, slot_keys = entry.template.block, entry.slot_keys
-                template = GraphTemplate(block, steps)
-                entry = self._entries[key] = TemplateEntry(steps, template, slot_keys)
+                held_steps = min(steps, HELD_TEMPLATE_STEPS)
+                template = GraphTemplate(block, held_steps)
+                entry = self._entries[key] = TemplateEntry(held_steps, template, slot_keys)
                 self.tilings += 1
+        return entry
+
+    def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
+        """An entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
+
+        That is the held :meth:`entry`, or past :data:`HELD_TEMPLATE_STEPS`
+        one tiled from its block for this call alone.
+        """
+        entry = self.entry(key, steps)
+        if entry.steps < steps:
+            template = GraphTemplate(entry.template.block, steps)
+            with self._lock:
+                self.tilings += 1
+            entry = TemplateEntry(steps, template, entry.slot_keys)
         return entry, len(entry.template.block.slots) * steps
 
     def shapes(self) -> Dict[Hashable, int]:
@@ -572,85 +619,10 @@ def _layerwise_graph(key: Hashable, graph: _GraphBuilder) -> None:
             )
 
 
-def _data_parallel_graph(key: Hashable, graph: _GraphBuilder) -> None:
-    """One step of one DP block; slots are duration names.
-
-    Every teacher forward also waits for the previous step's weight updates.
-    """
-    _, num_devices, block_id = key
-    teacher_ids: List[int] = []
-    backward_ids: List[int] = []
-    for device in range(num_devices):
-        load_id = graph.add(
-            "load",
-            name=f"load[b{block_id},s{{step}},d{device}]",
-            kind=TaskKind.DATA_LOAD,
-            resource=host_loader(),
-            deps=(),
-            device=device,
-            block=block_id,
-        )
-        teacher_ids.append(
-            graph.add(
-                "teacher",
-                name=f"T0..{block_id}[s{{step}},d{device}]",
-                kind=TaskKind.TEACHER_FORWARD,
-                resource=device_compute(device),
-                deps=(load_id,),
-                device=device,
-                block=block_id,
-            )
-        )
-        student_fwd = graph.add(
-            "student_fwd",
-            name=f"Sf{block_id}[s{{step}},d{device}]",
-            kind=TaskKind.STUDENT_FORWARD,
-            resource=device_compute(device),
-            deps=(teacher_ids[-1],),
-            device=device,
-            block=block_id,
-        )
-        backward_ids.append(
-            graph.add(
-                "student_bwd",
-                name=f"Sb{block_id}[s{{step}},d{device}]",
-                kind=TaskKind.STUDENT_BACKWARD,
-                resource=device_compute(device),
-                deps=(student_fwd,),
-                device=device,
-                block=block_id,
-            )
-        )
-
-    allreduce_id = graph.add(
-        "allreduce",
-        name=f"allreduce[b{block_id},s{{step}}]",
-        kind=TaskKind.ALLREDUCE,
-        resource=collective("dp"),
-        deps=tuple(backward_ids),
-        device=-1,
-        block=block_id,
-    )
-    updates = [
-        graph.add(
-            "update",
-            name=f"U{block_id}[s{{step}},d{device}]",
-            kind=TaskKind.WEIGHT_UPDATE,
-            resource=device_compute(device),
-            deps=(backward_ids[device], allreduce_id),
-            device=device,
-            block=block_id,
-        )
-        for device in range(num_devices)
-    ]
-    graph.carry(teacher_ids, updates)
-
-
-#: Each plan kind's graph builder: adds one step of a key's rows.
+#: Each graph kind's builder (a key's first item): adds one step of the key's rows.
 _GRAPH_BUILDERS: Dict[str, Callable[[Hashable, _GraphBuilder], None]] = {
     "pipeline": _pipeline_graph,
     "layerwise": _layerwise_graph,
-    "data_parallel": _data_parallel_graph,
 }
 
 
@@ -692,8 +664,10 @@ class ScheduleExecutor:
         That is each phase's graph-template key and slot values (see
         :meth:`_phases`), the steps per epoch and the peak memory per
         device.  Slot values come in the order of the template's slot keys,
-        so lowering looks each phase's template up, building it for this
-        executor's step count when the table holds none for that many.
+        so lowering looks each phase's held template up
+        (:meth:`GraphTemplates.entry`), building it for this executor's step
+        count, or :data:`HELD_TEMPLATE_STEPS`, when the table holds none for
+        that many.
         """
         if plan.num_blocks != self.pair.num_blocks:
             raise ScheduleError(
@@ -705,17 +679,16 @@ class ScheduleExecutor:
                 f"{self.server.num_devices}"
             )
         steps = _phase_steps(plan, self.simulated_steps)
-        keys, values = [], []
-        for key, duration in self._phases(plan):
-            graph, _ = self.templates.get(key, steps)
-            keys.append(key)
-            values += map(duration, graph.slot_keys)
+        phases = self._phases(plan)
+        values = []
+        for key, duration, _ in phases:
+            values += map(duration, self.templates.entry(key, steps).slot_keys)
         return LoweredPlan(
             plan=plan,
             steps_per_epoch=self.dataset.steps_per_epoch(plan.batch_size),
-            keys=tuple(keys),
+            keys=tuple(phase.key for phase in phases),
             values=array("d", values),
-            peak_memory_bytes=self._peak_memory(plan),
+            peak_memory_bytes=self._peak_memory(plan.num_devices, phases),
         )
 
     def execute(self, plan: Union[SchedulePlan, LoweredPlan]) -> ExecutionResult:
@@ -818,58 +791,83 @@ class ScheduleExecutor:
     def _phases(self, plan: SchedulePlan) -> List[Phase]:
         """The plan's phases, in the order :meth:`execute` runs them."""
         if plan.kind == "pipeline":
-            return [self._pipeline_phase(plan)]
+            stages = [
+                (
+                    stage.device_ids,
+                    stage.block_ids,
+                    stage.block_ids,
+                    stage.per_device_batch(plan.batch_size),
+                )
+                for stage in plan.stages
+            ]
+            return [self._pipeline_phase(plan.decoupled_update, stages)]
         if plan.kind == "layerwise":
             return [self._layerwise_phase(plan)]
         return self._data_parallel_phases(plan)
 
-    def _pipeline_phase(self, plan: SchedulePlan) -> Phase:
-        """One pipeline plan; slots are ``(stage_id, duration name)``."""
-        # Per-stage durations (identical for every replica in a stage).
-        durations: Dict[int, Dict[str, float]] = {}
-        for stage in plan.stages:
-            micro_batch = stage.per_device_batch(plan.batch_size)
-            durations[stage.stage_id] = {
-                "teacher": self._teacher_time(stage.block_ids, micro_batch),
-                "student_fwd": self._student_forward_time(stage.block_ids, micro_batch),
-                "student_bwd": self._student_backward_time(stage.block_ids, micro_batch),
-                "update": self._update_time(stage.block_ids),
-                "allreduce": (
-                    self.server.interconnect.allreduce_time(
-                        self._grad_bytes(stage.block_ids), stage.num_devices
-                    )
-                    if stage.num_devices > 1
-                    else 0.0
-                ),
-                "load": self.loader.batch_load_time(micro_batch, concurrent_loaders=1),
-                "recv": (
-                    self.server.interconnect.transfer_time(
-                        self._boundary_bytes(stage.block_ids[0] - 1, micro_batch)
-                    )
-                    if stage.block_ids[0] > 0
-                    else 0.0
-                ),
-            }
+    def _stage_durations(
+        self,
+        devices: Sequence[int],
+        teacher_ids: Sequence[int],
+        student_ids: Sequence[int],
+        batch: int,
+    ) -> Dict[str, float]:
+        """One pipeline stage's time per duration name.
 
-        # The all-reduce task exists only when its time is positive, so that
-        # test is part of the shape.
+        Each device of the stage runs the teacher over ``teacher_ids`` and
+        trains ``student_ids`` on its ``batch`` samples; a stage whose
+        teacher starts past block 0 receives the previous block's output.
+        """
+        first = teacher_ids[0]
+        return {
+            "teacher": self._teacher_time(teacher_ids, batch),
+            "student_fwd": self._student_forward_time(student_ids, batch),
+            "student_bwd": self._student_backward_time(student_ids, batch),
+            "update": self._update_time(student_ids),
+            "allreduce": (
+                self.server.interconnect.allreduce_time(
+                    self._grad_bytes(student_ids), len(devices)
+                )
+                if len(devices) > 1
+                else 0.0
+            ),
+            "load": self.loader.batch_load_time(batch, concurrent_loaders=1),
+            "recv": (
+                self.server.interconnect.transfer_time(self._boundary_bytes(first - 1, batch))
+                if first > 0
+                else 0.0
+            ),
+        }
+
+    def _pipeline_phase(
+        self, decoupled_update: bool, stages: List[Stage], allreduce_row: bool = False
+    ) -> Phase:
+        """One pipeline of ``stages``, in order; slots are ``(stage index, duration name)``.
+
+        A stage has an all-reduce row when its all-reduce takes time, or
+        always with ``allreduce_row``, so that test is part of the shape.
+        """
+        durations = [self._stage_durations(*stage) for stage in stages]
         key = (
             "pipeline",
-            plan.decoupled_update,
+            decoupled_update,
             tuple(
                 (
-                    stage.stage_id,
-                    tuple(stage.device_ids),
-                    stage.block_ids[0],
-                    stage.num_devices > 1 and durations[stage.stage_id]["allreduce"] > 0.0,
+                    stage_id,
+                    tuple(devices),
+                    student_ids[0],
+                    allreduce_row or durations[stage_id]["allreduce"] > 0.0,
                 )
-                for stage in plan.stages
+                for stage_id, (devices, _, student_ids, _) in enumerate(stages)
             ),
         )
-        return Phase(key, lambda slot: durations[slot[0]][slot[1]])
+        return Phase(key, lambda slot: durations[slot[0]][slot[1]], stages)
 
     def _layerwise_phase(self, plan: SchedulePlan) -> Phase:
-        """One LS plan; slots are ``(duration name, block)``."""
+        """One LS plan; slots are ``(duration name, block)``.
+
+        Each device runs the teacher up to its last block at the full batch.
+        """
         assert plan.device_blocks is not None
         batch = plan.batch_size
         load_time = self.loader.batch_load_time(batch, concurrent_loaders=1)
@@ -887,27 +885,29 @@ class ScheduleExecutor:
                 for device, block_ids in sorted(plan.device_blocks.items())
             ),
         )
-        return Phase(key, lambda slot: durations[slot[0]](slot[1]))
+        stages = [
+            ((device,), range(max(block_ids) + 1), block_ids, batch)
+            for device, block_ids in plan.device_blocks.items()
+        ]
+        return Phase(key, lambda slot: durations[slot[0]](slot[1]), stages)
 
     def _data_parallel_phases(self, plan: SchedulePlan) -> List[Phase]:
-        """One phase per DP block, trained on every device; slots are duration names."""
+        """One phase per DP block: a one-stage pipeline without decoupled updates.
+
+        Every device runs the teacher up to the block and trains the block
+        on the floor of its share of the batch.  The stage keeps its
+        all-reduce row on one device too, where the all-reduce takes no time.
+        """
+        devices = tuple(range(plan.num_devices))
         micro_batch = plan.per_device_batch()[0]
-        load_time = self.loader.batch_load_time(micro_batch, concurrent_loaders=1)
-        phases = []
-        for block_id in range(plan.num_blocks):
-            durations = {
-                "load": load_time,
-                "teacher": self._teacher_time(tuple(range(block_id + 1)), micro_batch),
-                "student_fwd": self._student_forward_time((block_id,), micro_batch),
-                "student_bwd": self._student_backward_time((block_id,), micro_batch),
-                "update": self._update_time((block_id,)),
-                "allreduce": self.server.interconnect.allreduce_time(
-                    self._grad_bytes((block_id,)), plan.num_devices
-                ),
-            }
-            key = ("data_parallel", plan.num_devices, block_id)
-            phases.append(Phase(key, durations.__getitem__))
-        return phases
+        return [
+            self._pipeline_phase(
+                False,
+                [(devices, range(block_id + 1), (block_id,), micro_batch)],
+                allreduce_row=True,
+            )
+            for block_id in range(plan.num_blocks)
+        ]
 
     # ------------------------------------------------------------------ #
     # Breakdown and memory helpers
@@ -935,49 +935,24 @@ class ScheduleExecutor:
             scaled[device]["idle"] = max(0.0, epoch_time - busy - data_wait)
         return scaled
 
-    def _peak_memory(self, plan: SchedulePlan) -> array:
+    def _peak_memory(self, num_devices: int, phases: List[Phase]) -> array:
         """Peak allocation of each device, by id; an idle device holds the framework baseline.
 
-        Each plan kind lists what its devices hold: ``(devices, executed
-        teacher blocks, trained student blocks, per-device batch)``.  A
-        pipeline stage's devices run its blocks at the stage's micro-batch;
-        an LS device runs the teacher up to its last block at the full
-        batch; DP devices run every block in turn, so they peak at the
-        largest block's footprint.
+        A device peaks at the largest footprint any phase's stage gives it
+        (:attr:`Phase.stages`), so DP devices, which run every block in
+        turn, peak at the largest block's.
         """
-        if plan.kind == "pipeline":
-            assignments = [
-                (
-                    stage.device_ids,
-                    stage.block_ids,
-                    stage.block_ids,
-                    stage.per_device_batch(plan.batch_size),
-                )
-                for stage in plan.stages
-            ]
-        elif plan.kind == "layerwise":
-            assert plan.device_blocks is not None
-            assignments = [
-                ((device,), range(max(block_ids) + 1), block_ids, plan.batch_size)
-                for device, block_ids in plan.device_blocks.items()
-            ]
-        else:
-            devices = range(plan.num_devices)
-            micro_batch = plan.per_device_batch()[0]
-            assignments = [
-                (devices, range(block_id + 1), (block_id,), micro_batch)
-                for block_id in range(plan.num_blocks)
-            ]
         memory_model = self.server.memory_model
         teacher, student = self.pair.teacher, self.pair.student
         peak: Dict[int, float] = {}
-        for devices, teacher_ids, student_ids, batch in assignments:
-            peak_bytes = memory_model.device_peak_bytes(
-                teacher_blocks=[teacher.block(block_id) for block_id in teacher_ids],
-                student_blocks=[student.block(block_id) for block_id in student_ids],
-                batch=batch,
-            )
-            for device in devices:
-                peak[device] = max(peak.get(device, 0.0), peak_bytes)
+        for phase in phases:
+            for devices, teacher_ids, student_ids, batch in phase.stages:
+                peak_bytes = memory_model.device_peak_bytes(
+                    teacher_blocks=[teacher.block(block_id) for block_id in teacher_ids],
+                    student_blocks=[student.block(block_id) for block_id in student_ids],
+                    batch=batch,
+                )
+                for device in devices:
+                    peak[device] = max(peak.get(device, 0.0), peak_bytes)
         baseline = memory_model.framework_baseline_bytes
-        return array("d", [peak.get(device, baseline) for device in range(plan.num_devices)])
+        return array("d", [peak.get(device, baseline) for device in range(num_devices)])

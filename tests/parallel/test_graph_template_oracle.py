@@ -5,12 +5,14 @@ as a :class:`~repro.sim.engine.GraphTemplate` in its (usually the Session's)
 :class:`GraphTemplates` table, and only fills in durations per run; a shape
 run for fewer steps than it was built for runs on a row prefix.  The oracle
 below is the executor with the three per-run builders it used before,
-copied verbatim but for its one float sum, a left fold as in ``src``:
-every ``execute`` builds a fresh engine with one ``add_task`` call per
-task.  It keeps its own ``execute`` dispatch and the three per-kind
-peak-memory rules too, so it checks the executor's single phase loop and
-memory rule, not itself.  Both must return the same
-``to_dict()`` and the same trace, row for row.
+copied verbatim but for its one float sum, a left fold as in ``src``, and
+the DP rows' names, collective resource and block labels, which are the
+pipeline builder's now that a DP block is a one-stage pipeline: every
+``execute`` builds a fresh engine with one ``add_task`` call per task.
+It keeps its own ``execute`` dispatch and the three per-kind peak-memory
+rules too, so it checks the executor's single phase loop and memory rule,
+not itself.  Both must return the same ``to_dict()`` and the same trace,
+row for row.
 """
 
 from __future__ import annotations
@@ -342,17 +344,16 @@ class OracleExecutor(ScheduleExecutor):
                 per_device_bwd: Dict[int, int] = {}
                 for device in range(plan.num_devices):
                     load_id = engine.add_task(
-                        name=f"load[b{block_id},s{step},d{device}]",
+                        name=f"load[s{step},d{device}]",
                         kind=TaskKind.DATA_LOAD,
                         resource=host_loader(),
                         duration=load_time,
                         deps=(),
                         step=step,
                         device=device,
-                        block=block_id,
                     )
                     teacher_id = engine.add_task(
-                        name=f"T0..{block_id}[s{step},d{device}]",
+                        name=f"T[s{step},d{device}]",
                         kind=TaskKind.TEACHER_FORWARD,
                         resource=device_compute(device),
                         duration=teacher_time,
@@ -362,7 +363,7 @@ class OracleExecutor(ScheduleExecutor):
                         block=block_id,
                     )
                     student_fwd = engine.add_task(
-                        name=f"Sf{block_id}[s{step},d{device}]",
+                        name=f"Sf[s{step},d{device}]",
                         kind=TaskKind.STUDENT_FORWARD,
                         resource=device_compute(device),
                         duration=student_fwd_time,
@@ -372,7 +373,7 @@ class OracleExecutor(ScheduleExecutor):
                         block=block_id,
                     )
                     student_bwd = engine.add_task(
-                        name=f"Sb{block_id}[s{step},d{device}]",
+                        name=f"Sb[s{step},d{device}]",
                         kind=TaskKind.STUDENT_BACKWARD,
                         resource=device_compute(device),
                         duration=student_bwd_time,
@@ -385,19 +386,18 @@ class OracleExecutor(ScheduleExecutor):
                     per_device_bwd[device] = student_bwd
 
                 allreduce_id = engine.add_task(
-                    name=f"allreduce[b{block_id},s{step}]",
+                    name=f"allreduce[s{step},stage0]",
                     kind=TaskKind.ALLREDUCE,
-                    resource=collective("dp"),
+                    resource=collective("stage0"),
                     duration=allreduce_time,
                     deps=tuple(backward_ids),
                     step=step,
                     device=-1,
-                    block=block_id,
                 )
                 step_updates: List[int] = []
                 for device in range(plan.num_devices):
                     update_id = engine.add_task(
-                        name=f"U{block_id}[s{step},d{device}]",
+                        name=f"U[s{step},d{device}]",
                         kind=TaskKind.WEIGHT_UPDATE,
                         resource=device_compute(device),
                         duration=update_time,

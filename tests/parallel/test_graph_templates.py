@@ -6,14 +6,18 @@ count is left out of the key.  The table must hold exactly those, at the
 longest step count each was run for, in a compact layout: a naive table of
 list columns retained over 13 MB on this grid and moved the benchmark's
 peak RSS past its bound.  Each shape's one-step block is built once; a
-longer step count than the held one tiles that block again and replaces the
-held template, and a shorter one runs a row prefix of it.
+longer step count than the held one, up to ``HELD_TEMPLATE_STEPS``, tiles
+that block again and replaces the held template, a longer one still runs a
+template tiled for it alone, and a shorter one runs a row prefix of the
+held template.  A DP block is a one-stage pipeline shape.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -22,10 +26,15 @@ import pytest
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import SimulationError
-from repro.parallel.executor import GraphTemplates, _GraphBuilder
+from repro.parallel.executor import (
+    DATA_PARALLEL_STEPS,
+    HELD_TEMPLATE_STEPS,
+    GraphTemplates,
+    _GraphBuilder,
+)
 from repro.sim.engine import GraphTemplate
 from repro.sim.events import TaskKind
-from repro.sim.resources import device_compute, host_loader
+from repro.sim.resources import collective, device_compute, host_loader
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -74,6 +83,54 @@ def test_the_seed0_plan_cold_grid_holds_one_template_per_shape():
         for key in table.shapes()
         if key[:2] == ("pipeline", True) and any(stage[3] for stage in key[2])
     }
+    # The 12 DP block shapes (6 blocks on 2 and on 4 GPUs) are one-stage
+    # pipelines without decoupled updates, run for DP's 4 steps.
+    dp_shapes = [key for key, steps in table.shapes().items() if steps == DATA_PARALLEL_STEPS]
+    assert len(dp_shapes) == 12
+    assert all(key[:2] == ("pipeline", False) and len(key[2]) == 1 for key in dp_shapes)
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2, 4])
+def test_dp_blocks_are_one_stage_pipeline_phases(num_gpus):
+    config = ExperimentConfig(num_gpus=num_gpus, strategy="DP", simulated_steps=5)
+    session = Session()
+    result = session.run(config)
+    lowered = session.executor(config).lower(result.plan)
+    devices = tuple(range(num_gpus))
+    # Every device trains block b after the teacher prefix; the all-reduce
+    # flag is set at every GPU count.
+    blocks = range(result.plan.num_blocks)
+    assert lowered.keys == tuple(("pipeline", False, ((0, devices, b, True),)) for b in blocks)
+    # The result keeps the last block's trace: each step has its all-reduce
+    # row on the stage's collective, of zero length on one GPU.
+    allreduces = [
+        record for record in result.trace.records if record.task.kind is TaskKind.ALLREDUCE
+    ]
+    assert len(allreduces) == DATA_PARALLEL_STEPS
+    assert {record.task.resource for record in allreduces} == {collective("stage0")}
+    lengths = {record.end - record.start > 0.0 for record in allreduces}
+    assert lengths == ({False} if num_gpus == 1 else {True})
+    assert len(result.trace) == DATA_PARALLEL_STEPS * (5 * num_gpus + 1)
+
+
+def test_a_run_past_the_bound_leaves_the_held_template_alone():
+    # One long run tiles a template for itself: the table keeps the shape at
+    # the step count it held, and a short run answers as it did before.
+    session = Session()
+    config = ExperimentConfig(num_gpus=4, strategy="TR+DPU+AHD", simulated_steps=10)
+    table = session.executor(config).templates
+    first = json.dumps(session.run(config).to_dict())
+    held = (table.shapes(), table.num_tasks, table.builds, table.tilings)
+    (key,) = held[0]
+    long = session.run(dataclasses.replace(config, simulated_steps=1000))
+    assert len(long.trace) == 1000 * len(table.entry(key, 1).template.block.slots)
+    assert (table.shapes(), table.num_tasks, table.builds) == held[:3]
+    assert table.tilings == held[3] + 1
+    assert json.dumps(session.run(config).to_dict()) == first
+    assert (table.shapes(), table.num_tasks) == held[:2]
+    # Within the bound, a longer run still replaces the held template.
+    session.run(dataclasses.replace(config, simulated_steps=HELD_TEMPLATE_STEPS))
+    assert table.shapes() == {key: HELD_TEMPLATE_STEPS}
 
 
 def template_columns(template):
@@ -87,7 +144,7 @@ def test_a_longer_step_count_replaces_the_held_template():
             config = ExperimentConfig(num_gpus=num_gpus, strategy=name, simulated_steps=5)
             session.run(config)
     keys = list(session.executor(config).templates.shapes())
-    assert {key[0] for key in keys} == {"pipeline", "layerwise", "data_parallel"}
+    assert {key[0] for key in keys} == {"pipeline", "layerwise"}  # DP blocks are pipelines
     for key in keys:
         table = GraphTemplates()
         short, _ = table.get(key, 5)
@@ -129,7 +186,7 @@ def test_a_shorter_step_count_runs_a_prefix_equal_to_a_fresh_build():
         config = ExperimentConfig(num_gpus=4, strategy=name, simulated_steps=5)
         session.run(config)
     keys = list(session.executor(config).templates.shapes())
-    assert {key[0] for key in keys} == {"pipeline", "layerwise", "data_parallel"}
+    assert {key[0] for key in keys} == {"pipeline", "layerwise"}  # DP blocks are pipelines
     for key in keys:
         table = GraphTemplates()
         held, _ = table.get(key, 20)

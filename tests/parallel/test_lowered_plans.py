@@ -131,7 +131,8 @@ def test_a_lowered_plan_holds_plain_values_only():
         assert len(lowered.peak_memory_bytes) == plan.num_devices
         assert len(lowered.keys) == (plan.num_blocks if strategy == "DP" else 1)
         table = session.executor(config).templates
-        assert all(type(key) is tuple and key[0] == plan.kind for key in lowered.keys)
+        graph_kind = "pipeline" if strategy == "DP" else plan.kind
+        assert all(type(key) is tuple and key[0] == graph_kind for key in lowered.keys)
         assert (lowered.values.typecode, lowered.peak_memory_bytes.typecode) == ("d", "d")
         steps = DATA_PARALLEL_STEPS if strategy == "DP" else 5
         slots = [len(table.get(key, steps)[0].slot_keys) for key in lowered.keys]
@@ -152,7 +153,7 @@ def test_dp_devices_run_the_floor_of_the_batch_the_executor_simulates():
     values = iter(lowered.values)
     for block_id, key in enumerate(lowered.keys):
         entry, _ = executor.templates.get(key, DATA_PARALLEL_STEPS)
-        slots = dict(zip(entry.slot_keys, values))
+        slots = {name: value for (_, name), value in zip(entry.slot_keys, values)}
         assert slots["load"] == executor.loader.batch_load_time(12, concurrent_loaders=1)
         assert slots["load"] != executor.loader.batch_load_time(13, concurrent_loaders=1)
         assert slots["teacher"] == executor._teacher_time(tuple(range(block_id + 1)), 12)

@@ -5,8 +5,9 @@ A :class:`GraphTemplates` table builds one step of each plan shape (a
 that, each builder added every step in a ``for step in range(steps)`` loop,
 one ``_GraphBuilder.add`` call per row, and ``SimulationEngine.freeze``
 checked the whole graph and made its columns, run structure, accounting
-layout and in-order flag row by row.  The oracle below is those three
-builders, copied verbatim, with that freeze (:func:`frozen_columns`).  For
+layout and in-order flag row by row.  The oracle below is those
+builders, copied verbatim, with that freeze (:func:`frozen_columns`); a DP
+block is a one-stage pipeline key, so the pipeline builder covers it.  For
 every plan shape of the benchmark's plan-cold grid (``shuffled_grid(0)`` and
 ``shuffled_grid(1)`` are the same cells in two orders, so they have the same
 56 shapes) and every step count from 2 to 25, the tiled template must equal
@@ -245,86 +246,10 @@ def _layerwise_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
                 )
 
 
-def _data_parallel_graph(key: Hashable, steps: int, graph: _GraphBuilder) -> None:
-    """One DP block's task graph of ``steps`` steps; slots are duration names."""
-    _, num_devices, block_id = key
-    previous_step_updates: List[int] = []
-    for step in range(steps):
-        backward_ids: List[int] = []
-        for device in range(num_devices):
-            load_id = graph.add(
-                "load",
-                name=f"load[b{block_id},s{step},d{device}]",
-                kind=TaskKind.DATA_LOAD,
-                resource=host_loader(),
-                deps=(),
-                step=step,
-                device=device,
-                block=block_id,
-            )
-            teacher_id = graph.add(
-                "teacher",
-                name=f"T0..{block_id}[s{step},d{device}]",
-                kind=TaskKind.TEACHER_FORWARD,
-                resource=device_compute(device),
-                deps=(load_id,) + tuple(previous_step_updates),
-                step=step,
-                device=device,
-                block=block_id,
-            )
-            student_fwd = graph.add(
-                "student_fwd",
-                name=f"Sf{block_id}[s{step},d{device}]",
-                kind=TaskKind.STUDENT_FORWARD,
-                resource=device_compute(device),
-                deps=(teacher_id,),
-                step=step,
-                device=device,
-                block=block_id,
-            )
-            backward_ids.append(
-                graph.add(
-                    "student_bwd",
-                    name=f"Sb{block_id}[s{step},d{device}]",
-                    kind=TaskKind.STUDENT_BACKWARD,
-                    resource=device_compute(device),
-                    deps=(student_fwd,),
-                    step=step,
-                    device=device,
-                    block=block_id,
-                )
-            )
-
-        allreduce_id = graph.add(
-            "allreduce",
-            name=f"allreduce[b{block_id},s{step}]",
-            kind=TaskKind.ALLREDUCE,
-            resource=collective("dp"),
-            deps=tuple(backward_ids),
-            step=step,
-            device=-1,
-            block=block_id,
-        )
-        previous_step_updates = [
-            graph.add(
-                "update",
-                name=f"U{block_id}[s{step},d{device}]",
-                kind=TaskKind.WEIGHT_UPDATE,
-                resource=device_compute(device),
-                deps=(backward_ids[device], allreduce_id),
-                step=step,
-                device=device,
-                block=block_id,
-            )
-            for device in range(num_devices)
-        ]
-
-
-#: Each plan kind's graph builder: adds a key's rows for a step count.
+#: Each graph kind's builder: adds a key's rows for a step count.
 _GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int, _GraphBuilder], None]] = {
     "pipeline": _pipeline_graph,
     "layerwise": _layerwise_graph,
-    "data_parallel": _data_parallel_graph,
 }
 
 
@@ -480,7 +405,6 @@ def test_the_block_edges_give_the_tiled_dependencies(grid_keys):
         assert template.structure == _run_structure(expected, template.resources), key
         if any(dep < 0 for dep in block.dep_targets):
             lagged.add(key)
-    # Non-decoupled pipelines and every DP block carry the previous step's updates.
-    assert lagged == {
-        key for key in grid_keys if key[0] == "data_parallel" or key[:2] == ("pipeline", False)
-    }
+    # Non-decoupled pipelines, every DP block among them, carry the previous
+    # step's updates.
+    assert lagged == {key for key in grid_keys if key[:2] == ("pipeline", False)}
