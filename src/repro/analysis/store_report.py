@@ -50,10 +50,10 @@ def warm_cold_summary(session: Session) -> dict:
 def request_warm_cold(delta: dict) -> dict:
     """Per-request hydration accounting from a :meth:`SessionStats.delta`.
 
-    The serve layer brackets each HTTP request with
-    ``SessionStats.snapshot()`` / ``delta()`` and embeds this summary as
-    ``meta.request`` in the response, making "this query performed zero
-    simulations" observable by the caller.
+    The serve layer takes the change of the session's ``runs``,
+    ``store_hits`` and ``store_builds`` counters over each HTTP request and
+    embeds this summary as ``meta.request`` in the response, making "this
+    query performed zero simulations" observable by the caller.
 
     Example:
         >>> from repro.analysis.store_report import request_warm_cold

@@ -7,16 +7,20 @@ artefact by the config cell that determines it:
 
 * pairs by ``(task, dataset)``,
 * server specs by ``(server, num_gpus)``,
-* dataset descriptors by ``dataset``,
 * executors by ``(pair, server, dataset, simulated_steps)``,
 * profile tables by ``(task, dataset, server, num_gpus, batch_size)`` —
-  built exactly once per cell, matching the paper's one-off profiling pass,
+  built once per cell while kept, matching the paper's one-off profiling pass,
 * plans by ``(strategy object, cell)`` — each scheduling decision is made
   once per cell and reused for every simulated-step count, together with
   its lowering onto graph templates (:meth:`ScheduleExecutor.lower`), so
   each step count only simulates,
 * warm results by the run they answer — each record read from the store
   is parsed and validated once (see :meth:`Session.run`).
+
+Every table is a :class:`~repro.memo.Memo` of at most :data:`MEMO_ENTRIES`
+entries, kept by one rule: look the key up, build a miss outside the lock,
+keep the first value published.  An entry dropped past the bound
+(``stats.evictions``) is built again when next asked for, to the same bytes.
 
 On top of the caches it exposes the whole public workflow:
 
@@ -52,12 +56,13 @@ import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ExperimentConfig
 from repro.data.dataset import DatasetSpec
 from repro.errors import ConfigurationError, ReproError
 from repro.hardware.server import ServerSpec
+from repro.memo import Memo
 from repro.models.pairs import DistillationPair
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
@@ -69,22 +74,14 @@ from repro.parallel.executor import (
     ScheduleExecutor,
 )
 from repro.parallel.profiler import Profiler, ProfileTable
-from repro.parallel.plan import SchedulePlan
 from repro.parallel.registry import ABLATION_STRATEGIES, PIPE_BD_STRATEGY, REGISTRY, Strategy
 from repro.store.backends import ExecutionBackend, resolve_backend
 from repro.store.keys import run_key
 from repro.store.store import ExperimentStore, open_store
 
-PairKey = Tuple[str, str]
-ServerKey = Tuple[str, int]
-ProfileKey = Tuple[str, str, str, int, int]
-ExecutorKey = Tuple[str, str, str, int, int]
-#: A registered strategy object and the cell it planned.  The object, not
-#: its name, is the key: a name registered again names a new planner.
-PlanKey = Tuple[Strategy, ProfileKey]
-#: What :func:`~repro.store.keys.run_key` addresses a stored run by: the
-#: cell's fields, the strategy name, the simulated steps and the seed.
-RunAddress = Tuple[str, str, str, int, int, str, int, int]
+#: Most entries each session table keeps: over three times the 1152 warm
+#: results a serve-warm pass of the whole plan grid keeps.
+MEMO_ENTRIES = 4096
 #: The config fields a sweep axis may name: those that tell cells apart.
 _AXIS_FIELDS = frozenset(
     config_field.name for config_field in fields(ExperimentConfig) if config_field.compare
@@ -160,8 +157,6 @@ class SessionStats:
     pair_hits: int = 0
     server_builds: int = 0
     server_hits: int = 0
-    dataset_builds: int = 0
-    dataset_hits: int = 0
     executor_builds: int = 0
     executor_hits: int = 0
     profile_builds: int = 0
@@ -179,9 +174,14 @@ class SessionStats:
     #: by ``process``-backend workers on this session's behalf (store hits
     #: excluded).
     runs: int = 0
+    #: Entries the session's tables dropped past :data:`MEMO_ENTRIES`, and
+    #: shapes its template table dropped past
+    #: :data:`~repro.parallel.executor.HELD_TEMPLATE_SHAPES` (counted as the
+    #: run that dropped them ends).
+    evictions: int = 0
 
     #: Caches with paired build/hit counters, addressable via :meth:`hit_rate`.
-    CACHES = ("pair", "server", "dataset", "executor", "profile", "plan", "store")
+    CACHES = ("pair", "server", "executor", "profile", "plan", "store")
 
     def hit_rate(self, cache: str) -> float:
         """Hit fraction for one cache (``"pair"``, ``"profile"``, ...).
@@ -201,9 +201,6 @@ class SessionStats:
         return hits / total if total else 0.0
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    def snapshot(self) -> dict:
         """A point-in-time copy of every counter (pair with :meth:`delta`)."""
         return dict(self.__dict__)
 
@@ -224,7 +221,7 @@ class SessionStats:
             setattr(self, name, getattr(self, name) + change)
 
     def delta(self, before: dict) -> dict:
-        """Per-counter change since a :meth:`snapshot`.
+        """Per-counter change since a :meth:`to_dict` copy.
 
         The serve layer brackets each request with snapshot/delta to report
         per-request warm-vs-cold accounting (``delta(...)["runs"] == 0``
@@ -233,16 +230,13 @@ class SessionStats:
         Example:
             >>> from repro import ExperimentConfig, Session
             >>> session = Session()
-            >>> before = session.stats.snapshot()
+            >>> before = session.stats.to_dict()
             >>> _ = session.run(ExperimentConfig(batch_size=128,
             ...                                  simulated_steps=4))
             >>> session.stats.delta(before)["runs"]
             1
         """
-        return {
-            name: value - before.get(name, 0)
-            for name, value in self.__dict__.items()
-        }
+        return {name: value - before.get(name, 0) for name, value in self.__dict__.items()}
 
 
 @dataclass
@@ -358,8 +352,8 @@ class Session:
     A session is cheap to create and safe to keep for a whole process; its
     caches only ever hold deterministic artefacts, which callers treat as
     read-only, so sharing one session across sweeps (or across threads: its
-    caches are guarded by one lock) returns bit-identical results to a
-    fresh session per call.
+    caches are guarded by one lock, which no build holds) returns
+    bit-identical results to a fresh session per call.
 
     Example:
         >>> from repro import ExperimentConfig, Session
@@ -375,17 +369,12 @@ class Session:
         store: Union[ExperimentStore, str, Path, None] = None,
         backend: Union[str, ExecutionBackend] = "inline",
     ) -> None:
-        self._pairs: Dict[PairKey, DistillationPair] = {}
-        self._servers: Dict[ServerKey, ServerSpec] = {}
-        self._datasets: Dict[str, DatasetSpec] = {}
-        self._executors: Dict[ExecutorKey, ScheduleExecutor] = {}
-        self._profiles: Dict[ProfileKey, ProfileTable] = {}
-        self._plans: Dict[PlanKey, LoweredPlan] = {}
+        # A table per cache, and the first warm result of each (strategy name, cell).
+        self._memos = {cache: Memo(MEMO_ENTRIES) for cache in (*SessionStats.CACHES, "warm_cell")}
         self._templates = GraphTemplates()
-        self._warm: Dict[RunAddress, ExecutionResult] = {}
-        self._warm_cells: Dict[Tuple[str, ProfileKey], ExecutionResult] = {}
+        self._template_evictions = 0
         self._warm_evictions = 0
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.stats = SessionStats()
         self._store = open_store(store)
         self._backend = resolve_backend(backend)
@@ -413,90 +402,78 @@ class Session:
     # ------------------------------------------------------------------ #
     # Cached materialisation
     # ------------------------------------------------------------------ #
-    def pair(self, config: ExperimentConfig) -> DistillationPair:
-        key: PairKey = (config.task, config.dataset)
+    def _kept(self, cache: str, key: Hashable, build: Callable, builds: str = ""):
+        """The value the ``cache`` table keeps under ``key``, built by ``build()`` on a miss.
+
+        The one rule of every session table: look the key up, build a miss
+        outside the lock, keep the first value published (threads racing one
+        key all return it).  A hit or a lost race counts in ``{cache}_hits``,
+        a kept build in ``builds`` or ``{cache}_builds``; None is not kept.
+        """
+        memo, hits = self._memos[cache], f"{cache}_hits"
         with self._lock:
-            if key not in self._pairs:
-                self._pairs[key] = config.build_pair()
-                self.stats.pair_builds += 1
-            else:
-                self.stats.pair_hits += 1
-            return self._pairs[key]
+            value = memo.get(key)
+            if value is not None:
+                setattr(self.stats, hits, getattr(self.stats, hits) + 1)
+                return value
+        value = build()
+        if value is None:
+            return None
+        with self._lock:
+            evictions = memo.evictions
+            kept = memo.setdefault(key, value)
+            counter = (builds or f"{cache}_builds") if kept is value else hits
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self.stats.evictions += memo.evictions - evictions
+        return kept
+
+    def pair(self, config: ExperimentConfig) -> DistillationPair:
+        return self._kept("pair", (config.task, config.dataset), config.build_pair)
 
     def server(self, config: ExperimentConfig) -> ServerSpec:
-        key: ServerKey = (config.server, config.num_gpus)
-        with self._lock:
-            if key not in self._servers:
-                self._servers[key] = config.build_server()
-                self.stats.server_builds += 1
-            else:
-                self.stats.server_hits += 1
-            return self._servers[key]
+        return self._kept("server", (config.server, config.num_gpus), config.build_server)
 
     def dataset(self, config: ExperimentConfig) -> DatasetSpec:
-        with self._lock:
-            if config.dataset not in self._datasets:
-                self._datasets[config.dataset] = config.build_dataset()
-                self.stats.dataset_builds += 1
-            else:
-                self.stats.dataset_hits += 1
-            return self._datasets[config.dataset]
+        return config.build_dataset()
 
     def executor(self, config: ExperimentConfig) -> ScheduleExecutor:
-        key: ExecutorKey = (
-            config.task,
-            config.dataset,
-            config.server,
-            config.num_gpus,
-            config.simulated_steps,
+        key = (config.task, config.dataset, config.server, config.num_gpus, config.simulated_steps)
+        return self._kept(
+            "executor",
+            key,
+            lambda: ScheduleExecutor(
+                pair=self.pair(config),
+                server=self.server(config),
+                dataset=self.dataset(config),
+                simulated_steps=config.simulated_steps,
+                templates=self._templates,
+            ),
         )
-        with self._lock:
-            if key not in self._executors:
-                self._executors[key] = ScheduleExecutor(
-                    pair=self.pair(config),
-                    server=self.server(config),
-                    dataset=self.dataset(config),
-                    simulated_steps=config.simulated_steps,
-                    templates=self._templates,
-                )
-                self.stats.executor_builds += 1
-            else:
-                self.stats.executor_hits += 1
-            return self._executors[key]
 
     def profile(self, config: ExperimentConfig) -> ProfileTable:
-        """The profile table for this cell, built exactly once per cell.
+        """The profile table for this cell, built once per cell while kept.
 
         It covers every batch size any planner may request: the LS baseline
         scores blocks at the full batch size, and the pipeline planners use
         the per-device micro-batch sizes, which the profiler's
         ``feasible_batches`` already covers.
         """
-        key: ProfileKey = config.cell_key()
-        with self._lock:
-            if key not in self._profiles:
-                with span("session.profile_table", cell=config.cell_label()):
-                    profiler = Profiler(pair=self.pair(config), server=self.server(config))
-                    self._profiles[key] = profiler.profile(
-                        global_batch=config.batch_size,
-                        extra_batches=(config.batch_size,),
-                    )
-                self.stats.profile_builds += 1
-            else:
-                self.stats.profile_hits += 1
-            return self._profiles[key]
+
+        def build() -> ProfileTable:
+            with span("session.profile_table", cell=config.cell_label()):
+                profiler = Profiler(pair=self.pair(config), server=self.server(config))
+                return profiler.profile(
+                    global_batch=config.batch_size, extra_batches=(config.batch_size,)
+                )
+
+        return self._kept("profile", config.cell_key(), build)
 
     def clear(self) -> None:
         """Drop every cached artefact (stats are kept)."""
         with self._lock:
-            self._pairs.clear()
-            self._servers.clear()
-            self._datasets.clear()
-            self._executors.clear()
-            self._profiles.clear()
-            self._plans.clear()
-            self._templates.clear()
-            self._forget_warm()
+            for memo in self._memos.values():
+                memo.clear()
+        self._templates.clear()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -520,17 +497,12 @@ class Session:
         hydrated from the store (``stats.store_hits``) without building a
         plan or touching the simulator; fresh simulations are written
         through the store (``stats.store_builds``) as ``result.document``.
-        Each record is read from the store, parsed and validated once
-        per session: the result is kept in memory by its run (config fields
-        and strategy name, as :func:`~repro.store.keys.run_key` addresses
-        it) and serves every later warm hit, which still counts as a
-        ``store_hits`` but makes no store lookup.  A warm result may
-        therefore be shared between callers and threads, and is read-only.
-        Every result builds its ``document`` once, and its ``to_dict()``
-        returns a fresh copy of it that the caller owns: a warm hit copies
-        a document built when its run was first read, and the step counts
-        of one cell share the parts of it built from the plan and from the
-        peak memory.  A
+        A record is read from the store, parsed and validated once while
+        the session keeps its result (:meth:`_warm_result`): a later warm
+        hit still counts as a ``store_hits`` but makes no store lookup, and
+        its result is shared between callers and threads, so it is
+        read-only.  Every result builds its ``document`` once, and its
+        ``to_dict()`` returns a fresh copy that the caller owns.  A
         :meth:`~repro.store.store.ExperimentStore.gc` that evicts through
         this session's store handle, or :meth:`clear`, drops the kept
         results.  A stored record that does not hydrate raises
@@ -562,8 +534,13 @@ class Session:
                 result = executor.execute(lowered)
             with self._lock:
                 self.stats.runs += 1
+                evicted = self._templates.evictions  # shapes dropped lowering or executing
+                self.stats.evictions += evicted - self._template_evictions
+                self._template_evictions = evicted
             if use_store:
-                self.put_run(config, name, result.document)
+                self._store.put("run", run_key(config, name), result.document)
+                with self._lock:
+                    self.stats.store_builds += 1
             self._runs_simulated.inc()
             self._run_seconds.observe(time.perf_counter() - started)
             return result
@@ -572,34 +549,35 @@ class Session:
         """The stored result of this run, kept in memory once read, or None.
 
         A kept result is returned straight away.  Otherwise the store is
-        read and the hydrated result kept.  Neither the plan nor the peak
-        memory depends on the step count, so a result shares them, and the
-        parts of its document built from them, with the first one kept for
-        its (strategy, cell) when they are equal.  Two
-        threads racing one run both read the store; the first to publish is
-        kept and both return it.
+        read and the hydrated result kept by its run (the cell, strategy
+        name, steps and seed :func:`~repro.store.keys.run_key` addresses).
+        Neither the plan nor the peak memory depends on the step count, so
+        a result shares them, and the parts of its document built from
+        them, with the first one kept for its (strategy, cell) when they
+        are equal.  A store gc that evicted records since the last read
+        drops every kept result.
         """
         cell = config.cell_key()
-        address: RunAddress = (*cell, name, config.simulated_steps, config.seed)
-        with self._lock:
-            if self._store.evictions != self._warm_evictions:
-                self._forget_warm()
+        if self._store.evictions != self._warm_evictions:
+            with self._lock:
+                self._memos["store"].clear()
+                self._memos["warm_cell"].clear()
                 self._warm_evictions = self._store.evictions
-            result = self._warm.get(address)
-            if result is not None:
-                self.stats.store_hits += 1
-                return result
-        key = run_key(config, name)
-        cached = self._store.get("run", key)
-        if cached is None:
-            return None
-        try:
-            result = ExecutionResult.from_dict(cached)
-        except (ReproError, LookupError, TypeError, ValueError) as error:
-            raise self._store.malformed("run", key, error) from error
-        with self._lock:
-            self.stats.store_hits += 1
-            first = self._warm_cells.setdefault((name, cell), result)
+
+        def read() -> Optional[ExecutionResult]:
+            key = run_key(config, name)
+            cached = self._store.get("run", key)
+            if cached is None:
+                return None
+            try:
+                result = ExecutionResult.from_dict(cached)
+            except (ReproError, LookupError, TypeError, ValueError) as error:
+                raise self._store.malformed("run", key, error) from error
+            with self._lock:
+                firsts = self._memos["warm_cell"]
+                evictions = firsts.evictions
+                first = firsts.setdefault((name, cell), result)
+                self.stats.evictions += firsts.evictions - evictions
             # Equal fields, so the same bytes: the document parts built
             # from them are shared too.
             shared, document = first.document, result.document
@@ -609,12 +587,10 @@ class Session:
             if first.peak_memory_bytes == result.peak_memory_bytes:
                 result.peak_memory_bytes = first.peak_memory_bytes
                 document.update((name, shared[name]) for name in PEAK_MEMORY_FIELDS)
-            return self._warm.setdefault(address, result)
+            return result
 
-    def _forget_warm(self) -> None:
-        """Drop the warm results kept in memory (the caller holds the lock)."""
-        self._warm.clear()
-        self._warm_cells.clear()
+        address = (*cell, name, config.simulated_steps, config.seed)
+        return self._kept("store", address, read, "store_hits")
 
     def _plan(
         self,
@@ -623,62 +599,39 @@ class Session:
         profile: Optional[ProfileTable],
         executor: ScheduleExecutor,
     ) -> LoweredPlan:
-        """The planner's plan for this cell, lowered, made once per (planner, cell).
+        """The planner's plan for this cell, lowered, made once per (planner, cell) while kept.
 
         Neither the plan nor its lowering depends on the simulated steps.
         An explicit ``profile`` override plans and lowers afresh and is not
-        kept.  Planning and lowering run outside the session lock (the first
-        lowering of a shape builds its graph template); when two threads
-        race on one cell, the first to publish wins and counts the build,
-        and the other counts a hit, as if it had come second.
+        kept.
         """
-        if profile is not None:
-            return executor.lower(self._build_plan(config, planner, profile))
-        key: PlanKey = (planner, config.cell_key())
-        with self._lock:
-            lowered = self._plans.get(key)
-            if lowered is not None:
-                self.stats.plan_hits += 1
-                return lowered
-        if planner.requires_profile:
-            profile = self.profile(config)
-        built = executor.lower(self._build_plan(config, planner, profile))
-        with self._lock:
-            lowered = self._plans.setdefault(key, built)
-            if lowered is built:
-                self.stats.plan_builds += 1
-            else:
-                self.stats.plan_hits += 1
-        return lowered
 
-    def _build_plan(
-        self, config: ExperimentConfig, planner: Strategy, profile: Optional[ProfileTable]
-    ) -> SchedulePlan:
-        with span("session.plan", strategy=planner.name):
-            return planner.build(
-                self.pair(config),
-                self.server(config),
-                config.batch_size,
-                self.dataset(config),
-                profile=profile,
-            )
+        def build() -> LoweredPlan:
+            cell_profile = profile
+            if cell_profile is None and planner.requires_profile:
+                cell_profile = self.profile(config)
+            with span("session.plan", strategy=planner.name):
+                plan = planner.build(
+                    self.pair(config),
+                    self.server(config),
+                    config.batch_size,
+                    self.dataset(config),
+                    profile=cell_profile,
+                )
+            return executor.lower(plan)
+
+        if profile is not None:
+            return build()
+        return self._kept("plan", (planner, config.cell_key()), build)
 
     # ------------------------------------------------------------------ #
-    # Store plumbing (used by run() and the execution backends)
+    # Store plumbing (used by the precompute command)
     # ------------------------------------------------------------------ #
     def in_store(self, config: ExperimentConfig, strategy: str) -> bool:
         """Whether the store already holds this (cell, strategy, steps) run."""
         if self._store is None:
             return False
         return self._store.contains("run", run_key(config, strategy))
-
-    def put_run(self, config: ExperimentConfig, strategy: str, payload: dict) -> None:
-        """Write one run record through the store (no-op without a store)."""
-        if self._store is None:
-            return
-        self._store.put("run", run_key(config, strategy), payload)
-        with self._lock:
-            self.stats.store_builds += 1
 
     def ablation(
         self,
@@ -758,9 +711,7 @@ class Session:
             "server": axis("server", servers),
             "task": axis("task", tasks),
         }
-        strategy_set = (
-            tuple(strategies) if strategies is not None else (base_config.strategy,)
-        )
+        strategy_set = tuple(strategies) if strategies is not None else (base_config.strategy,)
         if not strategy_set:
             raise ConfigurationError("sweep needs at least one strategy")
         for strategy in strategy_set:
@@ -773,9 +724,7 @@ class Session:
         ]
 
         chosen = resolve_backend(self._backend if backend is None else backend, max_workers)
-        tasks = [
-            (config, strategy) for config in configs for strategy in strategy_set
-        ]
+        tasks = [(config, strategy) for config in configs for strategy in strategy_set]
         get_registry().counter(
             "repro_session_sweeps_total", "Session.sweep grid evaluations"
         ).inc(backend=chosen.name)
@@ -791,18 +740,13 @@ class Session:
                 f"backend {chosen.name!r} returned {len(results)} results for "
                 f"{len(tasks)} tasks"
             )
-        cells_list: List[ExperimentSuiteResult] = []
         flat = iter(results)
-        for config in configs:
-            suite = ExperimentSuiteResult(config=config)
-            for strategy in strategy_set:
-                suite.results[strategy] = next(flat)
-            cells_list.append(suite)
-        cells = tuple(cells_list)
-
         return SweepResult(
             base_config=base_config,
             strategies=strategy_set,
-            cells=cells,
+            cells=tuple(
+                ExperimentSuiteResult(config, {strategy: next(flat) for strategy in strategy_set})
+                for config in configs
+            ),
             axes={name: values for name, values in axes.items() if len(values) > 1},
         )

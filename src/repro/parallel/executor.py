@@ -53,6 +53,7 @@ from repro.errors import ScheduleError
 from repro.fold import left_sum
 from repro.hardware.cost_model import CostModel
 from repro.hardware.server import ServerSpec
+from repro.memo import Memo
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
 from repro.parallel.plan import (
@@ -89,6 +90,9 @@ DATA_PARALLEL_STEPS = MIN_SIMULATED_STEPS
 #: template for itself, so one 1,000-step run of a 4-GPU TR+DPU+AHD plan
 #: leaves 640 rows held, not 20,000.
 HELD_TEMPLATE_STEPS = 32
+#: Most shapes a :class:`GraphTemplates` table holds, least recently used
+#: dropped first: over twice the 56 shapes of the whole plan grid.
+HELD_TEMPLATE_SHAPES = 128
 
 
 #: Top-level fields of :meth:`ExecutionResult.to_dict`, in canonical order.
@@ -342,12 +346,14 @@ class GraphTemplates:
     for.  A longer step count, up to :data:`HELD_TEMPLATE_STEPS`, tiles the
     key's block again for that many steps and replaces the held template;
     a step count past the bound runs a template tiled from the block for
-    that run alone, and the held one stays as it is.  ``builds`` counts the
-    blocks built, ``tilings`` the templates tiled from them.
+    that run alone, and the held one stays as it is.  The table holds at most
+    :data:`HELD_TEMPLATE_SHAPES` shapes (a :class:`~repro.memo.Memo`) and
+    builds a dropped one again.  ``builds`` counts the blocks built,
+    ``tilings`` the templates tiled from them.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Hashable, TemplateEntry] = {}
+        self._entries = Memo(HELD_TEMPLATE_SHAPES)
         self._lock = threading.Lock()
         self.builds = 0
         self.tilings = 0
@@ -399,6 +405,11 @@ class GraphTemplates:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def evictions(self) -> int:
+        """Shapes dropped past :data:`HELD_TEMPLATE_SHAPES`."""
+        return self._entries.evictions
 
     @property
     def num_tasks(self) -> int:

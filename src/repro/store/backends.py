@@ -144,7 +144,7 @@ def _process_worker(payload: Tuple[dict, str, Optional[str]]) -> Tuple[dict, Dic
     """
     config_dict, strategy, store_path = payload
     session = _worker_session(store_path)
-    before = session.stats.snapshot()
+    before = session.stats.to_dict()
     result = session.run(ExperimentConfig(**config_dict), strategy=strategy)
     return result.to_dict(), session.stats.delta(before)
 

@@ -1,12 +1,18 @@
 """Tests of the Session facade: caching, sweeps and JSON export."""
 
 import json
+import sys
+import threading
+from dataclasses import replace
 
 import pytest
 
+import repro.core.session as session_module
+import repro.parallel.executor as executor_module
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import ConfigurationError
+from repro.memo import Memo
 from repro.parallel.profiler import Profiler
 
 
@@ -24,14 +30,14 @@ class TestSessionCaching:
     def test_pair_server_dataset_cached(self, session, fast_config):
         assert session.pair(fast_config) is session.pair(fast_config)
         assert session.server(fast_config) is session.server(fast_config)
+        # A dataset descriptor is a module-level one, not a session table's.
         assert session.dataset(fast_config) is session.dataset(fast_config)
         assert session.stats.pair_builds == 1
         assert session.stats.server_builds == 1
-        assert session.stats.dataset_builds == 1
         # The second access of each artefact is a recorded cache hit.
         assert session.stats.pair_hits == 1
         assert session.stats.server_hits == 1
-        assert session.stats.dataset_hits == 1
+        assert "dataset" not in session.stats.CACHES
 
     def test_executor_hits_counted(self, session, fast_config):
         session.executor(fast_config)
@@ -46,12 +52,10 @@ class TestSessionCaching:
         # One build per artefact, every later touch a hit.
         assert stats.pair_builds == 1
         assert stats.server_builds == 1
-        assert stats.dataset_builds == 1
         assert stats.executor_builds == 1
         assert stats.profile_builds == 1
         assert stats.pair_hits > 0
         assert stats.server_hits > 0
-        assert stats.dataset_hits > 0
         assert stats.executor_hits > 0
         assert stats.profile_hits == 1
         assert 0.0 < stats.hit_rate("pair") < 1.0
@@ -72,16 +76,17 @@ class TestSessionCaching:
             "pair_hits",
             "server_builds",
             "server_hits",
-            "dataset_builds",
-            "dataset_hits",
             "executor_builds",
             "executor_hits",
             "profile_builds",
             "profile_hits",
             "runs",
+            "evictions",
         ):
             assert counter in payload
+        assert not any(counter.startswith("dataset_") for counter in payload)
         assert payload["runs"] == 1
+        assert payload["evictions"] == 0
 
     def test_profile_built_once_per_cell(self, session, fast_config):
         first = session.profile(fast_config)
@@ -265,3 +270,140 @@ class TestExecutionResultToDict:
             assert strategy in text
             assert payload["steps_per_epoch"] > 0
             assert payload["max_memory_gb"] > 0
+
+
+#: 210 distinct cold cells: 35 batch sizes x 2 GPU counts x 3 strategies,
+#: which lower onto 6 graph-template shapes.
+BOUNDED_CELLS = [
+    ExperimentConfig(strategy=strategy, num_gpus=gpus, batch_size=batch, simulated_steps=4)
+    for batch in range(64, 344, 8)
+    for gpus in (2, 4)
+    for strategy in ("LS", "TR", "TR+DPU+AHD")
+]
+
+
+def answer(result) -> str:
+    return json.dumps(result.to_dict())
+
+
+@pytest.fixture(scope="module")
+def fresh_answers():
+    """Each bounded cell's answer from a session of its own."""
+    return {config: answer(Session().run(config)) for config in BOUNDED_CELLS}
+
+
+@pytest.fixture
+def small_bounds(monkeypatch):
+    """Session tables of 8 entries and template tables of 4 shapes."""
+    monkeypatch.setattr(session_module, "MEMO_ENTRIES", 8)
+    monkeypatch.setattr(executor_module, "HELD_TEMPLATE_SHAPES", 4)
+
+
+def assert_within_bounds(session):
+    assert all(len(memo) <= 8 for memo in session._memos.values())
+    assert len(session._templates) <= 4
+
+
+class TestBoundedTables:
+    def test_memo_drops_the_least_recently_used_entry(self):
+        memo = Memo(2)
+        memo.setdefault("a", 1)
+        memo.setdefault("b", 2)
+        assert memo.get("a") == 1  # a hit makes "a" the most recently used
+        assert memo.setdefault("b", 20) == 2  # the first value published stays
+        assert memo.setdefault("c", 3) == 3
+        assert list(memo) == ["a", "c"] and memo.evictions == 1
+        memo.clear()
+        assert len(memo) == 0 and memo.evictions == 1
+
+    def test_small_bounds_hold_and_answers_stay_the_same(self, small_bounds, fresh_answers):
+        session = Session()
+        for config in BOUNDED_CELLS:
+            assert answer(session.run(config)) == fresh_answers[config]
+            assert_within_bounds(session)
+        assert session.stats.evictions > 0
+        assert session._templates.evictions > 0
+        # The first cell's plan was dropped long ago: it is planned again,
+        # to the same bytes.
+        builds = session.stats.plan_builds
+        first = BOUNDED_CELLS[0]
+        assert answer(session.run(first)) == fresh_answers[first]
+        assert session.stats.plan_builds == builds + 1
+
+    def test_warm_results_are_bounded_too(self, small_bounds, fresh_answers, tmp_path):
+        session = Session(store=tmp_path / "store")
+        for config in BOUNDED_CELLS:
+            session.run(config)
+        for config in BOUNDED_CELLS:
+            assert answer(session.run(config)) == fresh_answers[config]
+            assert_within_bounds(session)
+        assert session.stats.store_hits == len(BOUNDED_CELLS)
+        assert session.stats.runs == len(BOUNDED_CELLS)
+        memos = [*session._memos.values(), session._templates]
+        assert session.stats.evictions == sum(memo.evictions for memo in memos)
+        assert session._memos["store"].evictions > 0
+        assert session._memos["warm_cell"].evictions > 0
+
+    def test_a_hit_keeps_the_entry_the_next_insert_would_drop(self, monkeypatch):
+        monkeypatch.setattr(session_module, "MEMO_ENTRIES", 2)
+        session = Session()
+        a, b, c = (ExperimentConfig(batch_size=batch, simulated_steps=4) for batch in (64, 96, 128))
+        session.run(a)
+        session.run(b)
+        session.run(replace(a, simulated_steps=5))  # a plan hit: "a" is now the newest
+        session.run(c)  # drops "b", not "a"
+        assert (session.stats.plan_builds, session.stats.plan_hits) == (3, 1)
+        session.run(a)
+        assert (session.stats.plan_builds, session.stats.plan_hits) == (3, 2)
+        session.run(b)
+        assert (session.stats.plan_builds, session.stats.plan_hits) == (4, 2)
+
+    def test_a_kept_plan_whose_shape_was_dropped_still_executes(self, monkeypatch):
+        monkeypatch.setattr(executor_module, "HELD_TEMPLATE_SHAPES", 1)
+        session = Session()
+        kept = ExperimentConfig(strategy="TR+DPU+AHD", simulated_steps=4)
+        other = replace(kept, strategy="LS")
+        session.run(kept)
+        session.run(other)  # its shape drops the kept plan's
+        templates = session._templates
+        assert (len(templates), templates.evictions, templates.builds) == (1, 1, 2)
+        again = replace(kept, simulated_steps=6)
+        assert answer(session.run(again)) == answer(Session().run(again))
+        assert session.stats.plan_hits == 1
+        assert (templates.evictions, templates.builds) == (2, 3)
+        assert session.stats.evictions == 2
+
+    def test_threads_churning_small_tables_lose_no_count(self, small_bounds, fresh_answers):
+        # More threads than cores and a tiny switch interval, over more cells
+        # than the tables hold: entries are dropped and built again while
+        # other threads read them.
+        cells = BOUNDED_CELLS[:24]
+        session = Session()
+        mismatches, errors = [], []
+
+        def worker(offset: int) -> None:
+            try:
+                for config in cells[offset:] + cells[:offset]:
+                    if answer(session.run(config)) != fresh_answers[config]:
+                        mismatches.append(config)
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index * 4,)) for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and not mismatches
+        assert_within_bounds(session)
+        runs = len(threads) * len(cells)
+        assert session.stats.runs == runs
+        assert session.stats.plan_builds + session.stats.plan_hits == runs
+        memos = [*session._memos.values(), session._templates]
+        assert session.stats.evictions == sum(memo.evictions for memo in memos) > 0

@@ -190,7 +190,7 @@ class TestWarmMemo:
         warm = Session(store=store_root)
         for config in configs:
             warm.run(config).to_dict()
-        kept = list(warm._warm.values())
+        kept = list(warm._memos["store"].values())
         assert len(kept) == len(configs)
         # 3.61 KB an entry on CPython 3.11: the result, its document, and a
         # share of the plan and of the plan and peak-memory parts of the
