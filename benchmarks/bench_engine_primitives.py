@@ -14,9 +14,12 @@ measurement here:
   the batched epoch-memo fill: one ``cluster.memo_fill`` span per drain
   instant covering every missing cell, zero spans once the memo is warm.
   Span/cell/simulation counts are gated; fill latency is recorded ungated.
-* **Planner search** — one AHD search over the 56-candidate space of a
-  4-GPU cell, scored on memoised stage totals.  The candidate count and the
-  winner's step time are gated; the search time is wall-clock and ungated.
+* **Planner search** — one AHD search of a 4-GPU cell (a 56-candidate
+  space) and one of a 32-GPU cell (376,992 candidates, ``MAX_GPUS``), each
+  a device DP per block partition.  The space size and the winner's step
+  time are gated, so a search that picks another winner than exhaustive
+  enumeration did fails the gate; the search time is wall-clock and
+  ungated.
 * **Template tiling** — every plan shape of the seed-0 plan-cold grid is
   tiled from its one-step block at 5, 10 and 20 steps in one
   ``GraphTemplates`` table: one block build per shape, one tiling per step
@@ -220,13 +223,14 @@ def test_memo_fill_batch_latency(session):
     )
 
 
-def test_ahd_search_time(session, fast_steps):
+def _ahd_search_payload(session, fast_steps, num_gpus: int) -> dict:
+    """Time one AHD search of the default a6000 cell at ``num_gpus`` GPUs."""
     from repro.tune.space import TuneSpace
 
     space = TuneSpace(
         strategies=("TR+DPU+AHD",),
         batch_sizes=(256,),
-        gpu_counts=(4,),
+        gpu_counts=(num_gpus,),
         servers=("a6000",),
     )
     config = space.points()[0].config(fast_steps)
@@ -244,12 +248,20 @@ def test_ahd_search_time(session, fast_steps):
         "step_time_s": result.best.step_time,
         "search_ms": search_s * 1e3,
     }
-    emit_json("engine_primitives_estimator", payload)
     emit(
-        "AHD planner search on memoised stage totals",
-        f"{payload['search_space_size']} candidates in {search_s * 1e3:.3f} ms "
+        f"AHD planner search, {num_gpus} GPUs",
+        f"{payload['search_space_size']}-candidate space in {search_s * 1e3:.3f} ms "
         f"(best of {TIMING_REPEATS})",
     )
+    return payload
+
+
+def test_ahd_search_time(session, fast_steps):
+    emit_json("engine_primitives_estimator", _ahd_search_payload(session, fast_steps, 4))
+
+
+def test_ahd_search_time_32gpu(session, fast_steps):
+    emit_json("engine_primitives_search_32gpu", _ahd_search_payload(session, fast_steps, 32))
 
 
 def _plan_cold_shapes(seed: int) -> list:

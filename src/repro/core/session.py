@@ -369,7 +369,7 @@ class Session:
         store: Union[ExperimentStore, str, Path, None] = None,
         backend: Union[str, ExecutionBackend] = "inline",
     ) -> None:
-        # A table per cache, and the first warm result of each (strategy name, cell).
+        # A table per cache, and the fields the warm results of a (strategy, cell) share.
         self._memos = {cache: Memo(MEMO_ENTRIES) for cache in (*SessionStats.CACHES, "warm_cell")}
         self._templates = GraphTemplates()
         self._template_evictions = 0
@@ -553,9 +553,9 @@ class Session:
         name, steps and seed :func:`~repro.store.keys.run_key` addresses).
         Neither the plan nor the peak memory depends on the step count, so
         a result shares them, and the parts of its document built from
-        them, with the first one kept for its (strategy, cell) when they
-        are equal.  A store gc that evicted records since the last read
-        drops every kept result.
+        them, with the first result read for its (strategy, cell) when they
+        are equal; only they are kept for it, not that result.  A store gc
+        that evicted records since the last read drops every kept result.
         """
         cell = config.cell_key()
         if self._store.evictions != self._warm_evictions:
@@ -573,20 +573,23 @@ class Session:
                 result = ExecutionResult.from_dict(cached)
             except (ReproError, LookupError, TypeError, ValueError) as error:
                 raise self._store.malformed("run", key, error) from error
+            document = result.document
+            parts = {field: document[field] for field in ("plan", *PEAK_MEMORY_FIELDS)}
             with self._lock:
                 firsts = self._memos["warm_cell"]
                 evictions = firsts.evictions
-                first = firsts.setdefault((name, cell), result)
+                plan, peak_memory, shared = firsts.setdefault(
+                    (name, cell), (result.plan, result.peak_memory_bytes, parts)
+                )
                 self.stats.evictions += firsts.evictions - evictions
             # Equal fields, so the same bytes: the document parts built
             # from them are shared too.
-            shared, document = first.document, result.document
-            if first.plan == result.plan:
-                result.plan = first.plan
+            if plan == result.plan:
+                result.plan = plan
                 document["plan"] = shared["plan"]
-            if first.peak_memory_bytes == result.peak_memory_bytes:
-                result.peak_memory_bytes = first.peak_memory_bytes
-                document.update((name, shared[name]) for name in PEAK_MEMORY_FIELDS)
+            if peak_memory == result.peak_memory_bytes:
+                result.peak_memory_bytes = peak_memory
+                document.update((field, shared[field]) for field in PEAK_MEMORY_FIELDS)
             return result
 
         address = (*cell, name, config.simulated_steps, config.seed)

@@ -23,7 +23,7 @@ from repro.parallel.registry import (
     register_strategy,
 )
 from repro.parallel.profiler import Profiler, ProfileTable
-from repro.parallel.partition import contiguous_partitions, compositions
+from repro.parallel.partition import contiguous_partitions
 from repro.parallel.estimator import StageTimeEstimator
 from repro.parallel.baseline_dp import build_dp_plan
 from repro.parallel.baseline_ls import build_ls_plan
@@ -42,7 +42,6 @@ __all__ = [
     "Profiler",
     "ProfileTable",
     "contiguous_partitions",
-    "compositions",
     "StageTimeEstimator",
     "build_dp_plan",
     "build_ls_plan",

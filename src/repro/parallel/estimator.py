@@ -11,9 +11,9 @@ if the stage contains block 0.
 In steady state with decoupled parameter updates, the pipeline's throughput
 is set by the slowest stage (§IV-C: "the system throughput is determined by
 the throughput of the slowest device"), so a plan's score is simply the
-maximum stage time.  :func:`search_pipeline_plans` is the one scoring loop
-the TR and AHD planners share: it scores candidates in enumeration order and
-estimates each distinct stage once per search.
+maximum stage time: a bottleneck partition problem (Bokhari, IEEE ToC 1988;
+PipeDream's planner, SOSP 2019), which :func:`search_pipeline_plans` solves
+exactly for TR and AHD with a min-max DP per contiguous block partition.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.errors import ScheduleError
 from repro.hardware.server import ServerSpec
 from repro.models.layers import BYTES_PER_ELEMENT
 from repro.models.pairs import DistillationPair
+from repro.parallel.partition import Partition, contiguous_partitions
 from repro.parallel.plan import SchedulePlan, StageAssignment
 from repro.parallel.profiler import ProfileTable
 
@@ -194,51 +195,89 @@ def stage_assignments_from_partition(
     return tuple(stages)
 
 
-#: A planner candidate: contiguous block groups and per-stage device counts.
-Candidate = Tuple[Sequence[Sequence[int]], Sequence[int]]
-
-
 def search_pipeline_plans(
     estimator: StageTimeEstimator,
-    candidates: Iterable[Candidate],
     global_batch: int,
-    make_plan: Callable[[Sequence[Sequence[int]], Sequence[int]], SchedulePlan],
-    keep_candidates: bool = False,
-) -> Tuple[SchedulePlan, float, List[Tuple[SchedulePlan, float]]]:
-    """Score pipeline candidates by max stage time; return the first minimum.
+    num_devices: int,
+    stage_counts: Iterable[int],
+) -> Tuple[Partition, Tuple[int, ...], float]:
+    """:func:`bottleneck_search` on the estimator's stage totals at ``global_batch``."""
 
-    Each candidate's step time is the max of its stage totals, which is what
-    :meth:`StageTimeEstimator.plan_step_time` returns for the same plan.  A
-    stage total depends only on ``(first_block, num_stage_blocks, replicas)``
-    plus the first stage's loader count when the stage loads data, so each
-    distinct stage is estimated once per search.  The first candidate with
-    the strictly smallest time wins (enumeration order breaks ties).  Only the
-    winner builds a :class:`SchedulePlan` unless ``keep_candidates`` is set,
-    in which case every candidate does and comes back, in enumeration order,
-    as ``(plan, step_time)`` in the third element.
+    def stage_total(first_block: int, size: int, replicas: int) -> float:
+        blocks = range(first_block, first_block + size)
+        return estimator.stage_time(
+            blocks, replicas, global_batch, concurrent_loaders=replicas
+        ).total
+
+    return bottleneck_search(stage_total, estimator.pair.num_blocks, num_devices, stage_counts)
+
+
+def bottleneck_search(
+    stage_total: Callable[[int, int, int], float],
+    num_blocks: int,
+    num_devices: int,
+    stage_counts: Iterable[int],
+) -> Tuple[Partition, Tuple[int, ...], float]:
+    """Exact min-max search over block partitions and device counts.
+
+    A candidate splits blocks ``0..num_blocks-1`` into ``k`` (from
+    ``stage_counts``) contiguous stages and gives stage ``i`` ``r_i >= 1`` of
+    the ``num_devices`` devices; its step time is the max over stages of
+    ``stage_total(first_block, size, r_i)``.  Returns ``(partition,
+    device_counts, step_time)`` of the first candidate with the smallest step
+    time in order of stage count, partition (:func:`contiguous_partitions`
+    order) and device counts (lexicographic).  Per partition, a min-max DP
+    over the spare devices, ``g[i][e] = min over x of max(total_i(1 + x),
+    g[i+1][e - x])``, replaces enumerating device counts; max and min of the
+    same floats are exact, so the winner is the enumeration's to the bit.
+    A stage loads data only when it holds block 0, with its own replicas as
+    loaders, so each ``(first_block, size, replicas)`` total is computed once.
     """
-    totals: Dict[Tuple[int, int, int, int], float] = {}
-    kept: List[Tuple[SchedulePlan, float]] = []
+    # rows[first_block, size][x]: that stage's total on 1 + x devices.
+    rows: Dict[Tuple[int, int], List[float]] = {}
     best = None
-    best_index = -1
     best_time = float("inf")
-    for index, (partition, device_counts) in enumerate(candidates):
-        loaders = device_counts[0]
-        stage_totals = []
-        for blocks, replicas in zip(partition, device_counts):
-            key = (blocks[0], len(blocks), replicas, loaders if blocks[0] == 0 else 0)
-            total = totals.get(key)
-            if total is None:
-                total = totals[key] = estimator.stage_time(
-                    blocks, replicas, global_batch, concurrent_loaders=loaders
-                ).total
-            stage_totals.append(total)
-        step_time = max(stage_totals)
-        if keep_candidates:
-            kept.append((make_plan(partition, device_counts), step_time))
-        if best is None or step_time < best_time:
-            best, best_index, best_time = (partition, device_counts), index, step_time
+    for num_stages in stage_counts:
+        spare = num_devices - num_stages
+        if spare < 0:
+            continue
+        for partition in contiguous_partitions(num_blocks, num_stages):
+            if num_stages == 1:  # one stage takes every device
+                optimum, stage_rows, suffixes = stage_total(0, num_blocks, num_devices), [], []
+            else:
+                stage_rows = []
+                for group in partition:
+                    row = rows.setdefault((group[0], len(group)), [])
+                    if len(row) <= spare:
+                        row += [
+                            stage_total(group[0], len(group), replicas)
+                            for replicas in range(len(row) + 1, spare + 2)
+                        ]
+                    stage_rows.append(row)
+                if spare == 0:  # one device a stage
+                    optimum, suffixes = max([row[0] for row in stage_rows]), []
+                else:
+                    # suffixes[j][e]: the best max over the last j + 1 stages on e
+                    # spare devices; x of them to a stage leave e - x after it.
+                    suffix = stage_rows[-1]
+                    suffixes = [suffix]
+                    for row in stage_rows[-2:0:-1]:
+                        suffix = [min(map(max, row, suffix[e::-1])) for e in range(spare + 1)]
+                        suffixes.append(suffix)
+                    optimum = min(map(max, stage_rows[0], suffix[spare::-1]))
+            if optimum < best_time or best is None:
+                best, best_time = (partition, spare, stage_rows, suffixes), optimum
     if best is None:
-        raise ScheduleError("the planner search produced no candidates")
-    plan = kept[best_index][0] if keep_candidates else make_plan(*best)
-    return plan, best_time, kept
+        raise ScheduleError("the planner search has no candidates")
+    partition, spare, stage_rows, suffixes = best
+    # The lexicographically first device counts at the optimum: each stage
+    # takes the fewest spare devices that keep it and the rest at or under it.
+    device_counts = [1] * len(partition)
+    for stage, (row, after) in enumerate(zip(stage_rows, reversed(suffixes))):
+        extra = next(
+            x for x in range(spare + 1) if row[x] <= best_time and after[spare - x] <= best_time
+        )
+        device_counts[stage] += extra
+        spare -= extra
+    device_counts[-1] += spare
+    return partition, tuple(device_counts), best_time

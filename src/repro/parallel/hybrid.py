@@ -11,15 +11,17 @@ for balance.  The search space is therefore:
 
 Every candidate is scored with the profiled per-(block, batch) times — the
 steady-state throughput of a decoupled pipeline is the maximum stage time —
-and the minimum-makespan candidate wins.  The paper argues this exhaustive
-search is cheap because B and N are both around ten; :func:`search_space_size`
-and the ablation benchmark quantify that claim.
+and the minimum-makespan candidate wins, the first in that order on a tie.
+The paper argues exhaustive search is cheap because B and N are both around
+ten; :func:`search_space_size` counts the space (376,992 candidates at 6
+blocks and 32 GPUs).  The search does not enumerate it:
+:func:`~repro.parallel.estimator.search_pipeline_plans` walks the partitions
+and picks each one's device counts with a min-max DP, to the same winner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.data.dataset import DatasetSpec
 from repro.hardware.server import ServerSpec
@@ -29,18 +31,14 @@ from repro.parallel.estimator import (
     search_pipeline_plans,
     stage_assignments_from_partition,
 )
-from repro.parallel.partition import (
-    compositions,
-    contiguous_partitions,
-    count_contiguous_partitions,
-)
+from repro.parallel.partition import count_contiguous_partitions
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.profiler import ProfileTable
 
 
 @dataclass(frozen=True)
 class AHDCandidate:
-    """One evaluated point of the AHD search."""
+    """One point of the AHD search space: a plan and its estimated step time."""
 
     plan: SchedulePlan
     step_time: float
@@ -48,14 +46,9 @@ class AHDCandidate:
 
 @dataclass
 class AHDSearchResult:
-    """Best plan plus the full ranked candidate list (for analysis benches)."""
+    """The AHD search's winner."""
 
     best: AHDCandidate
-    candidates: Tuple[AHDCandidate, ...]
-
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
 
 
 def search_space_size(num_blocks: int, num_devices: int) -> int:
@@ -76,47 +69,27 @@ def search_ahd(
     batch_size: int,
     profile: ProfileTable,
     dataset: DatasetSpec,
-    keep_candidates: bool = False,
 ) -> AHDSearchResult:
-    """Exhaustively search hybrid block/batch distributions."""
+    """Search hybrid block/batch distributions for the minimum step time."""
     num_devices = server.num_devices
     num_blocks = pair.num_blocks
-    max_stages = min(num_blocks, num_devices)
-
-    def make_plan(partition, device_counts) -> SchedulePlan:
-        stages = stage_assignments_from_partition(partition, device_counts)
-        return SchedulePlan(
-            kind="pipeline",
-            strategy="TR+DPU+AHD",
-            batch_size=batch_size,
-            num_devices=num_devices,
-            num_blocks=num_blocks,
-            decoupled_update=True,
-            stages=stages,
-        )
-
-    def candidates():
-        for num_stages in range(1, max_stages + 1):
-            device_splits = tuple(compositions(num_devices, num_stages))
-            for partition in contiguous_partitions(num_blocks, num_stages):
-                for device_counts in device_splits:
-                    yield partition, device_counts
-
     estimator = StageTimeEstimator(pair=pair, server=server, dataset=dataset, profile=profile)
-    best_plan, best_time, scored = search_pipeline_plans(
-        estimator,
-        candidates(),
-        batch_size,
-        make_plan,
-        keep_candidates=keep_candidates,
+    partition, device_counts, step_time = search_pipeline_plans(
+        estimator, batch_size, num_devices, range(1, min(num_blocks, num_devices) + 1)
     )
-    best = AHDCandidate(plan=best_plan, step_time=best_time)
-    kept = [AHDCandidate(plan=plan, step_time=step_time) for plan, step_time in scored]
-    best.plan.metadata["estimated_step_time"] = best.step_time
-    best.plan.metadata["search_space_size"] = search_space_size(num_blocks, num_devices)
-    best.plan.metadata["profiling_cost_s"] = profile.profiling_cost_s
-    kept.sort(key=lambda candidate: candidate.step_time)
-    return AHDSearchResult(best=best, candidates=tuple(kept))
+    plan = SchedulePlan(
+        kind="pipeline",
+        strategy="TR+DPU+AHD",
+        batch_size=batch_size,
+        num_devices=num_devices,
+        num_blocks=num_blocks,
+        decoupled_update=True,
+        stages=stage_assignments_from_partition(partition, device_counts),
+    )
+    plan.metadata["estimated_step_time"] = step_time
+    plan.metadata["search_space_size"] = search_space_size(num_blocks, num_devices)
+    plan.metadata["profiling_cost_s"] = profile.profiling_cost_s
+    return AHDSearchResult(best=AHDCandidate(plan=plan, step_time=step_time))
 
 
 def build_ahd_plan(

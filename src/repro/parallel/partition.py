@@ -3,60 +3,39 @@
 The paper notes that with ``B`` blocks and ``N`` devices the naive contiguous
 distribution has only C(B-1, N-1) choices (§IV-C); automatic hybrid
 distribution enlarges that space by also splitting blocks along the batch
-dimension.  Both searches need the same primitive: enumerating compositions
-(ordered partitions of an integer) and contiguous block groupings.
+dimension.  Both planners walk the same block partitions
+(:func:`contiguous_partitions`) and choose device counts for each with a DP
+(:func:`repro.parallel.estimator.search_pipeline_plans`), so device
+compositions are never enumerated.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, List, Tuple
 
 from repro.errors import ScheduleError
 
-
-def compositions(total: int, parts: int, minimum: int = 1) -> Iterator[Tuple[int, ...]]:
-    """Yield ordered tuples of ``parts`` integers >= ``minimum`` summing to ``total``.
-
-    ``compositions(4, 2)`` yields ``(1, 3), (2, 2), (3, 1)``.
-    """
-    if parts <= 0:
-        raise ScheduleError("parts must be positive")
-    if minimum < 0:
-        raise ScheduleError("minimum must be non-negative")
-    if total < parts * minimum:
-        return
-
-    def _recurse(remaining: int, slots: int, prefix: List[int]) -> Iterator[Tuple[int, ...]]:
-        if slots == 1:
-            if remaining >= minimum:
-                yield tuple(prefix + [remaining])
-            return
-        # Leave at least `minimum` for each of the remaining slots.
-        for value in range(minimum, remaining - minimum * (slots - 1) + 1):
-            yield from _recurse(remaining - value, slots - 1, prefix + [value])
-
-    yield from _recurse(total, parts, [])
+#: Contiguous block groups in stage order, e.g. ``((0, 1), (2,), (3, 4, 5))``.
+Partition = Tuple[Tuple[int, ...], ...]
 
 
-def contiguous_partitions(num_blocks: int, num_groups: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+def contiguous_partitions(num_blocks: int, num_groups: int) -> Iterator[Partition]:
     """Yield all ways to split blocks ``0..num_blocks-1`` into contiguous groups.
 
     Each yielded value is a tuple of ``num_groups`` tuples of block ids, in
-    order.  There are C(num_blocks-1, num_groups-1) of them.
+    order, with the group sizes in lexicographic order:
+    ``contiguous_partitions(3, 2)`` yields ``((0,), (1, 2))`` then
+    ``((0, 1), (2,))``.  There are C(num_blocks-1, num_groups-1) of them.
     """
     if num_blocks <= 0:
         raise ScheduleError("num_blocks must be positive")
     if num_groups <= 0:
         raise ScheduleError("num_groups must be positive")
-    if num_groups > num_blocks:
-        return
-    for sizes in compositions(num_blocks, num_groups):
-        groups: List[Tuple[int, ...]] = []
-        start = 0
-        for size in sizes:
-            groups.append(tuple(range(start, start + size)))
-            start += size
-        yield tuple(groups)
+    # Cut points in lexicographic order give group sizes in lexicographic order.
+    for cuts in combinations(range(1, num_blocks), num_groups - 1):
+        bounds = (0, *cuts, num_blocks)
+        yield tuple(tuple(range(start, stop)) for start, stop in zip(bounds, bounds[1:]))
 
 
 def count_contiguous_partitions(num_blocks: int, num_groups: int) -> int:

@@ -8,8 +8,10 @@ the redundant teacher prefix execution and the per-block data loading, and
 every device now works on the full batch (better utilization).
 
 Block-to-device assignment uses the "naive distribution" of §IV-C: the best
-*contiguous* split of blocks over devices (one device per stage), chosen
-exhaustively from the C(B-1, N-1) candidates using profiled block times.
+*contiguous* split of blocks over devices (one device per stage) of the
+C(B-1, N-1) candidates, by profiled block times.  It is the AHD search
+(:func:`~repro.parallel.estimator.search_pipeline_plans`) with one stage
+count, min(N, B), and one device per stage.
 Without AHD there is no batch splitting, which is exactly why imbalanced
 workloads (ImageNet's heavy block 0) leave bubbles that DPU alone cannot
 remove.
@@ -26,7 +28,6 @@ from repro.parallel.estimator import (
     search_pipeline_plans,
     stage_assignments_from_partition,
 )
-from repro.parallel.partition import contiguous_partitions
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.profiler import ProfileTable
 
@@ -45,32 +46,22 @@ def build_tr_plan(
     num_stages = min(num_devices, num_blocks)
     if num_stages < 1:
         raise ScheduleError("need at least one device and one block")
-    strategy = "TR+DPU" if decoupled_update else "TR"
-
-    def make_plan(partition, device_counts) -> SchedulePlan:
-        return SchedulePlan(
-            kind="pipeline",
-            strategy=strategy,
-            batch_size=batch_size,
-            num_devices=num_devices,
-            num_blocks=num_blocks,
-            decoupled_update=decoupled_update,
-            stages=stage_assignments_from_partition(partition, device_counts),
-        )
-
     estimator = StageTimeEstimator(pair=pair, server=server, dataset=dataset, profile=profile)
-    one_device_each = (1,) * num_stages
-    best_plan, best_time, _ = search_pipeline_plans(
-        estimator,
-        (
-            (partition, one_device_each)
-            for partition in contiguous_partitions(num_blocks, num_stages)
-        ),
-        batch_size,
-        make_plan,
+    # As many devices as stages: each stage gets exactly one.
+    partition, device_counts, step_time = search_pipeline_plans(
+        estimator, batch_size, num_stages, (num_stages,)
     )
-    best_plan.metadata["estimated_step_time"] = best_time
-    best_plan.metadata["description"] = (
+    plan = SchedulePlan(
+        kind="pipeline",
+        strategy="TR+DPU" if decoupled_update else "TR",
+        batch_size=batch_size,
+        num_devices=num_devices,
+        num_blocks=num_blocks,
+        decoupled_update=decoupled_update,
+        stages=stage_assignments_from_partition(partition, device_counts),
+    )
+    plan.metadata["estimated_step_time"] = step_time
+    plan.metadata["description"] = (
         "contiguous block groups, one device per stage, activations relayed"
     )
-    return best_plan
+    return plan

@@ -1,8 +1,10 @@
 """Tests of the Session facade: caching, sweeps and JSON export."""
 
+import gc
 import json
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -343,6 +345,30 @@ class TestBoundedTables:
         assert session.stats.evictions == sum(memo.evictions for memo in memos)
         assert session._memos["store"].evictions > 0
         assert session._memos["warm_cell"].evictions > 0
+
+    def test_a_dropped_warm_result_is_freed(self, monkeypatch, tmp_path):
+        # The (strategy, cell) table keeps the plan and peak memory the
+        # step counts of a cell share, not the first result read: once the
+        # store memo drops a result, nothing else holds it.
+        monkeypatch.setattr(session_module, "MEMO_ENTRIES", 8)
+        cells = [
+            ExperimentConfig(strategy="TR", num_gpus=2, batch_size=batch, simulated_steps=4)
+            for batch in range(64, 128, 8)
+        ]
+        later = [replace(config, simulated_steps=5) for config in cells]
+        cold = Session(store=tmp_path / "store")
+        for config in cells + later:
+            cold.run(config)
+        session = Session(store=tmp_path / "store")
+        first = [weakref.ref(session.run(config)) for config in cells]
+        shared = [session.run(config) for config in later]
+        gc.collect()
+        assert session._memos["store"].evictions == len(cells)
+        assert [ref() for ref in first] == [None] * len(cells)
+        # The later step counts still share one plan per cell.
+        assert len(session._memos["warm_cell"]) == len(cells)
+        for result, (plan, peak_memory, _) in zip(shared, session._memos["warm_cell"].values()):
+            assert result.plan is plan and result.peak_memory_bytes is peak_memory
 
     def test_a_hit_keeps_the_entry_the_next_insert_would_drop(self, monkeypatch):
         monkeypatch.setattr(session_module, "MEMO_ENTRIES", 2)

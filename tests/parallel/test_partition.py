@@ -7,39 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ScheduleError
 from repro.parallel.partition import (
-    compositions,
     contiguous_partitions,
     count_contiguous_partitions,
     lpt_bin_packing,
 )
-
-
-class TestCompositions:
-    def test_known_case(self):
-        assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
-
-    def test_single_part(self):
-        assert list(compositions(5, 1)) == [(5,)]
-
-    def test_infeasible_yields_nothing(self):
-        assert list(compositions(2, 3)) == []
-
-    @given(total=st.integers(min_value=1, max_value=10), parts=st.integers(min_value=1, max_value=5))
-    @settings(max_examples=40, deadline=None)
-    def test_all_sum_to_total(self, total, parts):
-        for composition in compositions(total, parts):
-            assert sum(composition) == total
-            assert all(value >= 1 for value in composition)
-
-    @given(total=st.integers(min_value=1, max_value=12), parts=st.integers(min_value=1, max_value=6))
-    @settings(max_examples=40, deadline=None)
-    def test_count_matches_binomial(self, total, parts):
-        expected = comb(total - 1, parts - 1) if total >= parts else 0
-        assert len(list(compositions(total, parts))) == expected
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ScheduleError):
-            list(compositions(4, 0))
 
 
 class TestContiguousPartitions:
@@ -52,6 +23,12 @@ class TestContiguousPartitions:
         for partition in contiguous_partitions(6, 3):
             flattened = [block for group in partition for block in group]
             assert flattened == list(range(6))
+
+    def test_group_sizes_in_lexicographic_order(self):
+        # The planner search breaks ties by this order.
+        sizes = [tuple(map(len, partition)) for partition in contiguous_partitions(5, 3)]
+        assert sizes == sorted(sizes)
+        assert list(contiguous_partitions(3, 2)) == [((0,), (1, 2)), ((0, 1), (2,))]
 
     def test_too_many_groups_yields_nothing(self):
         assert list(contiguous_partitions(3, 4)) == []

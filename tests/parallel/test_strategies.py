@@ -114,17 +114,23 @@ class TestAHD:
         )
         assert plan.stages[0].num_devices >= 2
 
-    def test_search_result_candidates_sorted(
+    def test_search_result_is_the_estimated_best(
         self, nas_cifar_pair, a6000_server, nas_cifar_profile, cifar_dataset
     ):
+        from repro.parallel.estimator import StageTimeEstimator
+
         result = search_ahd(
-            nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset,
-            keep_candidates=True,
+            nas_cifar_pair, a6000_server, 256, nas_cifar_profile, cifar_dataset
         )
-        times = [candidate.step_time for candidate in result.candidates]
-        assert times == sorted(times)
-        assert result.num_candidates == search_space_size(6, 4)
-        assert result.best.step_time == pytest.approx(times[0])
+        estimator = StageTimeEstimator(
+            pair=nas_cifar_pair,
+            server=a6000_server,
+            dataset=cifar_dataset,
+            profile=nas_cifar_profile,
+        )
+        # The winner's step time is its plan's max stage time, exactly.
+        assert estimator.plan_step_time(result.best.plan) == result.best.step_time
+        assert result.best.plan.metadata["estimated_step_time"] == result.best.step_time
 
     def test_metadata_records_search_space(
         self, nas_cifar_pair, a6000_server, nas_cifar_profile, cifar_dataset
