@@ -254,17 +254,14 @@ def bottleneck_search(
                             for replicas in range(len(row) + 1, spare + 2)
                         ]
                     stage_rows.append(row)
-                if spare == 0:  # one device a stage
-                    optimum, suffixes = max([row[0] for row in stage_rows]), []
-                else:
-                    # suffixes[j][e]: the best max over the last j + 1 stages on e
-                    # spare devices; x of them to a stage leave e - x after it.
-                    suffix = stage_rows[-1]
-                    suffixes = [suffix]
-                    for row in stage_rows[-2:0:-1]:
-                        suffix = [min(map(max, row, suffix[e::-1])) for e in range(spare + 1)]
-                        suffixes.append(suffix)
-                    optimum = min(map(max, stage_rows[0], suffix[spare::-1]))
+                # suffixes[j][e]: the best max over the last j + 1 stages on e
+                # spare devices; x of them to a stage leave e - x after it.
+                suffix = stage_rows[-1]
+                suffixes = [suffix]
+                for row in stage_rows[-2:0:-1]:
+                    suffix = [min(map(max, row, suffix[e::-1])) for e in range(spare + 1)]
+                    suffixes.append(suffix)
+                optimum = min(map(max, stage_rows[0], suffix[spare::-1]))
             if optimum < best_time or best is None:
                 best, best_time = (partition, spare, stage_rows, suffixes), optimum
     if best is None:
@@ -272,12 +269,12 @@ def bottleneck_search(
     partition, spare, stage_rows, suffixes = best
     # The lexicographically first device counts at the optimum: each stage
     # takes the fewest spare devices that keep it and the rest at or under it.
-    device_counts = [1] * len(partition)
-    for stage, (row, after) in enumerate(zip(stage_rows, reversed(suffixes))):
+    device_counts = []
+    for row, after in zip(stage_rows, reversed(suffixes)):
         extra = next(
             x for x in range(spare + 1) if row[x] <= best_time and after[spare - x] <= best_time
         )
-        device_counts[stage] += extra
+        device_counts.append(1 + extra)
         spare -= extra
-    device_counts[-1] += spare
+    device_counts.append(1 + spare)  # the last stage takes what is left
     return partition, tuple(device_counts), best_time
