@@ -20,12 +20,13 @@ measurement here:
   time are gated, so a search that picks another winner than exhaustive
   enumeration did fails the gate; the search time is wall-clock and
   ungated.
-* **Template tiling** — every plan shape of the seed-0 plan-cold grid is
-  tiled from its one-step block at 5, 10 and 20 steps in one
-  ``GraphTemplates`` table: one block build per shape, one tiling per step
-  count.  The build, tiling and row counts are gated, so a table that builds
-  a shape again or tiles more than it must fails the gate; the tiling time
-  is wall-clock and ungated.
+* **Block runs** — every plan shape of the seed-0 plan-cold grid is run
+  from its one-step block at 5, 10 and 20 steps through one
+  ``GraphTemplates`` table: one block build per shape, whatever the step
+  count.  The build count, the rows held (one step of each shape) and the
+  rows run are gated, so a table that builds a shape again or holds more
+  than one step of it fails the gate; the run time is wall-clock and
+  ungated.
 
 Run with the rest of the harness::
 
@@ -56,7 +57,7 @@ ENGINE_WIDTHS = (8, 32)
 TASKS_PER_RESOURCE = 200
 BURST_JOBS = 24
 TIMING_REPEATS = 5
-TILING_STEPS = (5, 10, 20)
+BLOCK_RUN_STEPS = (5, 10, 20)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -278,30 +279,31 @@ def _plan_cold_shapes(seed: int) -> list:
     return list(session.executor(config).templates.shapes())
 
 
-def test_template_tiling():
+def test_block_runs():
     shapes = _plan_cold_shapes(0)
     table = GraphTemplates()
-    tiled_rows = 0
+    run_rows = 0
     start = time.perf_counter()
     for key in shapes:
-        for steps in TILING_STEPS:
-            entry, rows = table.get(key, steps)
-            tiled_rows += rows
-    tile_s = time.perf_counter() - start
+        entry = table.get(key)
+        values = [1.0 + 0.25 * slot for slot in range(len(entry.slot_keys))]
+        for steps in BLOCK_RUN_STEPS:
+            run_rows += len(entry.template.instantiate(values, steps).run())
+    run_s = time.perf_counter() - start
     payload = {
         "shapes": len(shapes),
-        "steps": list(TILING_STEPS),
+        "steps": list(BLOCK_RUN_STEPS),
         "template_builds": table.builds,
-        "template_tilings": table.tilings,
-        "tiled_rows": tiled_rows,
         "num_tasks": table.num_tasks,
-        "tile_ms": tile_s * 1e3,
+        "run_rows": run_rows,
+        "run_ms": run_s * 1e3,
     }
-    emit_json("engine_primitives_tiling", payload)
+    emit_json("engine_primitives_blocks", payload)
     emit(
-        "Graph templates tiled from one-step blocks (seed-0 plan-cold shapes)",
-        f"{len(shapes)} shapes: {table.builds} block builds, {table.tilings} tilings, "
-        f"{tiled_rows} rows tiled, {table.num_tasks} held, in {tile_s * 1e3:.1f} ms",
+        "Graph templates run from one-step blocks (seed-0 plan-cold shapes)",
+        f"{len(shapes)} shapes: {table.builds} block builds, {table.num_tasks} rows held, "
+        f"{run_rows} rows run, in {run_s * 1e3:.1f} ms",
     )
-    # Each shape's block is built once and tiled once per step count.
-    assert (table.builds, table.tilings) == (len(shapes), len(shapes) * len(TILING_STEPS))
+    # Each shape's block is built once and held as one step.
+    assert table.builds == len(shapes)
+    assert run_rows == table.num_tasks * sum(BLOCK_RUN_STEPS)

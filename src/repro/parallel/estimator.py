@@ -49,14 +49,22 @@ class StageTimeEstimate:
 
     @property
     def total(self) -> float:
-        """Per-step busy time.
+        """Per-step busy time (:func:`_stage_total`)."""
+        return _stage_total(
+            self.teacher, self.student, self.update, self.allreduce, self.data_load, self.relay
+        )
 
-        Data loading and activation relaying overlap with compute (paper
-        §IV-A); they only matter if they exceed the compute time, so the
-        stage time is the max of the compute path and each overlapped path.
-        """
-        overlapped = max(self.data_load, self.relay)
-        return max(self.compute + self.allreduce, overlapped)
+
+def _stage_total(
+    teacher: float, student: float, update: float, allreduce: float, data_load: float, relay: float
+) -> float:
+    """A stage's per-step busy time from its parts.
+
+    Data loading and activation relaying overlap with compute (paper
+    §IV-A); they only matter if they exceed the compute time, so the
+    stage time is the max of the compute path and each overlapped path.
+    """
+    return max(teacher + student + update + allreduce, max(data_load, relay))
 
 
 class StageTimeEstimator:
@@ -74,6 +82,10 @@ class StageTimeEstimator:
         self.dataset = dataset
         self.profile = profile
         self.loader = DataLoadModel(dataset=dataset, host=server.host)
+        # What every stage total reads of the pair, read once.
+        self._num_blocks = pair.num_blocks
+        self._grad_bytes = [block.params * BYTES_PER_ELEMENT for block in pair.student.blocks]
+        self._boundary_bytes = [block.output_bytes_per_sample for block in pair.teacher.blocks]
 
     # ------------------------------------------------------------------ #
     def stage_time(
@@ -99,18 +111,39 @@ class StageTimeEstimator:
                 f"stage blocks {tuple(block_ids)} are not contiguous within "
                 f"0..{self.pair.num_blocks - 1}"
             )
+        return StageTimeEstimate(
+            *self._stage_parts(
+                first_block, last_block + 1, num_replicas, global_batch, concurrent_loaders
+            )
+        )
+
+    def _stage_parts(
+        self,
+        first_block: int,
+        stop: int,
+        num_replicas: int,
+        global_batch: int,
+        concurrent_loaders: int,
+    ) -> Tuple[float, float, float, float, float, float]:
+        """:meth:`stage_time`'s parts for blocks ``first_block..stop-1``, unchecked.
+
+        The caller knows the blocks are a contiguous run of the pair's and
+        ``num_replicas`` is positive.
+        """
         micro_batch = max(1, -(-global_batch // num_replicas))  # ceil division
+        rounds = self.pair.student_rounds_per_step
+        lookup, grad_block_bytes = self.profile.lookup, self._grad_bytes
 
         teacher_time = 0.0
         student_time = 0.0
         update_time = 0.0
         grad_bytes = 0.0
-        for block_id in block_ids:
-            entry = self.profile.lookup(block_id, micro_batch)
+        for block_id in range(first_block, stop):
+            entry = lookup(block_id, micro_batch)
             teacher_time += entry.teacher_forward
-            student_time += self.pair.student_rounds_per_step * entry.student_training
+            student_time += rounds * entry.student_training
             update_time += entry.weight_update
-            grad_bytes += self.pair.student.block(block_id).params * BYTES_PER_ELEMENT
+            grad_bytes += grad_block_bytes[block_id]
 
         allreduce_time = 0.0
         if num_replicas > 1:
@@ -123,20 +156,11 @@ class StageTimeEstimator:
             )
 
         relay_time = 0.0
-        if last_block < self.pair.num_blocks - 1:
-            boundary_bytes = (
-                self.pair.teacher.block(last_block).output_bytes_per_sample * micro_batch
-            )
+        if stop < self._num_blocks:
+            boundary_bytes = self._boundary_bytes[stop - 1] * micro_batch
             relay_time = self.server.interconnect.transfer_time(boundary_bytes)
 
-        return StageTimeEstimate(
-            teacher=teacher_time,
-            student=student_time,
-            update=update_time,
-            allreduce=allreduce_time,
-            data_load=data_load_time,
-            relay=relay_time,
-        )
+        return teacher_time, student_time, update_time, allreduce_time, data_load_time, relay_time
 
     # ------------------------------------------------------------------ #
     def plan_step_time(self, plan: SchedulePlan) -> float:
@@ -204,10 +228,12 @@ def search_pipeline_plans(
     """:func:`bottleneck_search` on the estimator's stage totals at ``global_batch``."""
 
     def stage_total(first_block: int, size: int, replicas: int) -> float:
-        blocks = range(first_block, first_block + size)
-        return estimator.stage_time(
-            blocks, replicas, global_batch, concurrent_loaders=replicas
-        ).total
+        # The search only asks for contiguous runs of blocks on >= 1 devices.
+        return _stage_total(
+            *estimator._stage_parts(
+                first_block, first_block + size, replicas, global_batch, replicas
+            )
+        )
 
     return bottleneck_search(stage_total, estimator.pair.num_blocks, num_devices, stage_counts)
 

@@ -31,10 +31,9 @@ lowering and executes it for every step count.
 Task graphs depend only on a plan's shape (a phase's key), not on the batch
 size, server or dataset, and repeat every training step.  So each shape's
 builder makes one step of its graph, once, and :class:`GraphTemplates` holds
-one :class:`~repro.sim.engine.GraphTemplate` per shape, that step tiled for
-the most steps asked of it so far, up to :data:`HELD_TEMPLATE_STEPS`; a run
-of fewer steps takes a row prefix, a longer run tiles a template for
-itself, and a run fills in the durations only.
+one :class:`~repro.sim.engine.GraphTemplate` per shape: that step and what a
+run of it needs.  A run of any step count reads the one step with step
+offsets, and fills in the durations only.
 """
 
 from __future__ import annotations
@@ -79,17 +78,12 @@ WARMUP_STEPS = 2
 MIN_SIMULATED_STEPS = WARMUP_STEPS + 2
 #: Most steps a simulation may run, checked wherever the minimum is.  A
 #: schedule reaches its steady state within a few steps, while the work and
-#: the run's graph template grow with the step count: 1,000 steps of a
-#: 4-GPU TR+DPU+AHD plan take about 0.04 s, 10,000 take 0.4 s and 84 MB,
-#: and 1,000,000 run out of memory.
+#: the run's trace grow with the step count: on CPython 3.11, 1,000 steps of
+#: a 4-GPU TR+DPU+AHD plan take about 0.007 s and 0.8 MB, 10,000 take
+#: 0.05 s and 8 MB.
 MAX_SIMULATED_STEPS = 1000
 #: Steps simulated per block of a DP plan, whatever ``simulated_steps`` is.
 DATA_PARALLEL_STEPS = MIN_SIMULATED_STEPS
-#: Most steps a :class:`GraphTemplates` table keeps a shape tiled for: more
-#: than any step count the benchmarks ask for.  A longer run tiles its
-#: template for itself, so one 1,000-step run of a 4-GPU TR+DPU+AHD plan
-#: leaves 640 rows held, not 20,000.
-HELD_TEMPLATE_STEPS = 32
 #: Most shapes a :class:`GraphTemplates` table holds, least recently used
 #: dropped first: over twice the 56 shapes of the whole plan grid.
 HELD_TEMPLATE_SHAPES = 128
@@ -327,9 +321,8 @@ def _phase_steps(plan: SchedulePlan, steps: int) -> int:
 
 
 class TemplateEntry(NamedTuple):
-    """One plan shape's graph: tiled for ``steps`` steps, slots named by key."""
+    """One plan shape's graph: its one-step template, and its slots named by key."""
 
-    steps: int
     template: GraphTemplate
     slot_keys: Tuple[Hashable, ...]
 
@@ -340,68 +333,33 @@ class GraphTemplates:
     A key holds everything that decides a graph's rows, names and
     dependencies but not the step count.  The builder of its graph kind
     makes one step of the graph (a :class:`~repro.sim.engine.StepBlock`),
-    once per key, and a template of ``k`` steps tiles it ``k`` times; the
-    graph for ``k`` steps is the first rows of the graph for more steps, so
-    one template per key serves every step count up to the one it was tiled
-    for.  A longer step count, up to :data:`HELD_TEMPLATE_STEPS`, tiles the
-    key's block again for that many steps and replaces the held template;
-    a step count past the bound runs a template tiled from the block for
-    that run alone, and the held one stays as it is.  The table holds at most
-    :data:`HELD_TEMPLATE_SHAPES` shapes (a :class:`~repro.memo.Memo`) and
-    builds a dropped one again.  ``builds`` counts the blocks built,
-    ``tilings`` the templates tiled from them.
+    once per key, and its template runs that step for any step count.  The
+    table holds at most :data:`HELD_TEMPLATE_SHAPES` shapes (a
+    :class:`~repro.memo.Memo`) and builds a dropped one again.  ``builds``
+    counts the blocks built.
     """
 
     def __init__(self) -> None:
         self._entries = Memo(HELD_TEMPLATE_SHAPES)
         self._lock = threading.Lock()
         self.builds = 0
-        self.tilings = 0
 
-    def entry(self, key: Hashable, steps: int) -> TemplateEntry:
-        """The held entry for ``key``, tiled for at least ``steps`` steps within the bound.
-
-        When the table holds no entry for ``key``, the builder of its graph
-        kind (``key[0]``) builds its step block from the key alone, and the
-        block is tiled for ``steps`` steps or :data:`HELD_TEMPLATE_STEPS`,
-        whichever is fewer.  A held entry of fewer than ``steps`` steps is
-        tiled again for ``steps`` when they are within the bound, and kept
-        as it is past it.
-        """
+    def get(self, key: Hashable) -> TemplateEntry:
+        """The entry for ``key``, built by its graph kind's builder (``key[0]``) if not held."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or entry.steps < steps <= HELD_TEMPLATE_STEPS:
-                if entry is None:
-                    graph = _GraphBuilder()
-                    _GRAPH_BUILDERS[key[0]](key, graph)
-                    block, slot_keys = graph.block(), tuple(graph.slots)
-                    self.builds += 1
-                else:
-                    block, slot_keys = entry.template.block, entry.slot_keys
-                held_steps = min(steps, HELD_TEMPLATE_STEPS)
-                template = GraphTemplate(block, held_steps)
-                entry = self._entries[key] = TemplateEntry(held_steps, template, slot_keys)
-                self.tilings += 1
+            if entry is None:
+                graph = _GraphBuilder()
+                _GRAPH_BUILDERS[key[0]](key, graph)
+                template = GraphTemplate(graph.block())
+                entry = self._entries[key] = TemplateEntry(template, tuple(graph.slots))
+                self.builds += 1
         return entry
 
-    def get(self, key: Hashable, steps: int) -> Tuple[TemplateEntry, int]:
-        """An entry for ``key`` covering ``steps`` steps, and its rows for ``steps``.
-
-        That is the held :meth:`entry`, or past :data:`HELD_TEMPLATE_STEPS`
-        one tiled from its block for this call alone.
-        """
-        entry = self.entry(key, steps)
-        if entry.steps < steps:
-            template = GraphTemplate(entry.template.block, steps)
-            with self._lock:
-                self.tilings += 1
-            entry = TemplateEntry(steps, template, entry.slot_keys)
-        return entry, len(entry.template.block.slots) * steps
-
-    def shapes(self) -> Dict[Hashable, int]:
-        """The steps each held template was tiled for, by key."""
+    def shapes(self) -> Tuple[Hashable, ...]:
+        """The keys of the held templates, least recently used first."""
         with self._lock:
-            return {key: entry.steps for key, entry in self._entries.items()}
+            return tuple(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -413,7 +371,7 @@ class GraphTemplates:
 
     @property
     def num_tasks(self) -> int:
-        """Rows held over every template."""
+        """Rows held over every template: one step of each shape."""
         with self._lock:
             return left_sum(entry.template.num_tasks for entry in self._entries.values())
 
@@ -428,7 +386,7 @@ class _GraphBuilder:
     A task's ``name`` marks where the step number goes with ``{step}``;
     ``deps`` are rows of the same step, and :meth:`carry` adds rows of the
     previous step.  :meth:`block` checks the rows once, in one pass, and
-    returns them as the :class:`~repro.sim.engine.StepBlock` a template tiles.
+    returns them as the :class:`~repro.sim.engine.StepBlock` a template runs.
     """
 
     def __init__(self) -> None:
@@ -675,10 +633,8 @@ class ScheduleExecutor:
         That is each phase's graph-template key and slot values (see
         :meth:`_phases`), the steps per epoch and the peak memory per
         device.  Slot values come in the order of the template's slot keys,
-        so lowering looks each phase's held template up
-        (:meth:`GraphTemplates.entry`), building it for this executor's step
-        count, or :data:`HELD_TEMPLATE_STEPS`, when the table holds none for
-        that many.
+        so lowering looks each phase's template up
+        (:meth:`GraphTemplates.get`), building it when the table holds none.
         """
         if plan.num_blocks != self.pair.num_blocks:
             raise ScheduleError(
@@ -689,11 +645,10 @@ class ScheduleExecutor:
                 f"plan targets {plan.num_devices} devices but the server has "
                 f"{self.server.num_devices}"
             )
-        steps = _phase_steps(plan, self.simulated_steps)
         phases = self._phases(plan)
         values = []
         for key, duration, _ in phases:
-            values += map(duration, self.templates.entry(key, steps).slot_keys)
+            values += map(duration, self.templates.get(key).slot_keys)
         return LoweredPlan(
             plan=plan,
             steps_per_epoch=self.dataset.steps_per_epoch(plan.batch_size),
@@ -724,9 +679,9 @@ class ScheduleExecutor:
         trace: Optional[Trace] = None
         end = 0
         for key in lowered.keys:
-            graph, rows = self.templates.get(key, steps)
+            graph = self.templates.get(key)
             start, end = end, end + len(graph.slot_keys)
-            trace = graph.template.instantiate(lowered.values[start:end], rows).run()
+            trace = graph.template.instantiate(lowered.values[start:end], steps).run()
             phase_step_time = trace.steady_state_step_time(skip_first=WARMUP_STEPS)
             phase_epoch_time = phase_step_time * steps_per_epoch
             step_times.append(phase_step_time)
@@ -935,15 +890,18 @@ class ScheduleExecutor:
         scale = steps_per_epoch / float(simulated_steps)
         scaled: Dict[int, Dict[str, float]] = {}
         for device, categories in raw.items():
-            scaled[device] = {}
-            busy = 0.0
-            for category in ("teacher_exec", "student_exec", "comm", "data_load"):
-                scaled[device][category] = categories[category] * scale
-                if category != "data_load":
-                    busy += scaled[device][category]
-            data_wait = min(scaled[device]["data_load"], max(0.0, epoch_time - busy))
-            scaled[device]["data_load"] = data_wait
-            scaled[device]["idle"] = max(0.0, epoch_time - busy - data_wait)
+            teacher = categories["teacher_exec"] * scale
+            student = categories["student_exec"] * scale
+            comm = categories["comm"] * scale
+            busy = teacher + student + comm
+            data_wait = min(categories["data_load"] * scale, max(0.0, epoch_time - busy))
+            scaled[device] = {
+                "teacher_exec": teacher,
+                "student_exec": student,
+                "comm": comm,
+                "data_load": data_wait,
+                "idle": max(0.0, epoch_time - busy - data_wait),
+            }
         return scaled
 
     def _peak_memory(self, num_devices: int, phases: List[Phase]) -> array:

@@ -13,22 +13,20 @@ task graph as columns and the trace adds two more (start and end times), so
 :class:`~repro.sim.events.SimTask` and :class:`~repro.sim.trace.TaskRecord`
 objects are only built when a caller reads them.
 
-A graph that is run many times with different service times is held as a
-:class:`GraphTemplate`: its durations are *slot* indices, and
-:meth:`GraphTemplate.instantiate` makes a read-only engine from one value
-per slot, optionally running only a prefix of the rows.  A training graph is
-periodic, so a template is one step's rows (a :class:`StepBlock`, each
-dependency in the same step or the previous one) tiled once per step with
-offset arithmetic; :meth:`SimulationEngine.freeze` makes the one-step
-template of any engine.  Everything that depends only on the graph (its
-checks, run structure and accounting layout) is done when the template is
-made, the checks once per block.
+A training graph is periodic: one step's rows (a :class:`StepBlock`, each
+dependency in the same step or the previous one) repeat every step.  A
+:class:`GraphTemplate` holds one block, its durations *slot* indices, and
+what a run of it needs, computed once: its run structure, accounting buckets
+and checks.  :meth:`GraphTemplate.instantiate` makes a read-only engine of
+any number of steps from one value per slot; its run reads the block with
+step offsets, and no many-step copy of the graph is ever made.
+:meth:`SimulationEngine.freeze` makes the template of any engine.
 
 A template also knows whether the graph is *in order*: whether, whatever
-the durations, every resource runs its tasks in id order (see
-:func:`_runs_in_id_order`).  An instance of such a template is run in one
-pass over its rows instead of the event heap, with bit-identical start and
-end times.
+the durations and the step count, every resource runs its tasks in id order
+(see :func:`_runs_in_id_order`).  An instance of such a template is run in
+one pass over its rows instead of the event heap, with bit-identical start
+and end times.
 """
 
 from __future__ import annotations
@@ -43,79 +41,122 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import SimTask, TaskKind, check_duration
-from repro.sim.trace import AccountingLayout, Trace, accounting_layout
+from repro.sim.trace import Trace, accounting_layout
 
 
-class _Structure(NamedTuple):
-    """What :meth:`SimulationEngine.run` needs of a graph besides durations.
+def _unknown_dependency(name: str, dep: int) -> SimulationError:
+    return SimulationError(
+        f"task {name!r} depends on unknown task id {dep} "
+        f"(only earlier tasks may be dependencies)"
+    )
 
-    Flat lists, in the form the run loop reads them, so a run converts
-    nothing; it copies only the dependency counts of the rows it runs.
+
+class _BlockStructure(NamedTuple):
+    """What a run of one step's rows needs besides their durations, for any step count.
+
+    Rows are the block's: row ``i`` of step ``k`` is task ``k * R + i`` of
+    the run.  Dependencies and dependents are stored relative to their
+    row: a dependency ``t`` of row ``i`` (signed as in :class:`StepBlock`)
+    as ``t - i``, which indexes the row's step-``k`` dependency from the end
+    of the end times run so far (``k * R + i`` of them); a dependent ``d``
+    as ``d - i``, or ``R + d - i`` in the next step.
     """
 
-    dep_counts: List[int]  # number of dependencies of each row
-    dependent_offsets: List[int]  # row i's dependents: dependents[offsets[i]:offsets[i + 1]]
-    dependents: List[int]  # ascending within each row
     resource_ids: List[int]  # interned resource index of each row
-    resource_index: Dict[str, int]  # resource -> its index, in order of first use
+    num_resources: int
+    first_counts: List[int]  # dependencies of each row in step 0
+    counts: List[int]  # dependencies of each row in every later step
+    dependents: Tuple[Tuple[int, ...], ...]  # each row's, ascending, relative
+    # The one pass's (counts, targets) in step 0 and in every later step:
+    # dependencies on other resources only, as a task's own resource frees
+    # no earlier than any task before it there ends.
+    reads: Tuple[Tuple[List[int], List[int]], Tuple[List[int], List[int]]]
+    buckets: List[int]  # each row's index in bucket_keys, len(bucket_keys) if uncounted
+    bucket_keys: Tuple[Tuple[int, str], ...]  # (device, category) of each accounting bucket
+    step_rows: Tuple[Tuple[int, Sequence[int]], ...]  # the block's rows by step label, ascending
+    in_order: bool  # runs in one pass in id order (see _runs_in_id_order)
 
 
-def _tiled_structure(
-    offsets: array, targets: array, resources: Sequence[str], tiles: int
-) -> Tuple[_Structure, array, array]:
-    """The run structure and dependency CSR of ``tiles`` steps of a block's rows.
+def _block_structure(
+    table, dep_offsets: array, dep_targets: array, checked_steps: int
+) -> _BlockStructure:
+    """The run structure of the block ``table`` (a :class:`StepBlock` or an engine's rows).
 
-    Row ``i``'s dependencies are ``targets[offsets[i]:offsets[i + 1]]``,
-    each a row of the same step, or of the previous one when below 0 (see
-    :class:`StepBlock`); a plain graph is one step of itself.
+    Row ``i``'s dependencies are ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``,
+    signed as in :class:`StepBlock`; the accounting buckets and step labels
+    come from the block's :func:`~repro.sim.trace.accounting_layout`.  The
+    block is in order when :func:`_runs_in_id_order` finds ``checked_steps``
+    steps of it so (never, for none).
     """
-    stride = len(resources)
-    counts = list(map(sub, offsets[1:], offsets))
-    # Step 0 lacks the lag-1 dependencies.  A row's dependents are in its
-    # own step and the next, except in the last step.
-    carried = [0] * stride
-    same: List[List[int]] = [[] for _ in counts]
-    later: List[List[int]] = [[] for _ in counts]
-    for row, dep in zip(chain.from_iterable(map(repeat, range(stride), counts)), targets):
-        if dep >= 0:
-            same[dep].append(row)
-        else:
-            later[stride + dep].append(stride + row)
-            carried[row] += 1
-    dep_counts = list(map(sub, counts, carried)) + counts * (tiles - 1)
-    both = list(map(add, same, later))
-    dependent_counts = list(map(len, both)) * (tiles - 1) + list(map(len, same))
-    dependents = _tiled(list(chain.from_iterable(both)), 0, tiles - 1, stride)
-    dependents += map(add, chain.from_iterable(same), repeat((tiles - 1) * stride))
-    dep_targets = array("i", [dep for dep in targets if dep >= 0])
-    dep_targets.extend(_tiled(targets, 1, tiles, stride))
-    # Each value's int object is made once and shared by the offsets and
-    # the dependents, which templates keep for as long as their table lives.
-    ints = list(range(max(len(dep_targets), tiles * stride) + 1))
+    stride = len(table.resources)
     resource_index: Dict[str, int] = {}
     resource_ids = [
-        resource_index.setdefault(resource, len(resource_index)) for resource in resources
+        resource_index.setdefault(resource, len(resource_index)) for resource in table.resources
     ]
-    structure = _Structure(
-        dep_counts,
-        list(map(ints.__getitem__, accumulate(dependent_counts, initial=0))),
-        list(map(ints.__getitem__, dependents)),
-        resource_ids * tiles,
-        resource_index,
+    counts = list(map(sub, dep_offsets[1:], dep_offsets))
+    first_counts = list(counts)
+    first_targets: List[int] = []
+    targets: List[int] = []
+    same: List[List[int]] = [[] for _ in counts]
+    later: List[List[int]] = [[] for _ in counts]
+    for row, dep in zip(chain.from_iterable(map(repeat, range(stride), counts)), dep_targets):
+        targets.append(dep - row)
+        if dep >= 0:
+            first_targets.append(dep - row)
+            same[dep].append(row - dep)
+        else:
+            later[stride + dep].append(row - dep)
+            first_counts[row] -= 1
+    dependents = tuple(map(tuple, map(add, same, later)))
+    first, every = (first_counts, first_targets), (counts, targets)
+    in_order = checked_steps > 0 and _runs_in_id_order(
+        resource_ids, dependents, first, every, checked_steps
     )
-    return structure, array("i", list(accumulate(dep_counts, initial=0))), dep_targets
 
+    def foreign_reads(row_counts: List[int], row_targets: List[int]):
+        """The dependencies on another resource than their row's."""
+        kept_counts, kept = [0] * stride, []
+        rows = chain.from_iterable(map(repeat, range(stride), row_counts))
+        for row, dep in zip(rows, row_targets):
+            if resource_ids[(row + dep) % stride] != resource_ids[row]:
+                kept_counts[row] += 1
+                kept.append(dep)
+        return kept_counts, kept
 
-def _tiled(values: Sequence[int], first: int, stop: int, stride: int) -> List[int]:
-    """``values`` once per step ``first..stop-1``, step ``k``'s each plus ``k * stride``."""
-    progressions = [range(value + first * stride, value + stop * stride, stride) for value in values]
-    return list(chain.from_iterable(zip(*progressions)))
+    layout = accounting_layout(table, range(stride))
+    buckets = [len(layout.buckets)] * stride
+    for index, (_, _, rows) in enumerate(layout.buckets):
+        for row in rows:
+            buckets[row] = index
+    return _BlockStructure(
+        resource_ids=resource_ids,
+        num_resources=len(resource_index),
+        first_counts=first_counts,
+        counts=counts,
+        dependents=dependents,
+        reads=(foreign_reads(*first), foreign_reads(*every)),
+        buckets=buckets,
+        bucket_keys=tuple((device, category) for device, category, _ in layout.buckets),
+        step_rows=tuple(
+            (label, range(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows)
+            for label, rows in layout.steps
+        ),
+        in_order=in_order,
+    )
 
 
 def _runs_in_id_order(
-    structure: _Structure, dep_offsets: array, dep_targets: array, rows: int
+    resource_ids: List[int],
+    dependents: Tuple[Tuple[int, ...], ...],
+    first: Tuple[List[int], List[int]],
+    every: Tuple[List[int], List[int]],
+    steps: int,
 ) -> bool:
-    """True when no task among the first ``rows`` can start before a lower-id task on its resource.
+    """True when no task of ``steps`` steps of a block can overtake a lower id on its resource.
+
+    The block's rows are as in :class:`_BlockStructure`, its dependencies
+    given as ``(counts, targets)`` in step 0 (``first``) and in every
+    later step (``every``).
 
     Let G' be the dependency edges plus, on each resource, an edge from
     every task to the next one by id, and A(b) task ``b``'s dependencies
@@ -130,12 +171,12 @@ def _runs_in_id_order(
     id order, each as soon as its resource is free and its dependencies
     have ended; the condition holds for every row prefix as well.
 
-    Of a graph tiled from a :class:`StepBlock` of ``R`` rows, the first
-    three steps decide.  Say ``d``, a dependency of ``a`` on another
-    resource, is not in A(b).  Each dependency ``x`` of ``b - R`` has
-    ``x + R`` among ``b``'s, and ``x`` is a G'-ancestor of ``x + R`` (its
-    resource's chain), so A(b - R) lies in A(b): ``b`` may move back a step
-    while it stays after ``a``.  Shifting paths forward gives A(b - R) + R
+    Of the graphs a :class:`StepBlock` of ``R`` rows repeats, the one of
+    three steps decides for every step count.  Say ``d``, a dependency of
+    ``a`` on another resource, is not in A(b).  Each dependency ``x`` of
+    ``b - R`` has ``x + R`` among ``b``'s, and ``x`` is a G'-ancestor of
+    ``x + R`` (its resource's chain), so A(b - R) lies in A(b): ``b`` may
+    move back a step while it stays after ``a``.  Shifting paths forward gives A(b - R) + R
     within A(b), so all three may move back a step while ``a`` keeps its
     edge to ``d``: down to step 0 for a lag-0 edge, step 1 for a lag-1 one.
     ``b`` is then at most one step after ``a``, in step 2 at most.
@@ -144,57 +185,128 @@ def _runs_in_id_order(
     its G'-ancestors) is kept only until its last dependent has read it,
     and that of the last row on each resource until the next one.
     """
-    resource_ids = structure.resource_ids
-    offsets = structure.dependent_offsets
-    unread = [end - begin for begin, end in zip(offsets, offsets[1 : rows + 1])]
+    stride = len(resource_ids)
+    rows = stride * steps
+    # Each row's dependents among the rows checked.
+    unread = [
+        len([dep for dep in dependents[row] if task + dep < rows])
+        for task, row in zip(range(rows), chain.from_iterable(repeat(range(stride), steps)))
+    ]
     closures = [0] * rows
-    last = [0] * len(structure.resource_index)  # closure of each resource's latest row
-    foreign = [0] * len(structure.resource_index)  # its rows' deps on other resources
+    last = [0] * (max(resource_ids, default=0) + 1)  # closure of each resource's latest row
+    foreign = [0] * len(last)  # its rows' deps on other resources
     bit = 1
-    for row, (res, begin, end) in enumerate(
-        zip(resource_ids[:rows], dep_offsets, dep_offsets[1:])
-    ):
-        ancestors, outside = 0, foreign[res]
-        for dep in dep_targets[begin:end]:
-            ancestors |= closures[dep]
-            if resource_ids[dep] != res:
-                outside |= 1 << dep
-            unread[dep] -= 1
-            if not unread[dep]:
-                closures[dep] = 0
-        if outside & ~ancestors:
-            return False
-        foreign[res] = outside
-        last[res] = closure = ancestors | last[res] | bit
-        if unread[row]:
-            closures[row] = closure
-        bit <<= 1
+    task = 0
+    counts, targets = first
+    for _ in range(steps):
+        deps = iter(targets)
+        for res, count in zip(resource_ids, counts):
+            ancestors, outside = 0, foreign[res]
+            for dep in islice(deps, count):
+                dep += task
+                ancestors |= closures[dep]
+                if resource_ids[dep % stride] != res:
+                    outside |= 1 << dep
+                unread[dep] -= 1
+                if not unread[dep]:
+                    closures[dep] = 0
+            if outside & ~ancestors:
+                return False
+            foreign[res] = outside
+            last[res] = closure = ancestors | last[res] | bit
+            if unread[task]:
+                closures[task] = closure
+            bit <<= 1
+            task += 1
+        counts, targets = every
     return True
 
 
-def _unknown_dependency(name: str, dep: int) -> SimulationError:
-    return SimulationError(
-        f"task {name!r} depends on unknown task id {dep} "
-        f"(only earlier tasks may be dependencies)"
-    )
+class _RunSteps(Sequence):
+    """``(label, rows)`` of each step label ``>= 0`` of a run, ascending, each made when read.
 
+    The run is ``steps`` steps of a block whose rows by step label are
+    ``groups`` (each a ``range`` when contiguous); row ``i`` of step ``k``
+    is task ``k * R + i``, labelled its block row's label plus ``k``.
+    """
 
-class _CSRRows(Sequence):
-    """The first ``length`` rows of a CSR table, each read as an int tuple."""
+    __slots__ = ("_groups", "_stride", "_steps", "_labels")
 
-    __slots__ = ("_offsets", "_targets", "_length")
-
-    def __init__(self, offsets: array, targets: array, length: int) -> None:
-        self._offsets = offsets
-        self._targets = targets
-        self._length = length
+    def __init__(
+        self, groups: Tuple[Tuple[int, Sequence[int]], ...], stride: int, steps: int
+    ) -> None:
+        self._groups, self._stride, self._steps = groups, stride, steps
+        labels = [range(max(label, 0), label + steps) for label, _ in groups]
+        self._labels = labels[0] if len(labels) == 1 else sorted(set().union(*labels))
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._labels)
 
-    def __getitem__(self, row: int) -> Tuple[int, ...]:
-        row = range(self._length)[row]
-        return tuple(self._targets[self._offsets[row] : self._offsets[row + 1]])
+    def __getitem__(self, index: int) -> Tuple[int, Sequence[int]]:
+        label = self._labels[index]
+        # Later steps' rows of lower block labels come last: ascending rows.
+        parts = [
+            (rows, (label - own) * self._stride)
+            for own, rows in reversed(self._groups)
+            if 0 <= label - own < self._steps
+        ]
+        if len(parts) == 1 and isinstance(parts[0][0], range):
+            ((rows, offset),) = parts
+            return label, range(rows.start + offset, rows.stop + offset)
+        return label, [row + offset for rows, offset in parts for row in rows]
+
+
+def _run_in_order(
+    structure: _BlockStructure, durations: List[float], steps: int
+) -> Tuple[List[float], List[float], List[float]]:
+    """Start and end times and bucket totals of ``steps`` steps of an in-order block.
+
+    Each task starts at the latest of its resource's free time and its
+    dependencies' end times on other resources (:attr:`_BlockStructure.reads`),
+    read from the rows already run.  Its
+    ``end - start`` is added to its bucket as it runs, so each bucket adds
+    its rows in row order.
+    """
+    rows = list(zip(structure.resource_ids, durations, structure.buckets))
+    free = [0.0] * structure.num_resources
+    totals = [0.0] * (len(structure.bucket_keys) + 1)
+    start_time: List[float] = []
+    finish_time: List[float] = []
+    (counts, targets), later = structure.reads
+    for _ in range(steps):
+        deps = iter(targets)
+        for (res, duration, bucket), count in zip(rows, counts):
+            start_at = free[res]
+            if count == 1:
+                ready_at = finish_time[next(deps)]
+                if ready_at > start_at:
+                    start_at = ready_at
+            elif count:
+                for dep in islice(deps, count):
+                    ready_at = finish_time[dep]
+                    if ready_at > start_at:
+                        start_at = ready_at
+            end_at = start_at + duration
+            start_time.append(start_at)
+            finish_time.append(end_at)
+            free[res] = end_at
+            totals[bucket] += end_at - start_at
+        counts, targets = later
+    return start_time, finish_time, totals
+
+
+#: The task-table columns of a :class:`SimulationEngine`, one list per attribute.
+_COLUMNS = (
+    "names",
+    "kinds",
+    "resources",
+    "durations",
+    "deps",
+    "steps",
+    "devices",
+    "blocks",
+    "metadata",
+)
 
 
 class SimulationEngine:
@@ -209,10 +321,10 @@ class SimulationEngine:
     on demand; treat the columns as read-only and add rows with
     :meth:`add_task`.
 
-    An engine made by :meth:`GraphTemplate.instantiate` shares the
-    template's columns (tuples and ``array('i')``, sliced when it runs a
-    row prefix) and run structure, and only owns its ``durations``; it is
-    read-only, so :meth:`add_task` raises :class:`SimulationError`.
+    An engine made by :meth:`GraphTemplate.instantiate` runs the template's
+    block for some number of steps; it builds its columns the first time
+    one is read, and it is read-only, so :meth:`add_task` raises
+    :class:`SimulationError`.
     """
 
     def __init__(self) -> None:
@@ -226,7 +338,7 @@ class SimulationEngine:
         self.blocks: List[int] = []
         self.metadata: List[Optional[dict]] = []
         # Run structure, computed on the first run after the last add_task.
-        self._structure: Optional[_Structure] = None
+        self._structure: Optional[_BlockStructure] = None
         self._template: Optional[GraphTemplate] = None
 
     # ------------------------------------------------------------------ #
@@ -310,6 +422,22 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+    def _run_inputs(self) -> Tuple[_BlockStructure, List[float], int]:
+        """The run structure, one step's durations and the number of steps :meth:`run` runs.
+
+        A plain engine is one step of its own rows, computed once per
+        engine after its last :meth:`add_task`, and runs on the event loop.
+        """
+        structure = self._structure
+        if structure is None:
+            structure = self._structure = _block_structure(
+                self,
+                array("i", accumulate(map(len, self.deps), initial=0)),
+                array("i", chain.from_iterable(self.deps)),
+                checked_steps=0,
+            )
+        return structure, self.durations, 1
+
     def run(self) -> Trace:
         """Execute the task graph and return the trace.
 
@@ -318,62 +446,35 @@ class SimulationEngine:
         scheduler.
 
         An instance of an in-order template (:attr:`GraphTemplate.in_order`)
-        is run in one pass in id order: each task starts at the latest of
-        its resource's free time and its dependencies' end times, read from
-        the rows already run.  The event loop starts it at the same maximum
-        of the same end times (a maximum is exact, in any order) and ends it
+        is run in one pass in id order (:func:`_run_in_order`): each task
+        starts at the latest of its resource's free time and its
+        dependencies' end times, those on its own resource being no later
+        than the free time.  The event loop starts it at the same maximum of
+        the same end times (a maximum is exact, in any order) and ends it
         with the same one addition, so the times are bit-identical.
-
         Any other graph runs on the event loop of :meth:`_run_events`.
+
+        The trace gets each accounting bucket's busy time, added in row
+        order, and each step label's rows from the run itself.
         """
-        num_tasks = len(self.durations)
-        durations = self.durations
-
-        # Graph structure, computed once per engine (or per template):
-        # dependency counts, the dependents adjacency and interned resources.
-        structure = self._structure
-        if structure is None:
-            structure = self._structure = _tiled_structure(
-                array("i", accumulate(map(len, self.deps), initial=0)),
-                array("i", chain.from_iterable(self.deps)),
-                self.resources,
-                1,
-            )[0]
-        template = self._template
-        if template is not None and template.in_order:
-            # The time each resource becomes free.  Each row's dependencies
-            # are the next ``count`` ids of the template's flat CSR targets;
-            # a dependency is an earlier row, so its end time is known.
-            free = [0.0] * len(structure.resource_index)
-            start_time: List[float] = []
-            finish_time: List[Optional[float]] = []
-            targets = iter(template.dep_targets)
-            rows = zip(structure.resource_ids, durations, structure.dep_counts)
-            for res, duration, count in rows:
-                start_at = free[res]
-                if count == 1:
-                    ready_at = finish_time[next(targets)]
-                    if ready_at > start_at:
-                        start_at = ready_at
-                elif count:
-                    for dep in islice(targets, count):
-                        ready_at = finish_time[dep]
-                        if ready_at > start_at:
-                            start_at = ready_at
-                end_at = start_at + duration
-                start_time.append(start_at)
-                finish_time.append(end_at)
-                free[res] = end_at
+        structure, durations, steps = self._run_inputs()
+        if structure.in_order:
+            start_time, finish_time, totals = _run_in_order(structure, durations, steps)
         else:
-            start_time, finish_time = self._run_events(structure)
+            start_time, finish_time, totals = self._run_events(structure, durations, steps)
+        return Trace(
+            self,
+            range(len(finish_time)),
+            start_time,
+            finish_time,
+            steps=_RunSteps(structure.step_rows, len(durations), steps),
+            totals=dict(zip(structure.bucket_keys, totals)),
+        )
 
-        # A template run reads the template's accounting layout of the rows
-        # it ran; a plain engine's trace builds its own on first use.
-        layout = None if template is None else template.prefix_layout(num_tasks)
-        return Trace(self, range(num_tasks), start_time, finish_time, layout)
-
-    def _run_events(self, structure: _Structure) -> Tuple[List[float], List[Optional[float]]]:
-        """:meth:`run`'s event loop: the start and end time of each task, by id.
+    def _run_events(
+        self, structure: _BlockStructure, durations: List[float], steps: int
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """:meth:`run`'s event loop: start and end times by id, and bucket totals.
 
         The loop keeps one *candidate* per resource — its queue head, stamped
         with the start time it would get right now — in a single global heap,
@@ -382,27 +483,29 @@ class SimulationEngine:
         This pops the same task the previous per-event scan over all
         resources selected — the candidate tuples order exactly like the
         scan's ``(start_at, task_id, resource)`` comparison — at O(log R)
-        per event instead of O(R).
+        per event instead of O(R).  A task's dependents are its block row's
+        (:class:`_BlockStructure`), same-step and next-step ones.  The
+        bucket totals add each row's ``end - start`` after the loop, in row
+        order.
         """
-        num_tasks = len(self.durations)
-        durations = self.durations
+        stride = len(durations)
+        num_tasks = stride * steps
         heappush, heappop = heapq.heappush, heapq.heappop
-        offsets, dependents = structure.dependent_offsets, structure.dependents
-        task_resource = structure.resource_ids
-        num_rows = len(task_resource)
-        # Rows past ``num_tasks`` (a template run on a step prefix) never
+        block_dependents = structure.dependents
+        task_resource = structure.resource_ids * steps
+        # The last step's next-step dependents, past ``num_tasks``, never
         # become ready.
-        remaining_deps = structure.dep_counts[:num_tasks]
-        remaining_deps += [-1] * (num_rows - num_tasks)
+        remaining_deps = structure.first_counts + structure.counts * (steps - 1)
+        remaining_deps += [-1] * stride
 
         # Per-resource FIFO of ready task ids (insertion order == program
         # order == ascending id, so a plain int heap suffices) and the time
         # each resource becomes free.
-        num_resources = len(structure.resource_index)
+        num_resources = structure.num_resources
         queues: List[List[int]] = [[] for _ in range(num_resources)]
         free = [0.0] * num_resources
         # Earliest time a task's dependencies are satisfied.
-        ready_time = [0.0] * num_rows
+        ready_time = [0.0] * (num_tasks + stride)
 
         start_time = [0.0] * num_tasks
         finish_time: List[Optional[float]] = [None] * num_tasks
@@ -440,7 +543,8 @@ class SimulationEngine:
                     f"first few: {pending[:5]}"
                 )
             heappop(queue)
-            end_at = start_at + durations[task_id]
+            row = task_id % stride
+            end_at = start_at + durations[row]
             start_time[task_id] = start_at
             finish_time[task_id] = end_at
             free[res] = end_at
@@ -452,10 +556,8 @@ class SimulationEngine:
                     candidates,
                     (head_ready if head_ready > end_at else end_at, head, res),
                 )
-            index, end = offsets[task_id], offsets[task_id + 1]
-            while index < end:
-                dependent = dependents[index]
-                index += 1
+            for dependent in block_dependents[row]:
+                dependent += task_id
                 remaining_deps[dependent] -= 1
                 if ready_time[dependent] < end_at:
                     ready_time[dependent] = end_at
@@ -474,14 +576,17 @@ class SimulationEngine:
                             ),
                         )
 
-        return start_time, finish_time
+        totals = [0.0] * (len(structure.bucket_keys) + 1)
+        for bucket, start_at, end_at in zip(structure.buckets * steps, start_time, finish_time):
+            totals[bucket] += end_at - start_at
+        return start_time, finish_time, totals
 
 
 class StepBlock(NamedTuple):
-    """One step of a periodic task graph: the rows a :class:`GraphTemplate` tiles.
+    """One step of a periodic task graph: the rows a :class:`GraphTemplate` runs each step.
 
-    Row ``i`` of step ``k`` (rows ``k * R + i`` of the template, for a
-    block of ``R`` rows) is named ``str(k).join(names[i])``, is labelled
+    Row ``i`` of step ``k`` (task ``k * R + i`` of a run, for a block of
+    ``R`` rows) is named ``str(k).join(names[i])``, is labelled
     step ``steps[i] + k`` and lasts slot ``slots[i]``; its kind, resource,
     device, block and metadata are the block row's.  Its dependencies are
     ``dep_targets[dep_offsets[i]:dep_offsets[i + 1]]``: a target ``t >= 0``
@@ -569,161 +674,117 @@ def step_block(
 
 
 class GraphTemplate:
-    """An immutable task graph whose durations are filled in per run.
+    """An immutable one-step task graph, run for any number of steps with durations filled in.
 
-    A template is its :class:`StepBlock` tiled ``tiles`` times, one step
-    after another (see the block for the rules); each column is made at C
-    speed from the block's, by repetition or by adding ``k * R`` to step
-    ``k``'s row ids, and the block's checks ran once, when it was made.
-    :meth:`SimulationEngine.freeze` is the one-tile case: it makes the
-    block of an engine's rows, whose durations are slot indices.
+    A template holds its :class:`StepBlock` (see it for how the block's
+    rows repeat each step), whose checks ran once, when it was made, and
+    :attr:`structure` (a :class:`_BlockStructure`), what every run of it
+    shares: dependency counts for step 0 and for later steps, same-step and
+    next-step dependents, the dependencies the one pass reads, interned
+    resource ids, each row's ``(device, category)`` accounting bucket and
+    step label, and :attr:`in_order`.
+    :meth:`SimulationEngine.freeze` makes the template of an engine's rows,
+    whose durations are slot indices; :meth:`instantiate` takes one value
+    per slot and a step count.
 
-    The columns are stored compactly: tuples of interned strings,
-    ``array('i')`` int columns and CSR arrays (offsets plus one flat target
-    array) for the dependencies.  Next to them the template keeps what every
-    instance shares: the run structure (dependency counts, dependents and
-    interned resource ids, as flat lists) and the
-    :class:`~repro.sim.trace.AccountingLayout` of all its rows, and that of
-    each row prefix a run has asked for (:meth:`prefix_layout`).
-    :meth:`instantiate` takes one value per slot.
-
-    :attr:`in_order` is true when, whatever the durations, every resource
-    runs its tasks in id order (:func:`_runs_in_id_order`); the instances
-    of such a template run in one pass instead of the event loop.  Only the
-    first three steps are checked: they decide for any number of steps.
-
-    A template never changes: a longer graph (more training steps) is a
-    new tiling of :attr:`block`, and a shorter one a row prefix of this
-    one (the ``num_tasks`` of :meth:`instantiate`).
+    :attr:`in_order` is true when, whatever the durations and the step
+    count, every resource runs its tasks in id order
+    (:func:`_runs_in_id_order`); the instances of such a template run in one
+    pass instead of the event loop.  Three steps of the block are checked:
+    they decide for any number of steps.
     """
 
-    __slots__ = (
-        "block",
-        "names",
-        "kinds",
-        "resources",
-        "slots",
-        "dep_offsets",
-        "dep_targets",
-        "steps",
-        "devices",
-        "blocks",
-        "metadata",
-        "slot_names",
-        "structure",
-        "layout",
-        "prefix_layouts",
-        "in_order",
-    )
+    __slots__ = ("block", "structure")
 
-    def __init__(self, block: StepBlock, tiles: int = 1) -> None:
-        if tiles < 1:
-            raise SimulationError(f"a template tiles its block at least once, not {tiles} times")
-        stride = len(block.slots)
+    def __init__(self, block: StepBlock) -> None:
         self.block = block
-        self.names = tuple(
-            map(
-                sys.intern,
-                chain.from_iterable(map(str(step).join, block.names) for step in range(tiles)),
-            )
-        )
-        self.kinds = block.kinds * tiles
-        self.resources = block.resources * tiles
-        self.metadata = block.metadata * tiles
-        self.slot_names = block.slot_names
-        self.slots = block.slots * tiles
-        self.steps = array("i", _tiled(block.steps, 0, tiles, 1))
-        self.devices = block.devices * tiles
-        self.blocks = block.blocks * tiles
-        # CSR: row i's dependencies are dep_targets[dep_offsets[i]:dep_offsets[i + 1]].
-        self.structure, self.dep_offsets, self.dep_targets = _tiled_structure(
-            block.dep_offsets, block.dep_targets, block.resources, tiles
-        )
-        self.layout = _tiled_layout(accounting_layout(block, range(stride)), tiles, stride)
-        self.prefix_layouts: Dict[int, AccountingLayout] = {}
-        # The first three steps decide (see _runs_in_id_order).
-        self.in_order = _runs_in_id_order(
-            self.structure, self.dep_offsets, self.dep_targets, min(tiles, 3) * stride
-        )
+        # Three steps decide the order for any number (see _runs_in_id_order).
+        self.structure = _block_structure(block, block.dep_offsets, block.dep_targets, 3)
+
+    @property
+    def in_order(self) -> bool:
+        return self.structure.in_order
+
+    @property
+    def slot_names(self) -> Tuple[str, ...]:
+        return self.block.slot_names
 
     @property
     def num_tasks(self) -> int:
-        return len(self.slots)
+        """Rows of one step."""
+        return len(self.block.slots)
 
-    def prefix_layout(self, rows: int) -> AccountingLayout:
-        """The accounting layout of the first ``rows`` rows.
+    def instantiate(self, values: Sequence, steps: int = 1) -> SimulationEngine:
+        """A read-only engine running ``steps`` steps of the block.
 
-        A row prefix's layout is cut from :attr:`layout` the first time it
-        is asked for and kept in :attr:`prefix_layouts`: a template runs
-        only a few prefix lengths (the step counts below the one it holds).
+        Row ``i`` of every step lasts ``values[slots[i]]``.  Every value is
+        checked with :func:`check_duration` under the name of the first
+        task using its slot, so an invalid one raises the ``ValueError``
+        that :meth:`SimulationEngine.add_task` raises for that task.
         """
-        if rows == len(self.slots):
-            return self.layout
-        layout = self.prefix_layouts.get(rows)
-        if layout is None:
-            layout = self.prefix_layouts.setdefault(rows, self.layout.cut(rows))
-        return layout
-
-    def instantiate(
-        self, values: Sequence, num_tasks: Optional[int] = None
-    ) -> SimulationEngine:
-        """A read-only engine over the first ``num_tasks`` rows (default all).
-
-        Row ``i`` lasts ``values[slots[i]]``.  Every value is checked with
-        :func:`check_duration` under the name of the first task using its
-        slot, so an invalid one raises the ``ValueError`` that
-        :meth:`SimulationEngine.add_task` raises for that task.
-        """
-        if len(values) != len(self.slot_names):
+        slot_names = self.block.slot_names
+        if len(values) != len(slot_names):
             raise SimulationError(
-                f"template has {len(self.slot_names)} slots, got {len(values)} values"
+                f"template has {len(slot_names)} slots, got {len(values)} values"
             )
+        if steps < 1:
+            raise SimulationError(f"a template runs at least one step, not {steps}")
         if not (isinstance(values, array) and values.typecode == "d"):
             values = [float(value) for value in values]
-        for name, value in zip(self.slot_names, values):
+        for name, value in zip(slot_names, values):
             check_duration(name, value)
-        total = len(self.slots)
-        rows = total if num_tasks is None else num_tasks
-        if not 0 <= rows <= total:
-            raise SimulationError(f"template has {total} tasks, cannot run {rows}")
-        # Every step lasts what the block's rows last, so the durations are
-        # one step's, repeated, then the first rows of a partial step.
-        step_slots = self.block.slots
-        whole, part = divmod(rows, len(step_slots)) if step_slots else (0, 0)
-        step = list(map(values.__getitem__, step_slots))
-        # Slicing a whole tuple returns the tuple itself; an array is
-        # copied, so it is sliced only for a row prefix.
-        engine = SimulationEngine()
-        engine.names, engine.kinds = self.names[:rows], self.kinds[:rows]
-        engine.resources, engine.metadata = self.resources[:rows], self.metadata[:rows]
-        if rows == total:
-            engine.steps, engine.devices, engine.blocks = self.steps, self.devices, self.blocks
-        else:
-            engine.steps, engine.devices = self.steps[:rows], self.devices[:rows]
-            engine.blocks = self.blocks[:rows]
-        engine.durations = step * whole + step[:part]
-        engine.deps = _CSRRows(self.dep_offsets, self.dep_targets, rows)
-        engine._structure = self.structure
-        engine._template = self
-        return engine
+        return _BlockRun(self, list(map(values.__getitem__, self.block.slots)), steps)
+
+    def columns(self, durations: List[float], steps: int) -> Dict[str, Sequence]:
+        """The task table of ``steps`` steps of the block, one step lasting ``durations``.
+
+        Row ``i`` of step ``k`` is named ``str(k).join(names[i])`` and
+        labelled step ``steps[i] + k``; its dependencies are the block's
+        targets plus ``k * R``, without the lag-1 ones in step 0.
+        """
+        block = self.block
+        stride = len(block.slots)
+        offsets = block.dep_offsets
+        edges = [block.dep_targets[begin:end] for begin, end in zip(offsets, offsets[1:])]
+        return {
+            "names": [str(step).join(pieces) for step in range(steps) for pieces in block.names],
+            "kinds": block.kinds * steps,
+            "resources": block.resources * steps,
+            "durations": durations * steps,
+            "deps": [
+                tuple(step * stride + dep for dep in row if step or dep >= 0)
+                for step in range(steps)
+                for row in edges
+            ],
+            "steps": array("i", [label + step for step in range(steps) for label in block.steps]),
+            "devices": block.devices * steps,
+            "blocks": block.blocks * steps,
+            "metadata": block.metadata * steps,
+        }
 
 
-def _tiled_layout(layout: AccountingLayout, tiles: int, stride: int) -> AccountingLayout:
-    """The layout of ``tiles`` steps of a block whose own layout is ``layout``.
+class _BlockRun(SimulationEngine):
+    """A read-only engine of ``steps`` steps of a template, each lasting ``durations``.
 
-    Step ``k``'s rows are the block's plus ``k * stride``, labelled the
-    block's label plus ``k``; each bucket holds the block's rows of every step.
+    :meth:`run` reads the template's block; the task table
+    (:meth:`GraphTemplate.columns`) is built the first time a column is read.
     """
-    labels: Dict[int, List[int]] = {}
-    for label, rows in layout.steps:
-        count = len(rows)
-        every = _tiled(rows, 0, tiles, stride)
-        for tile in range(tiles):
-            labels.setdefault(label + tile, []).extend(every[tile * count : (tile + 1) * count])
-    return AccountingLayout(
-        tuple((label, array("i", rows)) for label, rows in sorted(labels.items())),
-        tuple(
-            (device, category, array("i", _tiled(rows, 0, tiles, stride)))
-            for device, category, rows in layout.buckets
-        ),
-    )
+
+    def __init__(self, template: GraphTemplate, durations: List[float], steps: int) -> None:
+        self._template = template
+        self._step_durations = durations
+        self._step_count = steps
+
+    def __getattr__(self, name: str):
+        # Called only for attributes not set yet: a column, on its first read.
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        self.__dict__.update(self._template.columns(self._step_durations, self._step_count))
+        return self.__dict__[name]
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self._step_durations) * self._step_count
+
+    def _run_inputs(self) -> Tuple[_BlockStructure, List[float], int]:
+        return self._template.structure, self._step_durations, self._step_count

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.fold import left_sum
 from repro.sim.trace import Trace
 
 #: Breakdown categories matching the paper's Fig. 2 legend.
@@ -20,7 +19,7 @@ def compute_breakdown(
     ``0..num_devices-1``.  Rows are charged as the trace's
     :class:`~repro.sim.trace.AccountingLayout` says
     (:func:`~repro.sim.trace.accounting_layout` has the rules), summing
-    ``end - start`` in row order:
+    ``end - start`` in row order (:meth:`~repro.sim.trace.Trace.busy_totals`):
 
     * ``teacher_exec``: teacher forwards; ``student_exec``: student
       forwards, backwards, weight updates and validation;
@@ -46,34 +45,22 @@ def compute_breakdown(
     if horizon is None:
         horizon = trace.makespan
     breakdown: Dict[int, Dict[str, float]] = {
-        device: {category: 0.0 for category in BREAKDOWN_CATEGORIES}
-        for device in range(num_devices)
+        device: dict.fromkeys(BREAKDOWN_CATEGORIES, 0.0) for device in range(num_devices)
     }
+    for (device, category), total in trace.busy_totals().items():
+        if device < num_devices:
+            breakdown[device][category] = total
 
-    starts, ends = trace.starts, trace.ends
-    for device, category, rows in trace.layout.buckets:
-        if device >= num_devices:
-            continue
-        # ``+=`` in row order, not ``sum()``: from Python 3.12 on, ``sum()``
-        # of floats is compensated and would round differently.
-        total = 0.0
-        for row in rows:
-            total += ends[row] - starts[row]
-        breakdown[device][category] = total
-
-    for device in range(num_devices):
-        busy = left_sum(
-            breakdown[device][category]
-            for category in ("teacher_exec", "student_exec", "comm")
-        )
+    for categories in breakdown.values():
+        busy = categories["teacher_exec"] + categories["student_exec"] + categories["comm"]
         # Data loading overlaps with compute on a different resource, but when
         # the device is waiting for data it is idle on its compute stream.
         idle = max(0.0, horizon - busy)
         # Attribute the part of idle that is caused by data loading to the
         # data_load category, the rest stays idle.
-        data_wait = min(idle, breakdown[device]["data_load"])
-        breakdown[device]["data_load"] = data_wait
-        breakdown[device]["idle"] = idle - data_wait
+        data_wait = min(idle, categories["data_load"])
+        categories["data_load"] = data_wait
+        categories["idle"] = idle - data_wait
     return breakdown
 
 

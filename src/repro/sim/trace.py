@@ -7,17 +7,17 @@ sequence view that builds :class:`TaskRecord` objects the first time one is
 read.
 
 The time accounting below (step boundaries, the steady-state step time and
-:func:`~repro.sim.metrics.compute_breakdown`) reads the trace's
-:class:`AccountingLayout`: which rows each step and each ``(device,
-category)`` covers.  The layout depends only on the task table, so a graph
-template computes it once and keeps its cut for each row prefix a run asks
-for; any other trace builds its own with :func:`accounting_layout`.
+:func:`~repro.sim.metrics.compute_breakdown`) reads which rows each step and
+each ``(device, category)`` covers: a trace's :class:`AccountingLayout`,
+built with :func:`accounting_layout` on first use.  A run of a step block
+hands its trace each step's rows and each bucket's busy time instead
+(:meth:`~repro.sim.engine.SimulationEngine.run`), so the accounting of a
+run reads no layout.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import (
@@ -60,19 +60,6 @@ def _compute_device(resource: str) -> Optional[int]:
         return None
 
 
-def _cut(groups: tuple, limit: int) -> tuple:
-    """``groups`` (each ending in ascending rows) keeping rows below ``limit``."""
-    kept = []
-    for group in groups:
-        rows = group[-1]
-        end = bisect_left(rows, limit)
-        if end == len(rows):
-            kept.append(group)
-        elif end:
-            kept.append((*group[:-1], rows[:end]))
-    return tuple(kept)
-
-
 class AccountingLayout(NamedTuple):
     """The rows each step and each ``(device, category)`` of a trace covers.
 
@@ -86,10 +73,6 @@ class AccountingLayout(NamedTuple):
 
     steps: Tuple[Tuple[int, array], ...]
     buckets: Tuple[Tuple[int, str, array], ...]
-
-    def cut(self, limit: int) -> "AccountingLayout":
-        """The layout of the first ``limit`` rows (a template's row prefix)."""
-        return AccountingLayout(_cut(self.steps, limit), _cut(self.buckets, limit))
 
 
 def accounting_layout(table, task_ids: Iterable[int]) -> AccountingLayout:
@@ -199,11 +182,12 @@ class Trace:
     simulated from ``starts[i]`` to ``ends[i]``.  Rows are in ascending
     task-id order.  Sub-traces (:meth:`filter`, :meth:`window`,
     :meth:`for_step`) share the task table and keep a subset of rows.
-    ``layout`` is the trace's :class:`AccountingLayout` if the caller has
-    it (a template run); otherwise it is built on first use.
+    A run passes ``steps``, the ``(step, rows)`` of each step label
+    ``>= 0``, ascending, and ``totals``, what :meth:`busy_totals`
+    returns; otherwise both are read from :attr:`layout`.
     """
 
-    __slots__ = ("tasks", "task_ids", "starts", "ends", "_records", "_layout")
+    __slots__ = ("tasks", "task_ids", "starts", "ends", "_records", "_layout", "_steps", "_totals")
 
     def __init__(
         self,
@@ -211,14 +195,17 @@ class Trace:
         task_ids: Sequence,
         starts: List[float],
         ends: List[float],
-        layout: Optional[AccountingLayout] = None,
+        steps: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
+        totals: Optional[Dict[Tuple[int, str], float]] = None,
     ) -> None:
         self.tasks = tasks
         self.task_ids = task_ids
         self.starts = starts
         self.ends = ends
         self._records: Optional[Tuple[TaskRecord, ...]] = None
-        self._layout = layout
+        self._layout: Optional[AccountingLayout] = None
+        self._steps = steps
+        self._totals = totals
 
     @property
     def layout(self) -> AccountingLayout:
@@ -302,13 +289,33 @@ class Trace:
         """Sorted step labels present in the trace (excluding unlabeled -1)."""
         return tuple(step for step, _ in self._labelled_steps())
 
-    def _labelled_steps(self) -> List[Tuple[int, array]]:
-        """``(step, rows)`` of the layout's step labels ``>= 0``, ascending."""
+    def _labelled_steps(self) -> Sequence[Tuple[int, Sequence[int]]]:
+        """``(step, rows)`` of the step labels ``>= 0``, ascending."""
+        if self._steps is not None:
+            return self._steps
         return [group for group in self.layout.steps if group[0] >= 0]
 
     # ------------------------------------------------------------------ #
     # Time accounting
     # ------------------------------------------------------------------ #
+    def busy_totals(self) -> Dict[Tuple[int, str], float]:
+        """Seconds of each ``(device, category)`` of :attr:`layout`, in its order.
+
+        A bucket's seconds are its rows' ``end - start``, added with ``+=``
+        in row order: from Python 3.12 on, ``sum()`` of floats is
+        compensated and would round differently.
+        """
+        if self._totals is None:
+            starts, ends = self.starts, self.ends
+            totals = {}
+            for device, category, rows in self.layout.buckets:
+                total = 0.0
+                for row in rows:
+                    total += ends[row] - starts[row]
+                totals[device, category] = total
+            self._totals = totals
+        return self._totals
+
     def resource_busy_time(self, resource: str, kinds: Optional[Iterable[TaskKind]] = None) -> float:
         """Total busy time of one resource, optionally restricted to kinds."""
         kind_set = set(kinds) if kinds is not None else None
@@ -330,10 +337,10 @@ class Trace:
             if task_end > start and task_start < end
         )
 
-    def _first_start(self, rows: Sequence) -> float:
+    def _first_start(self, rows: Sequence[int]) -> float:
         return min(map(self.starts.__getitem__, rows))
 
-    def _last_end(self, rows: Sequence) -> float:
+    def _last_end(self, rows: Sequence[int]) -> float:
         return max(map(self.ends.__getitem__, rows))
 
     def step_boundaries(self) -> Dict[int, Tuple[float, float]]:

@@ -2,14 +2,11 @@
 
 The benchmark's plan-cold grid (``perfbench/inputs.plan_grid()``, 1152
 ``/v1/plan`` cells, 2112 simulations) has only 56 plan shapes once the step
-count is left out of the key.  The table must hold exactly those, at the
-longest step count each was run for, in a compact layout: a naive table of
-list columns retained over 13 MB on this grid and moved the benchmark's
-peak RSS past its bound.  Each shape's one-step block is built once; a
-longer step count than the held one, up to ``HELD_TEMPLATE_STEPS``, tiles
-that block again and replaces the held template, a longer one still runs a
-template tiled for it alone, and a shorter one runs a row prefix of the
-held template.  A DP block is a one-stage pipeline shape.
+count is left out of the key.  The table must hold exactly those, each as
+one step of its graph: a naive table of list columns retained over 13 MB on
+this grid and moved the benchmark's peak RSS past its bound.  Each shape's
+one-step block is built once, and every step count runs it with step
+offsets.  A DP block is a one-stage pipeline shape.
 """
 
 from __future__ import annotations
@@ -26,13 +23,8 @@ import pytest
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
 from repro.errors import SimulationError
-from repro.parallel.executor import (
-    DATA_PARALLEL_STEPS,
-    HELD_TEMPLATE_STEPS,
-    GraphTemplates,
-    _GraphBuilder,
-)
-from repro.sim.engine import GraphTemplate
+from repro.parallel.executor import DATA_PARALLEL_STEPS, GraphTemplates, _GraphBuilder
+from repro.sim.engine import GraphTemplate, SimulationEngine
 from repro.sim.events import TaskKind
 from repro.sim.resources import collective, device_compute, host_loader
 
@@ -63,20 +55,18 @@ def run_grid(session, grid):
 
 def test_the_seed0_plan_cold_grid_holds_one_template_per_shape():
     # The benchmark's shuffled order asks for 5, 10 and 20 steps of a shape
-    # in any order.  Each shape's block is built once, and a shape asked
-    # for more steps than it holds is tiled again, so the 56 shapes take 56
-    # builds and 97 tilings, and the table keeps one template each.
+    # in any order.  Each shape's block is built once and serves them all,
+    # so the 56 shapes take 56 builds and hold one step's rows each.
     session = Session()
     table = run_grid(session, perfbench_inputs().shuffled_grid(0))
-    assert (len(table), table.builds, table.tilings) == (56, 56, 97)
-    assert table.num_tasks == 18_788
+    assert (len(table), table.builds) == (56, 56)
+    assert table.num_tasks == 1_093
     stats = session.stats
     assert (stats.plan_builds, stats.plan_hits, stats.runs) == (384, 768, 1152)
     # 46 shapes run in one pass in id order.  The other 10 are exactly the
     # decoupled-update pipelines with an all-reduce stage, where the next
     # step's teacher overtakes an update waiting on the all-reduce.
-    entries = {key: table.get(key, steps)[0] for key, steps in table.shapes().items()}
-    heap_shapes = {key for key, entry in entries.items() if not entry.template.in_order}
+    heap_shapes = {key for key in table.shapes() if not table.get(key).template.in_order}
     assert len(heap_shapes) == 10
     assert heap_shapes == {
         key
@@ -84,10 +74,11 @@ def test_the_seed0_plan_cold_grid_holds_one_template_per_shape():
         if key[:2] == ("pipeline", True) and any(stage[3] for stage in key[2])
     }
     # The 12 DP block shapes (6 blocks on 2 and on 4 GPUs) are one-stage
-    # pipelines without decoupled updates, run for DP's 4 steps.
-    dp_shapes = [key for key, steps in table.shapes().items() if steps == DATA_PARALLEL_STEPS]
+    # pipelines without decoupled updates.
+    dp_shapes = [
+        key for key in table.shapes() if key[:2] == ("pipeline", False) and len(key[2]) == 1
+    ]
     assert len(dp_shapes) == 12
-    assert all(key[:2] == ("pipeline", False) and len(key[2]) == 1 for key in dp_shapes)
 
 
 @pytest.mark.parametrize("num_gpus", [1, 2, 4])
@@ -113,114 +104,106 @@ def test_dp_blocks_are_one_stage_pipeline_phases(num_gpus):
     assert len(result.trace) == DATA_PARALLEL_STEPS * (5 * num_gpus + 1)
 
 
-def test_a_run_past_the_bound_leaves_the_held_template_alone():
-    # One long run tiles a template for itself: the table keeps the shape at
-    # the step count it held, and a short run answers as it did before.
+def test_a_long_run_leaves_the_table_as_it_is():
+    # A 1,000-step run reads the one-step block like any other: the table
+    # holds the same one step, and a short run answers as it did before.
     session = Session()
     config = ExperimentConfig(num_gpus=4, strategy="TR+DPU+AHD", simulated_steps=10)
     table = session.executor(config).templates
     first = json.dumps(session.run(config).to_dict())
-    held = (table.shapes(), table.num_tasks, table.builds, table.tilings)
+    held = (table.shapes(), table.num_tasks, table.builds)
     (key,) = held[0]
     long = session.run(dataclasses.replace(config, simulated_steps=1000))
-    assert len(long.trace) == 1000 * len(table.entry(key, 1).template.block.slots)
-    assert (table.shapes(), table.num_tasks, table.builds) == held[:3]
-    assert table.tilings == held[3] + 1
+    assert len(long.trace) == 1000 * table.get(key).template.num_tasks
+    assert (table.shapes(), table.num_tasks, table.builds) == held
     assert json.dumps(session.run(config).to_dict()) == first
-    assert (table.shapes(), table.num_tasks) == held[:2]
-    # Within the bound, a longer run still replaces the held template.
-    session.run(dataclasses.replace(config, simulated_steps=HELD_TEMPLATE_STEPS))
-    assert table.shapes() == {key: HELD_TEMPLATE_STEPS}
 
 
-def template_columns(template):
-    return {name: getattr(template, name) for name in GraphTemplate.__slots__}
-
-
-def test_a_longer_step_count_replaces_the_held_template():
+def test_every_step_count_runs_the_one_held_entry():
     session = Session()
     for name in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
         for num_gpus in (2, 4):
             config = ExperimentConfig(num_gpus=num_gpus, strategy=name, simulated_steps=5)
             session.run(config)
-    keys = list(session.executor(config).templates.shapes())
+    keys = session.executor(config).templates.shapes()
     assert {key[0] for key in keys} == {"pipeline", "layerwise"}  # DP blocks are pipelines
     for key in keys:
         table = GraphTemplates()
-        short, _ = table.get(key, 5)
-        entry, rows = table.get(key, 20)
-        expected, expected_rows = GraphTemplates().get(key, 20)
-        assert entry is not short and entry.template.block is short.template.block
-        assert template_columns(entry.template) == template_columns(expected.template)
-        assert (entry.steps, entry.slot_keys, rows) == (20, expected.slot_keys, expected_rows)
-        assert (table.shapes(), table.builds, table.tilings) == ({key: 20}, 1, 2)
-        # A shorter step count is served by the held template as it is.
-        held, prefix_rows = table.get(key, 10)
-        assert held is entry and table.get(key, 20)[0] is entry
-        assert prefix_rows * 2 == rows and (table.builds, table.tilings) == (1, 2)
+        entry = table.get(key)
+        assert table.get(key) is entry and (table.shapes(), table.builds) == ((key,), 1)
+        fresh = GraphTemplates().get(key)
+        assert entry.slot_keys == fresh.slot_keys
+        assert entry.template.block == fresh.template.block
+        assert entry.template.structure == fresh.template.structure
 
 
-def prefix_columns(template, rows):
-    """The columns of ``template``'s first ``rows`` rows."""
-    deps_end = template.dep_offsets[rows]
-    return {
-        "names": template.names[:rows],
-        "kinds": template.kinds[:rows],
-        "resources": template.resources[:rows],
-        "metadata": template.metadata[:rows],
-        "slots": template.slots[:rows],
-        "steps": template.steps[:rows],
-        "devices": template.devices[:rows],
-        "blocks": template.blocks[:rows],
-        "dep_offsets": template.dep_offsets[: rows + 1],
-        "dep_targets": template.dep_targets[:deps_end],
-        "layout": template.prefix_layout(rows),
-    }
-
-
-def test_a_shorter_step_count_runs_a_prefix_equal_to_a_fresh_build():
-    # The held template serves a shorter step count only because the graph
-    # for k steps is the first rows of the graph for more steps.
+def test_a_shorter_run_is_the_first_rows_of_a_longer_one_when_in_order():
+    # An in-order run starts each task as soon as its resource is free and
+    # its dependencies have ended, so the graph for k steps runs like the
+    # first rows of the graph for more steps.
     session = Session()
     for name in ("DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"):
         config = ExperimentConfig(num_gpus=4, strategy=name, simulated_steps=5)
         session.run(config)
-    keys = list(session.executor(config).templates.shapes())
-    assert {key[0] for key in keys} == {"pipeline", "layerwise"}  # DP blocks are pipelines
-    for key in keys:
-        table = GraphTemplates()
-        held, _ = table.get(key, 20)
-        entry, rows = table.get(key, 6)
-        fresh, fresh_rows = GraphTemplates().get(key, 6)
-        assert entry is held and rows == fresh_rows == fresh.template.num_tasks
-        assert prefix_columns(held.template, rows) == prefix_columns(fresh.template, rows)
-        assert held.slot_keys[: len(fresh.slot_keys)] == fresh.slot_keys
-        values = [1.0 + 0.25 * slot for slot in range(len(held.slot_keys))]
-        prefix = held.template.instantiate(values, rows).run()
-        whole = fresh.template.instantiate(values[: len(fresh.slot_keys)]).run()
-        assert [(r.task, r.start, r.end) for r in prefix.records] == [
-            (r.task, r.start, r.end) for r in whole.records
+    table = session.executor(config).templates
+    in_order = [key for key in table.shapes() if table.get(key).template.in_order]
+    assert {key[0] for key in in_order} == {"pipeline", "layerwise"}
+    for key in in_order:
+        entry = table.get(key)
+        values = [1.0 + 0.25 * slot for slot in range(len(entry.slot_keys))]
+        short = entry.template.instantiate(values, 6).run()
+        long = entry.template.instantiate(values, 20).run()
+        rows = len(short)
+        assert rows == 6 * entry.template.num_tasks
+        assert [(r.task, r.start, r.end) for r in short.records] == [
+            (r.task, r.start, r.end) for r in long.records[:rows]
         ]
+
+
+@pytest.mark.parametrize("strategy", ["DP", "LS", "TR", "TR+DPU", "TR+IR", "TR+DPU+AHD"])
+def test_execute_runs_each_phase_once_through_the_engine(monkeypatch, strategy):
+    # perfbench's ``sim`` layer wraps SimulationEngine.run and counts
+    # ``len(result.records)``: one run per phase, each of the phase's steps
+    # times its block's rows.
+    runs = []
+    engine_run = SimulationEngine.run
+
+    def counted(engine):
+        trace = engine_run(engine)
+        runs.append(len(trace.records))
+        return trace
+
+    config = ExperimentConfig(num_gpus=4, strategy=strategy, simulated_steps=7)
+    session = Session()
+    result = session.run(config)
+    executor = session.executor(config)
+    lowered = executor.lower(result.plan)
+    monkeypatch.setattr(SimulationEngine, "run", counted)
+    again = executor.execute(lowered)
+    steps = DATA_PARALLEL_STEPS if strategy == "DP" else 7
+    blocks = [executor.templates.get(key).template.num_tasks for key in lowered.keys]
+    assert runs == [steps * rows for rows in blocks]
+    assert len(again.trace.records) == runs[-1]
+    assert again.to_dict() == result.to_dict()
 
 
 def test_plan_grid_table_stays_within_its_memory_budget():
     session = Session()
     table = run_grid(session, plan_grid())
     assert len(table) <= 56
-    assert table.num_tasks <= 18_788
+    assert table.num_tasks <= 1_093
     shapes = table.shapes()
-    assert set(shapes.values()) <= {4, 20}  # DP blocks always run 4 steps
 
     session.clear()
     assert len(table) == 0
     gc.collect()
-    # Rebuild the same templates (same keys, same steps) with allocation
-    # tracing on, and measure what dropping the table frees again.
+    # Rebuild the same templates with allocation tracing on, and measure
+    # what dropping the table frees again.
     tracemalloc.start()
     try:
         rebuilt = GraphTemplates()
-        for key, steps in shapes.items():
-            rebuilt.get(key, steps)
+        for key in shapes:
+            rebuilt.get(key)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         rows = rebuilt.num_tasks
@@ -229,8 +212,8 @@ def test_plan_grid_table_stays_within_its_memory_budget():
         dropped = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert rows <= 18_788
-    assert held - dropped <= 3_000_000
+    assert rows <= 1_093
+    assert held - dropped <= 600_000
 
 
 def test_session_shares_one_table_and_clear_empties_it():
@@ -240,12 +223,11 @@ def test_session_shares_one_table_and_clear_empties_it():
     session.run(short)
     table = session.executor(short).templates
     assert session.executor(long).templates is table
-    (steps,) = table.shapes().values()
-    assert steps == 5
+    (key,) = table.shapes()
+    rows = table.num_tasks
     session.run(long)
-    assert list(table.shapes().values()) == [9]  # rebuilt, not duplicated
     session.run(short.with_batch_size(64))
-    assert list(table.shapes().values()) == [9]  # a prefix of the kept build
+    assert (table.shapes(), table.num_tasks, table.builds) == ((key,), rows, 1)
     session.clear()
     assert len(table) == 0 and table.num_tasks == 0
 
@@ -276,8 +258,6 @@ def test_builder_rows_are_checked_when_the_block_is_made():
     ):
         hand_built((0,), [2]).block()
     # A row may wait on itself one step back.
-    template = GraphTemplate(hand_built((0,), [1]).block(), 3)
-    assert template.names == ("load[s0]", "T[s0]", "load[s1]", "T[s1]", "load[s2]", "T[s2]")
-    assert [tuple(row) for row in template.instantiate([1.0, 1.0]).deps] == [
-        (), (0,), (), (2, 1), (), (4, 3)
-    ]
+    engine = GraphTemplate(hand_built((0,), [1]).block()).instantiate([1.0, 1.0], 3)
+    assert engine.names == ["load[s0]", "T[s0]", "load[s1]", "T[s1]", "load[s2]", "T[s2]"]
+    assert engine.deps == [(), (0,), (), (2, 1), (), (4, 3)]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
-from repro.parallel.executor import DATA_PARALLEL_STEPS, LoweredPlan, ScheduleExecutor
+from repro.parallel.executor import LoweredPlan, ScheduleExecutor
 from repro.parallel.plan import SchedulePlan
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -134,8 +134,7 @@ def test_a_lowered_plan_holds_plain_values_only():
         graph_kind = "pipeline" if strategy == "DP" else plan.kind
         assert all(type(key) is tuple and key[0] == graph_kind for key in lowered.keys)
         assert (lowered.values.typecode, lowered.peak_memory_bytes.typecode) == ("d", "d")
-        steps = DATA_PARALLEL_STEPS if strategy == "DP" else 5
-        slots = [len(table.get(key, steps)[0].slot_keys) for key in lowered.keys]
+        slots = [len(table.get(key).slot_keys) for key in lowered.keys]
         assert len(lowered.values) == sum(slots)
 
 
@@ -152,7 +151,7 @@ def test_dp_devices_run_the_floor_of_the_batch_the_executor_simulates():
     teacher, student = executor.pair.teacher, executor.pair.student
     values = iter(lowered.values)
     for block_id, key in enumerate(lowered.keys):
-        entry, _ = executor.templates.get(key, DATA_PARALLEL_STEPS)
+        entry = executor.templates.get(key)
         slots = {name: value for (_, name), value in zip(entry.slot_keys, values)}
         assert slots["load"] == executor.loader.batch_load_time(12, concurrent_loaders=1)
         assert slots["load"] != executor.loader.batch_load_time(13, concurrent_loaders=1)

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError, ScheduleError
-from repro.parallel.estimator import StageTimeEstimator, stage_assignments_from_partition
+from repro.parallel.estimator import (
+    StageTimeEstimate,
+    StageTimeEstimator,
+    _stage_total,
+    search_pipeline_plans,
+    stage_assignments_from_partition,
+)
 from repro.parallel.plan import SchedulePlan
 from repro.parallel.profiler import Profiler
 
@@ -86,6 +92,24 @@ class TestStageTimeEstimator:
         # inside 0..num_blocks-1; the planner search's memo key relies on it.
         with pytest.raises(ScheduleError, match="are not contiguous"):
             estimator.stage_time(block_ids, num_replicas=1, global_batch=256)
+
+    def test_search_totals_equal_the_checked_stage_time(self, estimator, a6000_server):
+        # The planner search reads each stage total through an unchecked
+        # path; it must add the same terms in the same order as the public
+        # one, which keeps its checks.
+        num_blocks = estimator.pair.num_blocks
+        for first in range(num_blocks):
+            for size in range(1, num_blocks - first + 1):
+                for replicas in range(1, a6000_server.num_devices + 1):
+                    blocks = tuple(range(first, first + size))
+                    checked = estimator.stage_time(blocks, replicas, 256, replicas)
+                    parts = estimator._stage_parts(first, first + size, replicas, 256, replicas)
+                    assert StageTimeEstimate(*parts) == checked
+                    assert _stage_total(*parts) == checked.total
+        search_pipeline_plans(estimator, 256, a6000_server.num_devices, range(1, 5))
+        for block_ids in [(0, 2), (num_blocks - 1, num_blocks), (-1, 0)]:
+            with pytest.raises(ScheduleError, match="are not contiguous"):
+                estimator.stage_time(block_ids, num_replicas=1, global_batch=256)
 
     def test_data_load_dominated_stage(
         self, nas_imagenet_pair, a6000_server, imagenet_dataset, nas_imagenet_profile

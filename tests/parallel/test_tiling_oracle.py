@@ -1,39 +1,34 @@
-"""Tiled graph templates against the step-loop builders and freeze they replaced.
+"""Block runs against the step-loop builders they replaced.
 
 A :class:`GraphTemplates` table builds one step of each plan shape (a
-:class:`~repro.sim.engine.StepBlock`) and tiles it once per step.  Before
-that, each builder added every step in a ``for step in range(steps)`` loop,
-one ``_GraphBuilder.add`` call per row, and ``SimulationEngine.freeze``
-checked the whole graph and made its columns, run structure, accounting
-layout and in-order flag row by row.  The oracle below is those
-builders, copied verbatim, with that freeze (:func:`frozen_columns`); a DP
-block is a one-stage pipeline key, so the pipeline builder covers it.  For
-every plan shape of the benchmark's plan-cold grid (``shuffled_grid(0)`` and
-``shuffled_grid(1)`` are the same cells in two orders, so they have the same
-56 shapes) and every step count from 2 to 25, the tiled template must equal
-the oracle's column for column.
+:class:`~repro.sim.engine.StepBlock`) and runs it for any step count with
+step offsets.  Before that, each builder added every step in a ``for step in
+range(steps)`` loop, one ``_GraphBuilder.add`` call per row, and the whole
+graph ran row by row.  The oracle below is those builders, copied verbatim;
+a DP block is a one-stage pipeline key, so the pipeline builder covers it.
+For every plan shape of the benchmark's plan-cold grid (``shuffled_grid(0)``
+and ``shuffled_grid(1)`` are the same cells in two orders, so they have the
+same 56 shapes) and every step count from 2 to 25, the block run's records,
+starts and ends must equal those of the oracle's graph run on the event
+loop, and its in-order flag that of the oracle's whole graph.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import sys
 from array import array
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.session import Session
-from repro.errors import SimulationError
-from repro.fold import left_sum
 from repro.parallel.executor import GraphTemplates
-from repro.sim.engine import SimulationEngine, _runs_in_id_order, _Structure
+from repro.sim.engine import SimulationEngine, _block_structure
 from repro.sim.events import TaskKind
 from repro.sim.resources import collective, device_compute, device_link, host_loader
-from repro.sim.trace import accounting_layout
 
 ROOT = Path(__file__).resolve().parents[2]
 STEP_COUNTS = range(2, 26)
@@ -45,8 +40,8 @@ STEP_COUNTS = range(2, 26)
 class _GraphBuilder:
     """Adds tasks whose durations are slots, numbered in order of first use.
 
-    Rows go straight into the columns of ``engine``; :func:`frozen_columns`
-    freezes them.
+    Rows go straight into the columns of ``engine``; :func:`oracle` runs
+    them with one value per slot.
     """
 
     def __init__(self) -> None:
@@ -253,92 +248,18 @@ _GRAPH_BUILDERS: Dict[str, Callable[[Hashable, int, _GraphBuilder], None]] = {
 }
 
 
-def _run_structure(deps: Sequence, resources: Sequence) -> _Structure:
-    """The run structure of the rows ``deps`` / ``resources``."""
-    dep_counts = list(map(len, deps))
-    # Each value's int object is made once and shared by the offsets and
-    # the dependents, which templates keep for as long as their table lives.
-    ints = list(range(max(left_sum(dep_counts), len(deps)) + 1))
-    dependents: List[List[int]] = [[] for _ in deps]
-    for task_id, row in zip(ints, deps):
-        for dep in row:
-            dependents[dep].append(task_id)
-    resource_index: Dict[str, int] = {}
-    resource_ids = [
-        resource_index.setdefault(resource, len(resource_index)) for resource in resources
-    ]
-    return _Structure(
-        dep_counts,
-        [ints[end] for end in accumulate(map(len, dependents), initial=0)],
-        list(chain.from_iterable(dependents)),
-        resource_ids,
-        resource_index,
-    )
-
-
-def frozen_columns(graph: _GraphBuilder) -> dict:
-    """What the per-row freeze made of ``graph``'s rows, by template column."""
-    engine = graph.engine
-    intern = sys.intern
-    names = tuple(map(intern, engine.names))
-    first_use: Dict[int, str] = {}
-    for row, (name, slot, deps) in enumerate(zip(names, engine.durations, engine.deps)):
-        if int(slot) != slot:
-            raise SimulationError(
-                f"task {name!r} has duration {slot!r}: template durations "
-                f"must be integer slot indices"
-            )
-        first_use.setdefault(slot, name)
-        for dep in deps:
-            if dep < 0 or dep >= row:
-                raise SimulationError(f"task {name!r} depends on unknown task id {dep}")
-    slot_range = range(len(first_use))
-    assert sorted(first_use) == list(slot_range)
-    dep_offsets = array("i", accumulate(map(len, engine.deps), initial=0))
-    dep_targets = array("i", chain.from_iterable(engine.deps))
-    resources = tuple(map(intern, engine.resources))
-    structure = _run_structure(engine.deps, resources)
-    return {
-        "names": names,
-        "kinds": tuple(engine.kinds),
-        "resources": resources,
-        "metadata": tuple(engine.metadata),
-        "slot_names": tuple(map(first_use.__getitem__, slot_range)),
-        "slots": array("i", map(int, engine.durations)),
-        "steps": array("i", engine.steps),
-        "devices": array("i", engine.devices),
-        "blocks": array("i", engine.blocks),
-        "dep_offsets": dep_offsets,
-        "dep_targets": dep_targets,
-        "structure": structure,
-        "layout": accounting_layout(engine, range(len(names))),
-        "in_order": _runs_in_id_order(structure, dep_offsets, dep_targets, len(names)),
-    }
-
-
-COLUMNS = (
-    "names",
-    "kinds",
-    "resources",
-    "metadata",
-    "slot_names",
-    "slots",
-    "steps",
-    "devices",
-    "blocks",
-    "dep_offsets",
-    "dep_targets",
-    "structure",
-    "layout",
-    "in_order",
-)
-
-
-def oracle(key: Hashable, steps: int) -> Tuple[dict, Tuple[Hashable, ...]]:
-    """The oracle's template columns and slot keys for ``steps`` steps of ``key``."""
+def oracle(key: Hashable, steps: int) -> Tuple[SimulationEngine, Tuple[Hashable, ...]]:
+    """The oracle's graph of ``steps`` steps of ``key`` (durations are slots) and its slot keys."""
     graph = _GraphBuilder()
     _GRAPH_BUILDERS[key[0]](key, steps, graph)
-    return frozen_columns(graph), tuple(graph.slots)
+    return graph.engine, tuple(graph.slots)
+
+
+def in_order(engine: SimulationEngine) -> bool:
+    """The in-order flag of every row of ``engine``'s graph, as one step of itself."""
+    dep_offsets = array("i", accumulate(map(len, engine.deps), initial=0))
+    dep_targets = array("i", chain.from_iterable(engine.deps))
+    return _block_structure(engine, dep_offsets, dep_targets, checked_steps=1).in_order
 
 
 def perfbench_inputs():
@@ -367,28 +288,34 @@ def grid_keys():
 # --------------------------------------------------------------------- #
 # Tests
 # --------------------------------------------------------------------- #
-def test_tiled_templates_equal_the_step_loop_builds(grid_keys):
-    # Each table tiles the key's block again for every longer step count.
-    # The oracle checks every row for the in-order flag; a template checks
-    # its first three steps.
+def test_block_runs_equal_the_step_loop_builds(grid_keys):
+    # Slot values with zeros and repeats, so that starts and ends tie.  The
+    # oracle checks every row for the in-order flag, a template its first
+    # three steps, which decide from three steps on.
     for key in grid_keys:
         table = GraphTemplates()
+        entry = table.get(key)
+        values = [0.25 * (slot * 7 % 5) for slot in range(len(entry.slot_keys))]
         for steps in STEP_COUNTS:
-            entry, rows = table.get(key, steps)
-            columns, slot_keys = oracle(key, steps)
-            tiled = {name: getattr(entry.template, name) for name in COLUMNS}
-            assert tiled == columns, (key, steps)
-            assert (entry.slot_keys, rows) == (slot_keys, len(columns["names"]))
-        assert (table.builds, table.tilings) == (1, len(STEP_COUNTS))
+            engine, slot_keys = oracle(key, steps)
+            assert slot_keys == entry.slot_keys, (key, steps)
+            if steps >= 3:
+                assert in_order(engine) == entry.template.in_order, (key, steps)
+            engine.durations = [values[slot] for slot in engine.durations]
+            expected = engine.run()
+            trace = entry.template.instantiate(values, steps).run()
+            assert list(trace.rows()) == list(expected.rows()), (key, steps)
+            assert list(trace.records) == list(expected.records), (key, steps)
+        assert table.builds == 1
 
 
-def test_the_block_edges_give_the_tiled_dependencies(grid_keys):
+def test_the_block_edges_give_the_step_loop_dependencies(grid_keys):
     # Row i of step k depends on the block's lag-0 targets t (row k * R + t)
     # and, from step 1 on, its lag-1 targets t < 0 (row k * R + t, in step
     # k - 1), in the block's order.
     lagged = set()
     for key in grid_keys:
-        entry, _ = GraphTemplates().get(key, 5)
+        entry = GraphTemplates().get(key)
         template, block = entry.template, entry.template.block
         stride = len(block.slots)
         edges = [
@@ -400,9 +327,9 @@ def test_the_block_edges_give_the_tiled_dependencies(grid_keys):
             for step in range(5)
             for row in edges
         ]
-        engine = template.instantiate([1.0] * len(template.slot_names))
-        assert [tuple(row) for row in engine.deps] == expected, key
-        assert template.structure == _run_structure(expected, template.resources), key
+        engine = template.instantiate([1.0] * len(template.slot_names), 5)
+        assert engine.deps == expected, key
+        assert engine.deps == list(oracle(key, 5)[0].deps), key
         if any(dep < 0 for dep in block.dep_targets):
             lagged.add(key)
     # Non-decoupled pipelines, every DP block among them, carry the previous

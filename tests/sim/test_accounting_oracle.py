@@ -1,13 +1,14 @@
 """Layout-based time accounting against the per-row scans it replaced.
 
 A trace's :class:`~repro.sim.trace.AccountingLayout` lists the rows of each
-step and of each ``(device, category)``; a graph template computes it once
-and every run cuts it to its row prefix.  ``compute_breakdown``,
-``step_boundaries``, ``steady_state_step_time``, ``steps()`` and
-``for_step`` all read it.  The oracle below is those functions as they were
-before, copied verbatim but for their float sums, left folds as in ``src``:
-one pass over every row of the trace per call.  Both must agree exactly
-(``==``) on random graphs, on template prefix runs and on sub-traces.  Exact
+step and of each ``(device, category)``; a template run instead hands its
+trace each bucket's busy time, added as it ran, and each step label's rows.
+``compute_breakdown``, ``step_boundaries``, ``steady_state_step_time``,
+``steps()`` and ``for_step`` all read one or the other.  The oracle below is
+those functions as they were before, copied verbatim but for their float
+sums, left folds as in ``src``: one pass over every row of the trace per
+call.  Both must agree exactly (``==``) on random graphs, on template runs
+of several steps and on sub-traces.  Exact
 equality also pins the summation order: the busy times are added with
 ``+=`` in row order, which ``sum()`` (compensated from Python 3.12 on) would
 not reproduce.
@@ -236,23 +237,31 @@ def assert_accounting_matches(trace: Trace, num_devices: int, horizon, window) -
 @given(
     graph=graphs(),
     horizon=st.one_of(st.none(), st.floats(0.0, 5e3, allow_nan=False)),
-    cut=st.floats(0.0, 1.0),
+    steps=st.integers(1, 3),
     window=st.tuples(st.floats(0.0, 2e3), st.floats(0.0, 4e3)),
 )
 @settings(max_examples=150, deadline=None)
-def test_layout_accounting_matches_the_row_scan(graph, horizon, cut, window):
+def test_layout_accounting_matches_the_row_scan(graph, horizon, steps, window):
     num_devices, rows = graph
     assert_accounting_matches(build(rows).run(), num_devices, horizon, window)
 
-    # The template's layout, computed once and cut to a row prefix per run,
-    # must account exactly like a scan of the prefix run's rows.
+    # A template run of its block for several steps hands its trace the
+    # bucket totals it added as it ran and each step label's rows: they
+    # must account exactly like a scan of the run's rows.
     template = build(rows, slots=True).freeze()
     values = [row["duration"] for row in rows]
-    prefix = round(cut * len(rows))
-    for num_tasks in (None, prefix):
-        trace = template.instantiate(values, num_tasks).run()
-        assert_accounting_matches(trace, num_devices, horizon, window)
-        assert rows_of(trace) == rows_of(build(rows[: len(trace)]).run())
+    trace = template.instantiate(values, steps).run()
+    assert_accounting_matches(trace, num_devices, horizon, window)
+    repeated = [
+        {
+            **row,
+            "deps": tuple(step * len(rows) + dep for dep in row["deps"]),
+            "step": row["step"] + step,
+        }
+        for step in range(steps)
+        for row in rows
+    ]
+    assert rows_of(trace) == rows_of(build(repeated).run())
 
 
 def test_busy_time_adds_in_row_order():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.sim.engine import GraphTemplate, SimulationEngine, step_block
 from repro.sim.events import TaskKind
+from repro.sim.metrics import compute_breakdown
 from repro.sim.resources import device_compute
 
 
@@ -198,30 +199,23 @@ class TestGraphTemplate:
         assert isinstance(engine, SimulationEngine)
         assert _rows(engine.run()) == _rows(built.run())
         # The run structure is shared, not rebuilt per instance.
-        assert template.instantiate([1, 1, 1])._structure is template.structure
+        assert template.instantiate([1, 1, 1])._run_inputs()[0] is template.structure
 
-    def test_prefix_runs_like_the_shorter_graph(self):
+    def test_more_steps_repeat_the_block(self):
+        # Three steps of the frozen graph: each step's rows are the block's,
+        # labelled one step later, with the block's edges shifted by 6 rows.
         template = _two_step_graph(SLOTS.get).freeze()
         built = _two_step_graph(VALUES.get)
-        shorter = SimulationEngine()
-        for task in map(built.task, range(3)):
-            shorter.add_task(
-                task.name,
-                task.kind,
-                task.resource,
-                task.duration,
-                deps=task.deps,
-                step=task.step,
-                device=task.device,
-                block=task.block,
-            )
-        engine = template.instantiate([0.5, 1.25, 2.0], num_tasks=3)
-        assert engine.num_tasks == len(engine.names) == len(engine.deps) == 3
+        engine = template.instantiate([0.5, 1.25, 2.0], steps=3)
+        assert engine.num_tasks == 18
         trace = engine.run()
-        assert len(trace.records) == 3
-        assert _rows(trace) == _rows(shorter.run())
+        assert len(trace.records) == 18
+        assert engine.num_tasks == len(engine.names) == len(engine.deps) == 18
+        assert engine.steps[6:12].tolist() == [step + 1 for step in built.steps]
+        assert engine.deps[10] == tuple(dep + 6 for dep in built.deps[4])
+        assert _rows(trace)[:6] == _rows(built.run())
         with pytest.raises(IndexError):
-            engine.task(3)
+            engine.task(18)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_invalid_value_names_the_first_task_of_its_slot(self, bad):
@@ -250,8 +244,8 @@ class TestGraphTemplate:
         template = _two_step_graph(SLOTS.get).freeze()
         with pytest.raises(SimulationError, match="3 slots"):
             template.instantiate([1.0, 1.0])
-        with pytest.raises(SimulationError, match="cannot run 7"):
-            template.instantiate([1.0, 1.0, 1.0], num_tasks=7)
+        with pytest.raises(SimulationError, match="at least one step"):
+            template.instantiate([1.0, 1.0, 1.0], steps=0)
 
 
 def _appended_graph(*rows):
@@ -310,43 +304,6 @@ class TestTemplateChecks:
             (0.5, 2.5),
             (2.5, 3.0),
         ]
-
-
-COLUMNS = (
-    "names",
-    "kinds",
-    "resources",
-    "durations",
-    "deps",
-    "steps",
-    "devices",
-    "blocks",
-    "metadata",
-)
-
-
-def _first_rows(engine, rows):
-    """An engine holding the first ``rows`` rows of ``engine``."""
-    part = SimulationEngine()
-    for column in COLUMNS:
-        getattr(part, column).extend(getattr(engine, column)[:rows])
-    return part
-
-
-class TestRowPrefixes:
-    """A row prefix of a template runs like a freeze of just those rows."""
-
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
-    def test_a_prefix_runs_like_a_freeze_of_its_rows(self, rows):
-        graph = _two_step_graph(SLOTS.get)
-        whole = graph.freeze()
-        part = _first_rows(graph, rows).freeze()
-        slots = len(part.slot_names)
-        assert whole.slot_names[:slots] == part.slot_names
-        assert whole.prefix_layout(rows) == part.layout
-        values = [0.5, 1.25, 2.0]
-        prefix = whole.instantiate(values, num_tasks=rows).run()
-        assert _rows(prefix) == _rows(part.instantiate(values[:slots]).run())
 
 
 # --------------------------------------------------------------------- #
@@ -419,59 +376,35 @@ def _in_order_by_definition(rows):
     return True
 
 
-class TestInOrderTemplates:
-    """A template's instances run like the same graph built with ``add_task``."""
+def _repeated(rows, steps):
+    """``steps`` copies of the rows, each step's dependencies shifted to its own rows."""
+    stride = len(rows)
+    return [
+        (resource, slot, tuple(step * stride + dep for dep in deps))
+        for step in range(steps)
+        for resource, slot, deps in rows
+    ]
 
-    @given(graph=random_graphs(), data=st.data())
+
+class TestInOrderTemplates:
+    """A template's instances run like the same graph built with ``add_task``.
+
+    A frozen graph is one step of a block without lag-1 edges; its
+    ``in_order`` flag holds for any number of steps, so it is the
+    definition's on three steps, which decide.
+    """
+
+    @given(graph=random_graphs(), steps=st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
-    def test_instances_match_the_heap_loop(self, graph, data):
+    def test_instances_match_the_heap_loop(self, graph, steps):
         rows, values = graph
         template = _graph_engine(rows, lambda slot: slot).freeze()
-        built = _graph_engine(rows, values.__getitem__)
+        assert template.in_order == _in_order_by_definition(_repeated(rows, 3))
+        built = _graph_engine(_repeated(rows, steps), values.__getitem__)
         heap = _times(built.run())
-        assert template.in_order == _in_order_by_definition(rows)
-        assert _times(template.instantiate(values).run()) == heap
+        assert _times(template.instantiate(values, steps).run()) == heap
         if template.in_order:
             assert _id_order_times(built) == heap
-        # Any row prefix.
-        prefix = data.draw(st.integers(0, len(rows)), label="prefix")
-        assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
-        # A prefix's accounting layout is cut once and kept with the template.
-        kept = template.prefix_layout(prefix)
-        assert kept == template.layout.cut(prefix)
-        assert template.prefix_layout(prefix) is kept
-
-    def test_rows_with_no_one_and_several_dependencies_or_dependents(self):
-        # Row 0 feeds three rows and row 5 waits on three; rows 1, 2 and 3
-        # have one dependent each, row 4 one dependency, rows 6 and 7 none
-        # or one of either.  The one-pass loop reads each row's
-        # dependencies from the template's flat CSR targets, so every count
-        # must consume exactly its own targets, on every row prefix.
-        rows = (
-            ("host:loader", 0, ()),  # 0
-            (device_compute(0), 1, (0,)),  # 1
-            (device_compute(1), 1, (0,)),  # 2
-            ("collective:x", 2, (0,)),  # 3
-            (device_compute(0), 2, (1,)),  # 4
-            (device_compute(1), 0, (2, 3, 4)),  # 5
-            ("host:loader", 0, ()),  # 6
-            (device_compute(0), 1, (6,)),  # 7
-        )
-        values = [0.5, 1.0, 2.5]
-        template = _graph_engine(rows, lambda slot: slot).freeze()
-        assert template.in_order and _in_order_by_definition(rows)
-        counts = [len(deps) for _, _, deps in rows]
-        dependents = [sum(row in deps for _, _, deps in rows) for row in range(len(rows))]
-        assert {0, 1, 3} <= set(counts) and {0, 1, 3} <= set(dependents)
-        heap = _times(_graph_engine(rows, values.__getitem__).run())
-        assert heap[5][1] == max(heap[dep][2] for dep in (2, 3, 4)) == 4.0
-        for prefix in range(len(rows) + 1):
-            assert _times(template.instantiate(values, num_tasks=prefix).run()) == heap[:prefix]
-            prefix_rows = _graph_engine(rows[:prefix], values.__getitem__)
-            assert _times(prefix_rows.run()) == heap[:prefix]
-        # Each prefix layout is cut once; the whole template's is its own.
-        assert set(template.prefix_layouts) == set(range(len(rows)))
-        assert template.prefix_layout(len(rows)) is template.layout
 
     def test_a_decoupled_update_graph_runs_on_the_heap_loop(self):
         # One DPU step on two replicas: the update waits on the all-reduce
@@ -496,19 +429,22 @@ class TestInOrderTemplates:
         update, teacher = heap[5], heap[7]
         assert (teacher[1], update[1]) == (2.5, 4.5)  # during the all-reduce
         assert _id_order_times(built)[7][1] == update[2] == 4.75
-        # Without the next step's rows the graph is in order.
-        assert _graph_engine(rows[:6], lambda slot: slot).freeze().in_order
+        # One step alone is in order, but the block repeated is not: the
+        # next step's teacher overtakes the update the same way.
+        assert _in_order_by_definition(rows[:6])
+        assert not _graph_engine(rows[:6], lambda slot: slot).freeze().in_order
 
 
 # --------------------------------------------------------------------- #
-# Tiled templates: a one-step block repeated, checked against a freeze
+# Block runs: a one-step block run for many steps, checked row by row
 # --------------------------------------------------------------------- #
 @st.composite
 def random_blocks(draw):
-    """``(rows, tiles, values)``: a random one-step block of ``(resource, slot, deps, carried)``.
+    """``(rows, steps, values)``: a random one-step block and a step count.
 
+    Each row is ``(resource, slot, deps, carried, kind, label, device)``:
     ``deps`` are earlier rows of the same step, ``carried`` any rows of the
-    previous step.
+    previous step, and ``label`` the row's step label in step 0.
     """
     num_resources = draw(st.integers(1, 4))
     num_rows = draw(st.integers(1, 6))
@@ -517,58 +453,127 @@ def random_blocks(draw):
         resource = RESOURCES[draw(st.integers(0, num_resources - 1))]
         deps = tuple(sorted(draw(st.sets(st.integers(0, row - 1), max_size=2)))) if row else ()
         carried = tuple(sorted(draw(st.sets(st.integers(0, num_rows - 1), max_size=2))))
-        rows.append((resource, row % 3, deps, carried))
+        kind = draw(st.sampled_from(list(TaskKind)))
+        label = draw(st.sampled_from([-1, 0, 0, 1]))
+        device = draw(st.integers(-1, 3))
+        rows.append((resource, row % 3, deps, carried, kind, label, device))
     durations = st.sampled_from([0.0, 1.0, 2.5])
     values = draw(st.lists(durations, min_size=min(num_rows, 3), max_size=min(num_rows, 3)))
-    return rows, draw(st.integers(1, 7)), values
+    return rows, draw(st.integers(1, 25)), values
 
 
-def _tiled_engine(rows, tiles, duration_of):
-    """``tiles`` steps of ``rows`` built with ``add_task``, each row named ``t{row}[s{step}]``."""
+def _block_template(rows):
+    return GraphTemplate(
+        step_block(
+            names=[(f"t{index}[s", "]") for index in range(len(rows))],
+            kinds=[row[4] for row in rows],
+            resources=[row[0] for row in rows],
+            slots=[row[1] for row in rows],
+            deps=[row[2] for row in rows],
+            carried=[row[3] for row in rows],
+            steps=[row[5] for row in rows],
+            devices=[row[6] for row in rows],
+            blocks=[-1] * len(rows),
+            metadata=[None] * len(rows),
+        )
+    )
+
+
+def _stepped_engine(rows, steps, duration_of):
+    """``steps`` steps of ``rows`` built with ``add_task``, each row named ``t{row}[s{step}]``."""
     engine = SimulationEngine()
     stride = len(rows)
-    for step in range(tiles):
-        for index, (resource, slot, deps, carried) in enumerate(rows):
+    for step in range(steps):
+        for index, (resource, slot, deps, carried, kind, label, device) in enumerate(rows):
             lagged = [(step - 1) * stride + dep for dep in carried] if step else []
             engine.add_task(
                 f"t{index}[s{step}]",
-                TaskKind.TEACHER_FORWARD,
+                kind,
                 resource,
                 duration_of(slot),
                 deps=[step * stride + dep for dep in deps] + lagged,
-                step=step,
-                device=0,
+                step=label + step,
+                device=device,
             )
     return engine
 
 
-class TestTiledTemplates:
-    """A block tiled ``k`` times equals the freeze of the same ``k``-step graph."""
+class TestBlockRuns:
+    """A block run for ``k`` steps equals the ``k``-step graph built row by row.
+
+    The built engine runs on the event loop; the block run on the one pass
+    when its template is in order.  Starts, ends, records and every time
+    accounting must be bit-equal.
+    """
 
     @given(block=random_blocks())
     @settings(max_examples=300, deadline=None)
-    def test_a_tiling_equals_the_freeze_of_its_rows(self, block):
-        rows, tiles, values = block
-        tiled = GraphTemplate(
-            step_block(
-                names=[(f"t{index}[s", "]") for index in range(len(rows))],
-                kinds=[TaskKind.TEACHER_FORWARD] * len(rows),
-                resources=[resource for resource, _, _, _ in rows],
-                slots=[slot for _, slot, _, _ in rows],
-                deps=[deps for _, _, deps, _ in rows],
-                carried=[carried for _, _, _, carried in rows],
-                steps=[0] * len(rows),
-                devices=[0] * len(rows),
-                blocks=[-1] * len(rows),
-                metadata=[None] * len(rows),
-            ),
-            tiles,
-        )
-        frozen = _tiled_engine(rows, tiles, lambda slot: slot).freeze()
-        # The freeze checks every row for the in-order flag, the tiling
-        # only its first three steps.
-        for column in GraphTemplate.__slots__:
-            if column != "block":
-                assert getattr(tiled, column) == getattr(frozen, column), column
-        built = _tiled_engine(rows, tiles, values.__getitem__)
-        assert _times(tiled.instantiate(values).run()) == _times(built.run())
+    def test_a_block_run_equals_the_row_by_row_build(self, block):
+        rows, steps, values = block
+        template = _block_template(rows)
+        repeated = _stepped_engine(rows, 3, lambda slot: slot)
+        three_steps = list(zip(repeated.resources, repeated.durations, repeated.deps))
+        assert template.in_order == _in_order_by_definition(three_steps)
+        run = template.instantiate(values, steps).run()
+        built = _stepped_engine(rows, steps, values.__getitem__).run()
+        assert _times(run) == _times(built)
+        assert _rows(run) == _rows(built)
+        assert compute_breakdown(run, 3) == compute_breakdown(built, 3)
+        assert run.step_boundaries() == built.step_boundaries()
+        for skip_first in range(4):
+            assert run.steady_state_step_time(skip_first) == built.steady_state_step_time(
+                skip_first
+            )
+
+    def test_rows_with_no_one_and_several_dependencies_or_dependents(self):
+        # Row 0 feeds four rows and row 5 waits on three; rows 1, 2 and 3
+        # have one dependent each, rows 4, 6 and 7 one dependency, and row 0
+        # none in its step but the previous step's rows 5 and 7.  The
+        # one-pass loop reads each row's dependencies from the block's flat
+        # targets, so every count must consume exactly its own targets, in
+        # step 0 (without the lag-1 ones) and every later step.
+        kind = TaskKind.TEACHER_FORWARD
+        rows = [
+            ("host:loader", 0, (), (5, 7), kind, 0, 0),  # 0
+            (device_compute(0), 1, (0,), (), kind, 0, 0),  # 1
+            (device_compute(1), 1, (0,), (), kind, 0, 1),  # 2
+            ("collective:x", 2, (0,), (), kind, 0, -1),  # 3
+            (device_compute(0), 2, (1,), (), kind, 0, 0),  # 4
+            (device_compute(1), 0, (2, 3, 4), (), kind, 0, 1),  # 5
+            ("host:loader", 0, (0,), (), kind, 0, 0),  # 6
+            (device_compute(0), 1, (6,), (), kind, 0, 0),  # 7
+        ]
+        values = [0.5, 1.0, 2.5]
+        template = _block_template(rows)
+        assert template.in_order
+        counts = [len(deps) for _, _, deps, *_ in rows]
+        dependents = [sum(row in deps for _, _, deps, *_ in rows) for row in range(len(rows))]
+        assert {0, 1, 3} <= set(counts) and {0, 1, 4} <= set(dependents)
+        heap = _times(_stepped_engine(rows, 1, values.__getitem__).run())
+        assert heap[5][1] == max(heap[dep][2] for dep in (2, 3, 4)) == 4.0
+        for steps in range(1, 5):
+            built = _stepped_engine(rows, steps, values.__getitem__)
+            assert _times(template.instantiate(values, steps).run()) == _times(built.run())
+
+    def test_both_run_paths_are_exercised(self):
+        # A chain on one device is in order; two replicas whose update
+        # waits on an all-reduce are not.
+        chain = [
+            ("host:loader", 0, (), (), TaskKind.DATA_LOAD, 0, 0),
+            (device_compute(0), 1, (0,), (1,), TaskKind.TEACHER_FORWARD, 0, 0),
+        ]
+        replicas = [
+            ("host:loader", 0, (), (), TaskKind.DATA_LOAD, 0, 0),
+            (device_compute(0), 1, (0,), (), TaskKind.STUDENT_FORWARD, 0, 0),
+            (device_compute(1), 2, (0,), (), TaskKind.STUDENT_FORWARD, 0, 1),
+            ("collective:x", 1, (1, 2), (), TaskKind.ALLREDUCE, 0, -1),
+            (device_compute(0), 0, (1, 3), (), TaskKind.WEIGHT_UPDATE, 0, 0),
+        ]
+        for rows, in_order in ((chain, True), (replicas, False)):
+            template = _block_template(rows)
+            assert template.in_order is in_order
+            values = [0.5, 1.0, 3.0][: len(template.slot_names)]
+            run = template.instantiate(values, 12).run()
+            built = _stepped_engine(rows, 12, values.__getitem__).run()
+            assert _rows(run) == _rows(built)
+            assert compute_breakdown(run, 2) == compute_breakdown(built, 2)

@@ -79,8 +79,7 @@ METRIC_KEYS = frozenset(
         "warm_memo_fill_spans",
         "search_space_size",
         "template_builds",
-        "template_tilings",
-        "tiled_rows",
+        "run_rows",
     }
 )
 
