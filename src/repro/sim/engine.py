@@ -35,8 +35,9 @@ import heapq
 import sys
 from array import array
 from collections.abc import Sequence
-from itertools import accumulate, chain, islice, repeat
-from operator import add, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from math import isfinite
+from operator import add, not_, sub
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -258,8 +259,8 @@ class _RunSteps(Sequence):
 
 def _run_in_order(
     structure: _BlockStructure, durations: List[float], steps: int
-) -> Tuple[List[float], List[float], List[float]]:
-    """Start and end times and bucket totals of ``steps`` steps of an in-order block.
+) -> Tuple[List[float], List[float], List[float], float]:
+    """Start and end times, bucket totals and makespan of ``steps`` steps of an in-order block.
 
     Each task starts at the latest of its resource's free time and its
     dependencies' end times on other resources (:attr:`_BlockStructure.reads`),
@@ -292,7 +293,8 @@ def _run_in_order(
             free[res] = end_at
             totals[bucket] += end_at - start_at
         counts, targets = later
-    return start_time, finish_time, totals
+    # Each resource ends when its last task does, the latest of its tasks.
+    return start_time, finish_time, totals, max(free, default=0.0)
 
 
 #: The task-table columns of a :class:`SimulationEngine`, one list per attribute.
@@ -459,9 +461,11 @@ class SimulationEngine:
         """
         structure, durations, steps = self._run_inputs()
         if structure.in_order:
-            start_time, finish_time, totals = _run_in_order(structure, durations, steps)
+            start_time, finish_time, totals, makespan = _run_in_order(structure, durations, steps)
         else:
-            start_time, finish_time, totals = self._run_events(structure, durations, steps)
+            start_time, finish_time, totals, makespan = self._run_events(
+                structure, durations, steps
+            )
         return Trace(
             self,
             range(len(finish_time)),
@@ -469,12 +473,13 @@ class SimulationEngine:
             finish_time,
             steps=_RunSteps(structure.step_rows, len(durations), steps),
             totals=dict(zip(structure.bucket_keys, totals)),
+            makespan=makespan,
         )
 
     def _run_events(
         self, structure: _BlockStructure, durations: List[float], steps: int
-    ) -> Tuple[List[float], List[float], List[float]]:
-        """:meth:`run`'s event loop: start and end times by id, and bucket totals.
+    ) -> Tuple[List[float], List[float], List[float], float]:
+        """:meth:`run`'s event loop: start and end times by id, bucket totals and makespan.
 
         The loop keeps one *candidate* per resource — its queue head, stamped
         with the start time it would get right now — in a single global heap,
@@ -510,9 +515,9 @@ class SimulationEngine:
         start_time = [0.0] * num_tasks
         finish_time: List[Optional[float]] = [None] * num_tasks
 
-        for task_id in range(num_tasks):
-            if remaining_deps[task_id] == 0:
-                heappush(queues[task_resource[task_id]], task_id)
+        # Ascending ids: each queue is a heap as built.
+        for task_id in compress(range(num_tasks), map(not_, remaining_deps)):
+            queues[task_resource[task_id]].append(task_id)
 
         # One candidate per resource with pending work; stale entries are
         # recognised on pop by re-deriving the head and its start time.
@@ -579,7 +584,7 @@ class SimulationEngine:
         totals = [0.0] * (len(structure.bucket_keys) + 1)
         for bucket, start_at, end_at in zip(structure.buckets * steps, start_time, finish_time):
             totals[bucket] += end_at - start_at
-        return start_time, finish_time, totals
+        return start_time, finish_time, totals, max(free, default=0.0)
 
 
 class StepBlock(NamedTuple):
@@ -731,8 +736,9 @@ class GraphTemplate:
             raise SimulationError(f"a template runs at least one step, not {steps}")
         if not (isinstance(values, array) and values.typecode == "d"):
             values = [float(value) for value in values]
-        for name, value in zip(slot_names, values):
-            check_duration(name, value)
+        if not all(map(isfinite, values)) or min(values, default=0.0) < 0.0:
+            for name, value in zip(slot_names, values):
+                check_duration(name, value)
         return _BlockRun(self, list(map(values.__getitem__, self.block.slots)), steps)
 
     def columns(self, durations: List[float], steps: int) -> Dict[str, Sequence]:

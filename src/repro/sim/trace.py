@@ -152,6 +152,13 @@ class TaskRecord:
         return self.task.kind
 
 
+def _at(values: List[float], rows: Sequence[int]) -> Iterable[float]:
+    """``values`` at positions ``rows``: a slice when they are one contiguous run."""
+    if isinstance(rows, range) and rows.step == 1:
+        return values[rows.start : rows.stop]
+    return map(values.__getitem__, rows)
+
+
 class RecordView(Sequence):
     """Read-only sequence of a trace's :class:`TaskRecord` objects.
 
@@ -183,11 +190,22 @@ class Trace:
     task-id order.  Sub-traces (:meth:`filter`, :meth:`window`,
     :meth:`for_step`) share the task table and keep a subset of rows.
     A run passes ``steps``, the ``(step, rows)`` of each step label
-    ``>= 0``, ascending, and ``totals``, what :meth:`busy_totals`
-    returns; otherwise both are read from :attr:`layout`.
+    ``>= 0``, ascending, ``totals``, what :meth:`busy_totals` returns,
+    and the :attr:`makespan`; otherwise the first two are read from
+    :attr:`layout` and the makespan from the end times.
     """
 
-    __slots__ = ("tasks", "task_ids", "starts", "ends", "_records", "_layout", "_steps", "_totals")
+    __slots__ = (
+        "tasks",
+        "task_ids",
+        "starts",
+        "ends",
+        "_records",
+        "_layout",
+        "_steps",
+        "_totals",
+        "_makespan",
+    )
 
     def __init__(
         self,
@@ -197,6 +215,7 @@ class Trace:
         ends: List[float],
         steps: Optional[Sequence[Tuple[int, Sequence[int]]]] = None,
         totals: Optional[Dict[Tuple[int, str], float]] = None,
+        makespan: Optional[float] = None,
     ) -> None:
         self.tasks = tasks
         self.task_ids = task_ids
@@ -206,6 +225,7 @@ class Trace:
         self._layout: Optional[AccountingLayout] = None
         self._steps = steps
         self._totals = totals
+        self._makespan = makespan
 
     @property
     def layout(self) -> AccountingLayout:
@@ -250,7 +270,9 @@ class Trace:
     @property
     def makespan(self) -> float:
         """Total simulated time from 0 to the last task completion."""
-        return max(self.ends, default=0.0)
+        if self._makespan is None:
+            self._makespan = max(self.ends, default=0.0)
+        return self._makespan
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -338,10 +360,10 @@ class Trace:
         )
 
     def _first_start(self, rows: Sequence[int]) -> float:
-        return min(map(self.starts.__getitem__, rows))
+        return min(_at(self.starts, rows))
 
     def _last_end(self, rows: Sequence[int]) -> float:
-        return max(map(self.ends.__getitem__, rows))
+        return max(_at(self.ends, rows))
 
     def step_boundaries(self) -> Dict[int, Tuple[float, float]]:
         """Per-step (earliest start, latest end) over labeled records."""
